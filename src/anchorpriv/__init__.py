@@ -40,12 +40,15 @@ from .geometry import (
     CellWeights,
     Partition,
     axis_neighbors,
+    corner_weights,
     interpolation_weights,
     locate_cell,
+    locate_cells,
     lp_distance,
+    lp_distance_matrix,
     partition_domain,
 )
-from .interpolation import Mechanism, distribution_at, f_int_unnormalized, logcvx_1d, sample
+from .interpolation import Mechanism, logcvx_1d
 from .lpcore import LinearProgram, LpSolution, solve_lp
 from .mechanisms import (
     CoarseLpMechanism,
@@ -54,9 +57,7 @@ from .mechanisms import (
     RemappedMechanism,
     TruncatedExponentialMechanism,
     bayesian_remap,
-    em_mechanism,
-    laplace_mechanism,
-    tem_mechanism,
+    log_probs,
 )
 
 __version__ = "0.1.0"

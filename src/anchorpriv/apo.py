@@ -19,10 +19,10 @@ from .errors import SolverError
 from .geometry import (
     Partition,
     axis_neighbors,
+    corner_weights,
     dual_exponent,
-    interpolation_weights,
-    locate_cell,
-    lp_distance,
+    locate_cells,
+    lp_distance_matrix,
 )
 from .lpcore import LinearProgram, solve_lp
 
@@ -213,12 +213,12 @@ def surrogate_coefficients(partition: Partition, prior, loss, outputs: OutputDom
     masses = np.asarray(prior.masses, dtype=float)
     points = np.asarray(prior.points, dtype=float)
     loss_mat = np.asarray(loss.loss_matrix(points, outputs), dtype=float)
+    cells = locate_cells(partition, points)
+    w = corner_weights(partition, points, cells)
+    contrib = w[:, :, None] * (masses[:, None] * loss_mat)[:, None, :]
     coeffs = np.zeros((partition.n_anchors, outputs.size))
-    for i in range(points.shape[0]):
-        m = locate_cell(partition, points[i])
-        w = interpolation_weights(partition.cell(m), points[i]).weights
-        rows = partition.cell_corner_anchors[m]
-        coeffs[rows] += np.outer(w, masses[i] * loss_mat[i])
+    # add.at accumulates point by point, in prior order.
+    np.add.at(coeffs, partition.cell_corner_anchors[cells], contrib)
     return SurrogateCoefficients(matrix=coeffs)
 
 
@@ -310,11 +310,10 @@ def build_aipo_relaxed(
     if coeffs.matrix.shape != (partition.n_anchors, outputs.size):
         raise ValueError("coefficient matrix shape mismatch")
     lp = _table_program(coeffs.matrix, partition.n_anchors, outputs.size)
-    anchors = partition.anchors
+    dist = lp_distance_matrix(partition.anchors, partition.anchors, p)
     for i in range(partition.n_anchors):
         for j in range(i + 1, partition.n_anchors):
-            bound = math.exp(eps_total * lp_distance(anchors[i], anchors[j], p))
-            _add_ratio_pair(lp, i, j, bound, outputs.size)
+            _add_ratio_pair(lp, i, j, math.exp(eps_total * dist[i, j]), outputs.size)
     return lp
 
 
@@ -343,10 +342,10 @@ def build_coarse_lp(
     loss_mat = np.asarray(loss.loss_matrix(reps, outputs), dtype=float)
     objective = masses[:, None] * loss_mat
     lp = _table_program(objective, reps.shape[0], outputs.size)
+    dist = lp_distance_matrix(reps, reps, p)
     for i in range(reps.shape[0]):
         for j in range(i + 1, reps.shape[0]):
-            bound = math.exp(eps_total * lp_distance(reps[i], reps[j], p))
-            _add_ratio_pair(lp, i, j, bound, outputs.size)
+            _add_ratio_pair(lp, i, j, math.exp(eps_total * dist[i, j]), outputs.size)
     return lp
 
 
@@ -386,9 +385,7 @@ def lower_bound(
     loss_mat = np.asarray(loss.loss_matrix(points, outputs), dtype=float)
 
     floor_loss = np.full((n_cells, n_out), np.inf)
-    for i in range(points.shape[0]):
-        m = locate_cell(partition, points[i])
-        floor_loss[m] = np.minimum(floor_loss[m], masses[i] * loss_mat[i])
+    np.minimum.at(floor_loss, locate_cells(partition, points), masses[:, None] * loss_mat)
     # Cells without sample points contribute nothing to the discretized loss.
     floor_loss[~np.isfinite(floor_loss)] = 0.0
 

@@ -16,19 +16,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import as_point, lp_distance
+from .geometry import as_point, lp_distance, lp_distance_matrix
 from .interpolation import PROB_FLOOR
+from .mechanisms import log_probs
 
 __all__ = ["AuditReport", "ppr", "violation_ratio", "ppr_histogram", "histogram_csv"]
 
+ROW_BLOCK = 64
 
-def _log_probs(mech, x) -> np.ndarray:
-    if hasattr(mech, "log_distribution_at"):
-        logd = np.asarray(mech.log_distribution_at(x), dtype=float)
-    else:
-        with np.errstate(divide="ignore"):
-            logd = np.log(np.asarray(mech.distribution_at(x), dtype=float))
-    return np.maximum(logd, math.log(PROB_FLOOR))
+
+def _floored_logs(mech, X) -> np.ndarray:
+    return np.maximum(log_probs(mech, X), math.log(PROB_FLOOR))
 
 
 def ppr(x, x2, y_index: int, mech) -> float:
@@ -39,7 +37,8 @@ def ppr(x, x2, y_index: int, mech) -> float:
         raise ValueError("probability ratio requires two distinct points")
     p = mech.metric_p if getattr(mech, "metric_p", None) else getattr(mech, "p", 2.0)
     d = lp_distance(x, x2, p)
-    gap = abs(float(_log_probs(mech, x)[y_index] - _log_probs(mech, x2)[y_index]))
+    logs = _floored_logs(mech, np.stack([x, x2]))
+    gap = abs(float(logs[0, y_index] - logs[1, y_index]))
     return gap / d
 
 
@@ -94,48 +93,37 @@ def _sample_points(mech, n: int, rng) -> np.ndarray:
     return lo + rng.random((n, lo.size)) * (hi - lo)
 
 
-def _pairwise_distances(points: np.ndarray, i: int, p: float) -> np.ndarray:
-    diff = np.abs(points[i + 1 :] - points[i])
-    if math.isinf(p):
-        return diff.max(axis=1)
-    return np.sum(diff**p, axis=1) ** (1.0 / p)
+def _ppr_rows(points, logs, p, eps, rows):
+    """PPR of pair blocks (i, j > i) for i in rows, in one pass.
 
-
-def _max_ppr_rows(points, logs, p, rows):
-    """Per-pair max-over-outputs PPR for pair blocks (i, j > i), i in rows."""
+    Returns the per-pair max-over-outputs PPR of each block and the count
+    of (pair, output) PPRs above eps.
+    """
+    dist = lp_distance_matrix(points[rows], points, p)
     blocks = []
-    for i in rows:
-        if i + 1 >= points.shape[0]:
-            blocks.append(np.empty(0))
-            continue
-        d = _pairwise_distances(points, i, p)
-        gaps = np.abs(logs[i + 1 :] - logs[i]).max(axis=1)
-        blocks.append(gaps / d)
-    return blocks
+    over = 0
+    for r, i in enumerate(rows):
+        ratios = np.abs(logs[i + 1 :] - logs[i]) / dist[r, i + 1 :, None]
+        blocks.append(ratios.max(axis=1))
+        over += int(np.count_nonzero(ratios > eps))
+    return blocks, over
 
 
 def _collect_ppr(mech, eps, p, sample_count, seed, threads):
     rng = np.random.default_rng(seed)
     points = _sample_points(mech, sample_count, rng)
-    logs = np.stack([_log_probs(mech, x) for x in points])
+    logs = _floored_logs(mech, points)
     n = points.shape[0]
-    rows = list(range(n))
+    # Row blocks of ROW_BLOCK to 2 * ROW_BLOCK rows keep the distance buffer
+    # linear in n.
+    chunks = np.array_split(np.arange(n), max(1, n // ROW_BLOCK))
     if threads and threads > 1:
-        chunks = np.array_split(rows, threads * 4)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda c: _max_ppr_rows(points, logs, p, c), chunks))
-        blocks = [b for part in parts for b in part]
+            parts = list(pool.map(lambda c: _ppr_rows(points, logs, p, eps, c), chunks))
     else:
-        blocks = _max_ppr_rows(points, logs, p, rows)
-
-    per_out_viol = 0
-    for i in rows:
-        if i + 1 >= n:
-            continue
-        d = _pairwise_distances(points, i, p)
-        gaps = np.abs(logs[i + 1 :] - logs[i])
-        per_out_viol += int(np.count_nonzero(gaps / d[:, None] > eps))
-    return points, blocks, per_out_viol
+        parts = [_ppr_rows(points, logs, p, eps, c) for c in chunks]
+    blocks = [b for part, _ in parts for b in part]
+    return points, blocks, sum(over for _, over in parts)
 
 
 def violation_ratio(mech, eps: float, p: float | None = None,

@@ -30,7 +30,7 @@ import yaml
 
 from . import __version__, apo, audit, budget, evaluation, mechanisms
 from .errors import ConfigError, SolverError
-from .geometry import Partition
+from .geometry import Partition, locate_cells
 from .interpolation import Mechanism
 
 THREADS_ENV = "ANCHORPRIV_THREADS"
@@ -145,11 +145,12 @@ def make_aipo_mechanism(instance, eps: float, p: float, mode: str = "sweep",
     validate = convention == "half-dual"
     n = part.n_dims
 
-    def solve_for(bv):
+    tables = {}  # solved table per budget vector; no vector is solved twice
+
+    def surrogate_loss(bv):
         lp = apo.build_approx_apo(part, outputs, bv, coeffs, validate_budget=validate)
-        table = apo.solve_approx_apo(lp)
-        value = float(np.sum(coeffs.matrix * table.probs))
-        return table, value
+        tables[tuple(bv.eps)] = table = apo.solve_approx_apo(lp)
+        return float(np.sum(coeffs.matrix * table.probs))
 
     curve = None
     if mode == "equal":
@@ -160,11 +161,11 @@ def make_aipo_mechanism(instance, eps: float, p: float, mode: str = "sweep",
         candidates = budget.feasible_allocations(
             eps, p, n_dims=n, resolution=resolution, convention=convention
         )
-        best, curve = budget.optimize_allocation(
-            candidates, lambda bv: solve_for(bv)[1]
-        )
-    table, _ = solve_for(best)
-    mech = Mechanism(part, table, outputs, budget=best, total_eps=eps, metric_p=p)
+        best, curve = budget.optimize_allocation(candidates, surrogate_loss)
+    if tuple(best.eps) not in tables:
+        surrogate_loss(best)
+    mech = Mechanism(part, tables[tuple(best.eps)], outputs, budget=best,
+                     total_eps=eps, metric_p=p)
     return mech, best, curve
 
 
@@ -172,7 +173,7 @@ def make_method(tag: str, instance, eps: float, p: float, *,
                 mode: str = "sweep", resolution: int = 5,
                 convention: str = "half-dual", explicit=None,
                 coarse_grid=None, tem_radius=None):
-    """Build one comparison method; returns an object with distribution_at.
+    """Build one comparison method; returns a mechanism with log_probs.
 
     "LB" is special-cased by the caller since it yields a scalar bound
     rather than a mechanism.
@@ -211,9 +212,10 @@ def make_method(tag: str, instance, eps: float, p: float, *,
             for m in range(coarse_part.n_cells)
         ])
         # Each representative carries the prior mass of its cell.
-        masses = np.zeros(reps.shape[0])
-        for pt, mass in zip(instance.prior.points, instance.prior.masses):
-            masses[coarse_part.locate(pt)] += mass
+        masses = np.bincount(
+            locate_cells(coarse_part, instance.prior.points),
+            weights=instance.prior.masses, minlength=coarse_part.n_cells,
+        )
         lp = apo.build_coarse_lp(reps, masses, outputs, eps, p, instance.loss)
         table = apo.solve_approx_apo(lp)
         return mechanisms.CoarseLpMechanism(reps, table, outputs, bounds)
@@ -457,9 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the instance seed")
         p.add_argument("--out-dir", default="out", help="output directory")
         p.add_argument(
-            "--threads", type=int,
-            default=int(os.environ.get(THREADS_ENV, "1")),
-            help=f"worker cap for pair evaluation (env {THREADS_ENV})",
+            "--threads", type=int, default=None,
+            help=f"worker cap for pair evaluation (default: env {THREADS_ENV}, else 1)",
         )
 
     p_syn = sub.add_parser("synthesize", help="solve anchor mechanisms from a config")
@@ -494,12 +495,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_threads() -> int:
+    text = os.environ.get(THREADS_ENV, "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{THREADS_ENV} must be an integer, got {text!r}") from None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "eps") and isinstance(args.eps, str):
-        args.eps = _parse_eps(args.eps)
     try:
+        if hasattr(args, "eps") and isinstance(args.eps, str):
+            args.eps = _parse_eps(args.eps)
+        if args.threads is None:
+            args.threads = _env_threads()
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -3,7 +3,8 @@
 Provides weighted road graphs with exact single-source shortest paths,
 task-based pointwise losses (absolute shortest-path difference aggregated
 over a task prior), discrete priors over the domain, the expected loss of
-any mechanism exposing ``distribution_at``, and a deterministic generator
+any mechanism (evaluated at every prior point at once through
+``mechanisms.log_probs``), and a deterministic generator
 for desk-scale synthetic instances. Instances round-trip through a
 bundle directory: a JSON manifest naming the parts, the graph as plain
 text, and the prior (and matrix losses) as CSV.
@@ -21,6 +22,7 @@ import numpy as np
 
 from .apo import OutputDomain
 from .geometry import Partition, as_point
+from .mechanisms import log_probs
 
 __all__ = [
     "RoadGraph",
@@ -301,15 +303,13 @@ class LossModel:
 def expected_loss(mech, prior: PriorModel, loss: LossModel) -> float:
     """Prior-weighted expected pointwise loss of a mechanism.
 
-    Uses ``mech.distribution_at`` at every prior sample point, so
-    interpolated and closed-form mechanisms evaluate identically.
+    Evaluates the mechanism at every prior sample point in one
+    ``log_probs`` call, so interpolated, closed-form and external
+    mechanisms evaluate identically.
     """
     loss_mat = loss.loss_matrix(prior.points, mech.outputs)
-    total = 0.0
-    for i in range(prior.size):
-        dist = mech.distribution_at(prior.points[i])
-        total += prior.masses[i] * float(dist @ loss_mat[i])
-    return total
+    z = np.exp(log_probs(mech, prior.points))
+    return float(prior.masses @ np.sum(z * loss_mat, axis=1))
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,15 @@ __all__ = [
     "AnchorPair",
     "Partition",
     "as_point",
+    "as_points",
     "lp_distance",
+    "lp_distance_matrix",
     "dual_exponent",
     "corner_offsets",
     "partition_domain",
     "locate_cell",
+    "locate_cells",
+    "corner_weights",
     "interpolation_weights",
     "axis_neighbors",
 ]
@@ -46,21 +50,36 @@ def as_point(x) -> np.ndarray:
     return p
 
 
-def lp_distance(a, b, p: float) -> float:
-    """lp distance between two points of equal dimension.
+def as_points(X, n_dims: int | None = None) -> np.ndarray:
+    """Coerce ``X`` to a finite (n, N) float array, N >= 1 (``n_dims`` if given)."""
+    P = np.asarray(X, dtype=float)
+    if P.ndim != 2 or P.shape[1] < 1:
+        raise ValueError(f"points must be an (n, N) array, got shape {P.shape}")
+    if n_dims is not None and P.shape[1] != n_dims:
+        raise ValueError(f"points have dimension {P.shape[1]}, expected {n_dims}")
+    if not np.all(np.isfinite(P)):
+        raise ValueError("point coordinates must be finite")
+    return P
+
+
+def lp_distance_matrix(A, B, p: float) -> np.ndarray:
+    """(n, m) lp distances between the rows of ``A`` and the rows of ``B``.
 
     ``p`` may be any float >= 1; ``math.inf`` gives the coordinate maximum.
     """
-    a = as_point(a)
-    b = as_point(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    A = as_points(A)
+    B = as_points(B, A.shape[1])
     if not p >= 1:
         raise ValueError(f"metric order must satisfy p >= 1, got {p}")
-    diff = np.abs(a - b)
+    diff = np.abs(A[:, None, :] - B[None, :, :])
     if math.isinf(p):
-        return float(diff.max())
-    return float(np.sum(diff**p) ** (1.0 / p))
+        return diff.max(axis=2)
+    return np.sum(diff**p, axis=2) ** (1.0 / p)
+
+
+def lp_distance(a, b, p: float) -> float:
+    """lp distance between two points; the one-pair case of lp_distance_matrix."""
+    return float(lp_distance_matrix(as_point(a)[None], as_point(b)[None], p)[0, 0])
 
 
 def dual_exponent(p: float) -> float:
@@ -216,13 +235,6 @@ class Partition:
     def cells(self):
         return [self.cell(m) for m in range(self.n_cells)]
 
-    def contains(self, x) -> bool:
-        x = as_point(x)
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
-
-    def locate(self, x) -> int:
-        return locate_cell(self, x)
-
 
 def partition_domain(bounds, cells_per_axis) -> Partition:
     """Partition a bounding box into a regular grid of cells.
@@ -235,23 +247,44 @@ def partition_domain(bounds, cells_per_axis) -> Partition:
     return Partition(lower, upper, cells_per_axis)
 
 
-def locate_cell(partition: Partition, x) -> int:
-    """Index of the cell containing ``x``.
+def locate_cells(partition: Partition, X) -> np.ndarray:
+    """Index of the cell containing each row of ``X``, shape (n,).
 
     Points on an interior shared face belong to the cell with the larger
     base coordinate; points on the domain's upper boundary clamp to the
     last cell. Interpolation is continuous across faces, so the tie rule
-    has no observable effect on interpolated distributions.
+    has no observable effect on interpolated distributions. Any row
+    outside the domain raises OutOfDomainError.
     """
-    x = as_point(x)
-    if x.shape != partition.lower.shape:
-        raise ValueError("point dimension does not match partition")
-    if not partition.contains(x):
-        raise OutOfDomainError(f"point {x.tolist()} outside domain bounds")
-    grid = np.floor((x - partition.lower) / partition.deltas).astype(int)
+    X = as_points(X, partition.n_dims)
+    outside = np.any((X < partition.lower) | (X > partition.upper), axis=1)
+    if np.any(outside):
+        first = X[np.argmax(outside)]
+        raise OutOfDomainError(f"point {first.tolist()} outside domain bounds")
+    grid = np.floor((X - partition.lower) / partition.deltas).astype(int)
     grid = np.minimum(grid, partition.counts - 1)
     grid = np.maximum(grid, 0)
-    return int(np.ravel_multi_index(tuple(grid), tuple(partition.counts)))
+    return np.ravel_multi_index(tuple(grid.T), tuple(partition.counts))
+
+
+def locate_cell(partition: Partition, x) -> int:
+    """Index of the cell containing one point ``x`` (see locate_cells)."""
+    return int(locate_cells(partition, as_point(x)[None])[0])
+
+
+def corner_weights(partition: Partition, X, cells) -> np.ndarray:
+    """(n, 2^N) corner weights of each row of ``X`` within its cell.
+
+    ``cells`` are the rows' cell indices from locate_cells; row i is
+    interpolation_weights(partition.cell(cells[i]), X[i]).weights.
+    """
+    X = np.asarray(X, dtype=float)
+    base = partition.lower + partition._cell_grids[cells] * partition.deltas
+    lam = (base + partition.deltas - X) / partition.deltas
+    lam = np.clip(lam, 0.0, 1.0)[:, None, :]
+    offs = partition.offsets
+    factors = (1.0 - offs) * lam + offs * (1.0 - lam)
+    return factors.prod(axis=2)
 
 
 def interpolation_weights(cell: Cell, x) -> CellWeights:

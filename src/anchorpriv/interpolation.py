@@ -19,17 +19,16 @@ import json
 import math
 
 import numpy as np
+from scipy.special import logsumexp
 
+from . import mechanisms
 from .apo import BudgetVector, OutputDomain, PerturbationTable
-from .geometry import Partition, as_point, interpolation_weights, locate_cell
+from .geometry import Partition, as_point, corner_weights, locate_cells
 
 __all__ = [
     "PROB_FLOOR",
     "logcvx_1d",
     "Mechanism",
-    "f_int_unnormalized",
-    "distribution_at",
-    "sample",
 ]
 
 PROB_FLOOR = 1e-12
@@ -97,37 +96,36 @@ class Mechanism:
     def n_outputs(self) -> int:
         return self.outputs.size
 
-    def _log_scores(self, x) -> np.ndarray:
-        m = locate_cell(self.partition, x)
-        w = interpolation_weights(self.partition.cell(m), x).weights
-        rows = self.partition.cell_corner_anchors[m]
-        return w @ self._log_table[rows]
+    def _log_scores(self, X) -> np.ndarray:
+        cells = locate_cells(self.partition, X)
+        w = corner_weights(self.partition, X, cells)
+        rows = self.partition.cell_corner_anchors[cells]
+        return np.sum(w[:, :, None] * self._log_table[rows], axis=1)
 
-    def log_distribution_at(self, x) -> np.ndarray:
-        s = self._log_scores(x)
-        smax = s.max()
-        return s - (smax + math.log(np.exp(s - smax).sum()))
-
-    def distribution_at(self, x) -> np.ndarray:
-        """Normalized output distribution at ``x``; sums to one.
+    def log_probs(self, X) -> np.ndarray:
+        """(n, K) normalized log-probabilities at the rows of ``X``.
 
         Continuous across cell faces: a shared face fixes the weights of
         the corners both cells have in common and zeroes the rest.
         """
+        s = self._log_scores(X)
+        return s - logsumexp(s, axis=1, keepdims=True)
+
+    def log_distribution_at(self, x) -> np.ndarray:
+        """Normalized log-probabilities at one point (one row of log_probs)."""
+        return self.log_probs(as_point(x)[None])[0]
+
+    def distribution_at(self, x) -> np.ndarray:
+        """Normalized output distribution at one point; sums to one."""
         return np.exp(self.log_distribution_at(x))
 
     def unnormalized_at(self, x) -> np.ndarray:
         """Interpolated scores before normalization, one per output."""
-        return np.exp(self._log_scores(x))
+        return np.exp(self._log_scores(as_point(x)[None])[0])
 
-    def sample(self, x, rng) -> int:
-        """Draw one output index by inverse CDF in stored candidate order."""
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        probs = self.distribution_at(x)
-        cum = np.cumsum(probs)
-        idx = int(np.searchsorted(cum, rng.random(), side="right"))
-        return min(idx, self.n_outputs - 1)
+    def sample(self, X, rng):
+        """Inverse-CDF draws in stored candidate order (see mechanisms.sample)."""
+        return mechanisms.sample(self, X, rng)
 
     def to_json_dict(self) -> dict:
         lo, hi = self.partition.bounds
@@ -187,18 +185,3 @@ class Mechanism:
     def load(cls, path) -> "Mechanism":
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
-
-
-def f_int_unnormalized(x, y_index: int, mech: Mechanism) -> float:
-    """Interpolated score of one output: prod_g z(y | corner_g)^{w_g}."""
-    return float(mech.unnormalized_at(as_point(x))[y_index])
-
-
-def distribution_at(x, mech: Mechanism) -> np.ndarray:
-    """Normalized interpolated distribution at ``x`` (module-level form)."""
-    return mech.distribution_at(as_point(x))
-
-
-def sample(x, mech: Mechanism, rng) -> int:
-    """Draw an output index at ``x``; deterministic for a fixed seed."""
-    return mech.sample(as_point(x), rng)

@@ -6,25 +6,26 @@ representative deployment of a coarse-grid LP table, and the
 posterior-loss output remap that post-processes any base mechanism
 without touching its privacy guarantee.
 
-Every mechanism exposes ``distribution_at`` / ``log_distribution_at``
-over a fixed candidate set plus ``bounds`` for audit sampling; all are
-pure functions of (point, config) and safe to call concurrently.
+Every mechanism here and the interpolated ``Mechanism`` evaluate many
+points at once through ``log_probs(X) -> (n, K)`` over a fixed candidate
+set, with ``distribution_at`` / ``log_distribution_at`` as its one-row
+views and ``bounds`` for audit sampling; all are pure functions of
+(points, config) and safe to call concurrently. The module-level
+``log_probs(mech, X)`` also accepts external mechanisms that only offer
+``distribution_at(x)``.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+from scipy.special import logsumexp
 
 from .apo import OutputDomain, PerturbationTable
-from .geometry import as_point, lp_distance
+from .geometry import as_point, as_points, lp_distance_matrix
 
 __all__ = [
-    "BASELINE_KINDS",
-    "em_mechanism",
-    "laplace_mechanism",
-    "tem_mechanism",
+    "log_probs",
+    "sample",
     "bayesian_remap",
     "ExponentialMechanism",
     "PlanarLaplaceMechanism",
@@ -33,10 +34,6 @@ __all__ = [
     "RemappedMechanism",
     "default_truncation_radius",
 ]
-
-# Recognized method tags for experiment configs. "RMP" wraps exactly one
-# base mechanism, named as RMP-<base>.
-BASELINE_KINDS = ("EM", "Laplace", "TEM", "RMP", "CoarseLP", "AIPO-R")
 
 # Exponent factor 1/2 makes distance-scored weighting meet the target
 # budget for arbitrary candidate sets: the score gap and the normalizer
@@ -49,63 +46,38 @@ def default_truncation_radius(eps: float) -> float:
     return 3.0 / eps
 
 
-def _distances(x, outputs: OutputDomain, p: float) -> np.ndarray:
-    x = as_point(x)
-    return np.array([lp_distance(x, y, p) for y in outputs.points])
+def log_probs(mech, X) -> np.ndarray:
+    """(n, K) log-probabilities of any mechanism at the rows of ``X``.
 
-
-def em_mechanism(x, outputs: OutputDomain, eps: float, p: float,
-                 exponent_factor: float = EM_EXPONENT_FACTOR) -> np.ndarray:
-    """Distance-scored exponential distribution at ``x``.
-
-    z(y_k | x) is proportional to exp(-factor * eps * d_p(x, y_k)).
+    Uses ``mech.log_probs(X)`` when the mechanism has it; otherwise calls
+    ``mech.distribution_at`` once per row, in row order. Zero
+    probabilities give -inf.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    scores = -exponent_factor * eps * _distances(x, outputs, p)
-    scores -= scores.max()
-    w = np.exp(scores)
-    return w / w.sum()
+    if hasattr(mech, "log_probs"):
+        return mech.log_probs(X)
+    rows = [np.asarray(mech.distribution_at(x), dtype=float) for x in as_points(X)]
+    with np.errstate(divide="ignore"):
+        return np.log(np.stack(rows))
 
 
-def laplace_mechanism(x, outputs: OutputDomain, eps: float) -> np.ndarray:
-    """Planar-Laplace weighting discretized onto the candidate set.
+def sample(mech, X, rng):
+    """Draw output indices by inverse CDF in stored candidate order.
 
-    Proportional to exp(-eps * d_2(x, y_k)). The continuous density's
-    analytic normalizer does not apply to a discrete candidate set, so the
-    discrete normalization is used; the worst-case guarantee is then
-    2*eps rather than eps (see README).
+    One uniform per row of ``X`` (n, N) gives an (n,) index array; a single
+    point gives one int. Deterministic for a fixed seed, and n rows use
+    the same stream as n single-point draws.
     """
-    x = as_point(x)
-    if x.size != 2:
-        raise ValueError("planar mechanism requires a 2-D domain")
-    return em_mechanism(x, outputs, eps, p=2.0, exponent_factor=1.0)
-
-
-def tem_mechanism(x, outputs: OutputDomain, eps: float, p: float,
-                  radius: float | None = None,
-                  exponent_factor: float = EM_EXPONENT_FACTOR) -> np.ndarray:
-    """Exponential weighting restricted to candidates within ``radius``.
-
-    Candidates outside the radius receive exact probability zero.
-    """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    radius = default_truncation_radius(eps) if radius is None else radius
-    d = _distances(x, outputs, p)
-    inside = d <= radius
-    if not np.any(inside):
-        raise ValueError("no candidate within the truncation radius")
-    scores = -exponent_factor * eps * d[inside]
-    scores -= scores.max()
-    w = np.exp(scores)
-    dist = np.zeros(outputs.size)
-    dist[inside] = w / w.sum()
-    return dist
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(rng)
+    X = np.asarray(X, dtype=float)
+    cum = np.cumsum(np.exp(log_probs(mech, np.atleast_2d(X))), axis=1)
+    u = rng.random(cum.shape[0])
+    idx = np.minimum(np.sum(cum <= u[:, None], axis=1), cum.shape[1] - 1)
+    return int(idx[0]) if X.ndim == 1 else idx
 
 
 class _PointwiseMechanism:
-    """Shared plumbing for mechanisms defined by a per-point formula."""
+    """Shared plumbing: one-row views and sampling over a subclass's log_probs."""
 
     def __init__(self, outputs: OutputDomain, bounds):
         self.outputs = outputs
@@ -120,60 +92,70 @@ class _PointwiseMechanism:
     def n_outputs(self) -> int:
         return self.outputs.size
 
-    def distribution_at(self, x) -> np.ndarray:
-        raise NotImplementedError
-
     def log_distribution_at(self, x) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return np.log(self.distribution_at(x))
+        return self.log_probs(as_point(x)[None])[0]
 
-    def sample(self, x, rng) -> int:
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        cum = np.cumsum(self.distribution_at(x))
-        idx = int(np.searchsorted(cum, rng.random(), side="right"))
-        return min(idx, self.n_outputs - 1)
+    def distribution_at(self, x) -> np.ndarray:
+        return np.exp(self.log_distribution_at(x))
+
+    def sample(self, X, rng):
+        return sample(self, X, rng)
+
+
+def _normalized(scores: np.ndarray) -> np.ndarray:
+    return scores - logsumexp(scores, axis=1, keepdims=True)
 
 
 class ExponentialMechanism(_PointwiseMechanism):
+    """Distance-scored exponential weighting.
+
+    z(y_k | x) is proportional to exp(-factor * eps * d_p(x, y_k)).
+    """
+
     def __init__(self, outputs, bounds, eps, p, exponent_factor=EM_EXPONENT_FACTOR):
         super().__init__(outputs, bounds)
+        if not eps > 0:
+            raise ValueError("eps must be positive")
         self.eps = float(eps)
         self.p = float(p)
         self.exponent_factor = float(exponent_factor)
 
-    def distribution_at(self, x):
-        return em_mechanism(x, self.outputs, self.eps, self.p, self.exponent_factor)
-
-    def log_distribution_at(self, x):
-        scores = -self.exponent_factor * self.eps * _distances(x, self.outputs, self.p)
-        smax = scores.max()
-        return scores - (smax + math.log(np.exp(scores - smax).sum()))
+    def log_probs(self, X):
+        d = lp_distance_matrix(X, self.outputs.points, self.p)
+        return _normalized(-self.exponent_factor * self.eps * d)
 
 
-class PlanarLaplaceMechanism(_PointwiseMechanism):
+class PlanarLaplaceMechanism(ExponentialMechanism):
+    """Planar-Laplace weighting discretized onto the candidate set.
+
+    Proportional to exp(-eps * d_2(x, y_k)). The continuous density's
+    analytic normalizer does not apply to a discrete candidate set, so the
+    discrete normalization is used; the worst-case guarantee is then
+    2*eps rather than eps (see README).
+    """
+
     def __init__(self, outputs, bounds, eps):
-        super().__init__(outputs, bounds)
-        self.eps = float(eps)
-
-    def distribution_at(self, x):
-        return laplace_mechanism(x, self.outputs, self.eps)
-
-    def log_distribution_at(self, x):
-        scores = -self.eps * _distances(x, self.outputs, 2.0)
-        smax = scores.max()
-        return scores - (smax + math.log(np.exp(scores - smax).sum()))
+        super().__init__(outputs, bounds, eps, p=2.0, exponent_factor=1.0)
+        if self._bounds[0].size != 2:
+            raise ValueError("planar mechanism requires a 2-D domain")
 
 
-class TruncatedExponentialMechanism(_PointwiseMechanism):
+class TruncatedExponentialMechanism(ExponentialMechanism):
+    """Exponential weighting restricted to candidates within ``radius``.
+
+    Candidates outside the radius receive exact probability zero.
+    """
+
     def __init__(self, outputs, bounds, eps, p, radius=None):
-        super().__init__(outputs, bounds)
-        self.eps = float(eps)
-        self.p = float(p)
+        super().__init__(outputs, bounds, eps, p)
         self.radius = default_truncation_radius(eps) if radius is None else float(radius)
 
-    def distribution_at(self, x):
-        return tem_mechanism(x, self.outputs, self.eps, self.p, self.radius)
+    def log_probs(self, X):
+        d = lp_distance_matrix(X, self.outputs.points, self.p)
+        inside = d <= self.radius
+        if not np.all(np.any(inside, axis=1)):
+            raise ValueError("no candidate within the truncation radius")
+        return _normalized(np.where(inside, -self.exponent_factor * self.eps * d, -np.inf))
 
 
 class CoarseLpMechanism(_PointwiseMechanism):
@@ -191,13 +173,11 @@ class CoarseLpMechanism(_PointwiseMechanism):
             raise ValueError("one table row per representative required")
         self.table = table
 
-    def row_index(self, x) -> int:
-        x = as_point(x)
-        d2 = np.sum((self.representatives - x) ** 2, axis=1)
-        return int(np.argmin(d2))
-
-    def distribution_at(self, x):
-        return self.table.probs[self.row_index(x)].copy()
+    def log_probs(self, X):
+        X = as_points(X, self.representatives.shape[1])
+        d2 = np.sum((X[:, None, :] - self.representatives) ** 2, axis=2)
+        with np.errstate(divide="ignore"):
+            return np.log(self.table.probs[np.argmin(d2, axis=1)])
 
 
 class RemappedMechanism(_PointwiseMechanism):
@@ -214,10 +194,12 @@ class RemappedMechanism(_PointwiseMechanism):
         if self.remap.shape != (base.n_outputs,):
             raise ValueError("remap must assign every output an image")
 
-    def distribution_at(self, x):
-        out = np.zeros(self.n_outputs)
-        np.add.at(out, self.remap, self.base.distribution_at(x))
-        return out
+    def log_probs(self, X):
+        base = np.exp(log_probs(self.base, X))
+        out = np.zeros_like(base)
+        np.add.at(out, (slice(None), self.remap), base)
+        with np.errstate(divide="ignore"):
+            return np.log(out)
 
 
 def bayesian_remap(base, prior, loss) -> RemappedMechanism:
@@ -231,7 +213,7 @@ def bayesian_remap(base, prior, loss) -> RemappedMechanism:
     points = prior.points
     masses = prior.masses
     loss_mat = np.asarray(loss.loss_matrix(points, base.outputs), dtype=float)
-    z = np.stack([base.distribution_at(x) for x in points])  # (n, K)
+    z = np.exp(log_probs(base, points))  # (n, K)
     weighted = masses[:, None] * z
     normalizers = weighted.sum(axis=0)
     remap = np.arange(base.n_outputs)

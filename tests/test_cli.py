@@ -190,3 +190,19 @@ class TestErrors:
     def test_nonpositive_eps_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"privacy": {"eps": [0.0]}})
         assert main(["synthesize", "--config", str(cfg)]) == 2
+
+    def test_bad_threads_env_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ANCHORPRIV_THREADS", "abc")
+        cfg = write_config(tmp_path)
+        code = main(["lower-bound", "--config", str(cfg), "--out-dir", str(tmp_path / "lb")])
+        assert code == 2
+        assert "config error: ANCHORPRIV_THREADS" in capsys.readouterr().err
+
+    def test_bad_eps_flag_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        code = main([
+            "lower-bound", "--config", str(cfg), "--out-dir", str(tmp_path / "lb"),
+            "--eps", "0.4,abc",
+        ])
+        assert code == 2
+        assert "config error: --eps" in capsys.readouterr().err

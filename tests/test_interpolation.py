@@ -13,13 +13,7 @@ from anchorpriv.apo import (
 )
 from anchorpriv.budget import equal_split
 from anchorpriv.geometry import dual_exponent, lp_distance, partition_domain
-from anchorpriv.interpolation import (
-    Mechanism,
-    distribution_at,
-    f_int_unnormalized,
-    logcvx_1d,
-    sample,
-)
+from anchorpriv.interpolation import Mechanism, logcvx_1d
 
 
 class TestLogcvx1d:
@@ -51,12 +45,12 @@ def _mech_1d(rows, floor=None):
 class TestUnnormalizedInterpolant:
     def test_anchor_returns_table_entry(self):
         mech = _mech_1d([[0.2, 0.8], [0.7, 0.3]])
-        assert f_int_unnormalized((0.0,), 0, mech) == pytest.approx(0.2, abs=1e-15)
-        assert f_int_unnormalized((1.0,), 1, mech) == pytest.approx(0.3, abs=1e-15)
+        assert mech.unnormalized_at((0.0,))[0] == pytest.approx(0.2, abs=1e-15)
+        assert mech.unnormalized_at((1.0,))[1] == pytest.approx(0.3, abs=1e-15)
 
     def test_midpoint_reduces_to_logcvx(self):
         mech = _mech_1d([[0.2, 0.8], [0.8, 0.2]])
-        assert f_int_unnormalized((0.5,), 0, mech) == pytest.approx(0.4, abs=1e-12)
+        assert mech.unnormalized_at((0.5,))[0] == pytest.approx(0.4, abs=1e-12)
 
     def test_equal_corners_give_constant(self):
         part = partition_domain(((0.0, 0.0), (1.0, 1.0)), (1, 1))
@@ -64,26 +58,26 @@ class TestUnnormalizedInterpolant:
         table = PerturbationTable(np.array([[0.3, 0.7]] * 4))
         mech = Mechanism(part, table, outputs, floor=None)
         for x in ((0.2, 0.9), (0.5, 0.5), (0.77, 0.13)):
-            assert f_int_unnormalized(x, 0, mech) == pytest.approx(0.3, abs=1e-12)
+            assert mech.unnormalized_at(x)[0] == pytest.approx(0.3, abs=1e-12)
 
 
 class TestDistributionAt:
     def test_normalized_anchor_row_unchanged(self):
         mech = _mech_1d([[0.2, 0.8], [0.7, 0.3]])
-        assert distribution_at((0.0,), mech) == pytest.approx([0.2, 0.8], abs=1e-12)
+        assert mech.distribution_at((0.0,)) == pytest.approx([0.2, 0.8], abs=1e-12)
 
     def test_midpoint_renormalizes_geometric_means(self):
         mech = _mech_1d([[0.2, 0.8], [0.8, 0.2]])
         # both outputs interpolate to 0.4; normalization yields a coin flip
-        assert distribution_at((0.5,), mech) == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert mech.distribution_at((0.5,)) == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_invariant_to_scaling_the_table(self):
         mech = _mech_1d([[0.2, 0.8], [0.7, 0.3]])
         scaled = _mech_1d([[0.2, 0.8], [0.7, 0.3]])
         scaled._log_table = scaled._log_table + math.log(7.3)  # scale by 7.3
         for x in ((0.1,), (0.5,), (0.9,)):
-            assert distribution_at(x, scaled) == pytest.approx(
-                distribution_at(x, mech), abs=1e-12
+            assert scaled.distribution_at(x) == pytest.approx(
+                mech.distribution_at(x), abs=1e-12
             )
 
     def test_sums_to_one_everywhere(self):
@@ -113,7 +107,7 @@ class TestDistributionAt:
 class TestSampling:
     def test_degenerate_distribution(self):
         mech = _mech_1d([[1.0 - 1e-12, 1e-12], [1.0 - 1e-12, 1e-12]], floor=None)
-        draws = {sample((0.3,), mech, seed) for seed in range(20)}
+        draws = {mech.sample((0.3,), seed) for seed in range(20)}
         assert draws == {0}
 
     def test_fixed_seed_reproducible(self):
@@ -130,7 +124,7 @@ class TestSampling:
         probs = mech.distribution_at(x)
         n = 100_000
         rng = np.random.default_rng(77)
-        counts = np.bincount([mech.sample(x, rng) for _ in range(n)], minlength=2)
+        counts = np.bincount(mech.sample(np.tile(x, (n, 1)), rng), minlength=2)
         for k in range(2):
             sigma = math.sqrt(n * probs[k] * (1 - probs[k]))
             assert abs(counts[k] - n * probs[k]) <= 3 * sigma
@@ -167,8 +161,8 @@ class TestValidityBounds:
                 if a == b:
                     continue
                 for k in range(2):
-                    ga = math.log(f_int_unnormalized((a,), k, mech))
-                    gb = math.log(f_int_unnormalized((b,), k, mech))
+                    ga = math.log(mech.unnormalized_at((a,))[k])
+                    gb = math.log(mech.unnormalized_at((b,))[k])
                     assert abs(ga - gb) <= eps1 * abs(a - b) + 1e-9
 
     def test_across_interval_one_dimension(self):

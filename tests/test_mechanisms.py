@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anchorpriv.apo import OutputDomain
+from anchorpriv.apo import OutputDomain, PerturbationTable
 from anchorpriv.audit import violation_ratio
+from anchorpriv.errors import OutOfDomainError
 from anchorpriv.evaluation import LossModel, PriorModel, expected_loss
+from anchorpriv.geometry import interpolation_weights, locate_cell, lp_distance, partition_domain
+from anchorpriv.interpolation import Mechanism
 from anchorpriv.mechanisms import (
     CoarseLpMechanism,
     ExponentialMechanism,
@@ -13,27 +18,26 @@ from anchorpriv.mechanisms import (
     RemappedMechanism,
     TruncatedExponentialMechanism,
     bayesian_remap,
-    em_mechanism,
-    laplace_mechanism,
-    tem_mechanism,
 )
 
 BOX = ((0.0, 0.0), (1.0, 1.0))
+LINE = ((0.0,), (1.0,))
 
 
 class TestExponential:
     def test_single_candidate(self):
         outputs = OutputDomain(points=np.array([[0.3, 0.3]]))
-        assert em_mechanism((0.1, 0.1), outputs, 1.0, 2.0) == pytest.approx([1.0])
+        mech = ExponentialMechanism(outputs, BOX, 1.0, 2.0)
+        assert mech.distribution_at((0.1, 0.1)) == pytest.approx([1.0])
 
     def test_equidistant_candidates_split_evenly(self):
         outputs = OutputDomain(points=np.array([[0.0, 0.0], [1.0, 0.0]]))
-        dist = em_mechanism((0.5, 0.0), outputs, 1.3, 2.0)
+        dist = ExponentialMechanism(outputs, BOX, 1.3, 2.0).distribution_at((0.5, 0.0))
         assert dist == pytest.approx([0.5, 0.5], abs=1e-15)
 
     def test_line_instance_hand_numbers(self):
         outputs = OutputDomain(points=np.array([[0.0], [1.0]]))
-        dist = em_mechanism((0.0,), outputs, 2.0, 1.0)
+        dist = ExponentialMechanism(outputs, LINE, 2.0, 1.0).distribution_at((0.0,))
         expect = np.array([1.0, math.exp(-1.0)])
         expect /= expect.sum()
         assert dist == pytest.approx(expect, abs=1e-12)
@@ -43,8 +47,9 @@ class TestExponential:
     def test_sums_to_one(self):
         rng = np.random.default_rng(0)
         outputs = OutputDomain(points=rng.random((7, 2)))
+        mech = ExponentialMechanism(outputs, BOX, 0.7, 2.0)
         for _ in range(20):
-            dist = em_mechanism(rng.random(2), outputs, 0.7, 2.0)
+            dist = mech.distribution_at(rng.random(2))
             assert dist.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_half_exponent_audits_clean(self):
@@ -58,21 +63,21 @@ class TestExponential:
 class TestPlanarLaplace:
     def test_symmetric_candidates_uniform(self):
         outputs = OutputDomain(points=np.array([[0.0, 0.5], [1.0, 0.5], [0.5, 0.0], [0.5, 1.0]]))
-        dist = laplace_mechanism((0.5, 0.5), outputs, 1.0)
+        dist = PlanarLaplaceMechanism(outputs, BOX, 1.0).distribution_at((0.5, 0.5))
         assert dist == pytest.approx([0.25] * 4, abs=1e-12)
 
     def test_requires_two_dimensions(self):
         outputs = OutputDomain(points=np.array([[0.0], [1.0]]))
         with pytest.raises(ValueError):
-            laplace_mechanism((0.5,), outputs, 1.0)
+            PlanarLaplaceMechanism(outputs, LINE, 1.0).distribution_at((0.5,))
 
     def test_matches_em_at_doubled_budget(self):
         rng = np.random.default_rng(2)
         outputs = OutputDomain(points=rng.random((6, 2)))
         x = rng.random(2)
-        assert laplace_mechanism(x, outputs, 0.9) == pytest.approx(
-            em_mechanism(x, outputs, 1.8, 2.0), abs=1e-12
-        )
+        laplace = PlanarLaplaceMechanism(outputs, BOX, 0.9)
+        em = ExponentialMechanism(outputs, BOX, 1.8, 2.0)
+        assert laplace.distribution_at(x) == pytest.approx(em.distribution_at(x), abs=1e-12)
 
     def test_ratio_bounded_by_twice_budget(self):
         rng = np.random.default_rng(3)
@@ -88,18 +93,21 @@ class TestTruncated:
         rng = np.random.default_rng(4)
         outputs = OutputDomain(points=rng.random((6, 2)))
         x = rng.random(2)
-        assert tem_mechanism(x, outputs, 1.0, 2.0, radius=10.0) == pytest.approx(
-            em_mechanism(x, outputs, 1.0, 2.0), abs=1e-12
-        )
+        tem = TruncatedExponentialMechanism(outputs, BOX, 1.0, 2.0, radius=10.0)
+        em = ExponentialMechanism(outputs, BOX, 1.0, 2.0)
+        assert tem.distribution_at(x) == pytest.approx(em.distribution_at(x), abs=1e-12)
 
     def test_empty_support_rejected(self):
         outputs = OutputDomain(points=np.array([[5.0, 5.0]]))
         with pytest.raises(ValueError):
-            tem_mechanism((0.0, 0.0), outputs, 1.0, 2.0, radius=1.0)
+            TruncatedExponentialMechanism(outputs, BOX, 1.0, 2.0, radius=1.0).distribution_at(
+                (0.0, 0.0)
+            )
 
     def test_truncation_drops_far_candidates(self):
         outputs = OutputDomain(points=np.array([[0.0], [1.0], [10.0]]))
-        dist = tem_mechanism((0.0,), outputs, 2.0, 1.0, radius=2.0)
+        mech = TruncatedExponentialMechanism(outputs, LINE, 2.0, 1.0, radius=2.0)
+        dist = mech.distribution_at((0.0,))
         assert dist[2] == 0.0
         expect = np.array([1.0, math.exp(-1.0)])
         expect /= expect.sum()
@@ -196,3 +204,97 @@ class TestCoarseLpMechanism:
         mech = CoarseLpMechanism(reps, table, outputs, BOX)
         report = violation_ratio(mech, 0.5, 2.0, sample_count=120, seed=1)
         assert report.violating_pairs > 0
+
+
+# One instance of every mechanism kind on a 2 x 3 cell grid over
+# [0, 2] x [0, 1.5] (cell sides 1.0 and 0.5).
+_PART = partition_domain(((0.0, 0.0), (2.0, 1.5)), (2, 3))
+_OUTPUTS = OutputDomain(
+    points=np.array([[0.5, 0.375], [1.5, 0.375], [0.5, 1.125], [1.5, 1.125], [1.0, 0.75]])
+)
+_RNG = np.random.default_rng(21)
+_RAW = _RNG.random((_PART.n_anchors, 5)) + 0.05
+_INTERP = Mechanism(_PART, PerturbationTable(_RAW / _RAW.sum(axis=1, keepdims=True)), _OUTPUTS)
+_REPS = np.array([[0.3, 0.4], [1.3, 1.1], [0.9, 0.2]])
+_COARSE_RAW = _RNG.random((3, 5))
+_COARSE = CoarseLpMechanism(
+    _REPS, PerturbationTable(_COARSE_RAW / _COARSE_RAW.sum(axis=1, keepdims=True)),
+    _OUTPUTS, _PART.bounds,
+)
+_KINDS = {
+    "interpolated": _INTERP,
+    "EM": ExponentialMechanism(_OUTPUTS, _PART.bounds, 0.9, 1.5),
+    "Laplace": PlanarLaplaceMechanism(_OUTPUTS, _PART.bounds, 1.1),
+    "TEM": TruncatedExponentialMechanism(_OUTPUTS, _PART.bounds, 1.0, math.inf, radius=0.8),
+    "CoarseLP": _COARSE,
+    "remapped": RemappedMechanism(_INTERP, [0, 0, 2, 2, 4]),
+}
+
+
+def _normalize(scores):
+    with np.errstate(divide="ignore"):
+        return scores - math.log(np.sum(np.exp(scores)))
+
+
+def _reference(mech, x):
+    """Per-point log-probabilities from the scalar geometry rules."""
+    if isinstance(mech, Mechanism):
+        m = locate_cell(_PART, x)
+        w = interpolation_weights(_PART.cell(m), x).weights
+        return _normalize(w @ np.log(mech.table.probs[_PART.cell_corner_anchors[m]]))
+    if isinstance(mech, RemappedMechanism):
+        base = np.exp(_reference(mech.base, x))
+        out = np.zeros(base.size)
+        for k, target in enumerate(mech.remap):
+            out[target] += base[k]
+        with np.errstate(divide="ignore"):
+            return np.log(out)
+    if isinstance(mech, CoarseLpMechanism):
+        row = np.argmin([lp_distance(x, r, 2.0) for r in mech.representatives])
+        return np.log(mech.table.probs[row])
+    d = np.array([lp_distance(x, y, mech.p) for y in mech.outputs.points])
+    scores = -mech.exponent_factor * mech.eps * d
+    if isinstance(mech, TruncatedExponentialMechanism):
+        scores[d > mech.radius] = -np.inf
+    return _normalize(scores)
+
+
+def _coordinate(upper, side):
+    # Quarter-cell multiples hit interior faces and the upper boundary.
+    steps = int(round(upper / side)) * 4
+    return st.one_of(
+        st.integers(0, steps).map(lambda i: i * side / 4),
+        st.floats(0.0, upper),
+    )
+
+
+_POINTS = st.lists(
+    st.tuples(_coordinate(2.0, 1.0), _coordinate(1.5, 0.5)), min_size=1, max_size=12
+).map(np.array)
+
+
+class TestBatchedLogProbs:
+    @settings(max_examples=60, deadline=None)
+    @given(X=_POINTS)
+    def test_matches_per_point_reference(self, X):
+        for name, mech in _KINDS.items():
+            batched = mech.log_probs(X)
+            assert batched.shape == (X.shape[0], _OUTPUTS.size), name
+            expect = np.stack([_reference(mech, x) for x in X])
+            np.testing.assert_allclose(batched, expect, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("name", sorted(_KINDS))
+    def test_rejects_non_finite_and_misshapen_rows(self, name):
+        mech = _KINDS[name]
+        with pytest.raises(ValueError) as info:
+            mech.log_probs(np.array([[0.5, 0.5], [np.nan, 0.5]]))
+        assert not isinstance(info.value, OutOfDomainError)
+        with pytest.raises(ValueError):
+            mech.log_probs(np.array([0.5, 0.5]))
+        with pytest.raises(ValueError):
+            mech.log_probs(np.array([[0.5, 0.5, 0.5]]))
+
+    @pytest.mark.parametrize("name", ["interpolated", "remapped"])
+    def test_rejects_out_of_domain_row(self, name):
+        with pytest.raises(OutOfDomainError):
+            _KINDS[name].log_probs(np.array([[0.5, 0.5], [2.0 + 1e-9, 0.5]]))
