@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import SolverError
 from .geometry import (
@@ -222,18 +223,37 @@ def surrogate_coefficients(partition: Partition, prior, loss, outputs: OutputDom
     return SurrogateCoefficients(matrix=coeffs)
 
 
-def _table_program(objective: np.ndarray, n_rows: int, n_cols: int) -> LinearProgram:
-    lp = LinearProgram(objective=objective.ravel(), var_shape=(n_rows, n_cols))
-    for i in range(n_rows):
-        lp.add_eq([(i * n_cols + k, 1.0) for k in range(n_cols)], 1.0)
-    return lp
+def _ratio_program(objective, row_total: float, first, second, bound) -> LinearProgram:
+    """Table program over an (R, K) objective with pairwise ratio rows.
 
-
-def _add_ratio_pair(lp: LinearProgram, i: int, j: int, bound: float, n_cols: int):
-    # z(y|i) <= bound * z(y|j) and symmetrically, for every output column.
-    for k in range(n_cols):
-        lp.add_le([(i * n_cols + k, 1.0), (j * n_cols + k, -bound)], 0.0)
-        lp.add_le([(j * n_cols + k, 1.0), (i * n_cols + k, -bound)], 0.0)
+    One equality row per table row fixes its total to ``row_total``. For
+    each pair t = (first[t], second[t]) with ratio bound b = bound[t] and
+    each output k, row 2(tK + k) is z[i,k] - b z[j,k] <= 0 and the row
+    after it is the mirror z[j,k] - b z[i,k] <= 0: pairs outer, outputs
+    inner.
+    """
+    objective = np.asarray(objective, dtype=float)
+    n_rows, n_out = objective.shape
+    n_vars = n_rows * n_out
+    var = np.arange(n_vars).reshape(n_rows, n_out)
+    a_eq = sparse.csr_matrix(
+        (np.ones(n_vars), (np.repeat(np.arange(n_rows), n_out), var.ravel())),
+        shape=(n_rows, n_vars),
+    )
+    b_eq = np.full(n_rows, float(row_total))
+    vi = var[np.asarray(first, dtype=np.intp)].ravel()
+    vj = var[np.asarray(second, dtype=np.intp)].ravel()
+    a_ub = b_ub = None
+    if vi.size:
+        neg_b = np.repeat(-np.asarray(bound, dtype=float), n_out)
+        ones = np.ones_like(neg_b)
+        # Four entries per (pair, output): (+1 @ i, -b @ j), then the mirror row.
+        rows = np.repeat(np.arange(2 * vi.size), 2)
+        cols = np.stack([vi, vj, vj, vi], axis=1).ravel()
+        data = np.stack([ones, neg_b, ones, neg_b], axis=1).ravel()
+        a_ub = sparse.csr_matrix((data, (rows, cols)), shape=(2 * vi.size, n_vars))
+        b_ub = np.zeros(2 * vi.size)
+    return LinearProgram(objective, a_ub, b_ub, a_eq, b_eq, var_shape=(n_rows, n_out))
 
 
 def build_approx_apo(
@@ -265,11 +285,11 @@ def build_approx_apo(
         raise ValueError("budget dimension does not match partition")
     if coeffs.matrix.shape != (partition.n_anchors, outputs.size):
         raise ValueError("coefficient matrix shape mismatch")
-    lp = _table_program(coeffs.matrix, partition.n_anchors, outputs.size)
-    for pair in axis_neighbors(partition):
-        bound = math.exp(budget.eps[pair.axis] * pair.gap)
-        _add_ratio_pair(lp, pair.first, pair.second, bound, outputs.size)
-    return lp
+    pairs = axis_neighbors(partition)
+    bound = [math.exp(budget.eps[pair.axis] * pair.gap) for pair in pairs]
+    first = [pair.first for pair in pairs]
+    second = [pair.second for pair in pairs]
+    return _ratio_program(coeffs.matrix, 1.0, first, second, bound)
 
 
 def solve_approx_apo(lp: LinearProgram) -> PerturbationTable:
@@ -292,6 +312,14 @@ def solve_approx_apo(lp: LinearProgram) -> PerturbationTable:
     return PerturbationTable(probs / sums[:, None])
 
 
+def _all_pairs_program(objective, points, eps_total: float, p: float) -> LinearProgram:
+    """Ratio program bounding every pair of rows by exp(eps * d_p(point_i, point_j))."""
+    first, second = np.triu_indices(points.shape[0], k=1)
+    dist = lp_distance_matrix(points, points, p)[first, second]
+    bound = [math.exp(eps_total * d) for d in dist]
+    return _ratio_program(objective, 1.0, first, second, bound)
+
+
 def build_aipo_relaxed(
     partition: Partition,
     outputs: OutputDomain,
@@ -309,12 +337,7 @@ def build_aipo_relaxed(
         raise ValueError("total budget must be non-negative")
     if coeffs.matrix.shape != (partition.n_anchors, outputs.size):
         raise ValueError("coefficient matrix shape mismatch")
-    lp = _table_program(coeffs.matrix, partition.n_anchors, outputs.size)
-    dist = lp_distance_matrix(partition.anchors, partition.anchors, p)
-    for i in range(partition.n_anchors):
-        for j in range(i + 1, partition.n_anchors):
-            _add_ratio_pair(lp, i, j, math.exp(eps_total * dist[i, j]), outputs.size)
-    return lp
+    return _all_pairs_program(coeffs.matrix, partition.anchors, eps_total, p)
 
 
 def build_coarse_lp(
@@ -340,13 +363,7 @@ def build_coarse_lp(
     if eps_total < 0:
         raise ValueError("total budget must be non-negative")
     loss_mat = np.asarray(loss.loss_matrix(reps, outputs), dtype=float)
-    objective = masses[:, None] * loss_mat
-    lp = _table_program(objective, reps.shape[0], outputs.size)
-    dist = lp_distance_matrix(reps, reps, p)
-    for i in range(reps.shape[0]):
-        for j in range(i + 1, reps.shape[0]):
-            _add_ratio_pair(lp, i, j, math.exp(eps_total * dist[i, j]), outputs.size)
-    return lp
+    return _all_pairs_program(masses[:, None] * loss_mat, reps, eps_total, p)
 
 
 def _max_cell_distance(cell_a, cell_b, p: float) -> float:
@@ -389,14 +406,12 @@ def lower_bound(
     # Cells without sample points contribute nothing to the discretized loss.
     floor_loss[~np.isfinite(floor_loss)] = 0.0
 
-    lp = LinearProgram(objective=floor_loss.ravel(), var_shape=(n_cells, n_out))
-    for m in range(n_cells):
-        lp.add_eq([(m * n_out + k, 1.0) for k in range(n_out)], volume)
-    for m in range(n_cells):
-        for m2 in range(m + 1, n_cells):
-            bound = math.exp(eps_total * _max_cell_distance(cells[m], cells[m2], p))
-            _add_ratio_pair(lp, m, m2, bound, n_out)
-    sol = solve_lp(lp)
+    first, second = np.triu_indices(n_cells, k=1)
+    bound = [
+        math.exp(eps_total * _max_cell_distance(cells[m], cells[m2], p))
+        for m, m2 in zip(first, second)
+    ]
+    sol = solve_lp(_ratio_program(floor_loss, volume, first, second, bound))
     if not sol.is_optimal:
         raise SolverError(f"lower-bound program unexpectedly {sol.status}")
     return float(sol.objective_value)

@@ -21,13 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from .apo import OutputDomain
-from .geometry import Partition, as_point
+from .geometry import Partition, as_point, as_points
 from .mechanisms import log_probs
 
 __all__ = [
     "RoadGraph",
     "shortest_paths",
     "nearest_node",
+    "nearest_nodes",
     "task_loss",
     "PriorModel",
     "LossModel",
@@ -118,11 +119,19 @@ def shortest_paths(graph: RoadGraph, source: int) -> np.ndarray:
     return dist
 
 
+def nearest_nodes(graph: RoadGraph, X) -> np.ndarray:
+    """Graph node closest to each row of ``X`` under the Euclidean distance.
+
+    On an exact tie the lowest node id wins.
+    """
+    X = as_points(X, graph.nodes.shape[1])
+    d2 = np.sum((X[:, None, :] - graph.nodes[None, :, :]) ** 2, axis=2)
+    return np.argmin(d2, axis=1)
+
+
 def nearest_node(graph: RoadGraph, x) -> int:
-    """Graph node closest to ``x`` under the Euclidean distance."""
-    x = as_point(x)
-    d2 = np.sum((graph.nodes - x) ** 2, axis=1)
-    return int(np.argmin(d2))
+    """Graph node closest to ``x``; the one-row case of :func:`nearest_nodes`."""
+    return int(nearest_nodes(graph, as_point(x)[None])[0])
 
 
 def task_loss(x, y, task_nodes, task_masses, graph: RoadGraph, dist_table=None) -> float:
@@ -287,8 +296,8 @@ class LossModel:
             if points.shape != self._points.shape or not np.array_equal(points, self._points):
                 raise ValueError("matrix-backed loss only defined at its stored points")
             return self._matrix[:, : outputs.size]
-        x_nodes = np.array([nearest_node(self.graph, p) for p in points])
-        y_nodes = np.array([nearest_node(self.graph, p) for p in outputs.points])
+        x_nodes = nearest_nodes(self.graph, points)
+        y_nodes = nearest_nodes(self.graph, outputs.points)
         dx = self._dist_table[:, x_nodes]  # (T, n)
         dy = self._dist_table[:, y_nodes]  # (T, K)
         finite_x, finite_y = np.isfinite(dx), np.isfinite(dy)

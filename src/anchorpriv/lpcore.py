@@ -1,15 +1,18 @@
-"""Sparse linear-program container and a deterministic solve wrapper.
+"""Linear-program holder and a deterministic solve wrapper.
 
-Programs are built row by row as sparse triplets (explicit zeros are
-dropped) and solved through scipy's HiGHS backend, which returns clean
-basic solutions and is deterministic for a fixed input. The container
-hides the backend so callers only see :class:`LinearProgram` and
-:class:`LpSolution`.
+Programs arrive already assembled: the caller hands over the objective
+and the sparse constraint matrices with their right-hand sides. Every
+variable is non-negative with no upper bound, because every program the
+package solves is a table of probabilities or masses. There is no row
+builder and no MPS writer. Programs are solved through scipy's HiGHS
+backend, which returns clean basic solutions and is deterministic for a
+fixed input. The holder hides the backend so callers only see
+:class:`LinearProgram` and :class:`LpSolution`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -32,22 +35,42 @@ _SOLVE_OPTIONS = {
 
 @dataclass
 class LinearProgram:
-    """min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  lo <= x <= hi.
+    """min c.x  s.t.  a_ub x <= b_ub,  a_eq x = b_eq,  x >= 0.
 
-    Variable bounds default to [0, +inf). ``var_shape`` optionally records
-    the logical 2-D shape of the variable vector for table-valued programs.
+    ``a_ub`` and ``a_eq`` are CSR matrices (anything ``scipy.sparse``
+    accepts is converted) or ``None`` when the program has no rows of that
+    kind. ``var_shape`` optionally records the logical 2-D shape of the
+    variable vector for table-valued programs.
     """
 
     objective: np.ndarray
+    a_ub: sparse.csr_matrix | None = None
+    b_ub: np.ndarray | None = None
+    a_eq: sparse.csr_matrix | None = None
+    b_eq: np.ndarray | None = None
     var_shape: tuple | None = None
-    _ub_rows: list = field(default_factory=list, repr=False)
-    _eq_rows: list = field(default_factory=list, repr=False)
-    _bounds: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float).ravel()
         if self.objective.size < 1:
             raise ValueError("objective must have at least one variable")
+        self.a_ub, self.b_ub = self._checked_rows(self.a_ub, self.b_ub, "ub")
+        self.a_eq, self.b_eq = self._checked_rows(self.a_eq, self.b_eq, "eq")
+        if self.var_shape is not None and int(np.prod(self.var_shape)) != self.n_vars:
+            raise ValueError(f"var_shape {self.var_shape} does not hold {self.n_vars} variables")
+
+    def _checked_rows(self, mat, rhs, kind):
+        if mat is None:
+            if rhs is not None:
+                raise ValueError(f"b_{kind} given without a_{kind}")
+            return None, None
+        mat = sparse.csr_matrix(mat)
+        rhs = np.asarray(rhs, dtype=float).ravel()
+        if mat.shape[1] != self.n_vars:
+            raise ValueError(f"a_{kind} has {mat.shape[1]} columns, expected {self.n_vars}")
+        if rhs.shape != (mat.shape[0],):
+            raise ValueError(f"b_{kind} has {rhs.size} entries, expected {mat.shape[0]}")
+        return mat, rhs
 
     @property
     def n_vars(self) -> int:
@@ -55,96 +78,15 @@ class LinearProgram:
 
     @property
     def n_ub_rows(self) -> int:
-        return len(self._ub_rows)
+        return 0 if self.a_ub is None else self.a_ub.shape[0]
 
     @property
     def n_eq_rows(self) -> int:
-        return len(self._eq_rows)
-
-    def _check_terms(self, terms):
-        cleaned = [(int(j), float(v)) for j, v in terms if v != 0.0]
-        for j, _ in cleaned:
-            if not 0 <= j < self.n_vars:
-                raise ValueError(f"variable index {j} out of range")
-        return cleaned
-
-    def add_le(self, terms, rhs: float):
-        """Append one row sum_j coef_j x_j <= rhs; zero coefficients dropped."""
-        self._ub_rows.append((self._check_terms(terms), float(rhs)))
-
-    def add_eq(self, terms, rhs: float):
-        """Append one equality row; degenerate 0 = 0 rows are dropped."""
-        cleaned = self._check_terms(terms)
-        if not cleaned and rhs == 0.0:
-            return
-        self._eq_rows.append((cleaned, float(rhs)))
-
-    def set_bounds(self, j: int, lo: float = 0.0, hi: float | None = None):
-        self._bounds[int(j)] = (lo, hi)
-
-    def _assemble(self, rows):
-        if not rows:
-            return None, None
-        data, ri, ci, rhs = [], [], [], []
-        for r, (terms, b) in enumerate(rows):
-            rhs.append(b)
-            for j, v in terms:
-                ri.append(r)
-                ci.append(j)
-                data.append(v)
-        mat = sparse.csr_matrix(
-            (data, (ri, ci)), shape=(len(rows), self.n_vars)
-        )
-        return mat, np.asarray(rhs, dtype=float)
+        return 0 if self.a_eq is None else self.a_eq.shape[0]
 
     def matrices(self):
-        """Assembled (A_ub, b_ub, A_eq, b_eq, bounds) for the backend."""
-        a_ub, b_ub = self._assemble(self._ub_rows)
-        a_eq, b_eq = self._assemble(self._eq_rows)
-        bounds = [self._bounds.get(j, (0.0, None)) for j in range(self.n_vars)]
-        return a_ub, b_ub, a_eq, b_eq, bounds
-
-    def to_mps(self, name: str = "PROGRAM") -> str:
-        """Fixed-column MPS rendering for cross-checking with other solvers."""
-        lines = [f"NAME          {name}", "ROWS", " N  COST"]
-        for r in range(self.n_ub_rows):
-            lines.append(f" L  UB{r:06d}")
-        for r in range(self.n_eq_rows):
-            lines.append(f" E  EQ{r:06d}")
-        cols: dict[int, list[tuple[str, float]]] = {j: [] for j in range(self.n_vars)}
-        for j, v in enumerate(self.objective):
-            if v != 0.0:
-                cols[j].append(("COST", v))
-        for r, (terms, _) in enumerate(self._ub_rows):
-            for j, v in terms:
-                cols[j].append((f"UB{r:06d}", v))
-        for r, (terms, _) in enumerate(self._eq_rows):
-            for j, v in terms:
-                cols[j].append((f"EQ{r:06d}", v))
-
-        def entry(col, row, val):
-            return f"    {col:<10}{row:<10}{val:< .9E}"
-
-        lines.append("COLUMNS")
-        for j in range(self.n_vars):
-            for row, val in cols[j]:
-                lines.append(entry(f"X{j:06d}", row, val))
-        lines.append("RHS")
-        for r, (_, b) in enumerate(self._ub_rows):
-            if b != 0.0:
-                lines.append(entry("RHS", f"UB{r:06d}", b))
-        for r, (_, b) in enumerate(self._eq_rows):
-            if b != 0.0:
-                lines.append(entry("RHS", f"EQ{r:06d}", b))
-        lines.append("BOUNDS")
-        for j in range(self.n_vars):
-            lo, hi = self._bounds.get(j, (0.0, None))
-            if lo != 0.0:
-                lines.append(f" LO BND       X{j:06d}  {lo:< .9E}")
-            if hi is not None:
-                lines.append(f" UP BND       X{j:06d}  {hi:< .9E}")
-        lines.append("ENDATA")
-        return "\n".join(lines) + "\n"
+        """(A_ub, b_ub, A_eq, b_eq, bounds) for the backend; x >= 0 throughout."""
+        return self.a_ub, self.b_ub, self.a_eq, self.b_eq, (0.0, None)
 
 
 @dataclass

@@ -280,6 +280,73 @@ class TestAipoRelaxed:
             assert relaxed.objective_value <= composed.objective_value + 1e-9
 
 
+def _dense_ratio_reference(n_rows, k, pairs):
+    """Dense (A_ub, A_eq) of a ratio program, written entry by entry.
+
+    Pairs are outer and outputs inner; row 2t is +1 @ (i, c), -b @ (j, c)
+    and row 2t+1 is its mirror.
+    """
+    a_ub = np.zeros((2 * len(pairs) * k, n_rows * k))
+    r = 0
+    for i, j, bound in pairs:
+        for c in range(k):
+            a_ub[r, i * k + c] = 1.0
+            a_ub[r, j * k + c] = -bound
+            a_ub[r + 1, j * k + c] = 1.0
+            a_ub[r + 1, i * k + c] = -bound
+            r += 2
+    a_eq = np.zeros((n_rows, n_rows * k))
+    for i in range(n_rows):
+        a_eq[i, i * k:(i + 1) * k] = 1.0
+    return a_ub, a_eq
+
+
+class TestRatioRowLayout:
+    """Pins the assembled matrices of the anchor programs entry for entry."""
+
+    def _setup(self):
+        from anchorpriv.apo import SurrogateCoefficients
+
+        part = partition_domain(((0.0, 0.0), (1.0, 1.0)), (2, 2))
+        rng = np.random.default_rng(11)
+        outputs = OutputDomain(points=rng.random((3, 2)))
+        coeffs = SurrogateCoefficients(matrix=rng.random((part.n_anchors, 3)))
+        return part, outputs, coeffs
+
+    def _assert_layout(self, lp, coeffs, pairs):
+        n_rows, k = coeffs.matrix.shape
+        ref_ub, ref_eq = _dense_ratio_reference(n_rows, k, pairs)
+        a_ub, b_ub, a_eq, b_eq, bounds = lp.matrices()
+        assert np.array_equal(lp.objective, coeffs.matrix.ravel())
+        assert a_ub.shape == ref_ub.shape and (a_ub.toarray() == ref_ub).all()
+        assert (b_ub == np.zeros(ref_ub.shape[0])).all()
+        assert a_eq.shape == ref_eq.shape and (a_eq.toarray() == ref_eq).all()
+        assert (b_eq == np.ones(n_rows)).all()
+        assert bounds in ((0.0, None), [(0.0, None)] * (n_rows * k))
+
+    def test_approx_apo_matches_dense_reference(self):
+        part, outputs, coeffs = self._setup()
+        bv = BudgetVector(eps=np.array([0.4, 0.25]), total_eps=2.0, p=2)
+        pairs = [
+            (i, j, math.exp(bv.eps[axis] * gap))
+            for i, j, axis, gap in axis_neighbors(part)
+        ]
+        self._assert_layout(build_approx_apo(part, outputs, bv, coeffs), coeffs, pairs)
+
+    def test_aipo_relaxed_matches_dense_reference(self):
+        from anchorpriv.geometry import lp_distance
+
+        part, outputs, coeffs = self._setup()
+        anchors = part.anchors
+        pairs = [
+            (i, j, math.exp(0.7 * lp_distance(anchors[i], anchors[j], 2.0)))
+            for i in range(part.n_anchors)
+            for j in range(i + 1, part.n_anchors)
+        ]
+        lp = build_aipo_relaxed(part, outputs, 0.7, 2.0, coeffs)
+        self._assert_layout(lp, coeffs, pairs)
+
+
 class TestCoarseLp:
     def test_single_representative_is_argmin_indicator(self):
         prior, loss, outputs = matrix_setup(

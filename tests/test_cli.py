@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import yaml
@@ -171,6 +173,24 @@ class TestLowerBound:
         payload = json.loads((out / "lower_bound.json").read_text())
         assert set(payload["values"]) == {"0.4", "0.8"}
         assert all(v >= 0 for v in payload["values"].values())
+
+    def test_benchmark_tracer_counts_lp_statistics(self, tmp_path):
+        # perfbench/tracer.py rebinds LinearProgram.matrices, lpcore.linprog
+        # and the apo stages by name; a rename there must fail here.
+        cfg = write_config(tmp_path)
+        root = Path(__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [
+                sys.executable, str(root / "perfbench" / "launch.py"), "trace",
+                str(tmp_path / "marks.json"), "lower-bound", "--config", str(cfg),
+                "--eps", "0.8", "--threads", "1", "--out-dir", str(tmp_path),
+            ],
+            cwd=root, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        counters = json.loads((tmp_path / "marks.spans.json").read_text())["counters"]
+        for key in ("lpcore.rows", "lpcore.nnz", "lpcore.highs.nit"):
+            assert counters.get(key, 0) > 0, key
 
 
 class TestErrors:

@@ -153,7 +153,13 @@ class TestLossModel:
 
     def test_task_loss_matrix_matches_scalar_op(self):
         inst = synth_instance(InstanceSpec(), seed=5)
-        pts = inst.prior.points[:4]
+        # The midpoint of nodes 0 and 1 is exactly equidistant from both;
+        # the first minimum (node 0) wins in the batched and scalar snaps.
+        tie = (inst.graph.nodes[0] + inst.graph.nodes[1]) / 2
+        d2 = np.sum((inst.graph.nodes[:2] - tie) ** 2, axis=1)
+        assert d2[0] == d2[1] and d2[0] < np.sum((inst.graph.nodes[2:] - tie) ** 2, axis=1).min()
+        assert nearest_node(inst.graph, tie) == 0
+        pts = np.vstack([inst.prior.points[:4], tie])
         mat = inst.loss.loss_matrix(pts, inst.outputs)
         for i, x in enumerate(pts):
             for k, y in enumerate(inst.outputs.points):

@@ -2,13 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from anchorpriv.lpcore import LinearProgram, solve_lp
 
 
 def test_minimize_single_variable_with_floor():
-    lp = LinearProgram(objective=[1.0])
-    lp.add_le([(0, -1.0)], -3.0)  # x >= 3
+    lp = LinearProgram(objective=[1.0], a_ub=[[-1.0]], b_ub=[-3.0])  # x >= 3
     sol = solve_lp(lp)
     assert sol.is_optimal
     assert sol.values[0] == pytest.approx(3.0, abs=1e-8)
@@ -16,16 +16,14 @@ def test_minimize_single_variable_with_floor():
 
 
 def test_maximize_on_facet():
-    lp = LinearProgram(objective=[-1.0, -1.0])
-    lp.add_le([(0, 1.0), (1, 1.0)], 1.0)
+    lp = LinearProgram(objective=[-1.0, -1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0])
     sol = solve_lp(lp)
     assert sol.is_optimal
     assert sol.objective_value == pytest.approx(-1.0, abs=1e-8)
 
 
 def test_simplex_vertex():
-    lp = LinearProgram(objective=[1.0, 3.0])
-    lp.add_eq([(0, 1.0), (1, 1.0)], 1.0)
+    lp = LinearProgram(objective=[1.0, 3.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
     sol = solve_lp(lp)
     assert sol.is_optimal
     assert sol.values == pytest.approx([1.0, 0.0], abs=1e-9)
@@ -33,8 +31,7 @@ def test_simplex_vertex():
 
 
 def test_infeasible_reported_not_raised():
-    lp = LinearProgram(objective=[1.0])
-    lp.add_le([(0, 1.0)], -1.0)  # x <= -1 with x >= 0
+    lp = LinearProgram(objective=[1.0], a_ub=[[1.0]], b_ub=[-1.0])  # x <= -1 with x >= 0
     sol = solve_lp(lp)
     assert sol.status == "infeasible"
     assert sol.values is None
@@ -46,32 +43,18 @@ def test_unbounded_reported_not_raised():
     assert sol.status == "unbounded"
 
 
-def test_degenerate_equality_rows_dropped():
-    lp = LinearProgram(objective=[1.0, 2.0])
-    lp.add_eq([(0, 0.0), (1, 0.0)], 0.0)
-    assert lp.n_eq_rows == 0
-    lp.add_eq([(0, 1.0)], 0.5)
-    assert lp.n_eq_rows == 1
-
-
-def test_zero_coefficients_dropped_from_rows():
-    lp = LinearProgram(objective=[1.0, 1.0])
-    lp.add_le([(0, 1.0), (1, 0.0)], 2.0)
-    terms, rhs = lp._ub_rows[0]
-    assert terms == [(0, 1.0)]
-    assert rhs == 2.0
-
-
-def test_mps_dump_structure():
-    lp = LinearProgram(objective=[1.0, 3.0])
-    lp.add_le([(0, 1.0), (1, -2.0)], 4.0)
-    lp.add_eq([(0, 1.0), (1, 1.0)], 1.0)
-    lp.set_bounds(1, 0.0, 2.5)
-    text = lp.to_mps("T")
-    for section in ("NAME", "ROWS", "COLUMNS", "RHS", "BOUNDS", "ENDATA"):
-        assert section in text
-    assert "UB000000" in text and "EQ000000" in text
-    assert " UP BND" in text
+def test_shapes_checked_against_variable_count():
+    with pytest.raises(ValueError):
+        LinearProgram(objective=[1.0, 2.0], a_ub=[[1.0, 1.0, 1.0]], b_ub=[1.0])
+    with pytest.raises(ValueError):
+        LinearProgram(objective=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0, 2.0])
+    with pytest.raises(ValueError):
+        LinearProgram(objective=[1.0, 2.0], b_ub=[1.0])
+    with pytest.raises(ValueError):
+        LinearProgram(objective=[1.0, 2.0], var_shape=(3, 1))
+    lp = LinearProgram(objective=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], var_shape=(1, 2))
+    assert sparse.issparse(lp.a_eq)
+    assert (lp.n_ub_rows, lp.n_eq_rows) == (0, 1)
 
 
 def _enumerate_vertices(c, a_ub, b_ub, ub):
@@ -115,11 +98,10 @@ def test_random_programs_match_vertex_enumeration_oracle():
         x0 = rng.random(n)
         b = a @ x0 + rng.random(m) * 0.5  # x0 strictly feasible
         ub = np.full(n, 3.0)
-        lp = LinearProgram(objective=c)
-        for i in range(m):
-            lp.add_le([(j, a[i, j]) for j in range(n)], b[i])
-        for j in range(n):
-            lp.set_bounds(j, 0.0, ub[j])
+        # The box x_j <= 3 as extra rows: the same polytope.
+        lp = LinearProgram(
+            objective=c, a_ub=np.vstack([a, np.eye(n)]), b_ub=np.concatenate([b, ub])
+        )
         sol = solve_lp(lp)
         assert sol.is_optimal, f"trial {trial} unexpectedly {sol.status}"
         oracle = _enumerate_vertices(c, a, b, ub)
