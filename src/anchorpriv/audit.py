@@ -110,6 +110,10 @@ def _ppr_rows(points, logs, p, eps, rows):
 
 
 def _collect_ppr(mech, eps, p, sample_count, seed, threads):
+    if sample_count < 2:
+        raise ValueError(f"an audit needs at least 2 sample points, got {sample_count}")
+    if not eps > 0:
+        raise ValueError(f"audit budget eps must be positive, got {eps}")
     rng = np.random.default_rng(seed)
     points = _sample_points(mech, sample_count, rng)
     logs = _floored_logs(mech, points)

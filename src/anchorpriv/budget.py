@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from .apo import BudgetVector, check_budget
+from .errors import SolverError
 from .geometry import dual_exponent
 
 __all__ = [
@@ -113,8 +114,9 @@ def optimize_allocation(candidates, evaluator):
 
     Args:
         candidates: non-empty list of BudgetVector.
-        evaluator: callable BudgetVector -> loss; a failing candidate is
-            logged and skipped.
+        evaluator: callable BudgetVector -> loss. A candidate whose
+            evaluation raises SolverError is logged and skipped; any other
+            exception propagates.
 
     Returns:
         (best vector, curve) where curve lists (eps_1, eps_2, loss) for
@@ -128,13 +130,13 @@ def optimize_allocation(candidates, evaluator):
     for bv in candidates:
         try:
             loss = float(evaluator(bv))
-        except Exception:
+        except SolverError:
             log.warning("allocation %s failed evaluation; skipped", bv.eps, exc_info=True)
             continue
         results.append((loss, tuple(bv.eps), bv))
         curve.append((float(bv.eps[0]), float(bv.eps[-1]), loss))
     if not results:
-        raise RuntimeError("every candidate allocation failed evaluation")
+        raise SolverError("every candidate allocation failed evaluation")
     curve.sort(key=lambda row: (row[0], row[1]))
     best = min(results, key=lambda r: (r[0], r[1]))[2]
     return best, curve

@@ -11,8 +11,8 @@ a manifest stamped with the config hash. Wall-clock timings are only
 recorded when ``--timing`` is passed, because measured times are the one
 quantity that cannot be reproduced byte for byte.
 
-Exit codes: 0 success, 2 config error, 3 infeasible/solver error,
-4 I/O error.
+Exit codes: 0 success, 1 internal fault (with a traceback), 2 config
+error, 3 infeasible/solver error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -20,44 +20,173 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
+import typing
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import __version__, apo, audit, budget, evaluation, mechanisms
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, OutOfDomainError, SolverError
 from .geometry import Partition, locate_cells
 from .interpolation import Mechanism
 
 THREADS_ENV = "ANCHORPRIV_THREADS"
 
-DEFAULT_EPS = [0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6]
-DEFAULT_METHODS = ["AIPO", "AIPO-E", "EM", "Laplace", "RMP-EM", "CoarseLP", "LB"]
-
-KNOWN_METHODS = (
-    "AIPO", "AIPO-E", "AIPO-R", "EM", "Laplace", "TEM",
-    "RMP-EM", "RMP-Laplace", "RMP-TEM", "CoarseLP", "LB",
-)
+BUDGET_MODES = ("sweep", "equal", "explicit")
 
 
 # ---------------------------------------------------------------------------
-# Config handling
+# Settings and config handling
 
 
-def _section(cfg: dict, name: str) -> dict:
-    value = cfg.get(name, {})
-    if value is None:
-        value = {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section {name!r} must be a mapping")
-    return value
+@dataclass(frozen=True)
+class PrivacySpec:
+    """Metric order and budget settings of a run.
+
+    Config keys: ``p`` in section ``metric``, the rest in ``privacy``.
+    """
+
+    p: float = 2.0
+    eps: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6)
+    budget_mode: str = "sweep"
+    budget_convention: str = "half-dual"
+    sweep_resolution: int = 5
+    explicit_budget: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        if not self.p >= 1:
+            raise ConfigError(f"metric.p must be >= 1, got {self.p}")
+        if not self.eps or not all(e > 0 for e in self.eps):
+            raise ConfigError("privacy.eps must contain positive values")
+        if self.budget_mode not in BUDGET_MODES:
+            raise ConfigError(
+                f"privacy.budget_mode must be one of {BUDGET_MODES}, got {self.budget_mode!r}"
+            )
+        if self.budget_convention not in budget.CONVENTIONS:
+            raise ConfigError(
+                f"privacy.budget_convention must be one of {budget.CONVENTIONS}, "
+                f"got {self.budget_convention!r}"
+            )
+        if self.budget_mode == "explicit" and self.explicit_budget is None:
+            raise ConfigError("privacy.explicit_budget required when budget_mode=explicit")
 
 
-def load_config(path) -> dict:
+@dataclass(frozen=True)
+class CompareSpec:
+    """Settings of the ``compare`` command (config section ``compare``).
+
+    ``coarse_grid`` None gives CoarseLP the instance's partition grid;
+    ``tem_radius`` None gives TEM its default radius ``3 / eps``.
+    """
+
+    methods: tuple[str, ...] = ("AIPO", "AIPO-E", "EM", "Laplace", "RMP-EM", "CoarseLP", "LB")
+    replicates: int = 1
+    coarse_grid: tuple[int, ...] | None = None
+    audit_samples: int = 300
+    tem_radius: float | None = None
+
+    def __post_init__(self):
+        for tag in self.methods:
+            if tag not in METHODS:
+                raise ConfigError(f"unknown method tag {tag!r}; known: {', '.join(METHODS)}")
+        if self.replicates < 1:
+            raise ConfigError(f"compare.replicates must be >= 1, got {self.replicates}")
+
+
+@dataclass(frozen=True)
+class AuditSection:
+    """Config section ``audit``; its defaults are the ``audit`` command's flags'.
+
+    No command reads this section, since ``audit`` takes a mechanism file
+    and flags, not a config. It is accepted (and type-checked) because
+    configs/example.yaml and the frozen benchmark inputs
+    (perfbench/inputs/*.yaml) carry it.
+    """
+
+    samples: int = 1000
+    bins: int = 40
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A config file as :func:`load_config` reads it through :data:`CONFIG_LAYOUT`."""
+
+    instance: evaluation.InstanceSpec
+    privacy: PrivacySpec
+    compare: CompareSpec
+    sha256: str
+    seed: int = 0
+
+
+# Where each config key lives: (section, settings class, fields). A key is
+# the name of the field it sets; None stands for every field of the class
+# that no other row names.
+CONFIG_LAYOUT = (
+    ("domain", evaluation.InstanceSpec, ("lower", "upper", "grid")),
+    ("instance", evaluation.InstanceSpec, None),
+    ("instance", RunConfig, ("seed",)),
+    ("metric", PrivacySpec, ("p",)),
+    ("privacy", PrivacySpec, None),
+    ("compare", CompareSpec, None),
+    ("audit", AuditSection, None),
+)
+
+
+def _config_keys() -> dict:
+    """Section -> {key: (settings class, field type)} for every accepted key."""
+    named = {(cls, name) for _, cls, names in CONFIG_LAYOUT for name in names or ()}
+    keys = {}
+    for section, cls, names in CONFIG_LAYOUT:
+        hints = typing.get_type_hints(cls)
+        if names is None:
+            names = [f.name for f in fields(cls) if (cls, f.name) not in named]
+        keys.setdefault(section, {}).update({name: (cls, hints[name]) for name in names})
+    return keys
+
+
+def _coerce(path: str, value, hint):
+    """``value`` read as type ``hint``, with no lossy conversion.
+
+    A bool takes only a YAML bool; an int rejects floats and bools; a float
+    takes any number or "inf"; a tuple takes a YAML list; ``X | None``
+    also takes null.
+    """
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        item = typing.get_args(hint)[0]
+        return tuple(_coerce(f"{path}[{i}]", v, item) for i, v in enumerate(value))
+    if hint is float and value in ("inf", "Infinity"):
+        return math.inf
+    if isinstance(value, bool):
+        ok = hint is bool
+    elif hint is float:
+        ok = isinstance(value, (int, float))
+    else:
+        ok = isinstance(value, hint)
+    if not ok:
+        raise ConfigError(f"{path}: expected {hint.__name__}, got {value!r}")
+    return hint(value)
+
+
+def load_config(path) -> RunConfig:
+    """Read a YAML config strictly: every section, key and value is checked.
+
+    Unknown sections and keys are errors, as are values that do not have
+    their field's type (see :func:`_coerce`); an omitted key takes its
+    field's default.
+    """
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -68,79 +197,46 @@ def load_config(path) -> dict:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
-    cfg["_sha256"] = hashlib.sha256(raw).hexdigest()
-    return cfg
-
-
-def instance_spec_from_config(cfg: dict) -> evaluation.InstanceSpec:
-    dom = _section(cfg, "domain")
-    inst = _section(cfg, "instance")
-    try:
-        return evaluation.InstanceSpec(
-            lower=tuple(float(v) for v in dom.get("lower", (0.0, 0.0))),
-            upper=tuple(float(v) for v in dom.get("upper", (1.0, 1.0))),
-            grid=tuple(int(v) for v in dom.get("grid", (4, 4))),
-            outputs=tuple(int(v) for v in inst.get("outputs", (3, 3))),
-            graph_size=int(inst.get("graph_size", 5)),
-            samples_per_cell=int(inst.get("samples_per_cell", 3)),
-            n_tasks=int(inst.get("n_tasks", 6)),
-            n_hotspots=int(inst.get("n_hotspots", 2)),
-            weight_jitter=float(inst.get("weight_jitter", 0.5)),
-            prior_on_anchors=bool(inst.get("prior_on_anchors", False)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid domain/instance settings: {exc}") from exc
-
-
-def privacy_from_config(cfg: dict, eps_override=None):
-    met = _section(cfg, "metric")
-    priv = _section(cfg, "privacy")
-    p = float(met.get("p", 2.0))
-    if str(met.get("p")) in ("inf", "Infinity"):
-        p = float("inf")
-    if not p >= 1:
-        raise ConfigError(f"metric.p must be >= 1, got {p}")
-    eps_list = eps_override or priv.get("eps", DEFAULT_EPS)
-    try:
-        eps_list = [float(e) for e in eps_list]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"privacy.eps must be a list of numbers: {exc}") from exc
-    if not eps_list or any(e <= 0 for e in eps_list):
-        raise ConfigError("privacy.eps must contain positive values")
-    mode = priv.get("budget_mode", "sweep")
-    if mode not in ("sweep", "equal", "explicit"):
-        raise ConfigError(f"privacy.budget_mode must be sweep|equal|explicit, got {mode!r}")
-    convention = priv.get("budget_convention", "half-dual")
-    if convention not in budget.CONVENTIONS:
-        raise ConfigError(f"privacy.budget_convention must be one of {budget.CONVENTIONS}")
-    resolution = int(priv.get("sweep_resolution", 5))
-    explicit = priv.get("explicit_budget")
-    if mode == "explicit" and explicit is None:
-        raise ConfigError("privacy.explicit_budget required when budget_mode=explicit")
-    return {
-        "p": p,
-        "eps_list": eps_list,
-        "mode": mode,
-        "convention": convention,
-        "resolution": resolution,
-        "explicit": explicit,
-    }
+    schema = _config_keys()
+    values = {cls: {} for _, cls, _ in CONFIG_LAYOUT}
+    for section, body in cfg.items():
+        if section not in schema:
+            raise ConfigError(f"unknown config section {section!r}; known: {', '.join(schema)}")
+        if body is None:
+            continue
+        if not isinstance(body, dict):
+            raise ConfigError(f"config section {section!r} must be a mapping")
+        for key, value in body.items():
+            if key not in schema[section]:
+                raise ConfigError(
+                    f"{section}.{key}: unknown key; known: {', '.join(schema[section])}"
+                )
+            cls, hint = schema[section][key]
+            values[cls][key] = _coerce(f"{section}.{key}", value, hint)
+    return RunConfig(
+        instance=evaluation.InstanceSpec(**values[evaluation.InstanceSpec]),
+        privacy=PrivacySpec(**values[PrivacySpec]),
+        compare=CompareSpec(**values[CompareSpec]),
+        sha256=hashlib.sha256(raw).hexdigest(),
+        **values[RunConfig],
+    )
 
 
 # ---------------------------------------------------------------------------
 # Pipeline assembly (shared by synthesize/compare and the test suite)
 
 
-def make_aipo_mechanism(instance, eps: float, p: float, mode: str = "sweep",
-                        resolution: int = 5, convention: str = "half-dual",
-                        explicit=None):
+def make_aipo_mechanism(instance, eps: float, priv: PrivacySpec = PrivacySpec()):
     """Solve the anchor pipeline at one total budget.
 
-    Returns (mechanism, best budget vector, sweep curve or None). The
-    sweep evaluator is the optimal value of each candidate's program, i.e.
-    the surrogate expected loss of its solved table.
+    ``priv`` gives the metric order and how the per-axis budgets are
+    chosen; its ``eps`` list is not read. Returns (mechanism, best budget
+    vector, sweep curve or None). The sweep evaluator is the optimal value
+    of each candidate's program, i.e. the surrogate expected loss of its
+    solved table.
     """
     part, outputs = instance.partition, instance.outputs
+    p, convention = priv.p, priv.budget_convention
     coeffs = apo.surrogate_coefficients(part, instance.prior, instance.loss, outputs)
     validate = convention == "half-dual"
     n = part.n_dims
@@ -153,13 +249,14 @@ def make_aipo_mechanism(instance, eps: float, p: float, mode: str = "sweep",
         return float(np.sum(coeffs.matrix * table.probs))
 
     curve = None
-    if mode == "equal":
+    if priv.budget_mode == "equal":
         best = budget.equal_split(eps, p, n, convention=convention)
-    elif mode == "explicit":
-        best = apo.BudgetVector(eps=np.asarray(explicit, dtype=float), total_eps=eps, p=p)
+    elif priv.budget_mode == "explicit":
+        best = apo.BudgetVector(eps=np.asarray(priv.explicit_budget, dtype=float),
+                                total_eps=eps, p=p)
     else:
         candidates = budget.feasible_allocations(
-            eps, p, n_dims=n, resolution=resolution, convention=convention
+            eps, p, n_dims=n, resolution=priv.sweep_resolution, convention=convention
         )
         best, curve = budget.optimize_allocation(candidates, surrogate_loss)
     if tuple(best.eps) not in tables:
@@ -169,57 +266,64 @@ def make_aipo_mechanism(instance, eps: float, p: float, mode: str = "sweep",
     return mech, best, curve
 
 
-def make_method(tag: str, instance, eps: float, p: float, *,
-                mode: str = "sweep", resolution: int = 5,
-                convention: str = "half-dual", explicit=None,
-                coarse_grid=None, tem_radius=None):
-    """Build one comparison method; returns a mechanism with log_probs.
-
-    "LB" is special-cased by the caller since it yields a scalar bound
-    rather than a mechanism.
-    """
+def _aipo_relaxed(instance, eps, priv, comp):
     part, outputs = instance.partition, instance.outputs
-    bounds = part.bounds
-    if tag == "AIPO":
-        return make_aipo_mechanism(
-            instance, eps, p, mode=mode, resolution=resolution,
-            convention=convention, explicit=explicit,
-        )[0]
-    if tag == "AIPO-E":
-        return make_aipo_mechanism(
-            instance, eps, p, mode="equal", convention=convention
-        )[0]
-    if tag == "AIPO-R":
-        coeffs = apo.surrogate_coefficients(part, instance.prior, instance.loss, outputs)
-        lp = apo.build_aipo_relaxed(part, outputs, eps, p, coeffs)
-        table = apo.solve_approx_apo(lp)
-        return Mechanism(part, table, outputs, total_eps=eps, metric_p=p)
-    if tag == "EM":
-        return mechanisms.ExponentialMechanism(outputs, bounds, eps, p)
-    if tag == "Laplace":
-        return mechanisms.PlanarLaplaceMechanism(outputs, bounds, eps)
-    if tag == "TEM":
-        return mechanisms.TruncatedExponentialMechanism(outputs, bounds, eps, p, tem_radius)
-    if tag.startswith("RMP-"):
-        base = make_method(tag[4:], instance, eps, p, coarse_grid=coarse_grid,
-                           tem_radius=tem_radius)
-        return mechanisms.bayesian_remap(base, instance.prior, instance.loss)
-    if tag == "CoarseLP":
-        grid = coarse_grid or instance.partition.counts
-        coarse_part = Partition(*bounds, grid)
-        reps = np.stack([
-            coarse_part.cell(m).base_corner + 0.5 * coarse_part.cell(m).side_lengths
-            for m in range(coarse_part.n_cells)
-        ])
-        # Each representative carries the prior mass of its cell.
-        masses = np.bincount(
-            locate_cells(coarse_part, instance.prior.points),
-            weights=instance.prior.masses, minlength=coarse_part.n_cells,
-        )
-        lp = apo.build_coarse_lp(reps, masses, outputs, eps, p, instance.loss)
-        table = apo.solve_approx_apo(lp)
-        return mechanisms.CoarseLpMechanism(reps, table, outputs, bounds)
-    raise ConfigError(f"unknown method tag {tag!r}")
+    coeffs = apo.surrogate_coefficients(part, instance.prior, instance.loss, outputs)
+    table = apo.solve_approx_apo(apo.build_aipo_relaxed(part, outputs, eps, priv.p, coeffs))
+    return Mechanism(part, table, outputs, total_eps=eps, metric_p=priv.p)
+
+
+def _coarse_lp(instance, eps, priv, comp):
+    outputs, bounds = instance.outputs, instance.partition.bounds
+    coarse_part = Partition(*bounds, comp.coarse_grid or instance.partition.counts)
+    reps = np.stack([
+        coarse_part.cell(m).base_corner + 0.5 * coarse_part.cell(m).side_lengths
+        for m in range(coarse_part.n_cells)
+    ])
+    # Each representative carries the prior mass of its cell.
+    masses = np.bincount(
+        locate_cells(coarse_part, instance.prior.points),
+        weights=instance.prior.masses, minlength=coarse_part.n_cells,
+    )
+    lp = apo.build_coarse_lp(reps, masses, outputs, eps, priv.p, instance.loss)
+    return mechanisms.CoarseLpMechanism(reps, apo.solve_approx_apo(lp), outputs, bounds)
+
+
+def _remapped(base):
+    """Builder of the Bayesian posterior-loss remap of ``base``'s mechanism."""
+    def build(instance, eps, priv, comp):
+        mech = base(instance, eps, priv, comp)
+        return mechanisms.bayesian_remap(mech, instance.prior, instance.loss)
+    return build
+
+
+# Method tag -> builder(instance, eps, priv, comp). Every builder returns a
+# mechanism with log_probs, except LB's, which returns the bound's value.
+METHODS = {
+    "AIPO": lambda inst, eps, priv, comp: make_aipo_mechanism(inst, eps, priv)[0],
+    "AIPO-E": lambda inst, eps, priv, comp: make_aipo_mechanism(
+        inst, eps, replace(priv, budget_mode="equal"))[0],
+    "AIPO-R": _aipo_relaxed,
+    "EM": lambda inst, eps, priv, comp: mechanisms.ExponentialMechanism(
+        inst.outputs, inst.partition.bounds, eps, priv.p),
+    "Laplace": lambda inst, eps, priv, comp: mechanisms.PlanarLaplaceMechanism(
+        inst.outputs, inst.partition.bounds, eps),
+    "TEM": lambda inst, eps, priv, comp: mechanisms.TruncatedExponentialMechanism(
+        inst.outputs, inst.partition.bounds, eps, priv.p, comp.tem_radius),
+    "CoarseLP": _coarse_lp,
+    "LB": lambda inst, eps, priv, comp: apo.lower_bound(
+        inst.partition, inst.outputs, eps, priv.p, inst.loss, inst.prior),
+}
+METHODS.update({f"RMP-{tag}": _remapped(METHODS[tag]) for tag in ("EM", "Laplace", "TEM")})
+
+
+def make_method(tag: str, instance, eps: float, priv: PrivacySpec = PrivacySpec(),
+                comp: CompareSpec = CompareSpec()):
+    """Build the comparison method ``tag``, a key of :data:`METHODS`.
+
+    Returns a mechanism with log_probs, or for "LB" the bound's value.
+    """
+    return METHODS[tag](instance, eps, priv, comp)
 
 
 # ---------------------------------------------------------------------------
@@ -260,21 +364,25 @@ def _fmt(value) -> str:
 # Commands
 
 
+def _run_settings(args):
+    """(config, privacy settings, instance seed) of a config-driven command.
+
+    ``--eps`` replaces the config's budget list and ``--seed`` its seed.
+    """
+    run = load_config(args.config)
+    priv = replace(run.privacy, eps=tuple(args.eps)) if args.eps else run.privacy
+    seed = run.seed if args.seed is None else args.seed
+    return run, priv, seed
+
+
 def cmd_synthesize(args) -> int:
-    cfg = load_config(args.config)
-    spec = instance_spec_from_config(cfg)
-    priv = privacy_from_config(cfg, args.eps)
-    seed = args.seed if args.seed is not None else int(_section(cfg, "instance").get("seed", 0))
+    run, priv, seed = _run_settings(args)
     out_dir = Path(args.out_dir)
-    instance = evaluation.synth_instance(spec, seed=seed)
+    instance = evaluation.synth_instance(run.instance, seed=seed)
     evaluation.save_instance(instance, out_dir / "instance")
     written = []
-    for eps in priv["eps_list"]:
-        mech, best, curve = make_aipo_mechanism(
-            instance, eps, priv["p"], mode=priv["mode"],
-            resolution=priv["resolution"], convention=priv["convention"],
-            explicit=priv["explicit"],
-        )
+    for eps in priv.eps:
+        mech, best, curve = make_aipo_mechanism(instance, eps, priv)
         name = f"mechanism_eps{eps:g}.json"
         out_dir.mkdir(parents=True, exist_ok=True)
         mech.save(out_dir / name)
@@ -283,10 +391,10 @@ def cmd_synthesize(args) -> int:
             _write_text(out_dir / f"sweep_eps{eps:g}.csv", budget.allocation_curve_csv(curve))
     _write_json(
         out_dir / "manifest_synthesize.json",
-        _manifest("synthesize", cfg["_sha256"], seed, {
-            "eps": priv["eps_list"],
-            "budget_mode": priv["mode"],
-            "budget_convention": priv["convention"],
+        _manifest("synthesize", run.sha256, seed, {
+            "eps": list(priv.eps),
+            "budget_mode": priv.budget_mode,
+            "budget_convention": priv.budget_convention,
             "mechanisms": written,
         }),
     )
@@ -323,26 +431,18 @@ def cmd_audit(args) -> int:
 
 
 def cmd_lower_bound(args) -> int:
-    cfg = load_config(args.config)
-    spec = instance_spec_from_config(cfg)
-    priv = privacy_from_config(cfg, args.eps)
-    seed = args.seed if args.seed is not None else int(_section(cfg, "instance").get("seed", 0))
-    instance = evaluation.synth_instance(spec, seed=seed)
-    values = {}
-    for eps in priv["eps_list"]:
-        values[f"{eps:g}"] = apo.lower_bound(
-            instance.partition, instance.outputs, eps, priv["p"],
-            instance.loss, instance.prior,
-        )
+    run, priv, seed = _run_settings(args)
+    instance = evaluation.synth_instance(run.instance, seed=seed)
+    values = {f"{eps:g}": make_method("LB", instance, eps, priv) for eps in priv.eps}
     out_dir = Path(args.out_dir)
     _write_json(out_dir / "lower_bound.json", {
-        "metric_p": priv["p"],
+        "metric_p": priv.p,
         "seed": seed,
         "values": values,
     })
     _write_json(
         out_dir / "manifest_lower_bound.json",
-        _manifest("lower-bound", cfg["_sha256"], seed, {"eps": priv["eps_list"]}),
+        _manifest("lower-bound", run.sha256, seed, {"eps": list(priv.eps)}),
     )
     for k, v in values.items():
         print(f"eps={k}: lower_bound={v:.6g}")
@@ -350,25 +450,15 @@ def cmd_lower_bound(args) -> int:
 
 
 def _compare_cell(method, instance, eps, priv, comp, seed, threads, timing):
-    """One (method, eps, replicate) evaluation -> (loss, violation%, ms)."""
+    """One (method, eps, replicate) evaluation -> (loss, violation% or None, ms)."""
     start = time.perf_counter()
-    if method == "LB":
-        loss_val = apo.lower_bound(
-            instance.partition, instance.outputs, eps, priv["p"],
-            instance.loss, instance.prior,
-        )
-        viol = None
+    built = make_method(method, instance, eps, priv, comp)
+    if isinstance(built, float):  # a bound's value, with nothing to audit
+        loss_val, viol = built, None
     else:
-        mech = make_method(
-            method, instance, eps, priv["p"], mode=priv["mode"],
-            resolution=priv["resolution"], convention=priv["convention"],
-            explicit=priv["explicit"], coarse_grid=comp.get("coarse_grid"),
-            tem_radius=comp.get("tem_radius"),
-        )
-        loss_val = evaluation.expected_loss(mech, instance.prior, instance.loss)
+        loss_val = evaluation.expected_loss(built, instance.prior, instance.loss)
         report = audit.violation_ratio(
-            mech, eps, priv["p"], sample_count=int(comp.get("audit_samples", 300)),
-            seed=seed, threads=threads,
+            built, eps, priv.p, sample_count=comp.audit_samples, seed=seed, threads=threads,
         )
         viol = report.violation_ratio
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -376,20 +466,13 @@ def _compare_cell(method, instance, eps, priv, comp, seed, threads, timing):
 
 
 def cmd_compare(args) -> int:
-    cfg = load_config(args.config)
-    spec = instance_spec_from_config(cfg)
-    priv = privacy_from_config(cfg, args.eps)
-    comp = _section(cfg, "compare")
-    methods = args.method or comp.get("methods", DEFAULT_METHODS)
-    for m in methods:
-        if m not in KNOWN_METHODS:
-            raise ConfigError(f"unknown method tag {m!r}; known: {KNOWN_METHODS}")
-    replicates = int(comp.get("replicates", 1))
-    seed = args.seed if args.seed is not None else int(_section(cfg, "instance").get("seed", 0))
+    run, priv, seed = _run_settings(args)
+    comp = replace(run.compare, methods=tuple(args.method)) if args.method else run.compare
+    methods, replicates = comp.methods, comp.replicates
     out_dir = Path(args.out_dir)
 
     instances = [
-        evaluation.synth_instance(spec, seed=seed + r) for r in range(replicates)
+        evaluation.synth_instance(run.instance, seed=seed + r) for r in range(replicates)
     ]
     header = ["method", "eps", "utility_loss", "violation_ratio", "wall_time_ms"]
     if replicates > 1:
@@ -399,7 +482,7 @@ def cmd_compare(args) -> int:
         ]
     lines = [",".join(header)]
     for method in methods:
-        for eps in priv["eps_list"]:
+        for eps in priv.eps:
             losses, viols, times = [], [], []
             for r, inst in enumerate(instances):
                 loss_val, viol, ms = _compare_cell(
@@ -424,13 +507,13 @@ def cmd_compare(args) -> int:
     _write_text(out_dir / "results.csv", "\n".join(lines) + "\n")
     _write_json(
         out_dir / "manifest_compare.json",
-        _manifest("compare", cfg["_sha256"], seed, {
+        _manifest("compare", run.sha256, seed, {
             "methods": list(methods),
-            "eps": priv["eps_list"],
+            "eps": list(priv.eps),
             "replicates": replicates,
         }),
     )
-    print(f"compared {len(methods)} method(s) x {len(priv['eps_list'])} eps -> {out_dir / 'results.csv'}")
+    print(f"compared {len(methods)} method(s) x {len(priv.eps)} eps -> {out_dir / 'results.csv'}")
     return 0
 
 
@@ -472,8 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_aud = sub.add_parser("audit", help="ratio-audit a stored mechanism")
     p_aud.add_argument("--mechanism", required=True, help="mechanism JSON file")
     p_aud.add_argument("--eps", type=float, required=True)
-    p_aud.add_argument("--samples", type=int, default=1000)
-    p_aud.add_argument("--bins", type=int, default=40)
+    p_aud.add_argument("--samples", type=int, default=AuditSection.samples)
+    p_aud.add_argument("--bins", type=int, default=AuditSection.bins)
     common(p_aud)
     p_aud.set_defaults(func=cmd_audit, seed=0)
 
@@ -496,7 +579,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _env_threads() -> int:
-    text = os.environ.get(THREADS_ENV, "1")
+    if THREADS_ENV not in os.environ:
+        return 1
+    text = os.environ[THREADS_ENV]
     try:
         return int(text)
     except ValueError:
@@ -512,6 +597,10 @@ def main(argv=None) -> int:
         if args.threads is None:
             args.threads = _env_threads()
         return args.func(args)
+    except OutOfDomainError:
+        # Commands only evaluate points drawn inside the domain, so this is
+        # an internal fault, not a config error: exit 1 with the traceback.
+        raise
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -321,6 +321,12 @@ def expected_loss(mech, prior: PriorModel, loss: LossModel) -> float:
     return float(prior.masses @ np.sum(z * loss_mat, axis=1))
 
 
+# Prior hotspot amplitudes are drawn uniformly from [1, 1 + HOTSPOT_AMP).
+HOTSPOT_AMP = 6.0
+# Exponent on the prior weight of a graph node when drawing task nodes.
+TASK_CONCENTRATION = 2.5
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
     """Sizes and knobs of a synthetic desk-scale instance.
@@ -330,19 +336,21 @@ class InstanceSpec:
     regime where optimized tables pay off. Cell volumes must stay at or
     below the per-cell sample count for the aggregated loss lower bound
     to remain valid against the discretized expected loss.
+
+    These defaults are the command line's too: every field is a config
+    key (``lower``, ``upper`` and ``grid`` in section ``domain``, the rest
+    in ``instance``), read with the field's type.
     """
 
-    lower: tuple = (0.0, 0.0)
-    upper: tuple = (2.0, 2.0)
-    grid: tuple = (4, 4)
-    outputs: tuple = (3, 3)
+    lower: tuple[float, ...] = (0.0, 0.0)
+    upper: tuple[float, ...] = (2.0, 2.0)
+    grid: tuple[int, ...] = (4, 4)
+    outputs: tuple[int, ...] = (3, 3)
     graph_size: int = 7
     samples_per_cell: int = 3
     n_tasks: int = 10
     n_hotspots: int = 3
-    hotspot_amp: float = 6.0
     weight_jitter: float = 1.0
-    task_concentration: float = 2.5
     prior_on_anchors: bool = False
 
 
@@ -392,7 +400,7 @@ def synth_instance(spec: InstanceSpec = InstanceSpec(), seed: int = 0) -> Instan
     extent = upper - lower
     centers = lower + rng.random((spec.n_hotspots, lower.size)) * extent
     scale = 0.25 * float(extent.min())
-    amps = 1.0 + rng.random(spec.n_hotspots) * spec.hotspot_amp
+    amps = 1.0 + rng.random(spec.n_hotspots) * HOTSPOT_AMP
 
     def weight(pt):
         bumps = np.exp(-np.sum((centers - pt) ** 2, axis=1) / (2 * scale**2))
@@ -416,7 +424,7 @@ def synth_instance(spec: InstanceSpec = InstanceSpec(), seed: int = 0) -> Instan
 
     graph = _grid_graph(lower, upper, spec.graph_size, spec.weight_jitter, rng)
     node_weights = np.array([weight(p) for p in graph.nodes])
-    node_weights = node_weights**spec.task_concentration
+    node_weights = node_weights**TASK_CONCENTRATION
     node_weights = node_weights / node_weights.sum()
     task_nodes = rng.choice(
         graph.n_nodes, size=min(spec.n_tasks, graph.n_nodes),

@@ -184,6 +184,8 @@ class Partition:
         self.lower = as_point(lower)
         self.upper = as_point(upper)
         counts = np.asarray(counts, dtype=int)
+        if self.upper.shape != self.lower.shape:
+            raise ValueError("bounds dimension mismatch")
         if counts.shape != self.lower.shape:
             raise ValueError("counts dimension mismatch")
         if np.any(counts < 1):

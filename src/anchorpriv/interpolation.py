@@ -50,6 +50,24 @@ def logcvx_1d(z_lo: float, z_hi: float, lam: float) -> float:
     return float(math.exp(lam * math.log(z_lo) + (1.0 - lam) * math.log(z_hi)))
 
 
+def _field(d: dict, path: str):
+    """Value at the dotted ``path`` of a mechanism dict; ValueError naming it if absent."""
+    value = d
+    for key in path.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise ValueError(f"mechanism lacks field {path!r}")
+        value = value[key]
+    return value
+
+
+def _number(d: dict, key: str):
+    """Optional numeric field ``key`` of a mechanism dict (None when null or absent)."""
+    value = d.get(key)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise ValueError(f"mechanism field {key!r} must be a number or null, got {value!r}")
+    return value
+
+
 class Mechanism:
     """Sampleable perturbation mechanism over a partitioned domain.
 
@@ -72,6 +90,8 @@ class Mechanism:
             raise ValueError("table rows must be indexed by partition anchors")
         if table.n_outputs != outputs.size:
             raise ValueError("table columns must match output candidates")
+        if budget is not None and budget.n_dims != partition.n_dims:
+            raise ValueError("budget vector must have one entry per domain axis")
         probs = table.probs
         if floor is not None:
             probs = np.maximum(probs, floor)
@@ -154,21 +174,32 @@ class Mechanism:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Mechanism":
-        part = Partition(
-            d["partition"]["lower"], d["partition"]["upper"], d["partition"]["counts"]
-        )
-        outputs = OutputDomain(
-            points=np.asarray(d["outputs"]["points"], dtype=float),
-            labels=tuple(d["outputs"]["labels"]),
-        )
-        table = PerturbationTable.from_json_dict(d["table"])
-        budget = None
-        if d.get("budget_eps") is not None:
-            budget = BudgetVector(
-                eps=np.asarray(d["budget_eps"], dtype=float),
-                total_eps=float(d["total_eps"]),
-                p=float(d["metric_p"]),
+        """Rebuild a mechanism from :meth:`to_json_dict` output.
+
+        Raises ValueError on anything else: another format, a missing
+        field (named in the message) or a value of the wrong type.
+        """
+        if not isinstance(d, dict) or d.get("format") != "anchorpriv-mechanism":
+            raise ValueError("not an anchorpriv mechanism (format is not 'anchorpriv-mechanism')")
+        metric_p, total_eps = _number(d, "metric_p"), _number(d, "total_eps")
+        try:
+            part = Partition(
+                _field(d, "partition.lower"), _field(d, "partition.upper"),
+                _field(d, "partition.counts"),
             )
+            outputs = OutputDomain(
+                points=np.asarray(_field(d, "outputs.points"), dtype=float),
+                labels=tuple(_field(d, "outputs.labels")),
+            )
+            table = PerturbationTable(np.asarray(_field(d, "table.probs"), dtype=float))
+            budget = None
+            if d.get("budget_eps") is not None:
+                budget = BudgetVector(
+                    eps=np.asarray(d["budget_eps"], dtype=float),
+                    total_eps=float(total_eps), p=float(metric_p),
+                )
+        except TypeError as exc:
+            raise ValueError(f"malformed mechanism: {exc}") from exc
         # Stored tables were floored before saving; do not re-floor, so a
         # load/save cycle reproduces the file bit for bit.
         return cls(
@@ -176,8 +207,8 @@ class Mechanism:
             table,
             outputs,
             budget=budget,
-            total_eps=d.get("total_eps"),
-            metric_p=d.get("metric_p"),
+            total_eps=total_eps,
+            metric_p=metric_p,
             floor=None,
         )
 

@@ -26,7 +26,7 @@ from anchorpriv.apo import (
     surrogate_coefficients,
 )
 from anchorpriv.budget import equal_split
-from anchorpriv.cli import main, make_aipo_mechanism, make_method
+from anchorpriv.cli import CompareSpec, PrivacySpec, main, make_aipo_mechanism, make_method
 from anchorpriv.evaluation import InstanceSpec, LossModel, PriorModel, synth_instance
 from anchorpriv.geometry import dual_exponent, lp_distance, partition_domain
 from anchorpriv.interpolation import Mechanism
@@ -56,7 +56,7 @@ def bench():
     t0 = time.monotonic()
     for eps in EPS_GRID:
         aipo[eps] = make_aipo_mechanism(
-            inst, eps, METRIC_P, mode="sweep", resolution=5
+            inst, eps, PrivacySpec(p=METRIC_P, budget_mode="sweep", sweep_resolution=5)
         )[0]
     synth_seconds = time.monotonic() - t0
     return {"inst": inst, "aipo": aipo, "synth_seconds": synth_seconds}
@@ -87,7 +87,9 @@ def test_criterion_2_discretization_leakage(bench):
     with criterion(2, "coarse 2x2 representative table leaks at small budgets"):
         inst = bench["inst"]
         for eps in (0.2, 0.4, 0.6):
-            coarse = make_method("CoarseLP", inst, eps, METRIC_P, coarse_grid=(2, 2))
+            coarse = make_method(
+                "CoarseLP", inst, eps, PrivacySpec(p=METRIC_P), CompareSpec(coarse_grid=(2, 2))
+            )
             report = ap.violation_ratio(
                 coarse, eps, METRIC_P, sample_count=300, seed=AUDIT_SEED
             )
@@ -184,7 +186,9 @@ def test_criterion_5_lower_bound_dominance():
                 inst.partition, inst.outputs, eps, METRIC_P, inst.loss, inst.prior
             )
             for tag in ("AIPO-E", "AIPO-R", "EM", "Laplace", "CoarseLP"):
-                mech = make_method(tag, inst, eps, METRIC_P, coarse_grid=(2, 2))
+                mech = make_method(
+                    tag, inst, eps, PrivacySpec(p=METRIC_P), CompareSpec(coarse_grid=(2, 2))
+                )
                 loss_val = ap.expected_loss(mech, inst.prior, inst.loss)
                 assert loss_val >= lb - 1e-8, f"{tag} fell below the bound"
 
@@ -225,7 +229,9 @@ def test_criterion_8_ordering_relations(bench):
             aipo_loss = ap.expected_loss(bench["aipo"][eps], inst.prior, inst.loss)
             losses = {
                 tag: ap.expected_loss(
-                    make_method(tag, inst, eps, METRIC_P, coarse_grid=(4, 4)),
+                    make_method(
+                        tag, inst, eps, PrivacySpec(p=METRIC_P), CompareSpec(coarse_grid=(4, 4))
+                    ),
                     inst.prior, inst.loss,
                 )
                 for tag in ("AIPO-E", "EM", "Laplace", "RMP-EM", "CoarseLP")

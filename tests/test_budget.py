@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from anchorpriv.apo import check_budget
+from anchorpriv.errors import SolverError
 from anchorpriv.budget import (
     allocation_curve_csv,
     equal_split,
@@ -105,7 +106,7 @@ class TestOptimizeAllocation:
 
         def evaluator(bv):
             if bv.eps[0] < 0.2:
-                raise RuntimeError("boom")
+                raise SolverError("boom")
             return float(bv.eps[0])
 
         best, curve = optimize_allocation(cands, evaluator)
@@ -116,9 +117,20 @@ class TestOptimizeAllocation:
         cands = feasible_allocations(1.0, 2.0, resolution=2)
 
         def evaluator(bv):
-            raise RuntimeError("boom")
+            raise SolverError("boom")
 
-        with pytest.raises(RuntimeError):
+        with pytest.raises(SolverError):
+            optimize_allocation(cands, evaluator)
+
+    def test_evaluator_fault_propagates(self):
+        # Only solver failures are skipped; a fault in the evaluator's own
+        # code must not be logged away as a failed candidate.
+        cands = feasible_allocations(1.0, 2.0, resolution=2)
+
+        def evaluator(bv):
+            raise TypeError("bad evaluator")
+
+        with pytest.raises(TypeError):
             optimize_allocation(cands, evaluator)
 
     def test_curve_csv_layout(self):

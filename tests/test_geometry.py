@@ -92,6 +92,10 @@ class TestPartitionDomain:
         with pytest.raises(ValueError):
             partition_domain(((0.0, 0.0), (1.0, 0.0)), (1, 1))
 
+    def test_mismatched_bounds_rejected(self):
+        with pytest.raises(ValueError):
+            partition_domain(((0.0, 0.0), (1.0,)), (1, 1))
+
     def test_cells_tile_bounds(self):
         part = partition_domain(UNIT_SQUARE, (3, 2))
         total = sum(part.cell(m).volume for m in range(part.n_cells))

@@ -259,3 +259,11 @@ class TestSerialization:
         assert np.array_equal(loaded.distribution_at(x), mech.distribution_at(x))
         assert loaded.budget.p == 2.0
         assert loaded.total_eps == 1.0
+
+    def test_budget_needs_one_entry_per_axis(self):
+        part = partition_domain(((0.0, 0.0), (1.0, 1.0)), (1, 1))
+        outputs = OutputDomain(points=np.array([[0.0, 0.0], [1.0, 1.0]]))
+        table = PerturbationTable(np.array([[0.3, 0.7]] * 4))
+        bv = BudgetVector(eps=np.array([0.2]), total_eps=1.0, p=2.0)
+        with pytest.raises(ValueError):
+            Mechanism(part, table, outputs, budget=bv)
