@@ -97,6 +97,11 @@ class CompareSpec:
                 raise ConfigError(f"unknown method tag {tag!r}; known: {', '.join(METHODS)}")
         if self.replicates < 1:
             raise ConfigError(f"compare.replicates must be >= 1, got {self.replicates}")
+        if self.audit_samples < 2:
+            raise ConfigError(
+                "compare.audit_samples must be >= 2: the audit needs at least 2 sample "
+                f"points, got {self.audit_samples}"
+            )
 
 
 @dataclass(frozen=True)
@@ -122,6 +127,10 @@ class RunConfig:
     compare: CompareSpec
     sha256: str
     seed: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"instance.seed (or --seed) must be >= 0, got {self.seed}")
 
 
 # Where each config key lives: (section, settings class, fields). A key is
@@ -370,9 +379,10 @@ def _run_settings(args):
     ``--eps`` replaces the config's budget list and ``--seed`` its seed.
     """
     run = load_config(args.config)
+    if args.seed is not None:
+        run = replace(run, seed=args.seed)
     priv = replace(run.privacy, eps=tuple(args.eps)) if args.eps else run.privacy
-    seed = run.seed if args.seed is None else args.seed
-    return run, priv, seed
+    return run, priv, run.seed
 
 
 def cmd_synthesize(args) -> int:

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .apo import OutputDomain
+from .errors import ConfigError
 from .geometry import Partition, as_point, as_points
 from .mechanisms import log_probs
 
@@ -352,6 +353,40 @@ class InstanceSpec:
     n_hotspots: int = 3
     weight_jitter: float = 1.0
     prior_on_anchors: bool = False
+
+    def __post_init__(self):
+        # Each field against the least value synth_instance accepts; the
+        # messages name the config key. The road graph is planar, so the
+        # domain has two axes.
+        per_axis = (("domain.lower", self.lower), ("domain.upper", self.upper),
+                    ("domain.grid", self.grid), ("instance.outputs", self.outputs))
+        for key, values in per_axis:
+            if len(values) != 2:
+                raise ConfigError(f"{key} must have 2 entries (one per axis), got {list(values)}")
+        for key, values in per_axis[:2]:
+            if not all(math.isfinite(v) for v in values):
+                raise ConfigError(f"{key} must be finite, got {list(values)}")
+        if not all(lo < hi for lo, hi in zip(self.lower, self.upper)):
+            raise ConfigError(
+                f"domain.upper {list(self.upper)} must exceed domain.lower "
+                f"{list(self.lower)} on every axis"
+            )
+        for key, values in per_axis[2:]:
+            if min(values) < 1:
+                raise ConfigError(f"{key} must be >= 1 on every axis, got {list(values)}")
+        for key, value, least in (
+            ("instance.graph_size", self.graph_size, 1),
+            ("instance.samples_per_cell", self.samples_per_cell, 1),
+            ("instance.n_tasks", self.n_tasks, 1),
+            ("instance.n_hotspots", self.n_hotspots, 0),
+        ):
+            if value < least:
+                raise ConfigError(f"{key} must be >= {least}, got {value}")
+        # An edge's weight is its length times 1 + jitter * u, u in [0, 1).
+        if not -1.0 <= self.weight_jitter < math.inf:
+            raise ConfigError(
+                f"instance.weight_jitter must be finite and >= -1, got {self.weight_jitter}"
+            )
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,10 @@ def logcvx_1d(z_lo: float, z_hi: float, lam: float) -> float:
     return float(math.exp(lam * math.log(z_lo) + (1.0 - lam) * math.log(z_hi)))
 
 
+# The mechanism file layout written by to_json_dict, and the only one read.
+FORMAT_VERSION = 1
+
+
 def _field(d: dict, path: str):
     """Value at the dotted ``path`` of a mechanism dict; ValueError naming it if absent."""
     value = d
@@ -151,7 +155,7 @@ class Mechanism:
         lo, hi = self.partition.bounds
         return {
             "format": "anchorpriv-mechanism",
-            "version": 1,
+            "version": FORMAT_VERSION,
             "metric_p": None if self.metric_p is None else float(self.metric_p),
             "total_eps": None if self.total_eps is None else float(self.total_eps),
             "budget_eps": None if self.budget is None else [float(v) for v in self.budget.eps],
@@ -176,11 +180,17 @@ class Mechanism:
     def from_json_dict(cls, d: dict) -> "Mechanism":
         """Rebuild a mechanism from :meth:`to_json_dict` output.
 
-        Raises ValueError on anything else: another format, a missing
-        field (named in the message) or a value of the wrong type.
+        Raises ValueError on anything else: another format or version, a
+        missing field (named in the message) or a value of the wrong type.
         """
         if not isinstance(d, dict) or d.get("format") != "anchorpriv-mechanism":
             raise ValueError("not an anchorpriv mechanism (format is not 'anchorpriv-mechanism')")
+        version = _field(d, "version")
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise ValueError(
+                f"mechanism file version {version!r} is not supported; "
+                f"this release reads version {FORMAT_VERSION}"
+            )
         metric_p, total_eps = _number(d, "metric_p"), _number(d, "total_eps")
         try:
             part = Partition(

@@ -8,10 +8,16 @@ builder and no MPS writer. Programs are solved through scipy's HiGHS
 backend, which returns clean basic solutions and is deterministic for a
 fixed input. The holder hides the backend so callers only see
 :class:`LinearProgram` and :class:`LpSolution`.
+
+The HiGHS algorithm is chosen by size: dual simplex below
+:data:`IPM_MIN_VARS` variables, the interior point solver (IPX) from
+there on. IPX runs crossover, so both return a basic solution.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +28,8 @@ from .errors import SolverError
 
 __all__ = ["LinearProgram", "LpSolution", "solve_lp"]
 
+log = logging.getLogger(__name__)
+
 FEASIBILITY_TOL = 1e-7
 OPTIMALITY_TOL = 1e-8
 
@@ -31,6 +39,12 @@ _SOLVE_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
     "dual_feasibility_tolerance": 1e-10,
 }
+
+# Programs with at least this many variables go to the interior point
+# solver. On the package's anchor and lower-bound programs (one thread)
+# dual simplex is faster up to 576 variables and the interior point
+# solver from 784 on, on both shapes; see the README's "Solver" section.
+IPM_MIN_VARS = 700
 
 
 @dataclass
@@ -91,11 +105,26 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
-    """Solver outcome; ``values`` and ``objective_value`` are set when optimal."""
+    """Solver outcome; ``values`` and ``objective_value`` are set when optimal.
+
+    The statistics say what was solved and how: the HiGHS ``method``, the
+    program's size (``n_rows`` counts both row kinds, ``nnz`` their
+    nonzeros), the iterations and the solve's wall time ``solve_s``.
+    ``nit`` is scipy's count: simplex iterations when any ran (including
+    a simplex clean-up after crossover), else interior point iterations;
+    crossover's own are ``crossover_nit``.
+    """
 
     status: str
     values: np.ndarray | None = None
     objective_value: float | None = None
+    method: str = ""
+    n_vars: int = 0
+    n_rows: int = 0
+    nnz: int = 0
+    nit: int = 0
+    crossover_nit: int = 0
+    solve_s: float = 0.0
 
     @property
     def is_optimal(self) -> bool:
@@ -113,6 +142,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     backend fault rather than a property of the program.
     """
     a_ub, b_ub, a_eq, b_eq, bounds = lp.matrices()
+    method = "highs-ipm" if lp.n_vars >= IPM_MIN_VARS else "highs-ds"
+    start = time.perf_counter()
     res = linprog(
         lp.objective,
         A_ub=a_ub,
@@ -120,14 +151,24 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         A_eq=a_eq,
         b_eq=b_eq,
         bounds=bounds,
-        method="highs",
+        method=method,
         options=dict(_SOLVE_OPTIONS),
     )
+    stats = dict(
+        method=method,
+        n_vars=lp.n_vars,
+        n_rows=lp.n_ub_rows + lp.n_eq_rows,
+        nnz=sum(m.nnz for m in (a_ub, a_eq) if m is not None),
+        nit=int(res.nit),
+        crossover_nit=int(res.get("crossover_nit") or 0),
+        solve_s=time.perf_counter() - start,
+    )
     status = _STATUS_MAP.get(res.status)
+    log.debug("LP %s: %s", status or res.message, stats)
     if status is None:
-        raise SolverError(f"LP backend failed: {res.message}")
+        raise SolverError(f"LP backend failed ({method}): {res.message}")
     if status != "optimal":
-        return LpSolution(status=status)
+        return LpSolution(status=status, **stats)
     x = np.asarray(res.x, dtype=float)
     if a_ub is not None:
         worst = float(np.max(a_ub @ x - b_ub, initial=0.0))
@@ -137,4 +178,4 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         worst = float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0))
         if worst > FEASIBILITY_TOL:
             raise SolverError(f"equality residual {worst:.3e} above tolerance")
-    return LpSolution(status="optimal", values=x, objective_value=float(res.fun))
+    return LpSolution(status="optimal", values=x, objective_value=float(res.fun), **stats)

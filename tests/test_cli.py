@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anchorpriv.cli import CompareSpec, PrivacySpec, load_config, main
+from anchorpriv.errors import ConfigError
 from anchorpriv.evaluation import InstanceSpec
 
 BASE_CONFIG = {
@@ -328,6 +329,25 @@ class TestInputGuards:
         assert code == 2
         assert "at least 2 sample points" in capsys.readouterr().err
 
+    def test_compare_single_audit_sample_fails_before_any_solve(self, tmp_path, capsys,
+                                                                monkeypatch):
+        from anchorpriv import apo
+
+        solves = []
+        monkeypatch.setattr(apo, "solve_lp", lambda lp: solves.append(lp))
+        cfg = write_config(tmp_path, {"compare": {"audit_samples": 1, "methods": ["AIPO"]}})
+        code = main(["compare", "--config", str(cfg), "--out-dir", str(tmp_path / "c")])
+        assert code == 2
+        assert "compare.audit_samples must be >= 2" in capsys.readouterr().err
+        assert solves == []
+
+    def test_mechanism_version_is_read(self, tmp_path, capsys):
+        mech = self._mechanism(tmp_path)
+        payload = json.loads(mech.read_text())
+        mech.write_text(json.dumps(dict(payload, version=2)))
+        assert self._audit(tmp_path, mech, "--eps", "0.4") == 2
+        assert "mechanism file version 2 is not supported" in capsys.readouterr().err
+
     def test_foreign_json_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "x.json"
         path.write_text('{"x": 1}')
@@ -355,6 +375,56 @@ class TestInputGuards:
         cfg = write_config(tmp_path)
         with pytest.raises(OutOfDomainError):
             main(["lower-bound", "--config", str(cfg), "--out-dir", str(tmp_path / "lb")])
+
+
+class TestInstanceRanges:
+    """Each instance field is checked against the least value its stage accepts."""
+
+    # config section, key, a rejected value, an accepted value at the range's edge.
+    CASES = [
+        ("domain", "lower", [0.0, 2.0], [0.0, 1.999]),
+        ("domain", "upper", [2.0, 0.0], [2.0, 0.001]),
+        ("domain", "grid", [2, 0], [1, 1]),
+        ("instance", "outputs", [0, 2], [1, 1]),
+        ("instance", "graph_size", 0, 1),
+        ("instance", "samples_per_cell", 0, 1),
+        ("instance", "n_tasks", 0, 1),
+        ("instance", "n_hotspots", -1, 0),
+        ("instance", "weight_jitter", -1.5, -1.0),
+    ]
+
+    @pytest.mark.parametrize("section, key, bad, edge", CASES,
+                             ids=[f"{s}.{k}" for s, k, _, _ in CASES])
+    def test_field_range(self, tmp_path, capsys, section, key, bad, edge):
+        cfg = write_config(tmp_path, {section: {key: bad}})
+        code = main(["lower-bound", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{section}.{key}" in err
+        cfg = write_config(tmp_path, {section: {key: edge}})
+        assert main(["lower-bound", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"instance": {"seed": -1}})
+        assert main(["lower-bound", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "instance.seed (or --seed) must be >= 0, got -1" in capsys.readouterr().err
+        cfg = write_config(tmp_path)
+        code = main(["lower-bound", "--config", str(cfg), "--seed", "-2",
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "got -2" in capsys.readouterr().err
+
+    def test_domain_must_be_planar(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"domain": {"lower": [0.0], "upper": [2.0], "grid": [2]}})
+        code = main(["lower-bound", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "domain.lower must have 2 entries" in capsys.readouterr().err
+
+    def test_non_finite_bounds_and_jitter_rejected(self):
+        with pytest.raises(ConfigError, match="domain.upper must be finite"):
+            InstanceSpec(upper=(math.inf, 2.0))
+        with pytest.raises(ConfigError, match="instance.weight_jitter"):
+            InstanceSpec(weight_jitter=math.nan)
 
 
 # One value of each YAML/JSON type: whatever a key expects, some are wrong.

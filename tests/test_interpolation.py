@@ -267,3 +267,16 @@ class TestSerialization:
         bv = BudgetVector(eps=np.array([0.2]), total_eps=1.0, p=2.0)
         with pytest.raises(ValueError):
             Mechanism(part, table, outputs, budget=bv)
+
+    def test_only_version_1_is_read(self):
+        part = partition_domain(((0.0, 0.0), (1.0, 1.0)), (1, 1))
+        outputs = OutputDomain(points=np.array([[0.0, 0.0], [1.0, 1.0]]))
+        payload = Mechanism(part, PerturbationTable(np.array([[0.3, 0.7]] * 4)), outputs).to_json_dict()
+        assert payload["version"] == 1
+        Mechanism.from_json_dict(payload)
+        for version in (2, 0, "1", 1.0, True, None):
+            with pytest.raises(ValueError, match="version"):
+                Mechanism.from_json_dict(dict(payload, version=version))
+        del payload["version"]
+        with pytest.raises(ValueError, match="'version'"):
+            Mechanism.from_json_dict(payload)

@@ -1,10 +1,13 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.optimize import linprog
 
-from anchorpriv.lpcore import LinearProgram, solve_lp
+from anchorpriv import apo, budget, evaluation
+from anchorpriv.lpcore import _SOLVE_OPTIONS, IPM_MIN_VARS, LinearProgram, solve_lp
 
 
 def test_minimize_single_variable_with_floor():
@@ -107,3 +110,74 @@ def test_random_programs_match_vertex_enumeration_oracle():
         oracle = _enumerate_vertices(c, a, b, ub)
         assert oracle is not None
         assert sol.objective_value == pytest.approx(oracle, abs=1e-6)
+
+
+def _anchor_program(grid, out):
+    """The anchor LP of a grid x grid instance with out x out outputs at eps 0.8."""
+    spec = evaluation.InstanceSpec(grid=(grid, grid), outputs=(out, out))
+    inst = evaluation.synth_instance(spec, seed=0)
+    coeffs = apo.surrogate_coefficients(inst.partition, inst.prior, inst.loss, inst.outputs)
+    bv = budget.equal_split(0.8, 2.0, 2)
+    return apo.build_approx_apo(inst.partition, inst.outputs, bv, coeffs)
+
+
+class TestSolverRouting:
+    @pytest.fixture(scope="class")
+    def large(self):
+        lp = _anchor_program(7, 4)  # 64 anchors x 16 outputs
+        assert lp.n_vars == 1024 >= IPM_MIN_VARS
+        return lp, solve_lp(lp)
+
+    def test_desk_program_uses_dual_simplex(self, caplog):
+        lp = _anchor_program(4, 3)
+        with caplog.at_level(logging.DEBUG, logger="anchorpriv.lpcore"):
+            sol = solve_lp(lp)
+        assert "'method': 'highs-ds'" in caplog.text and "'n_vars': 225" in caplog.text
+        assert lp.n_vars == 225 < IPM_MIN_VARS
+        assert sol.is_optimal and sol.method == "highs-ds"
+        assert sol.crossover_nit == 0 and sol.nit > 0
+
+    def test_large_program_uses_interior_point(self, large):
+        lp, sol = large
+        assert sol.is_optimal and sol.method == "highs-ipm"
+        assert (sol.n_vars, sol.n_rows) == (1024, lp.n_ub_rows + lp.n_eq_rows)
+        assert sol.nnz == lp.a_ub.nnz + lp.a_eq.nnz
+        assert sol.nit > 0 and sol.crossover_nit > 0 and sol.solve_s > 0
+
+    def test_large_program_matches_dual_simplex(self, large):
+        lp, sol = large
+        a_ub, b_ub, a_eq, b_eq, bounds = lp.matrices()
+        ref = linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                      bounds=bounds, method="highs-ds", options=dict(_SOLVE_OPTIONS))
+        assert ref.status == 0
+        assert np.max(np.abs(sol.values - ref.x)) <= 1e-12
+        assert abs(sol.objective_value - ref.fun) <= 1e-12
+
+    def test_large_program_solution_is_basic(self, large):
+        # Crossover leaves a vertex: the columns of the positive entries are
+        # independent in the rows the solution makes tight. An interior
+        # point solution without crossover fails this (983 of 1,024).
+        lp, sol = large
+        positive = sol.values > 0
+        tight = lp.b_ub - lp.a_ub @ sol.values <= 1e-9
+        active = sparse.vstack([lp.a_eq, lp.a_ub[tight]]).tocsc()[:, positive]
+        assert positive.sum() <= lp.n_ub_rows + lp.n_eq_rows
+        assert np.linalg.matrix_rank(active.toarray()) == positive.sum()
+
+    def test_large_program_solves_bitwise_equal(self, large):
+        lp, sol = large
+        again = solve_lp(lp)
+        assert again.values.tobytes() == sol.values.tobytes()
+        assert again.objective_value == sol.objective_value
+
+    def test_large_program_infeasible_and_unbounded(self, large):
+        lp, _ = large
+        # The rows of the table sum to 64; cap the total at 1.
+        capped = sparse.vstack([lp.a_ub, np.ones((1, lp.n_vars))])
+        infeasible = solve_lp(LinearProgram(
+            lp.objective, capped, np.append(lp.b_ub, 1.0), lp.a_eq, lp.b_eq))
+        assert (infeasible.status, infeasible.method) == ("infeasible", "highs-ipm")
+        assert infeasible.values is None
+        # The ratio rows alone are a cone; a negative objective runs off along it.
+        unbounded = solve_lp(LinearProgram(-lp.objective, lp.a_ub, lp.b_ub))
+        assert (unbounded.status, unbounded.method) == ("unbounded", "highs-ipm")
