@@ -9,9 +9,10 @@ backend, which returns clean basic solutions and is deterministic for a
 fixed input. The holder hides the backend so callers only see
 :class:`LinearProgram` and :class:`LpSolution`.
 
-The HiGHS algorithm is chosen by size: dual simplex below
-:data:`IPM_MIN_VARS` variables, the interior point solver (IPX) from
-there on. IPX runs crossover, so both return a basic solution.
+The HiGHS algorithm is chosen by size and shape: the interior point
+solver (IPX) from :data:`IPM_MIN_VARS` variables on, unless the program
+has more than :data:`IPM_MAX_ROWS_PER_VAR` rows per variable; dual
+simplex otherwise. IPX runs crossover, so both return a basic solution.
 """
 
 from __future__ import annotations
@@ -45,6 +46,15 @@ _SOLVE_OPTIONS = {
 # dual simplex is faster up to 576 variables and the interior point
 # solver from 784 on, on both shapes; see the README's "Solver" section.
 IPM_MIN_VARS = 700
+
+# Programs with more rows per variable than this stay on dual simplex.
+# On such tall programs (the all-pairs lower bound) HiGHS follows IPX's
+# crossover with a simplex clean-up on some inputs and not on others, as
+# the last bits of the instance fall, and the clean-up raises the peak
+# memory by a fifth; dual simplex peaks the same on every input. In the
+# README's size ladder the anchor programs have under 4 rows per variable
+# and the lower-bound programs of 700 variables or more over 30.
+IPM_MAX_ROWS_PER_VAR = 8
 
 
 @dataclass
@@ -142,7 +152,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     backend fault rather than a property of the program.
     """
     a_ub, b_ub, a_eq, b_eq, bounds = lp.matrices()
-    method = "highs-ipm" if lp.n_vars >= IPM_MIN_VARS else "highs-ds"
+    n_rows = lp.n_ub_rows + lp.n_eq_rows
+    use_ipm = IPM_MIN_VARS <= lp.n_vars and n_rows <= IPM_MAX_ROWS_PER_VAR * lp.n_vars
+    method = "highs-ipm" if use_ipm else "highs-ds"
     start = time.perf_counter()
     res = linprog(
         lp.objective,
@@ -157,7 +169,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     stats = dict(
         method=method,
         n_vars=lp.n_vars,
-        n_rows=lp.n_ub_rows + lp.n_eq_rows,
+        n_rows=n_rows,
         nnz=sum(m.nnz for m in (a_ub, a_eq) if m is not None),
         nit=int(res.nit),
         crossover_nit=int(res.get("crossover_nit") or 0),

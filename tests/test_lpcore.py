@@ -7,7 +7,13 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from anchorpriv import apo, budget, evaluation
-from anchorpriv.lpcore import _SOLVE_OPTIONS, IPM_MIN_VARS, LinearProgram, solve_lp
+from anchorpriv.lpcore import (
+    _SOLVE_OPTIONS,
+    IPM_MAX_ROWS_PER_VAR,
+    IPM_MIN_VARS,
+    LinearProgram,
+    solve_lp,
+)
 
 
 def test_minimize_single_variable_with_floor():
@@ -136,6 +142,18 @@ class TestSolverRouting:
         assert lp.n_vars == 225 < IPM_MIN_VARS
         assert sol.is_optimal and sol.method == "highs-ds"
         assert sol.crossover_nit == 0 and sol.nit > 0
+
+    @pytest.mark.parametrize("extra_rows, method", [(0, "highs-ipm"), (1, "highs-ds")])
+    def test_tall_program_uses_dual_simplex(self, extra_rows, method):
+        # x_j <= 1 repeated: IPM_MAX_ROWS_PER_VAR rows per variable, plus extra.
+        n = IPM_MIN_VARS
+        rows = sparse.vstack([sparse.identity(n)] * IPM_MAX_ROWS_PER_VAR
+                             + [sparse.csr_matrix(np.ones((extra_rows, n)))])
+        lp = LinearProgram(np.ones(n), rows, np.ones(rows.shape[0]))
+        sol = solve_lp(lp)
+        assert sol.is_optimal and sol.method == method
+        assert sol.n_rows == IPM_MAX_ROWS_PER_VAR * n + extra_rows
+        assert sol.objective_value == 0.0
 
     def test_large_program_uses_interior_point(self, large):
         lp, sol = large
