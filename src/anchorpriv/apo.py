@@ -213,7 +213,7 @@ def surrogate_coefficients(partition: Partition, prior, loss, outputs: OutputDom
     """
     masses = np.asarray(prior.masses, dtype=float)
     points = np.asarray(prior.points, dtype=float)
-    loss_mat = np.asarray(loss.loss_matrix(points, outputs), dtype=float)
+    loss_mat = loss.matrix_at(points, outputs)
     cells = locate_cells(partition, points)
     w = corner_weights(partition, points, cells)
     contrib = w[:, :, None] * (masses[:, None] * loss_mat)[:, None, :]
@@ -362,7 +362,7 @@ def build_coarse_lp(
         raise ValueError("one mass per representative required")
     if eps_total < 0:
         raise ValueError("total budget must be non-negative")
-    loss_mat = np.asarray(loss.loss_matrix(reps, outputs), dtype=float)
+    loss_mat = loss.matrix_at(reps, outputs)
     return _all_pairs_program(masses[:, None] * loss_mat, reps, eps_total, p)
 
 
@@ -399,7 +399,7 @@ def lower_bound(
     n_cells, n_out = partition.n_cells, outputs.size
     points = np.asarray(prior.points, dtype=float)
     masses = np.asarray(prior.masses, dtype=float)
-    loss_mat = np.asarray(loss.loss_matrix(points, outputs), dtype=float)
+    loss_mat = loss.matrix_at(points, outputs)
 
     floor_loss = np.full((n_cells, n_out), np.inf)
     np.minimum.at(floor_loss, locate_cells(partition, points), masses[:, None] * loss_mat)

@@ -5,6 +5,10 @@ log-probability gap per unit distance (the perturbation probability
 ratio) for every unordered pair and output, and reports the share of
 pairs whose worst output exceeds the target budget. Zero probabilities
 are floored before taking logs so ratios stay finite.
+
+Pairs are evaluated a row block at a time: each output is one array pass
+over the block's rows against every later point, and each block is
+reduced before the next, so memory stays linear in the sample count.
 """
 
 from __future__ import annotations
@@ -93,41 +97,70 @@ def _sample_points(mech, n: int, rng) -> np.ndarray:
     return lo + rng.random((n, lo.size)) * (hi - lo)
 
 
-def _ppr_rows(points, logs, p, eps, rows):
-    """PPR of pair blocks (i, j > i) for i in rows, in one pass.
+def _block_ppr(points, logs, p, start, stop):
+    """Per-pair worst-output PPR of rows ``start:stop`` against every later point.
 
-    Returns the per-pair max-over-outputs PPR of each block and the count
-    of (pair, output) PPRs above eps.
+    ``logs`` holds one output per row, shape (K, n). Returns (ppr, dist),
+    both (stop - start, n - start - 1): entry (a, c) pairs i = start + a
+    with j = start + 1 + c, and ppr is -inf where j <= i.
     """
-    dist = lp_distance_matrix(points[rows], points, p)
-    blocks = []
-    over = 0
-    for r, i in enumerate(rows):
-        ratios = np.abs(logs[i + 1 :] - logs[i]) / dist[r, i + 1 :, None]
-        blocks.append(ratios.max(axis=1))
-        over += int(np.count_nonzero(ratios > eps))
-    return blocks, over
+    later = slice(start + 1, None)
+    dist = lp_distance_matrix(points[start:stop], points[later], p)
+    gap = np.zeros_like(dist)
+    buf = np.empty_like(dist)
+    for lk in logs:
+        np.subtract(lk[later], lk[start:stop, None], out=buf)
+        np.abs(buf, out=buf)
+        np.maximum(gap, buf, out=gap)
+    # One division per pair: dividing by d > 0 is monotone, so
+    # max_k(|gap_k|) / d is bitwise max_k(|gap_k| / d).
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ppr = gap / dist
+    rows, cols = ppr.shape
+    ppr[:, :rows][np.tri(rows, min(rows, cols), k=-1, dtype=bool)] = -np.inf
+    return ppr, dist
 
 
-def _collect_ppr(mech, eps, p, sample_count, seed, threads):
+def _map_blocks(mech, eps, p, sample_count, seed, threads, reduce):
+    """``reduce(ppr, dist, logs, start)`` of every row block, in row order."""
     if sample_count < 2:
         raise ValueError(f"an audit needs at least 2 sample points, got {sample_count}")
     if not eps > 0:
         raise ValueError(f"audit budget eps must be positive, got {eps}")
     rng = np.random.default_rng(seed)
     points = _sample_points(mech, sample_count, rng)
-    logs = _floored_logs(mech, points)
+    logs = np.ascontiguousarray(_floored_logs(mech, points).T)
     n = points.shape[0]
-    # Row blocks of ROW_BLOCK to 2 * ROW_BLOCK rows keep the distance buffer
-    # linear in n.
-    chunks = np.array_split(np.arange(n), max(1, n // ROW_BLOCK))
+    # Row blocks of ROW_BLOCK to 2 * ROW_BLOCK rows keep each block's
+    # buffers linear in n.
+    blocks = [(int(c[0]), int(c[-1]) + 1)
+              for c in np.array_split(np.arange(n), max(1, n // ROW_BLOCK))]
+
+    def run(block):
+        ppr, dist = _block_ppr(points, logs, p, *block)
+        return reduce(ppr, dist, logs, block[0])
+
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda c: _ppr_rows(points, logs, p, eps, c), chunks))
+            return list(pool.map(run, blocks))
+    return [run(b) for b in blocks]
+
+
+def _top_indices(flat, valid, top_k):
+    """Flat indices of the ``top_k`` largest entries, in (-value, index) order.
+
+    Only ``valid`` entries of ``flat`` are finite, the rest are -inf. Ties
+    at the cut keep the lowest indices.
+    """
+    if top_k >= valid:
+        idx = np.flatnonzero(flat > -np.inf)
     else:
-        parts = [_ppr_rows(points, logs, p, eps, c) for c in chunks]
-    blocks = [b for part, _ in parts for b in part]
-    return points, blocks, sum(over for _, over in parts)
+        cut = flat.size - top_k
+        kth = np.partition(flat, cut)[cut]
+        idx = np.flatnonzero(flat > kth)
+        ties = np.flatnonzero(flat == kth)[: top_k - idx.size]
+        idx = np.sort(np.concatenate([idx, ties]))
+    return idx[np.argsort(-flat[idx], kind="stable")]
 
 
 def violation_ratio(mech, eps: float, p: float | None = None,
@@ -136,39 +169,45 @@ def violation_ratio(mech, eps: float, p: float | None = None,
     """Audit a mechanism against budget ``eps`` on uniform domain samples.
 
     A pair violates when any output's PPR exceeds eps; the per-
-    (pair, output) rate is also reported. Deterministic for a fixed seed;
-    pair blocks may be evaluated by up to ``threads`` workers since the
-    accumulator merges associatively.
+    (pair, output) rate is also reported. ``worst_pairs`` lists the
+    ``top_k`` largest PPRs in (-ppr, i, j) order. Deterministic for a
+    fixed seed; row blocks may be evaluated by up to ``threads`` workers,
+    each reducing its pairs to counts, a max and its own top_k.
     """
     if p is None:
         p = getattr(mech, "metric_p", None) or 2.0
-    points, blocks, per_out_viol = _collect_ppr(mech, eps, p, sample_count, seed, threads)
-    n = points.shape[0]
-    n_outputs = mech.n_outputs
+    if top_k < 0:
+        raise ValueError(f"top_k must be >= 0, got {top_k}")
 
+    def reduce(ppr, dist, logs, start):
+        above = ppr > eps
+        violating = int(np.count_nonzero(above))
+        over = 0
+        if violating:
+            # Only a pair whose worst output exceeds eps has outputs that do.
+            a, c = np.nonzero(above)
+            gaps = np.abs(logs[:, start + 1 + c] - logs[:, start + a])
+            over = int(np.count_nonzero(gaps / dist[a, c] > eps))
+        rows, cols = ppr.shape
+        flat = ppr.ravel()
+        valid = rows * cols - rows * (rows - 1) // 2
+        worst = [(float(flat[o]), start + o // cols, start + 1 + o % cols)
+                 for o in _top_indices(flat, valid, top_k).tolist()] if top_k else []
+        return violating, over, float(flat.max(initial=0.0)), worst
+
+    parts = _map_blocks(mech, eps, p, sample_count, seed, threads, reduce)
+    n = int(sample_count)
+    worst = sorted((w for part in parts for w in part[3]), key=lambda t: (-t[0], t[1], t[2]))
     pair_count = n * (n - 1) // 2
-    violating = 0
-    max_ppr = 0.0
-    worst: list[tuple[float, int, int]] = []
-    for i, block in enumerate(blocks):
-        if block.size == 0:
-            continue
-        violating += int(np.count_nonzero(block > eps))
-        bmax = float(block.max())
-        if bmax > max_ppr:
-            max_ppr = bmax
-        order = np.argsort(block)[::-1][:top_k]
-        worst.extend((float(block[o]), i, i + 1 + int(o)) for o in order)
-    worst.sort(key=lambda t: (-t[0], t[1], t[2]))
     return AuditReport(
         eps=float(eps),
         metric_p=float(p),
         sampled_points=n,
         pair_count=pair_count,
-        violating_pairs=violating,
-        pair_output_count=pair_count * n_outputs,
-        violating_pair_outputs=per_out_viol,
-        max_ppr=max_ppr,
+        violating_pairs=sum(part[0] for part in parts),
+        pair_output_count=pair_count * mech.n_outputs,
+        violating_pair_outputs=sum(part[1] for part in parts),
+        max_ppr=max(part[2] for part in parts),
         seed=int(seed),
         worst_pairs=worst[:top_k],
     )
@@ -184,8 +223,9 @@ def ppr_histogram(mech, eps: float, p: float | None = None,
     """
     if p is None:
         p = getattr(mech, "metric_p", None) or 2.0
-    _, blocks, _ = _collect_ppr(mech, eps, p, sample_count, seed, threads)
-    values = np.concatenate([b for b in blocks if b.size] or [np.empty(0)])
+    parts = _map_blocks(mech, eps, p, sample_count, seed, threads,
+                        lambda ppr, dist, logs, start: ppr[ppr > -np.inf])
+    values = np.concatenate(parts)
     upper = max(2.0 * eps, float(values.max()) if values.size else 0.0) or 1.0
     counts, edges = np.histogram(values, bins=bins, range=(0.0, upper))
     return edges, counts

@@ -115,31 +115,36 @@ def optimize_allocation(candidates, evaluator):
     Args:
         candidates: non-empty list of BudgetVector.
         evaluator: callable BudgetVector -> loss. A candidate whose
-            evaluation raises SolverError is logged and skipped; any other
-            exception propagates.
+            evaluation raises SolverError is logged, recorded and skipped;
+            any other exception propagates.
 
     Returns:
-        (best vector, curve) where curve lists (eps_1, eps_2, loss) for
-        every evaluated candidate in eps_1 order. Ties break toward the
-        smaller eps_1, so the result does not depend on candidate order.
+        (best vector, curve, failed) where curve lists (eps_1, eps_2, loss)
+        for every evaluated candidate in eps_1 order and failed lists
+        (vector, message) for every skipped one, in the same order. Ties
+        break toward the smaller eps_1, so the result does not depend on
+        candidate order.
     """
     if not candidates:
         raise ValueError("candidate list is empty")
     curve = []
     results = []
+    failed = []
     for bv in candidates:
         try:
             loss = float(evaluator(bv))
-        except SolverError:
+        except SolverError as exc:
             log.warning("allocation %s failed evaluation; skipped", bv.eps, exc_info=True)
+            failed.append((bv, str(exc)))
             continue
         results.append((loss, tuple(bv.eps), bv))
         curve.append((float(bv.eps[0]), float(bv.eps[-1]), loss))
     if not results:
         raise SolverError("every candidate allocation failed evaluation")
     curve.sort(key=lambda row: (row[0], row[1]))
+    failed.sort(key=lambda row: tuple(row[0].eps))
     best = min(results, key=lambda r: (r[0], r[1]))[2]
-    return best, curve
+    return best, curve, failed
 
 
 def allocation_curve_csv(curve) -> str:

@@ -235,29 +235,42 @@ def load_config(path) -> RunConfig:
 # Pipeline assembly (shared by synthesize/compare and the test suite)
 
 
+def _surrogate(instance):
+    """Surrogate coefficients of ``instance``, computed once per instance."""
+    if "surrogate" not in instance.derived:
+        instance.derived["surrogate"] = apo.surrogate_coefficients(
+            instance.partition, instance.prior, instance.loss, instance.outputs)
+    return instance.derived["surrogate"]
+
+
 def make_aipo_mechanism(instance, eps: float, priv: PrivacySpec = PrivacySpec()):
     """Solve the anchor pipeline at one total budget.
 
     ``priv`` gives the metric order and how the per-axis budgets are
     chosen; its ``eps`` list is not read. Returns (mechanism, best budget
-    vector, sweep curve or None). The sweep evaluator is the optimal value
-    of each candidate's program, i.e. the surrogate expected loss of its
-    solved table.
+    vector, sweep curve or None, failed sweep candidates as (vector,
+    message) pairs). The sweep evaluator is the optimal value of each
+    candidate's program, i.e. the surrogate expected loss of its solved
+    table.
     """
     part, outputs = instance.partition, instance.outputs
     p, convention = priv.p, priv.budget_convention
-    coeffs = apo.surrogate_coefficients(part, instance.prior, instance.loss, outputs)
+    coeffs = _surrogate(instance)
     validate = convention == "half-dual"
     n = part.n_dims
 
-    tables = {}  # solved table per budget vector; no vector is solved twice
+    # Solved table per budget vector, kept for the instance: no vector is
+    # solved twice, and AIPO-E's equal split is one of AIPO's candidates.
+    tables = instance.derived.setdefault("anchor_tables", {})
 
-    def surrogate_loss(bv):
-        lp = apo.build_approx_apo(part, outputs, bv, coeffs, validate_budget=validate)
-        tables[tuple(bv.eps)] = table = apo.solve_approx_apo(lp)
-        return float(np.sum(coeffs.matrix * table.probs))
+    def solved(bv):
+        key = (tuple(bv.eps), bv.total_eps, bv.p, validate)
+        if key not in tables:
+            lp = apo.build_approx_apo(part, outputs, bv, coeffs, validate_budget=validate)
+            tables[key] = apo.solve_approx_apo(lp)
+        return tables[key]
 
-    curve = None
+    curve, failed = None, []
     if priv.budget_mode == "equal":
         best = budget.equal_split(eps, p, n, convention=convention)
     elif priv.budget_mode == "explicit":
@@ -267,18 +280,16 @@ def make_aipo_mechanism(instance, eps: float, priv: PrivacySpec = PrivacySpec())
         candidates = budget.feasible_allocations(
             eps, p, n_dims=n, resolution=priv.sweep_resolution, convention=convention
         )
-        best, curve = budget.optimize_allocation(candidates, surrogate_loss)
-    if tuple(best.eps) not in tables:
-        surrogate_loss(best)
-    mech = Mechanism(part, tables[tuple(best.eps)], outputs, budget=best,
-                     total_eps=eps, metric_p=p)
-    return mech, best, curve
+        best, curve, failed = budget.optimize_allocation(
+            candidates, lambda bv: float(np.sum(coeffs.matrix * solved(bv).probs)))
+    mech = Mechanism(part, solved(best), outputs, budget=best, total_eps=eps, metric_p=p)
+    return mech, best, curve, failed
 
 
 def _aipo_relaxed(instance, eps, priv, comp):
     part, outputs = instance.partition, instance.outputs
-    coeffs = apo.surrogate_coefficients(part, instance.prior, instance.loss, outputs)
-    table = apo.solve_approx_apo(apo.build_aipo_relaxed(part, outputs, eps, priv.p, coeffs))
+    table = apo.solve_approx_apo(
+        apo.build_aipo_relaxed(part, outputs, eps, priv.p, _surrogate(instance)))
     return Mechanism(part, table, outputs, total_eps=eps, metric_p=priv.p)
 
 
@@ -391,8 +402,13 @@ def cmd_synthesize(args) -> int:
     instance = evaluation.synth_instance(run.instance, seed=seed)
     evaluation.save_instance(instance, out_dir / "instance")
     written = []
+    failed = {}
     for eps in priv.eps:
-        mech, best, curve = make_aipo_mechanism(instance, eps, priv)
+        mech, best, curve, failures = make_aipo_mechanism(instance, eps, priv)
+        failed[f"{eps:g}"] = [
+            {"budget_eps": [float(v) for v in bv.eps], "message": message}
+            for bv, message in failures
+        ]
         name = f"mechanism_eps{eps:g}.json"
         out_dir.mkdir(parents=True, exist_ok=True)
         mech.save(out_dir / name)
@@ -406,6 +422,7 @@ def cmd_synthesize(args) -> int:
             "budget_mode": priv.budget_mode,
             "budget_convention": priv.budget_convention,
             "mechanisms": written,
+            "failed_candidates": failed,
         }),
     )
     print(f"synthesized {len(written)} mechanism(s) -> {out_dir}")

@@ -233,6 +233,10 @@ class PriorModel:
         return cls(values[:, :-1], values[:, -1])
 
 
+# Distinct (points, outputs) pairs whose loss rows one LossModel keeps.
+MATRIX_MEMO_SIZE = 4
+
+
 class LossModel:
     """Pointwise utility loss L(x, y_k), matrix-backed or task-based."""
 
@@ -245,6 +249,7 @@ class LossModel:
         self.task_nodes = task_nodes
         self.task_masses = task_masses
         self._dist_table = dist_table
+        self._memo = {}
 
     @classmethod
     def from_matrix(cls, points, matrix) -> "LossModel":
@@ -288,6 +293,25 @@ class LossModel:
         matrix = np.array([[float(v) for v in row] for row in rows])
         return cls.from_matrix(points, matrix)
 
+    def matrix_at(self, points, outputs: OutputDomain) -> np.ndarray:
+        """:meth:`loss_matrix`, computed once per distinct (points, outputs).
+
+        One command asks for the same rows again and again (every method
+        and budget against one prior), so the result is kept, read-only,
+        keyed by the contents of both point sets; the oldest of more than
+        MATRIX_MEMO_SIZE entries is dropped.
+        """
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        key = (points.shape, points.tobytes(), outputs.points.shape, outputs.points.tobytes())
+        mat = self._memo.get(key)
+        if mat is None:
+            mat = np.asarray(self.loss_matrix(points, outputs), dtype=float)
+            mat.flags.writeable = False
+            if len(self._memo) >= MATRIX_MEMO_SIZE:
+                del self._memo[next(iter(self._memo))]
+            self._memo[key] = mat
+        return mat
+
     def loss_matrix(self, points, outputs: OutputDomain) -> np.ndarray:
         """Loss rows for ``points`` against every output candidate."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -317,7 +341,7 @@ def expected_loss(mech, prior: PriorModel, loss: LossModel) -> float:
     ``log_probs`` call, so interpolated, closed-form and external
     mechanisms evaluate identically.
     """
-    loss_mat = loss.loss_matrix(prior.points, mech.outputs)
+    loss_mat = loss.matrix_at(prior.points, mech.outputs)
     z = np.exp(log_probs(mech, prior.points))
     return float(prior.masses @ np.sum(z * loss_mat, axis=1))
 
@@ -397,6 +421,10 @@ class Instance:
     loss: LossModel
     graph: RoadGraph
     spec: InstanceSpec = field(compare=False, default=None)
+    # Results derived from the instance while one command runs (surrogate
+    # coefficients, solved anchor tables), so that no method or budget
+    # computes them twice. Never copied by dataclasses.replace.
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def _grid_graph(lower, upper, size: int, jitter: float, rng) -> RoadGraph:

@@ -212,7 +212,7 @@ def bayesian_remap(base, prior, loss) -> RemappedMechanism:
     """
     points = prior.points
     masses = prior.masses
-    loss_mat = np.asarray(loss.loss_matrix(points, base.outputs), dtype=float)
+    loss_mat = loss.matrix_at(points, base.outputs)
     z = np.exp(log_probs(base, points))  # (n, K)
     weighted = masses[:, None] * z
     normalizers = weighted.sum(axis=0)

@@ -1,9 +1,13 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from anchorpriv import audit
 from anchorpriv.apo import OutputDomain, PerturbationTable
 from anchorpriv.audit import histogram_csv, ppr, ppr_histogram, violation_ratio
 from anchorpriv.geometry import partition_domain
@@ -105,6 +109,14 @@ class TestViolationRatio:
         rep = violation_ratio(mech, 1.0, 2.0, sample_count=60, seed=0)
         assert rep.violating_pairs == 0
 
+    def test_worst_pairs_ties_follow_pair_order(self):
+        # One output makes the mechanism constant: every pair's PPR is 0, so
+        # the (-ppr, i, j) order lists the first pairs of point 0.
+        outputs = OutputDomain(points=np.array([[0.5, 0.5]]))
+        mech = ExponentialMechanism(outputs, ((0.0, 0.0), (1.0, 1.0)), eps=1.0, p=2.0)
+        rep = violation_ratio(mech, 1.0, 2.0, sample_count=40, seed=0)
+        assert rep.worst_pairs == [(0.0, 0, j) for j in range(1, 6)]
+
 
 class TestHistogram:
     def test_constant_mechanism_mass_in_first_bin(self):
@@ -124,3 +136,65 @@ class TestHistogram:
         lines = histogram_csv(edges, counts).strip().splitlines()
         assert lines[0] == "bin_lo,bin_hi,count"
         assert len(lines) == 9
+
+
+def _reference(mech, eps, p, n, seed, top_k, bins):
+    """Brute-force audit: every pair and output through :func:`ppr`."""
+    points = audit._sample_points(mech, n, np.random.default_rng(seed))
+    worst, over = [], 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            per_output = [ppr(points[i], points[j], k, mech) for k in range(mech.n_outputs)]
+            over += sum(v > eps for v in per_output)
+            worst.append((max(per_output), i, j))
+    values = np.array([v for v, _, _ in worst])
+    upper = max(2.0 * eps, float(values.max())) or 1.0
+    counts, edges = np.histogram(values, bins=bins, range=(0.0, upper))
+    return {
+        "violating_pairs": int(np.count_nonzero(values > eps)),
+        "violating_pair_outputs": over,
+        "max_ppr": max(0.0, float(values.max())),
+        "worst_pairs": sorted(worst, key=lambda t: (-t[0], t[1], t[2]))[:top_k],
+    }, edges, counts
+
+
+@st.composite
+def _mechanisms(draw, p):
+    """A 2-D mechanism of metric order ``p``; constant ones make every PPR tie."""
+    kind = draw(st.sampled_from(["table", "constant", "repeated rows", "exponential"]))
+    n_out = draw(st.integers(1, 4))
+    bounds = ((0.0, 0.0), (1.0, 1.0))
+    if kind == "exponential":
+        centers = np.linspace(0.1, 0.9, n_out)
+        outputs = OutputDomain(points=np.stack([centers, centers[::-1]], axis=1))
+        return ExponentialMechanism(outputs, bounds, eps=draw(st.floats(0.1, 4.0)), p=p)
+    part = partition_domain(bounds, (2, 2))
+    weights = st.floats(0.05, 1.0)
+    n_rows = {"table": part.n_anchors, "repeated rows": 2, "constant": 1}[kind]
+    rows = np.array(draw(st.lists(st.lists(weights, min_size=n_out, max_size=n_out),
+                                  min_size=n_rows, max_size=n_rows)))
+    rows = rows[np.arange(part.n_anchors) % n_rows]
+    outputs = OutputDomain(points=np.linspace(0.0, 1.0, 2 * n_out).reshape(n_out, 2))
+    table = PerturbationTable(rows / rows.sum(axis=1, keepdims=True))
+    return Mechanism(part, table, outputs, total_eps=1.0, metric_p=p)
+
+
+class TestOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([1.0, 2.0, 3.5, math.inf]),
+           n=st.integers(2, 12), seed=st.integers(0, 2**16), eps=st.floats(0.05, 3.0),
+           top_k=st.integers(0, 8), block=st.sampled_from([2, 3, 5, audit.ROW_BLOCK]))
+    def test_block_passes_match_per_pair_reference(self, data, p, n, seed, eps, top_k, block):
+        mech = data.draw(_mechanisms(p))
+        want, edges, counts = _reference(mech, eps, p, n, seed, top_k, bins=7)
+        # Small row blocks split even 12 points into several blocks.
+        with mock.patch.object(audit, "ROW_BLOCK", block):
+            for threads in (1, 3):
+                rep = violation_ratio(mech, eps, p, sample_count=n, seed=seed,
+                                      top_k=top_k, threads=threads)
+                got = {key: getattr(rep, key) for key in want}
+                assert got == want
+                got_edges, got_counts = ppr_histogram(mech, eps, p, sample_count=n, bins=7,
+                                                      seed=seed, threads=threads)
+                assert np.array_equal(got_edges, edges)
+                assert np.array_equal(got_counts, counts)

@@ -83,22 +83,22 @@ class TestFeasibleAllocations:
 class TestOptimizeAllocation:
     def test_single_candidate_returned(self):
         cands = feasible_allocations(1.0, 2.0, resolution=2)[:1]
-        best, curve = optimize_allocation(cands, lambda bv: 1.0)
+        best, curve, _ = optimize_allocation(cands, lambda bv: 1.0)
         assert best is cands[0]
         assert len(curve) == 1
 
     def test_best_never_worse_than_equal_split(self):
         cands = feasible_allocations(1.0, 2.0, resolution=5)
         evaluator = lambda bv: float((bv.eps[0] - 0.2) ** 2)
-        best, curve = optimize_allocation(cands, evaluator)
+        best, curve, _ = optimize_allocation(cands, evaluator)
         eq = equal_split(1.0, 2.0, 2)
         assert evaluator(best) <= evaluator(eq) + 1e-15
 
     def test_order_invariance(self):
         cands = feasible_allocations(1.0, 2.0, resolution=5)
         evaluator = lambda bv: round(float(abs(bv.eps[0] - 0.3)), 3)  # ties exist
-        best_fwd, _ = optimize_allocation(list(cands), evaluator)
-        best_rev, _ = optimize_allocation(list(reversed(cands)), evaluator)
+        best_fwd, _, _ = optimize_allocation(list(cands), evaluator)
+        best_rev, _, _ = optimize_allocation(list(reversed(cands)), evaluator)
         assert np.array_equal(best_fwd.eps, best_rev.eps)
 
     def test_failing_candidates_skipped(self):
@@ -106,12 +106,19 @@ class TestOptimizeAllocation:
 
         def evaluator(bv):
             if bv.eps[0] < 0.2:
-                raise SolverError("boom")
+                raise SolverError(f"boom at {bv.eps[0]:.3f}")
             return float(bv.eps[0])
 
-        best, curve = optimize_allocation(cands, evaluator)
+        best, curve, failed = optimize_allocation(list(reversed(cands)), evaluator)
         assert all(e1 >= 0.2 for e1, _, _ in curve)
         assert best.eps[0] >= 0.2
+        # Every skipped candidate is returned with its message, in eps_1 order.
+        skipped = [bv for bv in cands if bv.eps[0] < 0.2]
+        assert skipped and len(failed) == len(skipped)
+        assert len(curve) + len(failed) == len(cands)
+        for (bv, message), want in zip(failed, skipped):
+            assert bv is want
+            assert message == f"boom at {want.eps[0]:.3f}"
 
     def test_all_failed_raises(self):
         cands = feasible_allocations(1.0, 2.0, resolution=2)
@@ -135,7 +142,7 @@ class TestOptimizeAllocation:
 
     def test_curve_csv_layout(self):
         cands = feasible_allocations(1.0, 2.0, resolution=2)
-        _, curve = optimize_allocation(cands, lambda bv: float(bv.eps[0]))
+        _, curve, _ = optimize_allocation(cands, lambda bv: float(bv.eps[0]))
         text = allocation_curve_csv(curve)
         lines = text.strip().splitlines()
         assert lines[0] == "eps1,eps2,loss"

@@ -12,8 +12,9 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchorpriv.cli import CompareSpec, PrivacySpec, load_config, main
-from anchorpriv.errors import ConfigError
+from anchorpriv import apo, budget, evaluation
+from anchorpriv.cli import CompareSpec, PrivacySpec, load_config, main, make_method
+from anchorpriv.errors import ConfigError, SolverError
 from anchorpriv.evaluation import InstanceSpec
 
 BASE_CONFIG = {
@@ -65,6 +66,7 @@ class TestSynthesize:
         assert manifest["command"] == "synthesize"
         assert manifest["seed"] == 3
         assert len(manifest["config_sha256"]) == 64
+        assert manifest["failed_candidates"] == {"0.4": [], "0.8": []}
 
     def test_sweep_mode_emits_curve(self, tmp_path):
         cfg = write_config(
@@ -76,6 +78,31 @@ class TestSynthesize:
         curve = (out / "sweep_eps0.6.csv").read_text().strip().splitlines()
         assert curve[0] == "eps1,eps2,loss"
         assert len(curve) > 2
+
+    def test_failed_candidates_recorded(self, tmp_path, monkeypatch):
+        build = apo.build_approx_apo
+
+        def failing_build(part, outputs, bv, *args, **kwargs):
+            if bv.eps[0] < bv.eps[1]:
+                raise SolverError(f"no solve at {bv.eps[0]:.4f}")
+            return build(part, outputs, bv, *args, **kwargs)
+
+        monkeypatch.setattr(apo, "build_approx_apo", failing_build)
+        cfg = write_config(
+            tmp_path,
+            {"privacy": {"budget_mode": "sweep", "sweep_resolution": 2, "eps": [0.6]}},
+        )
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        failed = json.loads((out / "manifest_synthesize.json").read_text())["failed_candidates"]
+        assert list(failed) == ["0.6"] and len(failed["0.6"]) == 2
+        for entry in failed["0.6"]:
+            e1, e2 = entry["budget_eps"]
+            assert e1 < e2
+            assert entry["message"] == f"no solve at {e1:.4f}"
+        curve = (out / "sweep_eps0.6.csv").read_text().strip().splitlines()[1:]
+        assert len(curve) == 3  # the equal split and the two vectors with eps_1 > eps_2
+        assert all(float(e1) >= float(e2) for e1, e2, _ in (ln.split(",") for ln in curve))
 
     def test_eps_override_flag(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -172,6 +199,29 @@ class TestCompare:
         lines = (out / "results.csv").read_text().strip().splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("EM,")
+
+
+class TestInstanceReuse:
+    def test_anchor_methods_share_coefficients_and_tables(self, monkeypatch):
+        spec = InstanceSpec(grid=(2, 2), outputs=(2, 2), graph_size=5,
+                            samples_per_cell=2, n_tasks=5)
+        inst = evaluation.synth_instance(spec, seed=3)
+        priv = PrivacySpec(sweep_resolution=2)
+        solve, surrogate = apo.solve_approx_apo, apo.surrogate_coefficients
+        solves, surrogates = [], []
+        monkeypatch.setattr(apo, "solve_approx_apo", lambda lp: solves.append(lp) or solve(lp))
+        monkeypatch.setattr(apo, "surrogate_coefficients",
+                            lambda *args: surrogates.append(args) or surrogate(*args))
+        candidates = len(budget.feasible_allocations(0.6, 2.0, resolution=2))
+        make_method("AIPO", inst, 0.6, priv)
+        assert len(solves) == candidates
+        # The equal split is one of the sweep's candidates: no new solve.
+        aipo_e = make_method("AIPO-E", inst, 0.6, priv)
+        assert len(solves) == candidates
+        make_method("AIPO-R", inst, 0.6, priv)
+        assert len(surrogates) == 1
+        alone = make_method("AIPO-E", evaluation.synth_instance(spec, seed=3), 0.6, priv)
+        assert aipo_e.to_json_dict() == alone.to_json_dict()
 
 
 class TestLowerBound:

@@ -3,6 +3,7 @@ import pytest
 
 from anchorpriv.apo import OutputDomain, PerturbationTable
 from anchorpriv.evaluation import (
+    MATRIX_MEMO_SIZE,
     Instance,
     InstanceSpec,
     LossModel,
@@ -168,6 +169,41 @@ class TestLossModel:
                     inst.graph, dist_table=inst.loss._dist_table,
                 )
                 assert mat[i, k] == pytest.approx(direct, abs=1e-12)
+
+
+class TestLossMemo:
+    def test_matrix_at_computes_once_per_point_set(self, monkeypatch):
+        inst = synth_instance(InstanceSpec(), seed=5)
+        compute = LossModel.loss_matrix
+        calls = []
+
+        def counted(self, points, outputs):
+            calls.append(len(points))
+            return compute(self, points, outputs)
+
+        monkeypatch.setattr(LossModel, "loss_matrix", counted)
+        pts = inst.prior.points
+        first = inst.loss.matrix_at(pts, inst.outputs)
+        # Keyed by contents: a copy of the points hits the memo.
+        assert inst.loss.matrix_at(pts.copy(), inst.outputs) is first
+        assert calls == [len(pts)]
+        assert np.array_equal(first, compute(inst.loss, pts, inst.outputs))
+        assert not first.flags.writeable
+        # Other point sets miss; past MATRIX_MEMO_SIZE of them the oldest goes.
+        for m in range(1, MATRIX_MEMO_SIZE + 1):
+            inst.loss.matrix_at(pts[:m], inst.outputs)
+        assert len(calls) == 1 + MATRIX_MEMO_SIZE
+        again = inst.loss.matrix_at(pts, inst.outputs)
+        assert len(calls) == 2 + MATRIX_MEMO_SIZE
+        assert np.array_equal(again, first)
+
+    def test_matrix_backed_memo_keeps_the_point_check(self):
+        pts = np.array([[0.0, 0.0], [1.0, 1.0]])
+        loss = LossModel.from_matrix(pts, [[1.0, 3.0], [2.0, 4.0]])
+        outputs = OutputDomain(points=np.array([[0.5, 0.5]]))
+        assert np.array_equal(loss.matrix_at(pts, outputs), [[1.0], [2.0]])
+        with pytest.raises(ValueError):
+            loss.matrix_at(np.array([[0.0, 0.1], [1.0, 1.0]]), outputs)
 
 
 class _ZeroLossMech:
