@@ -36,8 +36,6 @@ from .evaluation import (
     task_loss,
 )
 from .geometry import (
-    Cell,
-    CellWeights,
     Partition,
     axis_neighbors,
     corner_weights,
@@ -46,7 +44,6 @@ from .geometry import (
     locate_cells,
     lp_distance,
     lp_distance_matrix,
-    partition_domain,
 )
 from .interpolation import Mechanism, logcvx_1d
 from .lpcore import LinearProgram, LpSolution, solve_lp

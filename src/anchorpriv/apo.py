@@ -285,10 +285,8 @@ def build_approx_apo(
         raise ValueError("budget dimension does not match partition")
     if coeffs.matrix.shape != (partition.n_anchors, outputs.size):
         raise ValueError("coefficient matrix shape mismatch")
-    pairs = axis_neighbors(partition)
-    bound = [math.exp(budget.eps[pair.axis] * pair.gap) for pair in pairs]
-    first = [pair.first for pair in pairs]
-    second = [pair.second for pair in pairs]
+    first, second, axis = axis_neighbors(partition)
+    bound = [math.exp(v) for v in budget.eps[axis] * partition.deltas[axis]]
     return _ratio_program(coeffs.matrix, 1.0, first, second, bound)
 
 
@@ -366,16 +364,6 @@ def build_coarse_lp(
     return _all_pairs_program(masses[:, None] * loss_mat, reps, eps_total, p)
 
 
-def _max_cell_distance(cell_a, cell_b, p: float) -> float:
-    """Largest lp distance between two axis-aligned orthotopes (at corners)."""
-    gap_low = np.abs(cell_a.base_corner - cell_b.upper_corner)
-    gap_high = np.abs(cell_a.upper_corner - cell_b.base_corner)
-    worst = np.maximum(gap_low, gap_high)
-    if math.isinf(p):
-        return float(worst.max())
-    return float(np.sum(worst**p) ** (1.0 / p))
-
-
 def lower_bound(
     partition: Partition,
     outputs: OutputDomain,
@@ -394,8 +382,7 @@ def lower_bound(
     """
     if eps_total < 0:
         raise ValueError("total budget must be non-negative")
-    cells = partition.cells()
-    volume = cells[0].volume
+    volume = float(np.prod(partition.deltas))
     n_cells, n_out = partition.n_cells, outputs.size
     points = np.asarray(prior.points, dtype=float)
     masses = np.asarray(prior.masses, dtype=float)
@@ -407,10 +394,16 @@ def lower_bound(
     floor_loss[~np.isfinite(floor_loss)] = 0.0
 
     first, second = np.triu_indices(n_cells, k=1)
-    bound = [
-        math.exp(eps_total * _max_cell_distance(cells[m], cells[m2], p))
-        for m, m2 in zip(first, second)
-    ]
+    # Largest lp distance between the two cells of each pair, at corners.
+    lower = partition.cell_lower
+    upper = lower + partition.deltas
+    worst = np.maximum(np.abs(lower[first] - upper[second]),
+                       np.abs(upper[first] - lower[second]))
+    if math.isinf(p):
+        dist = worst.max(axis=1)
+    else:
+        dist = np.sum(worst**p, axis=1) ** (1.0 / p)
+    bound = [math.exp(eps_total * d) for d in dist]
     sol = solve_lp(_ratio_program(floor_loss, volume, first, second, bound))
     if not sol.is_optimal:
         raise SolverError(f"lower-bound program unexpectedly {sol.status}")

@@ -296,10 +296,7 @@ def _aipo_relaxed(instance, eps, priv, comp):
 def _coarse_lp(instance, eps, priv, comp):
     outputs, bounds = instance.outputs, instance.partition.bounds
     coarse_part = Partition(*bounds, comp.coarse_grid or instance.partition.counts)
-    reps = np.stack([
-        coarse_part.cell(m).base_corner + 0.5 * coarse_part.cell(m).side_lengths
-        for m in range(coarse_part.n_cells)
-    ])
+    reps = coarse_part.cell_lower + 0.5 * coarse_part.deltas
     # Each representative carries the prior mass of its cell.
     masses = np.bincount(
         locate_cells(coarse_part, instance.prior.points),

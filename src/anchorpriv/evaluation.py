@@ -194,11 +194,7 @@ class PriorModel:
         local = np.stack(
             [g.ravel() for g in np.meshgrid(*([offs] * n), indexing="ij")], axis=1
         )
-        pts = []
-        for m in range(partition.n_cells):
-            cell = partition.cell(m)
-            pts.append(cell.base_corner + local * cell.side_lengths)
-        points = np.concatenate(pts, axis=0)
+        points = (partition.cell_lower[:, None, :] + local * partition.deltas).reshape(-1, n)
         if weight_fn is None:
             masses = np.full(points.shape[0], 1.0 / points.shape[0])
         else:
@@ -477,13 +473,7 @@ def synth_instance(spec: InstanceSpec = InstanceSpec(), seed: int = 0) -> Instan
         )
 
     out_part = Partition(lower, upper, spec.outputs)
-    out_points = np.stack(
-        [
-            out_part.cell(m).base_corner + 0.5 * out_part.cell(m).side_lengths
-            for m in range(out_part.n_cells)
-        ]
-    )
-    outputs = OutputDomain(points=out_points)
+    outputs = OutputDomain(points=out_part.cell_lower + 0.5 * out_part.deltas)
 
     graph = _grid_graph(lower, upper, spec.graph_size, spec.weight_jitter, rng)
     node_weights = np.array([weight(p) for p in graph.nodes])

@@ -5,25 +5,23 @@ axis-aligned domain, the deduplicated anchor lattice formed by cell
 corners, axis-aligned anchor neighbor pairs, and the per-corner convex
 weights used by log-convex interpolation.
 
-Points are plain 1-D numpy arrays in domain units. The metric order ``p``
-is a float in ``[1, inf]``; ``math.inf`` selects the max norm.
+Points are plain 1-D numpy arrays in domain units, point sets (n, N)
+arrays. Cells are not objects: a partition holds every cell's minimum
+corner in one (M, N) array, and all cells share the side lengths
+``deltas``. The metric order ``p`` is a float in ``[1, inf]``;
+``math.inf`` selects the max norm.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import OutOfDomainError
 
 __all__ = [
-    "Cell",
-    "CellWeights",
-    "AnchorPair",
     "Partition",
     "as_point",
     "as_points",
@@ -31,7 +29,6 @@ __all__ = [
     "lp_distance_matrix",
     "dual_exponent",
     "corner_offsets",
-    "partition_domain",
     "locate_cell",
     "locate_cells",
     "corner_weights",
@@ -105,73 +102,6 @@ def corner_offsets(n_dims: int) -> np.ndarray:
     return np.array(list(itertools.product((0, 1), repeat=n_dims)), dtype=float)
 
 
-@dataclass(frozen=True)
-class Cell:
-    """Axis-aligned orthotope given by its minimum corner and side lengths."""
-
-    base_corner: np.ndarray
-    side_lengths: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "base_corner", as_point(self.base_corner))
-        object.__setattr__(self, "side_lengths", as_point(self.side_lengths))
-        if self.base_corner.shape != self.side_lengths.shape:
-            raise ValueError("corner/side dimension mismatch")
-        if not np.all(self.side_lengths > 0):
-            raise ValueError("all side lengths must be positive")
-
-    @property
-    def n_dims(self) -> int:
-        return self.base_corner.size
-
-    @property
-    def upper_corner(self) -> np.ndarray:
-        return self.base_corner + self.side_lengths
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.side_lengths))
-
-    def contains(self, x, tol: float = 0.0) -> bool:
-        x = as_point(x)
-        slack = tol * (1.0 + self.side_lengths)
-        return bool(
-            np.all(x >= self.base_corner - slack)
-            and np.all(x <= self.upper_corner + slack)
-        )
-
-    def corners(self) -> np.ndarray:
-        """All 2^N corner points, ordered like corner_offsets."""
-        return self.base_corner + corner_offsets(self.n_dims) * self.side_lengths
-
-
-@dataclass(frozen=True)
-class CellWeights:
-    """Convex interpolation weights of a point within one cell.
-
-    ``lam[l]`` is the fractional distance from the point to the cell's upper
-    face along axis l, so the base corner carries weight prod(lam).
-    ``weights[g]`` is the product weight of the corner with binary offset
-    ``corner_offsets(N)[g]``; the weights are non-negative and sum to one.
-    """
-
-    lam: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def n_dims(self) -> int:
-        return self.lam.size
-
-
-class AnchorPair(NamedTuple):
-    """Unordered lattice-adjacent anchor pair differing along one axis."""
-
-    first: int
-    second: int
-    axis: int
-    gap: float
-
-
 class Partition:
     """Regular grid of axis-aligned cells tiling a bounding box.
 
@@ -211,7 +141,8 @@ class Partition:
             [g.ravel() for g in np.meshgrid(*[np.arange(c) for c in counts], indexing="ij")],
             axis=1,
         )
-        self._cell_grids = cell_grids
+        # (M, N) minimum corner of each cell; every cell has sides ``deltas``.
+        self.cell_lower = self.lower + cell_grids * self.deltas
         offs = self.offsets.astype(int)
         # (M, 2^N) anchor index of each cell corner.
         self.cell_corner_anchors = np.stack(
@@ -229,24 +160,6 @@ class Partition:
     @property
     def bounds(self):
         return self.lower.copy(), self.upper.copy()
-
-    def cell(self, index: int) -> Cell:
-        grid = self._cell_grids[index]
-        return Cell(self.lower + grid * self.deltas, self.deltas.copy())
-
-    def cells(self):
-        return [self.cell(m) for m in range(self.n_cells)]
-
-
-def partition_domain(bounds, cells_per_axis) -> Partition:
-    """Partition a bounding box into a regular grid of cells.
-
-    Args:
-        bounds: pair (lower, upper) of opposite box corners.
-        cells_per_axis: positive cell count per axis.
-    """
-    lower, upper = bounds
-    return Partition(lower, upper, cells_per_axis)
 
 
 def locate_cells(partition: Partition, X) -> np.ndarray:
@@ -278,57 +191,65 @@ def corner_weights(partition: Partition, X, cells) -> np.ndarray:
     """(n, 2^N) corner weights of each row of ``X`` within its cell.
 
     ``cells`` are the rows' cell indices from locate_cells; row i is
-    interpolation_weights(partition.cell(cells[i]), X[i]).weights.
+    interpolation_weights(partition.cell_lower[cells[i]], partition.deltas,
+    X[i])[1].
     """
     X = np.asarray(X, dtype=float)
-    base = partition.lower + partition._cell_grids[cells] * partition.deltas
-    lam = (base + partition.deltas - X) / partition.deltas
+    lam = (partition.cell_lower[cells] + partition.deltas - X) / partition.deltas
     lam = np.clip(lam, 0.0, 1.0)[:, None, :]
     offs = partition.offsets
     factors = (1.0 - offs) * lam + offs * (1.0 - lam)
     return factors.prod(axis=2)
 
 
-def interpolation_weights(cell: Cell, x) -> CellWeights:
-    """Convex coefficients and per-corner product weights of ``x`` in ``cell``.
+def interpolation_weights(base_corner, side_lengths, x):
+    """Convex coefficients and per-corner product weights of ``x`` in one cell.
 
-    lam[l] = (upper[l] - x[l]) / side[l]; the weight of the corner with
-    offset g is prod_l ((1-g_l) lam_l + g_l (1-lam_l)). Weights sum to one
-    and average the corner coordinates back to ``x``.
+    The cell is the orthotope with minimum corner ``base_corner`` and the
+    given positive side lengths. Returns (lam, weights): lam[l] = (upper[l]
+    - x[l]) / side[l] is the fractional distance to the upper face along
+    axis l, so the base corner carries weight prod(lam); the weight of the
+    corner with offset g (corner_offsets order) is prod_l ((1-g_l) lam_l +
+    g_l (1-lam_l)). Weights sum to one and average the corner coordinates
+    back to ``x``. This is the one-point reference of corner_weights.
     """
+    base = as_point(base_corner)
+    side = as_point(side_lengths)
     x = as_point(x)
-    if not cell.contains(x, tol=1e-12):
+    if not base.shape == side.shape == x.shape:
+        raise ValueError("corner/side/point dimension mismatch")
+    if not np.all(side > 0):
+        raise ValueError("all side lengths must be positive")
+    upper = base + side
+    slack = 1e-12 * (1.0 + side)
+    if not (np.all(x >= base - slack) and np.all(x <= upper + slack)):
         raise ValueError(f"point {x.tolist()} outside cell")
-    lam = (cell.upper_corner - x) / cell.side_lengths
-    lam = np.clip(lam, 0.0, 1.0)
-    offs = corner_offsets(cell.n_dims)
+    lam = np.clip((upper - x) / side, 0.0, 1.0)
+    offs = corner_offsets(x.size)
     factors = (1.0 - offs) * lam + offs * (1.0 - lam)
-    weights = factors.prod(axis=1)
-    return CellWeights(lam=lam, weights=weights)
+    return lam, factors.prod(axis=1)
 
 
-def axis_neighbors(partition: Partition) -> list[AnchorPair]:
-    """Every unordered pair of lattice-adjacent anchors, with axis and gap.
+def axis_neighbors(partition: Partition):
+    """Every unordered pair of lattice-adjacent anchors, as index arrays.
 
-    Two anchors are adjacent when they differ in exactly one coordinate by
-    exactly one cell side length. The pair count equals
-    sum_l counts_l * prod_{j != l} (counts_j + 1).
+    Returns (first, second, axis): anchors first[t] and second[t] differ
+    only along ``axis[t]``, by the cell side ``partition.deltas[axis[t]]``.
+    Pairs run axis by axis, each axis in C order of its first anchor. The
+    pair count equals sum_l counts_l * prod_{j != l} (counts_j + 1).
     """
     shape = partition._lattice_shape
-    pairs: list[AnchorPair] = []
+    first, second, axes = [], [], []
     for axis in range(partition.n_dims):
-        gap = float(partition.deltas[axis])
         ranges = [
             np.arange(n - 1 if l == axis else n) for l, n in enumerate(shape)
         ]
         grids = np.stack(
             [g.ravel() for g in np.meshgrid(*ranges, indexing="ij")], axis=1
         )
-        lo = np.ravel_multi_index(grids.T, shape)
         step = grids.copy()
         step[:, axis] += 1
-        hi = np.ravel_multi_index(step.T, shape)
-        pairs.extend(
-            AnchorPair(int(i), int(j), axis, gap) for i, j in zip(lo, hi)
-        )
-    return pairs
+        first.append(np.ravel_multi_index(grids.T, shape))
+        second.append(np.ravel_multi_index(step.T, shape))
+        axes.append(np.full(grids.shape[0], axis))
+    return np.concatenate(first), np.concatenate(second), np.concatenate(axes)

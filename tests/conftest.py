@@ -3,13 +3,13 @@ import pytest
 
 from anchorpriv.apo import OutputDomain
 from anchorpriv.evaluation import LossModel, PriorModel
-from anchorpriv.geometry import partition_domain
+from anchorpriv.geometry import Partition
 
 
 @pytest.fixture
 def unit_interval_cell():
     """One-cell 1-D partition over [0, 1] with two output candidates."""
-    part = partition_domain(((0.0,), (1.0,)), (1,))
+    part = Partition((0.0,), (1.0,), (1,))
     outputs = OutputDomain(points=np.array([[0.0], [1.0]]))
     return part, outputs
 

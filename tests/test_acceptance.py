@@ -28,7 +28,7 @@ from anchorpriv.apo import (
 from anchorpriv.budget import equal_split
 from anchorpriv.cli import CompareSpec, PrivacySpec, main, make_aipo_mechanism, make_method
 from anchorpriv.evaluation import InstanceSpec, LossModel, PriorModel, synth_instance
-from anchorpriv.geometry import dual_exponent, lp_distance, partition_domain
+from anchorpriv.geometry import Partition, dual_exponent, lp_distance
 from anchorpriv.interpolation import Mechanism
 from anchorpriv.lpcore import solve_lp
 
@@ -114,7 +114,7 @@ def _random_feasible_budget(rng, p, eps_total, n_dims=2):
 def test_criterion_3_composition_bounds():
     with criterion(3, "interpolant obeys the composed Lipschitz bound (2x after normalizing)"):
         rng = np.random.default_rng(31)
-        part = partition_domain(((0.0, 0.0), (2.0, 2.0)), (2, 2))
+        part = Partition((0.0, 0.0), (2.0, 2.0), (2, 2))
         pair_total = 0
         for p in (1, 1.5, 2, 3):
             for _ in range(2):  # two random budget draws per metric order
@@ -147,7 +147,7 @@ def test_criterion_3_composition_bounds():
 def test_criterion_4_one_dimensional_validity():
     with criterion(4, "1-D interpolant is per-axis Lipschitz within and across intervals"):
         rng = np.random.default_rng(41)
-        part = partition_domain(((0.0,), (3.0,)), (3,))
+        part = Partition((0.0,), (3.0,), (3,))
         outputs = ap.OutputDomain(points=np.array([[0.0], [1.2], [2.9]]))
         coeffs = SurrogateCoefficients(
             matrix=rng.random((part.n_anchors, outputs.size)) * 2.0
@@ -156,10 +156,9 @@ def test_criterion_4_one_dimensional_validity():
         bv = BudgetVector(eps=np.array([eps_axis]), total_eps=2.6, p=2.0)
         table = solve_approx_apo(build_approx_apo(part, outputs, bv, coeffs))
         mech = Mechanism(part, table, outputs, budget=bv)
-        cells = [part.cell(m) for m in range(part.n_cells)]
         grids = [
-            c.base_corner[0] + np.linspace(0.0, 1.0, 32) * c.side_lengths[0]
-            for c in cells
+            base + np.linspace(0.0, 1.0, 32) * part.deltas[0]
+            for base in part.cell_lower[:, 0]
         ]
         logs = [
             np.stack([np.log(mech.unnormalized_at((x,))) for x in g]) for g in grids

@@ -15,7 +15,7 @@ from anchorpriv.apo import (
     solve_approx_apo,
     surrogate_coefficients,
 )
-from anchorpriv.geometry import axis_neighbors, partition_domain
+from anchorpriv.geometry import Partition, axis_neighbors
 from anchorpriv.lpcore import solve_lp
 
 from conftest import matrix_setup
@@ -70,7 +70,7 @@ class TestCheckBudget:
 
 class TestSurrogateCoefficients:
     def test_mass_at_base_corner_is_indicator(self):
-        part = partition_domain(((0.0, 0.0), (1.0, 1.0)), (1, 1))
+        part = Partition((0.0, 0.0), (1.0, 1.0), (1, 1))
         prior, loss, outputs = matrix_setup(
             [[0.0, 0.0]], [1.0], [[5.0]], [[0.5, 0.5]]
         )
@@ -79,7 +79,7 @@ class TestSurrogateCoefficients:
         assert np.allclose(coeffs.matrix[1:], 0.0)
 
     def test_center_splits_evenly(self):
-        part = partition_domain(((0.0, 0.0), (1.0, 1.0)), (1, 1))
+        part = Partition((0.0, 0.0), (1.0, 1.0), (1, 1))
         prior, loss, outputs = matrix_setup(
             [[0.5, 0.5]], [1.0], [[4.0]], [[0.5, 0.5]]
         )
@@ -87,7 +87,7 @@ class TestSurrogateCoefficients:
         assert np.allclose(coeffs.matrix, 0.25 * 1.0 * 4.0)
 
     def test_two_corner_samples_accumulate(self):
-        part = partition_domain(((0.0, 0.0), (1.0, 1.0)), (1, 1))
+        part = Partition((0.0, 0.0), (1.0, 1.0), (1, 1))
         prior, loss, outputs = matrix_setup(
             [[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5], [[2.0], [2.0]], [[0.5, 0.5]]
         )
@@ -98,7 +98,7 @@ class TestSurrogateCoefficients:
         assert coeffs.matrix[1, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_shared_anchor_accumulates_from_both_cells(self):
-        part = partition_domain(((0.0,), (1.0,)), (2,))
+        part = Partition((0.0,), (1.0,), (2,))
         prior, loss, outputs = matrix_setup(
             [[0.25], [0.75]], [0.5, 0.5], [[1.0], [1.0]], [[0.0]]
         )
@@ -109,7 +109,7 @@ class TestSurrogateCoefficients:
     def test_total_mass_conservation(self):
         # per sample point the corner weights sum to one, so summing the
         # coefficient matrix over anchors recovers the prior-weighted loss
-        part = partition_domain(((0.0, 0.0), (2.0, 2.0)), (2, 2))
+        part = Partition((0.0, 0.0), (2.0, 2.0), (2, 2))
         rng = np.random.default_rng(23)
         pts = rng.random((12, 2)) * 2.0
         masses = rng.random(12)
@@ -125,7 +125,7 @@ class TestSurrogateCoefficients:
     def test_exactness_when_mass_sits_on_anchors(self):
         # anchor-supported priors make the surrogate equal the plain
         # prior-weighted table loss, to float precision
-        part = partition_domain(((0.0, 0.0), (2.0, 2.0)), (2, 2))
+        part = Partition((0.0, 0.0), (2.0, 2.0), (2, 2))
         rng = np.random.default_rng(11)
         pts = part.anchors.copy()
         masses = rng.random(pts.shape[0])
@@ -146,7 +146,7 @@ class TestSurrogateCoefficients:
 
 
 def _one_cell_1d(coeff_rows):
-    part = partition_domain(((0.0,), (1.0,)), (1,))
+    part = Partition((0.0,), (1.0,), (1,))
     outputs = OutputDomain(points=np.array([[0.0], [1.0]]))
     from anchorpriv.apo import SurrogateCoefficients
 
@@ -177,14 +177,14 @@ class TestApproxApo:
         assert table.probs[1, 1] > 0.99
 
     def test_constraint_counts_on_2x2_grid(self):
-        part = partition_domain(((0.0, 0.0), (1.0, 1.0)), (2, 2))
+        part = Partition((0.0, 0.0), (1.0, 1.0), (2, 2))
         outputs = OutputDomain(points=np.array([[0.1, 0.1], [0.5, 0.9], [0.9, 0.2]]))
         from anchorpriv.apo import SurrogateCoefficients
 
         coeffs = SurrogateCoefficients(matrix=np.ones((part.n_anchors, 3)))
         bv = BudgetVector(eps=np.array([0.2, 0.2]), total_eps=2.0, p=2)
         lp = build_approx_apo(part, outputs, bv, coeffs)
-        assert len(axis_neighbors(part)) == 12
+        assert axis_neighbors(part)[0].size == 12
         assert lp.n_ub_rows == 12 * 2 * 3
         assert lp.n_eq_rows == part.n_anchors
 
@@ -210,7 +210,7 @@ class TestApproxApo:
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_neighbor_constraints_hold_on_solved_table(self):
-        part = partition_domain(((0.0, 0.0), (1.0, 1.0)), (2, 2))
+        part = Partition((0.0, 0.0), (1.0, 1.0), (2, 2))
         rng = np.random.default_rng(5)
         outputs = OutputDomain(points=rng.random((4, 2)))
         from anchorpriv.apo import SurrogateCoefficients
@@ -219,14 +219,14 @@ class TestApproxApo:
         bv = BudgetVector(eps=np.array([0.4, 0.25]), total_eps=2.0, p=2)
         table = solve_approx_apo(build_approx_apo(part, outputs, bv, coeffs))
         logs = np.log(np.maximum(table.probs, 1e-300))
-        for i, j, axis, gap in axis_neighbors(part):
-            bound = bv.eps[axis] * gap
+        for i, j, axis in zip(*axis_neighbors(part)):
+            bound = bv.eps[axis] * part.deltas[axis]
             finite = (table.probs[i] > 0) & (table.probs[j] > 0)
             gaps = np.abs(logs[i][finite] - logs[j][finite])
             assert np.all(gaps <= bound + 1e-6)
 
     def test_chain_property_between_all_anchor_pairs(self):
-        part = partition_domain(((0.0, 0.0), (1.0, 1.0)), (2, 2))
+        part = Partition((0.0, 0.0), (1.0, 1.0), (2, 2))
         rng = np.random.default_rng(6)
         outputs = OutputDomain(points=rng.random((3, 2)))
         from anchorpriv.apo import SurrogateCoefficients
@@ -254,7 +254,7 @@ class TestAipoRelaxed:
         assert relaxed.objective_value == pytest.approx(approx.objective_value, abs=1e-9)
 
     def test_all_pairs_row_count(self):
-        part = partition_domain(((0.0, 0.0), (1.0, 1.0)), (2, 2))
+        part = Partition((0.0, 0.0), (1.0, 1.0), (2, 2))
         from anchorpriv.apo import SurrogateCoefficients
 
         k = 4
@@ -265,7 +265,7 @@ class TestAipoRelaxed:
 
     def test_relaxed_objective_never_worse_than_composed(self):
         rng = np.random.default_rng(9)
-        part = partition_domain(((0.0, 0.0), (1.0, 1.0)), (2, 2))
+        part = Partition((0.0, 0.0), (1.0, 1.0), (2, 2))
         from anchorpriv.apo import SurrogateCoefficients
         from anchorpriv.budget import equal_split
 
@@ -307,7 +307,7 @@ class TestRatioRowLayout:
     def _setup(self):
         from anchorpriv.apo import SurrogateCoefficients
 
-        part = partition_domain(((0.0, 0.0), (1.0, 1.0)), (2, 2))
+        part = Partition((0.0, 0.0), (1.0, 1.0), (2, 2))
         rng = np.random.default_rng(11)
         outputs = OutputDomain(points=rng.random((3, 2)))
         coeffs = SurrogateCoefficients(matrix=rng.random((part.n_anchors, 3)))
@@ -328,8 +328,8 @@ class TestRatioRowLayout:
         part, outputs, coeffs = self._setup()
         bv = BudgetVector(eps=np.array([0.4, 0.25]), total_eps=2.0, p=2)
         pairs = [
-            (i, j, math.exp(bv.eps[axis] * gap))
-            for i, j, axis, gap in axis_neighbors(part)
+            (i, j, math.exp(bv.eps[axis] * part.deltas[axis]))
+            for i, j, axis in zip(*axis_neighbors(part))
         ]
         self._assert_layout(build_approx_apo(part, outputs, bv, coeffs), coeffs, pairs)
 
@@ -388,14 +388,14 @@ class TestCoarseLp:
 
 class TestLowerBound:
     def test_single_cell_picks_cheap_column(self):
-        part = partition_domain(((0.0,), (1.0,)), (1,))
+        part = Partition((0.0,), (1.0,), (1,))
         prior, loss, outputs = matrix_setup(
             [[0.5]], [1.0], [[1.0, 3.0]], [[0.0], [1.0]]
         )
         assert lower_bound(part, outputs, 1.0, 2.0, loss, prior) == pytest.approx(1.0, abs=1e-9)
 
     def test_two_cells_zero_budget_forces_constant(self):
-        part = partition_domain(((0.0,), (2.0,)), (2,))  # two unit cells
+        part = Partition((0.0,), (2.0,), (2,))  # two unit cells
         prior, loss, outputs = matrix_setup(
             [[0.5], [1.5]], [1.0 / 2, 1.0 / 2],
             [[2.0, 6.0], [6.0, 2.0]], [[0.0], [2.0]],
@@ -411,12 +411,11 @@ class TestLowerBound:
         from anchorpriv.interpolation import Mechanism
 
         rng = np.random.default_rng(21)
-        part = partition_domain(((0.0, 0.0), (2.0, 2.0)), (2, 2))
+        part = Partition((0.0, 0.0), (2.0, 2.0), (2, 2))
         for trial in range(5):
             pts = []
             for m in range(part.n_cells):
-                cell = part.cell(m)
-                pts.extend(cell.base_corner + rng.random((3, 2)) * cell.side_lengths)
+                pts.extend(part.cell_lower[m] + rng.random((3, 2)) * part.deltas)
             pts = np.asarray(pts)
             masses = rng.random(len(pts))
             masses /= masses.sum()

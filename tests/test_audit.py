@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from anchorpriv import audit
 from anchorpriv.apo import OutputDomain, PerturbationTable
 from anchorpriv.audit import histogram_csv, ppr, ppr_histogram, violation_ratio
-from anchorpriv.geometry import partition_domain
+from anchorpriv.geometry import Partition
 from anchorpriv.interpolation import Mechanism
 from anchorpriv.mechanisms import ExponentialMechanism
 
 
 def _two_anchor_mech(rows):
-    part = partition_domain(((0.0,), (1.0,)), (1,))
+    part = Partition((0.0,), (1.0,), (1,))
     outputs = OutputDomain(points=np.array([[0.0], [1.0]]))
     return Mechanism(
         part, PerturbationTable(np.asarray(rows, float)), outputs,
@@ -168,7 +168,7 @@ def _mechanisms(draw, p):
         centers = np.linspace(0.1, 0.9, n_out)
         outputs = OutputDomain(points=np.stack([centers, centers[::-1]], axis=1))
         return ExponentialMechanism(outputs, bounds, eps=draw(st.floats(0.1, 4.0)), p=p)
-    part = partition_domain(bounds, (2, 2))
+    part = Partition(*bounds, (2, 2))
     weights = st.floats(0.05, 1.0)
     n_rows = {"table": part.n_anchors, "repeated rows": 2, "constant": 1}[kind]
     rows = np.array(draw(st.lists(st.lists(weights, min_size=n_out, max_size=n_out),

@@ -126,18 +126,18 @@ class TestPriorModel:
             PriorModel([[0.0, 0.0], [1.0, 1.0]], [1.2, -0.2])
 
     def test_cell_lattice_counts_and_interiority(self):
-        from anchorpriv.geometry import partition_domain
+        from anchorpriv.geometry import Partition
 
-        part = partition_domain(((0.0, 0.0), (2.0, 2.0)), (2, 2))
+        part = Partition((0.0, 0.0), (2.0, 2.0), (2, 2))
         prior = PriorModel.cell_lattice(part, per_cell=3)
         assert prior.size == 4 * 9
         assert prior.masses.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(prior.points > 0.0) and np.all(prior.points < 2.0)
 
     def test_on_anchors(self):
-        from anchorpriv.geometry import partition_domain
+        from anchorpriv.geometry import Partition
 
-        part = partition_domain(((0.0, 0.0), (1.0, 1.0)), (2, 2))
+        part = Partition((0.0, 0.0), (1.0, 1.0), (2, 2))
         prior = PriorModel.on_anchors(part)
         assert prior.size == part.n_anchors
         assert np.array_equal(prior.points, part.anchors)
@@ -320,10 +320,10 @@ class TestInstanceBundle:
 
     def test_matrix_instance_round_trip(self, tmp_path):
         from anchorpriv.evaluation import Instance, load_instance, save_instance
-        from anchorpriv.geometry import partition_domain
+        from anchorpriv.geometry import Partition
 
         rng = np.random.default_rng(30)
-        part = partition_domain(((0.0, 0.0), (1.0, 1.0)), (2, 2))
+        part = Partition((0.0, 0.0), (1.0, 1.0), (2, 2))
         pts = rng.random((6, 2))
         masses = rng.random(6)
         masses /= masses.sum()

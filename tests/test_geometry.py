@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from anchorpriv.errors import OutOfDomainError
 from anchorpriv.geometry import (
-    Cell,
+    Partition,
     axis_neighbors,
     corner_offsets,
     interpolation_weights,
     locate_cell,
     lp_distance,
-    partition_domain,
 )
 
 UNIT_SQUARE = ((0.0, 0.0), (1.0, 1.0))
@@ -70,76 +69,74 @@ class TestLpDistance:
 
 class TestPartitionDomain:
     def test_single_cell_unit_square(self):
-        part = partition_domain(UNIT_SQUARE, (1, 1))
+        part = Partition(*UNIT_SQUARE, (1, 1))
         assert part.n_cells == 1
         assert part.n_anchors == 4
 
     def test_two_by_two_lattice_count(self):
-        part = partition_domain(UNIT_SQUARE, (2, 2))
+        part = Partition(*UNIT_SQUARE, (2, 2))
         assert part.n_cells == 4
         assert part.n_anchors == 9  # (2+1)^2 lattice
 
     def test_one_dimensional(self):
-        part = partition_domain(((0.0,), (1.0,)), (4,))
+        part = Partition((0.0,), (1.0,), (4,))
         assert part.n_cells == 4
         assert part.n_anchors == 5
 
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError):
-            partition_domain(UNIT_SQUARE, (0, 2))
+            Partition(*UNIT_SQUARE, (0, 2))
 
     def test_degenerate_bounds_rejected(self):
         with pytest.raises(ValueError):
-            partition_domain(((0.0, 0.0), (1.0, 0.0)), (1, 1))
+            Partition((0.0, 0.0), (1.0, 0.0), (1, 1))
 
     def test_mismatched_bounds_rejected(self):
         with pytest.raises(ValueError):
-            partition_domain(((0.0, 0.0), (1.0,)), (1, 1))
+            Partition((0.0, 0.0), (1.0,), (1, 1))
 
     def test_cells_tile_bounds(self):
-        part = partition_domain(UNIT_SQUARE, (3, 2))
-        total = sum(part.cell(m).volume for m in range(part.n_cells))
+        part = Partition(*UNIT_SQUARE, (3, 2))
+        total = part.n_cells * np.prod(part.deltas)
         assert total == pytest.approx(1.0, abs=1e-12)
         # every cell corner appears in the anchor lattice exactly once
-        corners = np.concatenate([part.cell(m).corners() for m in range(part.n_cells)])
+        corners = (part.cell_lower[:, None, :] + part.offsets * part.deltas).reshape(-1, 2)
         uniq = np.unique(np.round(corners, 12), axis=0)
         assert uniq.shape[0] == part.n_anchors
 
 
 class TestLocateCell:
     def test_interior_point(self):
-        part = partition_domain(UNIT_SQUARE, (2, 2))
+        part = Partition(*UNIT_SQUARE, (2, 2))
         m = locate_cell(part, (0.1, 0.1))
-        assert np.allclose(part.cell(m).base_corner, (0.0, 0.0))
+        assert np.allclose(part.cell_lower[m], (0.0, 0.0))
 
     def test_shared_corner_goes_to_upper_cell(self):
-        part = partition_domain(UNIT_SQUARE, (2, 2))
+        part = Partition(*UNIT_SQUARE, (2, 2))
         m = locate_cell(part, (0.5, 0.5))
-        assert np.allclose(part.cell(m).base_corner, (0.5, 0.5))
+        assert np.allclose(part.cell_lower[m], (0.5, 0.5))
 
     def test_upper_boundary_clamps_to_last_cell(self):
-        part = partition_domain(UNIT_SQUARE, (2, 2))
+        part = Partition(*UNIT_SQUARE, (2, 2))
         m = locate_cell(part, (1.0, 1.0))
-        assert np.allclose(part.cell(m).base_corner, (0.5, 0.5))
+        assert np.allclose(part.cell_lower[m], (0.5, 0.5))
 
     def test_outside_raises(self):
-        part = partition_domain(UNIT_SQUARE, (2, 2))
+        part = Partition(*UNIT_SQUARE, (2, 2))
         with pytest.raises(OutOfDomainError):
             locate_cell(part, (1.2, 0.5))
 
     def test_face_continuity_of_weights(self):
         # interpolating from either side of a shared face gives the same
         # corner weights on the shared corners, so the tie rule is moot
-        part = partition_domain(UNIT_SQUARE, (2, 2))
-        left, right = part.cell(0), part.cell(2)
+        part = Partition(*UNIT_SQUARE, (2, 2))
         x = (0.5, 0.2)
-        wl = interpolation_weights(left, x)
-        wr = interpolation_weights(right, x)
         probs = {}
-        for cell, cw in ((left, wl), (right, wr)):
-            for g, corner in enumerate(cell.corners()):
+        for m in (0, 2):  # the cells left and right of the face x0 = 0.5
+            _, weights = interpolation_weights(part.cell_lower[m], part.deltas, x)
+            for g, corner in enumerate(part.cell_lower[m] + part.offsets * part.deltas):
                 key = tuple(np.round(corner, 12))
-                probs.setdefault(key, []).append(cw.weights[g])
+                probs.setdefault(key, []).append(weights[g])
         for key, vals in probs.items():
             if len(vals) == 2:
                 assert vals[0] == pytest.approx(vals[1], abs=1e-12)
@@ -149,19 +146,17 @@ class TestLocateCell:
 
 class TestInterpolationWeights:
     def test_base_corner_indicator(self):
-        cell = Cell((0.0, 0.0), (1.0, 1.0))
-        cw = interpolation_weights(cell, (0.0, 0.0))
-        assert np.allclose(cw.lam, (1.0, 1.0))
-        assert cw.weights[0] == pytest.approx(1.0)
-        assert cw.weights[1:].sum() == pytest.approx(0.0)
+        lam, weights = interpolation_weights((0.0, 0.0), (1.0, 1.0), (0.0, 0.0))
+        assert np.allclose(lam, (1.0, 1.0))
+        assert weights[0] == pytest.approx(1.0)
+        assert weights[1:].sum() == pytest.approx(0.0)
 
     def test_hand_evaluated_product_weights(self):
-        cell = Cell((0.0, 0.0), (1.0, 1.0))
-        cw = interpolation_weights(cell, (0.25, 0.5))
-        assert np.allclose(cw.lam, (0.75, 0.5))
+        lam, weights = interpolation_weights((0.0, 0.0), (1.0, 1.0), (0.25, 0.5))
+        assert np.allclose(lam, (0.75, 0.5))
         by_gamma = {
             tuple(g.astype(int)): w
-            for g, w in zip(corner_offsets(2), cw.weights)
+            for g, w in zip(corner_offsets(2), weights)
         }
         assert by_gamma[(0, 0)] == pytest.approx(0.375)
         assert by_gamma[(1, 0)] == pytest.approx(0.125)
@@ -170,14 +165,12 @@ class TestInterpolationWeights:
 
     def test_center_gives_equal_weights(self):
         for n in (1, 2, 3):
-            cell = Cell(np.zeros(n), np.ones(n))
-            cw = interpolation_weights(cell, np.full(n, 0.5))
-            assert np.allclose(cw.weights, 2.0**-n)
+            _, weights = interpolation_weights(np.zeros(n), np.ones(n), np.full(n, 0.5))
+            assert np.allclose(weights, 2.0**-n)
 
     def test_outside_cell_rejected(self):
-        cell = Cell((0.0, 0.0), (1.0, 1.0))
         with pytest.raises(ValueError):
-            interpolation_weights(cell, (1.5, 0.5))
+            interpolation_weights((0.0, 0.0), (1.0, 1.0), (1.5, 0.5))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -191,47 +184,45 @@ class TestInterpolationWeights:
     )
     def test_convex_combination_identity(self, args):
         frac, sides, base = (np.array(v) for v in args)
-        cell = Cell(base, sides)
         x = base + frac * sides
-        cw = interpolation_weights(cell, x)
-        assert cw.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(cw.weights >= 0)
-        recon = cw.weights @ cell.corners()
+        _, weights = interpolation_weights(base, sides, x)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(weights >= 0)
+        recon = weights @ (base + corner_offsets(base.size) * sides)
         assert np.allclose(recon, x, atol=1e-12 * (1 + np.abs(x).max()))
 
 
 class TestAxisNeighbors:
     def test_single_cell_square_has_four_edges(self):
-        part = partition_domain(UNIT_SQUARE, (1, 1))
-        assert len(axis_neighbors(part)) == 4
+        part = Partition(*UNIT_SQUARE, (1, 1))
+        assert axis_neighbors(part)[0].size == 4
 
     def test_two_by_two_grid(self):
-        part = partition_domain(UNIT_SQUARE, (2, 2))
-        assert len(axis_neighbors(part)) == 12
+        part = Partition(*UNIT_SQUARE, (2, 2))
+        assert axis_neighbors(part)[0].size == 12
 
     def test_one_dimensional_chain(self):
-        part = partition_domain(((0.0,), (1.0,)), (4,))
-        assert len(axis_neighbors(part)) == 4
+        part = Partition((0.0,), (1.0,), (4,))
+        assert axis_neighbors(part)[0].size == 4
 
     @pytest.mark.parametrize("counts", [(1, 1), (2, 3), (4, 2), (2, 2, 2)])
     def test_count_matches_lattice_edge_formula(self, counts):
         n = len(counts)
         bounds = (np.zeros(n), np.ones(n))
-        part = partition_domain(bounds, counts)
+        part = Partition(*bounds, counts)
         expected = sum(
             counts[l] * int(np.prod([c + 1 for j, c in enumerate(counts) if j != l]))
             for l in range(n)
         )
-        pairs = axis_neighbors(part)
-        assert len(pairs) == expected
+        first, second, axes = axis_neighbors(part)
+        assert first.size == second.size == axes.size == expected
         # each unordered pair appears once and differs along exactly one axis
         seen = set()
-        for i, j, axis, gap in pairs:
+        for i, j, axis in zip(first.tolist(), second.tolist(), axes.tolist()):
             assert (i, j) not in seen and (j, i) not in seen
             seen.add((i, j))
             diff = part.anchors[j] - part.anchors[i]
-            assert gap == pytest.approx(part.deltas[axis])
-            assert diff[axis] == pytest.approx(gap)
+            assert diff[axis] == pytest.approx(part.deltas[axis])
             mask = np.ones(n, dtype=bool)
             mask[axis] = False
             assert np.allclose(diff[mask], 0.0)

@@ -12,7 +12,7 @@ from anchorpriv.apo import (
     solve_approx_apo,
 )
 from anchorpriv.budget import equal_split
-from anchorpriv.geometry import dual_exponent, lp_distance, partition_domain
+from anchorpriv.geometry import Partition, dual_exponent, lp_distance
 from anchorpriv.interpolation import Mechanism, logcvx_1d
 
 
@@ -36,7 +36,7 @@ class TestLogcvx1d:
 
 
 def _mech_1d(rows, floor=None):
-    part = partition_domain(((0.0,), (1.0,)), (1,))
+    part = Partition((0.0,), (1.0,), (1,))
     outputs = OutputDomain(points=np.array([[0.0], [1.0]]))
     table = PerturbationTable(np.asarray(rows, dtype=float))
     return Mechanism(part, table, outputs, total_eps=1.0, metric_p=2.0, floor=floor)
@@ -53,7 +53,7 @@ class TestUnnormalizedInterpolant:
         assert mech.unnormalized_at((0.5,))[0] == pytest.approx(0.4, abs=1e-12)
 
     def test_equal_corners_give_constant(self):
-        part = partition_domain(((0.0, 0.0), (1.0, 1.0)), (1, 1))
+        part = Partition((0.0, 0.0), (1.0, 1.0), (1, 1))
         outputs = OutputDomain(points=np.array([[0.0, 0.0], [1.0, 1.0]]))
         table = PerturbationTable(np.array([[0.3, 0.7]] * 4))
         mech = Mechanism(part, table, outputs, floor=None)
@@ -82,7 +82,7 @@ class TestDistributionAt:
 
     def test_sums_to_one_everywhere(self):
         rng = np.random.default_rng(2)
-        part = partition_domain(((0.0, 0.0), (2.0, 2.0)), (3, 2))
+        part = Partition((0.0, 0.0), (2.0, 2.0), (3, 2))
         outputs = OutputDomain(points=rng.random((5, 2)))
         raw = rng.random((part.n_anchors, 5)) + 0.05
         table = PerturbationTable(raw / raw.sum(axis=1, keepdims=True))
@@ -93,7 +93,7 @@ class TestDistributionAt:
 
     def test_continuity_across_cell_faces(self):
         rng = np.random.default_rng(3)
-        part = partition_domain(((0.0, 0.0), (1.0, 1.0)), (2, 2))
+        part = Partition((0.0, 0.0), (1.0, 1.0), (2, 2))
         raw = rng.random((part.n_anchors, 4)) + 0.05
         table = PerturbationTable(raw / raw.sum(axis=1, keepdims=True))
         outputs = OutputDomain(points=rng.random((4, 2)))
@@ -148,7 +148,7 @@ def _lipschitz_table(part, n_outputs, eps_axes, rng):
 class TestValidityBounds:
     def test_intra_interval_one_dimension(self):
         eps1 = 0.9
-        part = partition_domain(((0.0,), (1.0,)), (1,))
+        part = Partition((0.0,), (1.0,), (1,))
         outputs = OutputDomain(points=np.array([[0.0], [1.0]]))
         lo, hi = 0.25, 0.25 * math.exp(eps1)  # exactly eps1-separated in log
         table = PerturbationTable(
@@ -168,7 +168,7 @@ class TestValidityBounds:
     def test_across_interval_one_dimension(self):
         rng = np.random.default_rng(8)
         eps1 = 1.3
-        part = partition_domain(((0.0,), (3.0,)), (3,))
+        part = Partition((0.0,), (3.0,), (3,))
         outputs = OutputDomain(points=np.array([[0.0], [1.5], [3.0]]))
         table = _lipschitz_table(part, 3, [eps1], rng)
         mech = Mechanism(part, table, outputs, floor=None)
@@ -182,7 +182,7 @@ class TestValidityBounds:
     @pytest.mark.parametrize("p", [1, 1.5, 2, 3])
     def test_composed_bound_in_two_dimensions(self, p):
         rng = np.random.default_rng(int(p * 10))
-        part = partition_domain(((0.0, 0.0), (2.0, 2.0)), (2, 2))
+        part = Partition((0.0, 0.0), (2.0, 2.0), (2, 2))
         outputs = OutputDomain(points=rng.random((4, 2)) * 2)
         eps_axes = rng.uniform(0.2, 0.8, size=2)
         table = _lipschitz_table(part, 4, eps_axes, rng)
@@ -203,7 +203,7 @@ class TestValidityBounds:
 
     def test_dimension_wise_bound_three_dimensions(self):
         rng = np.random.default_rng(14)
-        part = partition_domain(((0.0,) * 3, (1.0,) * 3), (2, 2, 2))
+        part = Partition((0.0,) * 3, (1.0,) * 3, (2, 2, 2))
         outputs = OutputDomain(points=rng.random((3, 3)))
         eps_axes = rng.uniform(0.3, 1.0, size=3)
         table = _lipschitz_table(part, 3, eps_axes, rng)
@@ -222,7 +222,7 @@ class TestValidityBounds:
     def test_solved_tables_meet_composed_bound(self):
         # end to end: anchor program -> floored mechanism -> pairwise bound
         rng = np.random.default_rng(15)
-        part = partition_domain(((0.0, 0.0), (2.0, 2.0)), (2, 2))
+        part = Partition((0.0, 0.0), (2.0, 2.0), (2, 2))
         outputs = OutputDomain(points=rng.random((3, 2)) * 2)
         coeffs = SurrogateCoefficients(matrix=rng.random((part.n_anchors, 3)) * 4)
         for eps in (0.4, 1.2):
@@ -243,7 +243,7 @@ class TestValidityBounds:
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(4)
-        part = partition_domain(((0.0, 0.0), (1.5, 1.0)), (2, 3))
+        part = Partition((0.0, 0.0), (1.5, 1.0), (2, 3))
         outputs = OutputDomain(points=rng.random((4, 2)))
         raw = rng.random((part.n_anchors, 4)) + 0.01
         table = PerturbationTable(raw / raw.sum(axis=1, keepdims=True))
@@ -261,7 +261,7 @@ class TestSerialization:
         assert loaded.total_eps == 1.0
 
     def test_budget_needs_one_entry_per_axis(self):
-        part = partition_domain(((0.0, 0.0), (1.0, 1.0)), (1, 1))
+        part = Partition((0.0, 0.0), (1.0, 1.0), (1, 1))
         outputs = OutputDomain(points=np.array([[0.0, 0.0], [1.0, 1.0]]))
         table = PerturbationTable(np.array([[0.3, 0.7]] * 4))
         bv = BudgetVector(eps=np.array([0.2]), total_eps=1.0, p=2.0)
@@ -269,7 +269,7 @@ class TestSerialization:
             Mechanism(part, table, outputs, budget=bv)
 
     def test_only_version_1_is_read(self):
-        part = partition_domain(((0.0, 0.0), (1.0, 1.0)), (1, 1))
+        part = Partition((0.0, 0.0), (1.0, 1.0), (1, 1))
         outputs = OutputDomain(points=np.array([[0.0, 0.0], [1.0, 1.0]]))
         payload = Mechanism(part, PerturbationTable(np.array([[0.3, 0.7]] * 4)), outputs).to_json_dict()
         assert payload["version"] == 1

@@ -9,7 +9,7 @@ from anchorpriv.apo import OutputDomain, PerturbationTable
 from anchorpriv.audit import violation_ratio
 from anchorpriv.errors import OutOfDomainError
 from anchorpriv.evaluation import LossModel, PriorModel, expected_loss
-from anchorpriv.geometry import interpolation_weights, locate_cell, lp_distance, partition_domain
+from anchorpriv.geometry import Partition, interpolation_weights, locate_cell, lp_distance
 from anchorpriv.interpolation import Mechanism
 from anchorpriv.mechanisms import (
     CoarseLpMechanism,
@@ -208,7 +208,7 @@ class TestCoarseLpMechanism:
 
 # One instance of every mechanism kind on a 2 x 3 cell grid over
 # [0, 2] x [0, 1.5] (cell sides 1.0 and 0.5).
-_PART = partition_domain(((0.0, 0.0), (2.0, 1.5)), (2, 3))
+_PART = Partition((0.0, 0.0), (2.0, 1.5), (2, 3))
 _OUTPUTS = OutputDomain(
     points=np.array([[0.5, 0.375], [1.5, 0.375], [0.5, 1.125], [1.5, 1.125], [1.0, 0.75]])
 )
@@ -240,7 +240,7 @@ def _reference(mech, x):
     """Per-point log-probabilities from the scalar geometry rules."""
     if isinstance(mech, Mechanism):
         m = locate_cell(_PART, x)
-        w = interpolation_weights(_PART.cell(m), x).weights
+        _, w = interpolation_weights(_PART.cell_lower[m], _PART.deltas, x)
         return _normalize(w @ np.log(mech.table.probs[_PART.cell_corner_anchors[m]]))
     if isinstance(mech, RemappedMechanism):
         base = np.exp(_reference(mech.base, x))
