@@ -2,8 +2,9 @@
 
 Builds and solves the neighbor-constrained anchor LP with its linear
 surrogate objective, the relaxed all-pairs anchor variant, the coarse
-representative-grid LP, and the cell-aggregated universal lower bound on
-the expected loss of any mechanism meeting the same privacy constraint.
+representative-grid LP, and the universal lower bound on the expected
+loss of any mechanism meeting the same privacy constraint, over one
+averaged distribution per cell, valid for every prior.
 """
 
 from __future__ import annotations
@@ -223,10 +224,10 @@ def surrogate_coefficients(partition: Partition, prior, loss, outputs: OutputDom
     return SurrogateCoefficients(matrix=coeffs)
 
 
-def _ratio_program(objective, row_total: float, first, second, bound) -> LinearProgram:
+def _ratio_program(objective, first, second, bound) -> LinearProgram:
     """Table program over an (R, K) objective with pairwise ratio rows.
 
-    One equality row per table row fixes its total to ``row_total``. For
+    One equality row per table row fixes its total to 1. For
     each pair t = (first[t], second[t]) with ratio bound b = bound[t] and
     each output k, row 2(tK + k) is z[i,k] - b z[j,k] <= 0 and the row
     after it is the mirror z[j,k] - b z[i,k] <= 0: pairs outer, outputs
@@ -240,7 +241,7 @@ def _ratio_program(objective, row_total: float, first, second, bound) -> LinearP
         (np.ones(n_vars), (np.repeat(np.arange(n_rows), n_out), var.ravel())),
         shape=(n_rows, n_vars),
     )
-    b_eq = np.full(n_rows, float(row_total))
+    b_eq = np.ones(n_rows)
     vi = var[np.asarray(first, dtype=np.intp)].ravel()
     vj = var[np.asarray(second, dtype=np.intp)].ravel()
     a_ub = b_ub = None
@@ -287,7 +288,7 @@ def build_approx_apo(
         raise ValueError("coefficient matrix shape mismatch")
     first, second, axis = axis_neighbors(partition)
     bound = [math.exp(v) for v in budget.eps[axis] * partition.deltas[axis]]
-    return _ratio_program(coeffs.matrix, 1.0, first, second, bound)
+    return _ratio_program(coeffs.matrix, first, second, bound)
 
 
 def solve_approx_apo(lp: LinearProgram) -> PerturbationTable:
@@ -315,7 +316,7 @@ def _all_pairs_program(objective, points, eps_total: float, p: float) -> LinearP
     first, second = np.triu_indices(points.shape[0], k=1)
     dist = lp_distance_matrix(points, points, p)[first, second]
     bound = [math.exp(eps_total * d) for d in dist]
-    return _ratio_program(objective, 1.0, first, second, bound)
+    return _ratio_program(objective, first, second, bound)
 
 
 def build_aipo_relaxed(
@@ -374,24 +375,28 @@ def lower_bound(
 ) -> float:
     """Universal lower bound on expected loss of any compliant mechanism.
 
-    Relaxes the distance in the ratio constraints to the maximum inter-cell
-    distance and aggregates the mechanism into one variable per (cell,
-    output) with per-cell mass equal to the cell volume. The objective
-    uses the cheapest prior-weighted loss among each cell's sample points,
-    so the value bounds the discretized expected loss from below.
+    Aggregates the mechanism into one distribution per cell: the average
+    of its rows at the cell's prior points (for a cell without points, its
+    row at any point of the cell). Two cells' averages obey the ratio
+    constraint at the largest distance between the cells. Each cell's
+    objective coefficient is its point count times the cheapest
+    prior-weighted loss among its points, so the value bounds the
+    discretized expected loss from below for every prior.
     """
     if eps_total < 0:
         raise ValueError("total budget must be non-negative")
-    volume = float(np.prod(partition.deltas))
     n_cells, n_out = partition.n_cells, outputs.size
     points = np.asarray(prior.points, dtype=float)
     masses = np.asarray(prior.masses, dtype=float)
     loss_mat = loss.matrix_at(points, outputs)
 
+    cells = locate_cells(partition, points)
     floor_loss = np.full((n_cells, n_out), np.inf)
-    np.minimum.at(floor_loss, locate_cells(partition, points), masses[:, None] * loss_mat)
-    # Cells without sample points contribute nothing to the discretized loss.
+    np.minimum.at(floor_loss, cells, masses[:, None] * loss_mat)
+    # Cells without sample points count 0 points; a 0 floor keeps 0 * inf
+    # out of their objective.
     floor_loss[~np.isfinite(floor_loss)] = 0.0
+    objective = np.bincount(cells, minlength=n_cells)[:, None] * floor_loss
 
     first, second = np.triu_indices(n_cells, k=1)
     # Largest lp distance between the two cells of each pair, at corners.
@@ -404,7 +409,7 @@ def lower_bound(
     else:
         dist = np.sum(worst**p, axis=1) ** (1.0 / p)
     bound = [math.exp(eps_total * d) for d in dist]
-    sol = solve_lp(_ratio_program(floor_loss, volume, first, second, bound))
+    sol = solve_lp(_ratio_program(objective, first, second, bound))
     if not sol.is_optimal:
         raise SolverError(f"lower-bound program unexpectedly {sol.status}")
     return float(sol.objective_value)

@@ -33,14 +33,27 @@ def _floored_logs(mech, X) -> np.ndarray:
     return np.maximum(log_probs(mech, X), math.log(PROB_FLOOR))
 
 
+def _metric_order(mech, p: float | None = None) -> float:
+    """Metric order of an audit: ``p`` if given, else the mechanism's own.
+
+    A mechanism's own order is its ``metric_p`` (interpolated tables), else
+    its ``p`` (closed-form mechanisms), else 2.
+    """
+    if p is not None:
+        return p
+    return getattr(mech, "metric_p", None) or getattr(mech, "p", None) or 2.0
+
+
 def ppr(x, x2, y_index: int, mech) -> float:
-    """Log-probability gap of one output per unit of lp distance."""
+    """Log-probability gap of one output per unit of lp distance.
+
+    Distances use the mechanism's own metric order.
+    """
     x = as_point(x)
     x2 = as_point(x2)
     if np.array_equal(x, x2):
         raise ValueError("probability ratio requires two distinct points")
-    p = mech.metric_p if getattr(mech, "metric_p", None) else getattr(mech, "p", 2.0)
-    d = lp_distance(x, x2, p)
+    d = lp_distance(x, x2, _metric_order(mech))
     logs = _floored_logs(mech, np.stack([x, x2]))
     gap = abs(float(logs[0, y_index] - logs[1, y_index]))
     return gap / d
@@ -172,10 +185,10 @@ def violation_ratio(mech, eps: float, p: float | None = None,
     (pair, output) rate is also reported. ``worst_pairs`` lists the
     ``top_k`` largest PPRs in (-ppr, i, j) order. Deterministic for a
     fixed seed; row blocks may be evaluated by up to ``threads`` workers,
-    each reducing its pairs to counts, a max and its own top_k.
+    each reducing its pairs to counts, a max and its own top_k. ``p``
+    None audits under the mechanism's own metric order.
     """
-    if p is None:
-        p = getattr(mech, "metric_p", None) or 2.0
+    p = _metric_order(mech, p)
     if top_k < 0:
         raise ValueError(f"top_k must be >= 0, got {top_k}")
 
@@ -219,10 +232,10 @@ def ppr_histogram(mech, eps: float, p: float | None = None,
     """Histogram of per-pair worst-output PPR values.
 
     Returns (bin_edges, counts); bins span [0, max(eps * 2, observed max)]
-    so the budget threshold sits inside the plotted range.
+    so the budget threshold sits inside the plotted range. ``p`` None
+    uses the mechanism's own metric order.
     """
-    if p is None:
-        p = getattr(mech, "metric_p", None) or 2.0
+    p = _metric_order(mech, p)
     parts = _map_blocks(mech, eps, p, sample_count, seed, threads,
                         lambda ppr, dist, logs, start: ppr[ppr > -np.inf])
     values = np.concatenate(parts)

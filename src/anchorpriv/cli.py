@@ -64,6 +64,12 @@ class PrivacySpec:
             raise ConfigError(f"metric.p must be >= 1, got {self.p}")
         if not self.eps or not all(e > 0 for e in self.eps):
             raise ConfigError("privacy.eps must contain positive values")
+        # Output files, manifest entries and result rows are keyed by the
+        # budget's :g label, so two budgets may not share one.
+        labels = [f"{e:g}" for e in self.eps]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ConfigError(f"privacy.eps lists budget {label} more than once")
         if self.budget_mode not in BUDGET_MODES:
             raise ConfigError(
                 f"privacy.budget_mode must be one of {BUDGET_MODES}, got {self.budget_mode!r}"
@@ -602,14 +608,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _env_threads() -> int:
-    if THREADS_ENV not in os.environ:
+def _threads(flag: int | None) -> int:
+    """Worker count: ``--threads``, else the environment variable, else 1."""
+    if flag is not None:
+        source, value = "--threads", flag
+    elif THREADS_ENV in os.environ:
+        source, text = THREADS_ENV, os.environ[THREADS_ENV]
+        try:
+            value = int(text)
+        except ValueError:
+            raise ConfigError(f"{THREADS_ENV} must be an integer, got {text!r}") from None
+    else:
         return 1
-    text = os.environ[THREADS_ENV]
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {text!r}") from None
+    if value < 1:
+        raise ConfigError(f"{source} must be >= 1, got {value}")
+    return value
 
 
 def main(argv=None) -> int:
@@ -618,8 +631,7 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "eps") and isinstance(args.eps, str):
             args.eps = _parse_eps(args.eps)
-        if args.threads is None:
-            args.threads = _env_threads()
+        args.threads = _threads(args.threads)
         return args.func(args)
     except OutOfDomainError:
         # Commands only evaluate points drawn inside the domain, so this is

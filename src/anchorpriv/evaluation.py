@@ -354,9 +354,7 @@ class InstanceSpec:
 
     The default box is 2 x 2 domain units (think km), so budgets around
     0.2..1.6 per unit keep every mechanism in the moderately concentrated
-    regime where optimized tables pay off. Cell volumes must stay at or
-    below the per-cell sample count for the aggregated loss lower bound
-    to remain valid against the discretized expected loss.
+    regime where optimized tables pay off.
 
     These defaults are the command line's too: every field is a config
     key (``lower``, ``upper`` and ``grid`` in section ``domain``, the rest

@@ -432,3 +432,46 @@ class TestLowerBound:
             lb = lower_bound(part, outputs, eps, 2.0, loss, prior)
             actual = expected_loss(mech, prior, loss)
             assert actual >= lb - 1e-8
+
+    def test_valid_when_cells_hold_fewer_points_than_their_volume(self):
+        # The desk instance stretched to 8 x 8 units on a 2 x 2 grid with the
+        # prior on the 9 anchors: cells of volume 16 hold 1 to 4 points each.
+        from anchorpriv.cli import CompareSpec, PrivacySpec, make_method
+        from anchorpriv.evaluation import InstanceSpec, expected_loss, synth_instance
+
+        spec = InstanceSpec(upper=(8.0, 8.0), grid=(2, 2), weight_jitter=0.5,
+                            prior_on_anchors=True)
+        inst = synth_instance(spec, seed=6)
+        lb = lower_bound(inst.partition, inst.outputs, 0.05, 2.0, inst.loss, inst.prior)
+        for tag in ("AIPO", "RMP-EM"):
+            mech = make_method(tag, inst, 0.05, PrivacySpec(p=2.0), CompareSpec())
+            assert expected_loss(mech, inst.prior, inst.loss) >= lb - 1e-8, tag
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
+    def test_pair_bounds_use_largest_cell_distance(self, p, monkeypatch):
+        # Reference: the largest distance between two cells is the largest
+        # distance between one corner of each.
+        import anchorpriv.apo as apo
+        from anchorpriv.geometry import corner_offsets, lp_distance
+
+        part = Partition((0.0, 0.0), (3.0, 1.0), (3, 2))
+        prior, loss, outputs = matrix_setup(
+            part.cell_lower + 0.5 * part.deltas, np.full(6, 1.0 / 6),
+            np.ones((6, 2)), [[0.0, 0.0], [3.0, 1.0]],
+        )
+        programs = []
+        solve = apo.solve_lp
+        monkeypatch.setattr(apo, "solve_lp", lambda lp: programs.append(lp) or solve(lp))
+        lower_bound(part, outputs, 0.7, p, loss, prior)
+        a_ub = programs[0].matrices()[0].toarray()
+        corners = [base + corner_offsets(2) * part.deltas for base in part.cell_lower]
+        t = 0
+        for m in range(part.n_cells):
+            for m2 in range(m + 1, part.n_cells):
+                d = max(lp_distance(a, b, p) for a in corners[m] for b in corners[m2])
+                # First row of pair t: z[m, 0] - bound * z[m2, 0] <= 0.
+                row = a_ub[2 * t * outputs.size]
+                assert row[2 * m] == 1.0
+                assert -row[2 * m2] == pytest.approx(math.exp(0.7 * d), rel=1e-12)
+                t += 1
+        assert 2 * t * outputs.size == a_ub.shape[0]

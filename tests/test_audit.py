@@ -117,6 +117,25 @@ class TestViolationRatio:
         rep = violation_ratio(mech, 1.0, 2.0, sample_count=40, seed=0)
         assert rep.worst_pairs == [(0.0, 0, j) for j in range(1, 6)]
 
+    def test_default_metric_order_is_the_mechanisms_own(self):
+        # A closed-form mechanism carries its order as ``p``; ppr, the audit
+        # and the histogram all fall back to it, not to 2.
+        rng = np.random.default_rng(5)
+        outputs = OutputDomain(points=rng.random((4, 2)))
+        mech = ExponentialMechanism(outputs, ((0.0, 0.0), (1.0, 1.0)), eps=1.0, p=1.0)
+        implicit = violation_ratio(mech, 0.5, sample_count=60, seed=0)
+        explicit = violation_ratio(mech, 0.5, 1.0, sample_count=60, seed=0)
+        assert implicit.metric_p == 1.0
+        assert implicit.to_json_dict() == explicit.to_json_dict()
+        assert implicit.max_ppr != violation_ratio(mech, 0.5, 2.0, sample_count=60, seed=0).max_ppr
+        for a, b in zip(ppr_histogram(mech, 0.5, sample_count=30, seed=0),
+                        ppr_histogram(mech, 0.5, 1.0, sample_count=30, seed=0)):
+            assert np.array_equal(a, b)
+        x, x2 = (0.1, 0.2), (0.7, 0.9)
+        d1 = 0.6 + 0.7
+        gap = abs(float(np.diff(mech.log_probs(np.array([x, x2]))[:, 0])[0]))
+        assert ppr(x, x2, 0, mech) == pytest.approx(gap / d1, rel=1e-12)
+
 
 class TestHistogram:
     def test_constant_mechanism_mass_in_first_bin(self):

@@ -271,11 +271,21 @@ class TestErrors:
         assert main(["synthesize", "--config", str(cfg)]) == 2
 
     def test_bad_threads_env_is_config_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("ANCHORPRIV_THREADS", "abc")
         cfg = write_config(tmp_path)
-        code = main(["lower-bound", "--config", str(cfg), "--out-dir", str(tmp_path / "lb")])
-        assert code == 2
-        assert "config error: ANCHORPRIV_THREADS" in capsys.readouterr().err
+        cases = (
+            ("abc", [], "config error: ANCHORPRIV_THREADS must be an integer"),
+            ("0", [], "config error: ANCHORPRIV_THREADS must be >= 1"),
+            (None, ["--threads", "-3"], "config error: --threads must be >= 1"),
+        )
+        for env, flags, message in cases:
+            if env is None:
+                monkeypatch.delenv("ANCHORPRIV_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("ANCHORPRIV_THREADS", env)
+            code = main(["lower-bound", "--config", str(cfg),
+                         "--out-dir", str(tmp_path / "lb"), *flags])
+            assert code == 2
+            assert message in capsys.readouterr().err
 
     def test_bad_eps_flag_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -285,6 +295,19 @@ class TestErrors:
         ])
         assert code == 2
         assert "config error: --eps" in capsys.readouterr().err
+
+
+    def test_duplicate_budget_is_config_error(self, tmp_path, capsys):
+        # 0.4000001 prints as 0.4 too, so its files would overwrite 0.4's.
+        cfg = write_config(tmp_path)
+        for command in ("synthesize", "compare", "lower-bound"):
+            for eps in ("0.4,0.4", "0.4,0.8,0.4000001"):
+                out = tmp_path / command
+                code = main([command, "--config", str(cfg), "--out-dir", str(out),
+                             "--eps", eps])
+                assert code == 2
+                assert "privacy.eps lists budget 0.4 more than once" in capsys.readouterr().err
+                assert not out.exists()
 
 
 class TestStrictConfig:

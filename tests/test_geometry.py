@@ -99,6 +99,10 @@ class TestPartitionDomain:
         part = Partition(*UNIT_SQUARE, (3, 2))
         total = part.n_cells * np.prod(part.deltas)
         assert total == pytest.approx(1.0, abs=1e-12)
+        # distinct cells, each inside the bounds
+        assert np.unique(part.cell_lower, axis=0).shape[0] == part.n_cells
+        assert np.all(part.cell_lower >= part.lower)
+        assert np.all(part.cell_lower + part.deltas <= part.upper + 1e-12)
         # every cell corner appears in the anchor lattice exactly once
         corners = (part.cell_lower[:, None, :] + part.offsets * part.deltas).reshape(-1, 2)
         uniq = np.unique(np.round(corners, 12), axis=0)
