@@ -9,8 +9,6 @@ averaged distribution per cell, valid for every prior.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -46,6 +44,10 @@ __all__ = [
 ROW_SUM_TOL = 1e-9
 PRE_NORMALIZATION_TOL = 1e-7
 BUDGET_TOL = 1e-12
+# The lower bound keeps only the cell pairs whose ratio bound exp(eps * d)
+# is at most exp(MAX_LOG_RATIO) = 1e8: HiGHS fails on coefficient ranges
+# near 1e12 (reached at eps 10 on the 2 x 2 desk domain).
+MAX_LOG_RATIO = math.log(1e8)
 
 
 @dataclass(frozen=True)
@@ -94,38 +96,6 @@ class PerturbationTable:
     @property
     def n_outputs(self) -> int:
         return self.probs.shape[1]
-
-    def to_csv(self, labels=None) -> str:
-        """CSV with a header of output ids, rows as (anchor id, probabilities).
-
-        Probabilities carry 17 significant digits, enough to round-trip
-        float64 exactly.
-        """
-        labels = labels or [f"y{k}" for k in range(self.n_outputs)]
-        buf = io.StringIO()
-        buf.write("anchor," + ",".join(labels) + "\n")
-        for i, row in enumerate(self.probs):
-            cells = ",".join(format(v, ".17g") for v in row)
-            buf.write(f"a{i},{cells}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "PerturbationTable":
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        rows = [
-            [float(v) for v in ln.split(",")[1:]] for ln in lines[1:]
-        ]
-        return cls(np.asarray(rows))
-
-    def to_json_dict(self) -> dict:
-        return {"probs": [[float(v) for v in row] for row in self.probs]}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PerturbationTable":
-        return cls(np.asarray(d["probs"], dtype=float))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 @dataclass(frozen=True)
@@ -382,6 +352,12 @@ def lower_bound(
     objective coefficient is its point count times the cheapest
     prior-weighted loss among its points, so the value bounds the
     discretized expected loss from below for every prior.
+
+    Pairs whose ratio bound exceeds exp(MAX_LOG_RATIO) are left out, which
+    keeps the program solvable at any eps. Dropping rows only lowers the
+    minimum, so the value stays a valid bound; once eps times the closest
+    cell pair's distance exceeds MAX_LOG_RATIO no pair is left and the
+    value is the cheapest output per cell, usually 0.
     """
     if eps_total < 0:
         raise ValueError("total budget must be non-negative")
@@ -408,8 +384,10 @@ def lower_bound(
         dist = worst.max(axis=1)
     else:
         dist = np.sum(worst**p, axis=1) ** (1.0 / p)
-    bound = [math.exp(eps_total * d) for d in dist]
-    sol = solve_lp(_ratio_program(objective, first, second, bound))
+    log_ratio = eps_total * dist
+    keep = log_ratio <= MAX_LOG_RATIO
+    bound = [math.exp(v) for v in log_ratio[keep]]
+    sol = solve_lp(_ratio_program(objective, first[keep], second[keep], bound))
     if not sol.is_optimal:
         raise SolverError(f"lower-bound program unexpectedly {sol.status}")
     return float(sol.objective_value)

@@ -13,7 +13,6 @@ reduced before the next, so memory stays linear in the sample count.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ from .geometry import as_point, lp_distance, lp_distance_matrix
 from .interpolation import PROB_FLOOR
 from .mechanisms import log_probs
 
-__all__ = ["AuditReport", "ppr", "violation_ratio", "ppr_histogram", "histogram_csv"]
+__all__ = ["AuditReport", "ppr", "violation_ratio", "ppr_histogram"]
 
 ROW_BLOCK = 64
 
@@ -100,9 +99,6 @@ class AuditReport:
                 {"ppr": v, "first": i, "second": j} for v, i, j in self.worst_pairs
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=1, sort_keys=True)
 
 
 def _sample_points(mech, n: int, rng) -> np.ndarray:
@@ -242,12 +238,3 @@ def ppr_histogram(mech, eps: float, p: float | None = None,
     upper = max(2.0 * eps, float(values.max()) if values.size else 0.0) or 1.0
     counts, edges = np.histogram(values, bins=bins, range=(0.0, upper))
     return edges, counts
-
-
-def histogram_csv(edges, counts) -> str:
-    lines = ["bin_lo,bin_hi,count"]
-    for b in range(len(counts)):
-        lines.append(
-            f"{format(edges[b], '.17g')},{format(edges[b + 1], '.17g')},{int(counts[b])}"
-        )
-    return "\n".join(lines) + "\n"

@@ -30,7 +30,6 @@ __all__ = [
     "equal_split",
     "feasible_allocations",
     "optimize_allocation",
-    "allocation_curve_csv",
 ]
 
 log = logging.getLogger(__name__)
@@ -145,13 +144,3 @@ def optimize_allocation(candidates, evaluator):
     failed.sort(key=lambda row: tuple(row[0].eps))
     best = min(results, key=lambda r: (r[0], r[1]))[2]
     return best, curve, failed
-
-
-def allocation_curve_csv(curve) -> str:
-    """Render a sweep curve as CSV columns (eps1, eps2, loss)."""
-    lines = ["eps1,eps2,loss"]
-    for e1, e2, loss in curve:
-        lines.append(
-            f"{format(e1, '.17g')},{format(e2, '.17g')},{format(loss, '.17g')}"
-        )
-    return "\n".join(lines) + "\n"

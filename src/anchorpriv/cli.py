@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import os
 import sys
@@ -31,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import __version__, apo, audit, budget, evaluation, mechanisms
+from . import __version__, apo, audit, budget, evaluation, formats, mechanisms
 from .errors import ConfigError, OutOfDomainError, SolverError
 from .geometry import Partition, locate_cells
 from .interpolation import Mechanism
@@ -98,9 +97,14 @@ class CompareSpec:
     tem_radius: float | None = None
 
     def __post_init__(self):
+        if not self.methods:
+            raise ConfigError("compare.methods (or --method) must name at least one method")
         for tag in self.methods:
             if tag not in METHODS:
                 raise ConfigError(f"unknown method tag {tag!r}; known: {', '.join(METHODS)}")
+            if self.methods.count(tag) > 1:
+                raise ConfigError(
+                    f"compare.methods (or --method) lists method {tag!r} more than once")
         if self.replicates < 1:
             raise ConfigError(f"compare.replicates must be >= 1, got {self.replicates}")
         if self.audit_samples < 2:
@@ -350,19 +354,7 @@ def make_method(tag: str, instance, eps: float, priv: PrivacySpec = PrivacySpec(
 
 
 # ---------------------------------------------------------------------------
-# Output helpers
-
-
-def _write_text(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-
-
-def _write_json(path: Path, payload: dict):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+# Commands
 
 
 def _manifest(command: str, cfg_hash: str, seed: int, extra=None) -> dict:
@@ -377,16 +369,6 @@ def _manifest(command: str, cfg_hash: str, seed: int, extra=None) -> dict:
     return payload
 
 
-def _fmt(value) -> str:
-    if value is None or value == "":
-        return ""
-    return format(float(value), ".17g")
-
-
-# ---------------------------------------------------------------------------
-# Commands
-
-
 def _run_settings(args):
     """(config, privacy settings, instance seed) of a config-driven command.
 
@@ -395,7 +377,7 @@ def _run_settings(args):
     run = load_config(args.config)
     if args.seed is not None:
         run = replace(run, seed=args.seed)
-    priv = replace(run.privacy, eps=tuple(args.eps)) if args.eps else run.privacy
+    priv = run.privacy if args.eps is None else replace(run.privacy, eps=tuple(args.eps))
     return run, priv, run.seed
 
 
@@ -413,12 +395,12 @@ def cmd_synthesize(args) -> int:
             for bv, message in failures
         ]
         name = f"mechanism_eps{eps:g}.json"
-        out_dir.mkdir(parents=True, exist_ok=True)
         mech.save(out_dir / name)
         written.append(name)
         if curve is not None:
-            _write_text(out_dir / f"sweep_eps{eps:g}.csv", budget.allocation_curve_csv(curve))
-    _write_json(
+            formats.write_text(out_dir / f"sweep_eps{eps:g}.csv",
+                               formats.csv_text(("eps1", "eps2", "loss"), curve))
+    formats.write_json(
         out_dir / "manifest_synthesize.json",
         _manifest("synthesize", run.sha256, seed, {
             "eps": list(priv.eps),
@@ -444,9 +426,10 @@ def cmd_audit(args) -> int:
         mech, args.eps, mech.metric_p, sample_count=min(args.samples, 300),
         bins=args.bins, seed=args.seed, threads=args.threads,
     )
-    _write_json(out_dir / "audit_report.json", report.to_json_dict())
-    _write_text(out_dir / "ppr_histogram.csv", audit.histogram_csv(edges, counts))
-    _write_json(
+    formats.write_json(out_dir / "audit_report.json", report.to_json_dict())
+    formats.write_text(out_dir / "ppr_histogram.csv", formats.csv_text(
+        ("bin_lo", "bin_hi", "count"), zip(edges[:-1], edges[1:], counts)))
+    formats.write_json(
         out_dir / "manifest_audit.json",
         _manifest("audit", hashlib.sha256(mech_bytes).hexdigest(), args.seed, {
             "eps": args.eps,
@@ -465,12 +448,12 @@ def cmd_lower_bound(args) -> int:
     instance = evaluation.synth_instance(run.instance, seed=seed)
     values = {f"{eps:g}": make_method("LB", instance, eps, priv) for eps in priv.eps}
     out_dir = Path(args.out_dir)
-    _write_json(out_dir / "lower_bound.json", {
+    formats.write_json(out_dir / "lower_bound.json", {
         "metric_p": priv.p,
         "seed": seed,
         "values": values,
     })
-    _write_json(
+    formats.write_json(
         out_dir / "manifest_lower_bound.json",
         _manifest("lower-bound", run.sha256, seed, {"eps": list(priv.eps)}),
     )
@@ -510,7 +493,7 @@ def cmd_compare(args) -> int:
             "method", "eps", "utility_loss", "utility_loss_ci95",
             "violation_ratio", "violation_ratio_ci95", "wall_time_ms",
         ]
-    lines = [",".join(header)]
+    rows = []
     for method in methods:
         for eps in priv.eps:
             losses, viols, times = [], [], []
@@ -529,13 +512,11 @@ def cmd_compare(args) -> int:
             if replicates > 1:
                 ci = 1.96 * float(np.std(losses))
                 vci = 1.96 * float(np.std(viols)) if viols else None
-                row = [method, format(eps, "g"), _fmt(mean_loss), _fmt(ci),
-                       _fmt(mean_viol), _fmt(vci), _fmt(mean_ms)]
+                rows.append([method, format(eps, "g"), mean_loss, ci, mean_viol, vci, mean_ms])
             else:
-                row = [method, format(eps, "g"), _fmt(mean_loss), _fmt(mean_viol), _fmt(mean_ms)]
-            lines.append(",".join(row))
-    _write_text(out_dir / "results.csv", "\n".join(lines) + "\n")
-    _write_json(
+                rows.append([method, format(eps, "g"), mean_loss, mean_viol, mean_ms])
+    formats.write_text(out_dir / "results.csv", formats.csv_text(header, rows))
+    formats.write_json(
         out_dir / "manifest_compare.json",
         _manifest("compare", run.sha256, seed, {
             "methods": list(methods),
@@ -555,9 +536,12 @@ def _parse_eps(text):
     if text is None:
         return None
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"--eps must be a comma-separated number list: {exc}") from exc
+    if not values:
+        raise ConfigError(f"--eps must list at least one budget, got {text!r}")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

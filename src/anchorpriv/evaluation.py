@@ -13,23 +13,22 @@ text, and the prior (and matrix losses) as CSV.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import formats
 from .apo import OutputDomain
 from .errors import ConfigError
-from .geometry import Partition, as_point, as_points
+from .geometry import Partition, as_point, nearest
 from .mechanisms import log_probs
 
 __all__ = [
     "RoadGraph",
     "shortest_paths",
     "nearest_node",
-    "nearest_nodes",
     "task_loss",
     "PriorModel",
     "LossModel",
@@ -77,22 +76,25 @@ class RoadGraph:
         """Plain text format: first line "V E", then one "u v w" line per edge."""
         lines = [f"{self.n_nodes} {self.n_edges}"]
         for x, y in self.nodes:
-            lines.append(f"n {format(x, '.17g')} {format(y, '.17g')}")
+            lines.append(f"n {formats.float_text(x)} {formats.float_text(y)}")
         for u, v, w in self.edges:
-            lines.append(f"{u} {v} {format(w, '.17g')}")
+            lines.append(f"{u} {v} {formats.float_text(w)}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "RoadGraph":
         lines = [ln for ln in text.strip().splitlines() if ln]
-        v_count, e_count = (int(tok) for tok in lines[0].split())
         nodes, edges = [], []
-        for ln in lines[1:]:
-            toks = ln.split()
-            if toks[0] == "n":
-                nodes.append((float(toks[1]), float(toks[2])))
-            else:
-                edges.append((int(toks[0]), int(toks[1]), float(toks[2])))
+        try:
+            v_count, e_count = (int(tok) for tok in lines[0].split())
+            for ln in lines[1:]:
+                toks = ln.split()
+                if toks[0] == "n":
+                    nodes.append((float(toks[1]), float(toks[2])))
+                else:
+                    edges.append((int(toks[0]), int(toks[1]), float(toks[2])))
+        except IndexError as exc:
+            raise ValueError(f"graph text has a missing field: {exc}") from exc
         if len(nodes) != v_count or len(edges) != e_count:
             raise ValueError("graph header does not match body")
         return cls(np.asarray(nodes), edges)
@@ -120,19 +122,9 @@ def shortest_paths(graph: RoadGraph, source: int) -> np.ndarray:
     return dist
 
 
-def nearest_nodes(graph: RoadGraph, X) -> np.ndarray:
-    """Graph node closest to each row of ``X`` under the Euclidean distance.
-
-    On an exact tie the lowest node id wins.
-    """
-    X = as_points(X, graph.nodes.shape[1])
-    d2 = np.sum((X[:, None, :] - graph.nodes[None, :, :]) ** 2, axis=2)
-    return np.argmin(d2, axis=1)
-
-
 def nearest_node(graph: RoadGraph, x) -> int:
-    """Graph node closest to ``x``; the one-row case of :func:`nearest_nodes`."""
-    return int(nearest_nodes(graph, as_point(x)[None])[0])
+    """Graph node closest to ``x`` (Euclidean); on an exact tie the lowest id wins."""
+    return int(nearest(graph.nodes, as_point(x)[None])[0])
 
 
 def task_loss(x, y, task_nodes, task_masses, graph: RoadGraph, dist_table=None) -> float:
@@ -213,21 +205,6 @@ class PriorModel:
             masses = masses / masses.sum()
         return cls(points, masses)
 
-    def to_csv(self) -> str:
-        """Columns x0..x{N-1},mass with full float64 precision."""
-        n = self.points.shape[1]
-        lines = [",".join(f"x{l}" for l in range(n)) + ",mass"]
-        for pt, mass in zip(self.points, self.masses):
-            coords = ",".join(format(v, ".17g") for v in pt)
-            lines.append(f"{coords},{format(mass, '.17g')}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "PriorModel":
-        rows = [ln.split(",") for ln in text.strip().splitlines()[1:] if ln]
-        values = np.array([[float(v) for v in row] for row in rows])
-        return cls(values[:, :-1], values[:, -1])
-
 
 # Distinct (points, outputs) pairs whose loss rows one LossModel keeps.
 MATRIX_MEMO_SIZE = 4
@@ -273,22 +250,6 @@ class LossModel:
             task_masses=masses, dist_table=table,
         )
 
-    def matrix_csv(self) -> str:
-        """Matrix-backed losses as CSV, one row per stored sample point."""
-        if self.kind != "matrix":
-            raise ValueError("only matrix-backed losses serialize to CSV")
-        k = self._matrix.shape[1]
-        lines = [",".join(f"y{j}" for j in range(k))]
-        for row in self._matrix:
-            lines.append(",".join(format(v, ".17g") for v in row))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def matrix_from_csv(cls, points, text: str) -> "LossModel":
-        rows = [ln.split(",") for ln in text.strip().splitlines()[1:] if ln]
-        matrix = np.array([[float(v) for v in row] for row in rows])
-        return cls.from_matrix(points, matrix)
-
     def matrix_at(self, points, outputs: OutputDomain) -> np.ndarray:
         """:meth:`loss_matrix`, computed once per distinct (points, outputs).
 
@@ -317,8 +278,8 @@ class LossModel:
             if points.shape != self._points.shape or not np.array_equal(points, self._points):
                 raise ValueError("matrix-backed loss only defined at its stored points")
             return self._matrix[:, : outputs.size]
-        x_nodes = nearest_nodes(self.graph, points)
-        y_nodes = nearest_nodes(self.graph, outputs.points)
+        x_nodes = nearest(self.graph.nodes, points)
+        y_nodes = nearest(self.graph.nodes, outputs.points)
         dx = self._dist_table[:, x_nodes]  # (T, n)
         dy = self._dist_table[:, y_nodes]  # (T, K)
         finite_x, finite_y = np.isfinite(dx), np.isfinite(dy)
@@ -492,68 +453,63 @@ def synth_instance(spec: InstanceSpec = InstanceSpec(), seed: int = 0) -> Instan
 def save_instance(instance: Instance, directory):
     """Write an instance bundle: manifest.json naming the parts.
 
-    The graph lands in graph.txt, the prior in prior.csv; task-based
-    losses embed their node/mass lists in the manifest while matrix
-    losses go to loss.csv.
+    The graph lands in graph.txt, the prior in prior.csv (columns
+    x0..x{N-1},mass); task-based losses embed their node/mass lists in the
+    manifest while matrix losses go to loss.csv (columns y0..y{K-1}, one
+    row per prior point).
     """
     root = Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
-    lo, hi = instance.partition.bounds
+    prior = instance.prior
     manifest = {
         "format": "anchorpriv-instance",
         "version": 1,
-        "partition": {
-            "lower": [float(v) for v in lo],
-            "upper": [float(v) for v in hi],
-            "counts": [int(c) for c in instance.partition.counts],
-        },
-        "outputs": {
-            "points": [[float(v) for v in pt] for pt in instance.outputs.points],
-            "labels": list(instance.outputs.labels),
-        },
+        "partition": formats.partition_block(instance.partition),
+        "outputs": formats.outputs_block(instance.outputs),
         "graph": "graph.txt",
         "prior": "prior.csv",
     }
-    (root / "graph.txt").write_text(instance.graph.to_text())
-    (root / "prior.csv").write_text(instance.prior.to_csv())
+    formats.write_text(root / "graph.txt", instance.graph.to_text())
+    formats.write_text(root / "prior.csv", formats.csv_text(
+        [f"x{l}" for l in range(prior.points.shape[1])] + ["mass"],
+        np.column_stack([prior.points, prior.masses]),
+    ))
     if instance.loss.kind == "tasks":
         manifest["tasks"] = {
             "nodes": [int(t) for t in instance.loss.task_nodes],
             "masses": [float(m) for m in instance.loss.task_masses],
         }
     else:
+        matrix = instance.loss._matrix
         manifest["loss"] = "loss.csv"
-        (root / "loss.csv").write_text(instance.loss.matrix_csv())
-    with open(root / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        formats.write_text(root / "loss.csv", formats.csv_text(
+            [f"y{k}" for k in range(matrix.shape[1])], matrix))
+    formats.write_json(root / "manifest.json", manifest)
 
 
 def load_instance(directory) -> Instance:
-    """Load a bundle written by :func:`save_instance`."""
+    """Load a bundle written by :func:`save_instance`.
+
+    A missing manifest field, or a malformed partition, outputs block,
+    graph or CSV part, raises ValueError.
+    """
     root = Path(directory)
-    manifest = json.loads((root / "manifest.json").read_text())
-    if manifest.get("format") != "anchorpriv-instance":
+    manifest = formats.read_json(root / "manifest.json")
+    if not isinstance(manifest, dict) or manifest.get("format") != "anchorpriv-instance":
         raise ValueError(f"{root} does not hold an instance bundle")
-    part = Partition(
-        manifest["partition"]["lower"],
-        manifest["partition"]["upper"],
-        manifest["partition"]["counts"],
-    )
-    outputs = OutputDomain(
-        points=np.asarray(manifest["outputs"]["points"], dtype=float),
-        labels=tuple(manifest["outputs"]["labels"]),
-    )
-    graph = RoadGraph.from_text((root / manifest["graph"]).read_text())
-    prior = PriorModel.from_csv((root / manifest["prior"]).read_text())
+    what = "instance manifest"
+    part = formats.read_partition(manifest, what)
+    outputs = formats.read_outputs(manifest, what)
+    graph = RoadGraph.from_text((root / formats.field(manifest, "graph", what)).read_text())
+    values = formats.read_float_csv(root / formats.field(manifest, "prior", what))
+    prior = PriorModel(values[:, :-1], values[:, -1])
     if "tasks" in manifest:
         loss = LossModel.from_tasks(
-            graph, manifest["tasks"]["nodes"], manifest["tasks"]["masses"]
+            graph, formats.field(manifest, "tasks.nodes", what),
+            formats.field(manifest, "tasks.masses", what),
         )
     else:
-        loss = LossModel.matrix_from_csv(
-            prior.points, (root / manifest["loss"]).read_text()
-        )
+        loss = LossModel.from_matrix(prior.points, formats.read_float_csv(
+            root / formats.field(manifest, "loss", what)))
     return Instance(
         partition=part, prior=prior, outputs=outputs, loss=loss, graph=graph
     )

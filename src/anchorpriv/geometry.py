@@ -27,6 +27,7 @@ __all__ = [
     "as_points",
     "lp_distance",
     "lp_distance_matrix",
+    "nearest",
     "dual_exponent",
     "corner_offsets",
     "locate_cell",
@@ -77,6 +78,16 @@ def lp_distance_matrix(A, B, p: float) -> np.ndarray:
 def lp_distance(a, b, p: float) -> float:
     """lp distance between two points; the one-pair case of lp_distance_matrix."""
     return float(lp_distance_matrix(as_point(a)[None], as_point(b)[None], p)[0, 0])
+
+
+def nearest(points, X) -> np.ndarray:
+    """Index of the row of ``points`` closest to each row of ``X`` (Euclidean).
+
+    On an exact tie the lowest index wins.
+    """
+    X = as_points(X, points.shape[1])
+    d2 = np.sum((X[:, None, :] - points[None, :, :]) ** 2, axis=2)
+    return np.argmin(d2, axis=1)
 
 
 def dual_exponent(p: float) -> float:

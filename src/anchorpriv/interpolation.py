@@ -15,13 +15,11 @@ satisfies; it perturbs each row's normalizer by at most K * PROB_FLOOR.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
-from scipy.special import logsumexp
 
-from . import mechanisms
+from . import formats, mechanisms
 from .apo import BudgetVector, OutputDomain, PerturbationTable
 from .geometry import Partition, as_point, corner_weights, locate_cells
 
@@ -52,24 +50,6 @@ def logcvx_1d(z_lo: float, z_hi: float, lam: float) -> float:
 
 # The mechanism file layout written by to_json_dict, and the only one read.
 FORMAT_VERSION = 1
-
-
-def _field(d: dict, path: str):
-    """Value at the dotted ``path`` of a mechanism dict; ValueError naming it if absent."""
-    value = d
-    for key in path.split("."):
-        if not isinstance(value, dict) or key not in value:
-            raise ValueError(f"mechanism lacks field {path!r}")
-        value = value[key]
-    return value
-
-
-def _number(d: dict, key: str):
-    """Optional numeric field ``key`` of a mechanism dict (None when null or absent)."""
-    value = d.get(key)
-    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))):
-        raise ValueError(f"mechanism field {key!r} must be a number or null, got {value!r}")
-    return value
 
 
 class Mechanism:
@@ -132,8 +112,7 @@ class Mechanism:
         Continuous across cell faces: a shared face fixes the weights of
         the corners both cells have in common and zeroes the rest.
         """
-        s = self._log_scores(X)
-        return s - logsumexp(s, axis=1, keepdims=True)
+        return mechanisms.log_normalize(self._log_scores(X))
 
     def log_distribution_at(self, x) -> np.ndarray:
         """Normalized log-probabilities at one point (one row of log_probs)."""
@@ -152,29 +131,19 @@ class Mechanism:
         return mechanisms.sample(self, X, rng)
 
     def to_json_dict(self) -> dict:
-        lo, hi = self.partition.bounds
         return {
             "format": "anchorpriv-mechanism",
             "version": FORMAT_VERSION,
             "metric_p": None if self.metric_p is None else float(self.metric_p),
             "total_eps": None if self.total_eps is None else float(self.total_eps),
             "budget_eps": None if self.budget is None else [float(v) for v in self.budget.eps],
-            "partition": {
-                "lower": [float(v) for v in lo],
-                "upper": [float(v) for v in hi],
-                "counts": [int(c) for c in self.partition.counts],
-            },
-            "outputs": {
-                "points": [[float(v) for v in pt] for pt in self.outputs.points],
-                "labels": list(self.outputs.labels),
-            },
-            "table": self.table.to_json_dict(),
+            "partition": formats.partition_block(self.partition),
+            "outputs": formats.outputs_block(self.outputs),
+            "table": {"probs": [[float(v) for v in row] for row in self.table.probs]},
         }
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        formats.write_json(path, self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Mechanism":
@@ -185,23 +154,19 @@ class Mechanism:
         """
         if not isinstance(d, dict) or d.get("format") != "anchorpriv-mechanism":
             raise ValueError("not an anchorpriv mechanism (format is not 'anchorpriv-mechanism')")
-        version = _field(d, "version")
+        version = formats.field(d, "version", "mechanism")
         if type(version) is not int or version != FORMAT_VERSION:
             raise ValueError(
                 f"mechanism file version {version!r} is not supported; "
                 f"this release reads version {FORMAT_VERSION}"
             )
-        metric_p, total_eps = _number(d, "metric_p"), _number(d, "total_eps")
+        metric_p = formats.optional_number(d, "metric_p", "mechanism")
+        total_eps = formats.optional_number(d, "total_eps", "mechanism")
+        part = formats.read_partition(d, "mechanism")
+        outputs = formats.read_outputs(d, "mechanism")
         try:
-            part = Partition(
-                _field(d, "partition.lower"), _field(d, "partition.upper"),
-                _field(d, "partition.counts"),
-            )
-            outputs = OutputDomain(
-                points=np.asarray(_field(d, "outputs.points"), dtype=float),
-                labels=tuple(_field(d, "outputs.labels")),
-            )
-            table = PerturbationTable(np.asarray(_field(d, "table.probs"), dtype=float))
+            table = PerturbationTable(
+                np.asarray(formats.field(d, "table.probs", "mechanism"), dtype=float))
             budget = None
             if d.get("budget_eps") is not None:
                 budget = BudgetVector(
@@ -224,5 +189,4 @@ class Mechanism:
 
     @classmethod
     def load(cls, path) -> "Mechanism":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(formats.read_json(path))

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .apo import OutputDomain, PerturbationTable
-from .geometry import as_point, as_points, lp_distance_matrix
+from .geometry import as_point, as_points, lp_distance_matrix, nearest
 
 __all__ = [
     "log_probs",
@@ -102,7 +102,8 @@ class _PointwiseMechanism:
         return sample(self, X, rng)
 
 
-def _normalized(scores: np.ndarray) -> np.ndarray:
+def log_normalize(scores: np.ndarray) -> np.ndarray:
+    """Rows of log-scores shifted so that each row's probabilities sum to one."""
     return scores - logsumexp(scores, axis=1, keepdims=True)
 
 
@@ -122,7 +123,7 @@ class ExponentialMechanism(_PointwiseMechanism):
 
     def log_probs(self, X):
         d = lp_distance_matrix(X, self.outputs.points, self.p)
-        return _normalized(-self.exponent_factor * self.eps * d)
+        return log_normalize(-self.exponent_factor * self.eps * d)
 
 
 class PlanarLaplaceMechanism(ExponentialMechanism):
@@ -155,7 +156,7 @@ class TruncatedExponentialMechanism(ExponentialMechanism):
         inside = d <= self.radius
         if not np.all(np.any(inside, axis=1)):
             raise ValueError("no candidate within the truncation radius")
-        return _normalized(np.where(inside, -self.exponent_factor * self.eps * d, -np.inf))
+        return log_normalize(np.where(inside, -self.exponent_factor * self.eps * d, -np.inf))
 
 
 class CoarseLpMechanism(_PointwiseMechanism):
@@ -174,10 +175,8 @@ class CoarseLpMechanism(_PointwiseMechanism):
         self.table = table
 
     def log_probs(self, X):
-        X = as_points(X, self.representatives.shape[1])
-        d2 = np.sum((X[:, None, :] - self.representatives) ** 2, axis=2)
         with np.errstate(divide="ignore"):
-            return np.log(self.table.probs[np.argmin(d2, axis=1)])
+            return np.log(self.table.probs[nearest(self.representatives, X)])
 
 
 class RemappedMechanism(_PointwiseMechanism):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchorpriv import audit
+from anchorpriv import audit, formats
 from anchorpriv.apo import OutputDomain, PerturbationTable
-from anchorpriv.audit import histogram_csv, ppr, ppr_histogram, violation_ratio
+from anchorpriv.audit import ppr, ppr_histogram, violation_ratio
 from anchorpriv.geometry import Partition
 from anchorpriv.interpolation import Mechanism
 from anchorpriv.mechanisms import ExponentialMechanism
@@ -63,7 +63,7 @@ class TestViolationRatio:
         mech = _two_anchor_mech([[0.6, 0.4], [0.3, 0.7]])
         r1 = violation_ratio(mech, 0.3, 2.0, sample_count=80, seed=9)
         r2 = violation_ratio(mech, 0.3, 2.0, sample_count=80, seed=9)
-        assert r1.to_json() == r2.to_json()
+        assert r1.to_json_dict() == r2.to_json_dict()
         r3 = violation_ratio(mech, 0.3, 2.0, sample_count=80, seed=10)
         assert r3.max_ppr != r1.max_ppr
 
@@ -88,12 +88,13 @@ class TestViolationRatio:
         mech = _two_anchor_mech([[0.7, 0.3], [0.2, 0.8]])
         r1 = violation_ratio(mech, 0.4, 2.0, sample_count=60, seed=2, threads=1)
         r4 = violation_ratio(mech, 0.4, 2.0, sample_count=60, seed=2, threads=4)
-        assert r1.to_json() == r4.to_json()
+        assert r1.to_json_dict() == r4.to_json_dict()
 
-    def test_report_json_fields(self):
+    def test_report_json_fields(self, tmp_path):
         mech = _two_anchor_mech([[0.7, 0.3], [0.2, 0.8]])
         rep = violation_ratio(mech, 0.4, 2.0, sample_count=30, seed=2)
-        payload = json.loads(rep.to_json())
+        formats.write_json(tmp_path / "report.json", rep.to_json_dict())
+        payload = json.loads((tmp_path / "report.json").read_text())
         for key in (
             "eps", "metric_p", "sampled_points", "pair_count",
             "violation_ratio_percent", "pair_output_violation_ratio_percent",
@@ -149,12 +150,20 @@ class TestHistogram:
         assert counts.sum() == 50 * 49 // 2
         assert len(edges) == len(counts) + 1
 
-    def test_csv_layout(self):
+    def test_csv_layout(self, tmp_path):
+        # The rows the audit command writes to ppr_histogram.csv.
         mech = _two_anchor_mech([[0.7, 0.3], [0.2, 0.8]])
         edges, counts = ppr_histogram(mech, 0.5, 2.0, sample_count=30, bins=8, seed=3)
-        lines = histogram_csv(edges, counts).strip().splitlines()
+        text = formats.csv_text(("bin_lo", "bin_hi", "count"),
+                                zip(edges[:-1], edges[1:], counts))
+        lines = text.strip().splitlines()
         assert lines[0] == "bin_lo,bin_hi,count"
         assert len(lines) == 9
+        assert all(ln.split(",")[2].isdigit() for ln in lines[1:])
+        formats.write_text(tmp_path / "h.csv", text)
+        back = formats.read_float_csv(tmp_path / "h.csv")
+        assert np.array_equal(back[:, 0], edges[:-1]) and np.array_equal(back[:, 1], edges[1:])
+        assert np.array_equal(back[:, 2], counts)
 
 
 def _reference(mech, eps, p, n, seed, top_k, bins):

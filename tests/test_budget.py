@@ -5,8 +5,8 @@ import pytest
 
 from anchorpriv.apo import check_budget
 from anchorpriv.errors import SolverError
+from anchorpriv import formats
 from anchorpriv.budget import (
-    allocation_curve_csv,
     equal_split,
     feasible_allocations,
     optimize_allocation,
@@ -140,10 +140,13 @@ class TestOptimizeAllocation:
         with pytest.raises(TypeError):
             optimize_allocation(cands, evaluator)
 
-    def test_curve_csv_layout(self):
+    def test_curve_csv_layout(self, tmp_path):
+        # The rows synthesize writes to sweep_eps<eps>.csv.
         cands = feasible_allocations(1.0, 2.0, resolution=2)
         _, curve, _ = optimize_allocation(cands, lambda bv: float(bv.eps[0]))
-        text = allocation_curve_csv(curve)
+        text = formats.csv_text(("eps1", "eps2", "loss"), curve)
         lines = text.strip().splitlines()
         assert lines[0] == "eps1,eps2,loss"
         assert len(lines) == len(curve) + 1
+        formats.write_text(tmp_path / "sweep.csv", text)
+        assert np.array_equal(formats.read_float_csv(tmp_path / "sweep.csv"), np.array(curve))

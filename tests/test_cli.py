@@ -189,6 +189,32 @@ class TestCompare:
         ])
         assert code == 2
 
+    def test_duplicate_or_empty_method_list_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        cases = (
+            ({}, ["--method", "EM", "--method", "EM"], "lists method 'EM' more than once"),
+            ({"compare": {"methods": ["EM", "LB", "EM"]}}, [], "lists method 'EM' more than once"),
+            ({"compare": {"methods": []}}, [], "compare.methods (or --method) must name"),
+        )
+        for override, flags, message in cases:
+            cfg = write_config(tmp_path, override)
+            code = main(["compare", "--config", str(cfg), "--out-dir", str(out), *flags])
+            assert code == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_timing_fills_wall_times(self, tmp_path):
+        # Without --timing the column stays empty (test_results_table) and
+        # reruns are byte-identical (test_rerun_is_byte_identical).
+        cfg = write_config(tmp_path)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(cfg), "--out-dir", str(out), "--timing"]) == 0
+        lines = (out / "results.csv").read_text().strip().splitlines()
+        assert lines[0].endswith(",wall_time_ms") and len(lines) == 1 + 3 * 2
+        for line in lines[1:]:
+            ms = float(line.split(",")[-1])
+            assert math.isfinite(ms) and ms >= 0
+
     def test_method_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "cmp"
@@ -232,6 +258,17 @@ class TestLowerBound:
         payload = json.loads((out / "lower_bound.json").read_text())
         assert set(payload["values"]) == {"0.4", "0.8"}
         assert all(v >= 0 for v in payload["values"].values())
+
+    def test_large_budgets_solve(self, tmp_path):
+        # Ratio bounds exp(eps * d) up to ~1e12 at eps 10 on the desk domain
+        # once made HiGHS fail, and math.exp overflowed at eps 300.
+        desk = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "desk.yaml"
+        out = tmp_path / "lb"
+        assert main(["lower-bound", "--config", str(desk), "--out-dir", str(out),
+                     "--eps", "10,20,300"]) == 0
+        values = json.loads((out / "lower_bound.json").read_text())["values"]
+        assert set(values) == {"10", "20", "300"}
+        assert all(math.isfinite(v) and v >= 0 for v in values.values())
 
     def test_benchmark_tracer_counts_lp_statistics(self, tmp_path):
         # perfbench/tracer.py rebinds LinearProgram.matrices, lpcore.linprog
@@ -289,12 +326,14 @@ class TestErrors:
 
     def test_bad_eps_flag_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
-        code = main([
-            "lower-bound", "--config", str(cfg), "--out-dir", str(tmp_path / "lb"),
-            "--eps", "0.4,abc",
-        ])
-        assert code == 2
-        assert "config error: --eps" in capsys.readouterr().err
+        for eps in ("0.4,abc", "", ","):
+            code = main([
+                "lower-bound", "--config", str(cfg), "--out-dir", str(tmp_path / "lb"),
+                "--eps", eps,
+            ])
+            assert code == 2
+            assert "config error: --eps" in capsys.readouterr().err
+            assert not (tmp_path / "lb").exists()
 
 
     def test_duplicate_budget_is_config_error(self, tmp_path, capsys):

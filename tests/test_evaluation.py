@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -341,15 +343,43 @@ class TestInstanceBundle:
             loss.loss_matrix(pts, outputs),
         )
 
-    def test_prior_csv_round_trip(self):
+    def test_prior_csv_round_trip(self, tmp_path):
+        from anchorpriv.evaluation import load_instance, save_instance
+        from anchorpriv.geometry import Partition
+
         rng = np.random.default_rng(31)
         pts = rng.random((5, 2)) * 3
         masses = rng.random(5)
         masses /= masses.sum()
         prior = PriorModel(pts, masses)
-        back = PriorModel.from_csv(prior.to_csv())
+        inst = Instance(partition=Partition((0.0, 0.0), (3.0, 3.0), (1, 1)), prior=prior,
+                        outputs=OutputDomain(points=np.eye(2)),
+                        loss=LossModel.from_matrix(pts, np.ones((5, 2))), graph=_path_graph())
+        save_instance(inst, tmp_path)
+        back = load_instance(tmp_path).prior
         assert np.array_equal(back.points, prior.points)
         assert np.array_equal(back.masses, prior.masses)
+
+    def test_missing_manifest_field_is_named(self, tmp_path):
+        from anchorpriv.evaluation import load_instance, save_instance
+
+        save_instance(synth_instance(InstanceSpec(), seed=0), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        del manifest["partition"]["counts"]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="'partition.counts'"):
+            load_instance(tmp_path)
+
+    def test_malformed_part_files_are_value_errors(self, tmp_path):
+        from anchorpriv.evaluation import load_instance, save_instance
+
+        inst = synth_instance(InstanceSpec(), seed=0)
+        for name, text in (("graph.txt", ""), ("graph.txt", "3 1\nn 0 0\nn 1\n"),
+                           ("prior.csv", "x0,x1,mass\n0.5,0.5\n")):
+            save_instance(inst, tmp_path)
+            (tmp_path / name).write_text(text)
+            with pytest.raises(ValueError):
+                load_instance(tmp_path)
 
     def test_non_bundle_dir_rejected(self, tmp_path):
         from anchorpriv.evaluation import load_instance
