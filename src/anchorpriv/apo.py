@@ -4,11 +4,13 @@ Builds and solves the neighbor-constrained anchor LP with its linear
 surrogate objective, the relaxed all-pairs anchor variant, the coarse
 representative-grid LP, and the universal lower bound on the expected
 loss of any mechanism meeting the same privacy constraint, over one
-averaged distribution per cell, valid for every prior.
+averaged distribution per cell, valid for every prior and certified from
+the program's dual multipliers.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -40,6 +42,8 @@ __all__ = [
     "build_coarse_lp",
     "lower_bound",
 ]
+
+log = logging.getLogger(__name__)
 
 ROW_SUM_TOL = 1e-9
 PRE_NORMALIZATION_TOL = 1e-7
@@ -335,6 +339,24 @@ def build_coarse_lp(
     return _all_pairs_program(masses[:, None] * loss_mat, reps, eps_total, p)
 
 
+def _dual_certificate(lp: LinearProgram, multipliers) -> float:
+    """Weak-duality lower bound on a ratio program's optimum from any multipliers.
+
+    For lambda >= 0 (``multipliers`` clipped at 0), every feasible x has
+    c.x >= (c + A_ub^T lambda).x - lambda.b_ub, and since each variable sits
+    in exactly one equality row, with coefficient 1 and total b_eq_i, the
+    right side is at least sum_i b_eq_i min_k (c + A_ub^T lambda)_ik -
+    lambda.b_ub. The value holds for any multipliers, optimal or not.
+    """
+    reduced = lp.objective
+    slack = 0.0
+    if lp.a_ub is not None:
+        lam = np.clip(multipliers, 0.0, None)
+        reduced = reduced + lp.a_ub.T @ lam
+        slack = float(lam @ lp.b_ub)
+    return float(lp.b_eq @ reduced.reshape(lp.var_shape).min(axis=1)) - slack
+
+
 def lower_bound(
     partition: Partition,
     outputs: OutputDomain,
@@ -350,8 +372,16 @@ def lower_bound(
     row at any point of the cell). Two cells' averages obey the ratio
     constraint at the largest distance between the cells. Each cell's
     objective coefficient is its point count times the cheapest
-    prior-weighted loss among its points, so the value bounds the
-    discretized expected loss from below for every prior.
+    prior-weighted loss among its points, so the program's optimum bounds
+    the discretized expected loss from below for every prior.
+
+    The value returned is a weak-duality certificate of that optimum, not
+    the solver's primal objective: the program is solved without crossover
+    (``solve_lp(..., vertex=False)``) and its inequality multipliers are
+    turned into a bound by :func:`_dual_certificate`. It is the larger of
+    that and the lambda = 0 certificate, the cheapest output per cell,
+    which keeps it >= 0. Both are valid for any multipliers, so the value
+    does not rest on the solver reaching a vertex or the optimum.
 
     Pairs whose ratio bound exceeds exp(MAX_LOG_RATIO) are left out, which
     keeps the program solvable at any eps. Dropping rows only lowers the
@@ -387,7 +417,12 @@ def lower_bound(
     log_ratio = eps_total * dist
     keep = log_ratio <= MAX_LOG_RATIO
     bound = [math.exp(v) for v in log_ratio[keep]]
-    sol = solve_lp(_ratio_program(objective, first[keep], second[keep], bound))
+    lp = _ratio_program(objective, first[keep], second[keep], bound)
+    sol = solve_lp(lp, vertex=False)
     if not sol.is_optimal:
         raise SolverError(f"lower-bound program unexpectedly {sol.status}")
-    return float(sol.objective_value)
+    certificate = _dual_certificate(lp, sol.multipliers)
+    value = max(certificate, float(objective.min(axis=1).sum()))
+    log.debug("lower bound at eps %g: certificate %.17g, primal objective %.17g, gap %.3g",
+              eps_total, certificate, sol.objective_value, sol.objective_value - certificate)
+    return value

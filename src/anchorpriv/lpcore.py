@@ -5,25 +5,34 @@ and the sparse constraint matrices with their right-hand sides. Every
 variable is non-negative with no upper bound, because every program the
 package solves is a table of probabilities or masses. There is no row
 builder and no MPS writer. Programs are solved through scipy's HiGHS
-backend, which returns clean basic solutions and is deterministic for a
-fixed input. The holder hides the backend so callers only see
-:class:`LinearProgram` and :class:`LpSolution`.
+backend, which is deterministic for a fixed input and returns basic
+solutions unless the caller waives the vertex. The holder hides the
+backend so callers only see :class:`LinearProgram` and
+:class:`LpSolution`.
 
-The HiGHS algorithm is chosen by size and shape: the interior point
-solver (IPX) from :data:`IPM_MIN_VARS` variables on, unless the program
-has more than :data:`IPM_MAX_ROWS_PER_VAR` rows per variable; dual
-simplex otherwise. IPX runs crossover, so both return a basic solution.
+The HiGHS algorithm is chosen by size and shape, and by whether the
+caller needs a vertex. Every solve below :data:`IPM_MIN_VARS` variables
+runs dual simplex. From there on:
+
+- ``vertex=True`` (the default, for the table programs): the interior
+  point solver (IPX) with crossover, unless the program has more than
+  :data:`IPM_MAX_ROWS_PER_VAR` rows per variable, which stays on dual
+  simplex. Both return a basic solution.
+- ``vertex=False`` (for callers that only need values and duals, such as
+  the lower bound): IPX without crossover at any shape. The solution is
+  optimal within the tolerances but need not be a vertex.
 """
 
 from __future__ import annotations
 
 import logging
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeWarning, linprog
 
 from .errors import SolverError
 
@@ -47,13 +56,15 @@ _SOLVE_OPTIONS = {
 # solver from 784 on, on both shapes; see the README's "Solver" section.
 IPM_MIN_VARS = 700
 
-# Programs with more rows per variable than this stay on dual simplex.
-# On such tall programs (the all-pairs lower bound) HiGHS follows IPX's
-# crossover with a simplex clean-up on some inputs and not on others, as
-# the last bits of the instance fall, and the clean-up raises the peak
-# memory by a fifth; dual simplex peaks the same on every input. In the
+# Programs with more rows per variable than this stay on dual simplex
+# when a vertex is asked for. On such tall programs (the all-pairs lower
+# bound) HiGHS follows IPX's crossover with a simplex clean-up on some
+# inputs and not on others, as the last bits of the instance fall, and
+# the clean-up raises the peak memory by a fifth; dual simplex peaks the
+# same on every input. In the
 # README's size ladder the anchor programs have under 4 rows per variable
-# and the lower-bound programs of 700 variables or more over 30.
+# and the lower-bound programs of 700 variables or more over 30. Without
+# crossover there is no clean-up, so the cap does not apply.
 IPM_MAX_ROWS_PER_VAR = 8
 
 
@@ -115,7 +126,12 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
-    """Solver outcome; ``values`` and ``objective_value`` are set when optimal.
+    """Solver outcome; ``values``, ``objective_value`` and ``multipliers`` are set when optimal.
+
+    ``multipliers`` are the inequality rows' Lagrange multipliers
+    lambda = -``res.ineqlin.marginals``, one per row of ``a_ub`` (empty
+    without such rows); for a minimization they are >= 0 up to the
+    solver's tolerances.
 
     The statistics say what was solved and how: the HiGHS ``method``, the
     program's size (``n_rows`` counts both row kinds, ``nnz`` their
@@ -128,6 +144,7 @@ class LpSolution:
     status: str
     values: np.ndarray | None = None
     objective_value: float | None = None
+    multipliers: np.ndarray | None = None
     method: str = ""
     n_vars: int = 0
     n_rows: int = 0
@@ -144,8 +161,12 @@ class LpSolution:
 _STATUS_MAP = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
+def solve_lp(lp: LinearProgram, vertex: bool = True) -> LpSolution:
     """Solve a program to optimality, or report infeasible/unbounded.
+
+    ``vertex=False`` lets programs of :data:`IPM_MIN_VARS` variables or more
+    skip crossover (see the module docstring); the solution is then an
+    interior point optimal within the tolerances, not a basic one.
 
     Optimal solutions are validated against the assembled constraints within
     FEASIBILITY_TOL; violations raise SolverError since they indicate a
@@ -153,19 +174,28 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     """
     a_ub, b_ub, a_eq, b_eq, bounds = lp.matrices()
     n_rows = lp.n_ub_rows + lp.n_eq_rows
-    use_ipm = IPM_MIN_VARS <= lp.n_vars and n_rows <= IPM_MAX_ROWS_PER_VAR * lp.n_vars
+    use_ipm = IPM_MIN_VARS <= lp.n_vars and (
+        not vertex or n_rows <= IPM_MAX_ROWS_PER_VAR * lp.n_vars)
     method = "highs-ipm" if use_ipm else "highs-ds"
+    options = dict(_SOLVE_OPTIONS)
+    if use_ipm and not vertex:
+        options["run_crossover"] = "off"
     start = time.perf_counter()
-    res = linprog(
-        lp.objective,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method=method,
-        options=dict(_SOLVE_OPTIONS),
-    )
+    with warnings.catch_warnings():
+        # scipy hands options it does not know, run_crossover among them,
+        # to HiGHS verbatim and warns that it did.
+        warnings.filterwarnings("ignore", message="Unrecognized options",
+                                category=OptimizeWarning)
+        res = linprog(
+            lp.objective,
+            A_ub=a_ub,
+            b_ub=b_ub,
+            A_eq=a_eq,
+            b_eq=b_eq,
+            bounds=bounds,
+            method=method,
+            options=options,
+        )
     stats = dict(
         method=method,
         n_vars=lp.n_vars,
@@ -190,4 +220,6 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         worst = float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0))
         if worst > FEASIBILITY_TOL:
             raise SolverError(f"equality residual {worst:.3e} above tolerance")
-    return LpSolution(status="optimal", values=x, objective_value=float(res.fun), **stats)
+    multipliers = -np.asarray(res.ineqlin.marginals, dtype=float)
+    return LpSolution(status="optimal", values=x, objective_value=float(res.fun),
+                      multipliers=multipliers, **stats)

@@ -1,8 +1,15 @@
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linprog
 
+from anchorpriv import apo, lpcore
 from anchorpriv.apo import (
     BudgetVector,
     OutputDomain,
@@ -16,9 +23,49 @@ from anchorpriv.apo import (
     surrogate_coefficients,
 )
 from anchorpriv.geometry import Partition, axis_neighbors
-from anchorpriv.lpcore import solve_lp
+from anchorpriv.lpcore import _SOLVE_OPTIONS, solve_lp
 
 from conftest import matrix_setup
+
+DESK = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "desk.yaml"
+
+
+def _desk_instance():
+    from anchorpriv.cli import load_config
+    from anchorpriv.evaluation import synth_instance
+
+    run = load_config(DESK)
+    return synth_instance(run.instance, seed=run.seed), run.privacy.p
+
+
+def _spy_solves(monkeypatch):
+    """Record each (program, solution) that ``apo`` solves from now on."""
+    solves = []
+    solve = apo.solve_lp
+
+    def spy(lp, **kw):
+        sol = solve(lp, **kw)
+        solves.append((lp, sol))
+        return sol
+
+    monkeypatch.setattr(apo, "solve_lp", spy)
+    return solves
+
+
+def _vertex_optimum(lp):
+    a_ub, b_ub, a_eq, b_eq, bounds = lp.matrices()
+    ref = linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=bounds, method="highs-ds", options=dict(_SOLVE_OPTIONS))
+    assert ref.status == 0
+    return ref.fun
+
+
+def _small_ratio_program():
+    """Four table rows of three outputs, every pair ratio-bounded."""
+    rng = np.random.default_rng(8)
+    first, second = np.triu_indices(4, k=1)
+    bound = np.exp(0.6 * rng.random(first.size))
+    return apo._ratio_program(rng.random((4, 3)), first, second, bound)
 
 
 class TestPerturbationTable:
@@ -458,7 +505,8 @@ class TestLowerBound:
         )
         programs = []
         solve = apo.solve_lp
-        monkeypatch.setattr(apo, "solve_lp", lambda lp: programs.append(lp) or solve(lp))
+        monkeypatch.setattr(apo, "solve_lp",
+                            lambda lp, **kw: programs.append(lp) or solve(lp, **kw))
         lower_bound(part, outputs, 0.7, p, loss, prior)
         a_ub = programs[0].matrices()[0].toarray()
         corners = [base + corner_offsets(2) * part.deltas for base in part.cell_lower]
@@ -472,3 +520,62 @@ class TestLowerBound:
                 assert -row[2 * m2] == pytest.approx(math.exp(0.7 * d), rel=1e-12)
                 t += 1
         assert 2 * t * outputs.size == a_ub.shape[0]
+
+
+class TestDualCertificate:
+    def test_certificate_meets_vertex_optimum_from_below(self, monkeypatch):
+        # The desk bound program (144 variables) goes to IPX once the
+        # threshold is lowered, as the 8x8 one does at the default.
+        inst, p = _desk_instance()
+        monkeypatch.setattr(lpcore, "IPM_MIN_VARS", 1)
+        solves = _spy_solves(monkeypatch)
+        value = lower_bound(inst.partition, inst.outputs, 0.8, p, inst.loss, inst.prior)
+        (lp, sol), = solves
+        assert sol.method == "highs-ipm" and sol.crossover_nit == 0
+        assert sol.multipliers.shape == (lp.n_ub_rows,)
+        optimum = _vertex_optimum(lp)
+        assert value <= optimum
+        assert value >= optimum * (1 - 1e-8)
+
+    def test_default_routing_keeps_desk_bound_on_dual_simplex(self, monkeypatch):
+        inst, p = _desk_instance()
+        solves = _spy_solves(monkeypatch)
+        value = lower_bound(inst.partition, inst.outputs, 0.8, p, inst.loss, inst.prior)
+        (lp, sol), = solves
+        assert lp.n_vars == 144 and sol.method == "highs-ds"
+        assert value == pytest.approx(sol.objective_value, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, 36, elements=st.floats(0.0, 2.0)),
+           arrays(np.float64, 36, elements=st.floats(0.0, 1e3)))
+    def test_any_nonnegative_multipliers_bound_the_optimum(self, factor, extra):
+        # Scaled optimal multipliers plus any non-negative offset: near the
+        # optimum and far from it.
+        lp = _small_ratio_program()
+        sol = solve_lp(lp)
+        assert lp.n_ub_rows == factor.size
+        lam = np.clip(sol.multipliers, 0.0, None) * factor + extra
+        assert apo._dual_certificate(lp, lam) <= sol.objective_value + 1e-12
+
+    def test_negative_multipliers_are_clipped(self):
+        lp = _small_ratio_program()
+        zero = apo._dual_certificate(lp, np.zeros(lp.n_ub_rows))
+        assert apo._dual_certificate(lp, -np.ones(lp.n_ub_rows)) == zero
+        assert zero == pytest.approx(lp.objective.reshape(4, 3).min(axis=1).sum(), rel=1e-15)
+
+    def test_no_pair_left_gives_cheapest_output_per_cell(self, monkeypatch):
+        # At eps 17 every desk cell pair's ratio bound exceeds 1e8.
+        inst, p = _desk_instance()
+        solves = _spy_solves(monkeypatch)
+        assert lower_bound(inst.partition, inst.outputs, 17.0, p, inst.loss, inst.prior) == 0.0
+        (lp, _), = solves
+        assert lp.n_ub_rows == 0
+
+    def test_no_warning_escapes(self, monkeypatch):
+        # scipy warns that it passes run_crossover to HiGHS verbatim.
+        inst, p = _desk_instance()
+        monkeypatch.setattr(lpcore, "IPM_MIN_VARS", 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = lower_bound(inst.partition, inst.outputs, 0.8, p, inst.loss, inst.prior)
+        assert value > 0

@@ -279,7 +279,7 @@ class TestLowerBound:
             [
                 sys.executable, str(root / "perfbench" / "launch.py"), "trace",
                 str(tmp_path / "marks.json"), "lower-bound", "--config", str(cfg),
-                "--eps", "0.8", "--threads", "1", "--out-dir", str(tmp_path),
+                "--eps", "0.4,0.8", "--threads", "1", "--out-dir", str(tmp_path),
             ],
             cwd=root, capture_output=True, text=True, timeout=300,
         )
@@ -287,6 +287,15 @@ class TestLowerBound:
         counters = json.loads((tmp_path / "marks.spans.json").read_text())["counters"]
         for key in ("lpcore.rows", "lpcore.nnz", "lpcore.highs.nit"):
             assert counters.get(key, 0) > 0, key
+        # One HiGHS call per eps: the bound's solve reaches the rebound linprog.
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_tracer", root / "perfbench" / "tracer.py"
+        )
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        summary = tracer.summarize(tmp_path / "marks.spans")
+        assert summary["apo.lower_bound.calls"] == 2
+        assert summary["lpcore.highs.calls"] == 2
 
 
 class TestErrors:
@@ -446,7 +455,7 @@ class TestInputGuards:
         from anchorpriv import apo
 
         solves = []
-        monkeypatch.setattr(apo, "solve_lp", lambda lp: solves.append(lp))
+        monkeypatch.setattr(apo, "solve_lp", lambda lp, **kw: solves.append(lp))
         cfg = write_config(tmp_path, {"compare": {"audit_samples": 1, "methods": ["AIPO"]}})
         code = main(["compare", "--config", str(cfg), "--out-dir", str(tmp_path / "c")])
         assert code == 2

@@ -13,6 +13,7 @@ from anchorpriv.geometry import (
     interpolation_weights,
     locate_cell,
     lp_distance,
+    lp_distance_matrix,
 )
 
 UNIT_SQUARE = ((0.0, 0.0), (1.0, 1.0))
@@ -65,6 +66,22 @@ class TestLpDistance:
         d = lp_distance(a, b, p)
         assert d >= 0
         assert d == pytest.approx(lp_distance(b, a, p), abs=1e-12)
+
+    @pytest.mark.parametrize("n_dims", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
+    def test_matrix_matches_three_dimensional_form(self, n_dims, p):
+        # Reference: the (n, m, N) difference array reduced over its last axis.
+        rng = np.random.default_rng(17)
+        a = rng.normal(size=(40, n_dims)) * 3.0
+        b = rng.normal(size=(70, n_dims))
+        diff = np.abs(a[:, None, :] - b[None, :, :])
+        if math.isinf(p):
+            ref = diff.max(axis=2)
+        else:
+            ref = np.sum(diff**p, axis=2) ** (1.0 / p)
+        got = lp_distance_matrix(a, b, p)
+        assert got.shape == (40, 70)
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestPartitionDomain:

@@ -199,3 +199,52 @@ class TestSolverRouting:
         # The ratio rows alone are a cone; a negative objective runs off along it.
         unbounded = solve_lp(LinearProgram(-lp.objective, lp.a_ub, lp.b_ub))
         assert (unbounded.status, unbounded.method) == ("unbounded", "highs-ipm")
+
+
+def _tall_table_program():
+    """A 50 x 16 table (800 variables) with 6,514 rows: 8.1 per variable."""
+    rng = np.random.default_rng(5)
+    first, second = np.triu_indices(50, k=1)
+    pairs = 202
+    return apo._ratio_program(rng.random((50, 16)), first[:pairs], second[:pairs],
+                              np.full(pairs, 1.5))
+
+
+class TestValueOnlySolve:
+    @pytest.fixture(scope="class")
+    def tall(self):
+        lp = _tall_table_program()
+        assert lp.n_vars >= IPM_MIN_VARS
+        assert lp.n_ub_rows + lp.n_eq_rows > IPM_MAX_ROWS_PER_VAR * lp.n_vars
+        return lp, solve_lp(lp)
+
+    def test_tall_table_program_keeps_dual_simplex(self, tall):
+        _, sol = tall
+        assert sol.is_optimal and sol.method == "highs-ds"
+
+    def test_value_only_solve_skips_crossover_at_any_shape(self, tall):
+        lp, vertex = tall
+        sol = solve_lp(lp, vertex=False)
+        assert sol.is_optimal and sol.method == "highs-ipm"
+        assert sol.crossover_nit == 0 and sol.nit > 0
+        assert abs(sol.objective_value - vertex.objective_value) <= 1e-8 * vertex.objective_value
+
+    def test_value_only_solve_below_threshold_uses_dual_simplex(self):
+        lp = _anchor_program(4, 3)
+        assert lp.n_vars < IPM_MIN_VARS
+        sol = solve_lp(lp, vertex=False)
+        assert sol.is_optimal and sol.method == "highs-ds"
+        assert sol.values.tobytes() == solve_lp(lp).values.tobytes()
+
+    def test_multipliers_are_negated_marginals(self):
+        lp = _anchor_program(4, 3)
+        sol = solve_lp(lp)
+        a_ub, b_ub, a_eq, b_eq, bounds = lp.matrices()
+        ref = linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                      bounds=bounds, method="highs-ds", options=dict(_SOLVE_OPTIONS))
+        assert sol.multipliers.tobytes() == (-ref.ineqlin.marginals).tobytes()
+        assert sol.multipliers.min() >= -1e-9
+
+    def test_multipliers_empty_without_inequality_rows(self):
+        sol = solve_lp(LinearProgram(objective=[1.0, 3.0], a_eq=[[1.0, 1.0]], b_eq=[1.0]))
+        assert sol.multipliers.shape == (0,)
