@@ -381,7 +381,10 @@ def lower_bound(
     turned into a bound by :func:`_dual_certificate`. It is the larger of
     that and the lambda = 0 certificate, the cheapest output per cell,
     which keeps it >= 0. Both are valid for any multipliers, so the value
-    does not rest on the solver reaching a vertex or the optimum.
+    does not rest on the solver reaching a vertex or the optimum. If the
+    value-only solve fails or ends non-optimal, the program is solved again
+    on the vertex route (dual simplex for these tall programs) and that
+    solve's multipliers certify the same way.
 
     Pairs whose ratio bound exceeds exp(MAX_LOG_RATIO) are left out, which
     keeps the program solvable at any eps. Dropping rows only lowers the
@@ -418,7 +421,16 @@ def lower_bound(
     keep = log_ratio <= MAX_LOG_RATIO
     bound = [math.exp(v) for v in log_ratio[keep]]
     lp = _ratio_program(objective, first[keep], second[keep], bound)
-    sol = solve_lp(lp, vertex=False)
+    try:
+        sol = solve_lp(lp, vertex=False)
+        failure = None if sol.is_optimal else sol.status
+    except SolverError as exc:
+        failure = exc
+    if failure is not None:
+        # Any multipliers certify, so the vertex route's serve as well.
+        log.info("lower bound at eps %g: value-only solve failed (%s); solving for a vertex",
+                 eps_total, failure)
+        sol = solve_lp(lp)
     if not sol.is_optimal:
         raise SolverError(f"lower-bound program unexpectedly {sol.status}")
     certificate = _dual_certificate(lp, sol.multipliers)

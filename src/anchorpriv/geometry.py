@@ -14,6 +14,7 @@ corner in one (M, N) array, and all cells share the side lengths
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -64,29 +65,17 @@ def lp_distance_matrix(A, B, p: float) -> np.ndarray:
     """(n, m) lp distances between the rows of ``A`` and the rows of ``B``.
 
     ``p`` may be any float >= 1; ``math.inf`` gives the coordinate maximum.
-    The terms are accumulated one axis at a time, in axis order, so no
-    (n, m, N) temporary is built.
+    The axes are summed one at a time, in order, so no (n, m, N)
+    temporary is built.
     """
     A = as_points(A)
     B = as_points(B, A.shape[1])
     if not p >= 1:
         raise ValueError(f"metric order must satisfy p >= 1, got {p}")
-    finite = not math.isinf(p)
-    acc = None
-    for axis in range(A.shape[1]):
-        term = A[:, axis, None] - B[None, :, axis]
-        np.abs(term, out=term)
-        if finite:
-            term **= p
-        if acc is None:
-            acc = term
-        elif finite:
-            acc += term
-        else:
-            np.maximum(acc, term, out=acc)
-    if finite:
-        acc **= 1.0 / p
-    return acc
+    diffs = (np.abs(A[:, axis, None] - B[None, :, axis]) for axis in range(A.shape[1]))
+    if math.isinf(p):
+        return functools.reduce(np.maximum, diffs)
+    return functools.reduce(np.add, (d**p for d in diffs)) ** (1.0 / p)
 
 
 def lp_distance(a, b, p: float) -> float:

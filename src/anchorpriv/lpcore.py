@@ -20,7 +20,9 @@ runs dual simplex. From there on:
   simplex. Both return a basic solution.
 - ``vertex=False`` (for callers that only need values and duals, such as
   the lower bound): IPX without crossover at any shape. The solution is
-  optimal within the tolerances but need not be a vertex.
+  optimal within the tolerances but need not be a vertex. HiGHS may end
+  such a solve in an unknown status, which raises :class:`SolverError`
+  like any backend failure; the caller can retry on the vertex route.
 """
 
 from __future__ import annotations
@@ -57,14 +59,15 @@ _SOLVE_OPTIONS = {
 IPM_MIN_VARS = 700
 
 # Programs with more rows per variable than this stay on dual simplex
-# when a vertex is asked for. On such tall programs (the all-pairs lower
-# bound) HiGHS follows IPX's crossover with a simplex clean-up on some
-# inputs and not on others, as the last bits of the instance fall, and
-# the clean-up raises the peak memory by a fifth; dual simplex peaks the
-# same on every input. In the
-# README's size ladder the anchor programs have under 4 rows per variable
-# and the lower-bound programs of 700 variables or more over 30. Without
-# crossover there is no clean-up, so the cap does not apply.
+# when a vertex is asked for. The cap was set for the all-pairs lower
+# bound, where HiGHS follows IPX's crossover with a simplex clean-up on
+# some inputs and not on others, as the last bits of the instance fall,
+# and the clean-up raises the peak memory by a fifth; dual simplex peaks
+# the same on every input. The bound now takes the value-only route,
+# which has no crossover, so the cap serves two kinds of program: the
+# bound's fallback when that route fails, and the all-pairs tables of
+# AIPO-R and the coarse LP. On the 8x8 AIPO-R program dual simplex is
+# the slower and larger of the two methods; see the README's "Solver".
 IPM_MAX_ROWS_PER_VAR = 8
 
 

@@ -270,6 +270,16 @@ class TestLowerBound:
         assert set(values) == {"10", "20", "300"}
         assert all(math.isfinite(v) and v >= 0 for v in values.values())
 
+    def test_8x8_bound_solves_where_value_only_route_fails(self, tmp_path):
+        # IPX without crossover ends in HiGHS's unknown model status on this
+        # program (1,024 variables); the bound falls back to dual simplex.
+        grid8 = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "grid8.yaml"
+        out = tmp_path / "lb"
+        assert main(["lower-bound", "--config", str(grid8), "--out-dir", str(out),
+                     "--eps", "10"]) == 0
+        value = json.loads((out / "lower_bound.json").read_text())["values"]["10"]
+        assert 0 < value < 0.01
+
     def test_benchmark_tracer_counts_lp_statistics(self, tmp_path):
         # perfbench/tracer.py rebinds LinearProgram.matrices, lpcore.linprog
         # and the apo stages by name; a rename there must fail here.
