@@ -268,15 +268,14 @@ def build_approx_apo(
 def solve_approx_apo(lp: LinearProgram) -> PerturbationTable:
     """Solve an anchor program and return the renormalized table.
 
-    The uniform table is always feasible, so infeasibility signals a build
-    bug and raises. Row sums may drift from 1 by at most
-    PRE_NORMALIZATION_TOL before the final exact renormalization.
+    The uniform table is always feasible, so a solve that fails (which
+    :func:`solve_lp` raises on) signals a build or backend fault. Row sums
+    may drift from 1 by at most PRE_NORMALIZATION_TOL before the final
+    exact renormalization.
     """
     if lp.var_shape is None:
         raise ValueError("program carries no table shape")
     sol = solve_lp(lp)
-    if not sol.is_optimal:
-        raise SolverError(f"anchor program unexpectedly {sol.status}")
     probs = np.clip(sol.values.reshape(lp.var_shape), 0.0, None)
     sums = probs.sum(axis=1)
     drift = float(np.abs(sums - 1.0).max())
@@ -381,10 +380,7 @@ def lower_bound(
     turned into a bound by :func:`_dual_certificate`. It is the larger of
     that and the lambda = 0 certificate, the cheapest output per cell,
     which keeps it >= 0. Both are valid for any multipliers, so the value
-    does not rest on the solver reaching a vertex or the optimum. If the
-    value-only solve fails or ends non-optimal, the program is solved again
-    on the vertex route (dual simplex for these tall programs) and that
-    solve's multipliers certify the same way.
+    does not rest on the solver reaching a vertex or the optimum.
 
     Pairs whose ratio bound exceeds exp(MAX_LOG_RATIO) are left out, which
     keeps the program solvable at any eps. Dropping rows only lowers the
@@ -421,18 +417,7 @@ def lower_bound(
     keep = log_ratio <= MAX_LOG_RATIO
     bound = [math.exp(v) for v in log_ratio[keep]]
     lp = _ratio_program(objective, first[keep], second[keep], bound)
-    try:
-        sol = solve_lp(lp, vertex=False)
-        failure = None if sol.is_optimal else sol.status
-    except SolverError as exc:
-        failure = exc
-    if failure is not None:
-        # Any multipliers certify, so the vertex route's serve as well.
-        log.info("lower bound at eps %g: value-only solve failed (%s); solving for a vertex",
-                 eps_total, failure)
-        sol = solve_lp(lp)
-    if not sol.is_optimal:
-        raise SolverError(f"lower-bound program unexpectedly {sol.status}")
+    sol = solve_lp(lp, vertex=False)
     certificate = _dual_certificate(lp, sol.multipliers)
     value = max(certificate, float(objective.min(axis=1).sum()))
     log.debug("lower bound at eps %g: certificate %.17g, primal objective %.17g, gap %.3g",

@@ -10,6 +10,12 @@ solutions unless the caller waives the vertex. The holder hides the
 backend so callers only see :class:`LinearProgram` and
 :class:`LpSolution`.
 
+A solve returns an optimal :class:`LpSolution` or raises
+:class:`SolverError`. A backend failure, an infeasible or unbounded
+program, and a solution that misses its rows by more than
+:data:`FEASIBILITY_TOL` all raise, with the HiGHS method and HiGHS's
+own status text in the message.
+
 The HiGHS algorithm is chosen by size and shape, and by whether the
 caller needs a vertex. Every solve below :data:`IPM_MIN_VARS` variables
 runs dual simplex. From there on:
@@ -20,9 +26,13 @@ runs dual simplex. From there on:
   simplex. Both return a basic solution.
 - ``vertex=False`` (for callers that only need values and duals, such as
   the lower bound): IPX without crossover at any shape. The solution is
-  optimal within the tolerances but need not be a vertex. HiGHS may end
-  such a solve in an unknown status, which raises :class:`SolverError`
-  like any backend failure; the caller can retry on the vertex route.
+  optimal within the tolerances but need not be a vertex.
+
+When an IPX solve raises, on either route, the failure is logged at INFO
+and the same program is solved on dual simplex. The retry skips IPX with
+crossover: on the 6x6/K=25 lower bound at eps 10 it ends in HiGHS's
+unknown model status as IPX without crossover does, and dual simplex
+solves it.
 """
 
 from __future__ import annotations
@@ -43,7 +53,6 @@ __all__ = ["LinearProgram", "LpSolution", "solve_lp"]
 log = logging.getLogger(__name__)
 
 FEASIBILITY_TOL = 1e-7
-OPTIMALITY_TOL = 1e-8
 
 # HiGHS is run well below the contract tolerances so downstream log-space
 # constraint checks keep their slack budget.
@@ -59,15 +68,13 @@ _SOLVE_OPTIONS = {
 IPM_MIN_VARS = 700
 
 # Programs with more rows per variable than this stay on dual simplex
-# when a vertex is asked for. The cap was set for the all-pairs lower
-# bound, where HiGHS follows IPX's crossover with a simplex clean-up on
-# some inputs and not on others, as the last bits of the instance fall,
-# and the clean-up raises the peak memory by a fifth; dual simplex peaks
-# the same on every input. The bound now takes the value-only route,
-# which has no crossover, so the cap serves two kinds of program: the
-# bound's fallback when that route fails, and the all-pairs tables of
-# AIPO-R and the coarse LP. On the 8x8 AIPO-R program dual simplex is
-# the slower and larger of the two methods; see the README's "Solver".
+# when a vertex is asked for. Of the programs with IPM_MIN_VARS variables
+# or more, only the all-pairs tables of AIPO-R and the coarse LP are this
+# tall. IPX with crossover solves them faster at small budgets, but at
+# large ones it can return a table that is not optimal: on the 8x8/K=16
+# AIPO-R program at eps 10 it reports optimal at 0.285406, 2.85% above
+# dual simplex's 0.277491, with residuals inside FEASIBILITY_TOL, so no
+# check catches it. See the README's "Solver" section.
 IPM_MAX_ROWS_PER_VAR = 8
 
 
@@ -129,60 +136,59 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
-    """Solver outcome; ``values``, ``objective_value`` and ``multipliers`` are set when optimal.
+    """Optimal solution of a program, with the statistics of its solve.
 
-    ``multipliers`` are the inequality rows' Lagrange multipliers
+    ``values`` holds the variables and ``objective_value`` the objective
+    at them. ``multipliers`` are the inequality rows' Lagrange multipliers
     lambda = -``res.ineqlin.marginals``, one per row of ``a_ub`` (empty
     without such rows); for a minimization they are >= 0 up to the
     solver's tolerances.
 
-    The statistics say what was solved and how: the HiGHS ``method``, the
-    program's size (``n_rows`` counts both row kinds, ``nnz`` their
-    nonzeros), the iterations and the solve's wall time ``solve_s``.
-    ``nit`` is scipy's count: simplex iterations when any ran (including
-    a simplex clean-up after crossover), else interior point iterations;
-    crossover's own are ``crossover_nit``.
+    The statistics say what was solved and how: the HiGHS ``method`` that
+    returned the solution (``highs-ds`` after a retry), the program's size
+    (``n_rows`` counts both row kinds, ``nnz`` their nonzeros), the
+    iterations and that solve's wall time ``solve_s``. ``nit`` is scipy's
+    count: simplex iterations when any ran (including a simplex clean-up
+    after crossover), else interior point iterations; crossover's own are
+    ``crossover_nit``.
     """
 
-    status: str
-    values: np.ndarray | None = None
-    objective_value: float | None = None
-    multipliers: np.ndarray | None = None
-    method: str = ""
-    n_vars: int = 0
-    n_rows: int = 0
-    nnz: int = 0
-    nit: int = 0
-    crossover_nit: int = 0
-    solve_s: float = 0.0
-
-    @property
-    def is_optimal(self) -> bool:
-        return self.status == "optimal"
-
-
-_STATUS_MAP = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+    values: np.ndarray
+    objective_value: float
+    multipliers: np.ndarray
+    method: str
+    n_vars: int
+    n_rows: int
+    nnz: int
+    nit: int
+    crossover_nit: int
+    solve_s: float
 
 
 def solve_lp(lp: LinearProgram, vertex: bool = True) -> LpSolution:
-    """Solve a program to optimality, or report infeasible/unbounded.
+    """Solve a program to optimality or raise :class:`SolverError`.
 
     ``vertex=False`` lets programs of :data:`IPM_MIN_VARS` variables or more
     skip crossover (see the module docstring); the solution is then an
-    interior point optimal within the tolerances, not a basic one.
-
-    Optimal solutions are validated against the assembled constraints within
-    FEASIBILITY_TOL; violations raise SolverError since they indicate a
-    backend fault rather than a property of the program.
+    interior point optimal within the tolerances, not a basic one. An
+    interior point solve that raises is logged and retried on dual simplex.
     """
-    a_ub, b_ub, a_eq, b_eq, bounds = lp.matrices()
-    n_rows = lp.n_ub_rows + lp.n_eq_rows
-    use_ipm = IPM_MIN_VARS <= lp.n_vars and (
-        not vertex or n_rows <= IPM_MAX_ROWS_PER_VAR * lp.n_vars)
-    method = "highs-ipm" if use_ipm else "highs-ds"
-    options = dict(_SOLVE_OPTIONS)
-    if use_ipm and not vertex:
-        options["run_crossover"] = "off"
+    matrices = lp.matrices()
+    if IPM_MIN_VARS <= lp.n_vars and (
+            not vertex or lp.n_ub_rows + lp.n_eq_rows <= IPM_MAX_ROWS_PER_VAR * lp.n_vars):
+        options = dict(_SOLVE_OPTIONS)
+        if not vertex:
+            options["run_crossover"] = "off"
+        try:
+            return _solve(lp, matrices, "highs-ipm", options)
+        except SolverError as exc:
+            log.info("%s; solving again on highs-ds", exc)
+    return _solve(lp, matrices, "highs-ds", dict(_SOLVE_OPTIONS))
+
+
+def _solve(lp: LinearProgram, matrices, method: str, options: dict) -> LpSolution:
+    """One HiGHS solve; raises SolverError unless it is optimal and within FEASIBILITY_TOL."""
+    a_ub, b_ub, a_eq, b_eq, bounds = matrices
     start = time.perf_counter()
     with warnings.catch_warnings():
         # scipy hands options it does not know, run_crossover among them,
@@ -202,27 +208,23 @@ def solve_lp(lp: LinearProgram, vertex: bool = True) -> LpSolution:
     stats = dict(
         method=method,
         n_vars=lp.n_vars,
-        n_rows=n_rows,
+        n_rows=lp.n_ub_rows + lp.n_eq_rows,
         nnz=sum(m.nnz for m in (a_ub, a_eq) if m is not None),
         nit=int(res.nit),
         crossover_nit=int(res.get("crossover_nit") or 0),
         solve_s=time.perf_counter() - start,
     )
-    status = _STATUS_MAP.get(res.status)
-    log.debug("LP %s: %s", status or res.message, stats)
-    if status is None:
-        raise SolverError(f"LP backend failed ({method}): {res.message}")
-    if status != "optimal":
-        return LpSolution(status=status, **stats)
+    log.debug("LP %s: %s", res.message, stats)
+    if res.status != 0:
+        raise SolverError(f"{method} failed: {res.message}")
     x = np.asarray(res.x, dtype=float)
     if a_ub is not None:
         worst = float(np.max(a_ub @ x - b_ub, initial=0.0))
         if worst > FEASIBILITY_TOL:
-            raise SolverError(f"inequality residual {worst:.3e} above tolerance")
+            raise SolverError(f"{method} failed: inequality residual {worst:.3e} above tolerance")
     if a_eq is not None:
         worst = float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0))
         if worst > FEASIBILITY_TOL:
-            raise SolverError(f"equality residual {worst:.3e} above tolerance")
+            raise SolverError(f"{method} failed: equality residual {worst:.3e} above tolerance")
     multipliers = -np.asarray(res.ineqlin.marginals, dtype=float)
-    return LpSolution(status="optimal", values=x, objective_value=float(res.fun),
-                      multipliers=multipliers, **stats)
+    return LpSolution(values=x, objective_value=float(res.fun), multipliers=multipliers, **stats)

@@ -1,4 +1,3 @@
-import logging
 import math
 import warnings
 from pathlib import Path
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.optimize import OptimizeResult, linprog
+from scipy.optimize import linprog
 
 from anchorpriv import apo, lpcore
 from anchorpriv.apo import (
@@ -571,30 +570,6 @@ class TestDualCertificate:
         assert lower_bound(inst.partition, inst.outputs, 17.0, p, inst.loss, inst.prior) == 0.0
         (lp, _), = solves
         assert lp.n_ub_rows == 0
-
-    @pytest.mark.parametrize("status", [4, 2])
-    def test_failed_value_only_solve_falls_back_to_vertex(self, monkeypatch, caplog, status):
-        # IPX without crossover can stop in HiGHS status 4 (model status
-        # unknown), which solve_lp raises on; a non-optimal status returns.
-        inst, p = _desk_instance()
-        expected = lower_bound(inst.partition, inst.outputs, 0.8, p, inst.loss, inst.prior)
-        monkeypatch.setattr(lpcore, "IPM_MIN_VARS", 1)
-        solve = lpcore.linprog
-
-        def failing_without_crossover(*args, options, **kw):
-            if options.get("run_crossover") == "off":
-                return OptimizeResult(status=status, message="forced", nit=3)
-            return solve(*args, options=options, **kw)
-
-        monkeypatch.setattr(lpcore, "linprog", failing_without_crossover)
-        solves = _spy_solves(monkeypatch)
-        with caplog.at_level(logging.INFO, logger="anchorpriv.apo"):
-            value = lower_bound(inst.partition, inst.outputs, 0.8, p, inst.loss, inst.prior)
-        # The desk program has 15 rows per variable, so its vertex route is
-        # dual simplex, as at the default threshold.
-        assert solves[-1][1].method == "highs-ds"
-        assert value == expected
-        assert "solving for a vertex" in caplog.text
 
     def test_no_warning_escapes(self, monkeypatch):
         # scipy warns that it passes run_crossover to HiGHS verbatim.

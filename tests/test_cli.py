@@ -54,6 +54,23 @@ def read_tree(root: Path) -> dict:
     }
 
 
+def _traced_summary(tmp_path, *command) -> dict:
+    """Run one command under ``perfbench/launch.py trace``; return the tracer's summary."""
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "launch.py"), "trace",
+         str(tmp_path / "marks.json"), *command, "--threads", "1", "--out-dir", str(tmp_path)],
+        cwd=root, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", root / "perfbench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.summarize(tmp_path / "marks.spans")
+
+
 class TestSynthesize:
     def test_writes_mechanisms_and_manifest(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -284,27 +301,23 @@ class TestLowerBound:
         # perfbench/tracer.py rebinds LinearProgram.matrices, lpcore.linprog
         # and the apo stages by name; a rename there must fail here.
         cfg = write_config(tmp_path)
-        root = Path(__file__).resolve().parent.parent
-        proc = subprocess.run(
-            [
-                sys.executable, str(root / "perfbench" / "launch.py"), "trace",
-                str(tmp_path / "marks.json"), "lower-bound", "--config", str(cfg),
-                "--eps", "0.4,0.8", "--threads", "1", "--out-dir", str(tmp_path),
-            ],
-            cwd=root, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 0, proc.stderr
+        summary = _traced_summary(tmp_path, "lower-bound", "--config", str(cfg),
+                                  "--eps", "0.4,0.8")
         counters = json.loads((tmp_path / "marks.spans.json").read_text())["counters"]
         for key in ("lpcore.rows", "lpcore.nnz", "lpcore.highs.nit"):
             assert counters.get(key, 0) > 0, key
         # One HiGHS call per eps: the bound's solve reaches the rebound linprog.
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_tracer", root / "perfbench" / "tracer.py"
-        )
-        tracer = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer)
-        summary = tracer.summarize(tmp_path / "marks.spans")
         assert summary["apo.lower_bound.calls"] == 2
+        assert summary["lpcore.highs.calls"] == 2
+
+    def test_benchmark_tracer_counts_one_solve_through_a_retry(self, tmp_path):
+        # At eps 10 IPX fails on the 8x8 bound and dual simplex solves it:
+        # one bound and one solve_lp call, two HiGHS calls.
+        grid8 = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "grid8.yaml"
+        summary = _traced_summary(tmp_path, "lower-bound", "--config", str(grid8),
+                                  "--eps", "10")
+        assert summary["apo.lower_bound.calls"] == 1
+        assert summary["lpcore.solve_lp.calls"] == 1
         assert summary["lpcore.highs.calls"] == 2
 
 

@@ -4,9 +4,10 @@ import logging
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult, linprog
 
-from anchorpriv import apo, budget, evaluation
+from anchorpriv import apo, budget, evaluation, lpcore
+from anchorpriv.errors import SolverError
 from anchorpriv.lpcore import (
     _SOLVE_OPTIONS,
     IPM_MAX_ROWS_PER_VAR,
@@ -19,7 +20,6 @@ from anchorpriv.lpcore import (
 def test_minimize_single_variable_with_floor():
     lp = LinearProgram(objective=[1.0], a_ub=[[-1.0]], b_ub=[-3.0])  # x >= 3
     sol = solve_lp(lp)
-    assert sol.is_optimal
     assert sol.values[0] == pytest.approx(3.0, abs=1e-8)
     assert sol.objective_value == pytest.approx(3.0, abs=1e-8)
 
@@ -27,29 +27,26 @@ def test_minimize_single_variable_with_floor():
 def test_maximize_on_facet():
     lp = LinearProgram(objective=[-1.0, -1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0])
     sol = solve_lp(lp)
-    assert sol.is_optimal
     assert sol.objective_value == pytest.approx(-1.0, abs=1e-8)
 
 
 def test_simplex_vertex():
     lp = LinearProgram(objective=[1.0, 3.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
     sol = solve_lp(lp)
-    assert sol.is_optimal
     assert sol.values == pytest.approx([1.0, 0.0], abs=1e-9)
     assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
 
 
-def test_infeasible_reported_not_raised():
+def test_infeasible_raises():
     lp = LinearProgram(objective=[1.0], a_ub=[[1.0]], b_ub=[-1.0])  # x <= -1 with x >= 0
-    sol = solve_lp(lp)
-    assert sol.status == "infeasible"
-    assert sol.values is None
+    with pytest.raises(SolverError, match=r"^highs-ds failed: The problem is infeasible"):
+        solve_lp(lp)
 
 
-def test_unbounded_reported_not_raised():
+def test_unbounded_raises():
     lp = LinearProgram(objective=[-1.0])
-    sol = solve_lp(lp)
-    assert sol.status == "unbounded"
+    with pytest.raises(SolverError, match=r"^highs-ds failed: The problem is unbounded"):
+        solve_lp(lp)
 
 
 def test_shapes_checked_against_variable_count():
@@ -112,7 +109,6 @@ def test_random_programs_match_vertex_enumeration_oracle():
             objective=c, a_ub=np.vstack([a, np.eye(n)]), b_ub=np.concatenate([b, ub])
         )
         sol = solve_lp(lp)
-        assert sol.is_optimal, f"trial {trial} unexpectedly {sol.status}"
         oracle = _enumerate_vertices(c, a, b, ub)
         assert oracle is not None
         assert sol.objective_value == pytest.approx(oracle, abs=1e-6)
@@ -125,6 +121,43 @@ def _anchor_program(grid, out):
     coeffs = apo.surrogate_coefficients(inst.partition, inst.prior, inst.loss, inst.outputs)
     bv = budget.equal_split(0.8, 2.0, 2)
     return apo.build_approx_apo(inst.partition, inst.outputs, bv, coeffs)
+
+
+def _fail_interior_point(monkeypatch, status):
+    """Make every highs-ipm call end in ``status``; return the methods called."""
+    methods = []
+    solve = lpcore.linprog
+
+    def failing_interior_point(*args, method, **kw):
+        methods.append(method)
+        if method == "highs-ipm":
+            return OptimizeResult(status=status, message="forced", nit=3)
+        return solve(*args, method=method, **kw)
+
+    monkeypatch.setattr(lpcore, "linprog", failing_interior_point)
+    return methods
+
+
+@pytest.mark.parametrize("vertex", [True, False])
+@pytest.mark.parametrize("status", [4, 2])
+def test_failed_interior_point_solve_retries_on_dual_simplex(monkeypatch, caplog, status, vertex):
+    # IPX can stop in HiGHS status 4 (model status unknown); any status but
+    # optimal raises, and solve_lp solves the program again on dual simplex.
+    lp = _anchor_program(4, 3)
+    a_ub, b_ub, a_eq, b_eq, bounds = lp.matrices()
+    ref = linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=bounds, method="highs-ds", options=dict(_SOLVE_OPTIONS))
+    monkeypatch.setattr(lpcore, "IPM_MIN_VARS", 1)
+    methods = _fail_interior_point(monkeypatch, status)
+    with caplog.at_level(logging.INFO, logger="anchorpriv.lpcore"):
+        sol = solve_lp(lp, vertex=vertex)
+    assert methods == ["highs-ipm", "highs-ds"]
+    assert sol.method == "highs-ds"
+    assert sol.values.tobytes() == ref.x.tobytes()
+    assert sol.objective_value == ref.fun
+    assert sol.multipliers.tobytes() == (-ref.ineqlin.marginals).tobytes()
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.INFO, "highs-ipm failed: forced; solving again on highs-ds")]
 
 
 class TestSolverRouting:
@@ -140,7 +173,7 @@ class TestSolverRouting:
             sol = solve_lp(lp)
         assert "'method': 'highs-ds'" in caplog.text and "'n_vars': 225" in caplog.text
         assert lp.n_vars == 225 < IPM_MIN_VARS
-        assert sol.is_optimal and sol.method == "highs-ds"
+        assert sol.method == "highs-ds"
         assert sol.crossover_nit == 0 and sol.nit > 0
 
     @pytest.mark.parametrize("extra_rows, method", [(0, "highs-ipm"), (1, "highs-ds")])
@@ -151,13 +184,13 @@ class TestSolverRouting:
                              + [sparse.csr_matrix(np.ones((extra_rows, n)))])
         lp = LinearProgram(np.ones(n), rows, np.ones(rows.shape[0]))
         sol = solve_lp(lp)
-        assert sol.is_optimal and sol.method == method
+        assert sol.method == method
         assert sol.n_rows == IPM_MAX_ROWS_PER_VAR * n + extra_rows
         assert sol.objective_value == 0.0
 
     def test_large_program_uses_interior_point(self, large):
         lp, sol = large
-        assert sol.is_optimal and sol.method == "highs-ipm"
+        assert sol.method == "highs-ipm"
         assert (sol.n_vars, sol.n_rows) == (1024, lp.n_ub_rows + lp.n_eq_rows)
         assert sol.nnz == lp.a_ub.nnz + lp.a_eq.nnz
         assert sol.nit > 0 and sol.crossover_nit > 0 and sol.solve_s > 0
@@ -188,17 +221,30 @@ class TestSolverRouting:
         assert again.values.tobytes() == sol.values.tobytes()
         assert again.objective_value == sol.objective_value
 
-    def test_large_program_infeasible_and_unbounded(self, large):
+    def test_large_program_infeasible_and_unbounded(self, large, caplog):
+        # IPX reports the status first; dual simplex, retried, agrees and raises.
         lp, _ = large
         # The rows of the table sum to 64; cap the total at 1.
         capped = sparse.vstack([lp.a_ub, np.ones((1, lp.n_vars))])
-        infeasible = solve_lp(LinearProgram(
-            lp.objective, capped, np.append(lp.b_ub, 1.0), lp.a_eq, lp.b_eq))
-        assert (infeasible.status, infeasible.method) == ("infeasible", "highs-ipm")
-        assert infeasible.values is None
-        # The ratio rows alone are a cone; a negative objective runs off along it.
-        unbounded = solve_lp(LinearProgram(-lp.objective, lp.a_ub, lp.b_ub))
-        assert (unbounded.status, unbounded.method) == ("unbounded", "highs-ipm")
+        with caplog.at_level(logging.INFO, logger="anchorpriv.lpcore"):
+            with pytest.raises(SolverError, match=r"^highs-ds failed: The problem is infeasible"):
+                solve_lp(LinearProgram(
+                    lp.objective, capped, np.append(lp.b_ub, 1.0), lp.a_eq, lp.b_eq))
+            # The ratio rows alone are a cone; a negative objective runs off along it.
+            with pytest.raises(SolverError, match=r"^highs-ds failed: The problem is unbounded"):
+                solve_lp(LinearProgram(-lp.objective, lp.a_ub, lp.b_ub))
+        assert "highs-ipm failed: The problem is infeasible" in caplog.text
+        assert "highs-ipm failed: The problem is unbounded" in caplog.text
+
+    def test_failed_value_only_solve_retries_on_dual_simplex(self, large, monkeypatch):
+        # 3.6 rows per variable: the vertex route would be IPX with crossover
+        # again, and the retry must not take it.
+        lp, vertex = large
+        methods = _fail_interior_point(monkeypatch, status=4)
+        sol = solve_lp(lp, vertex=False)
+        assert methods == ["highs-ipm", "highs-ds"]
+        assert sol.method == "highs-ds" and sol.crossover_nit == 0
+        assert abs(sol.objective_value - vertex.objective_value) <= 1e-12
 
 
 def _tall_table_program():
@@ -220,12 +266,12 @@ class TestValueOnlySolve:
 
     def test_tall_table_program_keeps_dual_simplex(self, tall):
         _, sol = tall
-        assert sol.is_optimal and sol.method == "highs-ds"
+        assert sol.method == "highs-ds"
 
     def test_value_only_solve_skips_crossover_at_any_shape(self, tall):
         lp, vertex = tall
         sol = solve_lp(lp, vertex=False)
-        assert sol.is_optimal and sol.method == "highs-ipm"
+        assert sol.method == "highs-ipm"
         assert sol.crossover_nit == 0 and sol.nit > 0
         assert abs(sol.objective_value - vertex.objective_value) <= 1e-8 * vertex.objective_value
 
@@ -233,7 +279,7 @@ class TestValueOnlySolve:
         lp = _anchor_program(4, 3)
         assert lp.n_vars < IPM_MIN_VARS
         sol = solve_lp(lp, vertex=False)
-        assert sol.is_optimal and sol.method == "highs-ds"
+        assert sol.method == "highs-ds"
         assert sol.values.tobytes() == solve_lp(lp).values.tobytes()
 
     def test_multipliers_are_negated_marginals(self):
