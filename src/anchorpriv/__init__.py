@@ -45,7 +45,7 @@ from .geometry import (
     lp_distance,
     lp_distance_matrix,
 )
-from .interpolation import Mechanism, logcvx_1d
+from .interpolation import Mechanism
 from .lpcore import LinearProgram, LpSolution, solve_lp
 from .mechanisms import (
     CoarseLpMechanism,

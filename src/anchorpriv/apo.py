@@ -85,8 +85,8 @@ class PerturbationTable:
 
     def __init__(self, probs):
         probs = np.atleast_2d(np.asarray(probs, dtype=float))
-        if np.any(probs < 0):
-            raise ValueError("probabilities must be non-negative")
+        if not np.all(np.isfinite(probs)) or np.any(probs < 0):
+            raise ValueError("probabilities must be finite and non-negative")
         sums = probs.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
             worst = float(np.abs(sums - 1.0).max())
@@ -161,20 +161,26 @@ class BudgetCheck:
         return self.rhs - self.lhs
 
 
+CONVENTIONS = ("half-dual", "full-dual", "full-primal")
+
+
+def _arc(eps_total: float, p: float, convention: str):
+    """(radius, exponent) of the allocation arc; exponent inf = max rule."""
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown budget convention {convention!r}")
+    radius = eps_total / 2.0 if convention == "half-dual" else eps_total
+    return radius, p if convention == "full-primal" else dual_exponent(p)
+
+
 def check_budget(budget: BudgetVector, tol: float = BUDGET_TOL) -> BudgetCheck:
     """Evaluate the composition certificate of a budget vector.
 
     Returns the aggregate (sum of eps_l^q, or max for p=1) next to the
-    half-budget bound it must stay under.
+    bound it must stay under, both read off the "half-dual" arc.
     """
-    half = budget.total_eps / 2.0
-    if budget.p == 1:
-        lhs = float(budget.eps.max())
-        rhs = half
-    else:
-        q = dual_exponent(budget.p)
-        lhs = float(np.sum(budget.eps**q))
-        rhs = half**q
+    radius, expo = _arc(budget.total_eps, budget.p, "half-dual")
+    lhs = float(budget.eps.max() if math.isinf(expo) else np.sum(budget.eps**expo))
+    rhs = radius if math.isinf(expo) else radius**expo
     return BudgetCheck(ok=lhs <= rhs + tol, lhs=lhs, rhs=rhs)
 
 
@@ -198,11 +204,11 @@ def surrogate_coefficients(partition: Partition, prior, loss, outputs: OutputDom
     return SurrogateCoefficients(matrix=coeffs)
 
 
-def _ratio_program(objective, first, second, bound) -> LinearProgram:
+def _ratio_program(objective, first, second, log_bound) -> LinearProgram:
     """Table program over an (R, K) objective with pairwise ratio rows.
 
-    One equality row per table row fixes its total to 1. For
-    each pair t = (first[t], second[t]) with ratio bound b = bound[t] and
+    One equality row per table row fixes its total to 1. For each pair
+    t = (first[t], second[t]) with ratio bound b = exp(log_bound[t]) and
     each output k, row 2(tK + k) is z[i,k] - b z[j,k] <= 0 and the row
     after it is the mirror z[j,k] - b z[i,k] <= 0: pairs outer, outputs
     inner.
@@ -220,7 +226,8 @@ def _ratio_program(objective, first, second, bound) -> LinearProgram:
     vj = var[np.asarray(second, dtype=np.intp)].ravel()
     a_ub = b_ub = None
     if vi.size:
-        neg_b = np.repeat(-np.asarray(bound, dtype=float), n_out)
+        # math.exp, not np.exp: the two differ in the last bit on some inputs.
+        neg_b = np.repeat([-math.exp(v) for v in log_bound], n_out)
         ones = np.ones_like(neg_b)
         # Four entries per (pair, output): (+1 @ i, -b @ j), then the mirror row.
         rows = np.repeat(np.arange(2 * vi.size), 2)
@@ -261,8 +268,8 @@ def build_approx_apo(
     if coeffs.matrix.shape != (partition.n_anchors, outputs.size):
         raise ValueError("coefficient matrix shape mismatch")
     first, second, axis = axis_neighbors(partition)
-    bound = [math.exp(v) for v in budget.eps[axis] * partition.deltas[axis]]
-    return _ratio_program(coeffs.matrix, first, second, bound)
+    return _ratio_program(coeffs.matrix, first, second,
+                          budget.eps[axis] * partition.deltas[axis])
 
 
 def solve_approx_apo(lp: LinearProgram) -> PerturbationTable:
@@ -288,8 +295,7 @@ def _all_pairs_program(objective, points, eps_total: float, p: float) -> LinearP
     """Ratio program bounding every pair of rows by exp(eps * d_p(point_i, point_j))."""
     first, second = np.triu_indices(points.shape[0], k=1)
     dist = lp_distance_matrix(points, points, p)[first, second]
-    bound = [math.exp(eps_total * d) for d in dist]
-    return _ratio_program(objective, first, second, bound)
+    return _ratio_program(objective, first, second, eps_total * dist)
 
 
 def build_aipo_relaxed(
@@ -409,14 +415,9 @@ def lower_bound(
     upper = lower + partition.deltas
     worst = np.maximum(np.abs(lower[first] - upper[second]),
                        np.abs(upper[first] - lower[second]))
-    if math.isinf(p):
-        dist = worst.max(axis=1)
-    else:
-        dist = np.sum(worst**p, axis=1) ** (1.0 / p)
-    log_ratio = eps_total * dist
+    log_ratio = eps_total * lp_distance_matrix(worst, np.zeros((1, partition.n_dims)), p)[:, 0]
     keep = log_ratio <= MAX_LOG_RATIO
-    bound = [math.exp(v) for v in log_ratio[keep]]
-    lp = _ratio_program(objective, first[keep], second[keep], bound)
+    lp = _ratio_program(objective, first[keep], second[keep], log_ratio[keep])
     sol = solve_lp(lp, vertex=False)
     certificate = _dual_certificate(lp, sol.multipliers)
     value = max(certificate, float(objective.min(axis=1).sum()))

@@ -33,14 +33,18 @@ def _floored_logs(mech, X) -> np.ndarray:
 
 
 def _metric_order(mech, p: float | None = None) -> float:
-    """Metric order of an audit: ``p`` if given, else the mechanism's own.
+    """Metric order of an audit: ``p`` if given, else the mechanism's ``metric_p``.
 
-    A mechanism's own order is its ``metric_p`` (interpolated tables), else
-    its ``p`` (closed-form mechanisms), else 2.
+    Raises ValueError when neither states one.
     """
-    if p is not None:
-        return p
-    return getattr(mech, "metric_p", None) or getattr(mech, "p", None) or 2.0
+    if p is None:
+        p = getattr(mech, "metric_p", None)
+    if p is None:
+        raise ValueError(
+            f"{type(mech).__name__} states no metric order: its metric_p is None, "
+            "so the audit needs an explicit p"
+        )
+    return p
 
 
 def ppr(x, x2, y_index: int, mech) -> float:

@@ -21,9 +21,8 @@ import math
 
 import numpy as np
 
-from .apo import BudgetVector, check_budget
+from .apo import CONVENTIONS, BudgetVector, _arc, check_budget
 from .errors import SolverError
-from .geometry import dual_exponent
 
 __all__ = [
     "CONVENTIONS",
@@ -33,19 +32,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-CONVENTIONS = ("half-dual", "full-dual", "full-primal")
-
-
-def _arc(eps_total: float, p: float, convention: str):
-    """(radius, exponent) of the allocation arc; exponent inf = max rule."""
-    if convention == "half-dual":
-        return eps_total / 2.0, dual_exponent(p)
-    if convention == "full-dual":
-        return eps_total, dual_exponent(p)
-    if convention == "full-primal":
-        return eps_total, p
-    raise ValueError(f"unknown budget convention {convention!r}")
 
 
 def equal_split(eps_total: float, p: float, n_dims: int,

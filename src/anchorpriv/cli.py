@@ -80,6 +80,12 @@ class PrivacySpec:
             )
         if self.budget_mode == "explicit" and self.explicit_budget is None:
             raise ConfigError("privacy.explicit_budget required when budget_mode=explicit")
+        if self.explicit_budget is not None and len(self.explicit_budget) != 2:
+            raise ConfigError("privacy.explicit_budget must have 2 entries (one per axis), "
+                              f"got {list(self.explicit_budget)}")
+        if self.sweep_resolution < 2:
+            raise ConfigError(
+                f"privacy.sweep_resolution must be >= 2, got {self.sweep_resolution}")
 
 
 @dataclass(frozen=True)
@@ -112,6 +118,12 @@ class CompareSpec:
                 "compare.audit_samples must be >= 2: the audit needs at least 2 sample "
                 f"points, got {self.audit_samples}"
             )
+        if self.coarse_grid is not None and (len(self.coarse_grid) != 2
+                                             or min(self.coarse_grid) < 1):
+            raise ConfigError("compare.coarse_grid must have 2 entries (one per axis), "
+                              f"each >= 1, got {list(self.coarse_grid)}")
+        if self.tem_radius is not None and not self.tem_radius > 0:
+            raise ConfigError(f"compare.tem_radius must be > 0, got {self.tem_radius}")
 
 
 @dataclass(frozen=True)
@@ -313,7 +325,8 @@ def _coarse_lp(instance, eps, priv, comp):
         weights=instance.prior.masses, minlength=coarse_part.n_cells,
     )
     lp = apo.build_coarse_lp(reps, masses, outputs, eps, priv.p, instance.loss)
-    return mechanisms.CoarseLpMechanism(reps, apo.solve_approx_apo(lp), outputs, bounds)
+    return mechanisms.CoarseLpMechanism(reps, apo.solve_approx_apo(lp), outputs, bounds,
+                                        metric_p=priv.p)
 
 
 def _remapped(base):

@@ -162,14 +162,23 @@ class PriorModel:
         self.masses = np.asarray(masses, dtype=float)
         if self.masses.shape[0] != self.points.shape[0]:
             raise ValueError("one mass per sample point required")
-        if np.any(self.masses < 0):
-            raise ValueError("masses must be non-negative")
+        if not np.all(np.isfinite(self.masses)) or np.any(self.masses < 0):
+            raise ValueError("masses must be finite and non-negative")
         if abs(self.masses.sum() - 1.0) > 1e-12:
             raise ValueError("masses must sum to one")
 
     @property
     def size(self) -> int:
         return self.points.shape[0]
+
+    @classmethod
+    def _weighted(cls, points, weight_fn) -> "PriorModel":
+        """Prior on ``points`` with masses ``weight_fn(point)``, normalized (uniform if None)."""
+        if weight_fn is None:
+            masses = np.ones(points.shape[0])
+        else:
+            masses = np.array([weight_fn(p) for p in points], dtype=float)
+        return cls(points, masses / masses.sum())
 
     @classmethod
     def cell_lattice(cls, partition: Partition, per_cell: int = 3, weight_fn=None) -> "PriorModel":
@@ -187,23 +196,12 @@ class PriorModel:
             [g.ravel() for g in np.meshgrid(*([offs] * n), indexing="ij")], axis=1
         )
         points = (partition.cell_lower[:, None, :] + local * partition.deltas).reshape(-1, n)
-        if weight_fn is None:
-            masses = np.full(points.shape[0], 1.0 / points.shape[0])
-        else:
-            masses = np.array([weight_fn(p) for p in points], dtype=float)
-            masses = masses / masses.sum()
-        return cls(points, masses)
+        return cls._weighted(points, weight_fn)
 
     @classmethod
     def on_anchors(cls, partition: Partition, weight_fn=None) -> "PriorModel":
         """Prior supported exactly on the partition's anchor lattice."""
-        points = partition.anchors.copy()
-        if weight_fn is None:
-            masses = np.full(points.shape[0], 1.0 / points.shape[0])
-        else:
-            masses = np.array([weight_fn(p) for p in points], dtype=float)
-            masses = masses / masses.sum()
-        return cls(points, masses)
+        return cls._weighted(partition.anchors.copy(), weight_fn)
 
 
 # Distinct (points, outputs) pairs whose loss rows one LossModel keeps.
@@ -231,8 +229,8 @@ class LossModel:
         matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
         if matrix.shape[0] != points.shape[0]:
             raise ValueError("one loss row per sample point required")
-        if np.any(matrix < 0):
-            raise ValueError("losses must be non-negative")
+        if not np.all(np.isfinite(matrix)) or np.any(matrix < 0):
+            raise ValueError("losses must be finite and non-negative")
         return cls("matrix", matrix=matrix, points=points)
 
     @classmethod
@@ -242,8 +240,8 @@ class LossModel:
         masses = np.asarray(task_masses, dtype=float)
         if len(task_nodes) == 0:
             raise ValueError("task set must be non-empty")
-        if abs(masses.sum() - 1.0) > 1e-12:
-            raise ValueError("task prior must sum to one")
+        if not np.all(np.isfinite(masses)) or abs(masses.sum() - 1.0) > 1e-12:
+            raise ValueError("task prior must be finite and sum to one")
         table = np.stack([shortest_paths(graph, t) for t in task_nodes])
         return cls(
             "tasks", graph=graph, task_nodes=task_nodes,

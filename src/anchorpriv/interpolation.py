@@ -15,8 +15,6 @@ satisfies; it perturbs each row's normalizer by at most K * PROB_FLOOR.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import formats, mechanisms
@@ -25,27 +23,10 @@ from .geometry import Partition, as_point, corner_weights, locate_cells
 
 __all__ = [
     "PROB_FLOOR",
-    "logcvx_1d",
     "Mechanism",
 ]
 
 PROB_FLOOR = 1e-12
-
-
-def logcvx_1d(z_lo: float, z_hi: float, lam: float) -> float:
-    """Weighted geometric mean exp(lam ln z_lo + (1 - lam) ln z_hi).
-
-    Endpoints are exact: lam = 1 returns z_lo, lam = 0 returns z_hi.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"interpolation coefficient must be in [0, 1], got {lam}")
-    if z_lo <= 0.0 or z_hi <= 0.0:
-        raise ValueError("probabilities must be strictly positive; floor the table first")
-    if lam == 1.0:
-        return float(z_lo)
-    if lam == 0.0:
-        return float(z_hi)
-    return float(math.exp(lam * math.log(z_lo) + (1.0 - lam) * math.log(z_hi)))
 
 
 # The mechanism file layout written by to_json_dict, and the only one read.

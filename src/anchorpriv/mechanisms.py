@@ -118,11 +118,11 @@ class ExponentialMechanism(_PointwiseMechanism):
         if not eps > 0:
             raise ValueError("eps must be positive")
         self.eps = float(eps)
-        self.p = float(p)
+        self.metric_p = float(p)
         self.exponent_factor = float(exponent_factor)
 
     def log_probs(self, X):
-        d = lp_distance_matrix(X, self.outputs.points, self.p)
+        d = lp_distance_matrix(X, self.outputs.points, self.metric_p)
         return log_normalize(-self.exponent_factor * self.eps * d)
 
 
@@ -152,7 +152,7 @@ class TruncatedExponentialMechanism(ExponentialMechanism):
         self.radius = default_truncation_radius(eps) if radius is None else float(radius)
 
     def log_probs(self, X):
-        d = lp_distance_matrix(X, self.outputs.points, self.p)
+        d = lp_distance_matrix(X, self.outputs.points, self.metric_p)
         inside = d <= self.radius
         if not np.all(np.any(inside, axis=1)):
             raise ValueError("no candidate within the truncation radius")
@@ -164,11 +164,14 @@ class CoarseLpMechanism(_PointwiseMechanism):
 
     Every query point reuses the row of its closest representative, so the
     released distribution is piecewise constant; ratio constraints were
-    only enforced between the representatives themselves.
+    only enforced between the representatives themselves, at metric order
+    ``metric_p`` (None if not stated).
     """
 
-    def __init__(self, representatives, table: PerturbationTable, outputs, bounds):
+    def __init__(self, representatives, table: PerturbationTable, outputs, bounds,
+                 metric_p=None):
         super().__init__(outputs, bounds)
+        self.metric_p = metric_p
         self.representatives = np.atleast_2d(np.asarray(representatives, dtype=float))
         if table.n_rows != self.representatives.shape[0]:
             raise ValueError("one table row per representative required")
@@ -183,12 +186,14 @@ class RemappedMechanism(_PointwiseMechanism):
     """Deterministic output remap g applied after a base mechanism.
 
     z'(y' | x) sums the base probabilities of every output that g sends to
-    y'. Post-processing cannot weaken the base guarantee.
+    y'. Post-processing cannot weaken the base guarantee, so the remap
+    keeps the base's metric order ``metric_p``.
     """
 
     def __init__(self, base, remap):
         super().__init__(base.outputs, base.bounds)
         self.base = base
+        self.metric_p = getattr(base, "metric_p", None)
         self.remap = np.asarray(remap, dtype=int)
         if self.remap.shape != (base.n_outputs,):
             raise ValueError("remap must assign every output an image")

@@ -64,8 +64,8 @@ def _small_ratio_program():
     """Four table rows of three outputs, every pair ratio-bounded."""
     rng = np.random.default_rng(8)
     first, second = np.triu_indices(4, k=1)
-    bound = np.exp(0.6 * rng.random(first.size))
-    return apo._ratio_program(rng.random((4, 3)), first, second, bound)
+    log_bound = 0.6 * rng.random(first.size)
+    return apo._ratio_program(rng.random((4, 3)), first, second, log_bound)
 
 
 class TestPerturbationTable:
@@ -74,6 +74,9 @@ class TestPerturbationTable:
             PerturbationTable([[0.5, 0.4]])
         with pytest.raises(ValueError):
             PerturbationTable([[1.2, -0.2]])
+        # NaN passes every comparison, so the row-sum check alone misses it.
+        with pytest.raises(ValueError, match="finite"):
+            PerturbationTable([[math.nan, 1.0]])
 
     def test_json_round_trip(self, tmp_path):
         # Tables are stored only inside mechanism files.

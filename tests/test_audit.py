@@ -12,7 +12,7 @@ from anchorpriv.apo import OutputDomain, PerturbationTable
 from anchorpriv.audit import ppr, ppr_histogram, violation_ratio
 from anchorpriv.geometry import Partition
 from anchorpriv.interpolation import Mechanism
-from anchorpriv.mechanisms import ExponentialMechanism
+from anchorpriv.mechanisms import CoarseLpMechanism, ExponentialMechanism, RemappedMechanism
 
 
 def _two_anchor_mech(rows):
@@ -118,12 +118,21 @@ class TestViolationRatio:
         rep = violation_ratio(mech, 1.0, 2.0, sample_count=40, seed=0)
         assert rep.worst_pairs == [(0.0, 0, j) for j in range(1, 6)]
 
-    def test_default_metric_order_is_the_mechanisms_own(self):
-        # A closed-form mechanism carries its order as ``p``; ppr, the audit
+    @pytest.mark.parametrize("kind", ["EM", "RMP-EM", "CoarseLP"])
+    def test_default_metric_order_is_the_mechanisms_own(self, kind):
+        # Every mechanism states its order as ``metric_p``; ppr, the audit
         # and the histogram all fall back to it, not to 2.
         rng = np.random.default_rng(5)
         outputs = OutputDomain(points=rng.random((4, 2)))
-        mech = ExponentialMechanism(outputs, ((0.0, 0.0), (1.0, 1.0)), eps=1.0, p=1.0)
+        box = ((0.0, 0.0), (1.0, 1.0))
+        mech = ExponentialMechanism(outputs, box, eps=1.0, p=1.0)
+        if kind == "RMP-EM":
+            mech = RemappedMechanism(mech, [0, 0, 3, 3])
+        elif kind == "CoarseLP":
+            reps = np.array([[0.2, 0.3], [0.8, 0.7], [0.3, 0.9]])
+            raw = rng.random((3, 4))
+            mech = CoarseLpMechanism(reps, PerturbationTable(raw / raw.sum(axis=1, keepdims=True)),
+                                     outputs, box, metric_p=1.0)
         implicit = violation_ratio(mech, 0.5, sample_count=60, seed=0)
         explicit = violation_ratio(mech, 0.5, 1.0, sample_count=60, seed=0)
         assert implicit.metric_p == 1.0
@@ -136,6 +145,18 @@ class TestViolationRatio:
         d1 = 0.6 + 0.7
         gap = abs(float(np.diff(mech.log_probs(np.array([x, x2]))[:, 0])[0]))
         assert ppr(x, x2, 0, mech) == pytest.approx(gap / d1, rel=1e-12)
+
+    def test_unstated_metric_order_is_an_error(self):
+        rng = np.random.default_rng(5)
+        outputs = OutputDomain(points=rng.random((2, 2)))
+        mech = CoarseLpMechanism([[0.5, 0.5]], PerturbationTable([[0.5, 0.5]]), outputs,
+                                 ((0.0, 0.0), (1.0, 1.0)))
+        for check in (lambda: violation_ratio(mech, 0.5, sample_count=10),
+                      lambda: ppr_histogram(mech, 0.5, sample_count=10),
+                      lambda: ppr((0.1, 0.2), (0.7, 0.9), 0, mech)):
+            with pytest.raises(ValueError, match="CoarseLpMechanism .*metric_p"):
+                check()
+        assert violation_ratio(mech, 0.5, 2.0, sample_count=10).metric_p == 2.0
 
 
 class TestHistogram:

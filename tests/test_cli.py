@@ -46,6 +46,20 @@ def write_config(tmp_path, override=None):
     return path
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _perfbench_checks(monkeypatch):
+    """The benchmark's output checks, ``perfbench/checks.py``, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_checks", ROOT / "perfbench" / "checks.py"
+    )
+    checks = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, checks)  # its dataclass looks itself up
+    spec.loader.exec_module(checks)
+    return checks
+
+
 def read_tree(root: Path) -> dict:
     return {
         str(p.relative_to(root)): p.read_bytes()
@@ -431,19 +445,31 @@ class TestStrictConfig:
         # The example config and the frozen benchmark inputs must stay
         # readable; the frozen ones must give the instance the benchmark's
         # own checks build from them.
-        root = Path(__file__).resolve().parent.parent
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_checks", root / "perfbench" / "checks.py"
-        )
-        checks = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, checks)  # its dataclass looks itself up
-        spec.loader.exec_module(checks)
-        load_config(root / "configs" / "example.yaml")
+        checks = _perfbench_checks(monkeypatch)
+        load_config(ROOT / "configs" / "example.yaml")
         for name in ("desk.yaml", "grid8.yaml"):
-            path = root / "perfbench" / "inputs" / name
+            path = ROOT / "perfbench" / "inputs" / name
             run = load_config(path)
             assert run.instance == checks.instance_spec(yaml.safe_load(path.read_text()))
             assert run.seed == 6
+
+    def test_benchmark_output_checks_pass(self, tmp_path, monkeypatch):
+        # The benchmark's own checks, on its desk input at two budgets: a
+        # change that breaks what they import or assert fails here first.
+        checks = _perfbench_checks(monkeypatch)
+        path = ROOT / "perfbench" / "inputs" / "desk.yaml"
+        cfg, eps = yaml.safe_load(path.read_text()), [0.4, 1.2]
+        out = {}
+        for command in ("synthesize", "lower-bound", "compare"):
+            out[command] = tmp_path / command
+            assert main([command, "--config", str(path), "--eps", "0.4,1.2", "--seed", "6",
+                         "--out-dir", str(out[command])]) == 0
+        outcomes = [
+            checks.check_synth(out["synthesize"], cfg, eps, 6, ref_dir=out["lower-bound"]),
+            checks.check_lower_bound(out["lower-bound"], cfg, eps, 6, ref_dir=out["synthesize"]),
+            checks.check_compare(out["compare"], cfg, eps, 6),
+        ]
+        assert [outcome.failed for outcome in outcomes] == [{}, {}, {}]
 
 
 class TestInputGuards:
@@ -485,6 +511,31 @@ class TestInputGuards:
         assert "compare.audit_samples must be >= 2" in capsys.readouterr().err
         assert solves == []
 
+    def test_compare_bad_tem_radius_fails_before_any_solve(self, tmp_path, capsys,
+                                                           monkeypatch):
+        solves = []
+        monkeypatch.setattr(apo, "solve_lp", lambda lp, **kw: solves.append(lp))
+        cfg = write_config(tmp_path, {"compare": {"tem_radius": -1, "methods": ["AIPO", "TEM"]}})
+        code = main(["compare", "--config", str(cfg), "--out-dir", str(tmp_path / "c")])
+        assert code == 2
+        assert "compare.tem_radius must be > 0" in capsys.readouterr().err
+        assert solves == []
+
+    def test_non_finite_probability_is_config_error(self, tmp_path, capsys):
+        mech = self._mechanism(tmp_path)
+        payload = json.loads(mech.read_text())
+        payload["table"]["probs"][0][0] = math.nan
+        mech.write_text(json.dumps(payload))
+        assert self._audit(tmp_path, mech, "--eps", "0.4") == 2
+        assert "probabilities must be finite" in capsys.readouterr().err
+
+    def test_unstated_metric_order_is_config_error(self, tmp_path, capsys):
+        mech = self._mechanism(tmp_path)
+        payload = json.loads(mech.read_text())
+        mech.write_text(json.dumps(dict(payload, metric_p=None, budget_eps=None)))
+        assert self._audit(tmp_path, mech, "--eps", "0.4") == 2
+        assert "metric_p is None" in capsys.readouterr().err
+
     def test_mechanism_version_is_read(self, tmp_path, capsys):
         mech = self._mechanism(tmp_path)
         payload = json.loads(mech.read_text())
@@ -522,7 +573,7 @@ class TestInputGuards:
 
 
 class TestInstanceRanges:
-    """Each instance field is checked against the least value its stage accepts."""
+    """Each config field is checked, on reading, against the least value its stage accepts."""
 
     # config section, key, a rejected value, an accepted value at the range's edge.
     CASES = [
@@ -535,6 +586,12 @@ class TestInstanceRanges:
         ("instance", "n_tasks", 0, 1),
         ("instance", "n_hotspots", -1, 0),
         ("instance", "weight_jitter", -1.5, -1.0),
+        ("privacy", "sweep_resolution", 1, 2),
+        ("privacy", "explicit_budget", [0.1], [0.1, 0.1]),
+        ("privacy", "explicit_budget", [0.1, 0.1, 0.1], [0.1, 0.1]),
+        ("compare", "coarse_grid", [0, 4], [1, 1]),
+        ("compare", "coarse_grid", [4], [1, 1]),
+        ("compare", "tem_radius", -1.0, 1e-9),
     ]
 
     @pytest.mark.parametrize("section, key, bad, edge", CASES,

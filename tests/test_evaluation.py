@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -126,6 +127,8 @@ class TestPriorModel:
             PriorModel([[0.0, 0.0]], [0.5])
         with pytest.raises(ValueError):
             PriorModel([[0.0, 0.0], [1.0, 1.0]], [1.2, -0.2])
+        with pytest.raises(ValueError, match="finite"):
+            PriorModel([[0.0, 0.0], [1.0, 1.0]], [math.nan, 1.0])
 
     def test_cell_lattice_counts_and_interiority(self):
         from anchorpriv.geometry import Partition
@@ -380,6 +383,28 @@ class TestInstanceBundle:
             (tmp_path / name).write_text(text)
             with pytest.raises(ValueError):
                 load_instance(tmp_path)
+
+    def test_non_finite_values_are_value_errors(self, tmp_path):
+        # Python's CSV and JSON readers both take "nan"; no bundle part may.
+        from anchorpriv.evaluation import load_instance, save_instance
+
+        inst = synth_instance(InstanceSpec(), seed=0)
+        save_instance(inst, tmp_path)
+        prior = (tmp_path / "prior.csv").read_text().splitlines()
+        prior[1] = prior[1].rsplit(",", 1)[0] + ",nan"
+        (tmp_path / "prior.csv").write_text("\n".join(prior) + "\n")
+        with pytest.raises(ValueError, match="masses must be finite"):
+            load_instance(tmp_path)
+
+        save_instance(inst, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["tasks"]["masses"][0] = math.nan
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="task prior must be finite"):
+            load_instance(tmp_path)
+
+        with pytest.raises(ValueError, match="losses must be finite"):
+            LossModel.from_matrix([[0.0, 0.0]], [[math.nan]])
 
     def test_non_bundle_dir_rejected(self, tmp_path):
         from anchorpriv.evaluation import load_instance

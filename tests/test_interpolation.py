@@ -13,26 +13,7 @@ from anchorpriv.apo import (
 )
 from anchorpriv.budget import equal_split
 from anchorpriv.geometry import Partition, dual_exponent, lp_distance
-from anchorpriv.interpolation import Mechanism, logcvx_1d
-
-
-class TestLogcvx1d:
-    def test_endpoints_exact(self):
-        assert logcvx_1d(0.37, 0.8, 1.0) == 0.37
-        assert logcvx_1d(0.37, 0.8, 0.0) == 0.8
-
-    def test_geometric_midpoint(self):
-        assert logcvx_1d(0.2, 0.8, 0.5) == pytest.approx(0.4, abs=1e-15)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            logcvx_1d(0.0, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            logcvx_1d(0.5, -0.1, 0.5)
-
-    def test_rejects_bad_coefficient(self):
-        with pytest.raises(ValueError):
-            logcvx_1d(0.5, 0.5, 1.5)
+from anchorpriv.interpolation import Mechanism
 
 
 def _mech_1d(rows, floor=None):

@@ -1,5 +1,6 @@
 import itertools
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -253,7 +254,7 @@ def _tall_table_program():
     first, second = np.triu_indices(50, k=1)
     pairs = 202
     return apo._ratio_program(rng.random((50, 16)), first[:pairs], second[:pairs],
-                              np.full(pairs, 1.5))
+                              np.full(pairs, math.log(1.5)))
 
 
 class TestValueOnlySolve:

@@ -252,7 +252,7 @@ def _reference(mech, x):
     if isinstance(mech, CoarseLpMechanism):
         row = np.argmin([lp_distance(x, r, 2.0) for r in mech.representatives])
         return np.log(mech.table.probs[row])
-    d = np.array([lp_distance(x, y, mech.p) for y in mech.outputs.points])
+    d = np.array([lp_distance(x, y, mech.metric_p) for y in mech.outputs.points])
     scores = -mech.exponent_factor * mech.eps * d
     if isinstance(mech, TruncatedExponentialMechanism):
         scores[d > mech.radius] = -np.inf
