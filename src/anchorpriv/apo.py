@@ -26,7 +26,7 @@ from .geometry import (
     locate_cells,
     lp_distance_matrix,
 )
-from .lpcore import LinearProgram, solve_lp
+from .lpcore import LinearProgram, LpSolution, solve_lp
 
 __all__ = [
     "OutputDomain",
@@ -47,6 +47,9 @@ log = logging.getLogger(__name__)
 
 ROW_SUM_TOL = 1e-9
 PRE_NORMALIZATION_TOL = 1e-7
+# A solved table is optimal when the dual certificate of its multipliers
+# is at most this far below its objective, relative to the objective.
+OPTIMALITY_TOL = 1e-6
 BUDGET_TOL = 1e-12
 # The lower bound keeps only the cell pairs whose ratio bound exp(eps * d)
 # is at most exp(MAX_LOG_RATIO) = 1e8: HiGHS fails on coefficient ranges
@@ -272,23 +275,39 @@ def build_approx_apo(
                           budget.eps[axis] * partition.deltas[axis])
 
 
-def solve_approx_apo(lp: LinearProgram) -> PerturbationTable:
-    """Solve an anchor program and return the renormalized table.
+def solve_approx_apo(
+    lp: LinearProgram,
+    start: LpSolution | None = None,
+) -> tuple[PerturbationTable, LpSolution]:
+    """Solve a table program; return the renormalized table and the solution.
 
     The uniform table is always feasible, so a solve that fails (which
-    :func:`solve_lp` raises on) signals a build or backend fault. Row sums
-    may drift from 1 by at most PRE_NORMALIZATION_TOL before the final
-    exact renormalization.
+    :func:`solve_lp` raises on) signals a build or backend fault. So does
+    a table that is not optimal: the solve raises :class:`SolverError`
+    when the weak-duality certificate of its multipliers
+    (:func:`_dual_certificate`) is more than OPTIMALITY_TOL below its
+    objective, relative to it. Row sums may drift from 1 by at most
+    PRE_NORMALIZATION_TOL before the final exact renormalization.
+
+    Returns (:class:`PerturbationTable`, the
+    :class:`~anchorpriv.lpcore.LpSolution` it came from). ``start`` is
+    an earlier solution, usually that of a neighbouring program; the solve
+    starts from its basis (see :func:`solve_lp`).
     """
     if lp.var_shape is None:
         raise ValueError("program carries no table shape")
-    sol = solve_lp(lp)
+    sol = solve_lp(lp, start=start)
+    certificate = _dual_certificate(lp, sol.multipliers)
+    if sol.objective_value - certificate > OPTIMALITY_TOL * abs(sol.objective_value):
+        raise SolverError(
+            f"{sol.method} returned a table that is not optimal: objective "
+            f"{sol.objective_value:.9g} against dual certificate {certificate:.9g}")
     probs = np.clip(sol.values.reshape(lp.var_shape), 0.0, None)
     sums = probs.sum(axis=1)
     drift = float(np.abs(sums - 1.0).max())
     if drift > PRE_NORMALIZATION_TOL:
         raise SolverError(f"row sums drifted by {drift:.3e} before renormalization")
-    return PerturbationTable(probs / sums[:, None])
+    return PerturbationTable(probs / sums[:, None]), sol
 
 
 def _all_pairs_program(objective, points, eps_total: float, p: float) -> LinearProgram:

@@ -274,6 +274,11 @@ def make_aipo_mechanism(instance, eps: float, priv: PrivacySpec = PrivacySpec())
     message) pairs). The sweep evaluator is the optimal value of each
     candidate's program, i.e. the surrogate expected loss of its solved
     table.
+
+    The sweep solves the candidate at the equal split first, from scratch
+    as AIPO-E does, and then walks outward along the arc on both sides.
+    Each candidate's solve starts from the basis of the nearest candidate
+    solved on its inner side, or from scratch when there is none.
     """
     part, outputs = instance.partition, instance.outputs
     p, convention = priv.p, priv.budget_convention
@@ -285,12 +290,14 @@ def make_aipo_mechanism(instance, eps: float, priv: PrivacySpec = PrivacySpec())
     # solved twice, and AIPO-E's equal split is one of AIPO's candidates.
     tables = instance.derived.setdefault("anchor_tables", {})
 
-    def solved(bv):
+    def solved(bv, start=None):
+        """(table of ``bv``, its LpSolution, or None when the table was cached)."""
         key = (tuple(bv.eps), bv.total_eps, bv.p, validate)
-        if key not in tables:
-            lp = apo.build_approx_apo(part, outputs, bv, coeffs, validate_budget=validate)
-            tables[key] = apo.solve_approx_apo(lp)
-        return tables[key]
+        if key in tables:
+            return tables[key], None
+        lp = apo.build_approx_apo(part, outputs, bv, coeffs, validate_budget=validate)
+        tables[key], solution = apo.solve_approx_apo(lp, start=start)
+        return tables[key], solution
 
     curve, failed = None, []
     if priv.budget_mode == "equal":
@@ -302,15 +309,29 @@ def make_aipo_mechanism(instance, eps: float, priv: PrivacySpec = PrivacySpec())
         candidates = budget.feasible_allocations(
             eps, p, n_dims=n, resolution=priv.sweep_resolution, convention=convention
         )
+        # Candidates come sorted by eps_1. The walk starts at the one nearest
+        # the equal split and keeps one start solution per side.
+        centre = budget.equal_split(eps, p, n, convention=convention).eps[0]
+        mid = int(np.argmin([abs(bv.eps[0] - centre) for bv in candidates]))
+        side = {id(bv): int(np.sign(i - mid)) for i, bv in enumerate(candidates)}
+        starts = {}
+
+        def evaluate(bv):
+            here = side[id(bv)]
+            table, solution = solved(bv, start=starts.get(here))
+            for s in ((-1, 1) if here == 0 else (here,)):
+                starts[s] = solution
+            return float(np.sum(coeffs.matrix * table.probs))
+
         best, curve, failed = budget.optimize_allocation(
-            candidates, lambda bv: float(np.sum(coeffs.matrix * solved(bv).probs)))
-    mech = Mechanism(part, solved(best), outputs, budget=best, total_eps=eps, metric_p=p)
+            candidates[mid::-1] + candidates[mid + 1:], evaluate)
+    mech = Mechanism(part, solved(best)[0], outputs, budget=best, total_eps=eps, metric_p=p)
     return mech, best, curve, failed
 
 
 def _aipo_relaxed(instance, eps, priv, comp):
     part, outputs = instance.partition, instance.outputs
-    table = apo.solve_approx_apo(
+    table, _ = apo.solve_approx_apo(
         apo.build_aipo_relaxed(part, outputs, eps, priv.p, _surrogate(instance)))
     return Mechanism(part, table, outputs, total_eps=eps, metric_p=priv.p)
 
@@ -325,7 +346,7 @@ def _coarse_lp(instance, eps, priv, comp):
         weights=instance.prior.masses, minlength=coarse_part.n_cells,
     )
     lp = apo.build_coarse_lp(reps, masses, outputs, eps, priv.p, instance.loss)
-    return mechanisms.CoarseLpMechanism(reps, apo.solve_approx_apo(lp), outputs, bounds,
+    return mechanisms.CoarseLpMechanism(reps, apo.solve_approx_apo(lp)[0], outputs, bounds,
                                         metric_p=priv.p)
 
 

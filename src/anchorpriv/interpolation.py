@@ -150,6 +150,10 @@ class Mechanism:
                 np.asarray(formats.field(d, "table.probs", "mechanism"), dtype=float))
             budget = None
             if d.get("budget_eps") is not None:
+                for key, value in (("metric_p", metric_p), ("total_eps", total_eps)):
+                    if value is None:
+                        raise ValueError(f"mechanism field {key!r} must be a number "
+                                         "when 'budget_eps' is set, got null")
                 budget = BudgetVector(
                     eps=np.asarray(d["budget_eps"], dtype=float),
                     total_eps=float(total_eps), p=float(metric_p),

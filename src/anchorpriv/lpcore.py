@@ -4,11 +4,11 @@ Programs arrive already assembled: the caller hands over the objective
 and the sparse constraint matrices with their right-hand sides. Every
 variable is non-negative with no upper bound, because every program the
 package solves is a table of probabilities or masses. There is no row
-builder and no MPS writer. Programs are solved through scipy's HiGHS
-backend, which is deterministic for a fixed input and returns basic
-solutions unless the caller waives the vertex. The holder hides the
-backend so callers only see :class:`LinearProgram` and
-:class:`LpSolution`.
+builder and no MPS writer. Programs are solved by HiGHS through the
+binding that scipy bundles (:func:`linprog`), which is deterministic for
+a fixed input and returns basic solutions unless the caller waives the
+vertex. The holder hides the backend so callers only see
+:class:`LinearProgram` and :class:`LpSolution`.
 
 A solve returns an optimal :class:`LpSolution` or raises
 :class:`SolverError`. A backend failure, an infeasible or unbounded
@@ -33,18 +33,24 @@ and the same program is solved on dual simplex. The retry skips IPX with
 crossover: on the 6x6/K=25 lower bound at eps 10 it ends in HiGHS's
 unknown model status as IPX without crossover does, and dual simplex
 solves it.
+
+A solve can also start from the optimal basis of an earlier solution of
+a program of the same shape (``start=``). It then runs dual simplex from
+that basis, which takes a few hundred iterations or fewer when the two
+programs differ only in some coefficients; if it raises, the failure is
+logged at INFO and the program is solved from scratch as above.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import OptimizeWarning, linprog
+from scipy.optimize import OptimizeResult
+from scipy.optimize._highspy import _core as highs
 
 from .errors import SolverError
 
@@ -61,6 +67,28 @@ _SOLVE_OPTIONS = {
     "dual_feasibility_tolerance": 1e-10,
 }
 
+# The options scipy.optimize.linprog sets for the methods "highs-ds" and
+# "highs-ipm" when none of its own are given. Set them too, and a solve
+# from scratch is bitwise equal to scipy's.
+_HIGHS_METHOD_SOLVERS = {"highs-ds": "simplex", "highs-ipm": "ipm"}
+_SCIPY_OPTIONS = {
+    "presolve": "on",
+    "highs_debug_level": 0,
+    "output_flag": False,
+    "log_to_console": False,
+    "simplex_strategy": 1,  # dual simplex
+}
+
+# scipy.optimize.linprog's status code and text for each HiGHS model
+# status; any other model status is code 4 with no text of its own.
+_MODEL_STATUS = {
+    highs.HighsModelStatus.kOptimal: (0, "Optimization terminated successfully. "),
+    highs.HighsModelStatus.kModelError: (2, ""),
+    highs.HighsModelStatus.kInfeasible: (2, "The problem is infeasible. "),
+    highs.HighsModelStatus.kUnbounded: (3, "The problem is unbounded. "),
+    highs.HighsModelStatus.kUnboundedOrInfeasible: (4, "The problem is unbounded or infeasible. "),
+}
+
 # Programs with at least this many variables go to the interior point
 # solver. On the package's anchor and lower-bound programs (one thread)
 # dual simplex is faster up to 576 variables and the interior point
@@ -73,8 +101,10 @@ IPM_MIN_VARS = 700
 # tall. IPX with crossover solves them faster at small budgets, but at
 # large ones it can return a table that is not optimal: on the 8x8/K=16
 # AIPO-R program at eps 10 it reports optimal at 0.285406, 2.85% above
-# dual simplex's 0.277491, with residuals inside FEASIBILITY_TOL, so no
-# check catches it. See the README's "Solver" section.
+# dual simplex's 0.277491, with residuals inside FEASIBILITY_TOL. The
+# optimality check of apo.solve_approx_apo would now reject that table
+# (its dual certificate is 15% lower) and fail the solve. See the
+# README's "Solver" section.
 IPM_MAX_ROWS_PER_VAR = 8
 
 
@@ -145,12 +175,14 @@ class LpSolution:
     solver's tolerances.
 
     The statistics say what was solved and how: the HiGHS ``method`` that
-    returned the solution (``highs-ds`` after a retry), the program's size
-    (``n_rows`` counts both row kinds, ``nnz`` their nonzeros), the
-    iterations and that solve's wall time ``solve_s``. ``nit`` is scipy's
-    count: simplex iterations when any ran (including a simplex clean-up
-    after crossover), else interior point iterations; crossover's own are
-    ``crossover_nit``.
+    returned the solution (``highs-ds`` after a retry and from a start
+    basis), the program's size (``n_rows`` counts both row kinds, ``nnz``
+    their nonzeros), the iterations of each HiGHS algorithm
+    (``simplex_nit``, which includes a simplex clean-up after crossover,
+    ``ipm_nit`` and ``crossover_nit``) with their sum ``nit``, and that
+    solve's wall time ``solve_s``. ``basis`` is the optimal basis, opaque,
+    for :func:`solve_lp`'s ``start``; it is None after IPX without
+    crossover.
     """
 
     values: np.ndarray
@@ -161,21 +193,115 @@ class LpSolution:
     n_rows: int
     nnz: int
     nit: int
+    simplex_nit: int
+    ipm_nit: int
     crossover_nit: int
     solve_s: float
+    basis: object
 
 
-def solve_lp(lp: LinearProgram, vertex: bool = True) -> LpSolution:
+def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0.0, None),
+            method="highs-ds", options=None, basis=None):
+    """One HiGHS solve of min c.x s.t. A_ub x <= b_ub, A_eq x = b_eq, bounds.
+
+    The model is built as ``scipy.optimize.linprog`` builds it: the rows
+    ``[A_ub; A_eq]`` in CSC form, the inequality rows bounded by -inf
+    below, the equality rows by ``b_eq`` on both sides, and the same
+    options for ``method`` ("highs-ds" or "highs-ipm"). A solve without
+    ``basis`` is therefore bitwise equal to scipy's. ``bounds`` is one
+    (lower, upper) pair for every variable, None for no upper bound.
+    ``basis`` is the ``basis`` of an earlier optimal result for a program
+    of the same size; HiGHS starts from it.
+
+    Returns an ``OptimizeResult`` with scipy's ``status`` code and
+    ``message``, the iterations ``simplex_nit``, ``ipm_nit`` and
+    ``crossover_nit`` and their sum ``nit``; when optimal (status 0) also
+    ``x``, ``fun``, ``ineqlin.marginals`` and ``basis`` (None when HiGHS
+    has no valid basis, as after IPX without crossover).
+    """
+    n_ub = 0 if A_ub is None else A_ub.shape[0]
+    solver = highs._Highs()
+    for key, value in {**_SCIPY_OPTIONS, "solver": _HIGHS_METHOD_SOLVERS[method],
+                       **(options or {})}.items():
+        if solver.setOptionValue(key, value) != highs.HighsStatus.kOk:
+            raise ValueError(f"HiGHS rejects option {key}={value!r}")
+    # HiGHS copies the model, so the one built here is freed before the solve.
+    passed = solver.passModel(_highs_model(c, A_ub, b_ub, A_eq, b_eq, bounds))
+    if passed == highs.HighsStatus.kError:
+        status = highs.HighsModelStatus.kModelError
+    else:
+        if basis is not None and solver.setBasis(basis) == highs.HighsStatus.kError:
+            raise ValueError("the start basis does not fit the program")
+        solver.run()
+        status = solver.getModelStatus()
+    info = solver.getInfo()
+    code, text = _MODEL_STATUS.get(status, (4, ""))
+    counts = dict(simplex_nit=info.simplex_iteration_count, ipm_nit=info.ipm_iteration_count,
+                  crossover_nit=info.crossover_iteration_count)
+    res = OptimizeResult(
+        status=code,
+        message=f"{text}(HiGHS Status {int(status)}: {solver.modelStatusToString(status)})",
+        nit=sum(counts.values()),
+        **counts,
+    )
+    if code == 0:
+        solution, final = solver.getSolution(), solver.getBasis()
+        res.update(
+            x=np.array(solution.col_value),
+            fun=info.objective_function_value,
+            ineqlin=OptimizeResult(marginals=np.array(solution.row_dual)[:n_ub]),
+            basis=final if final.valid else None,
+        )
+    return res
+
+
+def _highs_model(c, A_ub, b_ub, A_eq, b_eq, bounds):
+    """The HiGHS model of :func:`linprog`'s program, built as scipy builds it."""
+    c = np.asarray(c, dtype=float)
+    blocks = [m for m in (A_ub, A_eq) if m is not None]
+    a = sparse.csc_array(sparse.vstack(blocks) if blocks else (0, c.size))
+    b_ub = np.asarray([] if b_ub is None else b_ub, dtype=float)
+    b_eq = np.asarray([] if b_eq is None else b_eq, dtype=float)
+    lower, upper = bounds
+    model = highs.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = c.size
+    model.num_row_ = model.a_matrix_.num_row_ = a.shape[0]
+    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    model.a_matrix_.start_ = a.indptr
+    model.a_matrix_.index_ = a.indices
+    model.a_matrix_.value_ = a.data
+    model.col_cost_ = c
+    model.col_lower_ = np.full(c.size, lower, dtype=float)
+    model.col_upper_ = np.full(c.size, highs.kHighsInf if upper is None else upper, dtype=float)
+    model.row_lower_ = np.concatenate([np.full(b_ub.size, -highs.kHighsInf), b_eq])
+    model.row_upper_ = np.concatenate([b_ub, b_eq])
+    return model
+
+
+def solve_lp(lp: LinearProgram, vertex: bool = True,
+             start: LpSolution | None = None) -> LpSolution:
     """Solve a program to optimality or raise :class:`SolverError`.
 
     ``vertex=False`` lets programs of :data:`IPM_MIN_VARS` variables or more
     skip crossover (see the module docstring); the solution is then an
     interior point optimal within the tolerances, not a basic one. An
     interior point solve that raises is logged and retried on dual simplex.
+
+    ``start`` is an earlier solution, usually of a program that differs
+    from ``lp`` only in some coefficients. When it has a basis and its
+    program had as many variables and rows as ``lp``, dual simplex starts
+    from that basis; if that solve raises, it is logged and ``lp`` is
+    solved from scratch.
     """
     matrices = lp.matrices()
-    if IPM_MIN_VARS <= lp.n_vars and (
-            not vertex or lp.n_ub_rows + lp.n_eq_rows <= IPM_MAX_ROWS_PER_VAR * lp.n_vars):
+    n_rows = lp.n_ub_rows + lp.n_eq_rows
+    if start is not None and start.basis is not None and (
+            start.n_vars, start.n_rows) == (lp.n_vars, n_rows):
+        try:
+            return _solve(lp, matrices, "highs-ds", dict(_SOLVE_OPTIONS), start.basis)
+        except SolverError as exc:
+            log.info("%s from the start basis; solving from scratch", exc)
+    if IPM_MIN_VARS <= lp.n_vars and (not vertex or n_rows <= IPM_MAX_ROWS_PER_VAR * lp.n_vars):
         options = dict(_SOLVE_OPTIONS)
         if not vertex:
             options["run_crossover"] = "off"
@@ -186,38 +312,37 @@ def solve_lp(lp: LinearProgram, vertex: bool = True) -> LpSolution:
     return _solve(lp, matrices, "highs-ds", dict(_SOLVE_OPTIONS))
 
 
-def _solve(lp: LinearProgram, matrices, method: str, options: dict) -> LpSolution:
+def _solve(lp: LinearProgram, matrices, method: str, options: dict, basis=None) -> LpSolution:
     """One HiGHS solve; raises SolverError unless it is optimal and within FEASIBILITY_TOL."""
     a_ub, b_ub, a_eq, b_eq, bounds = matrices
     start = time.perf_counter()
-    with warnings.catch_warnings():
-        # scipy hands options it does not know, run_crossover among them,
-        # to HiGHS verbatim and warns that it did.
-        warnings.filterwarnings("ignore", message="Unrecognized options",
-                                category=OptimizeWarning)
-        res = linprog(
-            lp.objective,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=bounds,
-            method=method,
-            options=options,
-        )
+    res = linprog(
+        lp.objective,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=bounds,
+        method=method,
+        options=options,
+        basis=basis,
+    )
+    counts = {key: int(res.get(key) or 0) for key in ("simplex_nit", "ipm_nit", "crossover_nit")}
     stats = dict(
         method=method,
         n_vars=lp.n_vars,
         n_rows=lp.n_ub_rows + lp.n_eq_rows,
         nnz=sum(m.nnz for m in (a_ub, a_eq) if m is not None),
-        nit=int(res.nit),
-        crossover_nit=int(res.get("crossover_nit") or 0),
+        nit=sum(counts.values()),
+        **counts,
         solve_s=time.perf_counter() - start,
     )
     log.debug("LP %s: %s", res.message, stats)
     if res.status != 0:
         raise SolverError(f"{method} failed: {res.message}")
     x = np.asarray(res.x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise SolverError(f"{method} failed: non-finite values in the solution")
     if a_ub is not None:
         worst = float(np.max(a_ub @ x - b_ub, initial=0.0))
         if worst > FEASIBILITY_TOL:
@@ -227,4 +352,5 @@ def _solve(lp: LinearProgram, matrices, method: str, options: dict) -> LpSolutio
         if worst > FEASIBILITY_TOL:
             raise SolverError(f"{method} failed: equality residual {worst:.3e} above tolerance")
     multipliers = -np.asarray(res.ineqlin.marginals, dtype=float)
-    return LpSolution(values=x, objective_value=float(res.fun), multipliers=multipliers, **stats)
+    return LpSolution(values=x, objective_value=float(res.fun), multipliers=multipliers,
+                      basis=res.get("basis"), **stats)

@@ -123,7 +123,7 @@ def test_criterion_3_composition_bounds():
                     matrix=rng.random((part.n_anchors, outputs.size)) * 3.0
                 )
                 bv = _random_feasible_budget(rng, p, eps_total=float(rng.uniform(0.6, 1.6)))
-                table = solve_approx_apo(build_approx_apo(part, outputs, bv, coeffs))
+                table, _ = solve_approx_apo(build_approx_apo(part, outputs, bv, coeffs))
                 mech = Mechanism(part, table, outputs, budget=bv)
                 if p == 1:
                     eps_prime = float(bv.eps.max())
@@ -154,7 +154,7 @@ def test_criterion_4_one_dimensional_validity():
         )
         eps_axis = 0.9
         bv = BudgetVector(eps=np.array([eps_axis]), total_eps=2.6, p=2.0)
-        table = solve_approx_apo(build_approx_apo(part, outputs, bv, coeffs))
+        table, _ = solve_approx_apo(build_approx_apo(part, outputs, bv, coeffs))
         mech = Mechanism(part, table, outputs, budget=bv)
         grids = [
             base + np.linspace(0.0, 1.0, 32) * part.deltas[0]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeResult, linprog
 
 from anchorpriv import apo, lpcore
 from anchorpriv.apo import (
@@ -22,6 +22,7 @@ from anchorpriv.apo import (
     solve_approx_apo,
     surrogate_coefficients,
 )
+from anchorpriv.errors import SolverError
 from anchorpriv.geometry import Partition, axis_neighbors
 from anchorpriv.lpcore import _SOLVE_OPTIONS, solve_lp
 
@@ -204,7 +205,7 @@ class TestApproxApo:
     def test_zero_axis_budget_forces_equal_rows(self):
         part, outputs, coeffs = _one_cell_1d([[1.0, 2.0], [3.0, 1.0]])
         bv = BudgetVector(eps=np.array([0.0]), total_eps=1.0, p=2)
-        table = solve_approx_apo(build_approx_apo(part, outputs, bv, coeffs))
+        table, _ = solve_approx_apo(build_approx_apo(part, outputs, bv, coeffs))
         assert np.allclose(table.probs[0], table.probs[1], atol=1e-9)
         # column sums: y0 -> 4, y1 -> 3; all mass goes to y1
         assert table.probs[0] == pytest.approx([0.0, 1.0], abs=1e-9)
@@ -219,9 +220,31 @@ class TestApproxApo:
         part, outputs, coeffs = _one_cell_1d([[1.0, 2.0], [3.0, 1.0]])
         # ratio bound e^{5} far above any coefficient ratio
         bv = BudgetVector(eps=np.array([5.0]), total_eps=20.0, p=2)
-        table = solve_approx_apo(build_approx_apo(part, outputs, bv, coeffs))
+        table, _ = solve_approx_apo(build_approx_apo(part, outputs, bv, coeffs))
         assert table.probs[0, 0] > 0.99
         assert table.probs[1, 1] > 0.99
+
+    def test_table_that_is_not_optimal_raises(self, monkeypatch):
+        # A solver answer reported optimal but with multipliers that do not
+        # certify it: the uniform table with zero marginals.
+        lp = _small_ratio_program()
+        n_rows, n_out = lp.var_shape
+
+        def uniform_table(c, **kw):
+            x = np.full(c.size, 1.0 / n_out)
+            return OptimizeResult(status=0, message="forced", x=x, fun=float(c @ x),
+                                  ineqlin=OptimizeResult(marginals=np.zeros(lp.n_ub_rows)))
+
+        monkeypatch.setattr(lpcore, "linprog", uniform_table)
+        with pytest.raises(SolverError, match="not optimal"):
+            solve_approx_apo(lp)
+
+    def test_optimal_table_returns_its_solution(self):
+        lp = _small_ratio_program()
+        table, sol = solve_approx_apo(lp)
+        gap = sol.objective_value - apo._dual_certificate(lp, sol.multipliers)
+        assert abs(gap) <= apo.OPTIMALITY_TOL * sol.objective_value
+        assert table.probs == pytest.approx(sol.values.reshape(lp.var_shape), abs=1e-12)
 
     def test_constraint_counts_on_2x2_grid(self):
         part = Partition((0.0, 0.0), (1.0, 1.0), (2, 2))
@@ -264,7 +287,7 @@ class TestApproxApo:
 
         coeffs = SurrogateCoefficients(matrix=rng.random((part.n_anchors, 4)))
         bv = BudgetVector(eps=np.array([0.4, 0.25]), total_eps=2.0, p=2)
-        table = solve_approx_apo(build_approx_apo(part, outputs, bv, coeffs))
+        table, _ = solve_approx_apo(build_approx_apo(part, outputs, bv, coeffs))
         logs = np.log(np.maximum(table.probs, 1e-300))
         for i, j, axis in zip(*axis_neighbors(part)):
             bound = bv.eps[axis] * part.deltas[axis]
@@ -280,7 +303,7 @@ class TestApproxApo:
 
         coeffs = SurrogateCoefficients(matrix=rng.random((part.n_anchors, 3)))
         bv = BudgetVector(eps=np.array([0.4, 0.25]), total_eps=2.0, p=2)
-        table = solve_approx_apo(build_approx_apo(part, outputs, bv, coeffs))
+        table, _ = solve_approx_apo(build_approx_apo(part, outputs, bv, coeffs))
         probs = np.maximum(table.probs, 1e-12)
         probs = probs / probs.sum(axis=1, keepdims=True)
         logs = np.log(probs)
@@ -401,7 +424,7 @@ class TestCoarseLp:
         )
         lp = build_coarse_lp(prior.points, prior.masses, outputs, 1.0, 2.0, loss)
         assert lp.n_ub_rows == 0
-        table = solve_approx_apo(lp)
+        table, _ = solve_approx_apo(lp)
         assert table.probs[0] == pytest.approx([0.0, 1.0, 0.0], abs=1e-9)
 
     def test_zero_budget_forces_equal_rows(self):
@@ -410,7 +433,7 @@ class TestCoarseLp:
             [[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]],
         )
         lp = build_coarse_lp(prior.points, prior.masses, outputs, 0.0, 2.0, loss)
-        table = solve_approx_apo(lp)
+        table, _ = solve_approx_apo(lp)
         assert np.allclose(table.probs[0], table.probs[1], atol=1e-9)
 
     def test_log_two_instance_hand_solution(self):
@@ -421,7 +444,7 @@ class TestCoarseLp:
         lp = build_coarse_lp(prior.points, prior.masses, outputs, math.log(2.0), 1.0, loss)
         sol = solve_lp(lp)
         assert sol.objective_value == pytest.approx(1.0 / 3.0, abs=1e-8)
-        table = solve_approx_apo(lp)
+        table, _ = solve_approx_apo(lp)
         assert table.probs[0] == pytest.approx([2 / 3, 1 / 3], abs=1e-7)
         assert table.probs[1] == pytest.approx([1 / 3, 2 / 3], abs=1e-7)
 
@@ -474,7 +497,7 @@ class TestLowerBound:
             eps = float(rng.uniform(0.2, 1.5))
             coeffs = surrogate_coefficients(part, prior, loss, outputs)
             bv = equal_split(eps, 2.0, 2)
-            table = solve_approx_apo(build_approx_apo(part, outputs, bv, coeffs))
+            table, _ = solve_approx_apo(build_approx_apo(part, outputs, bv, coeffs))
             mech = Mechanism(part, table, outputs, budget=bv)
             lb = lower_bound(part, outputs, eps, 2.0, loss, prior)
             actual = expected_loss(mech, prior, loss)
@@ -575,7 +598,8 @@ class TestDualCertificate:
         assert lp.n_ub_rows == 0
 
     def test_no_warning_escapes(self, monkeypatch):
-        # scipy warns that it passes run_crossover to HiGHS verbatim.
+        # scipy.optimize.linprog warned that it passed run_crossover to
+        # HiGHS verbatim; lpcore sets the HiGHS options itself.
         inst, p = _desk_instance()
         monkeypatch.setattr(lpcore, "IPM_MIN_VARS", 1)
         with warnings.catch_warnings():

@@ -7,13 +7,22 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anchorpriv import apo, budget, evaluation
-from anchorpriv.cli import CompareSpec, PrivacySpec, load_config, main, make_method
+from anchorpriv.cli import (
+    CompareSpec,
+    PrivacySpec,
+    _surrogate,
+    load_config,
+    main,
+    make_aipo_mechanism,
+    make_method,
+)
 from anchorpriv.errors import ConfigError, SolverError
 from anchorpriv.evaluation import InstanceSpec
 
@@ -266,7 +275,8 @@ class TestInstanceReuse:
         priv = PrivacySpec(sweep_resolution=2)
         solve, surrogate = apo.solve_approx_apo, apo.surrogate_coefficients
         solves, surrogates = [], []
-        monkeypatch.setattr(apo, "solve_approx_apo", lambda lp: solves.append(lp) or solve(lp))
+        monkeypatch.setattr(apo, "solve_approx_apo",
+                            lambda lp, **kw: solves.append(lp) or solve(lp, **kw))
         monkeypatch.setattr(apo, "surrogate_coefficients",
                             lambda *args: surrogates.append(args) or surrogate(*args))
         candidates = len(budget.feasible_allocations(0.6, 2.0, resolution=2))
@@ -279,6 +289,39 @@ class TestInstanceReuse:
         assert len(surrogates) == 1
         alone = make_method("AIPO-E", evaluation.synth_instance(spec, seed=3), 0.6, priv)
         assert aipo_e.to_json_dict() == alone.to_json_dict()
+
+
+class TestWarmSweep:
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_sweep_matches_cold_solves(self, monkeypatch, p):
+        # The sweep starts every candidate but the equal split from a
+        # neighbour's basis; it must pick the budget that solving every
+        # candidate from scratch picks, with the same tables.
+        desk = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "desk.yaml"
+        inst = evaluation.synth_instance(load_config(desk).instance, seed=6)
+        priv = PrivacySpec(p=p)
+        starts = []
+        solve_lp = apo.solve_lp
+        monkeypatch.setattr(apo, "solve_lp",
+                            lambda lp, **kw: starts.append(kw.get("start")) or solve_lp(lp, **kw))
+        _, best, _, failed = make_aipo_mechanism(inst, 0.8, priv)
+        monkeypatch.setattr(apo, "solve_lp", solve_lp)
+        assert failed == []
+        candidates = budget.feasible_allocations(0.8, p, resolution=priv.sweep_resolution)
+        assert len(starts) == len(candidates)
+        assert starts[0] is None and all(s is not None for s in starts[1:])
+
+        coeffs = _surrogate(inst)
+        cold = {}
+        for bv in candidates:
+            lp = apo.build_approx_apo(inst.partition, inst.outputs, bv, coeffs)
+            cold[tuple(bv.eps)] = apo.solve_approx_apo(lp)[0].probs
+        cold_best, _, _ = budget.optimize_allocation(
+            candidates, lambda bv: float(np.sum(coeffs.matrix * cold[tuple(bv.eps)])))
+        assert best.eps.tobytes() == cold_best.eps.tobytes()
+        swept = inst.derived["anchor_tables"]
+        for (eps, *_), table in swept.items():
+            assert np.max(np.abs(table.probs - cold[eps])) <= 1e-12
 
 
 class TestLowerBound:
@@ -535,6 +578,16 @@ class TestInputGuards:
         mech.write_text(json.dumps(dict(payload, metric_p=None, budget_eps=None)))
         assert self._audit(tmp_path, mech, "--eps", "0.4") == 2
         assert "metric_p is None" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["metric_p", "total_eps"])
+    def test_null_field_under_a_budget_is_named(self, tmp_path, capsys, key):
+        mech = self._mechanism(tmp_path)
+        payload = json.loads(mech.read_text())
+        assert payload["budget_eps"] is not None
+        mech.write_text(json.dumps(dict(payload, **{key: None})))
+        assert self._audit(tmp_path, mech, "--eps", "0.4") == 2
+        err = capsys.readouterr().err
+        assert f"mechanism field '{key}' must be a number when 'budget_eps' is set" in err
 
     def test_mechanism_version_is_read(self, tmp_path, capsys):
         mech = self._mechanism(tmp_path)

@@ -208,7 +208,7 @@ class TestValidityBounds:
         coeffs = SurrogateCoefficients(matrix=rng.random((part.n_anchors, 3)) * 4)
         for eps in (0.4, 1.2):
             bv = equal_split(eps, 2.0, 2)
-            table = solve_approx_apo(build_approx_apo(part, outputs, bv, coeffs))
+            table, _ = solve_approx_apo(build_approx_apo(part, outputs, bv, coeffs))
             mech = Mechanism(part, table, outputs, budget=bv)
             eps_prime = float(np.sum(bv.eps**2) ** 0.5)
             pts = rng.random((30, 2)) * 2.0

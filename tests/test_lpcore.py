@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import logging
 import math
@@ -5,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.optimize import OptimizeResult, linprog
+from scipy.optimize import OptimizeResult, OptimizeWarning, linprog
 
 from anchorpriv import apo, budget, evaluation, lpcore
 from anchorpriv.errors import SolverError
@@ -295,3 +296,113 @@ class TestValueOnlySolve:
     def test_multipliers_empty_without_inequality_rows(self):
         sol = solve_lp(LinearProgram(objective=[1.0, 3.0], a_eq=[[1.0, 1.0]], b_eq=[1.0]))
         assert sol.multipliers.shape == (0,)
+
+
+def _neighbour_programs(grid=4, out=3):
+    """Two anchor programs of one instance at neighbouring budgets on the arc."""
+    spec = evaluation.InstanceSpec(grid=(grid, grid), outputs=(out, out))
+    inst = evaluation.synth_instance(spec, seed=0)
+    coeffs = apo.surrogate_coefficients(inst.partition, inst.prior, inst.loss, inst.outputs)
+    first, second = budget.feasible_allocations(0.8, 2.0)[4:6]
+    return [apo.build_approx_apo(inst.partition, inst.outputs, bv, coeffs)
+            for bv in (second, first)]
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("grid, out", [(4, 3), (7, 4)])
+    def test_warm_solve_matches_cold_in_fewer_iterations(self, grid, out):
+        centre, neighbour = _neighbour_programs(grid, out)
+        start = solve_lp(centre)
+        assert start.basis is not None
+        cold = solve_lp(neighbour)
+        warm = solve_lp(neighbour, start=start)
+        assert warm.method == "highs-ds"
+        assert warm.simplex_nit < cold.nit
+        assert np.max(np.abs(warm.values - cold.values)) <= 1e-12
+        assert abs(warm.objective_value - cold.objective_value) <= 1e-12
+
+    def test_start_of_another_shape_is_not_used(self, monkeypatch):
+        centre, _ = _neighbour_programs()
+        other = solve_lp(_anchor_program(3, 3))
+        bases = []
+        solve = lpcore.linprog
+        monkeypatch.setattr(lpcore, "linprog",
+                            lambda *a, basis=None, **kw: bases.append(basis) or solve(
+                                *a, basis=basis, **kw))
+        sol = solve_lp(centre, start=other)
+        assert bases == [None]
+        assert sol.values.tobytes() == solve_lp(centre).values.tobytes()
+
+    def test_start_without_basis_is_not_used(self):
+        centre, neighbour = _neighbour_programs()
+        start = solve_lp(centre)
+        start.basis = None
+        sol = solve_lp(neighbour, start=start)
+        assert sol.values.tobytes() == solve_lp(neighbour).values.tobytes()
+
+    def test_failed_warm_solve_solves_from_scratch(self, monkeypatch, caplog):
+        centre, neighbour = _neighbour_programs()
+        start = solve_lp(centre)
+        cold = solve_lp(neighbour)
+        solve = lpcore.linprog
+
+        def failing_warm(*args, basis=None, **kw):
+            if basis is not None:
+                return OptimizeResult(status=4, message="forced")
+            return solve(*args, **kw)
+
+        monkeypatch.setattr(lpcore, "linprog", failing_warm)
+        with caplog.at_level(logging.INFO, logger="anchorpriv.lpcore"):
+            sol = solve_lp(neighbour, start=start)
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.INFO, "highs-ds failed: forced from the start basis; solving from scratch")]
+        assert sol.values.tobytes() == cold.values.tobytes()
+
+
+class TestBinding:
+    """lpcore.linprog against scipy.optimize.linprog on the same programs."""
+
+    @pytest.mark.parametrize("grid, out, method, extra", [
+        (4, 3, "highs-ds", {}),
+        (7, 4, "highs-ipm", {}),
+        (7, 4, "highs-ipm", {"run_crossover": "off"}),
+    ])
+    def test_cold_solve_is_bitwise_equal_to_scipy(self, grid, out, method, extra):
+        lp = _anchor_program(grid, out)
+        a_ub, b_ub, a_eq, b_eq, bounds = lp.matrices()
+        options = dict(_SOLVE_OPTIONS, **extra)
+        with pytest.warns(OptimizeWarning) if extra else contextlib.nullcontext():
+            ref = linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                          bounds=bounds, method=method, options=options)
+        res = lpcore.linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                             bounds=bounds, method=method, options=options)
+        assert (res.status, res.message) == (ref.status, ref.message)
+        assert res.x.tobytes() == ref.x.tobytes()
+        assert res.fun == ref.fun
+        assert res.ineqlin.marginals.tobytes() == ref.ineqlin.marginals.tobytes()
+        assert (res.basis is None) == ("run_crossover" in extra)
+
+    def test_iterations_are_counted_by_method(self):
+        lp = _anchor_program(7, 4)
+        sol = solve_lp(lp)
+        assert sol.method == "highs-ipm"
+        assert sol.ipm_nit > 0 and sol.crossover_nit > 0
+        assert sol.nit == sol.simplex_nit + sol.ipm_nit + sol.crossover_nit
+        a_ub, b_ub, a_eq, b_eq, bounds = lp.matrices()
+        res = lpcore.linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                             method="highs-ipm", options=dict(_SOLVE_OPTIONS))
+        assert res.nit == res.simplex_nit + res.ipm_nit + res.crossover_nit == sol.nit
+
+    def test_unknown_option_is_rejected(self):
+        with pytest.raises(ValueError, match="HiGHS rejects option"):
+            lpcore.linprog([1.0], A_ub=sparse.csr_matrix([[-1.0]]), b_ub=[-1.0],
+                           options={"no_such_option": 1})
+
+    def test_non_finite_solution_raises(self, monkeypatch):
+        # scipy.optimize.linprog turned NaNs in an optimal answer into its
+        # status 4; lpcore.linprog reports HiGHS's status as it is.
+        lp = LinearProgram(objective=[1.0, 3.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+        monkeypatch.setattr(lpcore, "linprog", lambda *a, **kw: OptimizeResult(
+            status=0, message="forced", x=np.array([math.nan, 1.0]), fun=math.nan))
+        with pytest.raises(SolverError, match="non-finite values"):
+            solve_lp(lp)
