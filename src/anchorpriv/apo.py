@@ -311,10 +311,21 @@ def solve_approx_apo(
 
 
 def _all_pairs_program(objective, points, eps_total: float, p: float) -> LinearProgram:
-    """Ratio program bounding every pair of rows by exp(eps * d_p(point_i, point_j))."""
+    """Ratio program bounding every pair of rows by exp(eps * d_p(point_i, point_j)).
+
+    Raises :class:`SolverError` when a ratio bound exceeds 1e15, HiGHS's
+    ``large_matrix_value``, above which HiGHS rejects the model. Unlike the
+    lower bound's, these rows are the mechanism's privacy constraint and
+    cannot be dropped.
+    """
     first, second = np.triu_indices(points.shape[0], k=1)
-    dist = lp_distance_matrix(points, points, p)[first, second]
-    return _ratio_program(objective, first, second, eps_total * dist)
+    log_bound = eps_total * lp_distance_matrix(points, points, p)[first, second]
+    largest, limit = float(log_bound.max(initial=0.0)), math.log(1e15)
+    if largest > limit:
+        raise SolverError(
+            f"all-pairs program at eps {eps_total:g} needs ratio bounds up to "
+            f"exp({largest:.6g}); HiGHS accepts at most exp({limit:.6g}) = 1e15")
+    return _ratio_program(objective, first, second, log_bound)
 
 
 def build_aipo_relaxed(
@@ -388,7 +399,8 @@ def lower_bound(
     p: float,
     loss,
     prior,
-) -> float:
+    start: LpSolution | None = None,
+) -> tuple[float, LpSolution]:
     """Universal lower bound on expected loss of any compliant mechanism.
 
     Aggregates the mechanism into one distribution per cell: the average
@@ -412,6 +424,10 @@ def lower_bound(
     minimum, so the value stays a valid bound; once eps times the closest
     cell pair's distance exceeds MAX_LOG_RATIO no pair is left and the
     value is the cheapest output per cell, usually 0.
+
+    Returns (the bound's value, the :class:`~anchorpriv.lpcore.LpSolution`
+    it came from). ``start`` is an earlier solution, usually the bound's at
+    another budget; the solve starts from its basis (see :func:`solve_lp`).
     """
     if eps_total < 0:
         raise ValueError("total budget must be non-negative")
@@ -437,9 +453,9 @@ def lower_bound(
     log_ratio = eps_total * lp_distance_matrix(worst, np.zeros((1, partition.n_dims)), p)[:, 0]
     keep = log_ratio <= MAX_LOG_RATIO
     lp = _ratio_program(objective, first[keep], second[keep], log_ratio[keep])
-    sol = solve_lp(lp, vertex=False)
+    sol = solve_lp(lp, vertex=False, start=start)
     certificate = _dual_certificate(lp, sol.multipliers)
     value = max(certificate, float(objective.min(axis=1).sum()))
     log.debug("lower bound at eps %g: certificate %.17g, primal objective %.17g, gap %.3g",
               eps_total, certificate, sol.objective_value, sol.objective_value - certificate)
-    return value
+    return value, sol

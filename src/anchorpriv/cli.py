@@ -265,6 +265,19 @@ def _surrogate(instance):
     return instance.derived["surrogate"]
 
 
+def _from_last(instance, kind: str, solve, *args):
+    """``solve(*args, start=...)`` from the last solution of ``kind`` for ``instance``.
+
+    ``solve`` returns (result, LpSolution); the solution is kept, next to
+    the anchor tables, as the next start of ``kind``. A budget's program
+    differs from the previous budget's only in its ratio coefficients, so
+    dual simplex from the previous optimal basis is a parametric re-solve.
+    """
+    starts = instance.derived.setdefault("starts", {})
+    result, starts[kind] = solve(*args, start=starts.get(kind))
+    return result, starts[kind]
+
+
 def make_aipo_mechanism(instance, eps: float, priv: PrivacySpec = PrivacySpec()):
     """Solve the anchor pipeline at one total budget.
 
@@ -275,10 +288,12 @@ def make_aipo_mechanism(instance, eps: float, priv: PrivacySpec = PrivacySpec())
     candidate's program, i.e. the surrogate expected loss of its solved
     table.
 
-    The sweep solves the candidate at the equal split first, from scratch
-    as AIPO-E does, and then walks outward along the arc on both sides.
-    Each candidate's solve starts from the basis of the nearest candidate
-    solved on its inner side, or from scratch when there is none.
+    The sweep solves the candidate at the equal split first, as AIPO-E
+    does, from the basis of the equal split solved last for ``instance``
+    (from scratch at its first budget). It then walks outward along the
+    arc on both sides. Each candidate's solve starts from the basis of the
+    nearest candidate solved on its inner side, or from scratch when there
+    is none.
     """
     part, outputs = instance.partition, instance.outputs
     p, convention = priv.p, priv.budget_convention
@@ -286,22 +301,23 @@ def make_aipo_mechanism(instance, eps: float, priv: PrivacySpec = PrivacySpec())
     validate = convention == "half-dual"
     n = part.n_dims
 
-    # Solved table per budget vector, kept for the instance: no vector is
-    # solved twice, and AIPO-E's equal split is one of AIPO's candidates.
+    # Solved (table, LpSolution) per budget vector, kept for the instance:
+    # no vector is solved twice, AIPO-E's equal split is one of AIPO's
+    # candidates, and a cached solution still starts its neighbours.
     tables = instance.derived.setdefault("anchor_tables", {})
 
     def solved(bv, start=None):
-        """(table of ``bv``, its LpSolution, or None when the table was cached)."""
+        """(table of ``bv``, the LpSolution it came from)."""
         key = (tuple(bv.eps), bv.total_eps, bv.p, validate)
-        if key in tables:
-            return tables[key], None
-        lp = apo.build_approx_apo(part, outputs, bv, coeffs, validate_budget=validate)
-        tables[key], solution = apo.solve_approx_apo(lp, start=start)
-        return tables[key], solution
+        if key not in tables:
+            lp = apo.build_approx_apo(part, outputs, bv, coeffs, validate_budget=validate)
+            tables[key] = apo.solve_approx_apo(lp, start=start)
+        return tables[key]
 
     curve, failed = None, []
     if priv.budget_mode == "equal":
         best = budget.equal_split(eps, p, n, convention=convention)
+        _from_last(instance, "equal split", solved, best)
     elif priv.budget_mode == "explicit":
         best = apo.BudgetVector(eps=np.asarray(priv.explicit_budget, dtype=float),
                                 total_eps=eps, p=p)
@@ -318,7 +334,10 @@ def make_aipo_mechanism(instance, eps: float, priv: PrivacySpec = PrivacySpec())
 
         def evaluate(bv):
             here = side[id(bv)]
-            table, solution = solved(bv, start=starts.get(here))
+            if here == 0:
+                table, solution = _from_last(instance, "equal split", solved, bv)
+            else:
+                table, solution = solved(bv, start=starts.get(here))
             for s in ((-1, 1) if here == 0 else (here,)):
                 starts[s] = solution
             return float(np.sum(coeffs.matrix * table.probs))
@@ -331,8 +350,8 @@ def make_aipo_mechanism(instance, eps: float, priv: PrivacySpec = PrivacySpec())
 
 def _aipo_relaxed(instance, eps, priv, comp):
     part, outputs = instance.partition, instance.outputs
-    table, _ = apo.solve_approx_apo(
-        apo.build_aipo_relaxed(part, outputs, eps, priv.p, _surrogate(instance)))
+    lp = apo.build_aipo_relaxed(part, outputs, eps, priv.p, _surrogate(instance))
+    table, _ = _from_last(instance, "AIPO-R", apo.solve_approx_apo, lp)
     return Mechanism(part, table, outputs, total_eps=eps, metric_p=priv.p)
 
 
@@ -346,8 +365,8 @@ def _coarse_lp(instance, eps, priv, comp):
         weights=instance.prior.masses, minlength=coarse_part.n_cells,
     )
     lp = apo.build_coarse_lp(reps, masses, outputs, eps, priv.p, instance.loss)
-    return mechanisms.CoarseLpMechanism(reps, apo.solve_approx_apo(lp)[0], outputs, bounds,
-                                        metric_p=priv.p)
+    table, _ = _from_last(instance, "CoarseLP", apo.solve_approx_apo, lp)
+    return mechanisms.CoarseLpMechanism(reps, table, outputs, bounds, metric_p=priv.p)
 
 
 def _remapped(base):
@@ -372,8 +391,9 @@ METHODS = {
     "TEM": lambda inst, eps, priv, comp: mechanisms.TruncatedExponentialMechanism(
         inst.outputs, inst.partition.bounds, eps, priv.p, comp.tem_radius),
     "CoarseLP": _coarse_lp,
-    "LB": lambda inst, eps, priv, comp: apo.lower_bound(
-        inst.partition, inst.outputs, eps, priv.p, inst.loss, inst.prior),
+    "LB": lambda inst, eps, priv, comp: _from_last(
+        inst, "LB", apo.lower_bound, inst.partition, inst.outputs, eps, priv.p, inst.loss,
+        inst.prior)[0],
 }
 METHODS.update({f"RMP-{tag}": _remapped(METHODS[tag]) for tag in ("EM", "Laplace", "TEM")})
 

@@ -376,7 +376,8 @@ class Instance:
     spec: InstanceSpec = field(compare=False, default=None)
     # Results derived from the instance while one command runs (surrogate
     # coefficients, solved anchor tables), so that no method or budget
-    # computes them twice. Never copied by dataclasses.replace.
+    # computes them twice, and the last LP solution of each program kind,
+    # which starts the next budget's solve. Never copied by dataclasses.replace.
     derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 

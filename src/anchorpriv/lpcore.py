@@ -180,9 +180,11 @@ class LpSolution:
     their nonzeros), the iterations of each HiGHS algorithm
     (``simplex_nit``, which includes a simplex clean-up after crossover,
     ``ipm_nit`` and ``crossover_nit``) with their sum ``nit``, and that
-    solve's wall time ``solve_s``. ``basis`` is the optimal basis, opaque,
-    for :func:`solve_lp`'s ``start``; it is None after IPX without
-    crossover.
+    solve's wall time ``solve_s``. ``from_basis`` says whether that solve
+    started from the basis of an earlier solution (:func:`solve_lp`'s
+    ``start``); it is False after a start that failed and a solve from
+    scratch. ``basis`` is the optimal basis, opaque, for :func:`solve_lp`'s
+    ``start``; it is None after IPX without crossover.
     """
 
     values: np.ndarray
@@ -197,6 +199,7 @@ class LpSolution:
     ipm_nit: int
     crossover_nit: int
     solve_s: float
+    from_basis: bool
     basis: object
 
 
@@ -336,6 +339,7 @@ def _solve(lp: LinearProgram, matrices, method: str, options: dict, basis=None) 
         nit=sum(counts.values()),
         **counts,
         solve_s=time.perf_counter() - start,
+        from_basis=basis is not None,
     )
     log.debug("LP %s: %s", res.message, stats)
     if res.status != 0:

@@ -181,7 +181,7 @@ def test_criterion_5_lower_bound_dominance():
         for trial in range(20):
             inst = synth_instance(small, seed=100 + trial)
             eps = float(rng.choice([0.3, 0.7, 1.1, 1.5]))
-            lb = ap.lower_bound(
+            lb, _ = ap.lower_bound(
                 inst.partition, inst.outputs, eps, METRIC_P, inst.loss, inst.prior
             )
             for tag in ("AIPO-E", "AIPO-R", "EM", "Laplace", "CoarseLP"):

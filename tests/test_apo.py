@@ -349,6 +349,20 @@ class TestAipoRelaxed:
             relaxed = solve_lp(build_aipo_relaxed(part, outputs, eps, 2.0, coeffs))
             assert relaxed.objective_value <= composed.objective_value + 1e-9
 
+    @pytest.mark.parametrize("eps, solves", [(12.0, True), (12.5, False)])
+    def test_ratio_bound_above_highs_limit_raises_before_solving(self, eps, solves):
+        # HiGHS rejects a matrix entry above 1e15 as a model error. The desk
+        # domain's farthest anchors are 2 sqrt(2) apart, so exp(eps * d)
+        # passes 1e15 between eps 12.21 and 12.22.
+        inst, p = _desk_instance()
+        coeffs = surrogate_coefficients(inst.partition, inst.prior, inst.loss, inst.outputs)
+        if solves:
+            solve_approx_apo(build_aipo_relaxed(inst.partition, inst.outputs, eps, p, coeffs))
+        else:
+            with pytest.raises(SolverError, match=r"at eps 12\.5 needs ratio bounds up to "
+                               r"exp\(35\.3553\); HiGHS accepts at most exp\(34\.5388\)"):
+                build_aipo_relaxed(inst.partition, inst.outputs, eps, p, coeffs)
+
 
 def _dense_ratio_reference(n_rows, k, pairs):
     """Dense (A_ub, A_eq) of a ratio program, written entry by entry.
@@ -462,7 +476,7 @@ class TestLowerBound:
         prior, loss, outputs = matrix_setup(
             [[0.5]], [1.0], [[1.0, 3.0]], [[0.0], [1.0]]
         )
-        assert lower_bound(part, outputs, 1.0, 2.0, loss, prior) == pytest.approx(1.0, abs=1e-9)
+        assert lower_bound(part, outputs, 1.0, 2.0, loss, prior)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_two_cells_zero_budget_forces_constant(self):
         part = Partition((0.0,), (2.0,), (2,))  # two unit cells
@@ -472,7 +486,7 @@ class TestLowerBound:
         )
         # per-cell floors are (1, 3) and (3, 1); rows forced equal at eps=0,
         # so any unit split costs 4 in total
-        value = lower_bound(part, outputs, 0.0, 2.0, loss, prior)
+        value, _ = lower_bound(part, outputs, 0.0, 2.0, loss, prior)
         assert value == pytest.approx(4.0, abs=1e-8)
 
     def test_bounds_solved_mechanism_loss(self):
@@ -499,7 +513,7 @@ class TestLowerBound:
             bv = equal_split(eps, 2.0, 2)
             table, _ = solve_approx_apo(build_approx_apo(part, outputs, bv, coeffs))
             mech = Mechanism(part, table, outputs, budget=bv)
-            lb = lower_bound(part, outputs, eps, 2.0, loss, prior)
+            lb, _ = lower_bound(part, outputs, eps, 2.0, loss, prior)
             actual = expected_loss(mech, prior, loss)
             assert actual >= lb - 1e-8
 
@@ -512,7 +526,7 @@ class TestLowerBound:
         spec = InstanceSpec(upper=(8.0, 8.0), grid=(2, 2), weight_jitter=0.5,
                             prior_on_anchors=True)
         inst = synth_instance(spec, seed=6)
-        lb = lower_bound(inst.partition, inst.outputs, 0.05, 2.0, inst.loss, inst.prior)
+        lb, _ = lower_bound(inst.partition, inst.outputs, 0.05, 2.0, inst.loss, inst.prior)
         for tag in ("AIPO", "RMP-EM"):
             mech = make_method(tag, inst, 0.05, PrivacySpec(p=2.0), CompareSpec())
             assert expected_loss(mech, inst.prior, inst.loss) >= lb - 1e-8, tag
@@ -555,7 +569,7 @@ class TestDualCertificate:
         inst, p = _desk_instance()
         monkeypatch.setattr(lpcore, "IPM_MIN_VARS", 1)
         solves = _spy_solves(monkeypatch)
-        value = lower_bound(inst.partition, inst.outputs, 0.8, p, inst.loss, inst.prior)
+        value, _ = lower_bound(inst.partition, inst.outputs, 0.8, p, inst.loss, inst.prior)
         (lp, sol), = solves
         assert sol.method == "highs-ipm" and sol.crossover_nit == 0
         assert sol.multipliers.shape == (lp.n_ub_rows,)
@@ -566,7 +580,7 @@ class TestDualCertificate:
     def test_default_routing_keeps_desk_bound_on_dual_simplex(self, monkeypatch):
         inst, p = _desk_instance()
         solves = _spy_solves(monkeypatch)
-        value = lower_bound(inst.partition, inst.outputs, 0.8, p, inst.loss, inst.prior)
+        value, _ = lower_bound(inst.partition, inst.outputs, 0.8, p, inst.loss, inst.prior)
         (lp, sol), = solves
         assert lp.n_vars == 144 and sol.method == "highs-ds"
         assert value == pytest.approx(sol.objective_value, rel=1e-12)
@@ -593,7 +607,7 @@ class TestDualCertificate:
         # At eps 17 every desk cell pair's ratio bound exceeds 1e8.
         inst, p = _desk_instance()
         solves = _spy_solves(monkeypatch)
-        assert lower_bound(inst.partition, inst.outputs, 17.0, p, inst.loss, inst.prior) == 0.0
+        assert lower_bound(inst.partition, inst.outputs, 17.0, p, inst.loss, inst.prior)[0] == 0.0
         (lp, _), = solves
         assert lp.n_ub_rows == 0
 
@@ -604,5 +618,5 @@ class TestDualCertificate:
         monkeypatch.setattr(lpcore, "IPM_MIN_VARS", 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value = lower_bound(inst.partition, inst.outputs, 0.8, p, inst.loss, inst.prior)
+            value, _ = lower_bound(inst.partition, inst.outputs, 0.8, p, inst.loss, inst.prior)
         assert value > 0

@@ -320,8 +320,99 @@ class TestWarmSweep:
             candidates, lambda bv: float(np.sum(coeffs.matrix * cold[tuple(bv.eps)])))
         assert best.eps.tobytes() == cold_best.eps.tobytes()
         swept = inst.derived["anchor_tables"]
-        for (eps, *_), table in swept.items():
+        for (eps, *_), (table, _) in swept.items():
             assert np.max(np.abs(table.probs - cold[eps])) <= 1e-12
+
+
+DESK = ROOT / "perfbench" / "inputs" / "desk.yaml"
+
+
+def _spy_solutions(monkeypatch):
+    """Record the LpSolution of every solve_lp call made through apo."""
+    solutions = []
+    solve_lp = apo.solve_lp
+
+    def spy(lp, **kw):
+        solutions.append(solve_lp(lp, **kw))
+        return solutions[-1]
+
+    monkeypatch.setattr(apo, "solve_lp", spy)
+    return solutions
+
+
+def _desk_budgets(monkeypatch, p, cold):
+    """AIPO budget vectors, AIPO-R and CoarseLP tables and LB values over the desk budgets.
+
+    Every method runs on one instance, method by method as compare does;
+    ``cold`` drops every start, so each program is solved from scratch.
+    """
+    run = load_config(DESK)
+    inst = evaluation.synth_instance(run.instance, seed=6)
+    priv = PrivacySpec(p=p, eps=run.privacy.eps)
+    out = {}
+    with monkeypatch.context() as m:
+        if cold:
+            solve_lp = apo.solve_lp
+            m.setattr(apo, "solve_lp", lambda lp, start=None, **kw: solve_lp(lp, **kw))
+        for eps in priv.eps:
+            _, best, _, failed = make_aipo_mechanism(inst, eps, priv)
+            assert failed == []
+            out["AIPO", eps] = best.eps
+        for tag in ("AIPO-R", "CoarseLP", "LB"):
+            for eps in priv.eps:
+                built = make_method(tag, inst, eps, priv, run.compare)
+                out[tag, eps] = built if tag == "LB" else built.table.probs
+    return out
+
+
+class TestBudgetStarts:
+    """Each budget's programs start from the previous budget's basis."""
+
+    @pytest.mark.parametrize("methods", [("AIPO-E", "AIPO"), ("AIPO", "AIPO-E")])
+    def test_sweep_warm_starts_in_either_method_order(self, tmp_path, monkeypatch, methods):
+        # The equal split is solved once, by whichever method comes first;
+        # a cached one still starts the sweep's two candidates next to it.
+        solutions = _spy_solutions(monkeypatch)
+        flags = [arg for tag in methods for arg in ("--method", tag)]
+        assert main(["compare", "--config", str(DESK), "--eps", "0.8", *flags,
+                     "--out-dir", str(tmp_path / "cmp")]) == 0
+        assert [s.from_basis for s in solutions] == [False] + [True] * 10
+
+    def test_table_and_bound_solves_start_from_the_previous_budget(self, tmp_path,
+                                                                 monkeypatch):
+        solutions = _spy_solutions(monkeypatch)
+        assert main(["compare", "--config", str(DESK), "--eps", "0.4,0.8",
+                     "--method", "AIPO-R", "--method", "CoarseLP", "--method", "LB",
+                     "--out-dir", str(tmp_path / "cmp")]) == 0
+        # compare runs each method at every budget before the next method.
+        assert [s.from_basis for s in solutions] == [False, True] * 3
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_started_solves_match_cold_solves(self, monkeypatch, p):
+        warm = _desk_budgets(monkeypatch, p, cold=False)
+        cold = _desk_budgets(monkeypatch, p, cold=True)
+        assert warm.keys() == cold.keys()
+        for (tag, eps), value in warm.items():
+            if tag == "AIPO":
+                assert value.tobytes() == cold[tag, eps].tobytes(), eps
+            elif tag == "LB":
+                assert value == pytest.approx(cold[tag, eps], rel=1e-12, abs=0), eps
+            else:
+                assert np.max(np.abs(value - cold[tag, eps])) <= 1e-12, (tag, eps)
+
+    def test_rows_do_not_depend_on_the_budgets_before_them(self, tmp_path):
+        rows = {}
+        for name, eps in (("alone", "0.8"), ("all", None)):
+            out = tmp_path / name
+            flags = ["--eps", eps] if eps else []
+            assert main(["compare", "--config", str(DESK), *flags, "--out-dir", str(out)]) == 0
+            text = (out / "results.csv").read_text().splitlines()[1:]
+            rows[name] = {r[0]: r for r in (line.split(",") for line in text) if r[1] == "0.8"}
+        assert rows["alone"].keys() == rows["all"].keys() and len(rows["alone"]) == 9
+        for method, (_, _, loss, viol, _) in rows["alone"].items():
+            _, _, full_loss, full_viol, _ = rows["all"][method]
+            assert float(loss) == pytest.approx(float(full_loss), rel=1e-12), method
+            assert viol == full_viol, method
 
 
 class TestLowerBound:
@@ -379,6 +470,16 @@ class TestLowerBound:
 
 
 class TestErrors:
+    def test_all_pairs_ratio_bound_above_highs_limit_is_solver_error(self, tmp_path, capsys):
+        args = ["compare", "--config", str(DESK), "--method", "AIPO-R"]
+        assert main([*args, "--eps", "12", "--out-dir", str(tmp_path / "a")]) == 0
+        capsys.readouterr()
+        assert main([*args, "--eps", "12.5", "--out-dir", str(tmp_path / "b")]) == 3
+        assert capsys.readouterr().err == (
+            "solver error: all-pairs program at eps 12.5 needs ratio bounds up to "
+            "exp(35.3553); HiGHS accepts at most exp(34.5388) = 1e15\n")
+        assert not (tmp_path / "b" / "results.csv").exists()
+
     def test_missing_config_is_config_error(self, tmp_path):
         code = main(["synthesize", "--config", str(tmp_path / "nope.yaml")])
         assert code == 2

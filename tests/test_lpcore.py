@@ -359,6 +359,19 @@ class TestWarmStart:
         assert sol.values.tobytes() == cold.values.tobytes()
 
 
+    def test_solution_records_whether_it_started_from_a_basis(self, monkeypatch, caplog):
+        centre, neighbour = _neighbour_programs()
+        start = solve_lp(centre)
+        assert not start.from_basis
+        with caplog.at_level(logging.DEBUG, logger="anchorpriv.lpcore"):
+            warm = solve_lp(neighbour, start=start)
+        assert warm.from_basis and "'from_basis': True" in caplog.text
+        solve = lpcore.linprog
+        monkeypatch.setattr(lpcore, "linprog", lambda *a, basis=None, **kw: (
+            OptimizeResult(status=4, message="forced") if basis is not None else solve(*a, **kw)))
+        assert not solve_lp(neighbour, start=start).from_basis
+
+
 class TestBinding:
     """lpcore.linprog against scipy.optimize.linprog on the same programs."""
 
