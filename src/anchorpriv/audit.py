@@ -140,6 +140,8 @@ def _map_blocks(mech, eps, p, sample_count, seed, threads, reduce):
         raise ValueError(f"an audit needs at least 2 sample points, got {sample_count}")
     if not eps > 0:
         raise ValueError(f"audit budget eps must be positive, got {eps}")
+    if not math.isfinite(eps):
+        raise ValueError(f"audit budget eps must be finite, got {eps}")
     rng = np.random.default_rng(seed)
     points = _sample_points(mech, sample_count, rng)
     logs = np.ascontiguousarray(_floored_logs(mech, points).T)

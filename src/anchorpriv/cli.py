@@ -61,8 +61,9 @@ class PrivacySpec:
     def __post_init__(self):
         if not self.p >= 1:
             raise ConfigError(f"metric.p must be >= 1, got {self.p}")
-        if not self.eps or not all(e > 0 for e in self.eps):
-            raise ConfigError("privacy.eps must contain positive values")
+        if not self.eps or not all(0 < e < math.inf for e in self.eps):
+            raise ConfigError("privacy.eps (or --eps) must list finite positive budgets, "
+                              f"got {list(self.eps)}")
         # Output files, manifest entries and result rows are keyed by the
         # budget's :g label, so two budgets may not share one.
         labels = [f"{e:g}" for e in self.eps]

@@ -5,16 +5,16 @@ and the sparse constraint matrices with their right-hand sides. Every
 variable is non-negative with no upper bound, because every program the
 package solves is a table of probabilities or masses. There is no row
 builder and no MPS writer. Programs are solved by HiGHS through the
-binding that scipy bundles (:func:`linprog`), which is deterministic for
-a fixed input and returns basic solutions unless the caller waives the
-vertex. The holder hides the backend so callers only see
-:class:`LinearProgram` and :class:`LpSolution`.
+binding that scipy bundles, which is deterministic for a fixed input and
+returns basic solutions unless the caller waives the vertex. The holder
+hides the backend so callers only see :class:`LinearProgram` and
+:class:`LpSolution`.
 
-A solve returns an optimal :class:`LpSolution` or raises
-:class:`SolverError`. A backend failure, an infeasible or unbounded
-program, and a solution that misses its rows by more than
-:data:`FEASIBILITY_TOL` all raise, with the HiGHS method and HiGHS's
-own status text in the message.
+:func:`linprog` is the one HiGHS call: it returns the optimal
+:class:`LpSolution` or raises :class:`SolverError` with the HiGHS method
+and HiGHS's own status, as in ``highs-ds failed: (HiGHS Status 8:
+Infeasible)``. It also raises when an optimal solution is not finite or
+misses its rows by more than :data:`FEASIBILITY_TOL`.
 
 The HiGHS algorithm is chosen by size and shape, and by whether the
 caller needs a vertex. Every solve below :data:`IPM_MIN_VARS` variables
@@ -43,13 +43,13 @@ logged at INFO and the program is solved from scratch as above.
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import OptimizeResult
 from scipy.optimize._highspy import _core as highs
 
 from .errors import SolverError
@@ -77,16 +77,6 @@ _SCIPY_OPTIONS = {
     "output_flag": False,
     "log_to_console": False,
     "simplex_strategy": 1,  # dual simplex
-}
-
-# scipy.optimize.linprog's status code and text for each HiGHS model
-# status; any other model status is code 4 with no text of its own.
-_MODEL_STATUS = {
-    highs.HighsModelStatus.kOptimal: (0, "Optimization terminated successfully. "),
-    highs.HighsModelStatus.kModelError: (2, ""),
-    highs.HighsModelStatus.kInfeasible: (2, "The problem is infeasible. "),
-    highs.HighsModelStatus.kUnbounded: (3, "The problem is unbounded. "),
-    highs.HighsModelStatus.kUnboundedOrInfeasible: (4, "The problem is unbounded or infeasible. "),
 }
 
 # Programs with at least this many variables go to the interior point
@@ -160,8 +150,8 @@ class LinearProgram:
         return 0 if self.a_eq is None else self.a_eq.shape[0]
 
     def matrices(self):
-        """(A_ub, b_ub, A_eq, b_eq, bounds) for the backend; x >= 0 throughout."""
-        return self.a_ub, self.b_ub, self.a_eq, self.b_eq, (0.0, None)
+        """(A_ub, b_ub, A_eq, b_eq) for the backend; x >= 0 throughout."""
+        return self.a_ub, self.b_ub, self.a_eq, self.b_eq
 
 
 @dataclass
@@ -169,10 +159,10 @@ class LpSolution:
     """Optimal solution of a program, with the statistics of its solve.
 
     ``values`` holds the variables and ``objective_value`` the objective
-    at them. ``multipliers`` are the inequality rows' Lagrange multipliers
-    lambda = -``res.ineqlin.marginals``, one per row of ``a_ub`` (empty
-    without such rows); for a minimization they are >= 0 up to the
-    solver's tolerances.
+    at them. ``multipliers`` are the inequality rows' Lagrange multipliers,
+    the negated HiGHS row duals, one per row of ``a_ub`` (empty without
+    such rows); for a minimization they are >= 0 up to the solver's
+    tolerances.
 
     The statistics say what was solved and how: the HiGHS ``method`` that
     returned the solution (``highs-ds`` after a retry and from a start
@@ -203,25 +193,25 @@ class LpSolution:
     basis: object
 
 
-def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0.0, None),
-            method="highs-ds", options=None, basis=None):
-    """One HiGHS solve of min c.x s.t. A_ub x <= b_ub, A_eq x = b_eq, bounds.
+def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, method="highs-ds", options=None,
+            basis=None) -> LpSolution:
+    """One checked HiGHS solve of min c.x s.t. A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
 
     The model is built as ``scipy.optimize.linprog`` builds it: the rows
     ``[A_ub; A_eq]`` in CSC form, the inequality rows bounded by -inf
     below, the equality rows by ``b_eq`` on both sides, and the same
     options for ``method`` ("highs-ds" or "highs-ipm"). A solve without
-    ``basis`` is therefore bitwise equal to scipy's. ``bounds`` is one
-    (lower, upper) pair for every variable, None for no upper bound.
-    ``basis`` is the ``basis`` of an earlier optimal result for a program
-    of the same size; HiGHS starts from it.
+    ``basis`` is therefore bitwise equal to scipy's. ``basis`` is the
+    ``basis`` of an earlier optimal solution for a program of the same
+    size; HiGHS starts from it.
 
-    Returns an ``OptimizeResult`` with scipy's ``status`` code and
-    ``message``, the iterations ``simplex_nit``, ``ipm_nit`` and
-    ``crossover_nit`` and their sum ``nit``; when optimal (status 0) also
-    ``x``, ``fun``, ``ineqlin.marginals`` and ``basis`` (None when HiGHS
-    has no valid basis, as after IPX without crossover).
+    Returns the optimal :class:`LpSolution`. Any other model status raises
+    :class:`SolverError` with HiGHS's status, for example
+    ``highs-ds failed: (HiGHS Status 8: Infeasible)``, and so does an
+    optimal solution that is not finite or misses a row by more than
+    :data:`FEASIBILITY_TOL`.
     """
+    start = time.perf_counter()
     n_ub = 0 if A_ub is None else A_ub.shape[0]
     solver = highs._Highs()
     for key, value in {**_SCIPY_OPTIONS, "solver": _HIGHS_METHOD_SOLVERS[method],
@@ -229,7 +219,7 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0.0, None),
         if solver.setOptionValue(key, value) != highs.HighsStatus.kOk:
             raise ValueError(f"HiGHS rejects option {key}={value!r}")
     # HiGHS copies the model, so the one built here is freed before the solve.
-    passed = solver.passModel(_highs_model(c, A_ub, b_ub, A_eq, b_eq, bounds))
+    passed = solver.passModel(_highs_model(c, A_ub, b_ub, A_eq, b_eq))
     if passed == highs.HighsStatus.kError:
         status = highs.HighsModelStatus.kModelError
     else:
@@ -238,34 +228,48 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0.0, None),
         solver.run()
         status = solver.getModelStatus()
     info = solver.getInfo()
-    code, text = _MODEL_STATUS.get(status, (4, ""))
     counts = dict(simplex_nit=info.simplex_iteration_count, ipm_nit=info.ipm_iteration_count,
                   crossover_nit=info.crossover_iteration_count)
-    res = OptimizeResult(
-        status=code,
-        message=f"{text}(HiGHS Status {int(status)}: {solver.modelStatusToString(status)})",
+    stats = dict(
+        method=method,
+        n_vars=len(c),
+        n_rows=n_ub + (0 if A_eq is None else A_eq.shape[0]),
+        nnz=sum(m.nnz for m in (A_ub, A_eq) if m is not None),
         nit=sum(counts.values()),
         **counts,
+        from_basis=basis is not None,
     )
-    if code == 0:
-        solution, final = solver.getSolution(), solver.getBasis()
-        res.update(
-            x=np.array(solution.col_value),
-            fun=info.objective_function_value,
-            ineqlin=OptimizeResult(marginals=np.array(solution.row_dual)[:n_ub]),
-            basis=final if final.valid else None,
-        )
-    return res
+    message = f"(HiGHS Status {int(status)}: {solver.modelStatusToString(status)})"
+    log.debug("LP %s: %s", message, stats)
+    if status != highs.HighsModelStatus.kOptimal:
+        raise SolverError(f"{method} failed: {message}")
+    solution, final = solver.getSolution(), solver.getBasis()
+    x, duals = np.array(solution.col_value), np.array(solution.row_dual)
+    # Free HiGHS before the checks and multipliers allocate: arrays that
+    # outlive the solve (cached tables keep them) would pin its memory.
+    del solver, solution
+    if not np.all(np.isfinite(x)):
+        raise SolverError(f"{method} failed: non-finite values in the solution")
+    if A_ub is not None:
+        worst = float(np.max(A_ub @ x - b_ub, initial=0.0))
+        if worst > FEASIBILITY_TOL:
+            raise SolverError(f"{method} failed: inequality residual {worst:.3e} above tolerance")
+    if A_eq is not None:
+        worst = float(np.max(np.abs(A_eq @ x - b_eq), initial=0.0))
+        if worst > FEASIBILITY_TOL:
+            raise SolverError(f"{method} failed: equality residual {worst:.3e} above tolerance")
+    return LpSolution(values=x, objective_value=float(info.objective_function_value),
+                      multipliers=-duals[:n_ub], basis=final if final.valid else None,
+                      solve_s=time.perf_counter() - start, **stats)
 
 
-def _highs_model(c, A_ub, b_ub, A_eq, b_eq, bounds):
+def _highs_model(c, A_ub, b_ub, A_eq, b_eq):
     """The HiGHS model of :func:`linprog`'s program, built as scipy builds it."""
     c = np.asarray(c, dtype=float)
     blocks = [m for m in (A_ub, A_eq) if m is not None]
     a = sparse.csc_array(sparse.vstack(blocks) if blocks else (0, c.size))
     b_ub = np.asarray([] if b_ub is None else b_ub, dtype=float)
     b_eq = np.asarray([] if b_eq is None else b_eq, dtype=float)
-    lower, upper = bounds
     model = highs.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = c.size
     model.num_row_ = model.a_matrix_.num_row_ = a.shape[0]
@@ -274,8 +278,8 @@ def _highs_model(c, A_ub, b_ub, A_eq, b_eq, bounds):
     model.a_matrix_.index_ = a.indices
     model.a_matrix_.value_ = a.data
     model.col_cost_ = c
-    model.col_lower_ = np.full(c.size, lower, dtype=float)
-    model.col_upper_ = np.full(c.size, highs.kHighsInf if upper is None else upper, dtype=float)
+    model.col_lower_ = np.zeros(c.size)
+    model.col_upper_ = np.full(c.size, highs.kHighsInf)
     model.row_lower_ = np.concatenate([np.full(b_ub.size, -highs.kHighsInf), b_eq])
     model.row_upper_ = np.concatenate([b_ub, b_eq])
     return model
@@ -296,12 +300,13 @@ def solve_lp(lp: LinearProgram, vertex: bool = True,
     from that basis; if that solve raises, it is logged and ``lp`` is
     solved from scratch.
     """
-    matrices = lp.matrices()
+    a_ub, b_ub, a_eq, b_eq = lp.matrices()
+    solve = functools.partial(linprog, lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq)
     n_rows = lp.n_ub_rows + lp.n_eq_rows
     if start is not None and start.basis is not None and (
             start.n_vars, start.n_rows) == (lp.n_vars, n_rows):
         try:
-            return _solve(lp, matrices, "highs-ds", dict(_SOLVE_OPTIONS), start.basis)
+            return solve(method="highs-ds", options=_SOLVE_OPTIONS, basis=start.basis)
         except SolverError as exc:
             log.info("%s from the start basis; solving from scratch", exc)
     if IPM_MIN_VARS <= lp.n_vars and (not vertex or n_rows <= IPM_MAX_ROWS_PER_VAR * lp.n_vars):
@@ -309,52 +314,7 @@ def solve_lp(lp: LinearProgram, vertex: bool = True,
         if not vertex:
             options["run_crossover"] = "off"
         try:
-            return _solve(lp, matrices, "highs-ipm", options)
+            return solve(method="highs-ipm", options=options)
         except SolverError as exc:
             log.info("%s; solving again on highs-ds", exc)
-    return _solve(lp, matrices, "highs-ds", dict(_SOLVE_OPTIONS))
-
-
-def _solve(lp: LinearProgram, matrices, method: str, options: dict, basis=None) -> LpSolution:
-    """One HiGHS solve; raises SolverError unless it is optimal and within FEASIBILITY_TOL."""
-    a_ub, b_ub, a_eq, b_eq, bounds = matrices
-    start = time.perf_counter()
-    res = linprog(
-        lp.objective,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method=method,
-        options=options,
-        basis=basis,
-    )
-    counts = {key: int(res.get(key) or 0) for key in ("simplex_nit", "ipm_nit", "crossover_nit")}
-    stats = dict(
-        method=method,
-        n_vars=lp.n_vars,
-        n_rows=lp.n_ub_rows + lp.n_eq_rows,
-        nnz=sum(m.nnz for m in (a_ub, a_eq) if m is not None),
-        nit=sum(counts.values()),
-        **counts,
-        solve_s=time.perf_counter() - start,
-        from_basis=basis is not None,
-    )
-    log.debug("LP %s: %s", res.message, stats)
-    if res.status != 0:
-        raise SolverError(f"{method} failed: {res.message}")
-    x = np.asarray(res.x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise SolverError(f"{method} failed: non-finite values in the solution")
-    if a_ub is not None:
-        worst = float(np.max(a_ub @ x - b_ub, initial=0.0))
-        if worst > FEASIBILITY_TOL:
-            raise SolverError(f"{method} failed: inequality residual {worst:.3e} above tolerance")
-    if a_eq is not None:
-        worst = float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0))
-        if worst > FEASIBILITY_TOL:
-            raise SolverError(f"{method} failed: equality residual {worst:.3e} above tolerance")
-    multipliers = -np.asarray(res.ineqlin.marginals, dtype=float)
-    return LpSolution(values=x, objective_value=float(res.fun), multipliers=multipliers,
-                      basis=res.get("basis"), **stats)
+    return solve(method="highs-ds", options=_SOLVE_OPTIONS)

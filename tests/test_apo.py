@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.optimize import OptimizeResult, linprog
+from scipy.optimize import linprog
 
 from anchorpriv import apo, lpcore
 from anchorpriv.apo import (
@@ -54,9 +55,9 @@ def _spy_solves(monkeypatch):
 
 
 def _vertex_optimum(lp):
-    a_ub, b_ub, a_eq, b_eq, bounds = lp.matrices()
+    a_ub, b_ub, a_eq, b_eq = lp.matrices()
     ref = linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs-ds", options=dict(_SOLVE_OPTIONS))
+                  method="highs-ds", options=dict(_SOLVE_OPTIONS))
     assert ref.status == 0
     return ref.fun
 
@@ -229,11 +230,12 @@ class TestApproxApo:
         # certify it: the uniform table with zero marginals.
         lp = _small_ratio_program()
         n_rows, n_out = lp.var_shape
+        solve = lpcore.linprog
 
         def uniform_table(c, **kw):
             x = np.full(c.size, 1.0 / n_out)
-            return OptimizeResult(status=0, message="forced", x=x, fun=float(c @ x),
-                                  ineqlin=OptimizeResult(marginals=np.zeros(lp.n_ub_rows)))
+            return replace(solve(c, **kw), values=x, objective_value=float(c @ x),
+                           multipliers=np.zeros(lp.n_ub_rows))
 
         monkeypatch.setattr(lpcore, "linprog", uniform_table)
         with pytest.raises(SolverError, match="not optimal"):
@@ -400,13 +402,12 @@ class TestRatioRowLayout:
     def _assert_layout(self, lp, coeffs, pairs):
         n_rows, k = coeffs.matrix.shape
         ref_ub, ref_eq = _dense_ratio_reference(n_rows, k, pairs)
-        a_ub, b_ub, a_eq, b_eq, bounds = lp.matrices()
+        a_ub, b_ub, a_eq, b_eq = lp.matrices()
         assert np.array_equal(lp.objective, coeffs.matrix.ravel())
         assert a_ub.shape == ref_ub.shape and (a_ub.toarray() == ref_ub).all()
         assert (b_ub == np.zeros(ref_ub.shape[0])).all()
         assert a_eq.shape == ref_eq.shape and (a_eq.toarray() == ref_eq).all()
         assert (b_eq == np.ones(n_rows)).all()
-        assert bounds in ((0.0, None), [(0.0, None)] * (n_rows * k))
 
     def test_approx_apo_matches_dense_reference(self):
         part, outputs, coeffs = self._setup()

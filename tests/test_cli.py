@@ -13,7 +13,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchorpriv import apo, budget, evaluation
+from anchorpriv import apo, budget, evaluation, lpcore
 from anchorpriv.cli import (
     CompareSpec,
     PrivacySpec,
@@ -445,18 +445,47 @@ class TestLowerBound:
         value = json.loads((out / "lower_bound.json").read_text())["values"]["10"]
         assert 0 < value < 0.01
 
-    def test_benchmark_tracer_counts_lp_statistics(self, tmp_path):
+    def _assert_tracer_counts_lp_statistics(self, tmp_path, monkeypatch, *args):
+        """Trace ``args``, run them again in-process, and compare the LP counters.
+
+        The tracer's LP counters must sum the statistics of the solutions
+        that lpcore.linprog returns. Returns the trace summary and those
+        solutions.
+        """
+        summary = _traced_summary(tmp_path, *args)
+        solutions = []
+        linprog = lpcore.linprog
+
+        def recorded(*a, **kw):
+            solutions.append(linprog(*a, **kw))
+            return solutions[-1]
+
+        monkeypatch.setattr(lpcore, "linprog", recorded)
+        assert main([*args, "--threads", "1", "--out-dir", str(tmp_path / "direct")]) == 0
+        assert summary["lpcore.highs.calls"] == len(solutions) > 0
+        for counter, stat in [("lpcore.vars", "n_vars"), ("lpcore.rows", "n_rows"),
+                              ("lpcore.nnz", "nnz"), ("lpcore.highs.nit", "nit")]:
+            assert summary[counter] == sum(getattr(sol, stat) for sol in solutions), counter
+        return summary, solutions
+
+    def test_benchmark_tracer_counts_lp_statistics(self, tmp_path, monkeypatch):
         # perfbench/tracer.py rebinds LinearProgram.matrices, lpcore.linprog
         # and the apo stages by name; a rename there must fail here.
         cfg = write_config(tmp_path)
-        summary = _traced_summary(tmp_path, "lower-bound", "--config", str(cfg),
-                                  "--eps", "0.4,0.8")
-        counters = json.loads((tmp_path / "marks.spans.json").read_text())["counters"]
-        for key in ("lpcore.rows", "lpcore.nnz", "lpcore.highs.nit"):
-            assert counters.get(key, 0) > 0, key
+        summary, _ = self._assert_tracer_counts_lp_statistics(
+            tmp_path, monkeypatch, "lower-bound", "--config", str(cfg), "--eps", "0.4,0.8")
         # One HiGHS call per eps: the bound's solve reaches the rebound linprog.
         assert summary["apo.lower_bound.calls"] == 2
         assert summary["lpcore.highs.calls"] == 2
+
+    def test_benchmark_tracer_counts_sweep_statistics(self, tmp_path, monkeypatch):
+        # The sweep's candidates start from their neighbours' bases.
+        cfg = write_config(tmp_path, {"privacy": {"budget_mode": "sweep", "sweep_resolution": 3}})
+        summary, solutions = self._assert_tracer_counts_lp_statistics(
+            tmp_path, monkeypatch, "synthesize", "--config", str(cfg), "--eps", "0.4,0.8")
+        assert summary["apo.solve_approx_apo.calls"] == len(solutions)
+        assert any(sol.from_basis for sol in solutions)
+        assert not all(sol.from_basis for sol in solutions)
 
     def test_benchmark_tracer_counts_one_solve_through_a_retry(self, tmp_path):
         # At eps 10 IPX fails on the 8x8 bound and dual simplex solves it:
@@ -636,6 +665,30 @@ class TestInputGuards:
         code = self._audit(tmp_path, self._mechanism(tmp_path), "--eps", "-1")
         assert code == 2
         assert "eps must be positive" in capsys.readouterr().err
+
+    def test_audit_non_finite_eps_is_config_error(self, tmp_path, capsys):
+        code = self._audit(tmp_path, self._mechanism(tmp_path), "--eps", "inf")
+        assert code == 2
+        assert "config error: audit budget eps must be finite, got inf" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("command", ["synthesize", "compare", "lower-bound"])
+    @pytest.mark.parametrize("source", ["privacy.eps", "--eps"])
+    def test_non_finite_budget_fails_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                      command, source):
+        # compare with EM once wrote a NaN loss and lower-bound a 0 bound at eps inf.
+        solves = []
+        monkeypatch.setattr(apo, "solve_lp", lambda lp, **kw: solves.append(lp))
+        if source == "--eps":
+            cfg, flags = write_config(tmp_path), ["--eps", "0.4,inf"]
+        else:
+            cfg, flags = write_config(tmp_path, {"privacy": {"eps": [0.4, math.inf]}}), []
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), *flags, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: privacy.eps (or --eps) must list finite positive budgets, "
+            "got [0.4, inf]\n")
+        assert solves == [] and not out.exists()
 
     def test_compare_single_audit_sample_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"compare": {"audit_samples": 1, "methods": ["EM"]}})

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.optimize import OptimizeResult, OptimizeWarning, linprog
+from scipy.optimize import OptimizeWarning, linprog
+from scipy.optimize._highspy import _core as highs
 
 from anchorpriv import apo, budget, evaluation, lpcore
 from anchorpriv.errors import SolverError
@@ -41,13 +42,13 @@ def test_simplex_vertex():
 
 def test_infeasible_raises():
     lp = LinearProgram(objective=[1.0], a_ub=[[1.0]], b_ub=[-1.0])  # x <= -1 with x >= 0
-    with pytest.raises(SolverError, match=r"^highs-ds failed: The problem is infeasible"):
+    with pytest.raises(SolverError, match=r"^highs-ds failed: \(HiGHS Status 8: Infeasible\)$"):
         solve_lp(lp)
 
 
 def test_unbounded_raises():
     lp = LinearProgram(objective=[-1.0])
-    with pytest.raises(SolverError, match=r"^highs-ds failed: The problem is unbounded"):
+    with pytest.raises(SolverError, match=r"^highs-ds failed: \(HiGHS Status 10: Unbounded\)$"):
         solve_lp(lp)
 
 
@@ -125,32 +126,43 @@ def _anchor_program(grid, out):
     return apo.build_approx_apo(inst.partition, inst.outputs, bv, coeffs)
 
 
-def _fail_interior_point(monkeypatch, status):
-    """Make every highs-ipm call end in ``status``; return the methods called."""
+def _fail_interior_point(monkeypatch):
+    """Make every highs-ipm call raise; return the methods called."""
     methods = []
     solve = lpcore.linprog
 
     def failing_interior_point(*args, method, **kw):
         methods.append(method)
         if method == "highs-ipm":
-            return OptimizeResult(status=status, message="forced", nit=3)
+            raise SolverError("highs-ipm failed: forced")
         return solve(*args, method=method, **kw)
 
     monkeypatch.setattr(lpcore, "linprog", failing_interior_point)
     return methods
 
 
+def _fail_from_basis(monkeypatch):
+    """Make every HiGHS call given a start basis raise."""
+    solve = lpcore.linprog
+
+    def failing_warm(*args, basis=None, **kw):
+        if basis is not None:
+            raise SolverError("highs-ds failed: forced")
+        return solve(*args, **kw)
+
+    monkeypatch.setattr(lpcore, "linprog", failing_warm)
+
+
 @pytest.mark.parametrize("vertex", [True, False])
-@pytest.mark.parametrize("status", [4, 2])
-def test_failed_interior_point_solve_retries_on_dual_simplex(monkeypatch, caplog, status, vertex):
-    # IPX can stop in HiGHS status 4 (model status unknown); any status but
-    # optimal raises, and solve_lp solves the program again on dual simplex.
+def test_failed_interior_point_solve_retries_on_dual_simplex(monkeypatch, caplog, vertex):
+    # IPX can stop in HiGHS's unknown model status; any status but optimal
+    # raises, and solve_lp solves the program again on dual simplex.
     lp = _anchor_program(4, 3)
-    a_ub, b_ub, a_eq, b_eq, bounds = lp.matrices()
+    a_ub, b_ub, a_eq, b_eq = lp.matrices()
     ref = linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs-ds", options=dict(_SOLVE_OPTIONS))
+                  method="highs-ds", options=dict(_SOLVE_OPTIONS))
     monkeypatch.setattr(lpcore, "IPM_MIN_VARS", 1)
-    methods = _fail_interior_point(monkeypatch, status)
+    methods = _fail_interior_point(monkeypatch)
     with caplog.at_level(logging.INFO, logger="anchorpriv.lpcore"):
         sol = solve_lp(lp, vertex=vertex)
     assert methods == ["highs-ipm", "highs-ds"]
@@ -199,9 +211,9 @@ class TestSolverRouting:
 
     def test_large_program_matches_dual_simplex(self, large):
         lp, sol = large
-        a_ub, b_ub, a_eq, b_eq, bounds = lp.matrices()
+        a_ub, b_ub, a_eq, b_eq = lp.matrices()
         ref = linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                      bounds=bounds, method="highs-ds", options=dict(_SOLVE_OPTIONS))
+                      method="highs-ds", options=dict(_SOLVE_OPTIONS))
         assert ref.status == 0
         assert np.max(np.abs(sol.values - ref.x)) <= 1e-12
         assert abs(sol.objective_value - ref.fun) <= 1e-12
@@ -229,20 +241,22 @@ class TestSolverRouting:
         # The rows of the table sum to 64; cap the total at 1.
         capped = sparse.vstack([lp.a_ub, np.ones((1, lp.n_vars))])
         with caplog.at_level(logging.INFO, logger="anchorpriv.lpcore"):
-            with pytest.raises(SolverError, match=r"^highs-ds failed: The problem is infeasible"):
+            with pytest.raises(SolverError,
+                               match=r"^highs-ds failed: \(HiGHS Status 8: Infeasible\)$"):
                 solve_lp(LinearProgram(
                     lp.objective, capped, np.append(lp.b_ub, 1.0), lp.a_eq, lp.b_eq))
             # The ratio rows alone are a cone; a negative objective runs off along it.
-            with pytest.raises(SolverError, match=r"^highs-ds failed: The problem is unbounded"):
+            with pytest.raises(SolverError,
+                               match=r"^highs-ds failed: \(HiGHS Status 10: Unbounded\)$"):
                 solve_lp(LinearProgram(-lp.objective, lp.a_ub, lp.b_ub))
-        assert "highs-ipm failed: The problem is infeasible" in caplog.text
-        assert "highs-ipm failed: The problem is unbounded" in caplog.text
+        assert "highs-ipm failed: (HiGHS Status 8: Infeasible)" in caplog.text
+        assert "highs-ipm failed: (HiGHS Status 10: Unbounded)" in caplog.text
 
     def test_failed_value_only_solve_retries_on_dual_simplex(self, large, monkeypatch):
         # 3.6 rows per variable: the vertex route would be IPX with crossover
         # again, and the retry must not take it.
         lp, vertex = large
-        methods = _fail_interior_point(monkeypatch, status=4)
+        methods = _fail_interior_point(monkeypatch)
         sol = solve_lp(lp, vertex=False)
         assert methods == ["highs-ipm", "highs-ds"]
         assert sol.method == "highs-ds" and sol.crossover_nit == 0
@@ -287,9 +301,9 @@ class TestValueOnlySolve:
     def test_multipliers_are_negated_marginals(self):
         lp = _anchor_program(4, 3)
         sol = solve_lp(lp)
-        a_ub, b_ub, a_eq, b_eq, bounds = lp.matrices()
+        a_ub, b_ub, a_eq, b_eq = lp.matrices()
         ref = linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                      bounds=bounds, method="highs-ds", options=dict(_SOLVE_OPTIONS))
+                      method="highs-ds", options=dict(_SOLVE_OPTIONS))
         assert sol.multipliers.tobytes() == (-ref.ineqlin.marginals).tobytes()
         assert sol.multipliers.min() >= -1e-9
 
@@ -344,14 +358,7 @@ class TestWarmStart:
         centre, neighbour = _neighbour_programs()
         start = solve_lp(centre)
         cold = solve_lp(neighbour)
-        solve = lpcore.linprog
-
-        def failing_warm(*args, basis=None, **kw):
-            if basis is not None:
-                return OptimizeResult(status=4, message="forced")
-            return solve(*args, **kw)
-
-        monkeypatch.setattr(lpcore, "linprog", failing_warm)
+        _fail_from_basis(monkeypatch)
         with caplog.at_level(logging.INFO, logger="anchorpriv.lpcore"):
             sol = solve_lp(neighbour, start=start)
         assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
@@ -366,9 +373,7 @@ class TestWarmStart:
         with caplog.at_level(logging.DEBUG, logger="anchorpriv.lpcore"):
             warm = solve_lp(neighbour, start=start)
         assert warm.from_basis and "'from_basis': True" in caplog.text
-        solve = lpcore.linprog
-        monkeypatch.setattr(lpcore, "linprog", lambda *a, basis=None, **kw: (
-            OptimizeResult(status=4, message="forced") if basis is not None else solve(*a, **kw)))
+        _fail_from_basis(monkeypatch)
         assert not solve_lp(neighbour, start=start).from_basis
 
 
@@ -382,18 +387,18 @@ class TestBinding:
     ])
     def test_cold_solve_is_bitwise_equal_to_scipy(self, grid, out, method, extra):
         lp = _anchor_program(grid, out)
-        a_ub, b_ub, a_eq, b_eq, bounds = lp.matrices()
+        a_ub, b_ub, a_eq, b_eq = lp.matrices()
         options = dict(_SOLVE_OPTIONS, **extra)
         with pytest.warns(OptimizeWarning) if extra else contextlib.nullcontext():
             ref = linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                          bounds=bounds, method=method, options=options)
-        res = lpcore.linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                             bounds=bounds, method=method, options=options)
-        assert (res.status, res.message) == (ref.status, ref.message)
-        assert res.x.tobytes() == ref.x.tobytes()
-        assert res.fun == ref.fun
-        assert res.ineqlin.marginals.tobytes() == ref.ineqlin.marginals.tobytes()
-        assert (res.basis is None) == ("run_crossover" in extra)
+                          method=method, options=options)
+        sol = lpcore.linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                             method=method, options=options)
+        assert ref.status == 0 and sol.method == method
+        assert sol.values.tobytes() == ref.x.tobytes()
+        assert sol.objective_value == ref.fun
+        assert sol.multipliers.tobytes() == (-ref.ineqlin.marginals).tobytes()
+        assert (sol.basis is None) == ("run_crossover" in extra)
 
     def test_iterations_are_counted_by_method(self):
         lp = _anchor_program(7, 4)
@@ -401,7 +406,7 @@ class TestBinding:
         assert sol.method == "highs-ipm"
         assert sol.ipm_nit > 0 and sol.crossover_nit > 0
         assert sol.nit == sol.simplex_nit + sol.ipm_nit + sol.crossover_nit
-        a_ub, b_ub, a_eq, b_eq, bounds = lp.matrices()
+        a_ub, b_ub, a_eq, b_eq = lp.matrices()
         res = lpcore.linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                              method="highs-ipm", options=dict(_SOLVE_OPTIONS))
         assert res.nit == res.simplex_nit + res.ipm_nit + res.crossover_nit == sol.nit
@@ -412,10 +417,37 @@ class TestBinding:
                            options={"no_such_option": 1})
 
     def test_non_finite_solution_raises(self, monkeypatch):
-        # scipy.optimize.linprog turned NaNs in an optimal answer into its
-        # status 4; lpcore.linprog reports HiGHS's status as it is.
+        _corrupt_solutions(monkeypatch, 1)
         lp = LinearProgram(objective=[1.0, 3.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
-        monkeypatch.setattr(lpcore, "linprog", lambda *a, **kw: OptimizeResult(
-            status=0, message="forced", x=np.array([math.nan, 1.0]), fun=math.nan))
-        with pytest.raises(SolverError, match="non-finite values"):
+        with pytest.raises(SolverError, match=r"^highs-ds failed: non-finite values"):
             solve_lp(lp)
+
+    @pytest.mark.parametrize("route, failed", [("ipx", "highs-ipm"), ("start basis", "highs-ds")])
+    def test_failed_check_falls_through_to_the_next_route(self, monkeypatch, caplog, route,
+                                                          failed):
+        centre, neighbour = _neighbour_programs()
+        cold = solve_lp(neighbour)
+        start = solve_lp(centre) if route == "start basis" else None
+        if route == "ipx":
+            monkeypatch.setattr(lpcore, "IPM_MIN_VARS", 1)
+        _corrupt_solutions(monkeypatch, 1)
+        with caplog.at_level(logging.INFO, logger="anchorpriv.lpcore"):
+            sol = solve_lp(neighbour, start=start)
+        assert caplog.records[0].getMessage().startswith(f"{failed} failed: non-finite values")
+        assert sol.method == "highs-ds" and not sol.from_basis
+        assert sol.values.tobytes() == cold.values.tobytes()
+
+
+def _corrupt_solutions(monkeypatch, count):
+    """Make the next ``count`` optimal HiGHS solutions report a NaN first value."""
+    left = [count]
+
+    class NanHighs(highs._Highs):
+        def getSolution(self):
+            solution = super().getSolution()
+            if left[0] > 0:
+                left[0] -= 1
+                solution.col_value = [math.nan, *solution.col_value[1:]]
+            return solution
+
+    monkeypatch.setattr(highs, "_Highs", NanHighs)
