@@ -126,21 +126,6 @@ def _anchor_program(grid, out):
     return apo.build_approx_apo(inst.partition, inst.outputs, bv, coeffs)
 
 
-def _fail_interior_point(monkeypatch):
-    """Make every highs-ipm call raise; return the methods called."""
-    methods = []
-    solve = lpcore.linprog
-
-    def failing_interior_point(*args, method, **kw):
-        methods.append(method)
-        if method == "highs-ipm":
-            raise SolverError("highs-ipm failed: forced")
-        return solve(*args, method=method, **kw)
-
-    monkeypatch.setattr(lpcore, "linprog", failing_interior_point)
-    return methods
-
-
 def _fail_from_basis(monkeypatch):
     """Make every HiGHS call given a start basis raise."""
     solve = lpcore.linprog
@@ -153,16 +138,41 @@ def _fail_from_basis(monkeypatch):
     monkeypatch.setattr(lpcore, "linprog", failing_warm)
 
 
+def _end_interior_point_in(monkeypatch, status):
+    """Make every HiGHS run on IPX end in model ``status``; return the methods run."""
+    methods = []
+    by_solver = {solver: method for method, solver in lpcore._HIGHS_METHOD_SOLVERS.items()}
+
+    class Forced(highs._Highs):
+        def setOptionValue(self, key, value):
+            if key == "solver":
+                self.method = by_solver[value]
+            return super().setOptionValue(key, value)
+
+        def run(self):
+            methods.append(self.method)
+            return highs.HighsStatus.kOk if self.method == "highs-ipm" else super().run()
+
+        def getModelStatus(self):
+            if self.method == "highs-ipm":
+                return highs.HighsModelStatus(status)
+            return super().getModelStatus()
+
+    monkeypatch.setattr(highs, "_Highs", Forced)
+    return methods
+
+
 @pytest.mark.parametrize("vertex", [True, False])
-def test_failed_interior_point_solve_retries_on_dual_simplex(monkeypatch, caplog, vertex):
-    # IPX can stop in HiGHS's unknown model status; any status but optimal
-    # raises, and solve_lp solves the program again on dual simplex.
+@pytest.mark.parametrize("status", [4, 2])
+def test_failed_interior_point_solve_retries_on_dual_simplex(monkeypatch, caplog, status, vertex):
+    # IPX can stop in HiGHS model status 4 (solve error); any status but
+    # optimal raises, and solve_lp solves the program again on dual simplex.
     lp = _anchor_program(4, 3)
     a_ub, b_ub, a_eq, b_eq = lp.matrices()
     ref = linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                   method="highs-ds", options=dict(_SOLVE_OPTIONS))
     monkeypatch.setattr(lpcore, "IPM_MIN_VARS", 1)
-    methods = _fail_interior_point(monkeypatch)
+    methods = _end_interior_point_in(monkeypatch, status)
     with caplog.at_level(logging.INFO, logger="anchorpriv.lpcore"):
         sol = solve_lp(lp, vertex=vertex)
     assert methods == ["highs-ipm", "highs-ds"]
@@ -170,8 +180,9 @@ def test_failed_interior_point_solve_retries_on_dual_simplex(monkeypatch, caplog
     assert sol.values.tobytes() == ref.x.tobytes()
     assert sol.objective_value == ref.fun
     assert sol.multipliers.tobytes() == (-ref.ineqlin.marginals).tobytes()
+    name = {4: "Solve error", 2: "Model error"}[status]
     assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
-        (logging.INFO, "highs-ipm failed: forced; solving again on highs-ds")]
+        (logging.INFO, f"highs-ipm failed: (HiGHS Status {status}: {name}); solving again on highs-ds")]
 
 
 class TestSolverRouting:
@@ -256,7 +267,7 @@ class TestSolverRouting:
         # 3.6 rows per variable: the vertex route would be IPX with crossover
         # again, and the retry must not take it.
         lp, vertex = large
-        methods = _fail_interior_point(monkeypatch)
+        methods = _end_interior_point_in(monkeypatch, 4)
         sol = solve_lp(lp, vertex=False)
         assert methods == ["highs-ipm", "highs-ds"]
         assert sol.method == "highs-ds" and sol.crossover_nit == 0
