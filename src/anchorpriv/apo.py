@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import SolverError
 from .geometry import (
@@ -26,7 +25,7 @@ from .geometry import (
     locate_cells,
     lp_distance_matrix,
 )
-from .lpcore import LinearProgram, LpSolution, solve_lp
+from .lpcore import CsrMatrix, LinearProgram, LpSolution, solve_lp
 
 __all__ = [
     "OutputDomain",
@@ -220,10 +219,8 @@ def _ratio_program(objective, first, second, log_bound) -> LinearProgram:
     n_rows, n_out = objective.shape
     n_vars = n_rows * n_out
     var = np.arange(n_vars).reshape(n_rows, n_out)
-    a_eq = sparse.csr_matrix(
-        (np.ones(n_vars), (np.repeat(np.arange(n_rows), n_out), var.ravel())),
-        shape=(n_rows, n_vars),
-    )
+    a_eq = CsrMatrix(np.arange(0, n_vars + 1, n_out), var.ravel(), np.ones(n_vars),
+                     (n_rows, n_vars))
     b_eq = np.ones(n_rows)
     vi = var[np.asarray(first, dtype=np.intp)].ravel()
     vj = var[np.asarray(second, dtype=np.intp)].ravel()
@@ -232,11 +229,11 @@ def _ratio_program(objective, first, second, log_bound) -> LinearProgram:
         # math.exp, not np.exp: the two differ in the last bit on some inputs.
         neg_b = np.repeat([-math.exp(v) for v in log_bound], n_out)
         ones = np.ones_like(neg_b)
-        # Four entries per (pair, output): (+1 @ i, -b @ j), then the mirror row.
-        rows = np.repeat(np.arange(2 * vi.size), 2)
+        # Two entries per row, four per (pair, output): (+1 @ i, -b @ j),
+        # then the mirror row.
         cols = np.stack([vi, vj, vj, vi], axis=1).ravel()
         data = np.stack([ones, neg_b, ones, neg_b], axis=1).ravel()
-        a_ub = sparse.csr_matrix((data, (rows, cols)), shape=(2 * vi.size, n_vars))
+        a_ub = CsrMatrix(np.arange(0, 4 * vi.size + 1, 2), cols, data, (2 * vi.size, n_vars))
         b_ub = np.zeros(2 * vi.size)
     return LinearProgram(objective, a_ub, b_ub, a_eq, b_eq, var_shape=(n_rows, n_out))
 
@@ -387,7 +384,7 @@ def _dual_certificate(lp: LinearProgram, multipliers) -> float:
     slack = 0.0
     if lp.a_ub is not None:
         lam = np.clip(multipliers, 0.0, None)
-        reduced = reduced + lp.a_ub.T @ lam
+        reduced = reduced + lp.a_ub.rmatvec(lam)
         slack = float(lam @ lp.b_ub)
     return float(lp.b_eq @ reduced.reshape(lp.var_shape).min(axis=1)) - slack
 

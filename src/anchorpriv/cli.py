@@ -270,12 +270,14 @@ def _from_last(instance, kind: str, solve, *args):
     """``solve(*args, start=...)`` from the last solution of ``kind`` for ``instance``.
 
     ``solve`` returns (result, LpSolution); the solution is kept, next to
-    the anchor tables, as the next start of ``kind``. A budget's program
-    differs from the previous budget's only in its ratio coefficients, so
-    dual simplex from the previous optimal basis is a parametric re-solve.
+    the anchor tables and without its arrays (``LpSolution.as_start``), as
+    the next start of ``kind``. A budget's program differs from the
+    previous budget's only in its ratio coefficients, so dual simplex from
+    the previous optimal basis is a parametric re-solve.
     """
     starts = instance.derived.setdefault("starts", {})
-    result, starts[kind] = solve(*args, start=starts.get(kind))
+    result, solution = solve(*args, start=starts.get(kind))
+    starts[kind] = solution.as_start()
     return result, starts[kind]
 
 
@@ -302,17 +304,19 @@ def make_aipo_mechanism(instance, eps: float, priv: PrivacySpec = PrivacySpec())
     validate = convention == "half-dual"
     n = part.n_dims
 
-    # Solved (table, LpSolution) per budget vector, kept for the instance:
-    # no vector is solved twice, AIPO-E's equal split is one of AIPO's
-    # candidates, and a cached solution still starts its neighbours.
+    # Solved (table, LpSolution without its arrays) per budget vector, kept
+    # for the instance: no vector is solved twice, AIPO-E's equal split is
+    # one of AIPO's candidates, and a cached solution still starts its
+    # neighbours.
     tables = instance.derived.setdefault("anchor_tables", {})
 
     def solved(bv, start=None):
-        """(table of ``bv``, the LpSolution it came from)."""
+        """(table of ``bv``, the LpSolution it came from, as a start)."""
         key = (tuple(bv.eps), bv.total_eps, bv.p, validate)
         if key not in tables:
             lp = apo.build_approx_apo(part, outputs, bv, coeffs, validate_budget=validate)
-            tables[key] = apo.solve_approx_apo(lp, start=start)
+            table, solution = apo.solve_approx_apo(lp, start=start)
+            tables[key] = table, solution.as_start()
         return tables[key]
 
     curve, failed = None, []

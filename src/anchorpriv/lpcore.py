@@ -1,14 +1,20 @@
 """Linear-program holder and a deterministic solve wrapper.
 
 Programs arrive already assembled: the caller hands over the objective
-and the sparse constraint matrices with their right-hand sides. Every
-variable is non-negative with no upper bound, because every program the
-package solves is a table of probabilities or masses. There is no row
-builder and no MPS writer. Programs are solved by HiGHS through the
-binding that scipy bundles, which is deterministic for a fixed input and
-returns basic solutions unless the caller waives the vertex. The holder
-hides the backend so callers only see :class:`LinearProgram` and
-:class:`LpSolution`.
+and the sparse constraint matrices (:class:`CsrMatrix`) with their
+right-hand sides. Every variable is non-negative with no upper bound,
+because every program the package solves is a table of probabilities or
+masses. There is no row builder and no MPS writer. Programs are solved by
+HiGHS through the binding that scipy bundles, which is deterministic for a
+fixed input and returns basic solutions unless the caller waives the
+vertex. The holder hides the backend so callers only see
+:class:`LinearProgram` and :class:`LpSolution`.
+
+The binding is the one scipy module this package loads. It is loaded
+from scipy's directory as ``scipy.optimize._highspy._core`` without
+running ``scipy/optimize/__init__``, which with ``scipy.sparse`` would
+take about 0.5 s and 40 MB at every start (see "Start-up" in the
+README's "Solver" section); a later ``import scipy.optimize`` reuses it.
 
 :func:`linprog` is the one HiGHS call: it returns the optimal
 :class:`LpSolution` or raises :class:`SolverError` with the HiGHS method
@@ -44,19 +50,53 @@ logged at INFO and the program is solved from scratch as above.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import logging
+import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize._highspy import _core as highs
 
 from .errors import SolverError
 
-__all__ = ["LinearProgram", "LpSolution", "solve_lp"]
+__all__ = ["CsrMatrix", "LinearProgram", "LpSolution", "solve_lp"]
 
 log = logging.getLogger(__name__)
+
+HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs(directory) -> object:
+    """Load scipy's HiGHS binding from ``directory`` as :data:`HIGHS_MODULE`.
+
+    The module is registered in ``sys.modules`` under its own name, so a
+    later ``import scipy.optimize`` reuses it instead of loading it again.
+    Raises ImportError, naming scipy's version, when ``directory`` holds
+    no such extension.
+    """
+    spec = importlib.machinery.PathFinder.find_spec(HIGHS_MODULE, [str(directory)])
+    if spec is None:
+        from importlib.metadata import version
+
+        raise ImportError(f"no HiGHS binding {HIGHS_MODULE} in {directory} (scipy "
+                          f"{version('scipy')}); anchorpriv needs scipy>=1.15")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[HIGHS_MODULE] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _scipy_highs_dir() -> Path:
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("scipy is not installed; anchorpriv needs scipy>=1.15")
+    return Path(scipy.submodule_search_locations[0], "optimize", "_highspy")
+
+
+highs = sys.modules.get(HIGHS_MODULE) or _load_highs(_scipy_highs_dir())
 
 FEASIBILITY_TOL = 1e-7
 
@@ -98,20 +138,70 @@ IPM_MIN_VARS = 700
 IPM_MAX_ROWS_PER_VAR = 8
 
 
+class CsrMatrix:
+    """A sparse matrix in compressed sparse row form.
+
+    Row r holds the entries ``indptr[r]:indptr[r + 1]`` of ``indices``
+    (their columns) and ``data`` (their values), as in scipy's
+    ``csr_array``. Both products add each output's terms in row order, as
+    scipy's CSR products do, so they return the same bits.
+    """
+
+    def __init__(self, indptr, indices, data, shape):
+        self.indptr = np.asarray(indptr, dtype=np.intp)
+        self.indices = np.asarray(indices, dtype=np.intp)
+        self.data = np.asarray(data, dtype=float)
+        self.shape = (int(shape[0]), int(shape[1]))
+        if self.indptr.shape != (self.shape[0] + 1,) or self.indptr[0] != 0 \
+                or np.any(np.diff(self.indptr) < 0) or self.indptr[-1] != self.data.size \
+                or self.indices.shape != self.data.shape:
+            raise ValueError(f"inconsistent CSR arrays for shape {self.shape}")
+        if self.nnz and not 0 <= self.indices.min() <= self.indices.max() < self.shape[1]:
+            raise ValueError(f"column index out of range for shape {self.shape}")
+
+    @classmethod
+    def from_dense(cls, a) -> CsrMatrix:
+        """The nonzero entries of a 2-D array-like, row by row."""
+        a = np.asarray(a, dtype=float)
+        if a.ndim != 2:
+            raise ValueError(f"constraint matrix must be 2-D, got {a.ndim}-D")
+        rows, cols = np.nonzero(a)
+        indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(a, axis=1))])
+        return cls(indptr, cols, a[rows, cols], a.shape)
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def entry_rows(self) -> np.ndarray:
+        """The row of each entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __matmul__(self, x) -> np.ndarray:
+        """A x."""
+        return np.bincount(self.entry_rows(), weights=self.data * np.asarray(x)[self.indices],
+                           minlength=self.shape[0])
+
+    def rmatvec(self, y) -> np.ndarray:
+        """A^T y."""
+        return np.bincount(self.indices, weights=self.data * np.asarray(y)[self.entry_rows()],
+                           minlength=self.shape[1])
+
+
 @dataclass
 class LinearProgram:
     """min c.x  s.t.  a_ub x <= b_ub,  a_eq x = b_eq,  x >= 0.
 
-    ``a_ub`` and ``a_eq`` are CSR matrices (anything ``scipy.sparse``
-    accepts is converted) or ``None`` when the program has no rows of that
-    kind. ``var_shape`` optionally records the logical 2-D shape of the
-    variable vector for table-valued programs.
+    ``a_ub`` and ``a_eq`` are :class:`CsrMatrix` (a dense 2-D array-like
+    is converted) or ``None`` when the program has no rows of that kind.
+    ``var_shape`` optionally records the logical 2-D shape of the variable
+    vector for table-valued programs.
     """
 
     objective: np.ndarray
-    a_ub: sparse.csr_matrix | None = None
+    a_ub: CsrMatrix | None = None
     b_ub: np.ndarray | None = None
-    a_eq: sparse.csr_matrix | None = None
+    a_eq: CsrMatrix | None = None
     b_eq: np.ndarray | None = None
     var_shape: tuple | None = None
 
@@ -129,7 +219,8 @@ class LinearProgram:
             if rhs is not None:
                 raise ValueError(f"b_{kind} given without a_{kind}")
             return None, None
-        mat = sparse.csr_matrix(mat)
+        if not isinstance(mat, CsrMatrix):
+            mat = CsrMatrix.from_dense(mat)
         rhs = np.asarray(rhs, dtype=float).ravel()
         if mat.shape[1] != self.n_vars:
             raise ValueError(f"a_{kind} has {mat.shape[1]} columns, expected {self.n_vars}")
@@ -177,9 +268,9 @@ class LpSolution:
     ``start``; it is None after IPX without crossover.
     """
 
-    values: np.ndarray
+    values: np.ndarray | None
     objective_value: float
-    multipliers: np.ndarray
+    multipliers: np.ndarray | None
     method: str
     n_vars: int
     n_rows: int
@@ -192,12 +283,22 @@ class LpSolution:
     from_basis: bool
     basis: object
 
+    def as_start(self) -> LpSolution:
+        """This solution without ``values`` and ``multipliers`` (both None).
+
+        A :func:`solve_lp` ``start`` is read for its basis and its
+        program's size only, so a solution kept to start later solves need
+        not keep the arrays.
+        """
+        return replace(self, values=None, multipliers=None)
+
 
 def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, method="highs-ds", options=None,
             basis=None) -> LpSolution:
     """One checked HiGHS solve of min c.x s.t. A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
 
-    The model is built as ``scipy.optimize.linprog`` builds it: the rows
+    ``A_ub`` and ``A_eq`` are :class:`CsrMatrix` or None. The model is
+    built as ``scipy.optimize.linprog`` builds it: the rows
     ``[A_ub; A_eq]`` in CSC form, the inequality rows bounded by -inf
     below, the equality rows by ``b_eq`` on both sides, and the same
     options for ``method`` ("highs-ds" or "highs-ipm"). A solve without
@@ -266,23 +367,41 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, method="highs-ds", op
 def _highs_model(c, A_ub, b_ub, A_eq, b_eq):
     """The HiGHS model of :func:`linprog`'s program, built as scipy builds it."""
     c = np.asarray(c, dtype=float)
-    blocks = [m for m in (A_ub, A_eq) if m is not None]
-    a = sparse.csc_array(sparse.vstack(blocks) if blocks else (0, c.size))
+    start, index, value = _stacked_csc([m for m in (A_ub, A_eq) if m is not None], c.size)
     b_ub = np.asarray([] if b_ub is None else b_ub, dtype=float)
     b_eq = np.asarray([] if b_eq is None else b_eq, dtype=float)
     model = highs.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = c.size
-    model.num_row_ = model.a_matrix_.num_row_ = a.shape[0]
+    model.num_row_ = model.a_matrix_.num_row_ = b_ub.size + b_eq.size
     model.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    model.a_matrix_.start_ = a.indptr
-    model.a_matrix_.index_ = a.indices
-    model.a_matrix_.value_ = a.data
+    model.a_matrix_.start_ = start
+    model.a_matrix_.index_ = index
+    model.a_matrix_.value_ = value
     model.col_cost_ = c
     model.col_lower_ = np.zeros(c.size)
     model.col_upper_ = np.full(c.size, highs.kHighsInf)
     model.row_lower_ = np.concatenate([np.full(b_ub.size, -highs.kHighsInf), b_eq])
     model.row_upper_ = np.concatenate([b_ub, b_eq])
     return model
+
+
+def _stacked_csc(blocks, n_cols):
+    """(indptr, indices, data) of the CSC form of the blocks' rows stacked in order.
+
+    One stable sort by column keeps each column's entries in row order:
+    the arrays of scipy's ``csc_array(vstack(blocks))``, with its int32
+    indices.
+    """
+    rows, offset = [], 0
+    for block in blocks:
+        rows.append(block.entry_rows() + offset)
+        offset += block.shape[0]
+    rows = np.concatenate(rows or [np.zeros(0, dtype=np.intp)])
+    cols = np.concatenate([b.indices for b in blocks] or [np.zeros(0, dtype=np.intp)])
+    data = np.concatenate([b.data for b in blocks] or [np.zeros(0)])
+    order = np.argsort(cols, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n_cols))])
+    return indptr.astype(np.int32), rows[order].astype(np.int32), data[order]
 
 
 def solve_lp(lp: LinearProgram, vertex: bool = True,

@@ -18,7 +18,6 @@ views and ``bounds`` for audit sampling; all are pure functions of
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .apo import OutputDomain, PerturbationTable
 from .geometry import as_point, as_points, lp_distance_matrix, nearest
@@ -103,8 +102,26 @@ class _PointwiseMechanism:
 
 
 def log_normalize(scores: np.ndarray) -> np.ndarray:
-    """Rows of log-scores shifted so that each row's probabilities sum to one."""
-    return scores - logsumexp(scores, axis=1, keepdims=True)
+    """Rows of log-scores shifted so that each row's probabilities sum to one.
+
+    The shift is each row's log-sum-exp, computed as scipy 1.17's
+    ``scipy.special.logsumexp`` computes it, with the same bits: the
+    row's maximum m, its count c, and s = the sum of exp(score - m) over
+    the other entries give log1p(s / c) + log(c) + m. A row whose result
+    is not finite (every entry -inf, or an entry +inf or nan) takes
+    log(sum(exp(scores))) instead.
+    """
+    top = scores.max(axis=1, keepdims=True)
+    at_top = scores == top
+    count = at_top.sum(axis=1, keepdims=True, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rest = np.exp(np.where(at_top, -np.inf, scores) - top).sum(axis=1, keepdims=True)
+        lse = np.log1p(rest / count) + np.log(count) + top
+    finite = np.isfinite(lse)
+    if not finite.all():
+        with np.errstate(divide="ignore", over="ignore"):
+            lse = np.where(finite, lse, np.log(np.exp(scores).sum(axis=1, keepdims=True)))
+    return scores - lse
 
 
 class ExponentialMechanism(_PointwiseMechanism):

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.optimize import linprog
 
 from anchorpriv import apo, lpcore
 from anchorpriv.apo import (
@@ -27,7 +26,7 @@ from anchorpriv.errors import SolverError
 from anchorpriv.geometry import Partition, axis_neighbors
 from anchorpriv.lpcore import _SOLVE_OPTIONS, solve_lp
 
-from conftest import matrix_setup
+from conftest import matrix_setup, scipy_linprog, to_scipy
 
 DESK = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "desk.yaml"
 
@@ -55,9 +54,7 @@ def _spy_solves(monkeypatch):
 
 
 def _vertex_optimum(lp):
-    a_ub, b_ub, a_eq, b_eq = lp.matrices()
-    ref = linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  method="highs-ds", options=dict(_SOLVE_OPTIONS))
+    ref = scipy_linprog(lp, method="highs-ds", options=dict(_SOLVE_OPTIONS))
     assert ref.status == 0
     return ref.fun
 
@@ -404,9 +401,9 @@ class TestRatioRowLayout:
         ref_ub, ref_eq = _dense_ratio_reference(n_rows, k, pairs)
         a_ub, b_ub, a_eq, b_eq = lp.matrices()
         assert np.array_equal(lp.objective, coeffs.matrix.ravel())
-        assert a_ub.shape == ref_ub.shape and (a_ub.toarray() == ref_ub).all()
+        assert a_ub.shape == ref_ub.shape and (to_scipy(a_ub).toarray() == ref_ub).all()
         assert (b_ub == np.zeros(ref_ub.shape[0])).all()
-        assert a_eq.shape == ref_eq.shape and (a_eq.toarray() == ref_eq).all()
+        assert a_eq.shape == ref_eq.shape and (to_scipy(a_eq).toarray() == ref_eq).all()
         assert (b_eq == np.ones(n_rows)).all()
 
     def test_approx_apo_matches_dense_reference(self):
@@ -549,7 +546,7 @@ class TestLowerBound:
         monkeypatch.setattr(apo, "solve_lp",
                             lambda lp, **kw: programs.append(lp) or solve(lp, **kw))
         lower_bound(part, outputs, 0.7, p, loss, prior)
-        a_ub = programs[0].matrices()[0].toarray()
+        a_ub = to_scipy(programs[0].matrices()[0]).toarray()
         corners = [base + corner_offsets(2) * part.deltas for base in part.cell_lower]
         t = 0
         for m in range(part.n_cells):
@@ -597,6 +594,28 @@ class TestDualCertificate:
         assert lp.n_ub_rows == factor.size
         lam = np.clip(sol.multipliers, 0.0, None) * factor + extra
         assert apo._dual_certificate(lp, lam) <= sol.objective_value + 1e-12
+
+    @pytest.mark.parametrize("program", ["anchor", "lower bound"])
+    def test_equals_the_scipy_product_form(self, monkeypatch, program):
+        # A_ub^T lambda through scipy's CSR transpose product gives the same bits.
+        inst, p = _desk_instance()
+        solves = _spy_solves(monkeypatch)
+        if program == "anchor":
+            from anchorpriv.budget import equal_split
+
+            coeffs = surrogate_coefficients(inst.partition, inst.prior, inst.loss, inst.outputs)
+            bv = equal_split(0.8, p, 2)
+            solve_approx_apo(build_approx_apo(inst.partition, inst.outputs, bv, coeffs))
+        else:
+            lower_bound(inst.partition, inst.outputs, 0.8, p, inst.loss, inst.prior)
+        (lp, sol), = solves
+        rng = np.random.default_rng(2)
+        for lam in (sol.multipliers, rng.normal(size=lp.n_ub_rows)):
+            clipped = np.clip(lam, 0.0, None)
+            reduced = lp.objective + to_scipy(lp.a_ub).T @ clipped
+            ref = float(lp.b_eq @ reduced.reshape(lp.var_shape).min(axis=1)) \
+                - float(clipped @ lp.b_ub)
+            assert apo._dual_certificate(lp, lam) == ref
 
     def test_negative_multipliers_are_clipped(self):
         lp = _small_ratio_program()

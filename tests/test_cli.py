@@ -310,6 +310,11 @@ class TestWarmSweep:
         candidates = budget.feasible_allocations(0.8, p, resolution=priv.sweep_resolution)
         assert len(starts) == len(candidates)
         assert starts[0] is None and all(s is not None for s in starts[1:])
+        # Kept solutions carry their basis but not their arrays.
+        kept = [s for _, s in inst.derived["anchor_tables"].values()]
+        kept += list(inst.derived["starts"].values())
+        assert all(s.values is None and s.multipliers is None and s.basis is not None
+                   for s in kept + starts[1:])
 
         coeffs = _surrogate(inst)
         cold = {}

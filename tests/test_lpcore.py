@@ -1,13 +1,16 @@
 import contextlib
+import importlib.metadata
 import itertools
 import logging
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.optimize import OptimizeWarning, linprog
-from scipy.optimize._highspy import _core as highs
+from scipy.optimize import OptimizeWarning
 
 from anchorpriv import apo, budget, evaluation, lpcore
 from anchorpriv.errors import SolverError
@@ -15,9 +18,14 @@ from anchorpriv.lpcore import (
     _SOLVE_OPTIONS,
     IPM_MAX_ROWS_PER_VAR,
     IPM_MIN_VARS,
+    CsrMatrix,
     LinearProgram,
     solve_lp,
 )
+
+from conftest import from_scipy, scipy_linprog, to_scipy
+
+highs = lpcore.highs
 
 
 def test_minimize_single_variable_with_floor():
@@ -62,7 +70,7 @@ def test_shapes_checked_against_variable_count():
     with pytest.raises(ValueError):
         LinearProgram(objective=[1.0, 2.0], var_shape=(3, 1))
     lp = LinearProgram(objective=[1.0, 2.0], a_eq=[[1.0, 1.0]], b_eq=[1.0], var_shape=(1, 2))
-    assert sparse.issparse(lp.a_eq)
+    assert isinstance(lp.a_eq, CsrMatrix)
     assert (lp.n_ub_rows, lp.n_eq_rows) == (0, 1)
 
 
@@ -168,9 +176,7 @@ def test_failed_interior_point_solve_retries_on_dual_simplex(monkeypatch, caplog
     # IPX can stop in HiGHS model status 4 (solve error); any status but
     # optimal raises, and solve_lp solves the program again on dual simplex.
     lp = _anchor_program(4, 3)
-    a_ub, b_ub, a_eq, b_eq = lp.matrices()
-    ref = linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                  method="highs-ds", options=dict(_SOLVE_OPTIONS))
+    ref = scipy_linprog(lp, method="highs-ds", options=dict(_SOLVE_OPTIONS))
     monkeypatch.setattr(lpcore, "IPM_MIN_VARS", 1)
     methods = _end_interior_point_in(monkeypatch, status)
     with caplog.at_level(logging.INFO, logger="anchorpriv.lpcore"):
@@ -205,8 +211,8 @@ class TestSolverRouting:
     def test_tall_program_uses_dual_simplex(self, extra_rows, method):
         # x_j <= 1 repeated: IPM_MAX_ROWS_PER_VAR rows per variable, plus extra.
         n = IPM_MIN_VARS
-        rows = sparse.vstack([sparse.identity(n)] * IPM_MAX_ROWS_PER_VAR
-                             + [sparse.csr_matrix(np.ones((extra_rows, n)))])
+        rows = from_scipy(sparse.vstack([sparse.identity(n)] * IPM_MAX_ROWS_PER_VAR
+                                        + [sparse.csr_matrix(np.ones((extra_rows, n)))]))
         lp = LinearProgram(np.ones(n), rows, np.ones(rows.shape[0]))
         sol = solve_lp(lp)
         assert sol.method == method
@@ -222,9 +228,7 @@ class TestSolverRouting:
 
     def test_large_program_matches_dual_simplex(self, large):
         lp, sol = large
-        a_ub, b_ub, a_eq, b_eq = lp.matrices()
-        ref = linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                      method="highs-ds", options=dict(_SOLVE_OPTIONS))
+        ref = scipy_linprog(lp, method="highs-ds", options=dict(_SOLVE_OPTIONS))
         assert ref.status == 0
         assert np.max(np.abs(sol.values - ref.x)) <= 1e-12
         assert abs(sol.objective_value - ref.fun) <= 1e-12
@@ -236,7 +240,8 @@ class TestSolverRouting:
         lp, sol = large
         positive = sol.values > 0
         tight = lp.b_ub - lp.a_ub @ sol.values <= 1e-9
-        active = sparse.vstack([lp.a_eq, lp.a_ub[tight]]).tocsc()[:, positive]
+        rows = sparse.vstack([to_scipy(lp.a_eq), to_scipy(lp.a_ub)[tight]])
+        active = rows.tocsc()[:, positive]
         assert positive.sum() <= lp.n_ub_rows + lp.n_eq_rows
         assert np.linalg.matrix_rank(active.toarray()) == positive.sum()
 
@@ -250,7 +255,7 @@ class TestSolverRouting:
         # IPX reports the status first; dual simplex, retried, agrees and raises.
         lp, _ = large
         # The rows of the table sum to 64; cap the total at 1.
-        capped = sparse.vstack([lp.a_ub, np.ones((1, lp.n_vars))])
+        capped = from_scipy(sparse.vstack([to_scipy(lp.a_ub), np.ones((1, lp.n_vars))]))
         with caplog.at_level(logging.INFO, logger="anchorpriv.lpcore"):
             with pytest.raises(SolverError,
                                match=r"^highs-ds failed: \(HiGHS Status 8: Infeasible\)$"):
@@ -312,9 +317,7 @@ class TestValueOnlySolve:
     def test_multipliers_are_negated_marginals(self):
         lp = _anchor_program(4, 3)
         sol = solve_lp(lp)
-        a_ub, b_ub, a_eq, b_eq = lp.matrices()
-        ref = linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                      method="highs-ds", options=dict(_SOLVE_OPTIONS))
+        ref = scipy_linprog(lp, method="highs-ds", options=dict(_SOLVE_OPTIONS))
         assert sol.multipliers.tobytes() == (-ref.ineqlin.marginals).tobytes()
         assert sol.multipliers.min() >= -1e-9
 
@@ -358,6 +361,16 @@ class TestWarmStart:
         assert bases == [None]
         assert sol.values.tobytes() == solve_lp(centre).values.tobytes()
 
+    def test_start_without_arrays_solves_as_the_solution(self):
+        centre, neighbour = _neighbour_programs()
+        start = solve_lp(centre)
+        kept = start.as_start()
+        assert kept.values is None and kept.multipliers is None
+        assert (kept.basis, kept.n_vars, kept.n_rows) == (start.basis, start.n_vars, start.n_rows)
+        warm, again = solve_lp(neighbour, start=start), solve_lp(neighbour, start=kept)
+        assert again.from_basis and again.nit == warm.nit
+        assert again.values.tobytes() == warm.values.tobytes()
+
     def test_start_without_basis_is_not_used(self):
         centre, neighbour = _neighbour_programs()
         start = solve_lp(centre)
@@ -388,6 +401,101 @@ class TestWarmStart:
         assert not solve_lp(neighbour, start=start).from_basis
 
 
+def _package_program(kind, monkeypatch):
+    """One program of each kind the package builds, on a 4x4/K=9 instance at eps 0.8."""
+    spec = evaluation.InstanceSpec(grid=(4, 4), outputs=(3, 3))
+    inst = evaluation.synth_instance(spec, seed=0)
+    part, outputs = inst.partition, inst.outputs
+    coeffs = apo.surrogate_coefficients(part, inst.prior, inst.loss, outputs)
+    if kind == "anchor":
+        return apo.build_approx_apo(part, outputs, budget.equal_split(0.8, 2.0, 2), coeffs)
+    if kind == "AIPO-R":
+        return apo.build_aipo_relaxed(part, outputs, 0.8, 2.0, coeffs)
+    if kind == "CoarseLP":
+        reps = part.cell_lower + 0.5 * part.deltas
+        return apo.build_coarse_lp(reps, np.full(part.n_cells, 1 / part.n_cells), outputs,
+                                   0.8, 2.0, inst.loss)
+    programs = []
+    solve = apo.solve_lp
+    monkeypatch.setattr(apo, "solve_lp", lambda lp, **kw: programs.append(lp) or solve(lp, **kw))
+    apo.lower_bound(part, outputs, 0.8, 2.0, inst.loss, inst.prior)
+    return programs[0]
+
+
+class TestCsrMatrix:
+    """lpcore's own sparse arithmetic against scipy.sparse on the package's programs."""
+
+    @pytest.mark.parametrize("kind", ["anchor", "AIPO-R", "CoarseLP", "lower bound"])
+    def test_highs_model_arrays_equal_scipy(self, kind, monkeypatch):
+        lp = _package_program(kind, monkeypatch)
+        ref = sparse.csc_array(sparse.vstack([to_scipy(lp.a_ub), to_scipy(lp.a_eq)]))
+        got = lpcore._stacked_csc([lp.a_ub, lp.a_eq], lp.n_vars)
+        for ours, theirs in zip(got, (ref.indptr, ref.indices, ref.data)):
+            assert ours.tobytes() == theirs.tobytes()
+
+    def test_highs_model_arrays_of_one_block_and_none(self):
+        a = CsrMatrix.from_dense([[0.0, 2.0, 0.0], [1.0, 0.0, 3.0]])
+        ref = sparse.csc_array(to_scipy(a))
+        got = lpcore._stacked_csc([a], 3)
+        assert all(x.tobytes() == y.tobytes()
+                   for x, y in zip(got, (ref.indptr, ref.indices, ref.data)))
+        start, index, value = lpcore._stacked_csc([], 3)
+        assert start.tolist() == [0, 0, 0, 0] and index.size == value.size == 0
+
+    @pytest.mark.parametrize("kind", ["anchor", "AIPO-R", "CoarseLP", "lower bound"])
+    def test_products_equal_scipy(self, kind, monkeypatch):
+        lp = _package_program(kind, monkeypatch)
+        rng = np.random.default_rng(3)
+        for mat in (lp.a_ub, lp.a_eq):
+            x = rng.random(mat.shape[1])
+            y = rng.normal(size=mat.shape[0])
+            assert (mat @ x).tobytes() == (to_scipy(mat) @ x).tobytes()
+            assert mat.rmatvec(y).tobytes() == (to_scipy(mat).T @ y).tobytes()
+
+    def test_dense_input_keeps_nonzeros_row_by_row(self):
+        a = CsrMatrix.from_dense([[0.0, 2.0, -1.0], [0.0, 0.0, 0.0], [4.0, 0.0, 5.0]])
+        assert a.shape == (3, 3) and a.nnz == 4
+        assert a.indptr.tolist() == [0, 2, 2, 4] and a.indices.tolist() == [1, 2, 0, 2]
+        assert a.data.tolist() == [2.0, -1.0, 4.0, 5.0]
+        assert (a @ np.ones(3)).tolist() == [1.0, 0.0, 9.0]
+        assert a.rmatvec(np.ones(3)).tolist() == [4.0, 2.0, 4.0]
+
+    def test_malformed_input_is_rejected(self):
+        with pytest.raises(ValueError, match="must be 2-D"):
+            CsrMatrix.from_dense([1.0, 2.0])
+        with pytest.raises(ValueError, match="inconsistent CSR arrays"):
+            CsrMatrix([0, 1], [0, 1], [1.0, 1.0], (1, 2))
+        with pytest.raises(ValueError, match="column index out of range"):
+            CsrMatrix([0, 1], [2], [1.0], (1, 2))
+
+
+class TestHighsLoader:
+    def test_directory_without_the_extension_raises(self, tmp_path):
+        version = importlib.metadata.version("scipy")
+        with pytest.raises(ImportError,
+                           match=rf"\(scipy {version}\); anchorpriv needs scipy>=1\.15"):
+            lpcore._load_highs(tmp_path)
+
+    def test_package_loads_no_other_scipy_module(self):
+        # A fresh interpreter: the test session itself has scipy loaded.
+        code = textwrap.dedent("""
+            import sys
+            import anchorpriv, anchorpriv.cli
+            from anchorpriv import lpcore
+            core = lpcore.HIGHS_MODULE
+            print(sorted(m for m in sys.modules if m.startswith("scipy")
+                         and m != core and not m.startswith(core + ".")))
+            import scipy.optimize
+            from scipy.optimize._highspy import _core
+            print(_core is lpcore.highs is sys.modules[core])
+            res = scipy.optimize.linprog([1.0], A_ub=[[-1.0]], b_ub=[-3.0], method="highs")
+            print(res.status, res.x.tolist())
+        """)
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True)
+        assert run.stdout.splitlines() == ["[]", "True", "0 [3.0]"]
+
+
 class TestBinding:
     """lpcore.linprog against scipy.optimize.linprog on the same programs."""
 
@@ -401,8 +509,7 @@ class TestBinding:
         a_ub, b_ub, a_eq, b_eq = lp.matrices()
         options = dict(_SOLVE_OPTIONS, **extra)
         with pytest.warns(OptimizeWarning) if extra else contextlib.nullcontext():
-            ref = linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                          method=method, options=options)
+            ref = scipy_linprog(lp, method=method, options=options)
         sol = lpcore.linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                              method=method, options=options)
         assert ref.status == 0 and sol.method == method
@@ -424,7 +531,7 @@ class TestBinding:
 
     def test_unknown_option_is_rejected(self):
         with pytest.raises(ValueError, match="HiGHS rejects option"):
-            lpcore.linprog([1.0], A_ub=sparse.csr_matrix([[-1.0]]), b_ub=[-1.0],
+            lpcore.linprog([1.0], A_ub=CsrMatrix.from_dense([[-1.0]]), b_ub=[-1.0],
                            options={"no_such_option": 1})
 
     def test_non_finite_solution_raises(self, monkeypatch):

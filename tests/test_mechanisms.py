@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import logsumexp
 
 from anchorpriv.apo import OutputDomain, PerturbationTable
 from anchorpriv.audit import violation_ratio
@@ -18,6 +20,7 @@ from anchorpriv.mechanisms import (
     RemappedMechanism,
     TruncatedExponentialMechanism,
     bayesian_remap,
+    log_normalize,
 )
 
 BOX = ((0.0, 0.0), (1.0, 1.0))
@@ -298,3 +301,43 @@ class TestBatchedLogProbs:
     def test_rejects_out_of_domain_row(self, name):
         with pytest.raises(OutOfDomainError):
             _KINDS[name].log_probs(np.array([[0.5, 0.5], [2.0 + 1e-9, 0.5]]))
+
+
+def _scipy_log_normalize(scores):
+    with np.errstate(invalid="ignore"):
+        return scores - logsumexp(scores, axis=1, keepdims=True)
+
+
+class TestLogNormalize:
+    """log_normalize against scipy.special.logsumexp, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 12)),
+                  elements=st.one_of(st.floats(-1e6, 0.0), st.sampled_from([-np.inf, -1.5, 0.0]),
+                                     st.floats(-1e300, -1e-300))))
+    def test_equals_scipy(self, scores):
+        # Sampled values give ties and -inf entries, in rows of one column too.
+        with np.errstate(invalid="ignore"):
+            assert log_normalize(scores).tobytes() == _scipy_log_normalize(scores).tobytes()
+
+    @pytest.mark.parametrize("rows", [
+        [[-0.25, -0.25, -1.0, -0.25]],                # three-way tie at the top
+        [[-np.inf, -2.0, -np.inf], [-3.0, -3.0, -np.inf]],
+        [[0.0], [-np.inf], [-7.5]],                   # one column
+        [[-1e308, 0.0, -1e-308], [-745.2, -745.1, 0.0], [-40.0, -1e-17, -36.9]],
+        [[-np.inf, -np.inf]],                         # nothing left to normalize
+    ])
+    def test_equals_scipy_on_edge_rows(self, rows):
+        scores = np.array(rows)
+        with np.errstate(invalid="ignore"):
+            assert log_normalize(scores).tobytes() == _scipy_log_normalize(scores).tobytes()
+
+    def test_em_rows_equal_scipy(self):
+        # Exponential-mechanism rows, with exact distance ties on a lattice.
+        rng = np.random.default_rng(4)
+        outputs = np.stack(np.meshgrid(np.arange(5.0), np.arange(5.0)), -1).reshape(-1, 2)
+        points = np.vstack([rng.random((200, 2)) * 4, outputs + 0.5])
+        d = np.sqrt(((points[:, None] - outputs[None]) ** 2).sum(-1))
+        for eps in (0.1, 0.8, 5.0, 60.0):
+            scores = -0.5 * eps * d
+            assert log_normalize(scores).tobytes() == _scipy_log_normalize(scores).tobytes()
