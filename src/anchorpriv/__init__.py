@@ -19,7 +19,7 @@ from .apo import (
     solve_approx_apo,
     surrogate_coefficients,
 )
-from .audit import AuditReport, ppr, ppr_histogram, violation_ratio
+from .audit import AuditReport, ppr_histogram, violation_ratio
 from .budget import equal_split, feasible_allocations, optimize_allocation
 from .errors import ConfigError, OutOfDomainError, SolverError
 from .evaluation import (
@@ -39,10 +39,7 @@ from .geometry import (
     Partition,
     axis_neighbors,
     corner_weights,
-    interpolation_weights,
-    locate_cell,
     locate_cells,
-    lp_distance,
     lp_distance_matrix,
 )
 from .interpolation import Mechanism
@@ -54,7 +51,6 @@ from .mechanisms import (
     RemappedMechanism,
     TruncatedExponentialMechanism,
     bayesian_remap,
-    log_probs,
 )
 
 __version__ = "0.1.0"

@@ -19,17 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import as_point, lp_distance, lp_distance_matrix
+from .geometry import lp_distance_matrix
 from .interpolation import PROB_FLOOR
-from .mechanisms import log_probs
 
-__all__ = ["AuditReport", "ppr", "violation_ratio", "ppr_histogram"]
+__all__ = ["AuditReport", "violation_ratio", "ppr_histogram"]
 
 ROW_BLOCK = 64
 
 
 def _floored_logs(mech, X) -> np.ndarray:
-    return np.maximum(log_probs(mech, X), math.log(PROB_FLOOR))
+    return np.maximum(mech.log_probs(X), math.log(PROB_FLOOR))
 
 
 def _metric_order(mech, p: float | None = None) -> float:
@@ -45,21 +44,6 @@ def _metric_order(mech, p: float | None = None) -> float:
             "so the audit needs an explicit p"
         )
     return p
-
-
-def ppr(x, x2, y_index: int, mech) -> float:
-    """Log-probability gap of one output per unit of lp distance.
-
-    Distances use the mechanism's own metric order.
-    """
-    x = as_point(x)
-    x2 = as_point(x2)
-    if np.array_equal(x, x2):
-        raise ValueError("probability ratio requires two distinct points")
-    d = lp_distance(x, x2, _metric_order(mech))
-    logs = _floored_logs(mech, np.stack([x, x2]))
-    gap = abs(float(logs[0, y_index] - logs[1, y_index]))
-    return gap / d
 
 
 @dataclass

@@ -3,11 +3,11 @@
 Provides weighted road graphs with exact single-source shortest paths,
 task-based pointwise losses (absolute shortest-path difference aggregated
 over a task prior), discrete priors over the domain, the expected loss of
-any mechanism (evaluated at every prior point at once through
-``mechanisms.log_probs``), and a deterministic generator
-for desk-scale synthetic instances. Instances round-trip through a
-bundle directory: a JSON manifest naming the parts, the graph as plain
-text, and the prior (and matrix losses) as CSV.
+any mechanism (evaluated at every prior point at once through its
+``log_probs``), and a deterministic generator for desk-scale synthetic
+instances. Instances round-trip through a bundle directory: a JSON
+manifest naming the parts, the graph as plain text, and the prior (and
+matrix losses) as CSV.
 """
 
 from __future__ import annotations
@@ -22,13 +22,11 @@ import numpy as np
 from . import formats
 from .apo import OutputDomain
 from .errors import ConfigError
-from .geometry import Partition, as_point, nearest
-from .mechanisms import log_probs
+from .geometry import Partition, as_point, as_whole_numbers, nearest
 
 __all__ = [
     "RoadGraph",
     "shortest_paths",
-    "nearest_node",
     "task_loss",
     "PriorModel",
     "LossModel",
@@ -122,17 +120,12 @@ def shortest_paths(graph: RoadGraph, source: int) -> np.ndarray:
     return dist
 
 
-def nearest_node(graph: RoadGraph, x) -> int:
-    """Graph node closest to ``x`` (Euclidean); on an exact tie the lowest id wins."""
-    return int(nearest(graph.nodes, as_point(x)[None])[0])
-
-
 def task_loss(x, y, task_nodes, task_masses, graph: RoadGraph, dist_table=None) -> float:
     """Prior-weighted absolute difference of shortest-path lengths.
 
-    ``x`` and ``y`` snap to their nearest graph nodes. A task unreachable
-    from both points contributes zero; reachable from exactly one side the
-    instance is malformed and raises.
+    ``x`` and ``y`` snap to their nearest graph nodes (Euclidean, the lowest
+    id on a tie). A task unreachable from both points contributes zero;
+    reachable from exactly one side the instance is malformed and raises.
     """
     task_nodes = [int(t) for t in task_nodes]
     masses = np.asarray(task_masses, dtype=float)
@@ -140,8 +133,7 @@ def task_loss(x, y, task_nodes, task_masses, graph: RoadGraph, dist_table=None) 
         raise ValueError("task set must be non-empty")
     if dist_table is None:
         dist_table = np.stack([shortest_paths(graph, t) for t in task_nodes])
-    xi = nearest_node(graph, x)
-    yi = nearest_node(graph, y)
+    xi, yi = nearest(graph.nodes, np.stack([as_point(x), as_point(y)])).tolist()
     total = 0.0
     for t in range(len(task_nodes)):
         dx, dy = dist_table[t, xi], dist_table[t, yi]
@@ -236,7 +228,7 @@ class LossModel:
     @classmethod
     def from_tasks(cls, graph: RoadGraph, task_nodes, task_masses) -> "LossModel":
         """Task-based loss over a road graph; shortest paths precomputed once."""
-        task_nodes = [int(t) for t in task_nodes]
+        task_nodes = as_whole_numbers(task_nodes, "task nodes").tolist()
         masses = np.asarray(task_masses, dtype=float)
         if len(task_nodes) == 0:
             raise ValueError("task set must be non-empty")
@@ -293,11 +285,11 @@ def expected_loss(mech, prior: PriorModel, loss: LossModel) -> float:
     """Prior-weighted expected pointwise loss of a mechanism.
 
     Evaluates the mechanism at every prior sample point in one
-    ``log_probs`` call, so interpolated, closed-form and external
+    ``mech.log_probs`` call, so interpolated, closed-form and external
     mechanisms evaluate identically.
     """
     loss_mat = loss.matrix_at(prior.points, mech.outputs)
-    z = np.exp(log_probs(mech, prior.points))
+    z = np.exp(mech.log_probs(prior.points))
     return float(prior.masses @ np.sum(z * loss_mat, axis=1))
 
 

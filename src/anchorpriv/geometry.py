@@ -26,6 +26,7 @@ __all__ = [
     "Partition",
     "as_point",
     "as_points",
+    "as_whole_numbers",
     "lp_distance",
     "lp_distance_matrix",
     "nearest",
@@ -34,7 +35,6 @@ __all__ = [
     "locate_cell",
     "locate_cells",
     "corner_weights",
-    "interpolation_weights",
     "axis_neighbors",
 ]
 
@@ -61,6 +61,15 @@ def as_points(X, n_dims: int | None = None) -> np.ndarray:
     return P
 
 
+def as_whole_numbers(values, what: str) -> np.ndarray:
+    """``values`` as an int array; ValueError naming ``what`` unless each is a whole number."""
+    raw = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(raw)) or np.any(raw != np.round(raw)):
+        given = np.asarray(values, dtype=object).tolist()
+        raise ValueError(f"{what} must be whole numbers, got {given}")
+    return raw.astype(int)
+
+
 def lp_distance_matrix(A, B, p: float) -> np.ndarray:
     """(n, m) lp distances between the rows of ``A`` and the rows of ``B``.
 
@@ -78,6 +87,7 @@ def lp_distance_matrix(A, B, p: float) -> np.ndarray:
     return functools.reduce(np.add, (d**p for d in diffs)) ** (1.0 / p)
 
 
+# Kept only because perfbench/tracer.py looks it up by name.
 def lp_distance(a, b, p: float) -> float:
     """lp distance between two points; the one-pair case of lp_distance_matrix."""
     return float(lp_distance_matrix(as_point(a)[None], as_point(b)[None], p)[0, 0])
@@ -127,7 +137,7 @@ class Partition:
     def __init__(self, lower, upper, counts):
         self.lower = as_point(lower)
         self.upper = as_point(upper)
-        counts = np.asarray(counts, dtype=int)
+        counts = as_whole_numbers(counts, "cell counts")
         if self.upper.shape != self.lower.shape:
             raise ValueError("bounds dimension mismatch")
         if counts.shape != self.lower.shape:
@@ -196,6 +206,7 @@ def locate_cells(partition: Partition, X) -> np.ndarray:
     return np.ravel_multi_index(tuple(grid.T), tuple(partition.counts))
 
 
+# Kept only because perfbench/tracer.py looks it up by name.
 def locate_cell(partition: Partition, x) -> int:
     """Index of the cell containing one point ``x`` (see locate_cells)."""
     return int(locate_cells(partition, as_point(x)[None])[0])
@@ -204,9 +215,9 @@ def locate_cell(partition: Partition, x) -> int:
 def corner_weights(partition: Partition, X, cells) -> np.ndarray:
     """(n, 2^N) corner weights of each row of ``X`` within its cell.
 
-    ``cells`` are the rows' cell indices from locate_cells; row i is
-    interpolation_weights(partition.cell_lower[cells[i]], partition.deltas,
-    X[i])[1].
+    ``cells`` are the rows' cell indices from locate_cells. The corner with
+    offset g (corner_offsets order) weighs prod_l ((1 - g_l) lam_l + g_l (1 - lam_l)),
+    lam_l being the fractional distance to the cell's upper face along axis l.
     """
     X = np.asarray(X, dtype=float)
     lam = (partition.cell_lower[cells] + partition.deltas - X) / partition.deltas
@@ -214,34 +225,6 @@ def corner_weights(partition: Partition, X, cells) -> np.ndarray:
     offs = partition.offsets
     factors = (1.0 - offs) * lam + offs * (1.0 - lam)
     return factors.prod(axis=2)
-
-
-def interpolation_weights(base_corner, side_lengths, x):
-    """Convex coefficients and per-corner product weights of ``x`` in one cell.
-
-    The cell is the orthotope with minimum corner ``base_corner`` and the
-    given positive side lengths. Returns (lam, weights): lam[l] = (upper[l]
-    - x[l]) / side[l] is the fractional distance to the upper face along
-    axis l, so the base corner carries weight prod(lam); the weight of the
-    corner with offset g (corner_offsets order) is prod_l ((1-g_l) lam_l +
-    g_l (1-lam_l)). Weights sum to one and average the corner coordinates
-    back to ``x``. This is the one-point reference of corner_weights.
-    """
-    base = as_point(base_corner)
-    side = as_point(side_lengths)
-    x = as_point(x)
-    if not base.shape == side.shape == x.shape:
-        raise ValueError("corner/side/point dimension mismatch")
-    if not np.all(side > 0):
-        raise ValueError("all side lengths must be positive")
-    upper = base + side
-    slack = 1e-12 * (1.0 + side)
-    if not (np.all(x >= base - slack) and np.all(x <= upper + slack)):
-        raise ValueError(f"point {x.tolist()} outside cell")
-    lam = np.clip((upper - x) / side, 0.0, 1.0)
-    offs = corner_offsets(x.size)
-    factors = (1.0 - offs) * lam + offs * (1.0 - lam)
-    return lam, factors.prod(axis=1)
 
 
 def axis_neighbors(partition: Partition):

@@ -4,7 +4,8 @@ An anchor table fixes output distributions at cell corners; between
 corners each log-probability is the corner-weighted average of anchor
 log-probabilities (a weighted geometric mean of the probabilities), and
 the resulting scores are normalized into a distribution. All arithmetic
-happens in log space and is exponentiated once.
+happens in log space and is exponentiated once. ``Mechanism.log_probs``
+evaluates many points in one call, like every baseline mechanism.
 
 Exact zeros in an anchor row would put -inf into the interpolant, so
 tables are floored at PROB_FLOOR and renormalized when a mechanism is
@@ -17,9 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import formats, mechanisms
+from . import formats
 from .apo import BudgetVector, OutputDomain, PerturbationTable
 from .geometry import Partition, as_point, corner_weights, locate_cells
+from .mechanisms import _MechanismBase, log_normalize
 
 __all__ = [
     "PROB_FLOOR",
@@ -33,7 +35,7 @@ PROB_FLOOR = 1e-12
 FORMAT_VERSION = 1
 
 
-class Mechanism:
+class Mechanism(_MechanismBase):
     """Sampleable perturbation mechanism over a partitioned domain.
 
     Wraps a partition, an anchor table (floored to keep logs finite), the
@@ -63,9 +65,9 @@ class Mechanism:
             probs = probs / probs.sum(axis=1, keepdims=True)
         if np.any(probs <= 0):
             raise ValueError("anchor probabilities must be positive (set a floor)")
+        super().__init__(outputs, partition.bounds)
         self.partition = partition
         self.table = PerturbationTable(probs)
-        self.outputs = outputs
         self.budget = budget
         self.metric_p = metric_p if metric_p is not None else (budget.p if budget else None)
         self.total_eps = total_eps if total_eps is not None else (
@@ -73,15 +75,8 @@ class Mechanism:
         )
         self._log_table = np.log(self.table.probs)
 
-    @property
-    def bounds(self):
-        return self.partition.bounds
-
-    @property
-    def n_outputs(self) -> int:
-        return self.outputs.size
-
-    def _log_scores(self, X) -> np.ndarray:
+    def log_scores(self, X) -> np.ndarray:
+        """(n, K) corner-weighted averages of anchor log-probabilities at the rows of ``X``."""
         cells = locate_cells(self.partition, X)
         w = corner_weights(self.partition, X, cells)
         rows = self.partition.cell_corner_anchors[cells]
@@ -93,23 +88,17 @@ class Mechanism:
         Continuous across cell faces: a shared face fixes the weights of
         the corners both cells have in common and zeroes the rest.
         """
-        return mechanisms.log_normalize(self._log_scores(X))
+        return log_normalize(self.log_scores(X))
 
+    # Kept only because perfbench/tracer.py wraps it by name.
     def log_distribution_at(self, x) -> np.ndarray:
         """Normalized log-probabilities at one point (one row of log_probs)."""
         return self.log_probs(as_point(x)[None])[0]
 
+    # Kept because perfbench/tracer.py wraps it by name and the README quickstart uses it.
     def distribution_at(self, x) -> np.ndarray:
         """Normalized output distribution at one point; sums to one."""
         return np.exp(self.log_distribution_at(x))
-
-    def unnormalized_at(self, x) -> np.ndarray:
-        """Interpolated scores before normalization, one per output."""
-        return np.exp(self._log_scores(as_point(x)[None])[0])
-
-    def sample(self, X, rng):
-        """Inverse-CDF draws in stored candidate order (see mechanisms.sample)."""
-        return mechanisms.sample(self, X, rng)
 
     def to_json_dict(self) -> dict:
         return {

@@ -6,13 +6,11 @@ representative deployment of a coarse-grid LP table, and the
 posterior-loss output remap that post-processes any base mechanism
 without touching its privacy guarantee.
 
-Every mechanism here and the interpolated ``Mechanism`` evaluate many
-points at once through ``log_probs(X) -> (n, K)`` over a fixed candidate
-set, with ``distribution_at`` / ``log_distribution_at`` as its one-row
-views and ``bounds`` for audit sampling; all are pure functions of
-(points, config) and safe to call concurrently. The module-level
-``log_probs(mech, X)`` also accepts external mechanisms that only offer
-``distribution_at(x)``.
+Every mechanism here and the interpolated ``Mechanism`` share one base
+class and are evaluated only through ``log_probs(X) -> (n, K)``, many
+points at once over a fixed candidate set; the base adds ``bounds`` for
+audit sampling and inverse-CDF ``sample``. All are pure functions of
+(points, config) and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -20,11 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from .apo import OutputDomain, PerturbationTable
-from .geometry import as_point, as_points, lp_distance_matrix, nearest
+from .geometry import as_point, lp_distance_matrix, nearest
 
 __all__ = [
-    "log_probs",
-    "sample",
     "bayesian_remap",
     "ExponentialMechanism",
     "PlanarLaplaceMechanism",
@@ -45,38 +41,8 @@ def default_truncation_radius(eps: float) -> float:
     return 3.0 / eps
 
 
-def log_probs(mech, X) -> np.ndarray:
-    """(n, K) log-probabilities of any mechanism at the rows of ``X``.
-
-    Uses ``mech.log_probs(X)`` when the mechanism has it; otherwise calls
-    ``mech.distribution_at`` once per row, in row order. Zero
-    probabilities give -inf.
-    """
-    if hasattr(mech, "log_probs"):
-        return mech.log_probs(X)
-    rows = [np.asarray(mech.distribution_at(x), dtype=float) for x in as_points(X)]
-    with np.errstate(divide="ignore"):
-        return np.log(np.stack(rows))
-
-
-def sample(mech, X, rng):
-    """Draw output indices by inverse CDF in stored candidate order.
-
-    One uniform per row of ``X`` (n, N) gives an (n,) index array; a single
-    point gives one int. Deterministic for a fixed seed, and n rows use
-    the same stream as n single-point draws.
-    """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    X = np.asarray(X, dtype=float)
-    cum = np.cumsum(np.exp(log_probs(mech, np.atleast_2d(X))), axis=1)
-    u = rng.random(cum.shape[0])
-    idx = np.minimum(np.sum(cum <= u[:, None], axis=1), cum.shape[1] - 1)
-    return int(idx[0]) if X.ndim == 1 else idx
-
-
-class _PointwiseMechanism:
-    """Shared plumbing: one-row views and sampling over a subclass's log_probs."""
+class _MechanismBase:
+    """Output candidates, domain bounds and sampling over a subclass's ``log_probs``."""
 
     def __init__(self, outputs: OutputDomain, bounds):
         self.outputs = outputs
@@ -91,14 +57,20 @@ class _PointwiseMechanism:
     def n_outputs(self) -> int:
         return self.outputs.size
 
-    def log_distribution_at(self, x) -> np.ndarray:
-        return self.log_probs(as_point(x)[None])[0]
-
-    def distribution_at(self, x) -> np.ndarray:
-        return np.exp(self.log_distribution_at(x))
-
     def sample(self, X, rng):
-        return sample(self, X, rng)
+        """Draw output indices by inverse CDF in stored candidate order.
+
+        One uniform per row of ``X`` (n, N) gives an (n,) index array; a
+        single point gives one int. Deterministic for a fixed seed, and n
+        rows use the same stream as n single-point draws.
+        """
+        if not isinstance(rng, np.random.Generator):
+            rng = np.random.default_rng(rng)
+        X = np.asarray(X, dtype=float)
+        cum = np.cumsum(np.exp(self.log_probs(np.atleast_2d(X))), axis=1)
+        u = rng.random(cum.shape[0])
+        idx = np.minimum(np.sum(cum <= u[:, None], axis=1), cum.shape[1] - 1)
+        return int(idx[0]) if X.ndim == 1 else idx
 
 
 def log_normalize(scores: np.ndarray) -> np.ndarray:
@@ -124,7 +96,7 @@ def log_normalize(scores: np.ndarray) -> np.ndarray:
     return scores - lse
 
 
-class ExponentialMechanism(_PointwiseMechanism):
+class ExponentialMechanism(_MechanismBase):
     """Distance-scored exponential weighting.
 
     z(y_k | x) is proportional to exp(-factor * eps * d_p(x, y_k)).
@@ -176,7 +148,7 @@ class TruncatedExponentialMechanism(ExponentialMechanism):
         return log_normalize(np.where(inside, -self.exponent_factor * self.eps * d, -np.inf))
 
 
-class CoarseLpMechanism(_PointwiseMechanism):
+class CoarseLpMechanism(_MechanismBase):
     """Deploys a representative-grid table by nearest-representative lookup.
 
     Every query point reuses the row of its closest representative, so the
@@ -199,7 +171,7 @@ class CoarseLpMechanism(_PointwiseMechanism):
             return np.log(self.table.probs[nearest(self.representatives, X)])
 
 
-class RemappedMechanism(_PointwiseMechanism):
+class RemappedMechanism(_MechanismBase):
     """Deterministic output remap g applied after a base mechanism.
 
     z'(y' | x) sums the base probabilities of every output that g sends to
@@ -216,7 +188,7 @@ class RemappedMechanism(_PointwiseMechanism):
             raise ValueError("remap must assign every output an image")
 
     def log_probs(self, X):
-        base = np.exp(log_probs(self.base, X))
+        base = np.exp(self.base.log_probs(X))
         out = np.zeros_like(base)
         np.add.at(out, (slice(None), self.remap), base)
         with np.errstate(divide="ignore"):
@@ -234,7 +206,7 @@ def bayesian_remap(base, prior, loss) -> RemappedMechanism:
     points = prior.points
     masses = prior.masses
     loss_mat = loss.matrix_at(points, base.outputs)
-    z = np.exp(log_probs(base, points))  # (n, K)
+    z = np.exp(base.log_probs(points))  # (n, K)
     weighted = masses[:, None] * z
     normalizers = weighted.sum(axis=0)
     remap = np.arange(base.n_outputs)

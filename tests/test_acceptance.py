@@ -131,8 +131,8 @@ def test_criterion_3_composition_bounds():
                     q = dual_exponent(p)
                     eps_prime = float(np.sum(bv.eps**q) ** (1.0 / q))
                 pts = rng.random((60, 2)) * 2.0
-                raw = np.stack([np.log(mech.unnormalized_at(x)) for x in pts])
-                norm = np.stack([mech.log_distribution_at(x) for x in pts])
+                raw = mech.log_scores(pts)
+                norm = mech.log_probs(pts)
                 for i in range(len(pts)):
                     for j in range(i + 1, len(pts)):
                         d = lp_distance(pts[i], pts[j], p)
@@ -160,9 +160,7 @@ def test_criterion_4_one_dimensional_validity():
             base + np.linspace(0.0, 1.0, 32) * part.deltas[0]
             for base in part.cell_lower[:, 0]
         ]
-        logs = [
-            np.stack([np.log(mech.unnormalized_at((x,))) for x in g]) for g in grids
-        ]
+        logs = [mech.log_scores(g[:, None]) for g in grids]
         for m in range(part.n_cells):
             for m2 in range(m, part.n_cells):
                 # 32 x 32 = 1024 point pairs per interval pair

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from anchorpriv import audit, formats
 from anchorpriv.apo import OutputDomain, PerturbationTable
-from anchorpriv.audit import ppr, ppr_histogram, violation_ratio
-from anchorpriv.geometry import Partition
-from anchorpriv.interpolation import Mechanism
+from anchorpriv.audit import ppr_histogram, violation_ratio
+from anchorpriv.geometry import Partition, lp_distance_matrix
+from anchorpriv.interpolation import PROB_FLOOR, Mechanism
 from anchorpriv.mechanisms import CoarseLpMechanism, ExponentialMechanism, RemappedMechanism
 
 
@@ -28,20 +28,24 @@ def _constant_mech():
     return _two_anchor_mech([[0.4, 0.6], [0.4, 0.6]])
 
 
+def _pair_ppr(mech, x, x2, p=2.0):
+    """The audit's worst-output PPR of one pair, through its batched pair pass."""
+    points = np.array([x, x2], dtype=float)
+    logs = np.ascontiguousarray(audit._floored_logs(mech, points).T)
+    ppr, _ = audit._block_ppr(points, logs, p, 0, 1)
+    return float(ppr[0, 0])
+
+
 class TestPpr:
     def test_identical_distributions_give_zero(self):
         mech = _constant_mech()
-        assert ppr((0.1,), (0.9,), 0, mech) == pytest.approx(0.0, abs=1e-12)
+        assert _pair_ppr(mech, (0.1,), (0.9,)) == pytest.approx(0.0, abs=1e-12)
 
     def test_log_two_at_unit_distance(self):
+        # Output 0 halves between the anchors (log 2); output 1 moves less.
         mech = _two_anchor_mech([[0.6, 0.4], [0.3, 0.7]])
-        value = ppr((0.0,), (1.0,), 0, mech)
+        value = _pair_ppr(mech, (0.0,), (1.0,))
         assert value == pytest.approx(math.log(2.0), abs=1e-12)
-
-    def test_coincident_points_rejected(self):
-        mech = _constant_mech()
-        with pytest.raises(ValueError):
-            ppr((0.5,), (0.5,), 0, mech)
 
     def test_zero_probabilities_floored_to_finite(self):
         outputs = OutputDomain(points=np.array([[0.0], [1.0]]))
@@ -50,10 +54,12 @@ class TestPpr:
             metric_p = 2.0
             n_outputs = 2
 
-            def distribution_at(self, x):
-                return np.array([1.0, 0.0]) if x[0] < 0.5 else np.array([0.5, 0.5])
+            def log_probs(self, X):
+                rows = np.where(X[:, :1] < 0.5, [1.0, 0.0], [0.5, 0.5])
+                with np.errstate(divide="ignore"):
+                    return np.log(rows)
 
-        value = ppr((0.1,), (0.9,), 1, ZeroMech())
+        value = _pair_ppr(ZeroMech(), (0.1,), (0.9,))
         assert math.isfinite(value)
         assert value > 0
 
@@ -120,8 +126,8 @@ class TestViolationRatio:
 
     @pytest.mark.parametrize("kind", ["EM", "RMP-EM", "CoarseLP"])
     def test_default_metric_order_is_the_mechanisms_own(self, kind):
-        # Every mechanism states its order as ``metric_p``; ppr, the audit
-        # and the histogram all fall back to it, not to 2.
+        # Every mechanism states its order as ``metric_p``; the audit and
+        # the histogram both fall back to it, not to 2.
         rng = np.random.default_rng(5)
         outputs = OutputDomain(points=rng.random((4, 2)))
         box = ((0.0, 0.0), (1.0, 1.0))
@@ -141,10 +147,13 @@ class TestViolationRatio:
         for a, b in zip(ppr_histogram(mech, 0.5, sample_count=30, seed=0),
                         ppr_histogram(mech, 0.5, 1.0, sample_count=30, seed=0)):
             assert np.array_equal(a, b)
-        x, x2 = (0.1, 0.2), (0.7, 0.9)
-        d1 = 0.6 + 0.7
-        gap = abs(float(np.diff(mech.log_probs(np.array([x, x2]))[:, 0])[0]))
-        assert ppr(x, x2, 0, mech) == pytest.approx(gap / d1, rel=1e-12)
+        # The worst pair's PPR is its largest floored log-gap per unit of l1
+        # distance.
+        value, i, j = implicit.worst_pairs[0]
+        points = audit._sample_points(mech, 60, np.random.default_rng(0))
+        d1 = float(np.abs(points[i] - points[j]).sum())
+        logs = np.maximum(mech.log_probs(points[[i, j]]), math.log(PROB_FLOOR))
+        assert value == pytest.approx(float(np.abs(logs[0] - logs[1]).max()) / d1, rel=1e-12)
 
     def test_unstated_metric_order_is_an_error(self):
         rng = np.random.default_rng(5)
@@ -152,8 +161,7 @@ class TestViolationRatio:
         mech = CoarseLpMechanism([[0.5, 0.5]], PerturbationTable([[0.5, 0.5]]), outputs,
                                  ((0.0, 0.0), (1.0, 1.0)))
         for check in (lambda: violation_ratio(mech, 0.5, sample_count=10),
-                      lambda: ppr_histogram(mech, 0.5, sample_count=10),
-                      lambda: ppr((0.1, 0.2), (0.7, 0.9), 0, mech)):
+                      lambda: ppr_histogram(mech, 0.5, sample_count=10)):
             with pytest.raises(ValueError, match="CoarseLpMechanism .*metric_p"):
                 check()
         assert violation_ratio(mech, 0.5, 2.0, sample_count=10).metric_p == 2.0
@@ -187,13 +195,21 @@ class TestHistogram:
         assert np.array_equal(back[:, 2], counts)
 
 
+def _ppr(x, x2, k, mech, p):
+    """Log-probability gap of output k per unit of lp distance, for one pair."""
+    logs = np.maximum(mech.log_probs(np.stack([x, x2])), math.log(PROB_FLOOR))
+    d = float(lp_distance_matrix(x[None], x2[None], p)[0, 0])
+    return abs(float(logs[0, k] - logs[1, k])) / d
+
+
 def _reference(mech, eps, p, n, seed, top_k, bins):
-    """Brute-force audit: every pair and output through :func:`ppr`."""
+    """Brute-force audit: every pair and output, one at a time."""
     points = audit._sample_points(mech, n, np.random.default_rng(seed))
     worst, over = [], 0
     for i in range(n):
         for j in range(i + 1, n):
-            per_output = [ppr(points[i], points[j], k, mech) for k in range(mech.n_outputs)]
+            per_output = [_ppr(points[i], points[j], k, mech, p)
+                          for k in range(mech.n_outputs)]
             over += sum(v > eps for v in per_output)
             worst.append((max(per_output), i, j))
     values = np.array([v for v, _, _ in worst])

@@ -666,6 +666,18 @@ class TestInputGuards:
         assert code == 2
         assert "at least 2 sample points" in capsys.readouterr().err
 
+    def test_audit_non_whole_cell_counts_is_config_error(self, tmp_path, capsys):
+        # A count of 2.9 once loaded as 2 and the audit exited 0.
+        mech = self._mechanism(tmp_path)
+        payload = json.loads(mech.read_text())
+        assert payload["partition"]["counts"] == [2, 2]
+        payload["partition"]["counts"] = [2.9, 2]
+        mech.write_text(json.dumps(payload))
+        assert self._audit(tmp_path, mech, "--eps", "0.4") == 2
+        assert capsys.readouterr().err == (
+            "config error: cell counts must be whole numbers, got [2.9, 2]\n")
+        assert not (tmp_path / "a").exists()
+
     def test_audit_nonpositive_eps_is_config_error(self, tmp_path, capsys):
         code = self._audit(tmp_path, self._mechanism(tmp_path), "--eps", "-1")
         assert code == 2

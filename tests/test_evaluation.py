@@ -13,12 +13,17 @@ from anchorpriv.evaluation import (
     PriorModel,
     RoadGraph,
     expected_loss,
-    nearest_node,
     shortest_paths,
     synth_instance,
     task_loss,
 )
+from anchorpriv.geometry import nearest
 from anchorpriv.mechanisms import CoarseLpMechanism
+
+
+def _nearest_node(graph, x):
+    """Graph node closest to one point; on an exact tie the lowest id wins."""
+    return int(nearest(graph.nodes, np.atleast_2d(x))[0])
 
 
 def _path_graph():
@@ -116,7 +121,7 @@ class TestTaskLoss:
             b = rng.random(2) * 2.0
             value = task_loss(a, b, loss.task_nodes, loss.task_masses, graph,
                               dist_table=loss._dist_table)
-            na, nb = nearest_node(graph, a), nearest_node(graph, b)
+            na, nb = _nearest_node(graph, a), _nearest_node(graph, b)
             direct = shortest_paths(graph, na)[nb]
             assert value <= direct + 1e-9
 
@@ -157,6 +162,16 @@ class TestLossModel:
         with pytest.raises(ValueError):
             loss.loss_matrix(np.array([[0.0, 0.1], [1.0, 1.0]]), outputs)
 
+    def test_task_nodes_must_be_whole_numbers(self):
+        # int(2.5) would silently make the task node 2.
+        graph = _path_graph()
+        for nodes in ([2.5], [0, 1.5], [math.nan]):
+            with pytest.raises(ValueError, match=r"task nodes must be whole numbers, got \["):
+                LossModel.from_tasks(graph, nodes, [1.0 / len(nodes)] * len(nodes))
+        loss = LossModel.from_tasks(graph, [2.0, np.int64(0)], [0.5, 0.5])
+        assert loss.task_nodes == [2, 0]
+        assert all(type(t) is int for t in loss.task_nodes)
+
     def test_task_loss_matrix_matches_scalar_op(self):
         inst = synth_instance(InstanceSpec(), seed=5)
         # The midpoint of nodes 0 and 1 is exactly equidistant from both;
@@ -164,7 +179,7 @@ class TestLossModel:
         tie = (inst.graph.nodes[0] + inst.graph.nodes[1]) / 2
         d2 = np.sum((inst.graph.nodes[:2] - tie) ** 2, axis=1)
         assert d2[0] == d2[1] and d2[0] < np.sum((inst.graph.nodes[2:] - tie) ** 2, axis=1).min()
-        assert nearest_node(inst.graph, tie) == 0
+        assert _nearest_node(inst.graph, tie) == 0
         pts = np.vstack([inst.prior.points[:4], tie])
         mat = inst.loss.loss_matrix(pts, inst.outputs)
         for i, x in enumerate(pts):
@@ -217,14 +232,12 @@ class _ZeroLossMech:
     def __init__(self, outputs, best):
         self.outputs = outputs
         self._best = best
-        self._idx = 0
 
-    def distribution_at(self, x):
-        k = self._best[self._idx % len(self._best)]
-        self._idx += 1
-        dist = np.zeros(self.outputs.size)
-        dist[k] = 1.0
-        return dist
+    def log_probs(self, X):
+        dist = np.zeros((len(X), self.outputs.size))
+        dist[np.arange(len(X)), np.resize(self._best, len(X))] = 1.0
+        with np.errstate(divide="ignore"):
+            return np.log(dist)
 
 
 class TestExpectedLoss:
@@ -290,9 +303,9 @@ class TestSynthInstance:
     def test_zero_loss_when_points_share_snap_node(self):
         inst = synth_instance(InstanceSpec(), seed=1)
         y = inst.outputs.points[4]
-        node = nearest_node(inst.graph, y)
+        node = _nearest_node(inst.graph, y)
         mat = inst.loss.loss_matrix(np.array([y]), inst.outputs)
-        assert nearest_node(inst.graph, y) == node
+        assert _nearest_node(inst.graph, y) == node
         assert mat[0, 4] == pytest.approx(0.0, abs=1e-12)
 
     def test_graph_text_round_trip(self):
@@ -405,6 +418,16 @@ class TestInstanceBundle:
 
         with pytest.raises(ValueError, match="losses must be finite"):
             LossModel.from_matrix([[0.0, 0.0]], [[math.nan]])
+
+    def test_non_whole_task_node_is_a_value_error(self, tmp_path):
+        from anchorpriv.evaluation import load_instance, save_instance
+
+        save_instance(synth_instance(InstanceSpec(), seed=0), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["tasks"]["nodes"][0] += 0.5
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="task nodes must be whole numbers"):
+            load_instance(tmp_path)
 
     def test_non_bundle_dir_rejected(self, tmp_path):
         from anchorpriv.evaluation import load_instance

@@ -10,13 +10,20 @@ from anchorpriv.geometry import (
     Partition,
     axis_neighbors,
     corner_offsets,
-    interpolation_weights,
-    locate_cell,
+    corner_weights,
+    locate_cells,
     lp_distance,
     lp_distance_matrix,
 )
 
 UNIT_SQUARE = ((0.0, 0.0), (1.0, 1.0))
+
+
+def _cell_weights(base, sides, x):
+    """Corner weights of one point in the one-cell partition from ``base`` by ``sides``."""
+    base = np.asarray(base, dtype=float)
+    part = Partition(base, base + np.asarray(sides, dtype=float), np.ones(base.size))
+    return part, corner_weights(part, np.atleast_2d(x), np.zeros(1, dtype=int))[0]
 
 
 class TestLpDistance:
@@ -104,6 +111,17 @@ class TestPartitionDomain:
         with pytest.raises(ValueError):
             Partition(*UNIT_SQUARE, (0, 2))
 
+    @pytest.mark.parametrize("counts", [(8.9, 8), (2, 2.5), (math.nan, 2), (math.inf, 2)])
+    def test_non_whole_counts_rejected(self, counts):
+        # Truncating 8.9 to 8 would silently build another partition.
+        with pytest.raises(ValueError, match=r"cell counts must be whole numbers, got \["):
+            Partition(*UNIT_SQUARE, counts)
+
+    def test_whole_float_counts_accepted(self):
+        part = Partition(*UNIT_SQUARE, (2.0, 3))
+        assert part.counts.tolist() == [2, 3]
+        assert part.counts.dtype == np.asarray([2, 3]).dtype
+
     def test_degenerate_bounds_rejected(self):
         with pytest.raises(ValueError):
             Partition((0.0, 0.0), (1.0, 0.0), (1, 1))
@@ -129,32 +147,33 @@ class TestPartitionDomain:
 class TestLocateCell:
     def test_interior_point(self):
         part = Partition(*UNIT_SQUARE, (2, 2))
-        m = locate_cell(part, (0.1, 0.1))
+        m = locate_cells(part, [(0.1, 0.1)])[0]
         assert np.allclose(part.cell_lower[m], (0.0, 0.0))
 
     def test_shared_corner_goes_to_upper_cell(self):
         part = Partition(*UNIT_SQUARE, (2, 2))
-        m = locate_cell(part, (0.5, 0.5))
+        m = locate_cells(part, [(0.5, 0.5)])[0]
         assert np.allclose(part.cell_lower[m], (0.5, 0.5))
 
     def test_upper_boundary_clamps_to_last_cell(self):
         part = Partition(*UNIT_SQUARE, (2, 2))
-        m = locate_cell(part, (1.0, 1.0))
+        m = locate_cells(part, [(1.0, 1.0)])[0]
         assert np.allclose(part.cell_lower[m], (0.5, 0.5))
 
     def test_outside_raises(self):
         part = Partition(*UNIT_SQUARE, (2, 2))
         with pytest.raises(OutOfDomainError):
-            locate_cell(part, (1.2, 0.5))
+            locate_cells(part, [(1.2, 0.5)])
 
     def test_face_continuity_of_weights(self):
         # interpolating from either side of a shared face gives the same
         # corner weights on the shared corners, so the tie rule is moot
         part = Partition(*UNIT_SQUARE, (2, 2))
         x = (0.5, 0.2)
+        cells = (0, 2)  # the cells left and right of the face x0 = 0.5
+        both = corner_weights(part, np.array([x, x]), np.array(cells))
         probs = {}
-        for m in (0, 2):  # the cells left and right of the face x0 = 0.5
-            _, weights = interpolation_weights(part.cell_lower[m], part.deltas, x)
+        for m, weights in zip(cells, both):
             for g, corner in enumerate(part.cell_lower[m] + part.offsets * part.deltas):
                 key = tuple(np.round(corner, 12))
                 probs.setdefault(key, []).append(weights[g])
@@ -167,14 +186,12 @@ class TestLocateCell:
 
 class TestInterpolationWeights:
     def test_base_corner_indicator(self):
-        lam, weights = interpolation_weights((0.0, 0.0), (1.0, 1.0), (0.0, 0.0))
-        assert np.allclose(lam, (1.0, 1.0))
+        _, weights = _cell_weights((0.0, 0.0), (1.0, 1.0), (0.0, 0.0))
         assert weights[0] == pytest.approx(1.0)
         assert weights[1:].sum() == pytest.approx(0.0)
 
     def test_hand_evaluated_product_weights(self):
-        lam, weights = interpolation_weights((0.0, 0.0), (1.0, 1.0), (0.25, 0.5))
-        assert np.allclose(lam, (0.75, 0.5))
+        _, weights = _cell_weights((0.0, 0.0), (1.0, 1.0), (0.25, 0.5))
         by_gamma = {
             tuple(g.astype(int)): w
             for g, w in zip(corner_offsets(2), weights)
@@ -186,12 +203,8 @@ class TestInterpolationWeights:
 
     def test_center_gives_equal_weights(self):
         for n in (1, 2, 3):
-            _, weights = interpolation_weights(np.zeros(n), np.ones(n), np.full(n, 0.5))
+            _, weights = _cell_weights(np.zeros(n), np.ones(n), np.full(n, 0.5))
             assert np.allclose(weights, 2.0**-n)
-
-    def test_outside_cell_rejected(self):
-        with pytest.raises(ValueError):
-            interpolation_weights((0.0, 0.0), (1.0, 1.0), (1.5, 0.5))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -206,10 +219,10 @@ class TestInterpolationWeights:
     def test_convex_combination_identity(self, args):
         frac, sides, base = (np.array(v) for v in args)
         x = base + frac * sides
-        _, weights = interpolation_weights(base, sides, x)
+        part, weights = _cell_weights(base, sides, x)
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(weights >= 0)
-        recon = weights @ (base + corner_offsets(base.size) * sides)
+        recon = weights @ (part.cell_lower[0] + part.offsets * part.deltas)
         assert np.allclose(recon, x, atol=1e-12 * (1 + np.abs(x).max()))
 
 

@@ -26,20 +26,21 @@ def _mech_1d(rows, floor=None):
 class TestUnnormalizedInterpolant:
     def test_anchor_returns_table_entry(self):
         mech = _mech_1d([[0.2, 0.8], [0.7, 0.3]])
-        assert mech.unnormalized_at((0.0,))[0] == pytest.approx(0.2, abs=1e-15)
-        assert mech.unnormalized_at((1.0,))[1] == pytest.approx(0.3, abs=1e-15)
+        scores = np.exp(mech.log_scores([[0.0], [1.0]]))
+        assert scores[0, 0] == pytest.approx(0.2, abs=1e-15)
+        assert scores[1, 1] == pytest.approx(0.3, abs=1e-15)
 
     def test_midpoint_reduces_to_logcvx(self):
         mech = _mech_1d([[0.2, 0.8], [0.8, 0.2]])
-        assert mech.unnormalized_at((0.5,))[0] == pytest.approx(0.4, abs=1e-12)
+        assert np.exp(mech.log_scores([[0.5]]))[0, 0] == pytest.approx(0.4, abs=1e-12)
 
     def test_equal_corners_give_constant(self):
         part = Partition((0.0, 0.0), (1.0, 1.0), (1, 1))
         outputs = OutputDomain(points=np.array([[0.0, 0.0], [1.0, 1.0]]))
         table = PerturbationTable(np.array([[0.3, 0.7]] * 4))
         mech = Mechanism(part, table, outputs, floor=None)
-        for x in ((0.2, 0.9), (0.5, 0.5), (0.77, 0.13)):
-            assert mech.unnormalized_at(x)[0] == pytest.approx(0.3, abs=1e-12)
+        scores = np.exp(mech.log_scores([(0.2, 0.9), (0.5, 0.5), (0.77, 0.13)]))
+        assert scores[:, 0] == pytest.approx([0.3] * 3, abs=1e-12)
 
 
 class TestDistributionAt:
@@ -137,14 +138,13 @@ class TestValidityBounds:
         )
         mech = Mechanism(part, outputs=outputs, table=table, floor=None)
         grid = np.linspace(0.0, 1.0, 40)
-        for a in grid:
-            for b in grid:
+        logs = mech.log_scores(grid[:, None])
+        for i, a in enumerate(grid):
+            for j, b in enumerate(grid):
                 if a == b:
                     continue
                 for k in range(2):
-                    ga = math.log(mech.unnormalized_at((a,))[k])
-                    gb = math.log(mech.unnormalized_at((b,))[k])
-                    assert abs(ga - gb) <= eps1 * abs(a - b) + 1e-9
+                    assert abs(logs[i, k] - logs[j, k]) <= eps1 * abs(a - b) + 1e-9
 
     def test_across_interval_one_dimension(self):
         rng = np.random.default_rng(8)
@@ -154,7 +154,7 @@ class TestValidityBounds:
         table = _lipschitz_table(part, 3, [eps1], rng)
         mech = Mechanism(part, table, outputs, floor=None)
         pts = rng.random(60) * 3.0
-        logs = np.stack([np.log(mech.unnormalized_at((x,))) for x in pts])
+        logs = mech.log_scores(pts[:, None])
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 gaps = np.abs(logs[i] - logs[j])
@@ -174,8 +174,8 @@ class TestValidityBounds:
         else:
             eps_prime = float(np.sum(eps_axes**q) ** (1.0 / q))
         pts = rng.random((40, 2)) * 2.0
-        raw = np.stack([np.log(mech.unnormalized_at(x)) for x in pts])
-        norm = np.stack([mech.log_distribution_at(x) for x in pts])
+        raw = mech.log_scores(pts)
+        norm = mech.log_probs(pts)
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 d = lp_distance(pts[i], pts[j], p)
@@ -190,7 +190,7 @@ class TestValidityBounds:
         table = _lipschitz_table(part, 3, eps_axes, rng)
         mech = Mechanism(part, table, outputs, floor=None)
         pts = rng.random((25, 3))
-        logs = np.stack([np.log(mech.unnormalized_at(x)) for x in pts])
+        logs = mech.log_scores(pts)
         eps_prime = float(np.sum(eps_axes**2) ** 0.5)  # dual of p = 2
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
@@ -212,7 +212,7 @@ class TestValidityBounds:
             mech = Mechanism(part, table, outputs, budget=bv)
             eps_prime = float(np.sum(bv.eps**2) ** 0.5)
             pts = rng.random((30, 2)) * 2.0
-            norm = np.stack([mech.log_distribution_at(x) for x in pts])
+            norm = mech.log_probs(pts)
             for i in range(len(pts)):
                 for j in range(i + 1, len(pts)):
                     d = lp_distance(pts[i], pts[j], 2)

@@ -8,10 +8,10 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
 from anchorpriv.apo import OutputDomain, PerturbationTable
-from anchorpriv.audit import violation_ratio
+from anchorpriv.audit import ppr_histogram, violation_ratio
 from anchorpriv.errors import OutOfDomainError
 from anchorpriv.evaluation import LossModel, PriorModel, expected_loss
-from anchorpriv.geometry import Partition, interpolation_weights, locate_cell, lp_distance
+from anchorpriv.geometry import Partition, corner_offsets, lp_distance
 from anchorpriv.interpolation import Mechanism
 from anchorpriv.mechanisms import (
     CoarseLpMechanism,
@@ -27,20 +27,25 @@ BOX = ((0.0, 0.0), (1.0, 1.0))
 LINE = ((0.0,), (1.0,))
 
 
+def _probs(mech, X):
+    """(n, K) probabilities at the rows of ``X``, through one log_probs call."""
+    return np.exp(mech.log_probs(np.atleast_2d(np.asarray(X, dtype=float))))
+
+
 class TestExponential:
     def test_single_candidate(self):
         outputs = OutputDomain(points=np.array([[0.3, 0.3]]))
         mech = ExponentialMechanism(outputs, BOX, 1.0, 2.0)
-        assert mech.distribution_at((0.1, 0.1)) == pytest.approx([1.0])
+        assert _probs(mech, (0.1, 0.1))[0] == pytest.approx([1.0])
 
     def test_equidistant_candidates_split_evenly(self):
         outputs = OutputDomain(points=np.array([[0.0, 0.0], [1.0, 0.0]]))
-        dist = ExponentialMechanism(outputs, BOX, 1.3, 2.0).distribution_at((0.5, 0.0))
+        dist = _probs(ExponentialMechanism(outputs, BOX, 1.3, 2.0), (0.5, 0.0))[0]
         assert dist == pytest.approx([0.5, 0.5], abs=1e-15)
 
     def test_line_instance_hand_numbers(self):
         outputs = OutputDomain(points=np.array([[0.0], [1.0]]))
-        dist = ExponentialMechanism(outputs, LINE, 2.0, 1.0).distribution_at((0.0,))
+        dist = _probs(ExponentialMechanism(outputs, LINE, 2.0, 1.0), (0.0,))[0]
         expect = np.array([1.0, math.exp(-1.0)])
         expect /= expect.sum()
         assert dist == pytest.approx(expect, abs=1e-12)
@@ -51,9 +56,8 @@ class TestExponential:
         rng = np.random.default_rng(0)
         outputs = OutputDomain(points=rng.random((7, 2)))
         mech = ExponentialMechanism(outputs, BOX, 0.7, 2.0)
-        for _ in range(20):
-            dist = mech.distribution_at(rng.random(2))
-            assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+        sums = _probs(mech, rng.random((20, 2))).sum(axis=1)
+        assert sums == pytest.approx(np.ones(20), abs=1e-12)
 
     def test_half_exponent_audits_clean(self):
         rng = np.random.default_rng(1)
@@ -66,13 +70,13 @@ class TestExponential:
 class TestPlanarLaplace:
     def test_symmetric_candidates_uniform(self):
         outputs = OutputDomain(points=np.array([[0.0, 0.5], [1.0, 0.5], [0.5, 0.0], [0.5, 1.0]]))
-        dist = PlanarLaplaceMechanism(outputs, BOX, 1.0).distribution_at((0.5, 0.5))
+        dist = _probs(PlanarLaplaceMechanism(outputs, BOX, 1.0), (0.5, 0.5))[0]
         assert dist == pytest.approx([0.25] * 4, abs=1e-12)
 
     def test_requires_two_dimensions(self):
         outputs = OutputDomain(points=np.array([[0.0], [1.0]]))
         with pytest.raises(ValueError):
-            PlanarLaplaceMechanism(outputs, LINE, 1.0).distribution_at((0.5,))
+            _probs(PlanarLaplaceMechanism(outputs, LINE, 1.0), (0.5,))
 
     def test_matches_em_at_doubled_budget(self):
         rng = np.random.default_rng(2)
@@ -80,7 +84,7 @@ class TestPlanarLaplace:
         x = rng.random(2)
         laplace = PlanarLaplaceMechanism(outputs, BOX, 0.9)
         em = ExponentialMechanism(outputs, BOX, 1.8, 2.0)
-        assert laplace.distribution_at(x) == pytest.approx(em.distribution_at(x), abs=1e-12)
+        assert _probs(laplace, x)[0] == pytest.approx(_probs(em, x)[0], abs=1e-12)
 
     def test_ratio_bounded_by_twice_budget(self):
         rng = np.random.default_rng(3)
@@ -98,19 +102,17 @@ class TestTruncated:
         x = rng.random(2)
         tem = TruncatedExponentialMechanism(outputs, BOX, 1.0, 2.0, radius=10.0)
         em = ExponentialMechanism(outputs, BOX, 1.0, 2.0)
-        assert tem.distribution_at(x) == pytest.approx(em.distribution_at(x), abs=1e-12)
+        assert _probs(tem, x)[0] == pytest.approx(_probs(em, x)[0], abs=1e-12)
 
     def test_empty_support_rejected(self):
         outputs = OutputDomain(points=np.array([[5.0, 5.0]]))
         with pytest.raises(ValueError):
-            TruncatedExponentialMechanism(outputs, BOX, 1.0, 2.0, radius=1.0).distribution_at(
-                (0.0, 0.0)
-            )
+            _probs(TruncatedExponentialMechanism(outputs, BOX, 1.0, 2.0, radius=1.0), (0.0, 0.0))
 
     def test_truncation_drops_far_candidates(self):
         outputs = OutputDomain(points=np.array([[0.0], [1.0], [10.0]]))
         mech = TruncatedExponentialMechanism(outputs, LINE, 2.0, 1.0, radius=2.0)
-        dist = mech.distribution_at((0.0,))
+        dist = _probs(mech, (0.0,))[0]
         assert dist[2] == 0.0
         expect = np.array([1.0, math.exp(-1.0)])
         expect /= expect.sum()
@@ -180,8 +182,8 @@ class TestBayesianRemap:
         base = ExponentialMechanism(outputs, BOX, eps=1.0, p=2.0)
         remapped = RemappedMechanism(base, [0, 0, 3, 3])
         x = rng.random(2)
-        dist = remapped.distribution_at(x)
-        bd = base.distribution_at(x)
+        dist = _probs(remapped, x)[0]
+        bd = _probs(base, x)[0]
         assert dist[0] == pytest.approx(bd[0] + bd[1], abs=1e-12)
         assert dist[3] == pytest.approx(bd[2] + bd[3], abs=1e-12)
         assert dist[1] == dist[2] == 0.0
@@ -195,8 +197,9 @@ class TestCoarseLpMechanism:
         table = PerturbationTable([[0.9, 0.1], [0.2, 0.8]])
         outputs = OutputDomain(points=np.array([[0.0, 0.0], [1.0, 1.0]]))
         mech = CoarseLpMechanism(reps, table, outputs, BOX)
-        assert mech.distribution_at((0.1, 0.1)) == pytest.approx([0.9, 0.1])
-        assert mech.distribution_at((0.9, 0.6)) == pytest.approx([0.2, 0.8])
+        dist = _probs(mech, [(0.1, 0.1), (0.9, 0.6)])
+        assert dist[0] == pytest.approx([0.9, 0.1])
+        assert dist[1] == pytest.approx([0.2, 0.8])
 
     def test_piecewise_constant_leaks_near_boundaries(self):
         from anchorpriv.apo import PerturbationTable
@@ -242,8 +245,12 @@ def _normalize(scores):
 def _reference(mech, x):
     """Per-point log-probabilities from the scalar geometry rules."""
     if isinstance(mech, Mechanism):
-        m = locate_cell(_PART, x)
-        _, w = interpolation_weights(_PART.cell_lower[m], _PART.deltas, x)
+        # Any closed cell holding x: the interpolant is continuous across faces.
+        upper = _PART.cell_lower + _PART.deltas
+        m = next(m for m in range(_PART.n_cells)
+                 if np.all(_PART.cell_lower[m] <= x) and np.all(x <= upper[m]))
+        lam = (upper[m] - x) / _PART.deltas
+        w = np.array([np.prod(np.where(g == 1, 1.0 - lam, lam)) for g in corner_offsets(2)])
         return _normalize(w @ np.log(mech.table.probs[_PART.cell_corner_anchors[m]]))
     if isinstance(mech, RemappedMechanism):
         base = np.exp(_reference(mech.base, x))
@@ -301,6 +308,47 @@ class TestBatchedLogProbs:
     def test_rejects_out_of_domain_row(self, name):
         with pytest.raises(OutOfDomainError):
             _KINDS[name].log_probs(np.array([[0.5, 0.5], [2.0 + 1e-9, 0.5]]))
+
+
+class _Plugin:
+    """An external mechanism: only the attributes the tooling may read."""
+
+    __slots__ = ("outputs", "bounds", "n_outputs", "metric_p", "log_probs")
+
+    def __init__(self, mech, metric_p):
+        self.outputs = mech.outputs
+        self.bounds = mech.bounds
+        self.n_outputs = mech.n_outputs
+        self.metric_p = metric_p
+        self.log_probs = mech.log_probs
+
+
+class TestPluginContract:
+    """A duck-typed mechanism goes through every tool as the built-in it wraps."""
+
+    @pytest.mark.parametrize("name", sorted(_KINDS))
+    def test_tools_match_the_built_in(self, name):
+        mech = _KINDS[name]
+        plugin = _Plugin(mech, metric_p=1.5)
+        rng = np.random.default_rng(23)
+        lo, hi = _PART.bounds
+        points = lo + rng.random((12, 2)) * (hi - lo)
+        prior = PriorModel(points, np.full(12, 1 / 12))
+        loss = LossModel.from_matrix(points, rng.random((12, _OUTPUTS.size)))
+
+        audit_args = dict(sample_count=40, seed=3)
+        got = violation_ratio(plugin, 0.7, **audit_args).to_json_dict()
+        assert got == violation_ratio(mech, 0.7, 1.5, **audit_args).to_json_dict()
+        for a, b in zip(ppr_histogram(plugin, 0.7, **audit_args),
+                        ppr_histogram(mech, 0.7, 1.5, **audit_args)):
+            assert np.array_equal(a, b)
+        assert expected_loss(plugin, prior, loss) == expected_loss(mech, prior, loss)
+
+        remapped, built_in = bayesian_remap(plugin, prior, loss), bayesian_remap(mech, prior, loss)
+        assert np.array_equal(remapped.remap, built_in.remap)
+        assert remapped.metric_p == 1.5
+        assert np.array_equal(remapped.log_probs(points), built_in.log_probs(points))
+        assert expected_loss(remapped, prior, loss) == expected_loss(built_in, prior, loss)
 
 
 def _scipy_log_normalize(scores):
