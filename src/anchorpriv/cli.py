@@ -81,9 +81,19 @@ class PrivacySpec:
             )
         if self.budget_mode == "explicit" and self.explicit_budget is None:
             raise ConfigError("privacy.explicit_budget required when budget_mode=explicit")
-        if self.explicit_budget is not None and len(self.explicit_budget) != 2:
-            raise ConfigError("privacy.explicit_budget must have 2 entries (one per axis), "
-                              f"got {list(self.explicit_budget)}")
+        explicit = self.explicit_budget
+        if explicit is not None and (len(explicit) != 2
+                                     or not all(0 <= v < math.inf for v in explicit)):
+            raise ConfigError("privacy.explicit_budget must have 2 finite entries >= 0 "
+                              f"(one per axis), got {list(explicit)}")
+        # Alternate conventions carry no composition certificate to check.
+        if self.budget_mode == "explicit" and self.budget_convention == "half-dual":
+            for e in self.eps:
+                chk = apo.check_budget(apo.BudgetVector(explicit, e, self.p))
+                if not chk.ok:
+                    raise ConfigError(
+                        f"privacy.explicit_budget {list(explicit)} violates composition at "
+                        f"budget {e:g}: aggregate {chk.lhs:.6g} > bound {chk.rhs:.6g}")
         if self.sweep_resolution < 2:
             raise ConfigError(
                 f"privacy.sweep_resolution must be >= 2, got {self.sweep_resolution}")
@@ -266,19 +276,25 @@ def _surrogate(instance):
     return instance.derived["surrogate"]
 
 
-def _from_last(instance, kind: str, solve, *args):
-    """``solve(*args, start=...)`` from the last solution of ``kind`` for ``instance``.
+def _solved(instance, key, kinds, solve):
+    """(result, LpSolution) of the program ``key``, solved at most once per instance.
 
-    ``solve`` returns (result, LpSolution); the solution is kept, next to
-    the anchor tables and without its arrays (``LpSolution.as_start``), as
-    the next start of ``kind``. A budget's program differs from the
-    previous budget's only in its ratio coefficients, so dual simplex from
-    the previous optimal basis is a parametric re-solve.
+    ``solve(start)`` returns (result, LpSolution). The first call for
+    ``key`` solves from the solution last kept under ``kinds[0]`` (from
+    scratch without one), later ones look it up; either way the solution,
+    without its arrays (``LpSolution.as_start``), starts the next solve of
+    every kind in ``kinds``. Neighbouring budgets' programs differ only in
+    their ratio coefficients, so dual simplex from the last optimal basis
+    is a parametric re-solve.
     """
+    store = instance.derived.setdefault("solved", {})
     starts = instance.derived.setdefault("starts", {})
-    result, solution = solve(*args, start=starts.get(kind))
-    starts[kind] = solution.as_start()
-    return result, starts[kind]
+    if key not in store:
+        result, solution = solve(starts.get(kinds[0]) if kinds else None)
+        store[key] = result, solution.as_start()
+    for kind in kinds:
+        starts[kind] = store[key][1]
+    return store[key]
 
 
 def make_aipo_mechanism(instance, eps: float, priv: PrivacySpec = PrivacySpec()):
@@ -291,12 +307,11 @@ def make_aipo_mechanism(instance, eps: float, priv: PrivacySpec = PrivacySpec())
     candidate's program, i.e. the surrogate expected loss of its solved
     table.
 
-    The sweep solves the candidate at the equal split first, as AIPO-E
-    does, from the basis of the equal split solved last for ``instance``
-    (from scratch at its first budget). It then walks outward along the
-    arc on both sides. Each candidate's solve starts from the basis of the
-    nearest candidate solved on its inner side, or from scratch when there
-    is none.
+    The equal split starts from the one solved last for ``instance``, at
+    any budget. The sweep solves it first and walks outward along the arc
+    on both sides: each candidate starts from the last one solved on its
+    side (from scratch if the equal split failed). An explicit vector
+    starts from scratch.
     """
     part, outputs = instance.partition, instance.outputs
     p, convention = priv.p, priv.budget_convention
@@ -304,59 +319,40 @@ def make_aipo_mechanism(instance, eps: float, priv: PrivacySpec = PrivacySpec())
     validate = convention == "half-dual"
     n = part.n_dims
 
-    # Solved (table, LpSolution without its arrays) per budget vector, kept
-    # for the instance: no vector is solved twice, AIPO-E's equal split is
-    # one of AIPO's candidates, and a cached solution still starts its
-    # neighbours.
-    tables = instance.derived.setdefault("anchor_tables", {})
-
-    def solved(bv, start=None):
+    def anchor(bv, kinds=()):
         """(table of ``bv``, the LpSolution it came from, as a start)."""
-        key = (tuple(bv.eps), bv.total_eps, bv.p, validate)
-        if key not in tables:
-            lp = apo.build_approx_apo(part, outputs, bv, coeffs, validate_budget=validate)
-            table, solution = apo.solve_approx_apo(lp, start=start)
-            tables[key] = table, solution.as_start()
-        return tables[key]
+        return _solved(instance, (tuple(bv.eps), bv.total_eps, bv.p, validate), kinds,
+                       lambda start: apo.solve_approx_apo(apo.build_approx_apo(
+                           part, outputs, bv, coeffs, validate_budget=validate), start=start))
 
+    equal = budget.equal_split(eps, p, n, convention=convention)
+    centre = ("equal split", (-1, eps), (1, eps))
     curve, failed = None, []
     if priv.budget_mode == "equal":
-        best = budget.equal_split(eps, p, n, convention=convention)
-        _from_last(instance, "equal split", solved, best)
+        best = equal
     elif priv.budget_mode == "explicit":
-        best = apo.BudgetVector(eps=np.asarray(priv.explicit_budget, dtype=float),
-                                total_eps=eps, p=p)
+        best = apo.BudgetVector(priv.explicit_budget, eps, p)
     else:
         candidates = budget.feasible_allocations(
-            eps, p, n_dims=n, resolution=priv.sweep_resolution, convention=convention
-        )
-        # Candidates come sorted by eps_1. The walk starts at the one nearest
-        # the equal split and keeps one start solution per side.
-        centre = budget.equal_split(eps, p, n, convention=convention).eps[0]
-        mid = int(np.argmin([abs(bv.eps[0] - centre) for bv in candidates]))
-        side = {id(bv): int(np.sign(i - mid)) for i, bv in enumerate(candidates)}
-        starts = {}
-
-        def evaluate(bv):
-            here = side[id(bv)]
-            if here == 0:
-                table, solution = _from_last(instance, "equal split", solved, bv)
-            else:
-                table, solution = solved(bv, start=starts.get(here))
-            for s in ((-1, 1) if here == 0 else (here,)):
-                starts[s] = solution
-            return float(np.sum(coeffs.matrix * table.probs))
-
+            eps, p, n_dims=n, resolution=priv.sweep_resolution, convention=convention)
+        # Candidates come sorted by eps_1; the walk starts at the one
+        # nearest the equal split.
+        mid = int(np.argmin([abs(bv.eps[0] - equal.eps[0]) for bv in candidates]))
+        kinds = {id(bv): ((int(np.sign(i - mid)), eps),) for i, bv in enumerate(candidates)}
+        kinds[id(candidates[mid])] = centre
         best, curve, failed = budget.optimize_allocation(
-            candidates[mid::-1] + candidates[mid + 1:], evaluate)
-    mech = Mechanism(part, solved(best)[0], outputs, budget=best, total_eps=eps, metric_p=p)
+            candidates[mid::-1] + candidates[mid + 1:],
+            lambda bv: float(np.sum(coeffs.matrix * anchor(bv, kinds[id(bv)])[0].probs)))
+    table, _ = anchor(best, centre if priv.budget_mode == "equal" else ())
+    mech = Mechanism(part, table, outputs, budget=best, total_eps=eps, metric_p=p)
     return mech, best, curve, failed
 
 
 def _aipo_relaxed(instance, eps, priv, comp):
     part, outputs = instance.partition, instance.outputs
-    lp = apo.build_aipo_relaxed(part, outputs, eps, priv.p, _surrogate(instance))
-    table, _ = _from_last(instance, "AIPO-R", apo.solve_approx_apo, lp)
+    table, _ = _solved(instance, ("AIPO-R", eps, priv.p), ("AIPO-R",), lambda start: (
+        apo.solve_approx_apo(apo.build_aipo_relaxed(
+            part, outputs, eps, priv.p, _surrogate(instance)), start=start)))
     return Mechanism(part, table, outputs, total_eps=eps, metric_p=priv.p)
 
 
@@ -369,8 +365,9 @@ def _coarse_lp(instance, eps, priv, comp):
         locate_cells(coarse_part, instance.prior.points),
         weights=instance.prior.masses, minlength=coarse_part.n_cells,
     )
-    lp = apo.build_coarse_lp(reps, masses, outputs, eps, priv.p, instance.loss)
-    table, _ = _from_last(instance, "CoarseLP", apo.solve_approx_apo, lp)
+    key = ("CoarseLP", eps, priv.p, tuple(coarse_part.counts))
+    table, _ = _solved(instance, key, ("CoarseLP",), lambda start: apo.solve_approx_apo(
+        apo.build_coarse_lp(reps, masses, outputs, eps, priv.p, instance.loss), start=start))
     return mechanisms.CoarseLpMechanism(reps, table, outputs, bounds, metric_p=priv.p)
 
 
@@ -396,9 +393,9 @@ METHODS = {
     "TEM": lambda inst, eps, priv, comp: mechanisms.TruncatedExponentialMechanism(
         inst.outputs, inst.partition.bounds, eps, priv.p, comp.tem_radius),
     "CoarseLP": _coarse_lp,
-    "LB": lambda inst, eps, priv, comp: _from_last(
-        inst, "LB", apo.lower_bound, inst.partition, inst.outputs, eps, priv.p, inst.loss,
-        inst.prior)[0],
+    "LB": lambda inst, eps, priv, comp: _solved(
+        inst, ("LB", eps, priv.p), ("LB",), lambda start: apo.lower_bound(
+            inst.partition, inst.outputs, eps, priv.p, inst.loss, inst.prior, start=start))[0],
 }
 METHODS.update({f"RMP-{tag}": _remapped(METHODS[tag]) for tag in ("EM", "Laplace", "TEM")})
 
@@ -474,6 +471,9 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    for flag, value, least in (("--bins", args.bins, 1), ("--seed", args.seed, 0)):
+        if value < least:
+            raise ConfigError(f"{flag} must be >= {least}, got {value}")
     mech_bytes = Path(args.mechanism).read_bytes()
     mech = Mechanism.load(args.mechanism)
     out_dir = Path(args.out_dir)

@@ -263,11 +263,12 @@ class LossModel:
         """Loss rows for ``points`` against every output candidate."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == "matrix":
-            if self._matrix.shape[1] < outputs.size:
-                raise ValueError("stored loss matrix has too few output columns")
+            if self._matrix.shape[1] != outputs.size:
+                raise ValueError(f"stored loss matrix has {self._matrix.shape[1]} columns "
+                                 f"for {outputs.size} outputs")
             if points.shape != self._points.shape or not np.array_equal(points, self._points):
                 raise ValueError("matrix-backed loss only defined at its stored points")
-            return self._matrix[:, : outputs.size]
+            return self._matrix
         x_nodes = nearest(self.graph.nodes, points)
         y_nodes = nearest(self.graph.nodes, outputs.points)
         dx = self._dist_table[:, x_nodes]  # (T, n)
@@ -365,11 +366,8 @@ class Instance:
     outputs: OutputDomain
     loss: LossModel
     graph: RoadGraph
-    spec: InstanceSpec = field(compare=False, default=None)
-    # Results derived from the instance while one command runs (surrogate
-    # coefficients, solved anchor tables), so that no method or budget
-    # computes them twice, and the last LP solution of each program kind,
-    # which starts the next budget's solve. Never copied by dataclasses.replace.
+    # Surrogate coefficients and the solved programs and starts of
+    # ``cli._solved``; never copied by dataclasses.replace.
     derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -435,10 +433,7 @@ def synth_instance(spec: InstanceSpec = InstanceSpec(), seed: int = 0) -> Instan
     )
     raw = rng.random(len(task_nodes)) + 0.25
     loss = LossModel.from_tasks(graph, task_nodes, raw / raw.sum())
-    return Instance(
-        partition=partition, prior=prior, outputs=outputs,
-        loss=loss, graph=graph, spec=spec,
-    )
+    return Instance(partition=partition, prior=prior, outputs=outputs, loss=loss, graph=graph)
 
 
 def save_instance(instance: Instance, directory):
@@ -501,6 +496,7 @@ def load_instance(directory) -> Instance:
     else:
         loss = LossModel.from_matrix(prior.points, formats.read_float_csv(
             root / formats.field(manifest, "loss", what)))
+        loss.loss_matrix(prior.points, outputs)  # one column per output, or ValueError
     return Instance(
         partition=part, prior=prior, outputs=outputs, loss=loss, graph=graph
     )

@@ -311,7 +311,7 @@ class TestWarmSweep:
         assert len(starts) == len(candidates)
         assert starts[0] is None and all(s is not None for s in starts[1:])
         # Kept solutions carry their basis but not their arrays.
-        kept = [s for _, s in inst.derived["anchor_tables"].values()]
+        kept = [s for _, s in inst.derived["solved"].values()]
         kept += list(inst.derived["starts"].values())
         assert all(s.values is None and s.multipliers is None and s.basis is not None
                    for s in kept + starts[1:])
@@ -324,7 +324,7 @@ class TestWarmSweep:
         cold_best, _, _ = budget.optimize_allocation(
             candidates, lambda bv: float(np.sum(coeffs.matrix * cold[tuple(bv.eps)])))
         assert best.eps.tobytes() == cold_best.eps.tobytes()
-        swept = inst.derived["anchor_tables"]
+        swept = inst.derived["solved"]
         for (eps, *_), (table, _) in swept.items():
             assert np.max(np.abs(table.probs - cold[eps])) <= 1e-12
 
@@ -689,6 +689,43 @@ class TestInputGuards:
         assert "config error: audit budget eps must be finite, got inf" in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
 
+    @pytest.mark.parametrize("flag, value, least", [("--bins", "0", 1), ("--seed", "-1", 0)])
+    def test_audit_out_of_range_flag_is_named(self, tmp_path, capsys, flag, value, least):
+        # numpy's own messages once reached the user, naming no flag.
+        mech = self._mechanism(tmp_path)
+        assert self._audit(tmp_path, mech, "--eps", "0.4", flag, value) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {flag} must be >= {least}, got {value}\n")
+        assert not (tmp_path / "a").exists()
+
+    def test_explicit_budget_over_the_bound_fails_before_any_solve(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # synthesize once wrote instance/ and the eps 0.8 mechanism before
+        # failing at eps 0.4, with a message that named no key.
+        solves = []
+        monkeypatch.setattr(apo, "solve_lp", lambda lp, **kw: solves.append(lp))
+        cfg = write_config(tmp_path, {"privacy": {"budget_mode": "explicit",
+                                                  "explicit_budget": [0.2, 0.2]}})
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(cfg), "--eps", "0.8,0.4",
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: privacy.explicit_budget [0.2, 0.2] violates composition at "
+            "budget 0.4: aggregate 0.08 > bound 0.04\n")
+        assert solves == [] and not out.exists()
+
+    def test_explicit_budget_is_stored(self, tmp_path, monkeypatch):
+        solutions = _spy_solutions(monkeypatch)
+        cfg = write_config(tmp_path, {"privacy": {"budget_mode": "explicit",
+                                                  "explicit_budget": [0.1, 0.15]}})
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        # An explicit vector starts from no other program's basis.
+        assert [s.from_basis for s in solutions] == [False, False]
+        for eps in ("0.4", "0.8"):
+            mech = json.loads((out / f"mechanism_eps{eps}.json").read_text())
+            assert mech["budget_eps"] == [0.1, 0.15]
+
     @pytest.mark.parametrize("command", ["synthesize", "compare", "lower-bound"])
     @pytest.mark.parametrize("source", ["privacy.eps", "--eps"])
     def test_non_finite_budget_fails_before_any_solve(self, tmp_path, capsys, monkeypatch,
@@ -813,6 +850,8 @@ class TestInstanceRanges:
         ("privacy", "sweep_resolution", 1, 2),
         ("privacy", "explicit_budget", [0.1], [0.1, 0.1]),
         ("privacy", "explicit_budget", [0.1, 0.1, 0.1], [0.1, 0.1]),
+        ("privacy", "explicit_budget", [-0.1, 0.1], [0.0, 0.0]),
+        ("privacy", "explicit_budget", [math.inf, 0.1], [0.0, 0.0]),
         ("compare", "coarse_grid", [0, 4], [1, 1]),
         ("compare", "coarse_grid", [4], [1, 1]),
         ("compare", "tem_radius", -1.0, 1e-9),

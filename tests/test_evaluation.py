@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -219,7 +220,7 @@ class TestLossMemo:
 
     def test_matrix_backed_memo_keeps_the_point_check(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-        loss = LossModel.from_matrix(pts, [[1.0, 3.0], [2.0, 4.0]])
+        loss = LossModel.from_matrix(pts, [[1.0], [2.0]])
         outputs = OutputDomain(points=np.array([[0.5, 0.5]]))
         assert np.array_equal(loss.matrix_at(pts, outputs), [[1.0], [2.0]])
         with pytest.raises(ValueError):
@@ -358,6 +359,20 @@ class TestInstanceBundle:
             back.loss.loss_matrix(back.prior.points, back.outputs),
             loss.loss_matrix(pts, outputs),
         )
+
+    def test_loss_needs_one_column_per_output(self, tmp_path):
+        # A 12-column loss.csv for 9 outputs once loaded, and the loss read
+        # its first 9 columns.
+        from anchorpriv.evaluation import load_instance, save_instance
+
+        inst = synth_instance(InstanceSpec(), seed=0)
+        pts = inst.prior.points
+        wide = LossModel.from_matrix(pts, np.ones((len(pts), inst.outputs.size + 3)))
+        with pytest.raises(ValueError, match="has 12 columns for 9 outputs"):
+            wide.matrix_at(pts, inst.outputs)
+        save_instance(replace(inst, loss=wide), tmp_path)
+        with pytest.raises(ValueError, match="has 12 columns for 9 outputs"):
+            load_instance(tmp_path)
 
     def test_prior_csv_round_trip(self, tmp_path):
         from anchorpriv.evaluation import load_instance, save_instance
