@@ -7,20 +7,24 @@ task-based utility losses, and a universal lower bound.
 """
 
 from .apo import (
-    BudgetVector,
     OutputDomain,
     PerturbationTable,
     SurrogateCoefficients,
     build_aipo_relaxed,
     build_approx_apo,
     build_coarse_lp,
-    check_budget,
     lower_bound,
     solve_approx_apo,
     surrogate_coefficients,
 )
 from .audit import AuditReport, ppr_histogram, violation_ratio
-from .budget import equal_split, feasible_allocations, optimize_allocation
+from .budget import (
+    BudgetVector,
+    check_budget,
+    equal_split,
+    feasible_allocations,
+    optimize_allocation,
+)
 from .errors import ConfigError, OutOfDomainError, SolverError
 from .evaluation import (
     Instance,

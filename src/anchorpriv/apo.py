@@ -16,24 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .budget import BudgetVector, check_budget
 from .errors import SolverError
-from .geometry import (
-    Partition,
-    axis_neighbors,
-    corner_weights,
-    dual_exponent,
-    locate_cells,
-    lp_distance_matrix,
-)
+from .geometry import Partition, axis_neighbors, corner_weights, locate_cells, lp_distance_matrix
 from .lpcore import CsrMatrix, LinearProgram, LpSolution, solve_lp
 
 __all__ = [
     "OutputDomain",
     "PerturbationTable",
     "SurrogateCoefficients",
-    "BudgetVector",
-    "BudgetCheck",
-    "check_budget",
     "surrogate_coefficients",
     "build_approx_apo",
     "solve_approx_apo",
@@ -49,7 +40,9 @@ PRE_NORMALIZATION_TOL = 1e-7
 # A solved table is optimal when the dual certificate of its multipliers
 # is at most this far below its objective, relative to the objective.
 OPTIMALITY_TOL = 1e-6
-BUDGET_TOL = 1e-12
+# HiGHS rejects a model with a matrix entry above 1e15, its
+# ``large_matrix_value``, so no ratio bound exp(log_bound) may exceed it.
+MAX_HIGHS_LOG_RATIO = math.log(1e15)
 # The lower bound keeps only the cell pairs whose ratio bound exp(eps * d)
 # is at most exp(MAX_LOG_RATIO) = 1e8: HiGHS fails on coefficient ranges
 # near 1e12 (reached at eps 10 on the 2 x 2 desk domain).
@@ -124,68 +117,6 @@ class SurrogateCoefficients:
         object.__setattr__(self, "matrix", m)
 
 
-@dataclass(frozen=True)
-class BudgetVector:
-    """Per-dimension privacy budgets with their composition certificate.
-
-    For p > 1 the vector must satisfy sum_l eps_l^q <= (eps/2)^q with
-    q = p/(p-1); for p = 1 the rule is max_l eps_l <= eps/2. The factor 2
-    covers the slack introduced by normalizing the interpolated scores.
-    """
-
-    eps: np.ndarray
-    total_eps: float
-    p: float
-
-    def __post_init__(self):
-        eps = np.asarray(self.eps, dtype=float).ravel()
-        if eps.size < 1 or np.any(eps < 0) or not np.all(np.isfinite(eps)):
-            raise ValueError("per-dimension budgets must be finite and >= 0")
-        if not self.total_eps > 0:
-            raise ValueError("total budget must be positive")
-        if not self.p >= 1:
-            raise ValueError("metric order must satisfy p >= 1")
-        object.__setattr__(self, "eps", eps)
-
-    @property
-    def n_dims(self) -> int:
-        return self.eps.size
-
-
-@dataclass(frozen=True)
-class BudgetCheck:
-    ok: bool
-    lhs: float
-    rhs: float
-
-    @property
-    def slack(self) -> float:
-        return self.rhs - self.lhs
-
-
-CONVENTIONS = ("half-dual", "full-dual", "full-primal")
-
-
-def _arc(eps_total: float, p: float, convention: str):
-    """(radius, exponent) of the allocation arc; exponent inf = max rule."""
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown budget convention {convention!r}")
-    radius = eps_total / 2.0 if convention == "half-dual" else eps_total
-    return radius, p if convention == "full-primal" else dual_exponent(p)
-
-
-def check_budget(budget: BudgetVector, tol: float = BUDGET_TOL) -> BudgetCheck:
-    """Evaluate the composition certificate of a budget vector.
-
-    Returns the aggregate (sum of eps_l^q, or max for p=1) next to the
-    bound it must stay under, both read off the "half-dual" arc.
-    """
-    radius, expo = _arc(budget.total_eps, budget.p, "half-dual")
-    lhs = float(budget.eps.max() if math.isinf(expo) else np.sum(budget.eps**expo))
-    rhs = radius if math.isinf(expo) else radius**expo
-    return BudgetCheck(ok=lhs <= rhs + tol, lhs=lhs, rhs=rhs)
-
-
 def surrogate_coefficients(partition: Partition, prior, loss, outputs: OutputDomain) -> SurrogateCoefficients:
     """Accumulate the linear surrogate objective over anchors x outputs.
 
@@ -206,7 +137,7 @@ def surrogate_coefficients(partition: Partition, prior, loss, outputs: OutputDom
     return SurrogateCoefficients(matrix=coeffs)
 
 
-def _ratio_program(objective, first, second, log_bound) -> LinearProgram:
+def _ratio_program(objective, first, second, log_bound, name="ratio program") -> LinearProgram:
     """Table program over an (R, K) objective with pairwise ratio rows.
 
     One equality row per table row fixes its total to 1. For each pair
@@ -214,7 +145,16 @@ def _ratio_program(objective, first, second, log_bound) -> LinearProgram:
     each output k, row 2(tK + k) is z[i,k] - b z[j,k] <= 0 and the row
     after it is the mirror z[j,k] - b z[i,k] <= 0: pairs outer, outputs
     inner.
+
+    Raises :class:`SolverError`, naming the program ``name``, when a ratio
+    bound exceeds exp(MAX_HIGHS_LOG_RATIO) = 1e15. These rows are the
+    mechanism's privacy constraint, so they cannot be dropped to fit.
     """
+    largest = float(np.max(log_bound, initial=0.0))
+    if largest > MAX_HIGHS_LOG_RATIO:
+        raise SolverError(
+            f"{name} needs ratio bounds up to exp({largest:.6g}); HiGHS accepts at most "
+            f"exp({MAX_HIGHS_LOG_RATIO:.6g}) = 1e15")
     objective = np.asarray(objective, dtype=float)
     n_rows, n_out = objective.shape
     n_vars = n_rows * n_out
@@ -243,7 +183,7 @@ def build_approx_apo(
     outputs: OutputDomain,
     budget: BudgetVector,
     coeffs: SurrogateCoefficients,
-    validate_budget: bool = True,
+    convention: str = "half-dual",
 ) -> LinearProgram:
     """Anchor LP with per-axis ratio constraints on lattice neighbors.
 
@@ -253,23 +193,24 @@ def build_approx_apo(
     the log-gap by eps_l per unit of axis-l distance. One equality row per
     anchor normalizes the table.
 
-    ``validate_budget=False`` skips the composition certificate; only the
-    alternate arc conventions use this, and the synthesized mechanism then
-    carries no end-to-end guarantee at the nominal total budget.
+    ``budget`` must lie under the arc of ``convention`` (see
+    :func:`~anchorpriv.budget.check_budget`). Only under "half-dual" does
+    the synthesized mechanism carry the end-to-end guarantee at the
+    nominal total budget.
     """
-    if validate_budget:
-        chk = check_budget(budget)
-        if not chk.ok:
-            raise ValueError(
-                f"budget violates composition: aggregate {chk.lhs:.6g} > bound {chk.rhs:.6g}"
-            )
+    chk = check_budget(budget, convention)
+    if not chk.ok:
+        raise ValueError(
+            f"budget violates composition: aggregate {chk.lhs:.6g} > bound {chk.rhs:.6g}"
+        )
     if budget.n_dims != partition.n_dims:
         raise ValueError("budget dimension does not match partition")
     if coeffs.matrix.shape != (partition.n_anchors, outputs.size):
         raise ValueError("coefficient matrix shape mismatch")
     first, second, axis = axis_neighbors(partition)
     return _ratio_program(coeffs.matrix, first, second,
-                          budget.eps[axis] * partition.deltas[axis])
+                          budget.eps[axis] * partition.deltas[axis],
+                          f"anchor program at eps {budget.total_eps:g}")
 
 
 def solve_approx_apo(
@@ -308,21 +249,11 @@ def solve_approx_apo(
 
 
 def _all_pairs_program(objective, points, eps_total: float, p: float) -> LinearProgram:
-    """Ratio program bounding every pair of rows by exp(eps * d_p(point_i, point_j)).
-
-    Raises :class:`SolverError` when a ratio bound exceeds 1e15, HiGHS's
-    ``large_matrix_value``, above which HiGHS rejects the model. Unlike the
-    lower bound's, these rows are the mechanism's privacy constraint and
-    cannot be dropped.
-    """
+    """Ratio program bounding every pair of rows by exp(eps * d_p(point_i, point_j))."""
     first, second = np.triu_indices(points.shape[0], k=1)
     log_bound = eps_total * lp_distance_matrix(points, points, p)[first, second]
-    largest, limit = float(log_bound.max(initial=0.0)), math.log(1e15)
-    if largest > limit:
-        raise SolverError(
-            f"all-pairs program at eps {eps_total:g} needs ratio bounds up to "
-            f"exp({largest:.6g}); HiGHS accepts at most exp({limit:.6g}) = 1e15")
-    return _ratio_program(objective, first, second, log_bound)
+    return _ratio_program(objective, first, second, log_bound,
+                          f"all-pairs program at eps {eps_total:g}")
 
 
 def build_aipo_relaxed(

@@ -1,4 +1,4 @@
-"""Per-dimension budget allocation: equal split, arc sampling, sweep.
+"""Per-dimension budgets: the arc they must stay under, and the sweep along it.
 
 The normative composition certificate reserves half of the total budget
 for the normalization step, so every feasible vector lives on or under
@@ -9,29 +9,101 @@ the one whose evaluated loss is smallest.
 Two alternate arc conventions are exposed for reproducing results that
 were produced without the half-budget reserve: "full-dual" keeps the dual
 exponent but spends the whole budget, and "full-primal" uses exponent p
-on the whole budget. Vectors from these conventions do not pass the
-normative certificate and are only accepted by the pipeline when
-validation is explicitly bypassed.
+on the whole budget. A vector is checked against its own convention's
+arc; only "half-dual" vectors carry the end-to-end guarantee at the
+nominal total budget.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .apo import CONVENTIONS, BudgetVector, _arc, check_budget
 from .errors import SolverError
+from .geometry import dual_exponent
 
 __all__ = [
+    "BudgetVector",
+    "BudgetCheck",
     "CONVENTIONS",
+    "check_budget",
     "equal_split",
     "feasible_allocations",
     "optimize_allocation",
 ]
 
 log = logging.getLogger(__name__)
+
+CONVENTIONS = ("half-dual", "full-dual", "full-primal")
+# A vector passes its arc when its aggregate exceeds the bound by at most
+# this fraction of the bound. Both grow as eps^q, so a fixed margin would
+# be lost in rounding at large budgets and be loose at tiny ones.
+BUDGET_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class BudgetVector:
+    """Per-dimension privacy budgets at one total budget and metric order.
+
+    Under the normative "half-dual" convention the vector must satisfy
+    sum_l eps_l^q <= (eps/2)^q with q = p/(p-1); for p = 1 the rule is
+    max_l eps_l <= eps/2. The factor 2 covers the slack introduced by
+    normalizing the interpolated scores. :func:`check_budget` checks a
+    vector against the arc of any convention.
+    """
+
+    eps: np.ndarray
+    total_eps: float
+    p: float
+
+    def __post_init__(self):
+        eps = np.asarray(self.eps, dtype=float).ravel()
+        if eps.size < 1 or np.any(eps < 0) or not np.all(np.isfinite(eps)):
+            raise ValueError("per-dimension budgets must be finite and >= 0")
+        if not self.total_eps > 0:
+            raise ValueError("total budget must be positive")
+        if not self.p >= 1:
+            raise ValueError("metric order must satisfy p >= 1")
+        object.__setattr__(self, "eps", eps)
+
+    @property
+    def n_dims(self) -> int:
+        return self.eps.size
+
+
+@dataclass(frozen=True)
+class BudgetCheck:
+    ok: bool
+    lhs: float
+    rhs: float
+
+    @property
+    def slack(self) -> float:
+        return self.rhs - self.lhs
+
+
+def _arc(eps_total: float, p: float, convention: str):
+    """(radius, exponent) of the allocation arc; exponent inf = max rule."""
+    if convention not in CONVENTIONS:
+        raise ValueError(f"unknown budget convention {convention!r}")
+    radius = eps_total / 2.0 if convention == "half-dual" else eps_total
+    return radius, p if convention == "full-primal" else dual_exponent(p)
+
+
+def check_budget(budget: BudgetVector, convention: str = "half-dual") -> BudgetCheck:
+    """Evaluate a budget vector against the arc of ``convention``.
+
+    Returns the aggregate (sum of eps_l^q, or max for p=1) next to the
+    bound it must stay under, both read off that arc. The vector passes
+    when the aggregate is at most the bound times 1 + BUDGET_TOL.
+    """
+    radius, expo = _arc(budget.total_eps, budget.p, convention)
+    lhs = float(budget.eps.max() if math.isinf(expo) else np.sum(budget.eps**expo))
+    rhs = radius if math.isinf(expo) else radius**expo
+    return BudgetCheck(ok=lhs <= rhs * (1 + BUDGET_TOL), lhs=lhs, rhs=rhs)
 
 
 def equal_split(eps_total: float, p: float, n_dims: int,
@@ -88,7 +160,7 @@ def feasible_allocations(eps_total: float, p: float, n_dims: int = 2,
             continue
         seen.add(key)
         bv = BudgetVector(eps=np.array([e1, e2]), total_eps=eps_total, p=p)
-        if convention == "half-dual" and not check_budget(bv).ok:
+        if not check_budget(bv, convention).ok:
             raise AssertionError("arc sampling produced an infeasible vector")
         out.append(bv)
     return out
@@ -119,7 +191,7 @@ def optimize_allocation(candidates, evaluator):
         try:
             loss = float(evaluator(bv))
         except SolverError as exc:
-            log.warning("allocation %s failed evaluation; skipped", bv.eps, exc_info=True)
+            log.warning("allocation %s failed evaluation; skipped: %s", bv.eps, exc)
             failed.append((bv, str(exc)))
             continue
         results.append((loss, tuple(bv.eps), bv))

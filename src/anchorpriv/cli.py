@@ -86,10 +86,10 @@ class PrivacySpec:
                                      or not all(0 <= v < math.inf for v in explicit)):
             raise ConfigError("privacy.explicit_budget must have 2 finite entries >= 0 "
                               f"(one per axis), got {list(explicit)}")
-        # Alternate conventions carry no composition certificate to check.
-        if self.budget_mode == "explicit" and self.budget_convention == "half-dual":
+        if self.budget_mode == "explicit":
             for e in self.eps:
-                chk = apo.check_budget(apo.BudgetVector(explicit, e, self.p))
+                chk = budget.check_budget(budget.BudgetVector(explicit, e, self.p),
+                                          self.budget_convention)
                 if not chk.ok:
                     raise ConfigError(
                         f"privacy.explicit_budget {list(explicit)} violates composition at "
@@ -316,14 +316,13 @@ def make_aipo_mechanism(instance, eps: float, priv: PrivacySpec = PrivacySpec())
     part, outputs = instance.partition, instance.outputs
     p, convention = priv.p, priv.budget_convention
     coeffs = _surrogate(instance)
-    validate = convention == "half-dual"
     n = part.n_dims
 
     def anchor(bv, kinds=()):
         """(table of ``bv``, the LpSolution it came from, as a start)."""
-        return _solved(instance, (tuple(bv.eps), bv.total_eps, bv.p, validate), kinds,
+        return _solved(instance, (tuple(bv.eps), bv.total_eps, bv.p, convention), kinds,
                        lambda start: apo.solve_approx_apo(apo.build_approx_apo(
-                           part, outputs, bv, coeffs, validate_budget=validate), start=start))
+                           part, outputs, bv, coeffs, convention), start=start))
 
     equal = budget.equal_split(eps, p, n, convention=convention)
     centre = ("equal split", (-1, eps), (1, eps))
@@ -331,7 +330,7 @@ def make_aipo_mechanism(instance, eps: float, priv: PrivacySpec = PrivacySpec())
     if priv.budget_mode == "equal":
         best = equal
     elif priv.budget_mode == "explicit":
-        best = apo.BudgetVector(priv.explicit_budget, eps, p)
+        best = budget.BudgetVector(priv.explicit_budget, eps, p)
     else:
         candidates = budget.feasible_allocations(
             eps, p, n_dims=n, resolution=priv.sweep_resolution, convention=convention)

@@ -19,7 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import formats
-from .apo import BudgetVector, OutputDomain, PerturbationTable
+from .apo import OutputDomain, PerturbationTable
+from .budget import BudgetVector
 from .geometry import Partition, as_point, corner_weights, locate_cells
 from .mechanisms import _MechanismBase, log_normalize
 

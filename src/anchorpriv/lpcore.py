@@ -298,13 +298,13 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, method="highs-ds", op
     """One checked HiGHS solve of min c.x s.t. A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
 
     ``A_ub`` and ``A_eq`` are :class:`CsrMatrix` or None. The model is
-    built as ``scipy.optimize.linprog`` builds it: the rows
-    ``[A_ub; A_eq]`` in CSC form, the inequality rows bounded by -inf
-    below, the equality rows by ``b_eq`` on both sides, and the same
-    options for ``method`` ("highs-ds" or "highs-ipm"). A solve without
-    ``basis`` is therefore bitwise equal to scipy's. ``basis`` is the
-    ``basis`` of an earlier optimal solution for a program of the same
-    size; HiGHS starts from it.
+    the one ``scipy.optimize.linprog`` builds: the rows ``[A_ub; A_eq]``,
+    handed over row-wise and stored by HiGHS in the CSC form scipy hands
+    it, the inequality rows bounded by -inf below, the equality rows by
+    ``b_eq`` on both sides, and the same options for ``method``
+    ("highs-ds" or "highs-ipm"). A solve without ``basis`` is therefore
+    bitwise equal to scipy's. ``basis`` is the ``basis`` of an earlier
+    optimal solution for a program of the same size; HiGHS starts from it.
 
     Returns the optimal :class:`LpSolution`. Any other model status raises
     :class:`SolverError` with HiGHS's status, for example
@@ -365,43 +365,31 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, method="highs-ds", op
 
 
 def _highs_model(c, A_ub, b_ub, A_eq, b_eq):
-    """The HiGHS model of :func:`linprog`'s program, built as scipy builds it."""
+    """The HiGHS model of :func:`linprog`'s program, its rows stacked row-wise.
+
+    HiGHS turns the rows into column-wise arrays as it takes the model,
+    keeping each column's entries in row order: the arrays of scipy's
+    ``csc_array(vstack([A_ub, A_eq]))``.
+    """
     c = np.asarray(c, dtype=float)
-    start, index, value = _stacked_csc([m for m in (A_ub, A_eq) if m is not None], c.size)
+    blocks = [m for m in (A_ub, A_eq) if m is not None] or [CsrMatrix([0], [], [], (0, c.size))]
+    offsets = np.cumsum([0] + [m.nnz for m in blocks])
     b_ub = np.asarray([] if b_ub is None else b_ub, dtype=float)
     b_eq = np.asarray([] if b_eq is None else b_eq, dtype=float)
     model = highs.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = c.size
     model.num_row_ = model.a_matrix_.num_row_ = b_ub.size + b_eq.size
-    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    model.a_matrix_.start_ = start
-    model.a_matrix_.index_ = index
-    model.a_matrix_.value_ = value
+    model.a_matrix_.format_ = highs.MatrixFormat.kRowwise
+    model.a_matrix_.start_ = np.concatenate(
+        [[0], *(m.indptr[1:] + off for m, off in zip(blocks, offsets))]).astype(np.int32)
+    model.a_matrix_.index_ = np.concatenate([m.indices for m in blocks]).astype(np.int32)
+    model.a_matrix_.value_ = np.concatenate([m.data for m in blocks])
     model.col_cost_ = c
     model.col_lower_ = np.zeros(c.size)
     model.col_upper_ = np.full(c.size, highs.kHighsInf)
     model.row_lower_ = np.concatenate([np.full(b_ub.size, -highs.kHighsInf), b_eq])
     model.row_upper_ = np.concatenate([b_ub, b_eq])
     return model
-
-
-def _stacked_csc(blocks, n_cols):
-    """(indptr, indices, data) of the CSC form of the blocks' rows stacked in order.
-
-    One stable sort by column keeps each column's entries in row order:
-    the arrays of scipy's ``csc_array(vstack(blocks))``, with its int32
-    indices.
-    """
-    rows, offset = [], 0
-    for block in blocks:
-        rows.append(block.entry_rows() + offset)
-        offset += block.shape[0]
-    rows = np.concatenate(rows or [np.zeros(0, dtype=np.intp)])
-    cols = np.concatenate([b.indices for b in blocks] or [np.zeros(0, dtype=np.intp)])
-    data = np.concatenate([b.data for b in blocks] or [np.zeros(0)])
-    order = np.argsort(cols, kind="stable")
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n_cols))])
-    return indptr.astype(np.int32), rows[order].astype(np.int32), data[order]
 
 
 def solve_lp(lp: LinearProgram, vertex: bool = True,

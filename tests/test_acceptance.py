@@ -17,15 +17,13 @@ import yaml
 
 import anchorpriv as ap
 from anchorpriv.apo import (
-    BudgetVector,
     SurrogateCoefficients,
     build_approx_apo,
     build_coarse_lp,
-    check_budget,
     solve_approx_apo,
     surrogate_coefficients,
 )
-from anchorpriv.budget import equal_split
+from anchorpriv.budget import BudgetVector, check_budget, equal_split
 from anchorpriv.cli import CompareSpec, PrivacySpec, main, make_aipo_mechanism, make_method
 from anchorpriv.evaluation import InstanceSpec, LossModel, PriorModel, synth_instance
 from anchorpriv.geometry import Partition, dual_exponent, lp_distance

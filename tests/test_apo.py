@@ -11,17 +11,16 @@ from hypothesis.extra.numpy import arrays
 
 from anchorpriv import apo, lpcore
 from anchorpriv.apo import (
-    BudgetVector,
     OutputDomain,
     PerturbationTable,
     build_aipo_relaxed,
     build_approx_apo,
     build_coarse_lp,
-    check_budget,
     lower_bound,
     solve_approx_apo,
     surrogate_coefficients,
 )
+from anchorpriv.budget import BudgetVector, check_budget
 from anchorpriv.errors import SolverError
 from anchorpriv.geometry import Partition, axis_neighbors
 from anchorpriv.lpcore import _SOLVE_OPTIONS, solve_lp

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from anchorpriv.apo import check_budget
 from anchorpriv.errors import SolverError
 from anchorpriv import formats
 from anchorpriv.budget import (
+    CONVENTIONS,
+    BudgetVector,
+    check_budget,
     equal_split,
     feasible_allocations,
     optimize_allocation,
@@ -78,6 +80,35 @@ class TestFeasibleAllocations:
     def test_p1_pairs_with_max_rule(self):
         for bv in feasible_allocations(1.0, 1.0, resolution=3):
             assert bv.eps.max() <= 0.5 + 1e-12
+
+
+class TestArcTolerance:
+    """The arc check scales with the bound, which grows as eps^q."""
+
+    @pytest.mark.parametrize("convention", CONVENTIONS)
+    @pytest.mark.parametrize("eps", [1e-9, 1e-4, 1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3, math.inf])
+    def test_equal_split_and_arc_samples_pass_at_any_scale(self, p, eps, convention):
+        # feasible_allocations raises if one of its own samples fails the check.
+        cands = feasible_allocations(eps, p, resolution=7, convention=convention)
+        for bv in [equal_split(eps, p, 2, convention=convention), *cands]:
+            chk = check_budget(bv, convention)
+            assert chk.ok and chk.lhs <= chk.rhs * (1 + 1e-12)
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 3, math.inf])
+    def test_vector_far_over_a_tiny_bound_fails(self, p):
+        # A fixed margin of 1e-12 once let 2e-14 pass against a bound of 2.5e-19.
+        bv = BudgetVector(eps=np.array([1e-7, 1e-7]), total_eps=1e-9, p=p)
+        assert not check_budget(bv).ok
+
+    def test_each_convention_reads_its_own_arc(self):
+        bv = BudgetVector(eps=np.array([0.4, 0.4]), total_eps=1.0, p=2.0)
+        assert [check_budget(bv, c).ok for c in CONVENTIONS] == [False, True, True]
+        chk = check_budget(BudgetVector(eps=np.array([5.0, 5.0]), total_eps=0.8, p=2.0),
+                           "full-dual")
+        assert not chk.ok and (chk.lhs, chk.rhs) == (50.0, pytest.approx(0.64))
+        with pytest.raises(ValueError, match="unknown budget convention"):
+            check_budget(bv, "bogus")
 
 
 class TestOptimizeAllocation:

@@ -332,6 +332,16 @@ class TestWarmSweep:
 DESK = ROOT / "perfbench" / "inputs" / "desk.yaml"
 
 
+def desk_config(tmp_path, override):
+    """The desk config with some sections' keys replaced, written to ``tmp_path``."""
+    cfg = yaml.safe_load(DESK.read_text())
+    for key, section in override.items():
+        cfg[key].update(section)
+    path = tmp_path / "desk.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return path
+
+
 def _spy_solutions(monkeypatch):
     """Record the LpSolution of every solve_lp call made through apo."""
     solutions = []
@@ -513,6 +523,33 @@ class TestErrors:
             "solver error: all-pairs program at eps 12.5 needs ratio bounds up to "
             "exp(35.3553); HiGHS accepts at most exp(34.5388) = 1e15\n")
         assert not (tmp_path / "b" / "results.csv").exists()
+
+    @pytest.mark.parametrize("eps, largest", [("300", "53.033"), ("5000", "883.883")])
+    def test_anchor_ratio_bound_above_highs_limit_is_solver_error(self, tmp_path, capsys,
+                                                                 eps, largest):
+        # HiGHS once failed at eps 300 with a bare "Model error", and
+        # math.exp overflowed with a traceback at eps 5000.
+        cfg = desk_config(tmp_path, {"privacy": {"budget_mode": "equal"}})
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(cfg), "--eps", eps,
+                     "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"solver error: anchor program at eps {eps} needs ratio bounds up to "
+            f"exp({largest}); HiGHS accepts at most exp(34.5388) = 1e15\n")
+        assert not (out / f"mechanism_eps{eps}.json").exists()
+
+    def test_large_budget_sweep_checks_its_arc_relative_to_the_bound(self, tmp_path, capsys):
+        # Arc samples at eps 1000 once missed their own check by rounding,
+        # and synthesize exited 1 with an AssertionError.
+        args = ["synthesize", "--eps", "1000"]
+        assert main([*args, "--config", str(DESK), "--out-dir", str(tmp_path / "a")]) == 3
+        err = capsys.readouterr().err
+        assert err.endswith("solver error: every candidate allocation failed evaluation\n")
+        assert "Traceback" not in err
+        # Budgets are per domain unit: on a 0.002-unit domain eps 1000 solves.
+        cfg = desk_config(tmp_path, {"domain": {"upper": [0.002, 0.002]}})
+        assert main([*args, "--config", str(cfg), "--out-dir", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "b" / "mechanism_eps1000.json").exists()
 
     def test_missing_config_is_config_error(self, tmp_path):
         code = main(["synthesize", "--config", str(tmp_path / "nope.yaml")])
@@ -712,6 +749,24 @@ class TestInputGuards:
         assert capsys.readouterr().err == (
             "config error: privacy.explicit_budget [0.2, 0.2] violates composition at "
             "budget 0.4: aggregate 0.08 > bound 0.04\n")
+        assert solves == [] and not out.exists()
+
+    @pytest.mark.parametrize("convention", ["full-dual", "full-primal"])
+    def test_explicit_budget_over_its_own_arc_fails_under_every_convention(
+            self, tmp_path, capsys, monkeypatch, convention):
+        # Only half-dual vectors were once checked: [5, 5] synthesized under
+        # full-dual, and its audit found every pair in violation.
+        solves = []
+        monkeypatch.setattr(apo, "solve_lp", lambda lp, **kw: solves.append(lp))
+        cfg = desk_config(tmp_path, {"privacy": {
+            "eps": [0.8], "budget_mode": "explicit", "budget_convention": convention,
+            "explicit_budget": [5.0, 5.0]}})
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(cfg), "--eps", "0.8",
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: privacy.explicit_budget [5.0, 5.0] violates composition at "
+            "budget 0.8: aggregate 50 > bound 0.64\n")
         assert solves == [] and not out.exists()
 
     def test_explicit_budget_is_stored(self, tmp_path, monkeypatch):

@@ -29,3 +29,23 @@ def test_package_imports_resolve():
         for alias in node.names:
             name = alias.asname or alias.name
             assert getattr(anchorpriv, name) is getattr(source, alias.name)
+
+
+
+def test_budget_rule_lives_in_budget_alone():
+    # budget.py once imported apo's private arc, and apo exported the budget names.
+    from anchorpriv import apo, budget
+
+    imported = set()
+    for node in ast.walk(ast.parse(Path(budget.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{a.name}".lstrip(".") for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    assert [m for m in imported if "apo" in m.split(".")] == []
+    assert set(apo.__all__).isdisjoint(budget.__all__)
+    assert [n for n in ("BUDGET_TOL", "CONVENTIONS", "BudgetCheck", "_arc")
+            if hasattr(apo, n)] == []
+    assert anchorpriv.BudgetVector is budget.BudgetVector
+    assert anchorpriv.check_budget is budget.check_budget

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from anchorpriv.apo import (
-    BudgetVector,
     OutputDomain,
     PerturbationTable,
     SurrogateCoefficients,
     build_approx_apo,
     solve_approx_apo,
 )
-from anchorpriv.budget import equal_split
+from anchorpriv.budget import BudgetVector, equal_split
 from anchorpriv.geometry import Partition, dual_exponent, lp_distance
 from anchorpriv.interpolation import Mechanism
 

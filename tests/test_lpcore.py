@@ -425,22 +425,35 @@ def _package_program(kind, monkeypatch):
 class TestCsrMatrix:
     """lpcore's own sparse arithmetic against scipy.sparse on the package's programs."""
 
+    @staticmethod
+    def _highs_arrays(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
+        """(start, index, value) of the matrix HiGHS holds once it takes lpcore's model."""
+        solver = highs._Highs()
+        solver.setOptionValue("output_flag", False)
+        model = lpcore._highs_model(c, a_ub, b_ub, a_eq, b_eq)
+        assert solver.passModel(model) == highs.HighsStatus.kOk
+        held = solver.getLp().a_matrix_
+        assert held.format_ == highs.MatrixFormat.kColwise
+        return held.start_, held.index_, held.value_
+
+    @staticmethod
+    def _same_bytes(got, ref):
+        return all(np.asarray(x, dtype=y.dtype).tobytes() == y.tobytes()
+                   for x, y in zip(got, (ref.indptr, ref.indices, ref.data)))
+
     @pytest.mark.parametrize("kind", ["anchor", "AIPO-R", "CoarseLP", "lower bound"])
     def test_highs_model_arrays_equal_scipy(self, kind, monkeypatch):
         lp = _package_program(kind, monkeypatch)
         ref = sparse.csc_array(sparse.vstack([to_scipy(lp.a_ub), to_scipy(lp.a_eq)]))
-        got = lpcore._stacked_csc([lp.a_ub, lp.a_eq], lp.n_vars)
-        for ours, theirs in zip(got, (ref.indptr, ref.indices, ref.data)):
-            assert ours.tobytes() == theirs.tobytes()
+        got = self._highs_arrays(lp.objective, *lp.matrices())
+        assert self._same_bytes(got, ref)
 
     def test_highs_model_arrays_of_one_block_and_none(self):
         a = CsrMatrix.from_dense([[0.0, 2.0, 0.0], [1.0, 0.0, 3.0]])
         ref = sparse.csc_array(to_scipy(a))
-        got = lpcore._stacked_csc([a], 3)
-        assert all(x.tobytes() == y.tobytes()
-                   for x, y in zip(got, (ref.indptr, ref.indices, ref.data)))
-        start, index, value = lpcore._stacked_csc([], 3)
-        assert start.tolist() == [0, 0, 0, 0] and index.size == value.size == 0
+        assert self._same_bytes(self._highs_arrays(np.zeros(3), a, np.zeros(2)), ref)
+        start, index, value = self._highs_arrays(np.zeros(3))
+        assert list(start) == [0, 0, 0, 0] and len(index) == len(value) == 0
 
     @pytest.mark.parametrize("kind", ["anchor", "AIPO-R", "CoarseLP", "lower bound"])
     def test_products_equal_scipy(self, kind, monkeypatch):
