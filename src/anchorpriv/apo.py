@@ -5,17 +5,20 @@ surrogate objective, the relaxed all-pairs anchor variant, the coarse
 representative-grid LP, and the universal lower bound on the expected
 loss of any mechanism meeting the same privacy constraint, over one
 averaged distribution per cell, valid for every prior and certified from
-the program's dual multipliers.
+the program's dual multipliers. Large bound programs are solved by an
+interior-point method of their own, which uses their per-output blocks.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import lpcore
 from .budget import BudgetVector, check_budget
 from .errors import SolverError
 from .geometry import Partition, axis_neighbors, corner_weights, locate_cells, lp_distance_matrix
@@ -47,6 +50,13 @@ MAX_HIGHS_LOG_RATIO = math.log(1e15)
 # is at most exp(MAX_LOG_RATIO) = 1e8: HiGHS fails on coefficient ranges
 # near 1e12 (reached at eps 10 on the 2 x 2 desk domain).
 MAX_LOG_RATIO = math.log(1e8)
+# The lower bound's block interior-point solve (_block_ipm) stops once its
+# best certificate is within IPM_GAP_TOL of its primal objective, relative
+# to it, or after IPM_MAX_ITER iterations. A solve that ends further apart
+# than IPM_ACCEPT_TOL falls back to solve_lp.
+IPM_MAX_ITER = 100
+IPM_GAP_TOL = 1e-10
+IPM_ACCEPT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -320,6 +330,171 @@ def _dual_certificate(lp: LinearProgram, multipliers) -> float:
     return float(lp.b_eq @ reduced.reshape(lp.var_shape).min(axis=1)) - slack
 
 
+def _relative_gap(primal: float, certificate: float, scale: float) -> float:
+    """How far ``certificate`` lies below ``primal``, relative to it.
+
+    Objectives under 1e-12 of ``scale``, the largest objective
+    coefficient, count as 1e-12 of it, so that a bound of 0 can converge.
+    """
+    return (primal - certificate) / max(abs(primal), 1e-12 * scale)
+
+
+def _spd_inverse(a) -> np.ndarray:
+    """Inverses of a stack of symmetric positive definite matrices.
+
+    Each matrix is scaled to unit diagonal before its Cholesky
+    factorization, which is retried with a growing diagonal shift while it
+    fails; the caller refines its solves against the unshifted matrices.
+    Raises :class:`SolverError` on a non-finite entry, which no shift
+    would mend.
+    """
+    if not np.all(np.isfinite(a)):
+        raise SolverError("block-ipm failed: non-finite Newton matrix")
+    d = np.sqrt(np.diagonal(a, axis1=-2, axis2=-1))
+    outer = d[..., :, None] * d[..., None, :]
+    eye = np.eye(a.shape[-1])
+    shift = 0.0
+    while True:
+        try:
+            low = np.linalg.cholesky(a / outer + shift * eye)
+            break
+        except np.linalg.LinAlgError:
+            shift = max(100.0 * shift, 1e-14)
+    inv_low = np.linalg.inv(low)
+    return np.swapaxes(inv_low, -1, -2) @ inv_low / outer
+
+
+def _max_step(pairs) -> float:
+    """Largest step in (0, 1] along each (v, dv) that keeps every v >= 0."""
+    step = 1.0
+    for v, dv in pairs:
+        down = dv < 0
+        step = min(step, float(np.min(-v[down] / dv[down], initial=1.0)))
+    return step
+
+
+def _block_ipm(objective, first, second, log_ratio) -> LpSolution:
+    """Solve :func:`_ratio_program`'s program by a block-structured interior-point method.
+
+    The program is the one ``_ratio_program(objective, first, second,
+    log_ratio)`` builds, with an objective >= 0 and each pair of table rows
+    listed at most once. Every ratio row couples two entries of one output
+    column, so the normal matrix G^T D G + D_z of the Newton system is
+    block diagonal, one dense (R, R) block per output, and the row sums
+    add one (R, R) Schur complement, the sum of the blocks' inverses. Each
+    iteration of Mehrotra's predictor-corrector method therefore factors
+    K + 1 small matrices (:func:`_spd_inverse`). The ratio rows' slacks and
+    multipliers are (K, R, R) arrays: entry [k, i, j] stands for the row
+    z[i,k] - b z[j,k] <= 0 divided by b, where b bounds the pair {i, j},
+    and entries of no row are held at slack 1 and multiplier 0.
+
+    The objective is scaled to max 1. The solve starts at the uniform table
+    with every slack, multiplier and reduced cost 1, adds 1e-10 to the
+    blocks' diagonals, and refines each Newton solve until its residual
+    stops halving (at most 8 times). It stops once its best certificate
+    (:func:`_dual_certificate`) is within IPM_GAP_TOL of its primal
+    objective, relative to it, with every row met to IPM_GAP_TOL, or after
+    IPM_MAX_ITER iterations.
+
+    Returns an :class:`~anchorpriv.lpcore.LpSolution` with method
+    "block-ipm": ``values`` and ``objective_value`` at the last iterate,
+    ``multipliers`` those of the best certificate seen, in the row order of
+    ``_ratio_program``, and ``nit`` = ``ipm_nit`` the iterations run.
+    Nothing in it is a vertex, so ``basis`` is None.
+    """
+    start = time.perf_counter()
+    objective = np.asarray(objective, dtype=float)
+    n, n_out = objective.shape
+    first = np.asarray(first, dtype=np.intp)
+    second = np.asarray(second, dtype=np.intp)
+    scale = float(objective.max()) or 1.0
+    c = objective.T / scale
+    inv_bound = np.exp(-np.asarray(log_ratio, dtype=float))
+    alpha = np.zeros((n, n))
+    alpha[first, second] = alpha[second, first] = inv_bound
+    rows = np.zeros((n, n))
+    rows[first, second] = rows[second, first] = 1.0
+    n_products = n_out * (n + 2 * first.size)  # complementary pairs z s and w lam
+    diag = np.arange(n)
+
+    def g(v):  # (K, R) -> the ratio rows' (K, R, R) values
+        return alpha * v[:, :, None] - rows * v[:, None, :]
+
+    def g_t(u):  # (K, R, R) -> (K, R)
+        return (alpha * u).sum(axis=2) - (rows * u).sum(axis=1)
+
+    z = np.full((n_out, n), 1.0 / n_out)
+    s = np.ones((n_out, n))
+    y = np.zeros(n)
+    lam = np.broadcast_to(rows, (n_out, n, n)).copy()
+    w = np.ones((n_out, n, n))
+    best, best_lam = -math.inf, lam
+    for it in range(IPM_MAX_ITER + 1):
+        r_rows = g(z) + rows * w
+        r_sums = z.sum(axis=0) - 1.0
+        reduced = c + g_t(lam)
+        r_dual = reduced - y - s
+        primal = float((c * z).sum())
+        certificate = float(reduced.min(axis=0).sum())
+        if certificate > best:
+            best, best_lam = certificate, lam
+        infeasible = max(float(np.abs(r_rows).max()), float(np.abs(r_sums).max()))
+        if it == IPM_MAX_ITER or (infeasible <= IPM_GAP_TOL
+                                  and _relative_gap(primal, best, 1.0) <= IPM_GAP_TOL):
+            break
+        mu = (float((z * s).sum()) + float((w * lam).sum())) / n_products
+        d_rows, d_z = lam / w, s / z
+        blocks = -alpha * (d_rows + np.swapaxes(d_rows, 1, 2))
+        blocks[:, diag, diag] = (alpha * alpha * d_rows).sum(axis=2) + d_rows.sum(axis=1) + d_z \
+            + 1e-10
+        inv_blocks = _spd_inverse(blocks)
+        inv_schur = _spd_inverse(inv_blocks.sum(axis=0))
+
+        def reduced_solve(h, r):
+            # blocks dz - dy = h and sum_k dz[k] = r.
+            u = (inv_blocks @ h[:, :, None])[:, :, 0]
+            dy = inv_schur @ (r - u.sum(axis=0))
+            return u + inv_blocks @ dy, dy
+
+        def direction(rc_z, rc_w):
+            h = -r_dual - g_t(d_rows * r_rows + rc_w / w) + rc_z / z
+            dz, dy = reduced_solve(h, -r_sums)
+            last = math.inf
+            for _ in range(8):
+                res_h = h - (blocks @ dz[:, :, None])[:, :, 0] + dy
+                res_r = -r_sums - dz.sum(axis=0)
+                size = max(float(np.abs(res_h).max()), float(np.abs(res_r).max()))
+                if not size < last / 2:
+                    break
+                last = size
+                ez, ey = reduced_solve(res_h, res_r)
+                dz, dy = dz + ez, dy + ey
+            dw = -r_rows - g(dz)
+            return dz, dy, dw, (rc_w - lam * dw) / w, (rc_z - s * dz) / z
+
+        dz, dy, dw, dl, ds = direction(-z * s, -w * lam)
+        step_p = _max_step([(z, dz), (w, dw)])
+        step_d = _max_step([(lam, dl), (s, ds)])
+        mu_aff = (float(((z + step_p * dz) * (s + step_d * ds)).sum())
+                  + float(((w + step_p * dw) * (lam + step_d * dl)).sum())) / n_products
+        target = (mu_aff / mu) ** 3 * mu
+        dz, dy, dw, dl, ds = direction(target - z * s - dz * ds,
+                                       rows * (target - w * lam - dw * dl))
+        step_p = 0.99 * _max_step([(z, dz), (w, dw)])
+        step_d = 0.99 * _max_step([(lam, dl), (s, ds)])
+        z, w = z + step_p * dz, w + step_p * dw
+        lam, s, y = lam + step_d * dl, s + step_d * ds, y + step_d * dy
+    # Row z[i] / b - z[j] <= 0 with multiplier l is z[i] - b z[j] <= 0 with l / b.
+    pair_lam = np.stack([best_lam[:, first, second], best_lam[:, second, first]], axis=2)
+    multipliers = (pair_lam * inv_bound[None, :, None]).transpose(1, 0, 2).ravel() * scale
+    n_ratio = 2 * first.size * n_out
+    return LpSolution(
+        values=z.T.ravel(), objective_value=primal * scale, multipliers=multipliers,
+        method="block-ipm", n_vars=n * n_out, n_rows=n_ratio + n, nnz=2 * n_ratio + n * n_out,
+        nit=it, simplex_nit=0, ipm_nit=it, crossover_nit=0,
+        solve_s=time.perf_counter() - start, from_basis=False, basis=None)
+
+
 def lower_bound(
     partition: Partition,
     outputs: OutputDomain,
@@ -340,12 +515,20 @@ def lower_bound(
     the discretized expected loss from below for every prior.
 
     The value returned is a weak-duality certificate of that optimum, not
-    the solver's primal objective: the program is solved without crossover
-    (``solve_lp(..., vertex=False)``) and its inequality multipliers are
+    a solver's primal objective: the inequality multipliers of a solve are
     turned into a bound by :func:`_dual_certificate`. It is the larger of
     that and the lambda = 0 certificate, the cheapest output per cell,
     which keeps it >= 0. Both are valid for any multipliers, so the value
     does not rest on the solver reaching a vertex or the optimum.
+
+    The program is solved on one of three routes. Below
+    ``lpcore.IPM_MIN_VARS`` variables it goes to :func:`solve_lp`, which
+    runs dual simplex, from ``start``'s basis when it has one. From there
+    on it goes to :func:`_block_ipm`, which uses the program's per-output
+    blocks. When that solve ends with its certificate more than
+    IPM_ACCEPT_TOL below its primal objective (:func:`_relative_gap`), the
+    program is solved again by ``solve_lp(..., vertex=False)`` (IPX
+    without crossover), and the larger of the two certificates counts.
 
     Pairs whose ratio bound exceeds exp(MAX_LOG_RATIO) are left out, which
     keeps the program solvable at any eps. Dropping rows only lowers the
@@ -354,8 +537,8 @@ def lower_bound(
     value is the cheapest output per cell, usually 0.
 
     Returns (the bound's value, the :class:`~anchorpriv.lpcore.LpSolution`
-    it came from). ``start`` is an earlier solution, usually the bound's at
-    another budget; the solve starts from its basis (see :func:`solve_lp`).
+    its certificate came from). ``start`` is an earlier solution, usually
+    the bound's at another budget, for :func:`solve_lp`.
     """
     if eps_total < 0:
         raise ValueError("total budget must be non-negative")
@@ -381,9 +564,21 @@ def lower_bound(
     log_ratio = eps_total * lp_distance_matrix(worst, np.zeros((1, partition.n_dims)), p)[:, 0]
     keep = log_ratio <= MAX_LOG_RATIO
     lp = _ratio_program(objective, first[keep], second[keep], log_ratio[keep])
-    sol = solve_lp(lp, vertex=False, start=start)
+    structured = lp.n_vars >= lpcore.IPM_MIN_VARS
+    if structured:
+        sol = _block_ipm(objective, first[keep], second[keep], log_ratio[keep])
+    else:
+        sol = solve_lp(lp, vertex=False, start=start)
     certificate = _dual_certificate(lp, sol.multipliers)
+    gap = _relative_gap(sol.objective_value, certificate, float(objective.max()) or 1.0)
+    if structured and gap > IPM_ACCEPT_TOL:
+        log.info("block-ipm stopped %.3g below its primal objective, relative to it, after %d "
+                 "iterations; solving again with solve_lp", gap, sol.nit)
+        retry = solve_lp(lp, vertex=False, start=start)
+        retried = _dual_certificate(lp, retry.multipliers)
+        if retried > certificate:
+            sol, certificate = retry, retried
     value = max(certificate, float(objective.min(axis=1).sum()))
-    log.debug("lower bound at eps %g: certificate %.17g, primal objective %.17g, gap %.3g",
-              eps_total, certificate, sol.objective_value, sol.objective_value - certificate)
+    log.debug("lower bound at eps %g: certificate %.17g, primal objective %.17g, relative gap "
+              "%.3g", eps_total, certificate, sol.objective_value, gap)
     return value, sol

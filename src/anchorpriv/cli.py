@@ -222,12 +222,14 @@ def _coerce(path: str, value, hint):
     return hint(value)
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, eps=None, seed=None) -> RunConfig:
     """Read a YAML config strictly: every section, key and value is checked.
 
     Unknown sections and keys are errors, as are values that do not have
     their field's type (see :func:`_coerce`); an omitted key takes its
-    field's default.
+    field's default. ``eps`` and ``seed``, when given, replace
+    ``privacy.eps`` and ``instance.seed`` before any setting is checked,
+    so an explicit budget is checked at the budgets the run uses.
     """
     try:
         raw = Path(path).read_bytes()
@@ -255,6 +257,10 @@ def load_config(path) -> RunConfig:
                 )
             cls, hint = schema[section][key]
             values[cls][key] = _coerce(f"{section}.{key}", value, hint)
+    if eps is not None:
+        values[PrivacySpec]["eps"] = tuple(eps)
+    if seed is not None:
+        values[RunConfig]["seed"] = seed
     return RunConfig(
         instance=evaluation.InstanceSpec(**values[evaluation.InstanceSpec]),
         privacy=PrivacySpec(**values[PrivacySpec]),
@@ -429,11 +435,8 @@ def _run_settings(args):
 
     ``--eps`` replaces the config's budget list and ``--seed`` its seed.
     """
-    run = load_config(args.config)
-    if args.seed is not None:
-        run = replace(run, seed=args.seed)
-    priv = run.privacy if args.eps is None else replace(run.privacy, eps=tuple(args.eps))
-    return run, priv, run.seed
+    run = load_config(args.config, eps=args.eps, seed=args.seed)
+    return run, run.privacy, run.seed
 
 
 def cmd_synthesize(args) -> int:

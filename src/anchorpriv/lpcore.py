@@ -30,9 +30,10 @@ runs dual simplex. From there on:
   point solver (IPX) with crossover, unless the program has more than
   :data:`IPM_MAX_ROWS_PER_VAR` rows per variable, which stays on dual
   simplex. Both return a basic solution.
-- ``vertex=False`` (for callers that only need values and duals, such as
-  the lower bound): IPX without crossover at any shape. The solution is
-  optimal within the tolerances but need not be a vertex.
+- ``vertex=False`` (for callers that only need values and duals): IPX
+  without crossover at any shape. The solution is optimal within the
+  tolerances but need not be a vertex. Its one caller at this size is the
+  lower bound's fallback, for when ``apo._block_ipm`` ends unconverged.
 
 When an IPX solve raises, on either route, the failure is logged at INFO
 and the same program is solved on dual simplex. The retry skips IPX with

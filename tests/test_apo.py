@@ -52,6 +52,20 @@ def _spy_solves(monkeypatch):
     return solves
 
 
+def _spy_block_ipm(monkeypatch):
+    """Record each (program, solution) that ``apo._block_ipm`` solves from now on."""
+    solves = []
+    solve = apo._block_ipm
+
+    def spy(*args):
+        sol = solve(*args)
+        solves.append((apo._ratio_program(*args), sol))
+        return sol
+
+    monkeypatch.setattr(apo, "_block_ipm", spy)
+    return solves
+
+
 def _vertex_optimum(lp):
     ref = scipy_linprog(lp, method="highs-ds", options=dict(_SOLVE_OPTIONS))
     assert ref.status == 0
@@ -559,20 +573,92 @@ class TestLowerBound:
         assert 2 * t * outputs.size == a_ub.shape[0]
 
 
-class TestDualCertificate:
-    def test_certificate_meets_vertex_optimum_from_below(self, monkeypatch):
-        # The desk bound program (144 variables) goes to IPX once the
-        # threshold is lowered, as the 8x8 one does at the default.
-        inst, p = _desk_instance()
+@pytest.fixture(scope="module")
+def grid8_instance():
+    from anchorpriv.cli import load_config
+    from anchorpriv.evaluation import synth_instance
+
+    run = load_config(DESK.parent / "grid8.yaml")
+    return synth_instance(run.instance, seed=run.seed), run.privacy.p
+
+
+class TestBlockInteriorPoint:
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("eps", [0.2, 0.8, 1.6, 10.0, 15.0])
+    def test_certificate_meets_vertex_optimum_from_below(self, monkeypatch, eps, p):
+        # The desk bound program (144 variables) takes the structured route
+        # once the threshold is lowered, as the 8x8 one does at the default.
+        inst, _ = _desk_instance()
         monkeypatch.setattr(lpcore, "IPM_MIN_VARS", 1)
-        solves = _spy_solves(monkeypatch)
-        value, _ = lower_bound(inst.partition, inst.outputs, 0.8, p, inst.loss, inst.prior)
+        solves = _spy_block_ipm(monkeypatch)
+        fallbacks = _spy_solves(monkeypatch)
+        value, returned = lower_bound(inst.partition, inst.outputs, eps, p, inst.loss, inst.prior)
         (lp, sol), = solves
-        assert sol.method == "highs-ipm" and sol.crossover_nit == 0
+        assert fallbacks == [] and returned is sol
+        assert sol.method == "block-ipm" and sol.basis is None and sol.nit == sol.ipm_nit > 0
         assert sol.multipliers.shape == (lp.n_ub_rows,)
+        assert (sol.n_vars, sol.n_rows) == (lp.n_vars, lp.n_ub_rows + lp.n_eq_rows)
+        assert sol.nnz == sum(m.nnz for m in (lp.a_ub, lp.a_eq) if m is not None)
         optimum = _vertex_optimum(lp)
         assert value <= optimum
-        assert value >= optimum * (1 - 1e-8)
+        assert value >= optimum * (1 - 1e-9)
+
+    def test_grid8_bound_meets_the_vertex_optimum(self, grid8_instance, monkeypatch):
+        # The dual simplex vertex optimum of this program (7 s) is
+        # 0.4165165979953; IPX without crossover certified 0.41651659666.
+        inst, p = grid8_instance
+        fallbacks = _spy_solves(monkeypatch)
+        value, sol = lower_bound(inst.partition, inst.outputs, 0.8, p, inst.loss, inst.prior)
+        assert sol.method == "block-ipm" and fallbacks == []
+        assert value == pytest.approx(0.4165165979953, rel=1e-9)
+
+    def test_grid8_bound_at_large_budget_beats_the_ipx_certificate(self, grid8_instance):
+        # IPX without crossover certified 0.000133592 here, 0.07% below the
+        # optimum, under its absolute 1e-10 dual tolerance.
+        inst, p = grid8_instance
+        value, sol = lower_bound(inst.partition, inst.outputs, 15.0, p, inst.loss, inst.prior)
+        assert sol.method == "block-ipm"
+        assert value >= 0.000133592
+
+    def test_singular_block_is_shifted_and_a_non_finite_one_raises(self):
+        # Cholesky fails on a singular block; a small shift makes it definite.
+        inverse = apo._spd_inverse(np.array([[[1.0, 1.0], [1.0, 1.0]], [[2.0, 0.0], [0.0, 4.0]]]))
+        assert np.all(np.isfinite(inverse))
+        assert inverse[1] == pytest.approx(np.diag([0.5, 0.25]), rel=1e-15)
+        with pytest.raises(SolverError, match="non-finite Newton matrix"):
+            apo._spd_inverse(np.full((1, 2, 2), np.nan))
+
+    @pytest.mark.parametrize("fallback_multipliers", ["solved", "zero"])
+    def test_unconverged_solve_falls_back_once_and_keeps_the_larger_certificate(
+            self, monkeypatch, fallback_multipliers):
+        inst, p = _desk_instance()
+        monkeypatch.setattr(lpcore, "IPM_MIN_VARS", 1)
+        monkeypatch.setattr(apo, "IPM_MAX_ITER", 12)
+        solves = _spy_block_ipm(monkeypatch)
+        fallbacks = []
+        solve = apo.solve_lp
+
+        def fallback(lp, **kw):
+            sol = solve(lp, **kw)
+            if fallback_multipliers == "zero":
+                sol.multipliers = np.zeros_like(sol.multipliers)
+            fallbacks.append(sol)
+            return sol
+
+        monkeypatch.setattr(apo, "solve_lp", fallback)
+        value, returned = lower_bound(inst.partition, inst.outputs, 0.8, p, inst.loss, inst.prior)
+        (lp, sol), = solves
+        assert sol.nit == 12
+        (retry,) = fallbacks
+        certificates = {id(s): apo._dual_certificate(lp, s.multipliers) for s in (sol, retry)}
+        optimum = _vertex_optimum(lp)
+        assert all(c <= optimum for c in certificates.values())
+        assert value == max(certificates.values())
+        assert certificates[id(returned)] == value
+        assert returned is (retry if fallback_multipliers == "solved" else sol)
+
+
+class TestDualCertificate:
 
     def test_default_routing_keeps_desk_bound_on_dual_simplex(self, monkeypatch):
         inst, p = _desk_instance()

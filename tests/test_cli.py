@@ -77,11 +77,19 @@ def read_tree(root: Path) -> dict:
     }
 
 
-def _traced_summary(tmp_path, *command) -> dict:
-    """Run one command under ``perfbench/launch.py trace``; return the tracer's summary."""
+def _traced_summary(tmp_path, *command, patch=None) -> dict:
+    """Run one command under ``perfbench/launch.py trace``; return the tracer's summary.
+
+    ``patch``, Python source, runs in the command's process first, with the
+    package importable.
+    """
     root = Path(__file__).resolve().parent.parent
+    launch = [str(root / "perfbench" / "launch.py")]
+    if patch is not None:
+        launch = ["-c", "import sys\nsys.path[:0] = ['perfbench', 'src']\n" + patch
+                  + "\nimport launch\nsys.exit(launch.main(sys.argv[1:]))"]
     proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "launch.py"), "trace",
+        [sys.executable, *launch, "trace",
          str(tmp_path / "marks.json"), *command, "--threads", "1", "--out-dir", str(tmp_path)],
         cwd=root, capture_output=True, text=True, timeout=300,
     )
@@ -503,14 +511,39 @@ class TestLowerBound:
         assert not all(sol.from_basis for sol in solutions)
 
     def test_benchmark_tracer_counts_one_solve_through_a_retry(self, tmp_path):
-        # At eps 10 IPX fails on the 8x8 bound and dual simplex solves it:
-        # one bound and one solve_lp call, two HiGHS calls.
-        grid8 = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "grid8.yaml"
-        summary = _traced_summary(tmp_path, "lower-bound", "--config", str(grid8),
-                                  "--eps", "10")
+        # The desk bound takes the structured route, stops unconverged after
+        # one iteration and falls back to solve_lp, where IPX ends in a solve
+        # error and dual simplex solves it: one bound and one solve_lp call,
+        # two HiGHS calls.
+        patch = """
+from anchorpriv import apo, lpcore
+highs = lpcore.highs
+class Forced(highs._Highs):
+    def setOptionValue(self, key, value):
+        if key == "solver":
+            self.ipx = value == "ipm"
+        return super().setOptionValue(key, value)
+    def run(self):
+        return highs.HighsStatus.kOk if self.ipx else super().run()
+    def getModelStatus(self):
+        return highs.HighsModelStatus.kSolveError if self.ipx else super().getModelStatus()
+highs._Highs = Forced
+lpcore.IPM_MIN_VARS = 1
+apo.IPM_MAX_ITER = 1
+"""
+        summary = _traced_summary(tmp_path, "lower-bound", "--config", str(DESK),
+                                  "--eps", "0.8", patch=patch)
         assert summary["apo.lower_bound.calls"] == 1
         assert summary["lpcore.solve_lp.calls"] == 1
         assert summary["lpcore.highs.calls"] == 2
+
+    def test_benchmark_tracer_sees_no_highs_call_on_the_8x8_bound(self, tmp_path):
+        grid8 = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "grid8.yaml"
+        summary = _traced_summary(tmp_path, "lower-bound", "--config", str(grid8),
+                                  "--eps", "0.8")
+        assert summary["apo.lower_bound.calls"] == 1
+        assert summary.get("lpcore.solve_lp.calls", 0) == 0
+        assert summary.get("lpcore.highs.calls", 0) == 0
 
 
 class TestErrors:
@@ -750,6 +783,22 @@ class TestInputGuards:
             "config error: privacy.explicit_budget [0.2, 0.2] violates composition at "
             "budget 0.4: aggregate 0.08 > bound 0.04\n")
         assert solves == [] and not out.exists()
+
+    def test_explicit_budget_is_checked_at_the_eps_flag_budgets(self, tmp_path, capsys):
+        # The vector was once checked at the config's budgets too, which
+        # --eps replaces: at 0.2 its aggregate 0.5 exceeds the bound 0.01.
+        cfg = desk_config(tmp_path, {"privacy": {"budget_mode": "explicit",
+                                                 "explicit_budget": [0.5, 0.5]}})
+        assert main(["synthesize", "--config", str(cfg), "--eps", "1.6",
+                     "--out-dir", str(tmp_path / "a")]) == 0
+        assert (tmp_path / "a" / "mechanism_eps1.6.json").exists()
+        capsys.readouterr()
+        assert main(["synthesize", "--config", str(cfg), "--eps", "0.2",
+                     "--out-dir", str(tmp_path / "b")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: privacy.explicit_budget [0.5, 0.5] violates composition at "
+            "budget 0.2: aggregate 0.5 > bound 0.01\n")
+        assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize("convention", ["full-dual", "full-primal"])
     def test_explicit_budget_over_its_own_arc_fails_under_every_convention(
