@@ -473,7 +473,8 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    for flag, value, least in (("--bins", args.bins, 1), ("--seed", args.seed, 0)):
+    for flag, value, least in (("--samples", args.samples, 2), ("--bins", args.bins, 1),
+                               ("--seed", args.seed, 0)):
         if value < least:
             raise ConfigError(f"{flag} must be >= {least}, got {value}")
     mech_bytes = Path(args.mechanism).read_bytes()

@@ -6,9 +6,8 @@ right-hand sides. Every variable is non-negative with no upper bound,
 because every program the package solves is a table of probabilities or
 masses. There is no row builder and no MPS writer. Programs are solved by
 HiGHS through the binding that scipy bundles, which is deterministic for a
-fixed input and returns basic solutions unless the caller waives the
-vertex. The holder hides the backend so callers only see
-:class:`LinearProgram` and :class:`LpSolution`.
+fixed input and returns basic solutions. The holder hides the backend so
+callers only see :class:`LinearProgram` and :class:`LpSolution`.
 
 The binding is the one scipy module this package loads. It is loaded
 from scipy's directory as ``scipy.optimize._highspy._core`` without
@@ -22,24 +21,14 @@ and HiGHS's own status, as in ``highs-ds failed: (HiGHS Status 8:
 Infeasible)``. It also raises when an optimal solution is not finite or
 misses its rows by more than :data:`FEASIBILITY_TOL`.
 
-The HiGHS algorithm is chosen by size and shape, and by whether the
-caller needs a vertex. Every solve below :data:`IPM_MIN_VARS` variables
-runs dual simplex. From there on:
+The HiGHS algorithm is chosen by size and shape. Every solve below
+:data:`IPM_MIN_VARS` variables runs dual simplex. From there on the
+interior point solver (IPX) runs with crossover, unless the program has
+more than :data:`IPM_MAX_ROWS_PER_VAR` rows per variable, which stays on
+dual simplex. Both return a basic solution.
 
-- ``vertex=True`` (the default, for the table programs): the interior
-  point solver (IPX) with crossover, unless the program has more than
-  :data:`IPM_MAX_ROWS_PER_VAR` rows per variable, which stays on dual
-  simplex. Both return a basic solution.
-- ``vertex=False`` (for callers that only need values and duals): IPX
-  without crossover at any shape. The solution is optimal within the
-  tolerances but need not be a vertex. Its one caller at this size is the
-  lower bound's fallback, for when ``apo._block_ipm`` ends unconverged.
-
-When an IPX solve raises, on either route, the failure is logged at INFO
-and the same program is solved on dual simplex. The retry skips IPX with
-crossover: on the 6x6/K=25 lower bound at eps 10 it ends in HiGHS's
-unknown model status as IPX without crossover does, and dual simplex
-solves it.
+When an IPX solve raises, the failure is logged at INFO and the same
+program is solved on dual simplex.
 
 A solve can also start from the optimal basis of an earlier solution of
 a program of the same shape (``start=``). It then runs dual simplex from
@@ -126,16 +115,15 @@ _SCIPY_OPTIONS = {
 # solver from 784 on, on both shapes; see the README's "Solver" section.
 IPM_MIN_VARS = 700
 
-# Programs with more rows per variable than this stay on dual simplex
-# when a vertex is asked for. Of the programs with IPM_MIN_VARS variables
-# or more, only the all-pairs tables of AIPO-R and the coarse LP are this
-# tall. IPX with crossover solves them faster at small budgets, but at
-# large ones it can return a table that is not optimal: on the 8x8/K=16
-# AIPO-R program at eps 10 it reports optimal at 0.285406, 2.85% above
-# dual simplex's 0.277491, with residuals inside FEASIBILITY_TOL. The
-# optimality check of apo.solve_approx_apo would now reject that table
-# (its dual certificate is 15% lower) and fail the solve. See the
-# README's "Solver" section.
+# Programs with more rows per variable than this stay on dual simplex. Of
+# the programs with IPM_MIN_VARS variables or more, only the all-pairs
+# tables of AIPO-R and the coarse LP are this tall. IPX with crossover
+# solves them faster at small budgets, but at large ones it can return a
+# table that is not optimal: on the 8x8/K=16 AIPO-R program at eps 10 it
+# reports optimal at 0.285406, 2.85% above dual simplex's 0.277491, with
+# residuals inside FEASIBILITY_TOL. The optimality check of
+# apo.solve_approx_apo would now reject that table (its dual certificate
+# is 15% lower) and fail the solve. See the README's "Solver" section.
 IPM_MAX_ROWS_PER_VAR = 8
 
 
@@ -266,7 +254,8 @@ class LpSolution:
     started from the basis of an earlier solution (:func:`solve_lp`'s
     ``start``); it is False after a start that failed and a solve from
     scratch. ``basis`` is the optimal basis, opaque, for :func:`solve_lp`'s
-    ``start``; it is None after IPX without crossover.
+    ``start``; it is None when the solver left none, as after
+    ``apo._block_ipm``.
     """
 
     values: np.ndarray | None
@@ -393,14 +382,12 @@ def _highs_model(c, A_ub, b_ub, A_eq, b_eq):
     return model
 
 
-def solve_lp(lp: LinearProgram, vertex: bool = True,
-             start: LpSolution | None = None) -> LpSolution:
-    """Solve a program to optimality or raise :class:`SolverError`.
+def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
+    """Solve a program to a basic optimal solution or raise :class:`SolverError`.
 
-    ``vertex=False`` lets programs of :data:`IPM_MIN_VARS` variables or more
-    skip crossover (see the module docstring); the solution is then an
-    interior point optimal within the tolerances, not a basic one. An
-    interior point solve that raises is logged and retried on dual simplex.
+    The HiGHS method is chosen by the program's size and shape (see the
+    module docstring). An interior point solve that raises is logged and
+    retried on dual simplex.
 
     ``start`` is an earlier solution, usually of a program that differs
     from ``lp`` only in some coefficients. When it has a basis and its
@@ -417,12 +404,9 @@ def solve_lp(lp: LinearProgram, vertex: bool = True,
             return solve(method="highs-ds", options=_SOLVE_OPTIONS, basis=start.basis)
         except SolverError as exc:
             log.info("%s from the start basis; solving from scratch", exc)
-    if IPM_MIN_VARS <= lp.n_vars and (not vertex or n_rows <= IPM_MAX_ROWS_PER_VAR * lp.n_vars):
-        options = dict(_SOLVE_OPTIONS)
-        if not vertex:
-            options["run_crossover"] = "off"
+    if IPM_MIN_VARS <= lp.n_vars and n_rows <= IPM_MAX_ROWS_PER_VAR * lp.n_vars:
         try:
-            return solve(method="highs-ipm", options=options)
+            return solve(method="highs-ipm", options=_SOLVE_OPTIONS)
         except SolverError as exc:
             log.info("%s; solving again on highs-ds", exc)
     return solve(method="highs-ds", options=_SOLVE_OPTIONS)

@@ -143,8 +143,11 @@ class TruncatedExponentialMechanism(ExponentialMechanism):
     def log_probs(self, X):
         d = lp_distance_matrix(X, self.outputs.points, self.metric_p)
         inside = d <= self.radius
-        if not np.all(np.any(inside, axis=1)):
-            raise ValueError("no candidate within the truncation radius")
+        uncovered = ~np.any(inside, axis=1)
+        if np.any(uncovered):
+            point = np.asarray(X, dtype=float)[np.argmax(uncovered)]
+            raise ValueError(f"no candidate within the truncation radius {self.radius:g} of "
+                             f"point ({', '.join(f'{v:g}' for v in point)})")
         return log_normalize(np.where(inside, -self.exponent_factor * self.eps * d, -np.inf))
 
 

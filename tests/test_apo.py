@@ -1,3 +1,4 @@
+import logging
 import math
 import warnings
 from dataclasses import replace
@@ -591,10 +592,10 @@ class TestBlockInteriorPoint:
         inst, _ = _desk_instance()
         monkeypatch.setattr(lpcore, "IPM_MIN_VARS", 1)
         solves = _spy_block_ipm(monkeypatch)
-        fallbacks = _spy_solves(monkeypatch)
+        solve_lp_calls = _spy_solves(monkeypatch)
         value, returned = lower_bound(inst.partition, inst.outputs, eps, p, inst.loss, inst.prior)
         (lp, sol), = solves
-        assert fallbacks == [] and returned is sol
+        assert solve_lp_calls == [] and returned is sol
         assert sol.method == "block-ipm" and sol.basis is None and sol.nit == sol.ipm_nit > 0
         assert sol.multipliers.shape == (lp.n_ub_rows,)
         assert (sol.n_vars, sol.n_rows) == (lp.n_vars, lp.n_ub_rows + lp.n_eq_rows)
@@ -607,9 +608,9 @@ class TestBlockInteriorPoint:
         # The dual simplex vertex optimum of this program (7 s) is
         # 0.4165165979953; IPX without crossover certified 0.41651659666.
         inst, p = grid8_instance
-        fallbacks = _spy_solves(monkeypatch)
+        solve_lp_calls = _spy_solves(monkeypatch)
         value, sol = lower_bound(inst.partition, inst.outputs, 0.8, p, inst.loss, inst.prior)
-        assert sol.method == "block-ipm" and fallbacks == []
+        assert sol.method == "block-ipm" and solve_lp_calls == []
         assert value == pytest.approx(0.4165165979953, rel=1e-9)
 
     def test_grid8_bound_at_large_budget_beats_the_ipx_certificate(self, grid8_instance):
@@ -628,34 +629,27 @@ class TestBlockInteriorPoint:
         with pytest.raises(SolverError, match="non-finite Newton matrix"):
             apo._spd_inverse(np.full((1, 2, 2), np.nan))
 
-    @pytest.mark.parametrize("fallback_multipliers", ["solved", "zero"])
-    def test_unconverged_solve_falls_back_once_and_keeps_the_larger_certificate(
-            self, monkeypatch, fallback_multipliers):
+    @pytest.mark.parametrize("max_iter", [1, 3, 12])
+    def test_unconverged_solve_certificate_is_the_bound(self, monkeypatch, caplog, max_iter):
         inst, p = _desk_instance()
         monkeypatch.setattr(lpcore, "IPM_MIN_VARS", 1)
-        monkeypatch.setattr(apo, "IPM_MAX_ITER", 12)
+        monkeypatch.setattr(apo, "IPM_MAX_ITER", max_iter)
         solves = _spy_block_ipm(monkeypatch)
-        fallbacks = []
-        solve = apo.solve_lp
-
-        def fallback(lp, **kw):
-            sol = solve(lp, **kw)
-            if fallback_multipliers == "zero":
-                sol.multipliers = np.zeros_like(sol.multipliers)
-            fallbacks.append(sol)
-            return sol
-
-        monkeypatch.setattr(apo, "solve_lp", fallback)
-        value, returned = lower_bound(inst.partition, inst.outputs, 0.8, p, inst.loss, inst.prior)
+        solve_lp_calls = _spy_solves(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="anchorpriv.apo"):
+            value, returned = lower_bound(inst.partition, inst.outputs, 0.8, p, inst.loss,
+                                          inst.prior)
         (lp, sol), = solves
-        assert sol.nit == 12
-        (retry,) = fallbacks
-        certificates = {id(s): apo._dual_certificate(lp, s.multipliers) for s in (sol, retry)}
-        optimum = _vertex_optimum(lp)
-        assert all(c <= optimum for c in certificates.values())
-        assert value == max(certificates.values())
-        assert certificates[id(returned)] == value
-        assert returned is (retry if fallback_multipliers == "solved" else sol)
+        assert solve_lp_calls == [] and returned is sol and sol.nit == max_iter
+        certificate = apo._dual_certificate(lp, sol.multipliers)
+        cheapest = float(lp.objective.reshape(lp.var_shape).min(axis=1).sum())
+        assert value == max(certificate, cheapest)
+        assert cheapest <= value <= _vertex_optimum(lp)
+        gap = apo._relative_gap(sol.objective_value, certificate, float(lp.objective.max()))
+        assert gap > apo.IPM_GAP_TOL
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.INFO, f"block-ipm stopped at a relative gap of {gap:.3g} after {max_iter} "
+                           "iterations; its certificate is the bound")]
 
 
 class TestDualCertificate:
@@ -717,11 +711,17 @@ class TestDualCertificate:
         assert lp.n_ub_rows == 0
 
     def test_no_warning_escapes(self, monkeypatch):
-        # scipy.optimize.linprog warned that it passed run_crossover to
-        # HiGHS verbatim; lpcore sets the HiGHS options itself.
+        # scipy.optimize.linprog warned when it passed a HiGHS option on
+        # verbatim; lpcore sets the HiGHS options itself.
+        from anchorpriv.budget import equal_split
+
         inst, p = _desk_instance()
         monkeypatch.setattr(lpcore, "IPM_MIN_VARS", 1)
+        solves = _spy_solves(monkeypatch)
+        coeffs = surrogate_coefficients(inst.partition, inst.prior, inst.loss, inst.outputs)
+        lp = build_approx_apo(inst.partition, inst.outputs, equal_split(0.8, p, 2), coeffs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value, _ = lower_bound(inst.partition, inst.outputs, 0.8, p, inst.loss, inst.prior)
-        assert value > 0
+            solve_approx_apo(lp)
+        (_, sol), = solves
+        assert sol.method == "highs-ipm"

@@ -460,7 +460,7 @@ class TestLowerBound:
 
     def test_8x8_bound_solves_where_value_only_route_fails(self, tmp_path):
         # IPX without crossover ends in HiGHS's unknown model status on this
-        # program (1,024 variables); the bound falls back to dual simplex.
+        # program (1,024 variables); the structured route solves it.
         grid8 = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "grid8.yaml"
         out = tmp_path / "lb"
         assert main(["lower-bound", "--config", str(grid8), "--out-dir", str(out),
@@ -511,12 +511,11 @@ class TestLowerBound:
         assert not all(sol.from_basis for sol in solutions)
 
     def test_benchmark_tracer_counts_one_solve_through_a_retry(self, tmp_path):
-        # The desk bound takes the structured route, stops unconverged after
-        # one iteration and falls back to solve_lp, where IPX ends in a solve
-        # error and dual simplex solves it: one bound and one solve_lp call,
-        # two HiGHS calls.
+        # The desk anchor program at the equal split takes IPX, which ends
+        # in a solve error, and dual simplex solves it: one anchor solve and
+        # one solve_lp call, two HiGHS calls.
         patch = """
-from anchorpriv import apo, lpcore
+from anchorpriv import lpcore
 highs = lpcore.highs
 class Forced(highs._Highs):
     def setOptionValue(self, key, value):
@@ -529,11 +528,10 @@ class Forced(highs._Highs):
         return highs.HighsModelStatus.kSolveError if self.ipx else super().getModelStatus()
 highs._Highs = Forced
 lpcore.IPM_MIN_VARS = 1
-apo.IPM_MAX_ITER = 1
 """
-        summary = _traced_summary(tmp_path, "lower-bound", "--config", str(DESK),
-                                  "--eps", "0.8", patch=patch)
-        assert summary["apo.lower_bound.calls"] == 1
+        summary = _traced_summary(tmp_path, "compare", "--config", str(DESK), "--method",
+                                  "AIPO-E", "--eps", "0.8", patch=patch)
+        assert summary["apo.solve_approx_apo.calls"] == 1
         assert summary["lpcore.solve_lp.calls"] == 1
         assert summary["lpcore.highs.calls"] == 2
 
@@ -731,11 +729,6 @@ class TestInputGuards:
             "audit", "--mechanism", str(mech), "--out-dir", str(tmp_path / "a"), *flags,
         ])
 
-    def test_audit_single_sample_is_config_error(self, tmp_path, capsys):
-        code = self._audit(tmp_path, self._mechanism(tmp_path), "--eps", "0.4", "--samples", "1")
-        assert code == 2
-        assert "at least 2 sample points" in capsys.readouterr().err
-
     def test_audit_non_whole_cell_counts_is_config_error(self, tmp_path, capsys):
         # A count of 2.9 once loaded as 2 and the audit exited 0.
         mech = self._mechanism(tmp_path)
@@ -759,7 +752,8 @@ class TestInputGuards:
         assert "config error: audit budget eps must be finite, got inf" in capsys.readouterr().err
         assert not (tmp_path / "a").exists()
 
-    @pytest.mark.parametrize("flag, value, least", [("--bins", "0", 1), ("--seed", "-1", 0)])
+    @pytest.mark.parametrize("flag, value, least", [
+        ("--samples", "1", 2), ("--bins", "0", 1), ("--seed", "-1", 0)])
     def test_audit_out_of_range_flag_is_named(self, tmp_path, capsys, flag, value, least):
         # numpy's own messages once reached the user, naming no flag.
         mech = self._mechanism(tmp_path)
@@ -865,6 +859,16 @@ class TestInputGuards:
         assert code == 2
         assert "compare.audit_samples must be >= 2" in capsys.readouterr().err
         assert solves == []
+
+    def test_tem_without_candidate_in_range_names_radius_and_point(self, tmp_path, capsys):
+        # At eps 20 the default radius, 3 / eps, leaves the desk's first
+        # evaluated point without a candidate.
+        code = main(["compare", "--config", str(DESK), "--eps", "20", "--method", "TEM",
+                     "--out-dir", str(tmp_path / "c")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: no candidate within the truncation radius 0.15 of point "
+            "(0.0833333, 0.0833333)\n")
 
     def test_compare_bad_tem_radius_fails_before_any_solve(self, tmp_path, capsys,
                                                            monkeypatch):

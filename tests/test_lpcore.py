@@ -170,9 +170,8 @@ def _end_interior_point_in(monkeypatch, status):
     return methods
 
 
-@pytest.mark.parametrize("vertex", [True, False])
 @pytest.mark.parametrize("status", [4, 2])
-def test_failed_interior_point_solve_retries_on_dual_simplex(monkeypatch, caplog, status, vertex):
+def test_failed_interior_point_solve_retries_on_dual_simplex(monkeypatch, caplog, status):
     # IPX can stop in HiGHS model status 4 (solve error); any status but
     # optimal raises, and solve_lp solves the program again on dual simplex.
     lp = _anchor_program(4, 3)
@@ -180,7 +179,7 @@ def test_failed_interior_point_solve_retries_on_dual_simplex(monkeypatch, caplog
     monkeypatch.setattr(lpcore, "IPM_MIN_VARS", 1)
     methods = _end_interior_point_in(monkeypatch, status)
     with caplog.at_level(logging.INFO, logger="anchorpriv.lpcore"):
-        sol = solve_lp(lp, vertex=vertex)
+        sol = solve_lp(lp)
     assert methods == ["highs-ipm", "highs-ds"]
     assert sol.method == "highs-ds"
     assert sol.values.tobytes() == ref.x.tobytes()
@@ -268,16 +267,6 @@ class TestSolverRouting:
         assert "highs-ipm failed: (HiGHS Status 8: Infeasible)" in caplog.text
         assert "highs-ipm failed: (HiGHS Status 10: Unbounded)" in caplog.text
 
-    def test_failed_value_only_solve_retries_on_dual_simplex(self, large, monkeypatch):
-        # 3.6 rows per variable: the vertex route would be IPX with crossover
-        # again, and the retry must not take it.
-        lp, vertex = large
-        methods = _end_interior_point_in(monkeypatch, 4)
-        sol = solve_lp(lp, vertex=False)
-        assert methods == ["highs-ipm", "highs-ds"]
-        assert sol.method == "highs-ds" and sol.crossover_nit == 0
-        assert abs(sol.objective_value - vertex.objective_value) <= 1e-12
-
 
 def _tall_table_program():
     """A 50 x 16 table (800 variables) with 6,514 rows: 8.1 per variable."""
@@ -288,31 +277,12 @@ def _tall_table_program():
                               np.full(pairs, math.log(1.5)))
 
 
-class TestValueOnlySolve:
-    @pytest.fixture(scope="class")
-    def tall(self):
+class TestTallTableAndMultipliers:
+    def test_tall_table_program_keeps_dual_simplex(self):
         lp = _tall_table_program()
         assert lp.n_vars >= IPM_MIN_VARS
         assert lp.n_ub_rows + lp.n_eq_rows > IPM_MAX_ROWS_PER_VAR * lp.n_vars
-        return lp, solve_lp(lp)
-
-    def test_tall_table_program_keeps_dual_simplex(self, tall):
-        _, sol = tall
-        assert sol.method == "highs-ds"
-
-    def test_value_only_solve_skips_crossover_at_any_shape(self, tall):
-        lp, vertex = tall
-        sol = solve_lp(lp, vertex=False)
-        assert sol.method == "highs-ipm"
-        assert sol.crossover_nit == 0 and sol.nit > 0
-        assert abs(sol.objective_value - vertex.objective_value) <= 1e-8 * vertex.objective_value
-
-    def test_value_only_solve_below_threshold_uses_dual_simplex(self):
-        lp = _anchor_program(4, 3)
-        assert lp.n_vars < IPM_MIN_VARS
-        sol = solve_lp(lp, vertex=False)
-        assert sol.method == "highs-ds"
-        assert sol.values.tobytes() == solve_lp(lp).values.tobytes()
+        assert solve_lp(lp).method == "highs-ds"
 
     def test_multipliers_are_negated_marginals(self):
         lp = _anchor_program(4, 3)

@@ -105,9 +105,12 @@ class TestTruncated:
         assert _probs(tem, x)[0] == pytest.approx(_probs(em, x)[0], abs=1e-12)
 
     def test_empty_support_rejected(self):
-        outputs = OutputDomain(points=np.array([[5.0, 5.0]]))
-        with pytest.raises(ValueError):
-            _probs(TruncatedExponentialMechanism(outputs, BOX, 1.0, 2.0, radius=1.0), (0.0, 0.0))
+        # The message names the radius and the first point left without a candidate.
+        outputs = OutputDomain(points=np.array([[5.0, 5.0], [1.0, 1.0]]))
+        mech = TruncatedExponentialMechanism(outputs, BOX, 1.0, 2.0, radius=0.5)
+        with pytest.raises(ValueError, match=r"^no candidate within the truncation radius 0\.5 "
+                                             r"of point \(0\.25, 0\.5\)$"):
+            _probs(mech, [(1.0, 0.75), (0.25, 0.5), (0.0, 0.0)])
 
     def test_truncation_drops_far_candidates(self):
         outputs = OutputDomain(points=np.array([[0.0], [1.0], [10.0]]))
