@@ -629,6 +629,19 @@ class TestBlockInteriorPoint:
         with pytest.raises(SolverError, match="non-finite Newton matrix"):
             apo._spd_inverse(np.full((1, 2, 2), np.nan))
 
+    def test_converged_solve_logs_no_gap_record(self, monkeypatch, caplog):
+        inst, p = _desk_instance()
+        monkeypatch.setattr(lpcore, "IPM_MIN_VARS", 1)
+        solves = _spy_block_ipm(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="anchorpriv.apo"):
+            value, _ = lower_bound(inst.partition, inst.outputs, 0.8, p, inst.loss, inst.prior)
+        (lp, sol), = solves
+        certificate = apo._dual_certificate(lp, sol.multipliers)
+        assert sol.nit < apo.IPM_MAX_ITER and value == certificate
+        assert apo._relative_gap(sol.objective_value, certificate,
+                                 float(lp.objective.max())) <= apo.IPM_GAP_TOL
+        assert caplog.records == []
+
     @pytest.mark.parametrize("max_iter", [1, 3, 12])
     def test_unconverged_solve_certificate_is_the_bound(self, monkeypatch, caplog, max_iter):
         inst, p = _desk_instance()
@@ -661,6 +674,18 @@ class TestDualCertificate:
         (lp, sol), = solves
         assert lp.n_vars == 144 and sol.method == "highs-ds"
         assert value == pytest.approx(sol.objective_value, rel=1e-12)
+
+    def test_warm_bound_below_threshold_matches_the_cold_one(self, monkeypatch):
+        # Below IPM_MIN_VARS the bound keeps dual simplex from start's basis.
+        inst, p = _desk_instance()
+        solves = _spy_solves(monkeypatch)
+        _, start = lower_bound(inst.partition, inst.outputs, 0.8, p, inst.loss, inst.prior)
+        warm, _ = lower_bound(inst.partition, inst.outputs, 1.0, p, inst.loss, inst.prior,
+                              start=start)
+        cold, _ = lower_bound(inst.partition, inst.outputs, 1.0, p, inst.loss, inst.prior)
+        assert [sol.from_basis for _, sol in solves] == [False, True, False]
+        assert all(sol.method == "highs-ds" for _, sol in solves)
+        assert warm == pytest.approx(cold, rel=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(arrays(np.float64, 36, elements=st.floats(0.0, 2.0)),

@@ -155,6 +155,14 @@ class TestViolationRatio:
         logs = np.maximum(mech.log_probs(points[[i, j]]), math.log(PROB_FLOOR))
         assert value == pytest.approx(float(np.abs(logs[0] - logs[1]).max()) / d1, rel=1e-12)
 
+    def test_fewer_than_two_samples_rejected(self):
+        # The CLI checks --samples before this; library callers meet it here.
+        mech = _constant_mech()
+        for check in (violation_ratio, ppr_histogram):
+            with pytest.raises(ValueError, match="^an audit needs at least 2 sample points, "
+                                                 "got 1$"):
+                check(mech, 1.0, 2.0, sample_count=1)
+
     def test_unstated_metric_order_is_an_error(self):
         rng = np.random.default_rng(5)
         outputs = OutputDomain(points=rng.random((2, 2)))
