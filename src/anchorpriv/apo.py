@@ -5,7 +5,7 @@ surrogate objective, the relaxed all-pairs anchor variant, the coarse
 representative-grid LP, and the universal lower bound on the expected
 loss of any mechanism meeting the same privacy constraint, over one
 averaged distribution per cell, valid for every prior and certified from
-the program's dual multipliers. Large bound programs are solved by an
+the program's dual multipliers. Bound programs are solved by an
 interior-point method of their own, which uses their per-output blocks.
 """
 
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lpcore
 from .budget import BudgetVector, check_budget
 from .errors import SolverError
 from .geometry import Partition, axis_neighbors, corner_weights, locate_cells, lp_distance_matrix
@@ -47,8 +46,9 @@ OPTIMALITY_TOL = 1e-6
 # ``large_matrix_value``, so no ratio bound exp(log_bound) may exceed it.
 MAX_HIGHS_LOG_RATIO = math.log(1e15)
 # The lower bound keeps only the cell pairs whose ratio bound exp(eps * d)
-# is at most exp(MAX_LOG_RATIO) = 1e8: HiGHS fails on coefficient ranges
-# near 1e12 (reached at eps 10 on the 2 x 2 desk domain).
+# is at most exp(MAX_LOG_RATIO) = 1e8. Kept up to 1e15, such pairs stall
+# _block_ipm: the desk bound at p = 1, eps 10 stops at IPM_MAX_ITER at a
+# relative gap of 5.8e-10, where with 1e8 it converges in 20 iterations.
 MAX_LOG_RATIO = math.log(1e8)
 # The lower bound's block interior-point solve (_block_ipm) stops once its
 # best certificate is within IPM_GAP_TOL of its primal objective, relative
@@ -277,8 +277,8 @@ def build_aipo_relaxed(
     interpolating the solved table does not inherit a distance-based
     guarantee between non-anchor points.
     """
-    if eps_total < 0:
-        raise ValueError("total budget must be non-negative")
+    if not eps_total >= 0:  # NaN fails too
+        raise ValueError(f"total budget must be non-negative, got {eps_total:g}")
     if coeffs.matrix.shape != (partition.n_anchors, outputs.size):
         raise ValueError("coefficient matrix shape mismatch")
     return _all_pairs_program(coeffs.matrix, partition.anchors, eps_total, p)
@@ -304,8 +304,8 @@ def build_coarse_lp(
         raise ValueError("representatives must be distinct")
     if masses.shape[0] != reps.shape[0]:
         raise ValueError("one mass per representative required")
-    if eps_total < 0:
-        raise ValueError("total budget must be non-negative")
+    if not eps_total >= 0:  # NaN fails too
+        raise ValueError(f"total budget must be non-negative, got {eps_total:g}")
     loss_mat = loss.matrix_at(reps, outputs)
     return _all_pairs_program(masses[:, None] * loss_mat, reps, eps_total, p)
 
@@ -500,7 +500,6 @@ def lower_bound(
     p: float,
     loss,
     prior,
-    start: LpSolution | None = None,
 ) -> tuple[float, LpSolution]:
     """Universal lower bound on expected loss of any compliant mechanism.
 
@@ -519,10 +518,7 @@ def lower_bound(
     which keeps it >= 0. Both are valid for any multipliers, so the value
     does not rest on the solver reaching a vertex or the optimum.
 
-    The program is solved on one of two routes. Below
-    ``lpcore.IPM_MIN_VARS`` variables it goes to :func:`solve_lp`, which
-    runs dual simplex, from ``start``'s basis when it has one. From there
-    on it goes to :func:`_block_ipm`, which uses the program's per-output
+    The program is solved by :func:`_block_ipm`, which uses its per-output
     blocks, and its best certificate is the bound even when it stops
     unconverged; that stop is logged at INFO with its relative gap
     (:func:`_relative_gap`) and iteration count.
@@ -534,11 +530,10 @@ def lower_bound(
     value is the cheapest output per cell, usually 0.
 
     Returns (the bound's value, the :class:`~anchorpriv.lpcore.LpSolution`
-    its certificate came from). ``start`` is an earlier solution, usually
-    the bound's at another budget, for :func:`solve_lp`.
+    its certificate came from).
     """
-    if eps_total < 0:
-        raise ValueError("total budget must be non-negative")
+    if not eps_total >= 0:  # NaN fails too
+        raise ValueError(f"total budget must be non-negative, got {eps_total:g}")
     n_cells, n_out = partition.n_cells, outputs.size
     points = np.asarray(prior.points, dtype=float)
     masses = np.asarray(prior.masses, dtype=float)
@@ -560,15 +555,12 @@ def lower_bound(
                        np.abs(upper[first] - lower[second]))
     log_ratio = eps_total * lp_distance_matrix(worst, np.zeros((1, partition.n_dims)), p)[:, 0]
     keep = log_ratio <= MAX_LOG_RATIO
-    lp = _ratio_program(objective, first[keep], second[keep], log_ratio[keep])
-    structured = lp.n_vars >= lpcore.IPM_MIN_VARS
-    if structured:
-        sol = _block_ipm(objective, first[keep], second[keep], log_ratio[keep])
-    else:
-        sol = solve_lp(lp, start=start)
+    program = (objective, first[keep], second[keep], log_ratio[keep])
+    lp = _ratio_program(*program)
+    sol = _block_ipm(*program)
     certificate = _dual_certificate(lp, sol.multipliers)
     gap = _relative_gap(sol.objective_value, certificate, float(objective.max()) or 1.0)
-    if structured and gap > IPM_GAP_TOL:
+    if gap > IPM_GAP_TOL:
         log.info("block-ipm stopped at a relative gap of %.3g after %d iterations; its "
                  "certificate is the bound", gap, sol.nit)
     value = max(certificate, float(objective.min(axis=1).sum()))

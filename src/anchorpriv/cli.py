@@ -399,8 +399,8 @@ METHODS = {
         inst.outputs, inst.partition.bounds, eps, priv.p, comp.tem_radius),
     "CoarseLP": _coarse_lp,
     "LB": lambda inst, eps, priv, comp: _solved(
-        inst, ("LB", eps, priv.p), ("LB",), lambda start: apo.lower_bound(
-            inst.partition, inst.outputs, eps, priv.p, inst.loss, inst.prior, start=start))[0],
+        inst, ("LB", eps, priv.p), (), lambda _: apo.lower_bound(
+            inst.partition, inst.outputs, eps, priv.p, inst.loss, inst.prior))[0],
 }
 METHODS.update({f"RMP-{tag}": _remapped(METHODS[tag]) for tag in ("EM", "Laplace", "TEM")})
 

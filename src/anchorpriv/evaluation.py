@@ -232,8 +232,13 @@ class LossModel:
         masses = np.asarray(task_masses, dtype=float)
         if len(task_nodes) == 0:
             raise ValueError("task set must be non-empty")
-        if not np.all(np.isfinite(masses)) or abs(masses.sum() - 1.0) > 1e-12:
-            raise ValueError("task prior must be finite and sum to one")
+        if masses.shape != (len(task_nodes),):
+            raise ValueError(f"one task mass per task node required, got task masses of shape "
+                             f"{masses.shape} for {len(task_nodes)} nodes")
+        if (not np.all(np.isfinite(masses)) or np.any(masses < 0)
+                or abs(masses.sum() - 1.0) > 1e-12):
+            raise ValueError(f"task prior must be finite, non-negative and sum to one, got task "
+                             f"masses {masses.tolist()}")
         table = np.stack([shortest_paths(graph, t) for t in task_nodes])
         return cls(
             "tasks", graph=graph, task_nodes=task_nodes,

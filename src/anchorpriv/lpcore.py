@@ -110,9 +110,10 @@ _SCIPY_OPTIONS = {
 }
 
 # Programs with at least this many variables go to the interior point
-# solver. On the package's anchor and lower-bound programs (one thread)
-# dual simplex is faster up to 576 variables and the interior point
-# solver from 784 on, on both shapes; see the README's "Solver" section.
+# solver. On anchor programs and on all-pairs programs of the lower
+# bound's shape (one thread) dual simplex is faster up to 576 variables
+# and the interior point solver from 784 on; see the README's "Solver"
+# section.
 IPM_MIN_VARS = 700
 
 # Programs with more rows per variable than this stay on dual simplex. Of

@@ -482,6 +482,32 @@ class TestCoarseLp:
             build_coarse_lp([[0.0], [0.0]], [0.5, 0.5], outputs, 1.0, 1.0, loss)
 
 
+@pytest.mark.parametrize("eps", [-0.1, math.nan])
+@pytest.mark.parametrize("program", ["AIPO-R", "CoarseLP", "lower bound"])
+def test_total_budget_must_be_non_negative(program, eps):
+    # A NaN budget once gave a bound of 0.0, and made HiGHS fail with
+    # "Infeasible" on the all-pairs programs.
+    part = Partition((0.0,), (1.0,), (2,))
+    prior, loss, outputs = matrix_setup(
+        [[0.25], [0.75]], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]], [[0.0], [1.0]]
+    )
+    coeffs = surrogate_coefficients(part, prior, loss, outputs)
+    build = {
+        "AIPO-R": lambda e: build_aipo_relaxed(part, outputs, e, 2.0, coeffs),
+        "CoarseLP": lambda e: build_coarse_lp(prior.points, prior.masses, outputs, e, 2.0, loss),
+        "lower bound": lambda e: lower_bound(part, outputs, e, 2.0, loss, prior),
+    }[program]
+    with pytest.raises(ValueError, match=f"^total budget must be non-negative, got {eps:g}$"):
+        build(eps)
+    # An infinite budget passes this check: the bound drops every pair, and
+    # the all-pairs programs stop at HiGHS's coefficient limit.
+    if program == "lower bound":
+        assert build(math.inf)[0] == 0.0
+    else:
+        with pytest.raises(SolverError, match=r"needs ratio bounds up to exp\(inf\)"):
+            build(math.inf)
+
+
 class TestLowerBound:
     def test_single_cell_picks_cheap_column(self):
         part = Partition((0.0,), (1.0,), (1,))
@@ -547,7 +573,6 @@ class TestLowerBound:
     def test_pair_bounds_use_largest_cell_distance(self, p, monkeypatch):
         # Reference: the largest distance between two cells is the largest
         # distance between one corner of each.
-        import anchorpriv.apo as apo
         from anchorpriv.geometry import corner_offsets, lp_distance
 
         part = Partition((0.0, 0.0), (3.0, 1.0), (3, 2))
@@ -555,12 +580,9 @@ class TestLowerBound:
             part.cell_lower + 0.5 * part.deltas, np.full(6, 1.0 / 6),
             np.ones((6, 2)), [[0.0, 0.0], [3.0, 1.0]],
         )
-        programs = []
-        solve = apo.solve_lp
-        monkeypatch.setattr(apo, "solve_lp",
-                            lambda lp, **kw: programs.append(lp) or solve(lp, **kw))
+        solves = _spy_block_ipm(monkeypatch)
         lower_bound(part, outputs, 0.7, p, loss, prior)
-        a_ub = to_scipy(programs[0].matrices()[0]).toarray()
+        a_ub = to_scipy(solves[0][0].matrices()[0]).toarray()
         corners = [base + corner_offsets(2) * part.deltas for base in part.cell_lower]
         t = 0
         for m in range(part.n_cells):
@@ -587,10 +609,8 @@ class TestBlockInteriorPoint:
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     @pytest.mark.parametrize("eps", [0.2, 0.8, 1.6, 10.0, 15.0])
     def test_certificate_meets_vertex_optimum_from_below(self, monkeypatch, eps, p):
-        # The desk bound program (144 variables) takes the structured route
-        # once the threshold is lowered, as the 8x8 one does at the default.
+        # The desk bound program has 144 variables.
         inst, _ = _desk_instance()
-        monkeypatch.setattr(lpcore, "IPM_MIN_VARS", 1)
         solves = _spy_block_ipm(monkeypatch)
         solve_lp_calls = _spy_solves(monkeypatch)
         value, returned = lower_bound(inst.partition, inst.outputs, eps, p, inst.loss, inst.prior)
@@ -631,7 +651,6 @@ class TestBlockInteriorPoint:
 
     def test_converged_solve_logs_no_gap_record(self, monkeypatch, caplog):
         inst, p = _desk_instance()
-        monkeypatch.setattr(lpcore, "IPM_MIN_VARS", 1)
         solves = _spy_block_ipm(monkeypatch)
         with caplog.at_level(logging.INFO, logger="anchorpriv.apo"):
             value, _ = lower_bound(inst.partition, inst.outputs, 0.8, p, inst.loss, inst.prior)
@@ -645,7 +664,6 @@ class TestBlockInteriorPoint:
     @pytest.mark.parametrize("max_iter", [1, 3, 12])
     def test_unconverged_solve_certificate_is_the_bound(self, monkeypatch, caplog, max_iter):
         inst, p = _desk_instance()
-        monkeypatch.setattr(lpcore, "IPM_MIN_VARS", 1)
         monkeypatch.setattr(apo, "IPM_MAX_ITER", max_iter)
         solves = _spy_block_ipm(monkeypatch)
         solve_lp_calls = _spy_solves(monkeypatch)
@@ -666,27 +684,6 @@ class TestBlockInteriorPoint:
 
 
 class TestDualCertificate:
-
-    def test_default_routing_keeps_desk_bound_on_dual_simplex(self, monkeypatch):
-        inst, p = _desk_instance()
-        solves = _spy_solves(monkeypatch)
-        value, _ = lower_bound(inst.partition, inst.outputs, 0.8, p, inst.loss, inst.prior)
-        (lp, sol), = solves
-        assert lp.n_vars == 144 and sol.method == "highs-ds"
-        assert value == pytest.approx(sol.objective_value, rel=1e-12)
-
-    def test_warm_bound_below_threshold_matches_the_cold_one(self, monkeypatch):
-        # Below IPM_MIN_VARS the bound keeps dual simplex from start's basis.
-        inst, p = _desk_instance()
-        solves = _spy_solves(monkeypatch)
-        _, start = lower_bound(inst.partition, inst.outputs, 0.8, p, inst.loss, inst.prior)
-        warm, _ = lower_bound(inst.partition, inst.outputs, 1.0, p, inst.loss, inst.prior,
-                              start=start)
-        cold, _ = lower_bound(inst.partition, inst.outputs, 1.0, p, inst.loss, inst.prior)
-        assert [sol.from_basis for _, sol in solves] == [False, True, False]
-        assert all(sol.method == "highs-ds" for _, sol in solves)
-        assert warm == pytest.approx(cold, rel=1e-9)
-
     @settings(max_examples=60, deadline=None)
     @given(arrays(np.float64, 36, elements=st.floats(0.0, 2.0)),
            arrays(np.float64, 36, elements=st.floats(0.0, 1e3)))
@@ -703,14 +700,15 @@ class TestDualCertificate:
     def test_equals_the_scipy_product_form(self, monkeypatch, program):
         # A_ub^T lambda through scipy's CSR transpose product gives the same bits.
         inst, p = _desk_instance()
-        solves = _spy_solves(monkeypatch)
         if program == "anchor":
             from anchorpriv.budget import equal_split
 
+            solves = _spy_solves(monkeypatch)
             coeffs = surrogate_coefficients(inst.partition, inst.prior, inst.loss, inst.outputs)
             bv = equal_split(0.8, p, 2)
             solve_approx_apo(build_approx_apo(inst.partition, inst.outputs, bv, coeffs))
         else:
+            solves = _spy_block_ipm(monkeypatch)
             lower_bound(inst.partition, inst.outputs, 0.8, p, inst.loss, inst.prior)
         (lp, sol), = solves
         rng = np.random.default_rng(2)
@@ -730,7 +728,7 @@ class TestDualCertificate:
     def test_no_pair_left_gives_cheapest_output_per_cell(self, monkeypatch):
         # At eps 17 every desk cell pair's ratio bound exceeds 1e8.
         inst, p = _desk_instance()
-        solves = _spy_solves(monkeypatch)
+        solves = _spy_block_ipm(monkeypatch)
         assert lower_bound(inst.partition, inst.outputs, 17.0, p, inst.loss, inst.prior)[0] == 0.0
         (lp, _), = solves
         assert lp.n_ub_rows == 0

@@ -407,8 +407,9 @@ class TestBudgetStarts:
         assert main(["compare", "--config", str(DESK), "--eps", "0.4,0.8",
                      "--method", "AIPO-R", "--method", "CoarseLP", "--method", "LB",
                      "--out-dir", str(tmp_path / "cmp")]) == 0
-        # compare runs each method at every budget before the next method.
-        assert [s.from_basis for s in solutions] == [False, True] * 3
+        # compare runs each method at every budget before the next method;
+        # the bound makes no solve_lp call.
+        assert [s.from_basis for s in solutions] == [False, True] * 2
 
     @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
     def test_started_solves_match_cold_solves(self, monkeypatch, p):
@@ -468,6 +469,22 @@ class TestLowerBound:
         value = json.loads((out / "lower_bound.json").read_text())["values"]["10"]
         assert 0 < value < 0.01
 
+    def test_bound_does_not_depend_on_the_budgets_before_it(self, tmp_path):
+        # Each bound is solved from scratch. Started from the previous
+        # budget's basis, these rows differed in the last bits.
+        rows = {}
+        for name, flags in (("alone", ["--method", "LB", "--eps", "0.8"]), ("all", [])):
+            out = tmp_path / name
+            assert main(["compare", "--config", str(DESK), *flags, "--out-dir", str(out)]) == 0
+            rows[name], = [line for line in (out / "results.csv").read_text().splitlines()
+                           if line.startswith("LB,0.8,")]
+        assert rows["alone"] == rows["all"]
+        out = tmp_path / "lb"
+        assert main(["lower-bound", "--config", str(DESK), "--eps", "0.8", "--out-dir",
+                     str(out)]) == 0
+        value = json.loads((out / "lower_bound.json").read_text())["values"]["0.8"]
+        assert value == float(rows["all"].split(",")[2])
+
     def _assert_tracer_counts_lp_statistics(self, tmp_path, monkeypatch, *args):
         """Trace ``args``, run them again in-process, and compare the LP counters.
 
@@ -496,8 +513,10 @@ class TestLowerBound:
         # and the apo stages by name; a rename there must fail here.
         cfg = write_config(tmp_path)
         summary, _ = self._assert_tracer_counts_lp_statistics(
-            tmp_path, monkeypatch, "lower-bound", "--config", str(cfg), "--eps", "0.4,0.8")
-        # One HiGHS call per eps: the bound's solve reaches the rebound linprog.
+            tmp_path, monkeypatch, "compare", "--config", str(cfg), "--method", "AIPO-R",
+            "--method", "LB", "--eps", "0.4,0.8")
+        # One HiGHS call per eps, AIPO-R's, reaches the rebound linprog; the
+        # bound makes none.
         assert summary["apo.lower_bound.calls"] == 2
         assert summary["lpcore.highs.calls"] == 2
 

@@ -173,6 +173,18 @@ class TestLossModel:
         assert loss.task_nodes == [2, 0]
         assert all(type(t) is int for t in loss.task_nodes)
 
+    @pytest.mark.parametrize("masses, message", [
+        ([1.5, -0.5], r"task prior must be finite, non-negative and sum to one, got task "
+                      r"masses \[1\.5, -0\.5\]"),
+        ([0.5, 0.25, 0.25], r"one task mass per task node required, got task masses of "
+                            r"shape \(3,\) for 2 nodes"),
+    ], ids=["negative", "count"])
+    def test_bad_task_masses_rejected(self, masses, message):
+        # Both once passed: a negative mass silently, a wrong count until
+        # loss_matrix failed with numpy's shape-mismatch message.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LossModel.from_tasks(_path_graph(), [0, 2], masses)
+
     def test_task_loss_matrix_matches_scalar_op(self):
         inst = synth_instance(InstanceSpec(), seed=5)
         # The midpoint of nodes 0 and 1 is exactly equidistant from both;
@@ -433,6 +445,20 @@ class TestInstanceBundle:
 
         with pytest.raises(ValueError, match="losses must be finite"):
             LossModel.from_matrix([[0.0, 0.0]], [[math.nan]])
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: [-m[0], m[1] + 2 * m[0]] + m[2:], "non-negative"),
+        (lambda m: m[:-1], "one task mass per task node"),
+    ], ids=["negative", "count"])
+    def test_bad_task_masses_are_value_errors(self, tmp_path, edit, message):
+        from anchorpriv.evaluation import load_instance, save_instance
+
+        save_instance(synth_instance(InstanceSpec(), seed=0), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["tasks"]["masses"] = edit(manifest["tasks"]["masses"])
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=message):
+            load_instance(tmp_path)
 
     def test_non_whole_task_node_is_a_value_error(self, tmp_path):
         from anchorpriv.evaluation import load_instance, save_instance

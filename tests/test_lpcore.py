@@ -386,8 +386,9 @@ def _package_program(kind, monkeypatch):
         return apo.build_coarse_lp(reps, np.full(part.n_cells, 1 / part.n_cells), outputs,
                                    0.8, 2.0, inst.loss)
     programs = []
-    solve = apo.solve_lp
-    monkeypatch.setattr(apo, "solve_lp", lambda lp, **kw: programs.append(lp) or solve(lp, **kw))
+    solve = apo._block_ipm
+    monkeypatch.setattr(apo, "_block_ipm",
+                        lambda *args: programs.append(apo._ratio_program(*args)) or solve(*args))
     apo.lower_bound(part, outputs, 0.8, 2.0, inst.loss, inst.prior)
     return programs[0]
 
