@@ -42,6 +42,11 @@ CONVENTIONS = ("half-dual", "full-dual", "full-primal")
 # this fraction of the bound. Both grow as eps^q, so a fixed margin would
 # be lost in rounding at large budgets and be loose at tiny ones.
 BUDGET_TOL = 1e-12
+# Sweep losses at most this fraction above the smallest tie with it.
+# Candidates that store the same table (at small budgets, the constant
+# table) evaluate to losses a few units in the last place apart, and
+# which of them is lowest turns on rounding, not on the budgets.
+LOSS_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -178,9 +183,10 @@ def optimize_allocation(candidates, evaluator):
     Returns:
         (best vector, curve, failed) where curve lists (eps_1, eps_2, loss)
         for every evaluated candidate in eps_1 order and failed lists
-        (vector, message) for every skipped one, in the same order. Ties
+        (vector, message) for every skipped one, in the same order. Losses
+        within LOSS_TIE_TOL of the smallest, relative to it, tie, and ties
         break toward the smaller eps_1, so the result does not depend on
-        candidate order.
+        candidate order or on rounding.
     """
     if not candidates:
         raise ValueError("candidate list is empty")
@@ -200,5 +206,7 @@ def optimize_allocation(candidates, evaluator):
         raise SolverError("every candidate allocation failed evaluation")
     curve.sort(key=lambda row: (row[0], row[1]))
     failed.sort(key=lambda row: tuple(row[0].eps))
-    best = min(results, key=lambda r: (r[0], r[1]))[2]
+    low = min(r[0] for r in results)
+    best = min((r for r in results if r[0] <= low + LOSS_TIE_TOL * abs(low)),
+               key=lambda r: r[1])[2]
     return best, curve, failed

@@ -15,24 +15,37 @@ running ``scipy/optimize/__init__``, which with ``scipy.sparse`` would
 take about 0.5 s and 40 MB at every start (see "Start-up" in the
 README's "Solver" section); a later ``import scipy.optimize`` reuses it.
 
-:func:`linprog` is the one HiGHS call: it returns the optimal
-:class:`LpSolution` or raises :class:`SolverError` with the HiGHS method
-and HiGHS's own status, as in ``highs-ds failed: (HiGHS Status 8:
+:func:`linprog` is the one HiGHS call. It hands HiGHS the dual of the
+program it is given, min b_ub.l - b_eq.y s.t. -A_ub^T l + A_eq^T y <= c,
+l >= 0, y free: every table program is tall (4,689 rows for 1,296
+variables in the 8x8 anchor program), and HiGHS's simplex keeps a basis
+with one row per constraint, where the dual has one row per table entry.
+The stacked CSR rows of the program are the dual's CSC columns, so the
+dual costs no transpose. The answer is read back in the program's terms:
+its values are the dual's row duals negated, its inequality multipliers
+are l, and its model status is the dual's read through duality (an
+unbounded dual is an infeasible program). :func:`linprog` returns the
+optimal :class:`LpSolution` or raises :class:`SolverError` with the
+HiGHS method and that status, as in ``highs-ds failed: (HiGHS Status 8:
 Infeasible)``. It also raises when an optimal solution is not finite or
-misses its rows by more than :data:`FEASIBILITY_TOL`.
+misses a row or a bound of the program by more than
+:data:`FEASIBILITY_TOL`. HiGHS runs with presolve off: on the dual,
+presolve turned the desk anchor programs at eps 1e-9 into solves that
+did not end.
 
 The HiGHS algorithm is chosen by size and shape. Every solve below
-:data:`IPM_MIN_VARS` variables runs dual simplex. From there on the
-interior point solver (IPX) runs with crossover, unless the program has
-more than :data:`IPM_MAX_ROWS_PER_VAR` rows per variable, which stays on
-dual simplex. Both return a basic solution.
+:data:`IPM_MIN_VARS` variables runs dual simplex on the dual. From there
+on the interior point solver (IPX) runs with crossover, unless the
+program has more than :data:`IPM_MAX_ROWS_PER_VAR` rows per variable,
+which stays on dual simplex. Both return a basic solution.
 
 When an IPX solve raises, the failure is logged at INFO and the same
 program is solved on dual simplex.
 
 A solve can also start from the optimal basis of an earlier solution of
-a program of the same shape (``start=``). It then runs dual simplex from
-that basis, which takes a few hundred iterations or fewer when the two
+a program of the same shape (``start=``). It then runs primal simplex on
+the dual from that basis (the dual simplex method of the program
+itself), which takes a few hundred iterations or fewer when the two
 programs differ only in some coefficients; if it raises, the failure is
 logged at INFO and the program is solved from scratch as above.
 """
@@ -97,12 +110,16 @@ _SOLVE_OPTIONS = {
     "dual_feasibility_tolerance": 1e-10,
 }
 
+# A solve from a start basis runs primal simplex on the dual.
+_WARM_OPTIONS = {**_SOLVE_OPTIONS, "simplex_strategy": 4}
+
 # The options scipy.optimize.linprog sets for the methods "highs-ds" and
-# "highs-ipm" when none of its own are given. Set them too, and a solve
-# from scratch is bitwise equal to scipy's.
+# "highs-ipm" when none of its own are given, but with presolve off. Set
+# them too, and a solve from scratch is bitwise equal to scipy's on the
+# explicit dual with presolve=False.
 _HIGHS_METHOD_SOLVERS = {"highs-ds": "simplex", "highs-ipm": "ipm"}
 _SCIPY_OPTIONS = {
-    "presolve": "on",
+    "presolve": "off",
     "highs_debug_level": 0,
     "output_flag": False,
     "log_to_console": False,
@@ -119,12 +136,10 @@ IPM_MIN_VARS = 700
 # Programs with more rows per variable than this stay on dual simplex. Of
 # the programs with IPM_MIN_VARS variables or more, only the all-pairs
 # tables of AIPO-R and the coarse LP are this tall. IPX with crossover
-# solves them faster at small budgets, but at large ones it can return a
-# table that is not optimal: on the 8x8/K=16 AIPO-R program at eps 10 it
-# reports optimal at 0.285406, 2.85% above dual simplex's 0.277491, with
-# residuals inside FEASIBILITY_TOL. The optimality check of
-# apo.solve_approx_apo would now reject that table (its dual certificate
-# is 15% lower) and fail the solve. See the README's "Solver" section.
+# solves them faster, but on the 8x8/K=16 AIPO-R program at eps 10 its
+# multipliers certify 6.4e-5 less than its objective, and the optimality
+# check of apo.solve_approx_apo would fail the solve, where dual simplex
+# solves it. See the README's "Solver" section.
 IPM_MAX_ROWS_PER_VAR = 8
 
 
@@ -241,8 +256,8 @@ class LpSolution:
 
     ``values`` holds the variables and ``objective_value`` the objective
     at them. ``multipliers`` are the inequality rows' Lagrange multipliers,
-    the negated HiGHS row duals, one per row of ``a_ub`` (empty without
-    such rows); for a minimization they are >= 0 up to the solver's
+    the dual program's values on those rows, one per row of ``a_ub``
+    (empty without such rows); they are >= 0 up to the solver's
     tolerances.
 
     The statistics say what was solved and how: the HiGHS ``method`` that
@@ -254,9 +269,9 @@ class LpSolution:
     solve's wall time ``solve_s``. ``from_basis`` says whether that solve
     started from the basis of an earlier solution (:func:`solve_lp`'s
     ``start``); it is False after a start that failed and a solve from
-    scratch. ``basis`` is the optimal basis, opaque, for :func:`solve_lp`'s
-    ``start``; it is None when the solver left none, as after
-    ``apo._block_ipm``.
+    scratch. ``basis`` is the optimal basis of the dual HiGHS solved,
+    opaque, for :func:`solve_lp`'s ``start``; it is None when the solver
+    left none, as after ``apo._block_ipm``.
     """
 
     values: np.ndarray | None
@@ -288,22 +303,25 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, method="highs-ds", op
             basis=None) -> LpSolution:
     """One checked HiGHS solve of min c.x s.t. A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
 
-    ``A_ub`` and ``A_eq`` are :class:`CsrMatrix` or None. The model is
-    the one ``scipy.optimize.linprog`` builds: the rows ``[A_ub; A_eq]``,
-    handed over row-wise and stored by HiGHS in the CSC form scipy hands
-    it, the inequality rows bounded by -inf below, the equality rows by
-    ``b_eq`` on both sides, and the same options for ``method``
-    ("highs-ds" or "highs-ipm"). A solve without ``basis`` is therefore
-    bitwise equal to scipy's. ``basis`` is the ``basis`` of an earlier
-    optimal solution for a program of the same size; HiGHS starts from it.
+    ``A_ub`` and ``A_eq`` are :class:`CsrMatrix` or None. HiGHS is handed
+    the dual program (:func:`_dual_model`) with scipy's options for
+    ``method`` ("highs-ds" or "highs-ipm") and presolve off, so a solve
+    without ``basis`` is bitwise equal to ``scipy.optimize.linprog`` on
+    that dual. ``basis`` is the ``basis`` of an earlier optimal solution
+    for a program of the same size; HiGHS starts from it.
 
-    Returns the optimal :class:`LpSolution`. Any other model status raises
-    :class:`SolverError` with HiGHS's status, for example
-    ``highs-ds failed: (HiGHS Status 8: Infeasible)``, and so does an
-    optimal solution that is not finite or misses a row by more than
-    :data:`FEASIBILITY_TOL`.
+    The answer is read back in the primal's terms: ``values`` are the
+    dual's row duals negated, ``multipliers`` its values on the columns
+    of ``A_ub``'s rows, and ``objective_value`` is c.x. Returns the
+    optimal :class:`LpSolution`. Any other model status raises
+    :class:`SolverError` with HiGHS's status, also read as the primal's
+    (an unbounded dual is an infeasible primal), for example
+    ``highs-ds failed: (HiGHS Status 8: Infeasible)``; so does an optimal
+    solution that is not finite or misses a row or a bound of the primal
+    by more than :data:`FEASIBILITY_TOL`.
     """
     start = time.perf_counter()
+    c = np.asarray(c, dtype=float)
     n_ub = 0 if A_ub is None else A_ub.shape[0]
     solver = highs._Highs()
     for key, value in {**_SCIPY_OPTIONS, "solver": _HIGHS_METHOD_SOLVERS[method],
@@ -311,20 +329,20 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, method="highs-ds", op
         if solver.setOptionValue(key, value) != highs.HighsStatus.kOk:
             raise ValueError(f"HiGHS rejects option {key}={value!r}")
     # HiGHS copies the model, so the one built here is freed before the solve.
-    passed = solver.passModel(_highs_model(c, A_ub, b_ub, A_eq, b_eq))
+    passed = solver.passModel(_dual_model(c, A_ub, b_ub, A_eq, b_eq))
     if passed == highs.HighsStatus.kError:
         status = highs.HighsModelStatus.kModelError
     else:
         if basis is not None and solver.setBasis(basis) == highs.HighsStatus.kError:
             raise ValueError("the start basis does not fit the program")
         solver.run()
-        status = solver.getModelStatus()
+        status = _primal_status(solver, c)
     info = solver.getInfo()
     counts = dict(simplex_nit=info.simplex_iteration_count, ipm_nit=info.ipm_iteration_count,
                   crossover_nit=info.crossover_iteration_count)
     stats = dict(
         method=method,
-        n_vars=len(c),
+        n_vars=c.size,
         n_rows=n_ub + (0 if A_eq is None else A_eq.shape[0]),
         nnz=sum(m.nnz for m in (A_ub, A_eq) if m is not None),
         nit=sum(counts.values()),
@@ -336,12 +354,16 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, method="highs-ds", op
     if status != highs.HighsModelStatus.kOptimal:
         raise SolverError(f"{method} failed: {message}")
     solution, final = solver.getSolution(), solver.getBasis()
-    x, duals = np.array(solution.col_value), np.array(solution.row_dual)
+    # 0.0 - duals, not -duals: a row dual of 0 gives the value 0, not -0.
+    x, lam = 0.0 - np.array(solution.row_dual), np.array(solution.col_value[:n_ub])
     # Free HiGHS before the checks and multipliers allocate: arrays that
     # outlive the solve (cached tables keep them) would pin its memory.
     del solver, solution
-    if not np.all(np.isfinite(x)):
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(lam))):
         raise SolverError(f"{method} failed: non-finite values in the solution")
+    worst = float(np.max(-x, initial=0.0))
+    if worst > FEASIBILITY_TOL:
+        raise SolverError(f"{method} failed: bound residual {worst:.3e} above tolerance")
     if A_ub is not None:
         worst = float(np.max(A_ub @ x - b_ub, initial=0.0))
         if worst > FEASIBILITY_TOL:
@@ -350,36 +372,59 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, method="highs-ds", op
         worst = float(np.max(np.abs(A_eq @ x - b_eq), initial=0.0))
         if worst > FEASIBILITY_TOL:
             raise SolverError(f"{method} failed: equality residual {worst:.3e} above tolerance")
-    return LpSolution(values=x, objective_value=float(info.objective_function_value),
-                      multipliers=-duals[:n_ub], basis=final if final.valid else None,
+    return LpSolution(values=x, objective_value=float(c @ x), multipliers=lam,
+                      basis=final if final.valid else None,
                       solve_s=time.perf_counter() - start, **stats)
 
 
-def _highs_model(c, A_ub, b_ub, A_eq, b_eq):
-    """The HiGHS model of :func:`linprog`'s program, its rows stacked row-wise.
+def _primal_status(solver, c):
+    """The primal's model status, read from HiGHS's solve of its dual.
 
-    HiGHS turns the rows into column-wise arrays as it takes the model,
-    keeping each column's entries in row order: the arrays of scipy's
-    ``csc_array(vstack([A_ub, A_eq]))``.
+    An unbounded dual leaves the primal no feasible point. An infeasible
+    dual leaves it unbounded if HiGHS holds a feasible point of it (the
+    dual values of a simplex solve), and else infeasible or unbounded, as
+    after IPX. A primal without rows has a dual without columns, which
+    HiGHS reports empty without reading its rows 0 <= c: x = 0 is optimal
+    unless a cost is negative, and then the primal is unbounded.
     """
-    c = np.asarray(c, dtype=float)
+    status, kind = solver.getModelStatus(), highs.HighsModelStatus
+    if status == kind.kModelEmpty:
+        return kind.kOptimal if np.all(c >= 0) else kind.kUnbounded
+    if status == kind.kUnbounded:
+        return kind.kInfeasible
+    if status == kind.kInfeasible:
+        feasible = solver.getInfo().dual_solution_status == highs.kSolutionStatusFeasible
+        return kind.kUnbounded if feasible else kind.kUnboundedOrInfeasible
+    return status
+
+
+def _dual_model(c, A_ub, b_ub, A_eq, b_eq):
+    """The HiGHS model of the dual of :func:`linprog`'s program.
+
+    min b_ub.l - b_eq.y  s.t.  -A_ub^T l + A_eq^T y <= c,  l >= 0, y free:
+    one column per primal row, one row per primal variable. Column j of
+    the dual matrix is primal row j, negated for an inequality row, so the
+    stacked CSR arrays of ``[A_ub; A_eq]`` are its CSC arrays as they
+    stand; HiGHS takes them column-wise.
+    """
     blocks = [m for m in (A_ub, A_eq) if m is not None] or [CsrMatrix([0], [], [], (0, c.size))]
     offsets = np.cumsum([0] + [m.nnz for m in blocks])
     b_ub = np.asarray([] if b_ub is None else b_ub, dtype=float)
     b_eq = np.asarray([] if b_eq is None else b_eq, dtype=float)
     model = highs.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = c.size
-    model.num_row_ = model.a_matrix_.num_row_ = b_ub.size + b_eq.size
-    model.a_matrix_.format_ = highs.MatrixFormat.kRowwise
+    model.num_col_ = model.a_matrix_.num_col_ = b_ub.size + b_eq.size
+    model.num_row_ = model.a_matrix_.num_row_ = c.size
+    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
     model.a_matrix_.start_ = np.concatenate(
         [[0], *(m.indptr[1:] + off for m, off in zip(blocks, offsets))]).astype(np.int32)
     model.a_matrix_.index_ = np.concatenate([m.indices for m in blocks]).astype(np.int32)
-    model.a_matrix_.value_ = np.concatenate([m.data for m in blocks])
-    model.col_cost_ = c
-    model.col_lower_ = np.zeros(c.size)
-    model.col_upper_ = np.full(c.size, highs.kHighsInf)
-    model.row_lower_ = np.concatenate([np.full(b_ub.size, -highs.kHighsInf), b_eq])
-    model.row_upper_ = np.concatenate([b_ub, b_eq])
+    model.a_matrix_.value_ = np.concatenate(
+        [-A_ub.data if A_ub is not None else [], [] if A_eq is None else A_eq.data])
+    model.col_cost_ = np.concatenate([b_ub, -b_eq])
+    model.col_lower_ = np.concatenate([np.zeros(b_ub.size), np.full(b_eq.size, -highs.kHighsInf)])
+    model.col_upper_ = np.full(b_ub.size + b_eq.size, highs.kHighsInf)
+    model.row_lower_ = np.full(c.size, -highs.kHighsInf)
+    model.row_upper_ = c
     return model
 
 
@@ -392,9 +437,9 @@ def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
 
     ``start`` is an earlier solution, usually of a program that differs
     from ``lp`` only in some coefficients. When it has a basis and its
-    program had as many variables and rows as ``lp``, dual simplex starts
-    from that basis; if that solve raises, it is logged and ``lp`` is
-    solved from scratch.
+    program had as many variables and rows as ``lp``, primal simplex on
+    the dual starts from that basis; if that solve raises, it is logged
+    and ``lp`` is solved from scratch.
     """
     a_ub, b_ub, a_eq, b_eq = lp.matrices()
     solve = functools.partial(linprog, lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq)
@@ -402,7 +447,7 @@ def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
     if start is not None and start.basis is not None and (
             start.n_vars, start.n_rows) == (lp.n_vars, n_rows):
         try:
-            return solve(method="highs-ds", options=_SOLVE_OPTIONS, basis=start.basis)
+            return solve(method="highs-ds", options=_WARM_OPTIONS, basis=start.basis)
         except SolverError as exc:
             log.info("%s from the start basis; solving from scratch", exc)
     if IPM_MIN_VARS <= lp.n_vars and n_rows <= IPM_MAX_ROWS_PER_VAR * lp.n_vars:

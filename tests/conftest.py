@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -47,3 +49,26 @@ def scipy_linprog(lp, **kwargs):
     a_ub, b_ub, a_eq, b_eq = lp.matrices()
     return linprog(lp.objective, A_ub=to_scipy(a_ub), b_ub=b_ub, A_eq=to_scipy(a_eq), b_eq=b_eq,
                    **kwargs)
+
+
+def scipy_dual_linprog(lp, **kwargs):
+    """``scipy.optimize.linprog`` on the dual of a LinearProgram: the reference solve.
+
+    The dual is min b_ub.l - b_eq.y s.t. -A_ub^T l + A_eq^T y <= c, l >= 0,
+    y free, solved with presolve off and ``kwargs``. Returns its result
+    ``res`` and its optimum in the primal's terms: ``values`` (the row
+    marginals negated), ``multipliers`` (l) and ``objective_value`` (c.x).
+    """
+    a_ub, b_ub, a_eq, b_eq = lp.matrices()
+    cols, cost, bounds = [], [], []
+    if a_ub is not None:
+        cols, cost, bounds = [-to_scipy(a_ub).T], [b_ub], [(0, None)] * a_ub.shape[0]
+    if a_eq is not None:
+        cols, cost = cols + [to_scipy(a_eq).T], cost + [-b_eq]
+        bounds += [(None, None)] * a_eq.shape[0]
+    options = dict(kwargs.pop("options", {}), presolve=False)
+    res = linprog(np.concatenate(cost), A_ub=sparse.hstack(cols), b_ub=lp.objective,
+                  bounds=bounds, options=options, **kwargs)
+    values = 0.0 - res.ineqlin.marginals
+    return SimpleNamespace(res=res, values=values, multipliers=res.x[:lp.n_ub_rows],
+                           objective_value=float(lp.objective @ values))

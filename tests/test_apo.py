@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -37,6 +38,20 @@ def _desk_instance():
 
     run = load_config(DESK)
     return synth_instance(run.instance, seed=run.seed), run.privacy.p
+
+
+def _shifted_desk_instance(tmp_path, offset):
+    """The desk instance with its domain shifted by ``offset``, as perfbench/run.py shifts it."""
+    from anchorpriv.cli import load_config
+    from anchorpriv.evaluation import synth_instance
+
+    cfg = yaml.safe_load(DESK.read_text())
+    for side in ("lower", "upper"):
+        cfg["domain"][side] = [v + o for v, o in zip(cfg["domain"][side], offset)]
+    path = tmp_path / "shifted.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    run = load_config(path)
+    return synth_instance(run.instance, seed=run.seed)
 
 
 def _spy_solves(monkeypatch):
@@ -80,6 +95,19 @@ def _small_ratio_program():
     log_bound = 0.6 * rng.random(first.size)
     return apo._ratio_program(rng.random((4, 3)), first, second, log_bound)
 
+
+class TestDistinctRows:
+    def test_repeated_rows_are_rejected_wherever_they_stand(self):
+        rows = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
+        OutputDomain(points=rows)
+        for dup in ([[1.0, 0.0]], [[-0.0, 1.0]]):  # -0.0 equals 0.0, as in np.unique
+            with pytest.raises(ValueError, match="output candidates must be distinct"):
+                OutputDomain(points=np.vstack([rows, dup]))
+            with pytest.raises(ValueError, match="representatives must be distinct"):
+                build_coarse_lp(np.vstack([dup, rows]), np.ones(5), OutputDomain(points=rows),
+                                0.8, 2.0, None)
+        # Rows that share a first coordinate or a second one are distinct.
+        assert apo._distinct_rows(np.array([[0.0, 1.0], [0.0, 2.0], [3.0, 1.0]]))
 
 class TestPerturbationTable:
     def test_rejects_bad_rows(self):
@@ -640,6 +668,20 @@ class TestBlockInteriorPoint:
         value, sol = lower_bound(inst.partition, inst.outputs, 15.0, p, inst.loss, inst.prior)
         assert sol.method == "block-ipm"
         assert value >= 0.000133592
+
+    @pytest.mark.parametrize("offset, eps", [((-2.64, -3.968), 1.6), ((-0.254, 1.575), 0.8)])
+    def test_stalled_solve_stops_early_with_the_same_bound(self, tmp_path, monkeypatch, offset,
+                                                           eps):
+        # The desk inputs of perfbench/run.py --seed 4 and --seed 12 (p = 2).
+        # Past iteration 25 the certificates only wander below the best one,
+        # and without the stall stop the solve runs to IPM_MAX_ITER.
+        inst = _shifted_desk_instance(tmp_path, offset)
+        args = (inst.partition, inst.outputs, eps, 2.0, inst.loss, inst.prior)
+        value, sol = lower_bound(*args)
+        monkeypatch.setattr(apo, "IPM_STALL_ITER", apo.IPM_MAX_ITER + 1)
+        full, full_sol = lower_bound(*args)
+        assert full_sol.nit == apo.IPM_MAX_ITER and sol.nit <= 45
+        assert value == full
 
     def test_singular_block_is_shifted_and_a_non_finite_one_raises(self):
         # Cholesky fails on a singular block; a small shift makes it definite.

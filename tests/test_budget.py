@@ -7,6 +7,7 @@ from anchorpriv.errors import SolverError
 from anchorpriv import formats
 from anchorpriv.budget import (
     CONVENTIONS,
+    LOSS_TIE_TOL,
     BudgetVector,
     check_budget,
     equal_split,
@@ -131,6 +132,20 @@ class TestOptimizeAllocation:
         best_fwd, _, _ = optimize_allocation(list(cands), evaluator)
         best_rev, _, _ = optimize_allocation(list(reversed(cands)), evaluator)
         assert np.array_equal(best_fwd.eps, best_rev.eps)
+
+    def test_losses_within_rounding_tie_toward_smaller_eps1(self):
+        # Candidates that store one table evaluate to losses an ulp or so
+        # apart; the smallest eps_1 among them wins, whichever is lowest.
+        cands = feasible_allocations(1.0, 2.0, resolution=5)
+        base = 0.6154189
+        noisy = {tuple(bv.eps): base * (1 + 2e-16 * ((7 * i) % 5)) for i, bv in enumerate(cands)}
+        noisy[tuple(cands[0].eps)] = base * (1 + 0.5 * LOSS_TIE_TOL)
+        best, _, _ = optimize_allocation(list(reversed(cands)), lambda bv: noisy[tuple(bv.eps)])
+        assert best is cands[0]
+        # A loss further above the smallest than the tolerance does not tie.
+        noisy[tuple(cands[0].eps)] = base * (1 + 2 * LOSS_TIE_TOL)
+        best, _, _ = optimize_allocation(cands, lambda bv: noisy[tuple(bv.eps)])
+        assert best is cands[1]
 
     def test_failing_candidates_skipped(self):
         cands = feasible_allocations(1.0, 2.0, resolution=3)

@@ -2,6 +2,7 @@ import functools
 import importlib.util
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -13,7 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchorpriv import apo, budget, evaluation, lpcore
+from anchorpriv import apo, budget, evaluation, formats, lpcore
 from anchorpriv.cli import (
     CompareSpec,
     PrivacySpec,
@@ -561,6 +562,55 @@ lpcore.IPM_MIN_VARS = 1
         assert summary["apo.lower_bound.calls"] == 1
         assert summary.get("lpcore.solve_lp.calls", 0) == 0
         assert summary.get("lpcore.highs.calls", 0) == 0
+
+
+def _run_cli(tmp_path, *args, timeout=120):
+    """Run the command line in a fresh interpreter, killed after ``timeout`` seconds."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-m", "anchorpriv.cli", *args, "--threads", "1",
+                           "--out-dir", str(tmp_path)], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+class TestFormerSolverErrors:
+    """Desk commands that exited 3 while HiGHS was handed the primal programs.
+
+    Each runs in its own interpreter under a timeout, so a HiGHS solve that
+    hangs fails its test, not the whole run.
+    """
+
+    @pytest.mark.parametrize("method, eps", [
+        ("AIPO-R", "12.2"),    # "inequality residual 1.645e-07 above tolerance"
+        ("CoarseLP", "13"),    # "returned a table that is not optimal"
+    ])
+    def test_all_pairs_table_solves(self, tmp_path, method, eps):
+        run = _run_cli(tmp_path, "compare", "--config", str(DESK), "--method", method,
+                       "--eps", eps)
+        assert run.returncode == 0, run.stderr
+        (row,) = (tmp_path / "results.csv").read_text().splitlines()[1:]
+        name, budget, loss, violations, _ = row.split(",")
+        assert (name, budget) == (method, eps) and math.isfinite(float(loss))
+
+    def test_sweep_at_a_tiny_budget_solves_every_candidate(self, tmp_path):
+        # Every anchor program was "(HiGHS Status 8: Infeasible)" with presolve on.
+        run = _run_cli(tmp_path, "synthesize", "--config", str(DESK), "--eps", "1e-9")
+        assert run.returncode == 0, run.stderr
+        sweep = formats.read_float_csv(tmp_path / "sweep_eps1e-09.csv")
+        assert sweep.shape == (11, 3) and np.all(np.isfinite(sweep))
+        manifest = json.loads((tmp_path / "manifest_synthesize.json").read_text())
+        assert manifest["failed_candidates"] == {"1e-09": []}
+
+
+def test_synthesize_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique(axis=0) imports numpy.ma, 13-28 ms of every command's start-up.
+    code = ("import sys\nfrom anchorpriv import cli\n"
+            f"cli.main(['synthesize', '--config', {str(DESK)!r}, '--eps', '0.8', '--out-dir', "
+            f"{str(tmp_path)!r}])\nprint('numpy.ma' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True,
+                         timeout=120, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 class TestErrors:

@@ -23,7 +23,7 @@ from anchorpriv.lpcore import (
     solve_lp,
 )
 
-from conftest import from_scipy, scipy_linprog, to_scipy
+from conftest import from_scipy, scipy_dual_linprog, scipy_linprog, to_scipy
 
 highs = lpcore.highs
 
@@ -58,6 +58,21 @@ def test_unbounded_raises():
     lp = LinearProgram(objective=[-1.0])
     with pytest.raises(SolverError, match=r"^highs-ds failed: \(HiGHS Status 10: Unbounded\)$"):
         solve_lp(lp)
+
+
+def test_infeasible_program_with_a_descent_direction_is_not_called_unbounded():
+    # x0 <= -1 has no solution, and -x1 falls without end along x1.
+    lp = LinearProgram(objective=[0.0, -1.0], a_ub=[[1.0, 0.0]], b_ub=[-1.0])
+    with pytest.raises(SolverError, match=r"^highs-ds failed: \(HiGHS Status 9: Primal "
+                                          r"infeasible or unbounded\)$"):
+        solve_lp(lp)
+
+
+def test_program_without_rows_solves_at_zero():
+    # Its dual has no columns, and HiGHS reports such a model empty unread.
+    sol = solve_lp(LinearProgram(objective=[1.0, 0.0]))
+    assert sol.values.tolist() == [0.0, 0.0] and sol.objective_value == 0.0
+    assert sol.multipliers.shape == (0,)
 
 
 def test_shapes_checked_against_variable_count():
@@ -175,16 +190,16 @@ def test_failed_interior_point_solve_retries_on_dual_simplex(monkeypatch, caplog
     # IPX can stop in HiGHS model status 4 (solve error); any status but
     # optimal raises, and solve_lp solves the program again on dual simplex.
     lp = _anchor_program(4, 3)
-    ref = scipy_linprog(lp, method="highs-ds", options=dict(_SOLVE_OPTIONS))
+    ref = scipy_dual_linprog(lp, method="highs-ds", options=dict(_SOLVE_OPTIONS))
     monkeypatch.setattr(lpcore, "IPM_MIN_VARS", 1)
     methods = _end_interior_point_in(monkeypatch, status)
     with caplog.at_level(logging.INFO, logger="anchorpriv.lpcore"):
         sol = solve_lp(lp)
     assert methods == ["highs-ipm", "highs-ds"]
     assert sol.method == "highs-ds"
-    assert sol.values.tobytes() == ref.x.tobytes()
-    assert sol.objective_value == ref.fun
-    assert sol.multipliers.tobytes() == (-ref.ineqlin.marginals).tobytes()
+    assert sol.values.tobytes() == ref.values.tobytes()
+    assert sol.objective_value == ref.objective_value
+    assert sol.multipliers.tobytes() == ref.multipliers.tobytes()
     name = {4: "Solve error", 2: "Model error"}[status]
     assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
         (logging.INFO, f"highs-ipm failed: (HiGHS Status {status}: {name}); solving again on highs-ds")]
@@ -265,7 +280,9 @@ class TestSolverRouting:
                                match=r"^highs-ds failed: \(HiGHS Status 10: Unbounded\)$"):
                 solve_lp(LinearProgram(-lp.objective, lp.a_ub, lp.b_ub))
         assert "highs-ipm failed: (HiGHS Status 8: Infeasible)" in caplog.text
-        assert "highs-ipm failed: (HiGHS Status 10: Unbounded)" in caplog.text
+        # IPX leaves no feasible point of the primal to tell the two apart.
+        assert ("highs-ipm failed: (HiGHS Status 9: Primal infeasible or unbounded)"
+                in caplog.text)
 
 
 def _tall_table_program():
@@ -284,12 +301,16 @@ class TestTallTableAndMultipliers:
         assert lp.n_ub_rows + lp.n_eq_rows > IPM_MAX_ROWS_PER_VAR * lp.n_vars
         assert solve_lp(lp).method == "highs-ds"
 
-    def test_multipliers_are_negated_marginals(self):
+    def test_multipliers_are_the_dual_values(self):
+        # The anchor program is degenerate: its optimal multipliers are not
+        # unique, and the primal solve's negated marginals are another set.
         lp = _anchor_program(4, 3)
         sol = solve_lp(lp)
-        ref = scipy_linprog(lp, method="highs-ds", options=dict(_SOLVE_OPTIONS))
-        assert sol.multipliers.tobytes() == (-ref.ineqlin.marginals).tobytes()
+        ref = scipy_dual_linprog(lp, method="highs-ds", options=dict(_SOLVE_OPTIONS))
+        assert sol.multipliers.tobytes() == ref.multipliers.tobytes()
         assert sol.multipliers.min() >= -1e-9
+        certificate = apo._dual_certificate(lp, sol.multipliers)
+        assert abs(sol.objective_value - certificate) <= 1e-12 * sol.objective_value
 
     def test_multipliers_empty_without_inequality_rows(self):
         sol = solve_lp(LinearProgram(objective=[1.0, 3.0], a_eq=[[1.0, 1.0]], b_eq=[1.0]))
@@ -401,7 +422,7 @@ class TestCsrMatrix:
         """(start, index, value) of the matrix HiGHS holds once it takes lpcore's model."""
         solver = highs._Highs()
         solver.setOptionValue("output_flag", False)
-        model = lpcore._highs_model(c, a_ub, b_ub, a_eq, b_eq)
+        model = lpcore._dual_model(np.asarray(c, dtype=float), a_ub, b_ub, a_eq, b_eq)
         assert solver.passModel(model) == highs.HighsStatus.kOk
         held = solver.getLp().a_matrix_
         assert held.format_ == highs.MatrixFormat.kColwise
@@ -409,22 +430,33 @@ class TestCsrMatrix:
 
     @staticmethod
     def _same_bytes(got, ref):
+        """Whether HiGHS's arrays hold ``ref``'s entries, column by column.
+
+        HiGHS keeps each column's entries in the order it is given, the
+        order of the primal row; scipy sorts them.
+        """
+        got = sparse.csc_array((got[2], got[1], got[0]), shape=ref.shape)
+        got.sort_indices()
         return all(np.asarray(x, dtype=y.dtype).tobytes() == y.tobytes()
-                   for x, y in zip(got, (ref.indptr, ref.indices, ref.data)))
+                   for x, y in zip((got.indptr, got.indices, got.data),
+                                   (ref.indptr, ref.indices, ref.data)))
 
     @pytest.mark.parametrize("kind", ["anchor", "AIPO-R", "CoarseLP", "lower bound"])
     def test_highs_model_arrays_equal_scipy(self, kind, monkeypatch):
+        # The dual's matrix [-A_ub^T, A_eq^T], as scipy builds it.
         lp = _package_program(kind, monkeypatch)
-        ref = sparse.csc_array(sparse.vstack([to_scipy(lp.a_ub), to_scipy(lp.a_eq)]))
+        ref = sparse.csc_array(sparse.hstack([-to_scipy(lp.a_ub).T, to_scipy(lp.a_eq).T]))
         got = self._highs_arrays(lp.objective, *lp.matrices())
         assert self._same_bytes(got, ref)
 
     def test_highs_model_arrays_of_one_block_and_none(self):
         a = CsrMatrix.from_dense([[0.0, 2.0, 0.0], [1.0, 0.0, 3.0]])
-        ref = sparse.csc_array(to_scipy(a))
-        assert self._same_bytes(self._highs_arrays(np.zeros(3), a, np.zeros(2)), ref)
+        for got, ref in ((self._highs_arrays(np.zeros(3), a, np.zeros(2)), -to_scipy(a).T),
+                         (self._highs_arrays(np.zeros(3), None, None, a, np.zeros(2)),
+                          to_scipy(a).T)):
+            assert self._same_bytes(got, sparse.csc_array(ref))
         start, index, value = self._highs_arrays(np.zeros(3))
-        assert list(start) == [0, 0, 0, 0] and len(index) == len(value) == 0
+        assert list(start) == [0] and len(index) == len(value) == 0
 
     @pytest.mark.parametrize("kind", ["anchor", "AIPO-R", "CoarseLP", "lower bound"])
     def test_products_equal_scipy(self, kind, monkeypatch):
@@ -489,18 +521,23 @@ class TestBinding:
         (7, 4, "highs-ipm", {"run_crossover": "off"}),
     ])
     def test_cold_solve_is_bitwise_equal_to_scipy(self, grid, out, method, extra):
+        # scipy solves the explicit dual with the same options.
         lp = _anchor_program(grid, out)
         a_ub, b_ub, a_eq, b_eq = lp.matrices()
         options = dict(_SOLVE_OPTIONS, **extra)
         with pytest.warns(OptimizeWarning) if extra else contextlib.nullcontext():
-            ref = scipy_linprog(lp, method=method, options=options)
+            ref = scipy_dual_linprog(lp, method=method, options=options)
         sol = lpcore.linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                              method=method, options=options)
-        assert ref.status == 0 and sol.method == method
-        assert sol.values.tobytes() == ref.x.tobytes()
-        assert sol.objective_value == ref.fun
-        assert sol.multipliers.tobytes() == (-ref.ineqlin.marginals).tobytes()
+        assert ref.res.status == 0 and sol.method == method
+        assert sol.values.tobytes() == ref.values.tobytes()
+        assert sol.objective_value == ref.objective_value
+        assert sol.multipliers.tobytes() == ref.multipliers.tobytes()
         assert (sol.basis is None) == ("run_crossover" in extra)
+        # At a vertex the dual's optimum is the primal's, negated; IPX alone
+        # stops once the two are 1e-8 apart relative to 1 + |objective|.
+        gap = 1e-8 * (1 + sol.objective_value) if extra else 1e-12 * sol.objective_value
+        assert abs(sol.objective_value + ref.res.fun) <= gap
 
     def test_iterations_are_counted_by_method(self):
         lp = _anchor_program(7, 4)
@@ -524,6 +561,19 @@ class TestBinding:
         with pytest.raises(SolverError, match=r"^highs-ds failed: non-finite values"):
             solve_lp(lp)
 
+    def test_negative_value_raises(self, monkeypatch):
+        # The values are the dual's row duals negated; x >= 0 is checked as a row.
+        class SignHighs(highs._Highs):
+            def getSolution(self):
+                solution = super().getSolution()
+                solution.row_dual = [1e-6, *solution.row_dual[1:]]
+                return solution
+
+        monkeypatch.setattr(highs, "_Highs", SignHighs)
+        lp = LinearProgram(objective=[1.0, 3.0], a_eq=[[1.0, 1.0]], b_eq=[1.0])
+        with pytest.raises(SolverError, match=r"^highs-ds failed: bound residual 1\.000e-06"):
+            solve_lp(lp)
+
     @pytest.mark.parametrize("route, failed", [("ipx", "highs-ipm"), ("start basis", "highs-ds")])
     def test_failed_check_falls_through_to_the_next_route(self, monkeypatch, caplog, route,
                                                           failed):
@@ -541,7 +591,10 @@ class TestBinding:
 
 
 def _corrupt_solutions(monkeypatch, count):
-    """Make the next ``count`` optimal HiGHS solutions report a NaN first value."""
+    """Make the next ``count`` optimal HiGHS solutions report a NaN first value.
+
+    The primal's values are the dual's row duals, negated.
+    """
     left = [count]
 
     class NanHighs(highs._Highs):
@@ -549,7 +602,7 @@ def _corrupt_solutions(monkeypatch, count):
             solution = super().getSolution()
             if left[0] > 0:
                 left[0] -= 1
-                solution.col_value = [math.nan, *solution.col_value[1:]]
+                solution.row_dual = [math.nan, *solution.row_dual[1:]]
             return solution
 
     monkeypatch.setattr(highs, "_Highs", NanHighs)
