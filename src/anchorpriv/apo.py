@@ -544,7 +544,9 @@ def lower_bound(
     The program is solved by :func:`_block_ipm`, which uses its per-output
     blocks, and its best certificate is the bound even when it stops
     unconverged; that stop is logged at INFO with its relative gap
-    (:func:`_relative_gap`) and iteration count.
+    (:func:`_relative_gap`) and iteration count. Every bound is logged at
+    DEBUG with its certificate, primal objective and gap, and the solve's
+    ``n_vars``, ``n_rows``, ``nit`` and ``solve_s``.
 
     Pairs whose ratio bound exceeds exp(MAX_LOG_RATIO) are left out, which
     keeps the program solvable at any eps. Dropping rows only lowers the
@@ -579,14 +581,16 @@ def lower_bound(
     log_ratio = eps_total * lp_distance_matrix(worst, np.zeros((1, partition.n_dims)), p)[:, 0]
     keep = log_ratio <= MAX_LOG_RATIO
     program = (objective, first[keep], second[keep], log_ratio[keep])
-    lp = _ratio_program(*program)
     sol = _block_ipm(*program)
-    certificate = _dual_certificate(lp, sol.multipliers)
+    # Built only now, so its CSR rows and the solve's (K, R, R) arrays are
+    # never alive together; the certificate reads the program, not the solve.
+    certificate = _dual_certificate(_ratio_program(*program), sol.multipliers)
     gap = _relative_gap(sol.objective_value, certificate, float(objective.max()) or 1.0)
     if gap > IPM_GAP_TOL:
         log.info("block-ipm stopped at a relative gap of %.3g after %d iterations; its "
                  "certificate is the bound", gap, sol.nit)
     value = max(certificate, float(objective.min(axis=1).sum()))
     log.debug("lower bound at eps %g: certificate %.17g, primal objective %.17g, relative gap "
-              "%.3g", eps_total, certificate, sol.objective_value, gap)
+              "%.3g: %s", eps_total, certificate, sol.objective_value, gap,
+              dict(n_vars=sol.n_vars, n_rows=sol.n_rows, nit=sol.nit, solve_s=sol.solve_s))
     return value, sol

@@ -9,11 +9,18 @@ HiGHS through the binding that scipy bundles, which is deterministic for a
 fixed input and returns basic solutions. The holder hides the backend so
 callers only see :class:`LinearProgram` and :class:`LpSolution`.
 
-The binding is the one scipy module this package loads. It is loaded
-from scipy's directory as ``scipy.optimize._highspy._core`` without
+The binding is the one scipy module this package loads, and it is loaded
+on the first :func:`linprog` call, not at import: 6-11 ms and 3.7 MB
+that ``lower-bound`` and ``audit``, which make no HiGHS call, never pay,
+and that ``synthesize`` and ``compare`` pay once their instance is built.
+One lock-guarded, cached loader (:func:`_binding`) serves every call, so
+two threads making the first call together get one module. The binding is
+loaded from scipy's directory as ``scipy.optimize._highspy._core`` without
 running ``scipy/optimize/__init__``, which with ``scipy.sparse`` would
-take about 0.5 s and 40 MB at every start (see "Start-up" in the
-README's "Solver" section); a later ``import scipy.optimize`` reuses it.
+take about 0.5 s and 40 MB (see "Start-up" in the README's "Solver"
+section), and registered in ``sys.modules``: a later ``import
+scipy.optimize`` reuses it, and when ``scipy.optimize`` was imported first
+the loader reuses scipy's copy. ``lpcore.highs`` is the loaded binding.
 
 :func:`linprog` is the one HiGHS call. It hands HiGHS the dual of the
 program it is given, min b_ub.l - b_eq.y s.t. -A_ub^T l + A_eq^T y <= c,
@@ -57,6 +64,7 @@ import importlib.machinery
 import importlib.util
 import logging
 import sys
+import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -99,7 +107,23 @@ def _scipy_highs_dir() -> Path:
     return Path(scipy.submodule_search_locations[0], "optimize", "_highspy")
 
 
-highs = sys.modules.get(HIGHS_MODULE) or _load_highs(_scipy_highs_dir())
+_LOAD_LOCK = threading.Lock()
+
+
+@functools.cache
+def _binding():
+    """The HiGHS binding: scipy's copy if it is loaded, else :func:`_load_highs`'s."""
+    # Under the lock, a thread that missed the cache while another loaded
+    # the binding finds it in sys.modules instead of loading it again.
+    with _LOAD_LOCK:
+        return sys.modules.get(HIGHS_MODULE) or _load_highs(_scipy_highs_dir())
+
+
+def __getattr__(name):
+    if name == "highs":
+        return _binding()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 FEASIBILITY_TOL = 1e-7
 
@@ -323,6 +347,7 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, method="highs-ds", op
     start = time.perf_counter()
     c = np.asarray(c, dtype=float)
     n_ub = 0 if A_ub is None else A_ub.shape[0]
+    highs = _binding()
     solver = highs._Highs()
     for key, value in {**_SCIPY_OPTIONS, "solver": _HIGHS_METHOD_SOLVERS[method],
                        **(options or {})}.items():
@@ -387,6 +412,7 @@ def _primal_status(solver, c):
     HiGHS reports empty without reading its rows 0 <= c: x = 0 is optimal
     unless a cost is negative, and then the primal is unbounded.
     """
+    highs = _binding()
     status, kind = solver.getModelStatus(), highs.HighsModelStatus
     if status == kind.kModelEmpty:
         return kind.kOptimal if np.all(c >= 0) else kind.kUnbounded
@@ -411,6 +437,7 @@ def _dual_model(c, A_ub, b_ub, A_eq, b_eq):
     offsets = np.cumsum([0] + [m.nnz for m in blocks])
     b_ub = np.asarray([] if b_ub is None else b_ub, dtype=float)
     b_eq = np.asarray([] if b_eq is None else b_eq, dtype=float)
+    highs = _binding()
     model = highs.HighsLp()
     model.num_col_ = model.a_matrix_.num_col_ = b_ub.size + b_eq.size
     model.num_row_ = model.a_matrix_.num_row_ = c.size

@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -661,6 +662,37 @@ class TestBlockInteriorPoint:
         assert sol.method == "block-ipm" and solve_lp_calls == []
         assert value == pytest.approx(0.4165165979953, rel=1e-9)
 
+    def test_grid8_bound_program_is_built_after_the_solve(self, grid8_instance, monkeypatch):
+        # The program's CSR rows (64,576 of them, about 3 MB) must not be
+        # alive during the solve: the bound's traced peak stays near the
+        # solve's own, where building them first made it 1.47 times as high.
+        inst, p = grid8_instance
+        peaks = []  # absolute traced peaks of the stretches before, in and after the solve
+        solve_peak = []
+        block_ipm = apo._block_ipm
+
+        def traced_block_ipm(*args):
+            current, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak)
+            tracemalloc.reset_peak()
+            sol = block_ipm(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+            peaks.append(peak)
+            solve_peak.append(peak - current)
+            tracemalloc.reset_peak()
+            return sol
+
+        monkeypatch.setattr(apo, "_block_ipm", traced_block_ipm)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            lower_bound(inst.partition, inst.outputs, 0.8, p, inst.loss, inst.prior)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(solve_peak) == 1
+        assert max(peaks) - base <= 1.15 * solve_peak[0]
+
     def test_grid8_bound_at_large_budget_beats_the_ipx_certificate(self, grid8_instance):
         # IPX without crossover certified 0.000133592 here, 0.07% below the
         # optimum, under its absolute 1e-10 dual tolerance.
@@ -702,6 +734,17 @@ class TestBlockInteriorPoint:
         assert apo._relative_gap(sol.objective_value, certificate,
                                  float(lp.objective.max())) <= apo.IPM_GAP_TOL
         assert caplog.records == []
+
+    def test_debug_record_carries_the_solve_statistics(self, caplog):
+        inst, p = _desk_instance()
+        with caplog.at_level(logging.DEBUG, logger="anchorpriv.apo"):
+            value, sol = lower_bound(inst.partition, inst.outputs, 0.8, p, inst.loss, inst.prior)
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG and record.name == "anchorpriv.apo"
+        assert record.args[-1] == dict(n_vars=sol.n_vars, n_rows=sol.n_rows, nit=sol.nit,
+                                       solve_s=sol.solve_s)
+        assert (sol.n_vars, sol.n_rows) == (144, 2 * 120 * 9 + 16) and sol.nit > 0
+        assert f"'nit': {sol.nit}, 'solve_s': " in record.getMessage()
 
     @pytest.mark.parametrize("max_iter", [1, 3, 12])
     def test_unconverged_solve_certificate_is_the_bound(self, monkeypatch, caplog, max_iter):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -611,6 +612,52 @@ def test_synthesize_leaves_numpy_ma_unloaded(tmp_path):
                          timeout=120, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "False"
+
+
+def _highs_loads(tmp_path, *args):
+    """Run a command in a fresh interpreter and report on the HiGHS binding.
+
+    Returns four words: the exit code, how often ``lpcore`` loaded the
+    binding, whether it is in ``sys.modules``, and whether the module
+    ``lpcore`` solves with is that entry.
+    """
+    code = textwrap.dedent(f"""
+        import sys
+        from anchorpriv import cli, lpcore
+        loads = []
+        load = lpcore._load_highs
+        def counted(directory):
+            loads.append(directory)
+            return load(directory)
+        lpcore._load_highs = counted
+        code = cli.main({[*args, "--out-dir", str(tmp_path / "out")]!r})
+        entry = sys.modules.get(lpcore.HIGHS_MODULE)
+        print(code, len(loads), entry is not None, entry is not None and lpcore.highs is entry)
+    """)
+    run = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True,
+                         timeout=120, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()[-1].split()
+
+
+class TestHighsLoad:
+    """The HiGHS binding (about 11 ms and 3.8 MB) is loaded only by a command that solves a
+    table program, on its first solve."""
+
+    def test_lower_bound_leaves_highs_unloaded(self, tmp_path):
+        assert _highs_loads(tmp_path, "lower-bound", "--config", str(DESK)) == [
+            "0", "0", "False", "False"]
+
+    def test_audit_leaves_highs_unloaded(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert main(["synthesize", "--config", str(cfg), "--out-dir", str(tmp_path / "m")]) == 0
+        assert _highs_loads(tmp_path, "audit", "--mechanism",
+                            str(tmp_path / "m" / "mechanism_eps0.4.json"), "--eps", "0.4") == [
+            "0", "0", "False", "False"]
+
+    def test_synthesize_loads_highs_once_and_solves_with_it(self, tmp_path):
+        assert _highs_loads(tmp_path, "synthesize", "--config", str(DESK), "--eps",
+                            "0.8") == ["0", "1", "True", "True"]
 
 
 class TestErrors:

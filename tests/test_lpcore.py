@@ -493,23 +493,60 @@ class TestHighsLoader:
             lpcore._load_highs(tmp_path)
 
     def test_package_loads_no_other_scipy_module(self):
-        # A fresh interpreter: the test session itself has scipy loaded.
+        # A fresh interpreter: the test session itself has scipy loaded. The
+        # package loads no scipy module at import; scipy.optimize, imported
+        # before the first solve, loads the binding itself, so its attribute
+        # path is set, and lpcore solves with scipy's copy.
         code = textwrap.dedent("""
             import sys
             import anchorpriv, anchorpriv.cli
             from anchorpriv import lpcore
             core = lpcore.HIGHS_MODULE
-            print(sorted(m for m in sys.modules if m.startswith("scipy")
-                         and m != core and not m.startswith(core + ".")))
+            print(sorted(m for m in sys.modules if m.startswith("scipy")))
             import scipy.optimize
             from scipy.optimize._highspy import _core
-            print(_core is lpcore.highs is sys.modules[core])
+            print(_core is scipy.optimize._highspy._core is lpcore.highs is sys.modules[core])
             res = scipy.optimize.linprog([1.0], A_ub=[[-1.0]], b_ub=[-3.0], method="highs")
             print(res.status, res.x.tolist())
         """)
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True)
         assert run.stdout.splitlines() == ["[]", "True", "0 [3.0]"]
+
+    def test_threads_making_the_first_solve_together_load_one_module(self):
+        # Four threads (more than this suite's 2-core machines have) start
+        # their first solve at once while the load is slowed down, so every
+        # later thread arrives during the first one's load.
+        code = textwrap.dedent("""
+            import sys, threading, time
+            from anchorpriv import lpcore
+            loads, modules, values = [], [], []
+            load, binding = lpcore._load_highs, lpcore._binding
+            def slow_load(directory):
+                loads.append(directory)
+                time.sleep(0.2)
+                return load(directory)
+            def seen():
+                modules.append(binding())
+                return modules[-1]
+            lpcore._load_highs, lpcore._binding = slow_load, seen
+            start = threading.Barrier(4)
+            def solve():
+                start.wait()
+                sol = lpcore.linprog([1.0], A_ub=lpcore.CsrMatrix.from_dense([[-1.0]]),
+                                     b_ub=[-3.0])
+                values.append(sol.values.tolist())
+            threads = [threading.Thread(target=solve) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            print(sum(t.is_alive() for t in threads), len(loads), values)
+            print(len({id(m) for m in modules}), modules[0] is sys.modules[lpcore.HIGHS_MODULE])
+        """)
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert run.stdout.splitlines() == ["0 1 " + str([[3.0]] * 4), "1 True"]
 
 
 class TestBinding:
