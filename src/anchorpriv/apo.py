@@ -30,6 +30,7 @@ __all__ = [
     "surrogate_coefficients",
     "build_approx_apo",
     "solve_approx_apo",
+    "budget_gradient",
     "build_aipo_relaxed",
     "build_coarse_lp",
     "lower_bound",
@@ -273,6 +274,27 @@ def solve_approx_apo(
     if drift > PRE_NORMALIZATION_TOL:
         raise SolverError(f"row sums drifted by {drift:.3e} before renormalization")
     return PerturbationTable(probs / sums[:, None]), sol
+
+
+def budget_gradient(partition: Partition, lp: LinearProgram, solution: LpSolution) -> np.ndarray:
+    """Derivative of an anchor program's optimum in each per-axis budget eps_l.
+
+    ``lp`` is :func:`build_approx_apo`'s program and ``solution`` its
+    optimal solution, values and multipliers still held (not yet
+    :meth:`~anchorpriv.lpcore.LpSolution.as_start`). By the envelope
+    theorem the ratio row z_i - b z_j <= 0 with multiplier lambda and
+    bound b = exp(eps_l delta_l) moves the optimum by -lambda b z_j per unit
+    of log b, and log b moves by delta_l per unit of eps_l; summed over the
+    rows of axis l's pairs. Each row's second entry is its -b (see
+    :func:`_ratio_program`), and the rows run pair by pair, 2K per pair.
+    """
+    first, _, axis = axis_neighbors(partition)
+    if not first.size:
+        return np.zeros(partition.n_dims)
+    per_row = solution.multipliers * lp.a_ub.data[1::2] * solution.values[lp.a_ub.indices[1::2]]
+    per_pair = per_row.reshape(first.size, -1).sum(axis=1)
+    return np.bincount(axis, weights=per_pair * partition.deltas[axis],
+                       minlength=partition.n_dims)
 
 
 def _all_pairs_program(objective, points, eps_total: float, p: float) -> LinearProgram:

@@ -282,21 +282,24 @@ def _surrogate(instance):
     return instance.derived["surrogate"]
 
 
-def _solved(instance, key, kinds, solve):
+def _solved(instance, key, kinds, solve, start=None):
     """(result, LpSolution) of the program ``key``, solved at most once per instance.
 
     ``solve(start)`` returns (result, LpSolution). The first call for
-    ``key`` solves from the solution last kept under ``kinds[0]`` (from
-    scratch without one), later ones look it up; either way the solution,
-    without its arrays (``LpSolution.as_start``), starts the next solve of
-    every kind in ``kinds``. Neighbouring budgets' programs differ only in
-    their ratio coefficients, so dual simplex from the last optimal basis
-    is a parametric re-solve.
+    ``key`` solves from ``start`` if given, else from the solution last
+    kept under ``kinds[0]`` (from scratch without either); later ones look
+    it up. Either way the solution, without its arrays
+    (``LpSolution.as_start``), starts the next solve of every kind in
+    ``kinds``. Neighbouring budgets' programs differ only in their ratio
+    coefficients, so dual simplex from the last optimal basis is a
+    parametric re-solve.
     """
     store = instance.derived.setdefault("solved", {})
     starts = instance.derived.setdefault("starts", {})
     if key not in store:
-        result, solution = solve(starts.get(kinds[0]) if kinds else None)
+        if start is None and kinds:
+            start = starts.get(kinds[0])
+        result, solution = solve(start)
         store[key] = result, solution.as_start()
     for kind in kinds:
         starts[kind] = store[key][1]
@@ -314,41 +317,50 @@ def make_aipo_mechanism(instance, eps: float, priv: PrivacySpec = PrivacySpec())
     table.
 
     The equal split starts from the one solved last for ``instance``, at
-    any budget. The sweep solves it first and walks outward along the arc
-    on both sides: each candidate starts from the last one solved on its
-    side (from scratch if the equal split failed). An explicit vector
-    starts from scratch.
+    any budget. The sweep searches the arc through the grid of
+    ``budget.feasible_allocations`` (``budget.optimize_allocation``),
+    scoring each split by its program's optimum and that optimum's
+    derivative in the per-axis budgets (``apo.budget_gradient``). The
+    search solves the equal split first, and every other split starts
+    from the split of this search solved nearest to it along the arc. An
+    explicit vector starts from scratch.
     """
     part, outputs = instance.partition, instance.outputs
     p, convention = priv.p, priv.budget_convention
     coeffs = _surrogate(instance)
     n = part.n_dims
 
-    def anchor(bv, kinds=()):
-        """(table of ``bv``, the LpSolution it came from, as a start)."""
-        return _solved(instance, (tuple(bv.eps), bv.total_eps, bv.p, convention), kinds,
-                       lambda start: apo.solve_approx_apo(apo.build_approx_apo(
-                           part, outputs, bv, coeffs, convention), start=start))
+    def anchor(bv, kinds=(), start=None):
+        """((table of ``bv``, its budget gradient), the LpSolution, as a start)."""
+        def solve(start):
+            lp = apo.build_approx_apo(part, outputs, bv, coeffs, convention)
+            table, solution = apo.solve_approx_apo(lp, start=start)
+            return (table, apo.budget_gradient(part, lp, solution)), solution
+
+        return _solved(instance, (tuple(bv.eps), bv.total_eps, bv.p, convention), kinds, solve,
+                       start)
 
     equal = budget.equal_split(eps, p, n, convention=convention)
-    centre = ("equal split", (-1, eps), (1, eps))
+    centre = ("equal split",)
     curve, failed = None, []
     if priv.budget_mode == "equal":
         best = equal
     elif priv.budget_mode == "explicit":
         best = budget.BudgetVector(priv.explicit_budget, eps, p)
     else:
-        candidates = budget.feasible_allocations(
-            eps, p, n_dims=n, resolution=priv.sweep_resolution, convention=convention)
-        # Candidates come sorted by eps_1; the walk starts at the one
-        # nearest the equal split.
-        mid = int(np.argmin([abs(bv.eps[0] - equal.eps[0]) for bv in candidates]))
-        kinds = {id(bv): ((int(np.sign(i - mid)), eps),) for i, bv in enumerate(candidates)}
-        kinds[id(candidates[mid])] = centre
+        searched = {}  # eps_1 -> kept solution of each split this search solved
+
+        def evaluate(bv):
+            near = min(searched, key=lambda e1: abs(e1 - bv.eps[0]), default=None)
+            kinds = centre if np.array_equal(bv.eps, equal.eps) else ()
+            (table, gradient), searched[float(bv.eps[0])] = anchor(bv, kinds, searched.get(near))
+            return float(np.sum(coeffs.matrix * table.probs)), gradient
+
         best, curve, failed = budget.optimize_allocation(
-            candidates[mid::-1] + candidates[mid + 1:],
-            lambda bv: float(np.sum(coeffs.matrix * anchor(bv, kinds[id(bv)])[0].probs)))
-    table, _ = anchor(best, centre if priv.budget_mode == "equal" else ())
+            budget.feasible_allocations(eps, p, n_dims=n, resolution=priv.sweep_resolution,
+                                        convention=convention),
+            evaluate, convention=convention)
+    (table, _), _ = anchor(best, centre if priv.budget_mode == "equal" else ())
     mech = Mechanism(part, table, outputs, budget=best, total_eps=eps, metric_p=p)
     return mech, best, curve, failed
 

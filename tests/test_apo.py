@@ -472,6 +472,92 @@ class TestRatioRowLayout:
         self._assert_layout(lp, coeffs, pairs)
 
 
+def _anchor_solve(instance, coeffs, eps, start=None):
+    """(optimum, budget gradient, solution) of the anchor program at per-axis budgets ``eps``."""
+    # The program reads only the vector; the total budget just has to cover it.
+    bv = BudgetVector(eps=np.asarray(eps, dtype=float), total_eps=100.0, p=2.0)
+    lp = build_approx_apo(instance.partition, instance.outputs, bv, coeffs)
+    _, sol = solve_approx_apo(lp, start=start)
+    return sol.objective_value, apo.budget_gradient(instance.partition, lp, sol), sol
+
+
+class TestBudgetGradient:
+    """The envelope-theorem derivative of the anchor optimum in each eps_l."""
+
+    H = 1e-5
+
+    @pytest.fixture(scope="class")
+    def instances(self, grid8_instance):
+        desk, _ = _desk_instance()
+        grid8, _ = grid8_instance
+        return {name: (inst, surrogate_coefficients(inst.partition, inst.prior, inst.loss,
+                                                    inst.outputs))
+                for name, inst in (("desk", desk), ("grid8", grid8))}
+
+    def _gradient(self, instances, name, eps, warm):
+        """The gradient at ``eps``, solved cold or from a neighbouring program's basis."""
+        inst, coeffs = instances[name]
+        start = None
+        if warm:
+            start = _anchor_solve(inst, coeffs, np.asarray(eps) * [1.05, 0.95])[2].as_start()
+        _, gradient, sol = _anchor_solve(inst, coeffs, eps, start)
+        assert sol.from_basis == warm
+        return gradient
+
+    def _one_sided(self, instances, name, eps):
+        """(forward, backward) differences per axis, from cold solves."""
+        inst, coeffs = instances[name]
+        f = _anchor_solve(inst, coeffs, eps)[0]
+        steps = self.H * np.eye(2)
+        forward = [(_anchor_solve(inst, coeffs, eps + s)[0] - f) / self.H for s in steps]
+        backward = [(f - _anchor_solve(inst, coeffs, eps - s)[0]) / self.H for s in steps]
+        return np.array(forward), np.array(backward)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("name, eps, p, e1, known", [
+        ("desk", 1.6, 2.0, None, (-0.0429256, -0.0199320)),
+        ("grid8", 1.2, 2.0, None, (-0.0392415, -0.0397439)),
+        # At p = inf the equal split is a kink (below); 1/6 of the arc is not.
+        ("desk", 1.6, math.inf, 0.8 / 6, None),
+        ("grid8", 1.2, math.inf, 0.6 / 6, None),
+    ])
+    def test_matches_central_differences(self, instances, name, eps, p, e1, known, warm):
+        from anchorpriv.budget import equal_split
+
+        point = equal_split(eps, p, 2).eps if e1 is None else np.array([e1, eps / 2 - e1])
+        gradient = self._gradient(instances, name, point, warm)
+        forward, backward = self._one_sided(instances, name, point)
+        central = (forward + backward) / 2
+        assert np.all(np.abs(gradient - central) <= 1e-6 * np.abs(central)), (gradient, central)
+        if known is not None:
+            assert gradient == pytest.approx(known, abs=1e-7)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("name, eps", [("desk", 1.6), ("grid8", 1.2)])
+    def test_lies_between_one_sided_differences_at_a_kink(self, instances, name, eps, warm):
+        # The p = inf equal split (eps / 4 per axis) is degenerate: the two
+        # one-sided derivatives differ by 5-14%, so no single value matches a
+        # central difference there. The multipliers of any optimal basis
+        # give a value between them.
+        from anchorpriv.budget import equal_split
+
+        point = equal_split(eps, math.inf, 2).eps
+        gradient = self._gradient(instances, name, point, warm)
+        forward, backward = self._one_sided(instances, name, point)
+        assert np.all(forward - backward > 1e-4)
+        assert np.all((backward - 1e-6 <= gradient) & (gradient <= forward + 1e-6))
+
+    def test_zero_on_the_constant_table(self, instances):
+        # At desk eps 0.2 the table is constant: a ratio row binds only
+        # where both of its entries are 0, so its multiplier moves nothing.
+        from anchorpriv.budget import equal_split
+
+        inst, coeffs = instances["desk"]
+        _, gradient, sol = _anchor_solve(inst, coeffs, equal_split(0.2, 2.0, 2).eps)
+        assert np.any(sol.multipliers > 0)
+        assert np.all(np.abs(gradient) <= 1e-12)
+
+
 class TestCoarseLp:
     def test_single_representative_is_argmin_indicator(self):
         prior, loss, outputs = matrix_setup(

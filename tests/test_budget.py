@@ -8,6 +8,7 @@ from anchorpriv import formats
 from anchorpriv.budget import (
     CONVENTIONS,
     LOSS_TIE_TOL,
+    REFINE_STEPS,
     BudgetVector,
     check_budget,
     equal_split,
@@ -112,26 +113,123 @@ class TestArcTolerance:
             check_budget(bv, "bogus")
 
 
+def _along(f, slope):
+    """Evaluator of a loss f(eps_1) with derivative slope(eps_1) along the arc.
+
+    The gradient puts the whole derivative on eps_1, which the search reads
+    as the arc derivative. Records every vector it is called with.
+    """
+    calls = []
+
+    def evaluator(bv):
+        calls.append(bv)
+        return f(float(bv.eps[0])), np.array([slope(float(bv.eps[0])), 0.0])
+
+    evaluator.calls = calls
+    return evaluator
+
+
+def _flat(loss):
+    return _along(loss, lambda e1: 0.0)
+
+
+def _on_grid(bv, cands):
+    return any(np.abs(bv.eps - c.eps).max() <= 1e-12 for c in cands)
+
+
 class TestOptimizeAllocation:
     def test_single_candidate_returned(self):
+        # The equal split joins the grid and is always solved.
         cands = feasible_allocations(1.0, 2.0, resolution=2)[:1]
-        best, curve, _ = optimize_allocation(cands, lambda bv: 1.0)
-        assert best is cands[0]
-        assert len(curve) == 1
-
-    def test_best_never_worse_than_equal_split(self):
-        cands = feasible_allocations(1.0, 2.0, resolution=5)
-        evaluator = lambda bv: float((bv.eps[0] - 0.2) ** 2)
+        evaluator = _flat(lambda e1: 1.0)
         best, curve, _ = optimize_allocation(cands, evaluator)
         eq = equal_split(1.0, 2.0, 2)
-        assert evaluator(best) <= evaluator(eq) + 1e-15
+        assert np.array_equal(evaluator.calls[0].eps, eq.eps)
+        assert [row[0] for row in curve] == [cands[0].eps[0], eq.eps[0]]
+        assert best is cands[0]  # a tie, toward the smaller eps_1
+
+    def test_walks_downhill_and_refines_to_the_minimizer(self):
+        # Loss (eps_1 - 0.2)^2: the equal split (0.354) slopes up, so the
+        # search walks left until the loss rises, and a secant step on the
+        # linear derivative lands on 0.2.
+        cands = feasible_allocations(1.0, 2.0, resolution=5)
+        evaluator = _along(lambda e1: (e1 - 0.2) ** 2, lambda e1: 2 * (e1 - 0.2))
+        best, curve, failed = optimize_allocation(cands, evaluator)
+        on_grid = [bv.eps[0] for bv in evaluator.calls if _on_grid(bv, cands)]
+        eq = 1 / (2 * math.sqrt(2))
+        assert on_grid == pytest.approx([eq, 1 / 3, math.sqrt(0.25 - (5 / 12) ** 2), 0.25, 1 / 6,
+                                         1 / 12])
+        assert failed == [] and len(curve) == len(evaluator.calls) == 7
+        assert best.eps[0] == pytest.approx(0.2, abs=1e-6)
+        assert check_budget(best).ok and check_budget(best).slack == pytest.approx(0, abs=1e-15)
+        assert [row[0] for row in curve] == sorted(row[0] for row in curve)
+
+    def test_best_never_worse_than_equal_split(self):
+        # A kink at the equal split: the derivative points left, and the
+        # secant steps it suggests land on higher losses. Losses decide.
+        cands = feasible_allocations(1.0, 2.0, resolution=5)
+        eq = equal_split(1.0, 2.0, 2)
+        evaluator = _along(lambda e1: abs(e1 - eq.eps[0]),
+                           lambda e1: 1.0 if e1 >= eq.eps[0] else -1.0)
+        best, curve, _ = optimize_allocation(cands, evaluator)
+        assert np.array_equal(best.eps, eq.eps)
+        assert len(curve) > 2 and min(row[2] for row in curve) == 0.0
+
+    def test_max_rule_solves_the_equal_split_alone(self):
+        # Every p = 1 candidate is entrywise under (eps/2, eps/2).
+        cands = feasible_allocations(1.0, 1.0, resolution=5)
+        evaluator = _along(lambda e1: -e1, lambda e1: -1.0)
+        best, curve, _ = optimize_allocation(cands, evaluator)
+        assert len(evaluator.calls) == 1 and np.array_equal(best.eps, [0.5, 0.5])
+        assert curve == [(0.5, 0.5, -0.5)]
+        flat = _flat(lambda e1: 1.0)  # a constant table
+        optimize_allocation(cands, flat)
+        assert len(flat.calls) == 1
+
+    def test_flat_start_walks_both_sides_across_plateaus(self):
+        # A constant table at the equal split has derivative 0; the least
+        # loss lies past a plateau on one side (desk, p = inf, eps 1.0).
+        cands = feasible_allocations(1.0, math.inf, resolution=5)
+        evaluator = _flat(lambda e1: 0.6 - 0.01 * (e1 > 0.4))
+        best, curve, _ = optimize_allocation(cands, evaluator)
+        assert len(curve) == len(cands) == 5
+        assert best.eps[0] == pytest.approx(5 / 12)
+
+    def test_brackets_on_losses_not_on_the_derivative(self):
+        # The loss rises between two grid points although the derivative
+        # is negative at both (desk, p = 2, eps 1.4): the walk stops on the
+        # rise, and no secant step is taken without a sign change.
+        cands = feasible_allocations(1.0, 2.0, resolution=5)
+        evaluator = _along(lambda e1: -e1 + (e1 > 0.4), lambda e1: -1.0)
+        best, curve, _ = optimize_allocation(cands, evaluator)
+        rising = math.sqrt(0.25 - (1 / 3) ** 2)
+        assert best.eps[0] == pytest.approx(rising)
+        assert [row[0] for row in curve] == pytest.approx([1 / (2 * math.sqrt(2)), rising, 5 / 12])
+
+    def test_refinement_stops_before_losses_tie(self):
+        # A derivative sign change that promises less than REFINE_TOL of the
+        # loss takes no secant step, so no two kept losses come near a tie.
+        cands = feasible_allocations(1.0, 2.0, resolution=5)
+        evaluator = _along(lambda e1: 1.0 + 1e-8 * (e1 - 0.3) ** 2,
+                           lambda e1: 2e-8 * (e1 - 0.3))
+        optimize_allocation(cands, evaluator)
+        assert len(evaluator.calls) == 4
+        assert all(_on_grid(bv, cands) for bv in evaluator.calls)
+        big = _along(lambda e1: 1.0 + (e1 - 0.3) ** 2, lambda e1: 2 * (e1 - 0.3))
+        optimize_allocation(cands, big)
+        refined = [bv for bv in big.calls if not _on_grid(bv, cands)]
+        assert 1 <= len(refined) <= REFINE_STEPS
 
     def test_order_invariance(self):
         cands = feasible_allocations(1.0, 2.0, resolution=5)
-        evaluator = lambda bv: round(float(abs(bv.eps[0] - 0.3)), 3)  # ties exist
-        best_fwd, _, _ = optimize_allocation(list(cands), evaluator)
-        best_rev, _, _ = optimize_allocation(list(reversed(cands)), evaluator)
+
+        def make():  # ties exist
+            return _along(lambda e1: round(abs(e1 - 0.3), 3), lambda e1: math.copysign(1, e1 - 0.3))
+
+        best_fwd, curve_fwd, _ = optimize_allocation(list(cands), make())
+        best_rev, curve_rev, _ = optimize_allocation(list(reversed(cands)), make())
         assert np.array_equal(best_fwd.eps, best_rev.eps)
+        assert curve_fwd == curve_rev
 
     def test_losses_within_rounding_tie_toward_smaller_eps1(self):
         # Candidates that store one table evaluate to losses an ulp or so
@@ -140,31 +238,50 @@ class TestOptimizeAllocation:
         base = 0.6154189
         noisy = {tuple(bv.eps): base * (1 + 2e-16 * ((7 * i) % 5)) for i, bv in enumerate(cands)}
         noisy[tuple(cands[0].eps)] = base * (1 + 0.5 * LOSS_TIE_TOL)
-        best, _, _ = optimize_allocation(list(reversed(cands)), lambda bv: noisy[tuple(bv.eps)])
+
+        def evaluator(bv):
+            return noisy[tuple(bv.eps)], np.zeros(2)
+
+        best, _, _ = optimize_allocation(list(reversed(cands)), evaluator)
         assert best is cands[0]
         # A loss further above the smallest than the tolerance does not tie.
         noisy[tuple(cands[0].eps)] = base * (1 + 2 * LOSS_TIE_TOL)
-        best, _, _ = optimize_allocation(cands, lambda bv: noisy[tuple(bv.eps)])
+        best, _, _ = optimize_allocation(cands, evaluator)
         assert best is cands[1]
 
     def test_failing_candidates_skipped(self):
+        # Downhill is left, where eps_1 < 0.2 fails: the walk records the
+        # failure, stops that side and tries the other one.
         cands = feasible_allocations(1.0, 2.0, resolution=3)
 
-        def evaluator(bv):
-            if bv.eps[0] < 0.2:
-                raise SolverError(f"boom at {bv.eps[0]:.3f}")
-            return float(bv.eps[0])
+        def loss(e1):
+            if e1 < 0.2:
+                raise SolverError(f"boom at {e1:.3f}")
+            return e1
 
+        evaluator = _along(loss, lambda e1: 1.0)
         best, curve, failed = optimize_allocation(list(reversed(cands)), evaluator)
-        assert all(e1 >= 0.2 for e1, _, _ in curve)
-        assert best.eps[0] >= 0.2
-        # Every skipped candidate is returned with its message, in eps_1 order.
-        skipped = [bv for bv in cands if bv.eps[0] < 0.2]
-        assert skipped and len(failed) == len(skipped)
-        assert len(curve) + len(failed) == len(cands)
-        for (bv, message), want in zip(failed, skipped):
-            assert bv is want
-            assert message == f"boom at {want.eps[0]:.3f}"
+        firsts = [bv.eps[0] for bv in evaluator.calls]
+        eq = 1 / (2 * math.sqrt(2))
+        assert firsts == pytest.approx([eq, math.sqrt(0.25 - 0.375**2), 0.25, 0.125, 0.375])
+        assert [row[0] for row in curve] == pytest.approx(sorted(firsts[:3] + firsts[4:]))
+        assert best.eps[0] == pytest.approx(0.25)
+        (bv, message), = failed
+        assert bv is cands[0] and message == "boom at 0.125"
+
+    def test_failed_start_walks_both_sides_to_a_solve(self):
+        cands = feasible_allocations(1.0, 2.0, resolution=3)
+        eq = 1 / (2 * math.sqrt(2))
+
+        def loss(e1):
+            if abs(e1 - eq) < 0.05:
+                raise SolverError("boom")
+            return e1
+
+        evaluator = _along(loss, lambda e1: 1.0)
+        best, curve, failed = optimize_allocation(cands, evaluator)
+        assert len(failed) == 3 and best.eps[0] == pytest.approx(0.125)
+        assert len(curve) == len(cands) - 3
 
     def test_all_failed_raises(self):
         cands = feasible_allocations(1.0, 2.0, resolution=2)
@@ -172,7 +289,7 @@ class TestOptimizeAllocation:
         def evaluator(bv):
             raise SolverError("boom")
 
-        with pytest.raises(SolverError):
+        with pytest.raises(SolverError, match="every candidate allocation failed"):
             optimize_allocation(cands, evaluator)
 
     def test_evaluator_fault_propagates(self):
@@ -186,10 +303,15 @@ class TestOptimizeAllocation:
         with pytest.raises(TypeError):
             optimize_allocation(cands, evaluator)
 
+    def test_higher_dims_unsupported(self):
+        bv = equal_split(1.0, 2.0, 3)
+        with pytest.raises(ValueError, match="2-D"):
+            optimize_allocation([bv], _flat(lambda e1: 1.0))
+
     def test_curve_csv_layout(self, tmp_path):
         # The rows synthesize writes to sweep_eps<eps>.csv.
         cands = feasible_allocations(1.0, 2.0, resolution=2)
-        _, curve, _ = optimize_allocation(cands, lambda bv: float(bv.eps[0]))
+        _, curve, _ = optimize_allocation(cands, _flat(lambda e1: e1))
         text = formats.csv_text(("eps1", "eps2", "loss"), curve)
         lines = text.strip().splitlines()
         assert lines[0] == "eps1,eps2,loss"
