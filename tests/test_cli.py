@@ -293,7 +293,7 @@ class TestInstanceReuse:
         monkeypatch.setattr(apo, "surrogate_coefficients",
                             lambda *args: surrogates.append(args) or surrogate(*args))
         _, _, curve, failed = make_aipo_mechanism(inst, 0.6, priv)
-        # One solve per point the search kept, none for a point solved twice.
+        # One solve per split the search solved; running AIPO again solves none.
         assert len(solves) == len(curve) and failed == []
         make_method("AIPO", inst, 0.6, priv)
         assert len(solves) == len(curve)
@@ -397,7 +397,7 @@ class TestBudgetStarts:
     @pytest.mark.parametrize("methods", [("AIPO-E", "AIPO"), ("AIPO", "AIPO-E")])
     def test_sweep_warm_starts_in_either_method_order(self, tmp_path, monkeypatch, methods):
         # The equal split is solved once, by whichever method comes first;
-        # a cached one still starts the sweep's two candidates next to it.
+        # a cached one still starts the search's first step.
         run = load_config(DESK)
         searched = make_aipo_mechanism(evaluation.synth_instance(run.instance, seed=6), 0.8,
                                        run.privacy)[2]
