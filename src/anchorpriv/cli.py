@@ -288,11 +288,12 @@ def _solved(instance, key, kinds, solve, start=None):
     ``solve(start)`` returns (result, LpSolution). The first call for
     ``key`` solves from ``start`` if given, else from the solution last
     kept under ``kinds[0]`` (from scratch without either); later ones look
-    it up. Either way the solution, without its arrays
+    it up. Either way the solution, without its multipliers
     (``LpSolution.as_start``), starts the next solve of every kind in
     ``kinds``. Neighbouring budgets' programs differ only in their ratio
-    coefficients, so dual simplex from the last optimal basis is a
-    parametric re-solve.
+    coefficients, so simplex from the last optimal basis is a parametric
+    re-solve; a smaller budget's table meets a larger budget's rows, and
+    the solve starts there (see ``lpcore.solve_lp``).
     """
     store = instance.derived.setdefault("solved", {})
     starts = instance.derived.setdefault("starts", {})

@@ -41,20 +41,29 @@ presolve turned the desk anchor programs at eps 1e-9 into solves that
 did not end.
 
 The HiGHS algorithm is chosen by size and shape. Every solve below
-:data:`IPM_MIN_VARS` variables runs dual simplex on the dual. From there
-on the interior point solver (IPX) runs with crossover, unless the
-program has more than :data:`IPM_MAX_ROWS_PER_VAR` rows per variable,
-which stays on dual simplex. Both return a basic solution.
-
-When an IPX solve raises, the failure is logged at INFO and the same
-program is solved on dual simplex.
+:data:`IPM_MIN_VARS` variables runs simplex. A table program there that
+is not tall (see below) starts at the constant table (every row's total on
+the output of least total cost), which meets every ratio row at any
+budget: :func:`_constant_basis` builds its basis of the dual, and dual
+simplex on the dual, the program's own primal simplex, runs from it.
+Other programs run dual simplex on the dual from scratch. From
+:data:`IPM_MIN_VARS` on the interior point solver (IPX) runs with
+crossover, unless the program has more than :data:`IPM_MAX_ROWS_PER_VAR`
+rows per variable, which stays on dual simplex from scratch. Every route
+returns a basic solution. When a constant start or an IPX solve raises,
+the failure is logged at INFO and the same program is solved on dual
+simplex from scratch.
 
 A solve can also start from the optimal basis of an earlier solution of
-a program of the same shape (``start=``). It then runs primal simplex on
-the dual from that basis (the dual simplex method of the program
-itself), which takes a few hundred iterations or fewer when the two
-programs differ only in some coefficients; if it raises, the failure is
-logged at INFO and the program is solved from scratch as above.
+a program of the same shape (``start=``). When the earlier table meets
+the program's rows within :data:`FEASIBILITY_TOL`, as a smaller budget's
+table meets every row of a larger budget's program, dual simplex on the
+dual runs from that basis; otherwise, as between neighbouring splits of
+one budget, primal simplex on the dual (the dual simplex method of the
+program itself), which takes a few hundred iterations or fewer when the
+two programs differ only in some coefficients. If that solve raises, the
+failure is logged at INFO and the program is solved from scratch as
+above. HiGHS is handed the dual's arrays in one ``passModel`` call.
 """
 
 from __future__ import annotations
@@ -134,8 +143,19 @@ _SOLVE_OPTIONS = {
     "dual_feasibility_tolerance": 1e-10,
 }
 
-# A solve from a start basis runs primal simplex on the dual.
-_WARM_OPTIONS = {**_SOLVE_OPTIONS, "simplex_strategy": 4}
+# The simplex strategy of a solve from a start basis, in HiGHS's terms for
+# the dual it is handed. Dual simplex on the dual, the program's own primal
+# simplex, keeps the program's rows met, so it starts from a table that
+# meets them: the constant table, or an earlier solution that meets the
+# program's rows. Primal simplex on the dual, the program's dual simplex,
+# starts from any other earlier solution.
+_FEASIBLE_OPTIONS = {**_SOLVE_OPTIONS, "simplex_strategy": 1}
+_NEIGHBOUR_OPTIONS = {**_SOLVE_OPTIONS, "simplex_strategy": 4}
+
+# Where a solve's start basis comes from: none, the constant table
+# (_constant_basis), or an earlier solution (solve_lp's ``start``) whose
+# table meets the program's rows or does not.
+_START_KINDS = ("none", "constant table", "feasible basis", "neighbour basis")
 
 # The options scipy.optimize.linprog sets for the methods "highs-ds" and
 # "highs-ipm" when none of its own are given, but with presolve off. Set
@@ -150,20 +170,21 @@ _SCIPY_OPTIONS = {
     "simplex_strategy": 1,  # dual simplex
 }
 
-# Programs with at least this many variables go to the interior point
-# solver. On anchor programs and on all-pairs programs of the lower
-# bound's shape (one thread) dual simplex is faster up to 576 variables
-# and the interior point solver from 784 on; see the README's "Solver"
-# section.
-IPM_MIN_VARS = 700
+# Programs with fewer variables run dual simplex, table programs that are
+# not tall from the constant table; from here on they go to the interior
+# point solver. On anchor programs (one thread) the constant start is
+# faster up to 2,704 variables, even with IPX at 3,025 and 3,600, and
+# slower from 4,225 on; see the README's "Solver" section.
+IPM_MIN_VARS = 3000
 
-# Programs with more rows per variable than this stay on dual simplex. Of
-# the programs with IPM_MIN_VARS variables or more, only the all-pairs
-# tables of AIPO-R and the coarse LP are this tall. IPX with crossover
-# solves them faster, but on the 8x8/K=16 AIPO-R program at eps 10 its
-# multipliers certify 6.4e-5 less than its objective, and the optimality
-# check of apo.solve_approx_apo would fail the solve, where dual simplex
-# solves it. See the README's "Solver" section.
+# Programs with more rows per variable than this stay on dual simplex from
+# scratch. Of the package's programs only the all-pairs tables of AIPO-R
+# and the coarse LP are this tall. IPX with crossover solves them faster,
+# but on the 8x8/K=16 AIPO-R program at eps 10 its multipliers certify
+# 6.4e-5 less than its objective, and the optimality check of
+# apo.solve_approx_apo would fail the solve, where dual simplex solves it.
+# The constant start is no cure: on that program it took 214.5 s at eps 10
+# against 69 s from scratch. See the README's "Solver" section.
 IPM_MAX_ROWS_PER_VAR = 8
 
 
@@ -293,7 +314,8 @@ class LpSolution:
     solve's wall time ``solve_s``. ``from_basis`` says whether that solve
     started from the basis of an earlier solution (:func:`solve_lp`'s
     ``start``); it is False after a start that failed and a solve from
-    scratch. ``basis`` is the optimal basis of the dual HiGHS solved,
+    scratch, and after a start at the constant table, which is a solve
+    from scratch too. ``basis`` is the optimal basis of the dual HiGHS solved,
     opaque, for :func:`solve_lp`'s ``start``; it is None when the solver
     left none, as after ``apo._block_ipm``.
     """
@@ -314,25 +336,30 @@ class LpSolution:
     basis: object
 
     def as_start(self) -> LpSolution:
-        """This solution without ``values`` and ``multipliers`` (both None).
+        """This solution without ``multipliers`` (None).
 
-        A :func:`solve_lp` ``start`` is read for its basis and its
-        program's size only, so a solution kept to start later solves need
-        not keep the arrays.
+        A :func:`solve_lp` ``start`` is read for its basis, its program's
+        size and its ``values``, which tell whether it meets the rows of
+        the program it starts; a solution kept to start later solves need
+        not keep the multipliers, one per inequality row.
         """
-        return replace(self, values=None, multipliers=None)
+        return replace(self, multipliers=None)
 
 
 def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, method="highs-ds", options=None,
-            basis=None) -> LpSolution:
+            basis=None, start="none") -> LpSolution:
     """One checked HiGHS solve of min c.x s.t. A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
 
     ``A_ub`` and ``A_eq`` are :class:`CsrMatrix` or None. HiGHS is handed
     the dual program (:func:`_dual_model`) with scipy's options for
     ``method`` ("highs-ds" or "highs-ipm") and presolve off, so a solve
     without ``basis`` is bitwise equal to ``scipy.optimize.linprog`` on
-    that dual. ``basis`` is the ``basis`` of an earlier optimal solution
-    for a program of the same size; HiGHS starts from it.
+    that dual. ``basis`` is a basis of that dual, for a program of the
+    same size; HiGHS starts from it. ``start``, one of
+    ``_START_KINDS``, says where it came from: "none" without a basis,
+    "constant table" for :func:`_constant_basis`'s, and "feasible basis"
+    or "neighbour basis" for an earlier solution's, which is what
+    ``from_basis`` records.
 
     The answer is read back in the primal's terms: ``values`` are the
     dual's row duals negated, ``multipliers`` its values on the columns
@@ -344,17 +371,19 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, method="highs-ds", op
     solution that is not finite or misses a row or a bound of the primal
     by more than :data:`FEASIBILITY_TOL`.
     """
-    start = time.perf_counter()
+    if start not in _START_KINDS or (basis is None) != (start == "none"):
+        raise ValueError(f"start {start!r} does not describe the basis given")
+    clock = time.perf_counter()
     c = np.asarray(c, dtype=float)
     n_ub = 0 if A_ub is None else A_ub.shape[0]
     highs = _binding()
     solver = highs._Highs()
-    for key, value in {**_SCIPY_OPTIONS, "solver": _HIGHS_METHOD_SOLVERS[method],
-                       **(options or {})}.items():
+    settings = {**_SCIPY_OPTIONS, "solver": _HIGHS_METHOD_SOLVERS[method], **(options or {})}
+    for key, value in settings.items():
         if solver.setOptionValue(key, value) != highs.HighsStatus.kOk:
             raise ValueError(f"HiGHS rejects option {key}={value!r}")
-    # HiGHS copies the model, so the one built here is freed before the solve.
-    passed = solver.passModel(_dual_model(c, A_ub, b_ub, A_eq, b_eq))
+    # HiGHS copies the arrays, so the ones built here are freed before the solve.
+    passed = solver.passModel(*_dual_model(c, A_ub, b_ub, A_eq, b_eq))
     if passed == highs.HighsStatus.kError:
         status = highs.HighsModelStatus.kModelError
     else:
@@ -372,10 +401,11 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, method="highs-ds", op
         nnz=sum(m.nnz for m in (A_ub, A_eq) if m is not None),
         nit=sum(counts.values()),
         **counts,
-        from_basis=basis is not None,
+        from_basis=start in ("feasible basis", "neighbour basis"),
     )
     message = f"(HiGHS Status {int(status)}: {solver.modelStatusToString(status)})"
-    log.debug("LP %s: %s", message, stats)
+    log.debug("LP %s: %s", message, dict(stats, start=start,
+                                         simplex_strategy=settings["simplex_strategy"]))
     if status != highs.HighsModelStatus.kOptimal:
         raise SolverError(f"{method} failed: {message}")
     solution, final = solver.getSolution(), solver.getBasis()
@@ -386,20 +416,25 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, method="highs-ds", op
     del solver, solution
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(lam))):
         raise SolverError(f"{method} failed: non-finite values in the solution")
-    worst = float(np.max(-x, initial=0.0))
-    if worst > FEASIBILITY_TOL:
-        raise SolverError(f"{method} failed: bound residual {worst:.3e} above tolerance")
-    if A_ub is not None:
-        worst = float(np.max(A_ub @ x - b_ub, initial=0.0))
+    for kind, worst in zip(("bound", "inequality", "equality"),
+                           _residuals(x, A_ub, b_ub, A_eq, b_eq)):
         if worst > FEASIBILITY_TOL:
-            raise SolverError(f"{method} failed: inequality residual {worst:.3e} above tolerance")
-    if A_eq is not None:
-        worst = float(np.max(np.abs(A_eq @ x - b_eq), initial=0.0))
-        if worst > FEASIBILITY_TOL:
-            raise SolverError(f"{method} failed: equality residual {worst:.3e} above tolerance")
+            raise SolverError(f"{method} failed: {kind} residual {worst:.3e} above tolerance")
     return LpSolution(values=x, objective_value=float(c @ x), multipliers=lam,
                       basis=final if final.valid else None,
-                      solve_s=time.perf_counter() - start, **stats)
+                      solve_s=time.perf_counter() - clock, **stats)
+
+
+def _residuals(x, A_ub, b_ub, A_eq, b_eq) -> tuple[float, float, float]:
+    """How far x misses its bounds x >= 0, the inequality rows and the equality rows."""
+    return (float(np.max(-x, initial=0.0)),
+            0.0 if A_ub is None else float(np.max(A_ub @ x - b_ub, initial=0.0)),
+            0.0 if A_eq is None else float(np.max(np.abs(A_eq @ x - b_eq), initial=0.0)))
+
+
+def _meets_rows(x, A_ub, b_ub, A_eq, b_eq) -> bool:
+    """Whether ``x``, if not None, meets the rows and bounds within :data:`FEASIBILITY_TOL`."""
+    return x is not None and max(_residuals(x, A_ub, b_ub, A_eq, b_eq)) <= FEASIBILITY_TOL
 
 
 def _primal_status(solver, c):
@@ -424,62 +459,119 @@ def _primal_status(solver, c):
     return status
 
 
-def _dual_model(c, A_ub, b_ub, A_eq, b_eq):
-    """The HiGHS model of the dual of :func:`linprog`'s program.
+def _dual_model(c, A_ub, b_ub, A_eq, b_eq) -> tuple:
+    """The arguments of HiGHS's ``passModel`` for the dual of :func:`linprog`'s program.
 
     min b_ub.l - b_eq.y  s.t.  -A_ub^T l + A_eq^T y <= c,  l >= 0, y free:
     one column per primal row, one row per primal variable. Column j of
     the dual matrix is primal row j, negated for an inequality row, so the
     stacked CSR arrays of ``[A_ub; A_eq]`` are its CSC arrays as they
-    stand; HiGHS takes them column-wise.
+    stand; HiGHS takes them column-wise. The arrays go to the binding's
+    array overload, (num_col, num_row, num_nz, format, sense, offset,
+    cost, col bounds, row bounds, matrix, integrality), in one call;
+    the integrality array must hold one 0 per column.
     """
     blocks = [m for m in (A_ub, A_eq) if m is not None] or [CsrMatrix([0], [], [], (0, c.size))]
     offsets = np.cumsum([0] + [m.nnz for m in blocks])
     b_ub = np.asarray([] if b_ub is None else b_ub, dtype=float)
     b_eq = np.asarray([] if b_eq is None else b_eq, dtype=float)
     highs = _binding()
-    model = highs.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = b_ub.size + b_eq.size
-    model.num_row_ = model.a_matrix_.num_row_ = c.size
-    model.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    model.a_matrix_.start_ = np.concatenate(
+    n_col = b_ub.size + b_eq.size
+    start = np.concatenate(
         [[0], *(m.indptr[1:] + off for m, off in zip(blocks, offsets))]).astype(np.int32)
-    model.a_matrix_.index_ = np.concatenate([m.indices for m in blocks]).astype(np.int32)
-    model.a_matrix_.value_ = np.concatenate(
-        [-A_ub.data if A_ub is not None else [], [] if A_eq is None else A_eq.data])
-    model.col_cost_ = np.concatenate([b_ub, -b_eq])
-    model.col_lower_ = np.concatenate([np.zeros(b_ub.size), np.full(b_eq.size, -highs.kHighsInf)])
-    model.col_upper_ = np.full(b_ub.size + b_eq.size, highs.kHighsInf)
-    model.row_lower_ = np.full(c.size, -highs.kHighsInf)
-    model.row_upper_ = c
-    return model
+    return (
+        n_col, c.size, int(start[-1]), int(highs.MatrixFormat.kColwise),
+        int(highs.ObjSense.kMinimize), 0.0,
+        np.concatenate([b_ub, -b_eq]),
+        np.concatenate([np.zeros(b_ub.size), np.full(b_eq.size, -highs.kHighsInf)]),
+        np.full(n_col, highs.kHighsInf),
+        np.full(c.size, -highs.kHighsInf), c,
+        start, np.concatenate([m.indices for m in blocks]).astype(np.int32),
+        np.concatenate([-A_ub.data if A_ub is not None else [], [] if A_eq is None else A_eq.data]),
+        np.zeros(n_col, dtype=np.int32),
+    )
+
+
+def _constant_basis(lp: LinearProgram):
+    """The constant table's basis of the dual HiGHS is handed, or None.
+
+    It exists for a table program (``var_shape`` (R, K)) whose equality
+    rows are its table's row sums, in row order, with coefficient 1, as in
+    every program ``apo._ratio_program`` builds. The constant table puts
+    each row's whole total on output k*, the ``argmin`` of the objective's
+    column sums; it is None unless that table meets the program's rows
+    (:func:`_meets_rows`), as it does every ratio program's at any budget.
+
+    In the dual the R equality columns y are basic, and so are the
+    R(K-1) rows of the entries off k*; every inequality column sits at
+    its lower bound 0 and every k* row at its upper bound c. The basis
+    matrix is the identity up to the order of its columns, so it is
+    nonsingular, and its reduced costs are the constant table's values
+    and slacks, all >= 0: dual simplex on the dual, the program's primal
+    simplex, starts there.
+    """
+    if lp.var_shape is None or len(lp.var_shape) != 2 or lp.a_eq is None:
+        return None
+    n_rows, n_out = lp.var_shape
+    a_eq = lp.a_eq
+    if a_eq.shape[0] != n_rows \
+            or not np.array_equal(a_eq.indptr, np.arange(0, lp.n_vars + 1, n_out)) \
+            or not np.array_equal(a_eq.indices, np.arange(lp.n_vars)) or np.any(a_eq.data != 1):
+        return None
+    best = int(np.argmin(lp.objective.reshape(n_rows, n_out).sum(axis=0)))
+    table = np.zeros((n_rows, n_out))
+    table[:, best] = lp.b_eq
+    if not _meets_rows(table.ravel(), lp.a_ub, lp.b_ub, a_eq, lp.b_eq):
+        return None
+    highs = _binding()
+    status = highs.HighsBasisStatus
+    rows = np.full((n_rows, n_out), status.kBasic, dtype=object)
+    rows[:, best] = status.kUpper
+    basis = highs.HighsBasis()
+    basis.col_status = [status.kLower] * lp.n_ub_rows + [status.kBasic] * n_rows
+    basis.row_status = rows.ravel().tolist()
+    basis.valid = True
+    return basis
 
 
 def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
     """Solve a program to a basic optimal solution or raise :class:`SolverError`.
 
-    The HiGHS method is chosen by the program's size and shape (see the
-    module docstring). An interior point solve that raises is logged and
-    retried on dual simplex.
+    The HiGHS method and the start are chosen by the program's size and
+    shape (see the module docstring). A solve from the constant table or
+    on the interior point solver that raises is logged and retried on dual
+    simplex from scratch.
 
     ``start`` is an earlier solution, usually of a program that differs
     from ``lp`` only in some coefficients. When it has a basis and its
-    program had as many variables and rows as ``lp``, primal simplex on
-    the dual starts from that basis; if that solve raises, it is logged
-    and ``lp`` is solved from scratch.
+    program had as many variables and rows as ``lp``, simplex starts from
+    that basis: dual simplex on the dual when the start's ``values`` meet
+    ``lp``'s rows within :data:`FEASIBILITY_TOL`, primal simplex on the
+    dual otherwise. If that solve raises, it is logged and ``lp`` is
+    solved from scratch.
     """
     a_ub, b_ub, a_eq, b_eq = lp.matrices()
     solve = functools.partial(linprog, lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq)
     n_rows = lp.n_ub_rows + lp.n_eq_rows
     if start is not None and start.basis is not None and (
             start.n_vars, start.n_rows) == (lp.n_vars, n_rows):
+        kind, options = ("feasible basis", _FEASIBLE_OPTIONS) \
+            if _meets_rows(start.values, a_ub, b_ub, a_eq, b_eq) \
+            else ("neighbour basis", _NEIGHBOUR_OPTIONS)
         try:
-            return solve(method="highs-ds", options=_WARM_OPTIONS, basis=start.basis)
+            return solve(method="highs-ds", options=options, basis=start.basis, start=kind)
         except SolverError as exc:
             log.info("%s from the start basis; solving from scratch", exc)
-    if IPM_MIN_VARS <= lp.n_vars and n_rows <= IPM_MAX_ROWS_PER_VAR * lp.n_vars:
-        try:
-            return solve(method="highs-ipm", options=_SOLVE_OPTIONS)
-        except SolverError as exc:
-            log.info("%s; solving again on highs-ds", exc)
+    if n_rows <= IPM_MAX_ROWS_PER_VAR * lp.n_vars:
+        if lp.n_vars >= IPM_MIN_VARS:
+            try:
+                return solve(method="highs-ipm", options=_SOLVE_OPTIONS)
+            except SolverError as exc:
+                log.info("%s; solving again on highs-ds", exc)
+        elif (basis := _constant_basis(lp)) is not None:
+            try:
+                return solve(method="highs-ds", options=_FEASIBLE_OPTIONS, basis=basis,
+                             start="constant table")
+            except SolverError as exc:
+                log.info("%s from the constant table; solving from scratch", exc)
     return solve(method="highs-ds", options=_SOLVE_OPTIONS)

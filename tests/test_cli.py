@@ -324,10 +324,10 @@ class TestWarmSweep:
         _, best, curve, failed = make_aipo_mechanism(inst, 0.8, priv)
         assert failed == [] and len(starts) == len(curve)
         assert starts[0] is None and all(s is not None for s in starts[1:])
-        # Kept solutions carry their basis but not their arrays.
+        # Kept solutions carry their basis and values but not their multipliers.
         kept = [s for _, s in inst.derived["solved"].values()]
         kept += list(inst.derived["starts"].values())
-        assert all(s.values is None and s.multipliers is None and s.basis is not None
+        assert all(s.values is not None and s.multipliers is None and s.basis is not None
                    for s in kept + starts[1:])
 
         cold_inst = evaluation.synth_instance(spec, seed=6)
@@ -488,13 +488,7 @@ class TestArcSearch:
         assert any(abs(e1 - equal[0]) <= 1e-12 and abs(e2 - equal[1]) <= 1e-12
                    for e1, e2, _ in curve)
 
-    @pytest.mark.parametrize("name, p, eps", [
-        pytest.param(*case, marks=pytest.mark.xfail(strict=True, reason=(
-            "a plateau of constant tables: the cold equal split lands 3.7e-14 off the "
-            "vertex and 4e-16 below the rest, which the check takes as the least row; "
-            "the search ties it within LOSS_TIE_TOL and keeps the smallest eps_1")))
-        if case == ("desk", 2.0, 0.2) else case
-        for case in SEARCH_CASES])
+    @pytest.mark.parametrize("name, p, eps", SEARCH_CASES)
     def test_stored_budget_is_the_benchmark_checks_least_row(self, tmp_path, monkeypatch,
                                                              name, p, eps):
         # perfbench/checks.py::_check_sweep: least loss, then least eps_1.

@@ -1,18 +1,24 @@
 import contextlib
+import functools
 import importlib.metadata
 import itertools
 import logging
 import math
+import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import OptimizeWarning
 
 from anchorpriv import apo, budget, evaluation, lpcore
+from anchorpriv.cli import _surrogate, load_config
 from anchorpriv.errors import SolverError
 from anchorpriv.lpcore import (
     _SOLVE_OPTIONS,
@@ -140,25 +146,45 @@ def test_random_programs_match_vertex_enumeration_oracle():
         assert sol.objective_value == pytest.approx(oracle, abs=1e-6)
 
 
-def _anchor_program(grid, out):
-    """The anchor LP of a grid x grid instance with out x out outputs at eps 0.8."""
+ROOT = Path(__file__).resolve().parent.parent
+# A fresh interpreter imports the package from this checkout.
+_SRC_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+
+def _anchor_program(grid, out, eps=0.8):
+    """The anchor LP of a grid x grid instance with out x out outputs at ``eps``, equal split."""
     spec = evaluation.InstanceSpec(grid=(grid, grid), outputs=(out, out))
     inst = evaluation.synth_instance(spec, seed=0)
     coeffs = apo.surrogate_coefficients(inst.partition, inst.prior, inst.loss, inst.outputs)
-    bv = budget.equal_split(0.8, 2.0, 2)
+    bv = budget.equal_split(eps, 2.0, 2)
     return apo.build_approx_apo(inst.partition, inst.outputs, bv, coeffs)
 
 
-def _fail_from_basis(monkeypatch):
-    """Make every HiGHS call given a start basis raise."""
+def _fail_from(monkeypatch, *kinds):
+    """Make every HiGHS call that starts from a basis of one of ``kinds`` raise."""
     solve = lpcore.linprog
 
-    def failing_warm(*args, basis=None, **kw):
-        if basis is not None:
+    def failing(*args, start="none", **kw):
+        if start in kinds:
             raise SolverError("highs-ds failed: forced")
-        return solve(*args, **kw)
+        return solve(*args, start=start, **kw)
 
-    monkeypatch.setattr(lpcore, "linprog", failing_warm)
+    monkeypatch.setattr(lpcore, "linprog", failing)
+
+
+def _fail_from_basis(monkeypatch):
+    """Make every HiGHS call that starts from an earlier solution's basis raise."""
+    _fail_from(monkeypatch, "feasible basis", "neighbour basis")
+
+
+def _start_kinds(monkeypatch):
+    """Record the start kind of every HiGHS call."""
+    kinds = []
+    solve = lpcore.linprog
+    monkeypatch.setattr(lpcore, "linprog",
+                        lambda *a, start="none", **kw: kinds.append(start) or solve(
+                            *a, start=start, **kw))
+    return kinds
 
 
 def _end_interior_point_in(monkeypatch, status):
@@ -206,19 +232,29 @@ def test_failed_interior_point_solve_retries_on_dual_simplex(monkeypatch, caplog
 
 
 class TestSolverRouting:
+    # The interior point route on a program small enough to check against
+    # scipy and for basic-ness: the threshold is lowered to 1,000 for the
+    # class; test_threshold_routes_table_programs checks it as it stands.
+    @pytest.fixture(scope="class", autouse=True)
+    def lowered_threshold(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lpcore, "IPM_MIN_VARS", 1000)
+            yield
+
     @pytest.fixture(scope="class")
     def large(self):
         lp = _anchor_program(7, 4)  # 64 anchors x 16 outputs
-        assert lp.n_vars == 1024 >= IPM_MIN_VARS
+        assert lp.n_vars == 1024 >= lpcore.IPM_MIN_VARS
         return lp, solve_lp(lp)
 
-    def test_desk_program_uses_dual_simplex(self, caplog):
+    def test_desk_program_starts_at_the_constant_table(self, caplog):
         lp = _anchor_program(4, 3)
         with caplog.at_level(logging.DEBUG, logger="anchorpriv.lpcore"):
             sol = solve_lp(lp)
         assert "'method': 'highs-ds'" in caplog.text and "'n_vars': 225" in caplog.text
+        assert "'start': 'constant table', 'simplex_strategy': 1" in caplog.text
         assert lp.n_vars == 225 < IPM_MIN_VARS
-        assert sol.method == "highs-ds"
+        assert sol.method == "highs-ds" and not sol.from_basis
         assert sol.crossover_nit == 0 and sol.nit > 0
 
     @pytest.mark.parametrize("extra_rows, method", [(0, "highs-ipm"), (1, "highs-ds")])
@@ -285,6 +321,21 @@ class TestSolverRouting:
                 in caplog.text)
 
 
+@pytest.mark.parametrize("above", [False, True])
+def test_threshold_routes_table_programs(monkeypatch, above):
+    # A chain of ratio rows over a table of K = 15 outputs, 2 rows per
+    # variable, with IPM_MIN_VARS variables or just under.
+    n_rows = math.ceil(IPM_MIN_VARS / 15) if above else (IPM_MIN_VARS - 1) // 15
+    rng = np.random.default_rng(4)
+    lp = apo._ratio_program(rng.random((n_rows, 15)), np.arange(n_rows - 1),
+                            np.arange(1, n_rows), np.full(n_rows - 1, 0.5))
+    assert (lp.n_vars >= IPM_MIN_VARS) == above
+    kinds = _start_kinds(monkeypatch)
+    sol = solve_lp(lp)
+    assert sol.method == ("highs-ipm" if above else "highs-ds")
+    assert kinds == ["none" if above else "constant table"]
+
+
 def _tall_table_program():
     """A 50 x 16 table (800 variables) with 6,514 rows: 8.1 per variable."""
     rng = np.random.default_rng(5)
@@ -295,22 +346,30 @@ def _tall_table_program():
 
 
 class TestTallTableAndMultipliers:
-    def test_tall_table_program_keeps_dual_simplex(self):
+    @pytest.mark.parametrize("threshold", [IPM_MIN_VARS, 800])
+    def test_tall_table_program_keeps_dual_simplex_from_scratch(self, monkeypatch, threshold):
+        # Below the variable threshold and above it: no constant start, no IPX.
+        monkeypatch.setattr(lpcore, "IPM_MIN_VARS", threshold)
         lp = _tall_table_program()
-        assert lp.n_vars >= IPM_MIN_VARS
         assert lp.n_ub_rows + lp.n_eq_rows > IPM_MAX_ROWS_PER_VAR * lp.n_vars
+        kinds = _start_kinds(monkeypatch)
         assert solve_lp(lp).method == "highs-ds"
+        assert kinds == ["none"]
 
     def test_multipliers_are_the_dual_values(self):
         # The anchor program is degenerate: its optimal multipliers are not
         # unique, and the primal solve's negated marginals are another set.
         lp = _anchor_program(4, 3)
-        sol = solve_lp(lp)
+        a_ub, b_ub, a_eq, b_eq = lp.matrices()
+        cold = lpcore.linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                              options=_SOLVE_OPTIONS)
         ref = scipy_dual_linprog(lp, method="highs-ds", options=dict(_SOLVE_OPTIONS))
-        assert sol.multipliers.tobytes() == ref.multipliers.tobytes()
-        assert sol.multipliers.min() >= -1e-9
-        certificate = apo._dual_certificate(lp, sol.multipliers)
-        assert abs(sol.objective_value - certificate) <= 1e-12 * sol.objective_value
+        assert cold.multipliers.tobytes() == ref.multipliers.tobytes()
+        # The constant start ends at another vertex of the dual: optimal too.
+        for sol in (cold, solve_lp(lp)):
+            assert sol.multipliers.min() >= -1e-9
+            certificate = apo._dual_certificate(lp, sol.multipliers)
+            assert abs(sol.objective_value - certificate) <= 1e-12 * sol.objective_value
 
     def test_multipliers_empty_without_inequality_rows(self):
         sol = solve_lp(LinearProgram(objective=[1.0, 3.0], a_eq=[[1.0, 1.0]], b_eq=[1.0]))
@@ -343,20 +402,16 @@ class TestWarmStart:
     def test_start_of_another_shape_is_not_used(self, monkeypatch):
         centre, _ = _neighbour_programs()
         other = solve_lp(_anchor_program(3, 3))
-        bases = []
-        solve = lpcore.linprog
-        monkeypatch.setattr(lpcore, "linprog",
-                            lambda *a, basis=None, **kw: bases.append(basis) or solve(
-                                *a, basis=basis, **kw))
+        kinds = _start_kinds(monkeypatch)
         sol = solve_lp(centre, start=other)
-        assert bases == [None]
+        assert kinds == ["constant table"]
         assert sol.values.tobytes() == solve_lp(centre).values.tobytes()
 
-    def test_start_without_arrays_solves_as_the_solution(self):
+    def test_start_without_multipliers_solves_as_the_solution(self):
         centre, neighbour = _neighbour_programs()
         start = solve_lp(centre)
         kept = start.as_start()
-        assert kept.values is None and kept.multipliers is None
+        assert kept.values is start.values and kept.multipliers is None
         assert (kept.basis, kept.n_vars, kept.n_rows) == (start.basis, start.n_vars, start.n_rows)
         warm, again = solve_lp(neighbour, start=start), solve_lp(neighbour, start=kept)
         assert again.from_basis and again.nit == warm.nit
@@ -380,6 +435,17 @@ class TestWarmStart:
             (logging.INFO, "highs-ds failed: forced from the start basis; solving from scratch")]
         assert sol.values.tobytes() == cold.values.tobytes()
 
+    def test_failed_constant_start_solves_from_scratch(self, monkeypatch, caplog):
+        lp = _anchor_program(4, 3)
+        a_ub, b_ub, a_eq, b_eq = lp.matrices()
+        cold = lpcore.linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                              options=_SOLVE_OPTIONS)
+        _fail_from(monkeypatch, "constant table")
+        with caplog.at_level(logging.INFO, logger="anchorpriv.lpcore"):
+            sol = solve_lp(lp)
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.INFO, "highs-ds failed: forced from the constant table; solving from scratch")]
+        assert sol.values.tobytes() == cold.values.tobytes() and not sol.from_basis
 
     def test_solution_records_whether_it_started_from_a_basis(self, monkeypatch, caplog):
         centre, neighbour = _neighbour_programs()
@@ -390,6 +456,133 @@ class TestWarmStart:
         assert warm.from_basis and "'from_basis': True" in caplog.text
         _fail_from_basis(monkeypatch)
         assert not solve_lp(neighbour, start=start).from_basis
+
+
+class TestStartRule:
+    """Which simplex a start runs: dual simplex on the dual (strategy 1) or primal (4)."""
+
+    @staticmethod
+    def _strategies(caplog):
+        return [(r.args[1]["start"], r.args[1]["simplex_strategy"]) for r in caplog.records
+                if r.name == "anchorpriv.lpcore" and r.levelno == logging.DEBUG]
+
+    def test_start_from_a_smaller_budget_runs_dual_simplex_on_the_dual(self, caplog):
+        # Every ratio bound grows with the budget, so the smaller budget's
+        # table meets the larger budget's rows.
+        small, large = (_anchor_program(4, 3, eps) for eps in (0.4, 1.2))
+        start = solve_lp(small)
+        assert lpcore._meets_rows(start.values, *large.matrices())
+        with caplog.at_level(logging.DEBUG, logger="anchorpriv.lpcore"):
+            warm = solve_lp(large, start=start.as_start())
+        assert self._strategies(caplog) == [("feasible basis", 1)]
+        assert warm.from_basis
+        assert abs(warm.objective_value - solve_lp(large).objective_value) <= 1e-12
+
+    def test_start_from_an_arc_neighbour_runs_primal_simplex_on_the_dual(self, caplog):
+        # Desk at eps 1.6: one axis's budget shrinks, and its rows cut the start's table.
+        inst, coeffs = _config_instance("desk")
+        centre, neighbour = (apo.build_approx_apo(inst.partition, inst.outputs, bv, coeffs)
+                             for bv in budget.feasible_allocations(1.6, 2.0)[4:6])
+        start = solve_lp(centre)
+        assert not lpcore._meets_rows(start.values, *neighbour.matrices())
+        with caplog.at_level(logging.DEBUG, logger="anchorpriv.lpcore"):
+            warm = solve_lp(neighbour, start=start)
+        assert self._strategies(caplog) == [("neighbour basis", 4)]
+        assert warm.from_basis
+
+    def test_start_without_values_runs_primal_simplex_on_the_dual(self, caplog):
+        small, large = (_anchor_program(4, 3, eps) for eps in (0.4, 1.2))
+        start = solve_lp(small)
+        start.values = None
+        with caplog.at_level(logging.DEBUG, logger="anchorpriv.lpcore"):
+            solve_lp(large, start=start)
+        assert self._strategies(caplog) == [("neighbour basis", 4)]
+
+    def test_start_kind_must_match_the_basis(self):
+        lp = _anchor_program(3, 3)
+        a_ub, b_ub, a_eq, b_eq = lp.matrices()
+        with pytest.raises(ValueError, match="does not describe the basis"):
+            lpcore.linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                           start="constant table")
+        with pytest.raises(ValueError, match="does not describe the basis"):
+            lpcore.linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                           basis=lpcore._constant_basis(lp))
+
+
+@functools.cache
+def _config_instance(name):
+    """The instance and surrogate coefficients of a benchmark config, instance seed 6."""
+    run = load_config(ROOT / "perfbench" / "inputs" / f"{name}.yaml")
+    inst = evaluation.synth_instance(run.instance, seed=6)
+    return inst, _surrogate(inst)
+
+
+class TestConstantStart:
+    @pytest.mark.parametrize("name", ["desk", "grid8"])
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("eps", [1e-9, 0.2, 1.6, 20.0])
+    def test_reaches_the_cold_optimum(self, monkeypatch, name, p, eps):
+        inst, coeffs = _config_instance(name)
+        lp = apo.build_approx_apo(inst.partition, inst.outputs, budget.equal_split(eps, p, 2),
+                                  coeffs)
+        a_ub, b_ub, a_eq, b_eq = lp.matrices()
+        cold = lpcore.linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                              method="highs-ds" if name == "desk" else "highs-ipm",
+                              options=_SOLVE_OPTIONS)
+        kinds = _start_kinds(monkeypatch)
+        _, sol = apo.solve_approx_apo(lp)  # raises unless the certificate is optimal
+        assert kinds == ["constant table"]
+        certificate = apo._dual_certificate(lp, sol.multipliers)
+        assert sol.objective_value - certificate <= apo.OPTIMALITY_TOL * sol.objective_value
+        # Both meet the rows to FEASIBILITY_TOL only (the cold grid8 table at
+        # eps 1e-9 has entries of -3e-11), so the optima agree to 6.7e-12.
+        assert abs(sol.objective_value - cold.objective_value) <= 1e-10 * cold.objective_value
+
+    def test_basis_is_the_constant_table(self):
+        # Solved with no iteration allowed, the start itself comes back.
+        lp = _anchor_program(3, 3)
+        best = np.argmin(lp.objective.reshape(lp.var_shape).sum(axis=0))
+        a_ub, b_ub, a_eq, b_eq = lp.matrices()
+        solver = highs._Highs()
+        solver.setOptionValue("output_flag", False)
+        solver.passModel(*lpcore._dual_model(lp.objective, a_ub, b_ub, a_eq, b_eq))
+        assert solver.setBasis(lpcore._constant_basis(lp)) == highs.HighsStatus.kOk
+        solver.setOptionValue("simplex_iteration_limit", 0)
+        solver.run()
+        table = (0.0 - np.array(solver.getSolution().row_dual)).reshape(lp.var_shape)
+        assert table[:, best].tolist() == [1.0] * lp.var_shape[0]
+        assert np.count_nonzero(table) == lp.var_shape[0]
+
+    def test_program_without_the_table_layout_has_none(self):
+        lp = _anchor_program(3, 3)
+        assert lpcore._constant_basis(LinearProgram(lp.objective, lp.a_ub, lp.b_ub)) is None
+        assert lpcore._constant_basis(
+            LinearProgram(lp.objective, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq)) is None
+        # Rows that the constant table misses.
+        assert lpcore._constant_basis(LinearProgram(
+            lp.objective, lp.a_ub, lp.b_ub - 1.0, lp.a_eq, lp.b_eq, lp.var_shape)) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 4), st.data())
+    def test_optimum_equals_the_cold_solve(self, n_rows, n_out, data):
+        pairs = [(i, j) for i in range(n_rows) for j in range(i + 1, n_rows)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+        objective = np.array(data.draw(st.lists(st.floats(0.0, 10.0), min_size=n_rows * n_out,
+                                                max_size=n_rows * n_out))).reshape(n_rows, n_out)
+        log_bound = data.draw(st.lists(st.floats(0.0, 5.0), min_size=len(chosen),
+                                       max_size=len(chosen)))
+        first, second = (np.array([pair[k] for pair in chosen], dtype=int) for k in (0, 1))
+        lp = apo._ratio_program(objective, first, second, np.array(log_bound))
+        a_ub, b_ub, a_eq, b_eq = lp.matrices()
+        cold = lpcore.linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                              options=_SOLVE_OPTIONS)
+        basis = lpcore._constant_basis(lp)
+        assert basis is not None
+        sol = lpcore.linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                             options=lpcore._FEASIBLE_OPTIONS, basis=basis,
+                             start="constant table")
+        assert abs(sol.objective_value - cold.objective_value) <= 1e-9 * (
+            1.0 + abs(cold.objective_value))
 
 
 def _package_program(kind, monkeypatch):
@@ -423,7 +616,7 @@ class TestCsrMatrix:
         solver = highs._Highs()
         solver.setOptionValue("output_flag", False)
         model = lpcore._dual_model(np.asarray(c, dtype=float), a_ub, b_ub, a_eq, b_eq)
-        assert solver.passModel(model) == highs.HighsStatus.kOk
+        assert solver.passModel(*model) == highs.HighsStatus.kOk
         held = solver.getLp().a_matrix_
         assert held.format_ == highs.MatrixFormat.kColwise
         return held.start_, held.index_, held.value_
@@ -510,7 +703,7 @@ class TestHighsLoader:
             print(res.status, res.x.tolist())
         """)
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True)
+                             check=True, env=_SRC_ENV)
         assert run.stdout.splitlines() == ["[]", "True", "0 [3.0]"]
 
     def test_threads_making_the_first_solve_together_load_one_module(self):
@@ -545,7 +738,7 @@ class TestHighsLoader:
             print(len({id(m) for m in modules}), modules[0] is sys.modules[lpcore.HIGHS_MODULE])
         """)
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, timeout=120)
+                             check=True, timeout=120, env=_SRC_ENV)
         assert run.stdout.splitlines() == ["0 1 " + str([[3.0]] * 4), "1 True"]
 
 
@@ -576,7 +769,8 @@ class TestBinding:
         gap = 1e-8 * (1 + sol.objective_value) if extra else 1e-12 * sol.objective_value
         assert abs(sol.objective_value + ref.res.fun) <= gap
 
-    def test_iterations_are_counted_by_method(self):
+    def test_iterations_are_counted_by_method(self, monkeypatch):
+        monkeypatch.setattr(lpcore, "IPM_MIN_VARS", 1)
         lp = _anchor_program(7, 4)
         sol = solve_lp(lp)
         assert sol.method == "highs-ipm"
