@@ -378,37 +378,114 @@ def _relative_gap(primal: float, certificate: float, scale: float) -> float:
     return (primal - certificate) / max(abs(primal), 1e-12 * scale)
 
 
+# _inverse_cholesky factors blocks of at most _LEAF_ROWS rows with numpy's
+# cholesky, and _triangular_inverse inverts blocks of at most
+# _TRIANGULAR_LEAF_ROWS rows with numpy's inv; both split larger ones. A
+# matrix of at most 16 rows, as each desk bound's, thus gets numpy's
+# cholesky and inv alone, and its solve's iterates are bitwise those of
+# an unblocked factorization: the desk stalls IPM_STALL_ITER stops depend
+# on those bits.
+_LEAF_ROWS = 32
+_TRIANGULAR_LEAF_ROWS = 16
+
+
+def _triangular_inverse(low) -> np.ndarray:
+    """Inverses of a stack of nonsingular lower triangular matrices.
+
+    Split as [[L11, 0], [L21, L22]], the inverse is [[L11^-1, 0], [-L22^-1
+    L21 L11^-1, L22^-1]]. Both diagonal blocks are inverted in one stack,
+    the second bordered with a unit diagonal entry when the row count is
+    odd, so each level of the recursion makes one batched call.
+    """
+    n = low.shape[-1]
+    if n <= _TRIANGULAR_LEAF_ROWS:
+        return np.linalg.inv(low)
+    h = (n + 1) // 2
+    diag = np.zeros((2, *low.shape[:-2], h, h))
+    diag[0] = low[..., :h, :h]
+    diag[1, ..., :n - h, :n - h] = low[..., h:, h:]
+    if n < 2 * h:
+        diag[1, ..., -1, -1] = 1.0
+    inv_diag = _triangular_inverse(diag)
+    inv = np.empty_like(low)
+    inv[..., :h, h:] = 0.0
+    inv[..., :h, :h] = inv_diag[0]
+    inv[..., h:, h:] = inv_diag[1, ..., :n - h, :n - h]
+    inv[..., h:, :h] = -(inv[..., h:, h:] @ (low[..., h:, :h] @ inv_diag[0]))
+    return inv
+
+
+def _inverse_cholesky(a) -> np.ndarray:
+    """Inverse L^-1 of the lower Cholesky factor of each matrix a = L L^T of a stack.
+
+    Recursively blocked (Elmroth, Gustavson, Jonsson and Kagstrom, SIAM
+    Review 46(1), 2004), so that its O(R^3) work is matrix products. With
+    a split as [[A11, A21^T], [A21, A22]], L11^-1 comes from A11, then
+    L21 = A21 L11^-T, L22^-1 from the Schur complement A22 - L21 L21^T, and
+    (L^-1)21 = -L22^-1 L21 L11^-1. A block of at most _LEAF_ROWS rows goes
+    to numpy's cholesky and :func:`_triangular_inverse`; a larger one
+    splits after a multiple of _LEAF_ROWS rows. Every step is one batched
+    call over the whole stack. Raises np.linalg.LinAlgError where a leaf is
+    not positive definite.
+    """
+    n = a.shape[-1]
+    if n <= _LEAF_ROWS:
+        return _triangular_inverse(np.linalg.cholesky(a))
+    h = _LEAF_ROWS * (-(-n // _LEAF_ROWS) // 2)
+    inv11 = _inverse_cholesky(a[..., :h, :h])
+    low21 = a[..., h:, :h] @ np.swapaxes(inv11, -1, -2)
+    schur = a[..., h:, h:] - low21 @ np.swapaxes(low21, -1, -2)
+    inv = np.empty(a.shape)
+    del a  # when the caller holds no other reference, its memory is free from here on
+    inv22 = _inverse_cholesky(schur)
+    del schur
+    inv[..., :h, h:] = 0.0
+    inv[..., :h, :h] = inv11
+    inv[..., h:, h:] = inv22
+    inv[..., h:, :h] = -(inv22 @ (low21 @ inv11))
+    return inv
+
+
 def _spd_inverse(a) -> np.ndarray:
     """Inverses of a stack of symmetric positive definite matrices.
 
     Each matrix is scaled to unit diagonal before its Cholesky
-    factorization, which is retried with a growing diagonal shift while it
-    fails; the caller refines its solves against the unshifted matrices.
-    Raises :class:`SolverError` on a non-finite entry, which no shift
-    would mend.
+    factorization (:func:`_inverse_cholesky`), which is retried with a
+    growing diagonal shift while it fails; the caller refines its solves
+    against the unshifted matrices. Raises :class:`SolverError` on a
+    non-finite entry, which no shift would mend.
     """
     if not np.all(np.isfinite(a)):
         raise SolverError("block-ipm failed: non-finite Newton matrix")
     d = np.sqrt(np.diagonal(a, axis1=-2, axis2=-1))
-    outer = d[..., :, None] * d[..., None, :]
-    eye = np.eye(a.shape[-1])
+
+    def outer():  # made twice, so that it is not held during the factorization
+        return d[..., :, None] * d[..., None, :]
+
     shift = 0.0
     while True:
         try:
-            low = np.linalg.cholesky(a / outer + shift * eye)
+            # Handed over with no other reference, so that _inverse_cholesky
+            # frees it once it has read it.
+            inv_low = _inverse_cholesky(a / outer() + shift * np.eye(a.shape[-1]) if shift
+                                        else a / outer())
             break
         except np.linalg.LinAlgError:
             shift = max(100.0 * shift, 1e-14)
-    inv_low = np.linalg.inv(low)
-    return np.swapaxes(inv_low, -1, -2) @ inv_low / outer
+    inv = np.swapaxes(inv_low, -1, -2) @ inv_low
+    del inv_low
+    inv /= outer()
+    return inv
 
 
 def _max_step(pairs) -> float:
     """Largest step in (0, 1] along each (v, dv) that keeps every v >= 0."""
     step = 1.0
     for v, dv in pairs:
-        down = dv < 0
-        step = min(step, float(np.min(-v[down] / dv[down], initial=1.0)))
+        # Where dv < 0, -(v / dv) is the step that brings v to 0; elsewhere
+        # the -1 only caps the step at 1.
+        ratio = np.divide(v, dv, out=np.full_like(v, -1.0), where=dv < 0)
+        step = min(step, -float(ratio.max()))
     return step
 
 
@@ -456,11 +533,19 @@ def _block_ipm(objective, first, second, log_ratio) -> LpSolution:
     n_products = n_out * (n + 2 * first.size)  # complementary pairs z s and w lam
     diag = np.arange(n)
 
-    def g(v):  # (K, R) -> the ratio rows' (K, R, R) values
-        return alpha * v[:, :, None] - rows * v[:, None, :]
+    # alpha[i, j] v[k, i] and rows[i, j] v[k, j], the same products as by
+    # broadcasting, which numpy forms about half as fast at (16, 64, 64).
+    def alpha_first(v):
+        return np.einsum("ij,ki->kij", alpha, v)
 
-    def g_t(u):  # (K, R, R) -> (K, R)
-        return (alpha * u).sum(axis=2) - (rows * u).sum(axis=1)
+    def rows_second(v):
+        return np.einsum("ij,kj->kij", rows, v)
+
+    def g(v):  # (K, R) -> the ratio rows' (K, R, R) values
+        return alpha_first(v) - rows_second(v)
+
+    def g_t(u):  # (K, R, R), 0 off the ratio rows -> (K, R)
+        return (alpha * u).sum(axis=2) - u.sum(axis=1)
 
     z = np.full((n_out, n), 1.0 / n_out)
     s = np.ones((n_out, n))
@@ -468,6 +553,9 @@ def _block_ipm(objective, first, second, log_ratio) -> LpSolution:
     lam = np.broadcast_to(rows, (n_out, n, n)).copy()
     w = np.ones((n_out, n, n))
     best, best_lam, best_it, mus = -math.inf, lam, 0, []
+    # Off the ratio rows, lam, w * lam, both directions' dw and dl and the
+    # (K, R, R) right-hand sides stay exactly 0 and w stays 1, so a product
+    # with one of them needs no rows mask.
     for it in range(IPM_MAX_ITER + 1):
         r_rows = g(z) + rows * w
         r_sums = z.sum(axis=0) - 1.0
@@ -477,19 +565,25 @@ def _block_ipm(objective, first, second, log_ratio) -> LpSolution:
         certificate = float(reduced.min(axis=0).sum())
         if certificate > best:
             best, best_lam, best_it = certificate, lam, it
-        infeasible = max(float(np.abs(r_rows).max()), float(np.abs(r_sums).max()))
+        infeasible = max(float(r_rows.max()), -float(r_rows.min()), float(np.abs(r_sums).max()))
         gap = _relative_gap(primal, best, 1.0)
         if it == IPM_MAX_ITER or (infeasible <= IPM_GAP_TOL and gap <= IPM_GAP_TOL):
             break
-        mu = (float((z * s).sum()) + float((w * lam).sum())) / n_products
+        # The predictor's right-hand sides, -z s and -w lam, whose sums are
+        # exactly those of z s and w lam negated.
+        rc_z, rc_w = -(z * s), -(w * lam)
+        mu = -(float(rc_z.sum()) + float(rc_w.sum())) / n_products
         mus.append(mu)
         if it - best_it >= IPM_STALL_ITER and gap <= IPM_STALL_GAP \
                 and mu <= 0.01 * mus[-1 - IPM_STALL_ITER]:
             break
         d_rows, d_z = lam / w, s / z
-        blocks = -alpha * (d_rows + np.swapaxes(d_rows, 1, 2))
+        dr = d_rows * r_rows
+        blocks = d_rows + np.swapaxes(d_rows, 1, 2)
+        blocks *= -alpha
         blocks[:, diag, diag] = (alpha * alpha * d_rows).sum(axis=2) + d_rows.sum(axis=1) + d_z \
             + 1e-10
+        del d_rows  # the directions read dr; one (K, R, R) array fewer at the peak
         inv_blocks = _spd_inverse(blocks)
         inv_schur = _spd_inverse(inv_blocks.sum(axis=0))
 
@@ -500,7 +594,7 @@ def _block_ipm(objective, first, second, log_ratio) -> LpSolution:
             return u + inv_blocks @ dy, dy
 
         def direction(rc_z, rc_w):
-            h = -r_dual - g_t(d_rows * r_rows + rc_w / w) + rc_z / z
+            h = -r_dual - g_t(dr + rc_w / w) + rc_z / z
             dz, dy = reduced_solve(h, -r_sums)
             last = math.inf
             for _ in range(8):
@@ -512,21 +606,33 @@ def _block_ipm(objective, first, second, log_ratio) -> LpSolution:
                 last = size
                 ez, ey = reduced_solve(res_h, res_r)
                 dz, dy = dz + ez, dy + ey
-            dw = -r_rows - g(dz)
-            return dz, dy, dw, (rc_w - lam * dw) / w, (rc_z - s * dz) / z
+            # -r_rows - g(dz), in the same rounding.
+            dw = rows_second(dz)
+            dw -= alpha_first(dz)
+            dw -= r_rows
+            dl = lam * dw  # then (rc_w - lam dw) / w in place: one (K, R, R) array fewer
+            np.subtract(rc_w, dl, out=dl)
+            dl /= w
+            return dz, dy, dw, dl, (rc_z - s * dz) / z
 
-        dz, dy, dw, dl, ds = direction(-z * s, -w * lam)
+        dz, dy, dw, dl, ds = direction(rc_z, rc_w)
         step_p = _max_step([(z, dz), (w, dw)])
         step_d = _max_step([(lam, dl), (s, ds)])
         mu_aff = (float(((z + step_p * dz) * (s + step_d * ds)).sum())
                   + float(((w + step_p * dw) * (lam + step_d * dl)).sum())) / n_products
         target = (mu_aff / mu) ** 3 * mu
-        dz, dy, dw, dl, ds = direction(target - z * s - dz * ds,
-                                       rows * (target - w * lam - dw * dl))
+        # target - z s - dz ds and rows (target - w lam - dw dl), in the same rounding.
+        rc_z, rc_w = target + rc_z - dz * ds, rows * target + rc_w - dw * dl
+        del dw, dl  # the predictor's; not held during the corrector's solve
+        dz, dy, dw, dl, ds = direction(rc_z, rc_w)
         step_p = 0.99 * _max_step([(z, dz), (w, dw)])
         step_d = 0.99 * _max_step([(lam, dl), (s, ds)])
         z, w = z + step_p * dz, w + step_p * dw
         lam, s, y = lam + step_d * dl, s + step_d * ds, y + step_d * dy
+    # Free the (K, R, R) arrays before the multipliers are gathered, so that
+    # these fill the freed memory instead of landing above it and keeping the
+    # heap from shrinking: that raised lb-8x8's peak RSS by about 0.4 MB.
+    w = lam = r_rows = dr = blocks = inv_blocks = rc_w = dw = dl = None
     # Row z[i] / b - z[j] <= 0 with multiplier l is z[i] - b z[j] <= 0 with l / b.
     pair_lam = np.stack([best_lam[:, first, second], best_lam[:, second, first]], axis=2)
     multipliers = (pair_lam * inv_bound[None, :, None]).transpose(1, 0, 2).ravel() * scale

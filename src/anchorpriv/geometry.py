@@ -14,7 +14,6 @@ corner in one (M, N) array, and all cells share the side lengths
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -74,17 +73,34 @@ def lp_distance_matrix(A, B, p: float) -> np.ndarray:
     """(n, m) lp distances between the rows of ``A`` and the rows of ``B``.
 
     ``p`` may be any float >= 1; ``math.inf`` gives the coordinate maximum.
-    The axes are summed one at a time, in order, so no (n, m, N)
-    temporary is built.
+    The axes are summed one at a time, in order, into one (n, m) output
+    with in-place ufuncs, so no (n, m, N) temporary is built. At p = 1, 2
+    and inf no power is taken: d * d and sqrt give the bits of d**2 and
+    **0.5.
     """
     A = as_points(A)
     B = as_points(B, A.shape[1])
     if not p >= 1:
         raise ValueError(f"metric order must satisfy p >= 1, got {p}")
-    diffs = (np.abs(A[:, axis, None] - B[None, :, axis]) for axis in range(A.shape[1]))
-    if math.isinf(p):
-        return functools.reduce(np.maximum, diffs)
-    return functools.reduce(np.add, (d**p for d in diffs)) ** (1.0 / p)
+    out = None
+    for axis in range(A.shape[1]):
+        d = np.subtract(A[:, axis, None], B[None, :, axis])
+        np.abs(d, out=d)
+        if p == 2:
+            np.multiply(d, d, out=d)
+        elif p != 1 and not math.isinf(p):
+            np.power(d, p, out=d)
+        if out is None:
+            out = d
+        elif math.isinf(p):
+            np.maximum(out, d, out=out)
+        else:
+            out += d
+    if p == 2:
+        np.sqrt(out, out=out)
+    elif p != 1 and not math.isinf(p):
+        np.power(out, 1.0 / p, out=out)
+    return out
 
 
 # Kept only because perfbench/tracer.py looks it up by name.

@@ -234,8 +234,11 @@ class CsrMatrix:
 
     def rmatvec(self, y) -> np.ndarray:
         """A^T y."""
-        return np.bincount(self.indices, weights=self.data * np.asarray(y)[self.entry_rows()],
-                           minlength=self.shape[1])
+        # y repeated along each row's entries, which y[self.entry_rows()] would
+        # also give after building an index array as long.
+        weights = np.repeat(np.asarray(y, dtype=float), np.diff(self.indptr))
+        weights *= self.data
+        return np.bincount(self.indices, weights=weights, minlength=self.shape[1])
 
 
 @dataclass
@@ -394,6 +397,9 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, method="highs-ds", op
     info = solver.getInfo()
     counts = dict(simplex_nit=info.simplex_iteration_count, ipm_nit=info.ipm_iteration_count,
                   crossover_nit=info.crossover_iteration_count)
+    # HiGHS reports -1 for an algorithm that never ran, as when it stops
+    # before solving; that is 0 iterations.
+    counts = {key: max(count, 0) for key, count in counts.items()}
     stats = dict(
         method=method,
         n_vars=c.size,

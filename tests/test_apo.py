@@ -854,6 +854,58 @@ class TestBlockInteriorPoint:
                            "iterations; its certificate is the bound")]
 
 
+def _boolean_mask_step(pairs) -> float:
+    """_max_step's former formula, which gathered the entries with dv < 0."""
+    step = 1.0
+    for v, dv in pairs:
+        down = dv < 0
+        step = min(step, float(np.min(-v[down] / dv[down], initial=1.0)))
+    return step
+
+
+class TestBlockIpmKernels:
+    # Row counts around both leaf sizes of the blocked factorization, and
+    # odd ones, whose triangular blocks are bordered to an even size.
+    ROW_COUNTS = sorted({1, 2, 5, 45, 67, *(
+        leaf + offset for leaf in (apo._LEAF_ROWS, apo._TRIANGULAR_LEAF_ROWS)
+        for offset in (-1, 0, 1))})
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(ROW_COUNTS), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_spd_inverse_matches_numpy_inverse(self, n_rows, n_stack, seed):
+        # n_stack 0 is one 2-D matrix, as the Schur complement is.
+        rng = np.random.default_rng(seed)
+        shape = (n_stack, n_rows, n_rows) if n_stack else (n_rows, n_rows)
+        m = rng.normal(size=shape)
+        scale = np.exp(rng.uniform(-0.7, 0.7, size=shape[:-1]))
+        a = (m @ np.swapaxes(m, -1, -2) / n_rows + np.eye(n_rows)) \
+            * scale[..., :, None] * scale[..., None, :]
+        a = (a + np.swapaxes(a, -1, -2)) / 2
+        got = apo._spd_inverse(a)
+        want = np.linalg.inv(a)
+        assert got.shape == a.shape
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(lambda n: st.tuples(
+            arrays(np.float64, n, elements=st.floats(0.0, 1e6)),
+            arrays(np.float64, n, elements=st.one_of(
+                st.sampled_from([0.0, -0.0]), st.floats(1e-9, 1e6), st.floats(-1e6, -1e-9))))),
+        st.booleans(),
+    )
+    def test_max_step_is_bitwise_the_boolean_mask_formula(self, pair, small):
+        v, dv = pair
+        pairs = [(v, dv), (v[:3] + 1.0, np.abs(dv[:3]))] if small else [(v, dv)]
+        assert np.float64(apo._max_step(pairs)).tobytes() == \
+            np.float64(_boolean_mask_step(pairs)).tobytes()
+
+    def test_max_step_without_a_decreasing_entry_is_one(self):
+        v = np.array([0.0, 1.0, 2.0])
+        for dv in (np.zeros(3), np.array([0.0, -0.0, 5.0])):
+            assert apo._max_step([(v, dv)]) == _boolean_mask_step([(v, dv)]) == 1.0
+
+
 class TestDualCertificate:
     @settings(max_examples=60, deadline=None)
     @given(arrays(np.float64, 36, elements=st.floats(0.0, 2.0)),

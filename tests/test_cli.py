@@ -1,6 +1,7 @@
 import functools
 import importlib.util
 import json
+import logging
 import math
 import os
 import subprocess
@@ -711,10 +712,15 @@ def _highs_loads(tmp_path, *args):
         entry = sys.modules.get(lpcore.HIGHS_MODULE)
         print(code, len(loads), entry is not None, entry is not None and lpcore.highs is entry)
     """)
+    return _last_line_of(code).split()
+
+
+def _last_line_of(code):
+    """Run ``code`` in a fresh interpreter that imports the package from src/; its last line."""
     run = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True,
                          timeout=120, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert run.returncode == 0, run.stderr
-    return run.stdout.splitlines()[-1].split()
+    return run.stdout.splitlines()[-1]
 
 
 class TestHighsLoad:
@@ -724,6 +730,17 @@ class TestHighsLoad:
     def test_lower_bound_leaves_highs_unloaded(self, tmp_path):
         assert _highs_loads(tmp_path, "lower-bound", "--config", str(DESK)) == [
             "0", "0", "False", "False"]
+
+    def test_lower_bound_leaves_scipy_unloaded(self, tmp_path):
+        # The bound is solved with numpy alone; importing scipy.linalg alone
+        # would add about 0.25 s and 28 MB to the command.
+        args = ["lower-bound", "--config", str(DESK), "--out-dir", str(tmp_path / "out")]
+        assert _last_line_of(textwrap.dedent(f"""
+            import sys
+            from anchorpriv import cli
+            code = cli.main({args!r})
+            print(code, sorted(name for name in sys.modules if name.startswith("scipy")))
+        """)) == "0 []"
 
     def test_audit_leaves_highs_unloaded(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -761,6 +778,20 @@ class TestErrors:
             f"solver error: anchor program at eps {eps} needs ratio bounds up to "
             f"exp({largest}); HiGHS accepts at most exp(34.5388) = 1e15\n")
         assert not (out / f"mechanism_eps{eps}.json").exists()
+
+    def test_solve_highs_never_ran_logs_zero_iterations(self, tmp_path, caplog):
+        # At eps 170 HiGHS stops before it solves (model status 0, "Not Set"),
+        # and it reports -1 for each iteration count, which once made nit -3.
+        cfg = desk_config(tmp_path, {"privacy": {"budget_mode": "equal"}})
+        with caplog.at_level(logging.DEBUG, logger="anchorpriv.lpcore"):
+            assert main(["synthesize", "--config", str(cfg), "--eps", "170",
+                         "--out-dir", str(tmp_path / "out")]) == 3
+        never_ran = [record.args[1] for record in caplog.records
+                     if record.levelno == logging.DEBUG and "Not Set" in record.args[0]]
+        assert never_ran
+        for stats in never_ran:
+            assert [stats[key] for key in ("nit", "simplex_nit", "ipm_nit", "crossover_nit")] == [
+                0, 0, 0, 0]
 
     def test_large_budget_sweep_checks_its_arc_relative_to_the_bound(self, tmp_path, capsys):
         # Arc samples at eps 1000 once missed their own check by rounding,

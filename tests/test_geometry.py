@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -89,6 +90,26 @@ class TestLpDistance:
         got = lp_distance_matrix(a, b, p)
         assert got.shape == (40, 70)
         assert got.tobytes() == ref.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(lambda n: st.tuples(*[
+            st.lists(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n), min_size=1,
+                     max_size=6)
+            for _ in range(2)
+        ])),
+        st.sampled_from([1, 1.5, 2, 3, math.inf]),
+    )
+    def test_matrix_is_bitwise_the_axis_by_axis_reduction(self, points, p):
+        # Reference: the former formula, one (n, m) difference per axis,
+        # folded with functools.reduce and raised to the power.
+        a, b = (np.array(v) for v in points)
+        diffs = [np.abs(a[:, axis, None] - b[None, :, axis]) for axis in range(a.shape[1])]
+        if math.isinf(p):
+            ref = functools.reduce(np.maximum, diffs)
+        else:
+            ref = functools.reduce(np.add, (d**p for d in diffs)) ** (1.0 / p)
+        assert lp_distance_matrix(a, b, p).tobytes() == ref.tobytes()
 
 
 class TestPartitionDomain:
