@@ -6,15 +6,16 @@ ratio) for every unordered pair and output, and reports the share of
 pairs whose worst output exceeds the target budget. Zero probabilities
 are floored before taking logs so ratios stay finite.
 
-Pairs are evaluated a row block at a time: each output is one array pass
-over the block's rows against every later point, and each block is
-reduced before the next, so memory stays linear in the sample count.
+Pairs are evaluated a row block at a time, on the calling thread: each
+output is one array pass over the block's rows against every later
+point, and each block is reduced before the next, so memory stays linear
+in the sample count. A worker pool over the blocks gained no time on a
+2-core machine and cost memory, so there is none.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,8 +119,8 @@ def _block_ppr(points, logs, p, start, stop):
     return ppr, dist
 
 
-def _map_blocks(mech, eps, p, sample_count, seed, threads, reduce):
-    """``reduce(ppr, dist, logs, start)`` of every row block, in row order."""
+def _blocks(mech, eps, p, sample_count, seed):
+    """Yield ``(ppr, dist, logs, start)`` for every row block, in row order."""
     if sample_count < 2:
         raise ValueError(f"an audit needs at least 2 sample points, got {sample_count}")
     if not eps > 0:
@@ -132,17 +133,9 @@ def _map_blocks(mech, eps, p, sample_count, seed, threads, reduce):
     n = points.shape[0]
     # Row blocks of ROW_BLOCK to 2 * ROW_BLOCK rows keep each block's
     # buffers linear in n.
-    blocks = [(int(c[0]), int(c[-1]) + 1)
-              for c in np.array_split(np.arange(n), max(1, n // ROW_BLOCK))]
-
-    def run(block):
-        ppr, dist = _block_ppr(points, logs, p, *block)
-        return reduce(ppr, dist, logs, block[0])
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, blocks))
-    return [run(b) for b in blocks]
+    for rows in np.array_split(np.arange(n), max(1, n // ROW_BLOCK)):
+        start = int(rows[0])
+        yield (*_block_ppr(points, logs, p, start, int(rows[-1]) + 1), logs, start)
 
 
 def _top_indices(flat, valid, top_k):
@@ -164,57 +157,56 @@ def _top_indices(flat, valid, top_k):
 
 def violation_ratio(mech, eps: float, p: float | None = None,
                     sample_count: int = 1000, seed: int = 0,
-                    top_k: int = 5, threads: int = 1) -> AuditReport:
+                    top_k: int = 5) -> AuditReport:
     """Audit a mechanism against budget ``eps`` on uniform domain samples.
 
     A pair violates when any output's PPR exceeds eps; the per-
     (pair, output) rate is also reported. ``worst_pairs`` lists the
     ``top_k`` largest PPRs in (-ppr, i, j) order. Deterministic for a
-    fixed seed; row blocks may be evaluated by up to ``threads`` workers,
-    each reducing its pairs to counts, a max and its own top_k. ``p``
-    None audits under the mechanism's own metric order.
+    fixed seed: row blocks are reduced one after another into running
+    counts, a max and a top_k list. ``p`` None audits under the
+    mechanism's own metric order.
     """
     p = _metric_order(mech, p)
     if top_k < 0:
         raise ValueError(f"top_k must be >= 0, got {top_k}")
-
-    def reduce(ppr, dist, logs, start):
-        above = ppr > eps
-        violating = int(np.count_nonzero(above))
-        over = 0
-        if violating:
-            # Only a pair whose worst output exceeds eps has outputs that do.
-            a, c = np.nonzero(above)
-            gaps = np.abs(logs[:, start + 1 + c] - logs[:, start + a])
-            over = int(np.count_nonzero(gaps / dist[a, c] > eps))
+    violating = over = 0
+    max_ppr = 0.0
+    worst = []
+    for ppr, dist, logs, start in _blocks(mech, eps, p, sample_count, seed):
+        # Only a pair whose worst output exceeds eps has outputs that do.
+        a, c = np.nonzero(ppr > eps)
+        violating += a.size
+        over += int(np.count_nonzero(
+            np.abs(logs[:, start + 1 + c] - logs[:, start + a]) / dist[a, c] > eps))
         rows, cols = ppr.shape
         flat = ppr.ravel()
-        valid = rows * cols - rows * (rows - 1) // 2
-        worst = [(float(flat[o]), start + o // cols, start + 1 + o % cols)
-                 for o in _top_indices(flat, valid, top_k).tolist()] if top_k else []
-        return violating, over, float(flat.max(initial=0.0)), worst
-
-    parts = _map_blocks(mech, eps, p, sample_count, seed, threads, reduce)
+        max_ppr = max(max_ppr, float(flat.max(initial=0.0)))
+        if top_k:
+            valid = rows * cols - rows * (rows - 1) // 2
+            worst += [(float(flat[o]), start + o // cols, start + 1 + o % cols)
+                      for o in _top_indices(flat, valid, top_k).tolist()]
+            worst = sorted(worst, key=lambda t: (-t[0], t[1], t[2]))[:top_k]
+        # Release this block before the next one is built.
+        del ppr, dist, flat, a, c
     n = int(sample_count)
-    worst = sorted((w for part in parts for w in part[3]), key=lambda t: (-t[0], t[1], t[2]))
     pair_count = n * (n - 1) // 2
     return AuditReport(
         eps=float(eps),
         metric_p=float(p),
         sampled_points=n,
         pair_count=pair_count,
-        violating_pairs=sum(part[0] for part in parts),
+        violating_pairs=violating,
         pair_output_count=pair_count * mech.n_outputs,
-        violating_pair_outputs=sum(part[1] for part in parts),
-        max_ppr=max(part[2] for part in parts),
+        violating_pair_outputs=over,
+        max_ppr=max_ppr,
         seed=int(seed),
-        worst_pairs=worst[:top_k],
+        worst_pairs=worst,
     )
 
 
 def ppr_histogram(mech, eps: float, p: float | None = None,
-                  sample_count: int = 300, bins: int = 40,
-                  seed: int = 0, threads: int = 1):
+                  sample_count: int = 300, bins: int = 40, seed: int = 0):
     """Histogram of per-pair worst-output PPR values.
 
     Returns (bin_edges, counts); bins span [0, max(eps * 2, observed max)]
@@ -222,9 +214,8 @@ def ppr_histogram(mech, eps: float, p: float | None = None,
     uses the mechanism's own metric order.
     """
     p = _metric_order(mech, p)
-    parts = _map_blocks(mech, eps, p, sample_count, seed, threads,
-                        lambda ppr, dist, logs, start: ppr[ppr > -np.inf])
-    values = np.concatenate(parts)
+    values = np.concatenate([ppr[ppr > -np.inf]
+                             for ppr, _, _, _ in _blocks(mech, eps, p, sample_count, seed)])
     upper = max(2.0 * eps, float(values.max()) if values.size else 0.0) or 1.0
     counts, edges = np.histogram(values, bins=bins, range=(0.0, upper))
     return edges, counts

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
-import os
 import sys
 import time
 import typing
@@ -34,8 +33,6 @@ from . import __version__, apo, audit, budget, evaluation, formats, mechanisms
 from .errors import ConfigError, OutOfDomainError, SolverError
 from .geometry import Partition, locate_cells
 from .interpolation import Mechanism
-
-THREADS_ENV = "ANCHORPRIV_THREADS"
 
 BUDGET_MODES = ("sweep", "equal", "explicit")
 
@@ -81,6 +78,10 @@ class PrivacySpec:
             )
         if self.budget_mode == "explicit" and self.explicit_budget is None:
             raise ConfigError("privacy.explicit_budget required when budget_mode=explicit")
+        if self.budget_mode != "explicit" and self.explicit_budget is not None:
+            raise ConfigError(
+                "privacy.explicit_budget is only read when privacy.budget_mode is explicit, "
+                f"got budget_mode {self.budget_mode!r}")
         explicit = self.explicit_budget
         if explicit is not None and (len(explicit) != 2
                                      or not all(0 <= v < math.inf for v in explicit)):
@@ -493,13 +494,11 @@ def cmd_audit(args) -> int:
     mech_bytes = Path(args.mechanism).read_bytes()
     mech = Mechanism.load(args.mechanism)
     out_dir = Path(args.out_dir)
-    report = audit.violation_ratio(
-        mech, args.eps, mech.metric_p, sample_count=args.samples,
-        seed=args.seed, threads=args.threads,
-    )
+    report = audit.violation_ratio(mech, args.eps, mech.metric_p,
+                                   sample_count=args.samples, seed=args.seed)
     edges, counts = audit.ppr_histogram(
         mech, args.eps, mech.metric_p, sample_count=min(args.samples, 300),
-        bins=args.bins, seed=args.seed, threads=args.threads,
+        bins=args.bins, seed=args.seed,
     )
     formats.write_json(out_dir / "audit_report.json", report.to_json_dict())
     formats.write_text(out_dir / "ppr_histogram.csv", formats.csv_text(
@@ -537,7 +536,7 @@ def cmd_lower_bound(args) -> int:
     return 0
 
 
-def _compare_cell(method, instance, eps, priv, comp, seed, threads, timing):
+def _compare_cell(method, instance, eps, priv, comp, seed, timing):
     """One (method, eps, replicate) evaluation -> (loss, violation% or None, ms)."""
     start = time.perf_counter()
     built = make_method(method, instance, eps, priv, comp)
@@ -545,9 +544,8 @@ def _compare_cell(method, instance, eps, priv, comp, seed, threads, timing):
         loss_val, viol = built, None
     else:
         loss_val = evaluation.expected_loss(built, instance.prior, instance.loss)
-        report = audit.violation_ratio(
-            built, eps, priv.p, sample_count=comp.audit_samples, seed=seed, threads=threads,
-        )
+        report = audit.violation_ratio(built, eps, priv.p,
+                                       sample_count=comp.audit_samples, seed=seed)
         viol = report.violation_ratio
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return loss_val, viol, elapsed_ms if timing else None
@@ -574,7 +572,7 @@ def cmd_compare(args) -> int:
             losses, viols, times = [], [], []
             for r, inst in enumerate(instances):
                 loss_val, viol, ms = _compare_cell(
-                    method, inst, eps, priv, comp, seed + r, args.threads, args.timing
+                    method, inst, eps, priv, comp, seed + r, args.timing
                 )
                 losses.append(loss_val)
                 if viol is not None:
@@ -631,8 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the instance seed")
         p.add_argument("--out-dir", default="out", help="output directory")
         p.add_argument(
-            "--threads", type=int, default=None,
-            help=f"worker cap for pair evaluation (default: env {THREADS_ENV}, else 1)",
+            "--threads", type=int, default=1,
+            help="accepted and ignored, but must be >= 1: evaluation runs on one thread",
         )
 
     p_syn = sub.add_parser("synthesize", help="solve anchor mechanisms from a config")
@@ -667,30 +665,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threads(flag: int | None) -> int:
-    """Worker count: ``--threads``, else the environment variable, else 1."""
-    if flag is not None:
-        source, value = "--threads", flag
-    elif THREADS_ENV in os.environ:
-        source, text = THREADS_ENV, os.environ[THREADS_ENV]
-        try:
-            value = int(text)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {text!r}") from None
-    else:
-        return 1
-    if value < 1:
-        raise ConfigError(f"{source} must be >= 1, got {value}")
-    return value
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if hasattr(args, "eps") and isinstance(args.eps, str):
             args.eps = _parse_eps(args.eps)
-        args.threads = _threads(args.threads)
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except OutOfDomainError:
         # Commands only evaluate points drawn inside the domain, so this is

@@ -96,7 +96,7 @@ class Mechanism(_MechanismBase):
         """Normalized log-probabilities at one point (one row of log_probs)."""
         return self.log_probs(as_point(x)[None])[0]
 
-    # Kept because perfbench/tracer.py wraps it by name and the README quickstart uses it.
+    # Kept only because perfbench/tracer.py wraps it by name.
     def distribution_at(self, x) -> np.ndarray:
         """Normalized output distribution at one point; sums to one."""
         return np.exp(self.log_distribution_at(x))

@@ -90,12 +90,6 @@ class TestViolationRatio:
         assert rep.violating_pairs == 0
         assert rep.violation_ratio == 0.0
 
-    def test_threads_do_not_change_result(self):
-        mech = _two_anchor_mech([[0.7, 0.3], [0.2, 0.8]])
-        r1 = violation_ratio(mech, 0.4, 2.0, sample_count=60, seed=2, threads=1)
-        r4 = violation_ratio(mech, 0.4, 2.0, sample_count=60, seed=2, threads=4)
-        assert r1.to_json_dict() == r4.to_json_dict()
-
     def test_report_json_fields(self, tmp_path):
         mech = _two_anchor_mech([[0.7, 0.3], [0.2, 0.8]])
         rep = violation_ratio(mech, 0.4, 2.0, sample_count=30, seed=2)
@@ -262,12 +256,10 @@ class TestOracle:
         want, edges, counts = _reference(mech, eps, p, n, seed, top_k, bins=7)
         # Small row blocks split even 12 points into several blocks.
         with mock.patch.object(audit, "ROW_BLOCK", block):
-            for threads in (1, 3):
-                rep = violation_ratio(mech, eps, p, sample_count=n, seed=seed,
-                                      top_k=top_k, threads=threads)
-                got = {key: getattr(rep, key) for key in want}
-                assert got == want
-                got_edges, got_counts = ppr_histogram(mech, eps, p, sample_count=n, bins=7,
-                                                      seed=seed, threads=threads)
-                assert np.array_equal(got_edges, edges)
-                assert np.array_equal(got_counts, counts)
+            rep = violation_ratio(mech, eps, p, sample_count=n, seed=seed, top_k=top_k)
+            got = {key: getattr(rep, key) for key in want}
+            assert got == want
+            got_edges, got_counts = ppr_histogram(mech, eps, p, sample_count=n, bins=7,
+                                                  seed=seed)
+            assert np.array_equal(got_edges, edges)
+            assert np.array_equal(got_counts, counts)

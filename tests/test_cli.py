@@ -191,6 +191,17 @@ class TestAudit:
         hist = (out / "ppr_histogram.csv").read_text().splitlines()
         assert hist[0] == "bin_lo,bin_hi,count"
 
+    def test_threads_flag_changes_no_output(self, tmp_path):
+        # --threads once spread the row blocks over a worker pool; it is
+        # accepted and ignored now.
+        cfg = write_config(tmp_path)
+        mech = tmp_path / "mech" / "mechanism_eps0.8.json"
+        assert main(["synthesize", "--config", str(cfg), "--out-dir", str(mech.parent)]) == 0
+        for threads in ("1", "2"):
+            assert main(["audit", "--mechanism", str(mech), "--eps", "0.8", "--samples", "200",
+                         "--threads", threads, "--out-dir", str(tmp_path / threads)]) == 0
+        assert read_tree(tmp_path / "1") == read_tree(tmp_path / "2")
+
     def test_missing_mechanism_maps_to_io_exit(self, tmp_path):
         code = main([
             "audit", "--mechanism", str(tmp_path / "nope.json"),
@@ -219,10 +230,12 @@ class TestCompare:
         assert by_method["LB"]["0.4"][1] == ""  # no audit for the bound
 
     def test_rerun_is_byte_identical(self, tmp_path):
+        # The rerun's --threads 2 is accepted and changes nothing.
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "c1", tmp_path / "c2"
         assert main(["compare", "--config", str(cfg), "--out-dir", str(out1)]) == 0
-        assert main(["compare", "--config", str(cfg), "--out-dir", str(out2)]) == 0
+        assert main(["compare", "--config", str(cfg), "--out-dir", str(out2),
+                     "--threads", "2"]) == 0
         assert read_tree(out1) == read_tree(out2)
 
     def test_replicates_add_ci_columns(self, tmp_path):
@@ -823,22 +836,24 @@ class TestErrors:
         cfg = write_config(tmp_path, {"privacy": {"eps": [0.0]}})
         assert main(["synthesize", "--config", str(cfg)]) == 2
 
-    def test_bad_threads_env_is_config_error(self, tmp_path, monkeypatch, capsys):
+    def test_threads_flag_below_one_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
-        cases = (
-            ("abc", [], "config error: ANCHORPRIV_THREADS must be an integer"),
-            ("0", [], "config error: ANCHORPRIV_THREADS must be >= 1"),
-            (None, ["--threads", "-3"], "config error: --threads must be >= 1"),
-        )
-        for env, flags, message in cases:
-            if env is None:
-                monkeypatch.delenv("ANCHORPRIV_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("ANCHORPRIV_THREADS", env)
+        for value in ("0", "-3"):
             code = main(["lower-bound", "--config", str(cfg),
-                         "--out-dir", str(tmp_path / "lb"), *flags])
+                         "--out-dir", str(tmp_path / "lb"), "--threads", value])
             assert code == 2
-            assert message in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err == f"config error: --threads must be >= 1, got {value}\n"
+            assert not (tmp_path / "lb").exists()
+
+    def test_threads_env_is_not_read(self, tmp_path, monkeypatch):
+        # ANCHORPRIV_THREADS once set the audit's worker count, and a value
+        # that was not a positive integer exited 2.
+        cfg = write_config(tmp_path)
+        for env in ("abc", "0"):
+            monkeypatch.setenv("ANCHORPRIV_THREADS", env)
+            assert main(["lower-bound", "--config", str(cfg),
+                         "--out-dir", str(tmp_path / env)]) == 0
 
     def test_bad_eps_flag_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -1036,6 +1051,23 @@ class TestInputGuards:
             "budget 0.8: aggregate 50 > bound 0.64\n")
         assert solves == [] and not out.exists()
 
+    @pytest.mark.parametrize("mode", ["sweep", "equal"])
+    def test_explicit_budget_outside_explicit_mode_fails_before_any_solve(
+            self, tmp_path, capsys, monkeypatch, mode):
+        # The vector was once ignored without a word: under sweep, [5, 5]
+        # exited 0 with the swept split stored, and its composition was
+        # never checked.
+        solves = []
+        monkeypatch.setattr(apo, "solve_lp", lambda lp, **kw: solves.append(lp))
+        cfg = desk_config(tmp_path, {"privacy": {
+            "eps": [0.8], "budget_mode": mode, "explicit_budget": [5.0, 5.0]}})
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: privacy.explicit_budget is only read when privacy.budget_mode "
+            f"is explicit, got budget_mode {mode!r}\n")
+        assert solves == [] and not out.exists()
+
     def test_explicit_budget_is_stored(self, tmp_path, monkeypatch):
         solutions = _spy_solutions(monkeypatch)
         cfg = write_config(tmp_path, {"privacy": {"budget_mode": "explicit",
@@ -1192,12 +1224,14 @@ class TestInstanceRanges:
     @pytest.mark.parametrize("section, key, bad, edge", CASES,
                              ids=[f"{s}.{k}" for s, k, _, _ in CASES])
     def test_field_range(self, tmp_path, capsys, section, key, bad, edge):
-        cfg = write_config(tmp_path, {section: {key: bad}})
+        # Only budget_mode explicit reads (and accepts) explicit_budget.
+        mode = {"budget_mode": "explicit"} if key == "explicit_budget" else {}
+        cfg = write_config(tmp_path, {section: {key: bad, **mode}})
         code = main(["lower-bound", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"{section}.{key}" in err
-        cfg = write_config(tmp_path, {section: {key: edge}})
+        cfg = write_config(tmp_path, {section: {key: edge, **mode}})
         assert main(["lower-bound", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
