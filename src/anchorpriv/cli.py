@@ -403,7 +403,7 @@ def _remapped(base):
 METHODS = {
     "AIPO": lambda inst, eps, priv, comp: make_aipo_mechanism(inst, eps, priv)[0],
     "AIPO-E": lambda inst, eps, priv, comp: make_aipo_mechanism(
-        inst, eps, replace(priv, budget_mode="equal"))[0],
+        inst, eps, replace(priv, budget_mode="equal", explicit_budget=None))[0],
     "AIPO-R": _aipo_relaxed,
     "EM": lambda inst, eps, priv, comp: mechanisms.ExponentialMechanism(
         inst.outputs, inst.partition.bounds, eps, priv.p),

@@ -238,6 +238,24 @@ class TestCompare:
                      "--threads", "2"]) == 0
         assert read_tree(out1) == read_tree(out2)
 
+    def test_explicit_mode_keeps_aipo_e_on_the_equal_split(self, tmp_path):
+        # AIPO-E's spec once kept the explicit vector under budget_mode equal,
+        # which the spec rejects: compare solved every AIPO cell, then exited 2.
+        rows = {}
+        for mode, extra in (("explicit", {"explicit_budget": [0.1, 0.15]}), ("equal", {})):
+            cfg = write_config(tmp_path, {"privacy": {"budget_mode": mode, **extra},
+                                          "compare": {"methods": ["AIPO", "AIPO-E"]}})
+            out = tmp_path / mode
+            assert main(["compare", "--config", str(cfg), "--out-dir", str(out)]) == 0
+            lines = (out / "results.csv").read_text().strip().splitlines()[1:]
+            rows[mode] = {tuple(ln.split(",")[:2]): ln for ln in lines}
+        assert len(rows["explicit"]) == 2 * 2  # methods x eps
+        for eps in ("0.4", "0.8"):
+            # AIPO-E solves the equal split whatever the config's mode.
+            assert rows["explicit"][("AIPO-E", eps)] == rows["equal"][("AIPO-E", eps)]
+            assert (rows["explicit"][("AIPO-E", eps)].split(",")[2:]
+                    == rows["equal"][("AIPO", eps)].split(",")[2:])
+
     def test_replicates_add_ci_columns(self, tmp_path):
         cfg = write_config(tmp_path, {"compare": {"replicates": 2, "methods": ["EM"]}})
         out = tmp_path / "cmp"
