@@ -26,6 +26,10 @@ from .interpolation import PROB_FLOOR
 __all__ = ["AuditReport", "violation_ratio", "ppr_histogram"]
 
 ROW_BLOCK = 64
+# Points whose pairs ppr_histogram bins by default, and at most in the
+# audit command: it keeps one float per pair. One seed draws the same
+# prefix at any sample count, so these are the audit's first points.
+HISTOGRAM_SAMPLES = 300
 
 
 def _floored_logs(mech, X) -> np.ndarray:
@@ -206,7 +210,7 @@ def violation_ratio(mech, eps: float, p: float | None = None,
 
 
 def ppr_histogram(mech, eps: float, p: float | None = None,
-                  sample_count: int = 300, bins: int = 40, seed: int = 0):
+                  sample_count: int = HISTOGRAM_SAMPLES, bins: int = 40, seed: int = 0):
     """Histogram of per-pair worst-output PPR values.
 
     Returns (bin_edges, counts); bins span [0, max(eps * 2, observed max)]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import math
 import sys
 import time
@@ -432,16 +433,9 @@ def make_method(tag: str, instance, eps: float, priv: PrivacySpec = PrivacySpec(
 # Commands
 
 
-def _manifest(command: str, cfg_hash: str, seed: int, extra=None) -> dict:
-    payload = {
-        "command": command,
-        "config_sha256": cfg_hash,
-        "seed": seed,
-        "package_version": __version__,
-    }
-    if extra:
-        payload.update(extra)
-    return payload
+def _manifest(command: str, seed: int, **settings) -> dict:
+    """A command's manifest: its name, seed, package version and ``settings``."""
+    return {"command": command, "seed": seed, "package_version": __version__, **settings}
 
 
 def _run_settings(args):
@@ -474,13 +468,9 @@ def cmd_synthesize(args) -> int:
                                formats.csv_text(("eps1", "eps2", "loss"), curve))
     formats.write_json(
         out_dir / "manifest_synthesize.json",
-        _manifest("synthesize", run.sha256, seed, {
-            "eps": list(priv.eps),
-            "budget_mode": priv.budget_mode,
-            "budget_convention": priv.budget_convention,
-            "mechanisms": written,
-            "failed_candidates": failed,
-        }),
+        _manifest("synthesize", seed, config_sha256=run.sha256, eps=list(priv.eps),
+                  budget_mode=priv.budget_mode, budget_convention=priv.budget_convention,
+                  mechanisms=written, failed_candidates=failed),
     )
     print(f"synthesized {len(written)} mechanism(s) -> {out_dir}")
     return 0
@@ -492,12 +482,13 @@ def cmd_audit(args) -> int:
         if value < least:
             raise ConfigError(f"{flag} must be >= {least}, got {value}")
     mech_bytes = Path(args.mechanism).read_bytes()
-    mech = Mechanism.load(args.mechanism)
+    mech = Mechanism.from_json_dict(json.loads(mech_bytes))
     out_dir = Path(args.out_dir)
     report = audit.violation_ratio(mech, args.eps, mech.metric_p,
                                    sample_count=args.samples, seed=args.seed)
     edges, counts = audit.ppr_histogram(
-        mech, args.eps, mech.metric_p, sample_count=min(args.samples, 300),
+        mech, args.eps, mech.metric_p,
+        sample_count=min(args.samples, audit.HISTOGRAM_SAMPLES),
         bins=args.bins, seed=args.seed,
     )
     formats.write_json(out_dir / "audit_report.json", report.to_json_dict())
@@ -505,10 +496,8 @@ def cmd_audit(args) -> int:
         ("bin_lo", "bin_hi", "count"), zip(edges[:-1], edges[1:], counts)))
     formats.write_json(
         out_dir / "manifest_audit.json",
-        _manifest("audit", hashlib.sha256(mech_bytes).hexdigest(), args.seed, {
-            "eps": args.eps,
-            "samples": args.samples,
-        }),
+        _manifest("audit", args.seed, mechanism_sha256=hashlib.sha256(mech_bytes).hexdigest(),
+                  eps=args.eps, samples=args.samples),
     )
     print(
         f"violation_ratio={report.violation_ratio:.2f}% over {report.pair_count} pairs "
@@ -529,7 +518,7 @@ def cmd_lower_bound(args) -> int:
     })
     formats.write_json(
         out_dir / "manifest_lower_bound.json",
-        _manifest("lower-bound", run.sha256, seed, {"eps": list(priv.eps)}),
+        _manifest("lower-bound", seed, config_sha256=run.sha256, eps=list(priv.eps)),
     )
     for k, v in values.items():
         print(f"eps={k}: lower_bound={v:.6g}")
@@ -591,11 +580,8 @@ def cmd_compare(args) -> int:
     formats.write_text(out_dir / "results.csv", formats.csv_text(header, rows))
     formats.write_json(
         out_dir / "manifest_compare.json",
-        _manifest("compare", run.sha256, seed, {
-            "methods": list(methods),
-            "eps": list(priv.eps),
-            "replicates": replicates,
-        }),
+        _manifest("compare", seed, config_sha256=run.sha256, methods=list(methods),
+                  eps=list(priv.eps), replicates=replicates),
     )
     print(f"compared {len(methods)} method(s) x {len(priv.eps)} eps -> {out_dir / 'results.csv'}")
     return 0
@@ -642,7 +628,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_aud = sub.add_parser("audit", help="ratio-audit a stored mechanism")
     p_aud.add_argument("--mechanism", required=True, help="mechanism JSON file")
     p_aud.add_argument("--eps", type=float, required=True)
-    p_aud.add_argument("--samples", type=int, default=AuditSection.samples)
+    p_aud.add_argument(
+        "--samples", type=int, default=AuditSection.samples,
+        help="points the audit draws; ppr_histogram.csv bins the pairs of the first "
+             f"{audit.HISTOGRAM_SAMPLES} of them",
+    )
     p_aud.add_argument("--bins", type=int, default=AuditSection.bins)
     common(p_aud)
     p_aud.set_defaults(func=cmd_audit, seed=0)

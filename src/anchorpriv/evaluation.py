@@ -5,9 +5,8 @@ task-based pointwise losses (absolute shortest-path difference aggregated
 over a task prior), discrete priors over the domain, the expected loss of
 any mechanism (evaluated at every prior point at once through its
 ``log_probs``), and a deterministic generator for desk-scale synthetic
-instances. Instances round-trip through a bundle directory: a JSON
-manifest naming the parts, the graph as plain text, and the prior (and
-matrix losses) as CSV.
+instances. Instances round-trip through a bundle directory holding one
+JSON document, ``manifest.json``.
 """
 
 from __future__ import annotations
@@ -47,13 +46,18 @@ class RoadGraph:
 
     def __init__(self, nodes, edges):
         self.nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-        self.edges = [(int(u), int(v), float(w)) for u, v, w in edges]
+        edges = np.asarray(edges, dtype=float)
+        if edges.size and (edges.ndim != 2 or edges.shape[1] != 3):
+            raise ValueError(f"edges must be (u, v, w) triples, got shape {edges.shape}")
+        edges = edges.reshape(-1, 3)
+        ends = as_whole_numbers(edges[:, :2], "edge endpoints").tolist()
+        self.edges = [(u, v, w) for (u, v), w in zip(ends, edges[:, 2].tolist())]
         v_count = self.nodes.shape[0]
         for u, v, w in self.edges:
             if not (0 <= u < v_count and 0 <= v < v_count):
                 raise ValueError(f"edge ({u}, {v}) references unknown node")
-            if not w > 0:
-                raise ValueError("edge weights must be positive")
+            if not 0 < w < math.inf:
+                raise ValueError("edge weights must be positive and finite")
         self._adj = [[] for _ in range(v_count)]
         for u, v, w in self.edges:
             self._adj[u].append((v, w))
@@ -63,39 +67,8 @@ class RoadGraph:
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
     def neighbors(self, u: int):
         return self._adj[u]
-
-    def to_text(self) -> str:
-        """Plain text format: first line "V E", then one "u v w" line per edge."""
-        lines = [f"{self.n_nodes} {self.n_edges}"]
-        for x, y in self.nodes:
-            lines.append(f"n {formats.float_text(x)} {formats.float_text(y)}")
-        for u, v, w in self.edges:
-            lines.append(f"{u} {v} {formats.float_text(w)}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "RoadGraph":
-        lines = [ln for ln in text.strip().splitlines() if ln]
-        nodes, edges = [], []
-        try:
-            v_count, e_count = (int(tok) for tok in lines[0].split())
-            for ln in lines[1:]:
-                toks = ln.split()
-                if toks[0] == "n":
-                    nodes.append((float(toks[1]), float(toks[2])))
-                else:
-                    edges.append((int(toks[0]), int(toks[1]), float(toks[2])))
-        except IndexError as exc:
-            raise ValueError(f"graph text has a missing field: {exc}") from exc
-        if len(nodes) != v_count or len(edges) != e_count:
-            raise ValueError("graph header does not match body")
-        return cls(np.asarray(nodes), edges)
 
 
 def shortest_paths(graph: RoadGraph, source: int) -> np.ndarray:
@@ -441,66 +414,56 @@ def synth_instance(spec: InstanceSpec = InstanceSpec(), seed: int = 0) -> Instan
     return Instance(partition=partition, prior=prior, outputs=outputs, loss=loss, graph=graph)
 
 
-def save_instance(instance: Instance, directory):
-    """Write an instance bundle: manifest.json naming the parts.
+# Version of the instance bundle's manifest.json; load_instance reads no other.
+INSTANCE_VERSION = 2
 
-    The graph lands in graph.txt, the prior in prior.csv (columns
-    x0..x{N-1},mass); task-based losses embed their node/mass lists in the
-    manifest while matrix losses go to loss.csv (columns y0..y{K-1}, one
-    row per prior point).
+
+def save_instance(instance: Instance, directory):
+    """Write an instance bundle: one JSON document, ``manifest.json``.
+
+    Besides the partition and outputs blocks it holds the graph's
+    ``nodes`` ([x, y]) and ``edges`` ([u, v, w]), the prior's ``points``
+    and ``masses``, and the loss: a task loss's ``tasks.nodes`` and
+    ``tasks.masses``, or a matrix loss's ``loss_rows`` (one row per prior
+    point, one column per output).
     """
-    root = Path(directory)
-    prior = instance.prior
+    graph, prior, loss = instance.graph, instance.prior, instance.loss
     manifest = {
         "format": "anchorpriv-instance",
-        "version": 1,
+        "version": INSTANCE_VERSION,
         "partition": formats.partition_block(instance.partition),
         "outputs": formats.outputs_block(instance.outputs),
-        "graph": "graph.txt",
-        "prior": "prior.csv",
+        "graph": {"nodes": graph.nodes.tolist(), "edges": [list(e) for e in graph.edges]},
+        "prior": {"points": prior.points.tolist(), "masses": prior.masses.tolist()},
     }
-    formats.write_text(root / "graph.txt", instance.graph.to_text())
-    formats.write_text(root / "prior.csv", formats.csv_text(
-        [f"x{l}" for l in range(prior.points.shape[1])] + ["mass"],
-        np.column_stack([prior.points, prior.masses]),
-    ))
-    if instance.loss.kind == "tasks":
-        manifest["tasks"] = {
-            "nodes": [int(t) for t in instance.loss.task_nodes],
-            "masses": [float(m) for m in instance.loss.task_masses],
-        }
+    if loss.kind == "tasks":
+        manifest["tasks"] = {"nodes": list(loss.task_nodes), "masses": loss.task_masses.tolist()}
     else:
-        matrix = instance.loss._matrix
-        manifest["loss"] = "loss.csv"
-        formats.write_text(root / "loss.csv", formats.csv_text(
-            [f"y{k}" for k in range(matrix.shape[1])], matrix))
-    formats.write_json(root / "manifest.json", manifest)
+        manifest["loss_rows"] = loss._matrix.tolist()
+    formats.write_json(Path(directory) / "manifest.json", manifest)
 
 
 def load_instance(directory) -> Instance:
     """Load a bundle written by :func:`save_instance`.
 
-    A missing manifest field, or a malformed partition, outputs block,
-    graph or CSV part, raises ValueError.
+    Another format or version, a missing field, or a malformed or
+    non-finite part raises ValueError naming it.
     """
-    root = Path(directory)
-    manifest = formats.read_json(root / "manifest.json")
-    if not isinstance(manifest, dict) or manifest.get("format") != "anchorpriv-instance":
-        raise ValueError(f"{root} does not hold an instance bundle")
+    manifest = formats.read_json(Path(directory) / "manifest.json")
+    formats.check_header(manifest, "instance", INSTANCE_VERSION)
     what = "instance manifest"
+
+    def array(path, ndim):
+        return formats.read_array(manifest, path, what, ndim)
+
     part = formats.read_partition(manifest, what)
     outputs = formats.read_outputs(manifest, what)
-    graph = RoadGraph.from_text((root / formats.field(manifest, "graph", what)).read_text())
-    values = formats.read_float_csv(root / formats.field(manifest, "prior", what))
-    prior = PriorModel(values[:, :-1], values[:, -1])
+    graph = RoadGraph(array("graph.nodes", 2), array("graph.edges", 2))
+    prior = PriorModel(array("prior.points", 2), array("prior.masses", 1))
     if "tasks" in manifest:
-        loss = LossModel.from_tasks(
-            graph, formats.field(manifest, "tasks.nodes", what),
-            formats.field(manifest, "tasks.masses", what),
-        )
+        loss = LossModel.from_tasks(graph, array("tasks.nodes", 1), array("tasks.masses", 1))
     else:
-        loss = LossModel.from_matrix(prior.points, formats.read_float_csv(
-            root / formats.field(manifest, "loss", what)))
+        loss = LossModel.from_matrix(prior.points, array("loss_rows", 2))
         loss.loss_matrix(prior.points, outputs)  # one column per output, or ValueError
     return Instance(
         partition=part, prior=prior, outputs=outputs, loss=loss, graph=graph

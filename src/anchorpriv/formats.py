@@ -3,8 +3,9 @@
 Floats carry 17 significant digits, enough to round-trip float64, so a
 rerun reproduces each file byte for byte. JSON files use indent 1, sorted
 keys and a trailing newline. The mechanism file and the instance bundle
-share the partition and outputs blocks; their checked readers raise
-ValueError naming a missing or mistyped field.
+are one JSON document each, with a format name and a version, and share
+the partition and outputs blocks; their checked readers raise ValueError
+naming a missing or mistyped field.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from .geometry import Partition
 
 __all__ = [
     "float_text", "write_text", "write_json", "read_json", "csv_text", "read_float_csv",
-    "field", "optional_number", "partition_block", "read_partition", "outputs_block",
-    "read_outputs",
+    "check_header", "field", "optional_number", "read_array", "partition_block",
+    "read_partition", "outputs_block", "read_outputs",
 ]
 
 
@@ -83,6 +84,35 @@ def field(d: dict, path: str, what: str):
             raise ValueError(f"{what} lacks field {path!r}")
         value = value[key]
     return value
+
+
+def check_header(d, kind: str, version: int):
+    """ValueError unless ``d`` is an ``anchorpriv-<kind>`` document at ``version``."""
+    if not isinstance(d, dict) or d.get("format") != f"anchorpriv-{kind}":
+        raise ValueError(f"not an anchorpriv {kind} (format is not 'anchorpriv-{kind}')")
+    found = field(d, "version", kind)
+    if type(found) is not int or found != version:
+        raise ValueError(f"{kind} file version {found!r} is not supported; "
+                         f"this release reads version {version}")
+
+
+def read_array(d: dict, path: str, what: str, ndim: int) -> np.ndarray:
+    """Float array of the numbers at ``path`` of the ``what`` dict.
+
+    The array must have ``ndim`` axes (unless it is empty) and finite
+    entries; a missing field, a ragged array, a non-number or a
+    non-finite entry raises ValueError naming ``path``.
+    """
+    try:
+        values = np.asarray(field(d, path, what))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"malformed {what} field {path!r}: {exc}") from exc
+    if values.dtype.kind not in "iuf" or (values.size and values.ndim != ndim):
+        raise ValueError(f"{what} field {path!r} must be a {ndim}-D array of numbers")
+    values = values.astype(float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} field {path!r} must hold finite numbers")
+    return values
 
 
 def optional_number(d: dict, key: str, what: str):

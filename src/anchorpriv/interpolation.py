@@ -123,14 +123,7 @@ class Mechanism(_MechanismBase):
         Raises ValueError on anything else: another format or version, a
         missing field (named in the message) or a value of the wrong type.
         """
-        if not isinstance(d, dict) or d.get("format") != "anchorpriv-mechanism":
-            raise ValueError("not an anchorpriv mechanism (format is not 'anchorpriv-mechanism')")
-        version = formats.field(d, "version", "mechanism")
-        if type(version) is not int or version != FORMAT_VERSION:
-            raise ValueError(
-                f"mechanism file version {version!r} is not supported; "
-                f"this release reads version {FORMAT_VERSION}"
-            )
+        formats.check_header(d, "mechanism", FORMAT_VERSION)
         metric_p = formats.optional_number(d, "metric_p", "mechanism")
         total_eps = formats.optional_number(d, "total_eps", "mechanism")
         part = formats.read_partition(d, "mechanism")

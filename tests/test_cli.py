@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import importlib.util
 import json
 import logging
@@ -17,7 +18,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchorpriv import apo, budget, evaluation, formats, lpcore
+from anchorpriv import apo, audit, budget, evaluation, formats, lpcore
 from anchorpriv.cli import (
     CompareSpec,
     PrivacySpec,
@@ -29,6 +30,7 @@ from anchorpriv.cli import (
 )
 from anchorpriv.errors import ConfigError, SolverError
 from anchorpriv.evaluation import InstanceSpec
+from anchorpriv.interpolation import Mechanism
 
 BASE_CONFIG = {
     "domain": {"lower": [0.0, 0.0], "upper": [2.0, 2.0], "grid": [2, 2]},
@@ -174,6 +176,18 @@ class TestSynthesize:
         assert main(["synthesize", "--config", str(cfg), "--out-dir", str(out2)]) == 0
         assert read_tree(out1) == read_tree(out2)
 
+    def test_instance_bundle_is_one_json_document(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        assert [p.name for p in (out / "instance").iterdir()] == ["manifest.json"]
+        manifest = json.loads((out / "instance" / "manifest.json").read_text())
+        assert manifest["version"] == 2
+        inst = evaluation.synth_instance(load_config(cfg).instance, seed=3)
+        back = evaluation.load_instance(out / "instance")
+        assert back.graph.edges == inst.graph.edges
+        assert np.array_equal(back.prior.points, inst.prior.points)
+
 
 class TestAudit:
     def test_report_and_histogram(self, tmp_path):
@@ -201,6 +215,55 @@ class TestAudit:
             assert main(["audit", "--mechanism", str(mech), "--eps", "0.8", "--samples", "200",
                          "--threads", threads, "--out-dir", str(tmp_path / threads)]) == 0
         assert read_tree(tmp_path / "1") == read_tree(tmp_path / "2")
+
+    def test_manifest_hashes_the_mechanism_file(self, tmp_path):
+        cfg = write_config(tmp_path)
+        mech = tmp_path / "mech" / "mechanism_eps0.4.json"
+        assert main(["synthesize", "--config", str(cfg), "--out-dir", str(mech.parent)]) == 0
+        out = tmp_path / "audit"
+        assert main(["audit", "--mechanism", str(mech), "--eps", "0.4", "--samples", "20",
+                     "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest_audit.json").read_text())
+        assert manifest["mechanism_sha256"] == hashlib.sha256(mech.read_bytes()).hexdigest()
+        assert "config_sha256" not in manifest
+
+    def test_histogram_bins_the_first_300_points(self, tmp_path):
+        # ppr_histogram.csv covers the pairs of the audit's first
+        # audit.HISTOGRAM_SAMPLES points, or of all of them when fewer; one
+        # seed draws the same first points at any --samples.
+        cfg = write_config(tmp_path)
+        mech = tmp_path / "mech" / "mechanism_eps0.4.json"
+        assert main(["synthesize", "--config", str(cfg), "--out-dir", str(mech.parent)]) == 0
+
+        def histogram(samples):
+            out = tmp_path / f"audit{samples}"
+            assert main(["audit", "--mechanism", str(mech), "--eps", "0.4",
+                         "--samples", str(samples), "--out-dir", str(out)]) == 0
+            return out / "ppr_histogram.csv"
+
+        assert audit.HISTOGRAM_SAMPLES == 300
+        capped = histogram(1000)
+        assert formats.read_float_csv(capped)[:, 2].sum() == 300 * 299 // 2
+        assert capped.read_bytes() == histogram(300).read_bytes()
+        assert formats.read_float_csv(histogram(50))[:, 2].sum() == 50 * 49 // 2
+
+    def test_infinite_metric_order_loads_and_audits(self, tmp_path):
+        # At metric.p: inf the files store "metric_p": Infinity, a token
+        # Python's json module reads back.
+        cfg = tmp_path / "desk.yaml"
+        desk = yaml.safe_load(DESK.read_text())
+        desk["metric"]["p"] = "inf"
+        cfg.write_text(yaml.safe_dump(desk))
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(cfg), "--eps", "0.8",
+                     "--out-dir", str(out)]) == 0
+        mech_file = out / "mechanism_eps0.8.json"
+        assert '"metric_p": Infinity' in mech_file.read_text()
+        assert Mechanism.load(mech_file).metric_p == math.inf
+        assert main(["audit", "--mechanism", str(mech_file), "--eps", "0.8", "--samples", "100",
+                     "--out-dir", str(tmp_path / "audit")]) == 0
+        report = json.loads((tmp_path / "audit" / "audit_report.json").read_text())
+        assert report["metric_p"] == math.inf
 
     def test_missing_mechanism_maps_to_io_exit(self, tmp_path):
         code = main([

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,19 +300,19 @@ class TestSynthInstance:
     def test_deterministic_per_seed(self):
         a = synth_instance(InstanceSpec(), seed=9)
         b = synth_instance(InstanceSpec(), seed=9)
-        assert a.graph.to_text() == b.graph.to_text()
+        assert np.array_equal(a.graph.nodes, b.graph.nodes) and a.graph.edges == b.graph.edges
         assert np.array_equal(a.prior.points, b.prior.points)
         assert np.array_equal(a.prior.masses, b.prior.masses)
         assert np.array_equal(a.outputs.points, b.outputs.points)
         assert a.loss.task_nodes == b.loss.task_nodes
         assert np.array_equal(a.loss.task_masses, b.loss.task_masses)
         c = synth_instance(InstanceSpec(), seed=10)
-        assert c.graph.to_text() != a.graph.to_text()
+        assert c.graph.edges != a.graph.edges
 
     def test_grid_graph_counts(self):
         inst = synth_instance(InstanceSpec(graph_size=5), seed=0)
         assert inst.graph.n_nodes == 25
-        assert inst.graph.n_edges == 40  # 2 * 5 * 4 lattice edges
+        assert len(inst.graph.edges) == 40  # 2 * 5 * 4 lattice edges
 
     def test_zero_loss_when_points_share_snap_node(self):
         inst = synth_instance(InstanceSpec(), seed=1)
@@ -321,10 +322,14 @@ class TestSynthInstance:
         assert _nearest_node(inst.graph, y) == node
         assert mat[0, 4] == pytest.approx(0.0, abs=1e-12)
 
-    def test_graph_text_round_trip(self):
-        inst = synth_instance(InstanceSpec(), seed=2)
-        back = RoadGraph.from_text(inst.graph.to_text())
-        assert back.to_text() == inst.graph.to_text()
+    def test_edge_endpoints_must_be_whole_numbers(self):
+        with pytest.raises(ValueError, match="edge endpoints must be whole numbers"):
+            RoadGraph([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [(0, 1.5, 1.0)])
+        with pytest.raises(ValueError, match=r"\(u, v, w\) triples"):
+            RoadGraph([[0.0, 0.0], [1.0, 0.0]], [(0, 1, 1.0, 2.0)])
+        with pytest.raises(ValueError, match="positive and finite"):
+            RoadGraph([[0.0, 0.0], [1.0, 0.0]], [(0, 1, math.inf)])
+        assert RoadGraph([[0.0, 0.0]], []).edges == []
 
     def test_instance_bundle_types(self):
         inst = synth_instance(InstanceSpec(), seed=0)
@@ -333,48 +338,69 @@ class TestSynthInstance:
         assert inst.outputs.size == 9
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _assert_same_instance(back, inst):
+    """Every part of ``back`` equals ``inst``'s bit for bit."""
+    assert np.array_equal(back.graph.nodes, inst.graph.nodes)
+    assert back.graph.edges == inst.graph.edges
+    assert np.array_equal(back.prior.points, inst.prior.points)
+    assert np.array_equal(back.prior.masses, inst.prior.masses)
+    assert np.array_equal(back.outputs.points, inst.outputs.points)
+    assert back.outputs.labels == inst.outputs.labels
+    assert np.array_equal(back.partition.counts, inst.partition.counts)
+    assert np.array_equal(back.partition.bounds, inst.partition.bounds)
+    assert back.loss.kind == inst.loss.kind
+    if inst.loss.kind == "tasks":
+        assert back.loss.task_nodes == inst.loss.task_nodes
+        assert np.array_equal(back.loss.task_masses, inst.loss.task_masses)
+    assert np.array_equal(back.loss.loss_matrix(back.prior.points, back.outputs),
+                          inst.loss.loss_matrix(inst.prior.points, inst.outputs))
+
+
+def _matrix_instance():
+    from anchorpriv.geometry import Partition
+
+    rng = np.random.default_rng(30)
+    pts = rng.random((6, 2))
+    masses = rng.random(6)
+    return Instance(partition=Partition((0.0, 0.0), (1.0, 1.0), (2, 2)),
+                    prior=PriorModel(pts, masses / masses.sum()),
+                    outputs=OutputDomain(points=rng.random((3, 2))),
+                    loss=LossModel.from_matrix(pts, rng.random((6, 3))), graph=_path_graph())
+
+
+def _edit_manifest(root, edit):
+    """Apply ``edit`` to the bundle manifest under ``root`` in place."""
+    manifest = json.loads((root / "manifest.json").read_text())
+    edit(manifest)
+    (root / "manifest.json").write_text(json.dumps(manifest))
+
+
 class TestInstanceBundle:
-    def test_task_instance_round_trip(self, tmp_path):
+    @pytest.mark.parametrize("config", ["desk", "grid8"])
+    def test_task_instance_round_trip(self, tmp_path, config):
+        from anchorpriv.cli import load_config
         from anchorpriv.evaluation import load_instance, save_instance
 
-        inst = synth_instance(InstanceSpec(), seed=4)
+        run = load_config(ROOT / "perfbench" / "inputs" / f"{config}.yaml")
+        inst = synth_instance(run.instance, seed=6)
         save_instance(inst, tmp_path / "bundle")
-        assert (tmp_path / "bundle" / "manifest.json").exists()
-        back = load_instance(tmp_path / "bundle")
-        assert np.array_equal(back.prior.points, inst.prior.points)
-        assert np.array_equal(back.prior.masses, inst.prior.masses)
-        assert back.graph.to_text() == inst.graph.to_text()
-        assert np.array_equal(back.outputs.points, inst.outputs.points)
-        mat_a = inst.loss.loss_matrix(inst.prior.points, inst.outputs)
-        mat_b = back.loss.loss_matrix(back.prior.points, back.outputs)
-        assert np.array_equal(mat_a, mat_b)
+        assert [p.name for p in (tmp_path / "bundle").iterdir()] == ["manifest.json"]
+        _assert_same_instance(load_instance(tmp_path / "bundle"), inst)
 
     def test_matrix_instance_round_trip(self, tmp_path):
-        from anchorpriv.evaluation import Instance, load_instance, save_instance
-        from anchorpriv.geometry import Partition
+        from anchorpriv.evaluation import load_instance, save_instance
 
-        rng = np.random.default_rng(30)
-        part = Partition((0.0, 0.0), (1.0, 1.0), (2, 2))
-        pts = rng.random((6, 2))
-        masses = rng.random(6)
-        masses /= masses.sum()
-        prior = PriorModel(pts, masses)
-        loss = LossModel.from_matrix(pts, rng.random((6, 3)))
-        outputs = OutputDomain(points=rng.random((3, 2)))
-        graph = RoadGraph([[0.0, 0.0], [1.0, 1.0]], [(0, 1, 1.0)])
-        inst = Instance(partition=part, prior=prior, outputs=outputs,
-                        loss=loss, graph=graph)
-        save_instance(inst, tmp_path / "bundle")
-        assert (tmp_path / "bundle" / "loss.csv").exists()
-        back = load_instance(tmp_path / "bundle")
-        assert np.array_equal(
-            back.loss.loss_matrix(back.prior.points, back.outputs),
-            loss.loss_matrix(pts, outputs),
-        )
+        inst = _matrix_instance()
+        save_instance(inst, tmp_path)
+        assert "loss_rows" in json.loads((tmp_path / "manifest.json").read_text())
+        _assert_same_instance(load_instance(tmp_path), inst)
 
     def test_loss_needs_one_column_per_output(self, tmp_path):
-        # A 12-column loss.csv for 9 outputs once loaded, and the loss read
-        # its first 9 columns.
+        # A 12-column loss matrix for 9 outputs once loaded, and the loss
+        # read its first 9 columns.
         from anchorpriv.evaluation import load_instance, save_instance
 
         inst = synth_instance(InstanceSpec(), seed=0)
@@ -386,65 +412,75 @@ class TestInstanceBundle:
         with pytest.raises(ValueError, match="has 12 columns for 9 outputs"):
             load_instance(tmp_path)
 
-    def test_prior_csv_round_trip(self, tmp_path):
-        from anchorpriv.evaluation import load_instance, save_instance
-        from anchorpriv.geometry import Partition
-
-        rng = np.random.default_rng(31)
-        pts = rng.random((5, 2)) * 3
-        masses = rng.random(5)
-        masses /= masses.sum()
-        prior = PriorModel(pts, masses)
-        inst = Instance(partition=Partition((0.0, 0.0), (3.0, 3.0), (1, 1)), prior=prior,
-                        outputs=OutputDomain(points=np.eye(2)),
-                        loss=LossModel.from_matrix(pts, np.ones((5, 2))), graph=_path_graph())
-        save_instance(inst, tmp_path)
-        back = load_instance(tmp_path).prior
-        assert np.array_equal(back.points, prior.points)
-        assert np.array_equal(back.masses, prior.masses)
-
-    def test_missing_manifest_field_is_named(self, tmp_path):
+    @pytest.mark.parametrize("version, message", [
+        (1, "instance file version 1 is not supported; this release reads version 2"),
+        (3, "instance file version 3 is not supported"),
+        ("2", "instance file version '2' is not supported"),
+        (None, "instance lacks field 'version'"),
+    ])
+    def test_other_versions_are_rejected(self, tmp_path, version, message):
         from anchorpriv.evaluation import load_instance, save_instance
 
         save_instance(synth_instance(InstanceSpec(), seed=0), tmp_path)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        del manifest["partition"]["counts"]
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="'partition.counts'"):
+        _edit_manifest(tmp_path, lambda m: m.pop("version") if version is None
+                       else m.update(version=version))
+        with pytest.raises(ValueError, match=message):
             load_instance(tmp_path)
 
-    def test_malformed_part_files_are_value_errors(self, tmp_path):
+    @pytest.mark.parametrize("path", [
+        "partition.counts", "graph.nodes", "graph.edges", "prior.points", "prior.masses",
+        "tasks.nodes", "tasks.masses",
+    ])
+    def test_missing_part_is_named(self, tmp_path, path):
         from anchorpriv.evaluation import load_instance, save_instance
 
-        inst = synth_instance(InstanceSpec(), seed=0)
-        for name, text in (("graph.txt", ""), ("graph.txt", "3 1\nn 0 0\nn 1\n"),
-                           ("prior.csv", "x0,x1,mass\n0.5,0.5\n")):
-            save_instance(inst, tmp_path)
-            (tmp_path / name).write_text(text)
-            with pytest.raises(ValueError):
-                load_instance(tmp_path)
+        save_instance(synth_instance(InstanceSpec(), seed=0), tmp_path)
+        section, key = path.split(".")
+        _edit_manifest(tmp_path, lambda m: m[section].pop(key))
+        with pytest.raises(ValueError, match=f"instance manifest lacks field '{path}'"):
+            load_instance(tmp_path)
 
-    def test_non_finite_values_are_value_errors(self, tmp_path):
-        # Python's CSV and JSON readers both take "nan"; no bundle part may.
+    def test_missing_loss_rows_are_named(self, tmp_path):
         from anchorpriv.evaluation import load_instance, save_instance
 
-        inst = synth_instance(InstanceSpec(), seed=0)
-        save_instance(inst, tmp_path)
-        prior = (tmp_path / "prior.csv").read_text().splitlines()
-        prior[1] = prior[1].rsplit(",", 1)[0] + ",nan"
-        (tmp_path / "prior.csv").write_text("\n".join(prior) + "\n")
-        with pytest.raises(ValueError, match="masses must be finite"):
+        save_instance(_matrix_instance(), tmp_path)
+        _edit_manifest(tmp_path, lambda m: m.pop("loss_rows"))
+        with pytest.raises(ValueError, match="lacks field 'loss_rows'"):
             load_instance(tmp_path)
 
-        save_instance(inst, tmp_path)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        manifest["tasks"]["masses"][0] = math.nan
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="task prior must be finite"):
+    @pytest.mark.parametrize("path, value, message", [
+        ("graph.nodes", [[0.0, 0.0], [1.0]], "malformed instance manifest field 'graph.nodes'"),
+        ("graph.nodes", [[0.0, "a"]], "'graph.nodes' must be a 2-D array of numbers"),
+        ("graph.nodes", [0.0, 1.0], "'graph.nodes' must be a 2-D array of numbers"),
+        ("graph.edges", {"u": 0}, "'graph.edges' must be a 2-D array of numbers"),
+        ("graph.edges", [[0, 1.5, 1.0]], "edge endpoints must be whole numbers"),
+        ("graph.edges", [[0, 1, 1.0, 1.0]], r"\(u, v, w\) triples"),
+        ("graph.edges", [[0, 99, 1.0]], "references unknown node"),
+        ("prior.points", [[0.5, None]], "'prior.points' must be a 2-D array of numbers"),
+        ("prior.masses", ["0.5"], "'prior.masses' must be a 1-D array of numbers"),
+        ("prior.masses", [1.0, math.nan], "'prior.masses' must hold finite numbers"),
+        ("tasks.masses", [math.inf], "'tasks.masses' must hold finite numbers"),
+        ("tasks.nodes", [0.5], "task nodes must be whole numbers"),
+    ], ids=["ragged", "string", "flat", "object", "half-endpoint", "wide-edge",
+            "unknown-node", "null", "quoted", "nan-mass", "inf-task-mass", "half-task"])
+    def test_malformed_part_is_a_value_error(self, tmp_path, path, value, message):
+        from anchorpriv.evaluation import load_instance, save_instance
+
+        save_instance(synth_instance(InstanceSpec(), seed=0), tmp_path)
+        section, key = path.split(".")
+        _edit_manifest(tmp_path, lambda m: m[section].update({key: value}))
+        with pytest.raises(ValueError, match=message):
             load_instance(tmp_path)
+
+    def test_non_finite_loss_is_a_value_error(self, tmp_path):
+        from anchorpriv.evaluation import load_instance, save_instance
 
         with pytest.raises(ValueError, match="losses must be finite"):
             LossModel.from_matrix([[0.0, 0.0]], [[math.nan]])
+        save_instance(_matrix_instance(), tmp_path)
+        _edit_manifest(tmp_path, lambda m: m["loss_rows"][0].__setitem__(0, math.nan))
+        with pytest.raises(ValueError, match="'loss_rows' must hold finite numbers"):
+            load_instance(tmp_path)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda m: [-m[0], m[1] + 2 * m[0]] + m[2:], "non-negative"),
@@ -454,25 +490,13 @@ class TestInstanceBundle:
         from anchorpriv.evaluation import load_instance, save_instance
 
         save_instance(synth_instance(InstanceSpec(), seed=0), tmp_path)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        manifest["tasks"]["masses"] = edit(manifest["tasks"]["masses"])
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        _edit_manifest(tmp_path, lambda m: m["tasks"].update(masses=edit(m["tasks"]["masses"])))
         with pytest.raises(ValueError, match=message):
-            load_instance(tmp_path)
-
-    def test_non_whole_task_node_is_a_value_error(self, tmp_path):
-        from anchorpriv.evaluation import load_instance, save_instance
-
-        save_instance(synth_instance(InstanceSpec(), seed=0), tmp_path)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        manifest["tasks"]["nodes"][0] += 0.5
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="task nodes must be whole numbers"):
             load_instance(tmp_path)
 
     def test_non_bundle_dir_rejected(self, tmp_path):
         from anchorpriv.evaluation import load_instance
 
         (tmp_path / "manifest.json").write_text('{"format": "other"}')
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not an anchorpriv instance"):
             load_instance(tmp_path)

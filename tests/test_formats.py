@@ -39,3 +39,21 @@ def test_missing_field_is_named():
         formats.read_partition({"partition": {"lower": [0.0]}}, "bundle")
     with pytest.raises(ValueError, match="bundle field 'total_eps' must be a number"):
         formats.optional_number({"total_eps": "1"}, "total_eps", "bundle")
+
+
+def test_header_names_format_and_version():
+    formats.check_header({"format": "anchorpriv-x", "version": 2}, "x", 2)
+    with pytest.raises(ValueError, match="not an anchorpriv x"):
+        formats.check_header({"format": "anchorpriv-y", "version": 2}, "x", 2)
+    with pytest.raises(ValueError, match="x file version True is not supported"):
+        formats.check_header({"format": "anchorpriv-x", "version": True}, "x", 1)
+
+
+def test_read_array_checks_axes_and_numbers():
+    d = {"a": {"b": [[1, 2.5]], "empty": [], "flat": [1.0], "text": ["1"]}}
+    got = formats.read_array(d, "a.b", "doc", 2)
+    assert got.dtype == float and got.tolist() == [[1.0, 2.5]]
+    assert formats.read_array(d, "a.empty", "doc", 2).size == 0
+    for path in ("a.flat", "a.text"):
+        with pytest.raises(ValueError, match=f"doc field '{path}' must be a 2-D array"):
+            formats.read_array(d, path, "doc", 2)
