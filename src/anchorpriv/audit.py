@@ -11,6 +11,12 @@ output is one array pass over the block's rows against every later
 point, and each block is reduced before the next, so memory stays linear
 in the sample count. A worker pool over the blocks gained no time on a
 2-core machine and cost memory, so there is none.
+
+The sampled points and each block's pair distances depend only on the
+domain bounds, the sample count, the seed and p, not on the mechanism.
+A :class:`PairSample` holds them; one made with ``keep=True`` builds its
+blocks once and serves every audit at those settings, which is how
+``compare`` audits all of its cells of one replicate.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 from .geometry import lp_distance_matrix
 from .interpolation import PROB_FLOOR
 
-__all__ = ["AuditReport", "violation_ratio", "ppr_histogram"]
+__all__ = ["AuditReport", "PairSample", "violation_ratio", "ppr_histogram"]
 
 ROW_BLOCK = 64
 # Points whose pairs ppr_histogram bins by default, and at most in the
@@ -94,52 +100,112 @@ class AuditReport:
         }
 
 
-def _sample_points(mech, n: int, rng) -> np.ndarray:
-    lo, hi = mech.bounds
+def _sample_points(bounds, n: int, rng) -> np.ndarray:
+    lo, hi = bounds
     return lo + rng.random((n, lo.size)) * (hi - lo)
 
 
-def _block_ppr(points, logs, p, start, stop):
-    """Per-pair worst-output PPR of rows ``start:stop`` against every later point.
+class PairSample:
+    """The points an audit draws and, per row block, their pair distances.
 
-    ``logs`` holds one output per row, shape (K, n). Returns (ppr, dist),
-    both (stop - start, n - start - 1): entry (a, c) pairs i = start + a
-    with j = start + 1 + c, and ppr is -inf where j <= i.
+    ``bounds`` is the (lower, upper) pair of the audited domain; the
+    points are ``sample_count`` uniform draws from ``seed``. Blocks hold
+    ROW_BLOCK to 2 * ROW_BLOCK rows. With ``keep`` the blocks are built on
+    the first read and kept, n(n-1)/2 distances and the blocks' diagonal
+    parts, so later audits at the same settings reuse them; without it
+    each block is built as it is read and dropped after, and memory stays
+    linear in ``sample_count``.
+    """
+
+    def __init__(self, bounds, p: float, sample_count: int, seed: int, keep: bool = False):
+        if sample_count < 2:
+            raise ValueError(f"an audit needs at least 2 sample points, got {sample_count}")
+        self.bounds = tuple(np.array(b, dtype=float) for b in bounds)
+        self.p = p
+        self.sample_count = int(sample_count)
+        self.seed = seed
+        self.points = _sample_points(self.bounds, self.sample_count,
+                                     np.random.default_rng(seed))
+        self._keep = keep
+        self._kept = None
+
+    def check(self, mech, p: float, sample_count: int, seed: int):
+        """ValueError unless an audit of ``mech`` at these settings draws this sample."""
+        lo, hi = mech.bounds
+        differ = [what for what, same in (
+            ("bounds", np.array_equal(lo, self.bounds[0]) and np.array_equal(hi, self.bounds[1])),
+            ("sample count", sample_count == self.sample_count),
+            ("seed", seed == self.seed),
+            ("metric order p", p == self.p),
+        ) if not same]
+        if differ:
+            raise ValueError(f"the pair sample was drawn for another {', '.join(differ)} "
+                             "than this audit's")
+
+    def blocks(self):
+        """Iterator over ``(start, dist, lower)`` for every row block, in row order.
+
+        ``dist`` (rows, n - start - 1) holds the lp distance between point
+        i = start + a and point j = start + 1 + c at entry (a, c);
+        ``lower`` is the mask of its first columns where j <= i.
+        """
+        if not self._keep:
+            return self._build()
+        if self._kept is None:
+            self._kept = list(self._build())
+            for _, dist, lower in self._kept:
+                dist.setflags(write=False)
+                lower.setflags(write=False)
+        return iter(self._kept)
+
+    def _build(self):
+        points, n = self.points, self.sample_count
+        for rows in np.array_split(np.arange(n), max(1, n // ROW_BLOCK)):
+            start, stop = int(rows[0]), int(rows[-1]) + 1
+            dist = lp_distance_matrix(points[start:stop], points[start + 1:], self.p)
+            size = stop - start
+            yield start, dist, np.tri(size, min(size, dist.shape[1]), k=-1, dtype=bool)
+
+
+def _block_ppr(logs, start, dist, lower):
+    """Per-pair worst-output PPR of one row block of :meth:`PairSample.blocks`.
+
+    ``logs`` holds one output per row, shape (K, n). Returns an array
+    shaped like ``dist``, -inf where ``lower`` marks j <= i.
     """
     later = slice(start + 1, None)
-    dist = lp_distance_matrix(points[start:stop], points[later], p)
+    rows = slice(start, start + dist.shape[0])
     gap = np.zeros_like(dist)
     buf = np.empty_like(dist)
     for lk in logs:
-        np.subtract(lk[later], lk[start:stop, None], out=buf)
+        np.subtract(lk[later], lk[rows, None], out=buf)
         np.abs(buf, out=buf)
         np.maximum(gap, buf, out=gap)
     # One division per pair: dividing by d > 0 is monotone, so
     # max_k(|gap_k|) / d is bitwise max_k(|gap_k| / d).
     with np.errstate(divide="ignore", invalid="ignore"):
-        ppr = gap / dist
-    rows, cols = ppr.shape
-    ppr[:, :rows][np.tri(rows, min(rows, cols), k=-1, dtype=bool)] = -np.inf
-    return ppr, dist
+        np.divide(gap, dist, out=gap)
+    gap[:, :lower.shape[1]][lower] = -np.inf
+    return gap
 
 
-def _blocks(mech, eps, p, sample_count, seed):
-    """Yield ``(ppr, dist, logs, start)`` for every row block, in row order."""
-    if sample_count < 2:
-        raise ValueError(f"an audit needs at least 2 sample points, got {sample_count}")
+def _blocks(mech, eps, p, sample_count, seed, sample=None):
+    """Yield ``(ppr, dist, logs, start)`` for every row block, in row order.
+
+    The blocks are ``sample``'s, which must be the one these settings
+    draw; None draws a fresh sample that builds each block as it is read.
+    """
     if not eps > 0:
         raise ValueError(f"audit budget eps must be positive, got {eps}")
     if not math.isfinite(eps):
         raise ValueError(f"audit budget eps must be finite, got {eps}")
-    rng = np.random.default_rng(seed)
-    points = _sample_points(mech, sample_count, rng)
-    logs = np.ascontiguousarray(_floored_logs(mech, points).T)
-    n = points.shape[0]
-    # Row blocks of ROW_BLOCK to 2 * ROW_BLOCK rows keep each block's
-    # buffers linear in n.
-    for rows in np.array_split(np.arange(n), max(1, n // ROW_BLOCK)):
-        start = int(rows[0])
-        yield (*_block_ppr(points, logs, p, start, int(rows[-1]) + 1), logs, start)
+    if sample is None:
+        sample = PairSample(mech.bounds, p, sample_count, seed)
+    else:
+        sample.check(mech, p, sample_count, seed)
+    logs = np.ascontiguousarray(_floored_logs(mech, sample.points).T)
+    for start, dist, lower in sample.blocks():
+        yield _block_ppr(logs, start, dist, lower), dist, logs, start
 
 
 def _top_indices(flat, valid, top_k):
@@ -161,7 +227,7 @@ def _top_indices(flat, valid, top_k):
 
 def violation_ratio(mech, eps: float, p: float | None = None,
                     sample_count: int = 1000, seed: int = 0,
-                    top_k: int = 5) -> AuditReport:
+                    top_k: int = 5, sample: PairSample | None = None) -> AuditReport:
     """Audit a mechanism against budget ``eps`` on uniform domain samples.
 
     A pair violates when any output's PPR exceeds eps; the per-
@@ -169,7 +235,9 @@ def violation_ratio(mech, eps: float, p: float | None = None,
     ``top_k`` largest PPRs in (-ppr, i, j) order. Deterministic for a
     fixed seed: row blocks are reduced one after another into running
     counts, a max and a top_k list. ``p`` None audits under the
-    mechanism's own metric order.
+    mechanism's own metric order. ``sample``, if given, supplies the
+    points and pair distances and must match ``mech``'s bounds, ``p``,
+    ``sample_count`` and ``seed`` (ValueError otherwise).
     """
     p = _metric_order(mech, p)
     if top_k < 0:
@@ -177,7 +245,7 @@ def violation_ratio(mech, eps: float, p: float | None = None,
     violating = over = 0
     max_ppr = 0.0
     worst = []
-    for ppr, dist, logs, start in _blocks(mech, eps, p, sample_count, seed):
+    for ppr, dist, logs, start in _blocks(mech, eps, p, sample_count, seed, sample):
         # Only a pair whose worst output exceeds eps has outputs that do.
         a, c = np.nonzero(ppr > eps)
         violating += a.size

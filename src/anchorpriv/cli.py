@@ -525,16 +525,19 @@ def cmd_lower_bound(args) -> int:
     return 0
 
 
-def _compare_cell(method, instance, eps, priv, comp, seed, timing):
-    """One (method, eps, replicate) evaluation -> (loss, violation% or None, ms)."""
+def _compare_cell(method, instance, eps, priv, comp, sample, timing):
+    """One (method, eps, replicate) evaluation -> (loss, violation% or None, ms).
+
+    ``sample`` is the replicate's :class:`audit.PairSample`.
+    """
     start = time.perf_counter()
     built = make_method(method, instance, eps, priv, comp)
     if isinstance(built, float):  # a bound's value, with nothing to audit
         loss_val, viol = built, None
     else:
         loss_val = evaluation.expected_loss(built, instance.prior, instance.loss)
-        report = audit.violation_ratio(built, eps, priv.p,
-                                       sample_count=comp.audit_samples, seed=seed)
+        report = audit.violation_ratio(built, eps, priv.p, sample_count=comp.audit_samples,
+                                       seed=sample.seed, top_k=0, sample=sample)
         viol = report.violation_ratio
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return loss_val, viol, elapsed_ms if timing else None
@@ -549,6 +552,10 @@ def cmd_compare(args) -> int:
     instances = [
         evaluation.synth_instance(run.instance, seed=seed + r) for r in range(replicates)
     ]
+    # Every cell of a replicate audits on the same points, so their pair
+    # distances are computed once per replicate.
+    samples = [audit.PairSample(inst.partition.bounds, priv.p, comp.audit_samples, seed + r,
+                                keep=True) for r, inst in enumerate(instances)]
     header = ["method", "eps", "utility_loss", "violation_ratio", "wall_time_ms"]
     if replicates > 1:
         header = [
@@ -559,9 +566,9 @@ def cmd_compare(args) -> int:
     for method in methods:
         for eps in priv.eps:
             losses, viols, times = [], [], []
-            for r, inst in enumerate(instances):
+            for inst, sample in zip(instances, samples):
                 loss_val, viol, ms = _compare_cell(
-                    method, inst, eps, priv, comp, seed + r, args.timing
+                    method, inst, eps, priv, comp, sample, args.timing
                 )
                 losses.append(loss_val)
                 if viol is not None:

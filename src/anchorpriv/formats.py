@@ -134,12 +134,8 @@ def partition_block(partition: Partition) -> dict:
 
 def read_partition(d: dict, what: str) -> Partition:
     """The partition of the ``what`` dict's ``partition`` block."""
-    lower, upper, counts = (field(d, f"partition.{key}", what)
-                            for key in ("lower", "upper", "counts"))
-    try:
-        return Partition(lower, upper, counts)
-    except TypeError as exc:
-        raise ValueError(f"malformed {what} partition: {exc}") from exc
+    return Partition(*(read_array(d, f"partition.{key}", what, 1)
+                       for key in ("lower", "upper", "counts")))
 
 
 def outputs_block(outputs: OutputDomain) -> dict:
@@ -151,8 +147,9 @@ def outputs_block(outputs: OutputDomain) -> dict:
 
 def read_outputs(d: dict, what: str) -> OutputDomain:
     """The output candidates of the ``what`` dict's ``outputs`` block."""
-    points, labels = field(d, "outputs.points", what), field(d, "outputs.labels", what)
+    points = read_array(d, "outputs.points", what, 2)
+    labels = field(d, "outputs.labels", what)
     try:
-        return OutputDomain(points=np.asarray(points, dtype=float), labels=tuple(labels))
+        return OutputDomain(points=points, labels=tuple(labels))
     except TypeError as exc:
         raise ValueError(f"malformed {what} outputs: {exc}") from exc

@@ -14,6 +14,7 @@ corner in one (M, N) array, and all cells share the side lengths
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -61,11 +62,18 @@ def as_points(X, n_dims: int | None = None) -> np.ndarray:
 
 
 def as_whole_numbers(values, what: str) -> np.ndarray:
-    """``values`` as an int array; ValueError naming ``what`` unless each is a whole number."""
+    """``values`` as an int array; ValueError naming ``what`` unless each is a whole number.
+
+    The message names the first few bad entries and their indices, not the
+    whole array.
+    """
     raw = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(raw)) or np.any(raw != np.round(raw)):
-        given = np.asarray(values, dtype=object).tolist()
-        raise ValueError(f"{what} must be whole numbers, got {given}")
+    bad = np.argwhere(~np.isfinite(raw) | (raw != np.round(raw)))
+    if bad.size:
+        shown = ", ".join(f"{float(raw[tuple(at)])!r} at index {at.tolist()}"
+                          for at in bad[:3])
+        more = f" and {len(bad) - 3} more" if len(bad) > 3 else ""
+        raise ValueError(f"{what} must be whole numbers, got {shown}{more}")
     return raw.astype(int)
 
 
@@ -193,6 +201,24 @@ class Partition:
             axis=1,
         )
 
+    @functools.cached_property
+    def _axis_neighbors(self):
+        """:func:`axis_neighbors` of this partition, built on first use, read-only."""
+        shape = self._lattice_shape
+        first, second, axes = [], [], []
+        for axis in range(self.n_dims):
+            ranges = [np.arange(n - 1 if l == axis else n) for l, n in enumerate(shape)]
+            grids = np.stack([g.ravel() for g in np.meshgrid(*ranges, indexing="ij")], axis=1)
+            step = grids.copy()
+            step[:, axis] += 1
+            first.append(np.ravel_multi_index(grids.T, shape))
+            second.append(np.ravel_multi_index(step.T, shape))
+            axes.append(np.full(grids.shape[0], axis))
+        pairs = tuple(np.concatenate(part) for part in (first, second, axes))
+        for part in pairs:
+            part.setflags(write=False)
+        return pairs
+
     @property
     def n_anchors(self) -> int:
         return self.anchors.shape[0]
@@ -249,20 +275,7 @@ def axis_neighbors(partition: Partition):
     Returns (first, second, axis): anchors first[t] and second[t] differ
     only along ``axis[t]``, by the cell side ``partition.deltas[axis[t]]``.
     Pairs run axis by axis, each axis in C order of its first anchor. The
-    pair count equals sum_l counts_l * prod_{j != l} (counts_j + 1).
+    pair count equals sum_l counts_l * prod_{j != l} (counts_j + 1). The
+    arrays are built once per partition and are read-only.
     """
-    shape = partition._lattice_shape
-    first, second, axes = [], [], []
-    for axis in range(partition.n_dims):
-        ranges = [
-            np.arange(n - 1 if l == axis else n) for l, n in enumerate(shape)
-        ]
-        grids = np.stack(
-            [g.ravel() for g in np.meshgrid(*ranges, indexing="ij")], axis=1
-        )
-        step = grids.copy()
-        step[:, axis] += 1
-        first.append(np.ravel_multi_index(grids.T, shape))
-        second.append(np.ravel_multi_index(step.T, shape))
-        axes.append(np.full(grids.shape[0], axis))
-    return np.concatenate(first), np.concatenate(second), np.concatenate(axes)
+    return partition._axis_neighbors

@@ -128,21 +128,15 @@ class Mechanism(_MechanismBase):
         total_eps = formats.optional_number(d, "total_eps", "mechanism")
         part = formats.read_partition(d, "mechanism")
         outputs = formats.read_outputs(d, "mechanism")
-        try:
-            table = PerturbationTable(
-                np.asarray(formats.field(d, "table.probs", "mechanism"), dtype=float))
-            budget = None
-            if d.get("budget_eps") is not None:
-                for key, value in (("metric_p", metric_p), ("total_eps", total_eps)):
-                    if value is None:
-                        raise ValueError(f"mechanism field {key!r} must be a number "
-                                         "when 'budget_eps' is set, got null")
-                budget = BudgetVector(
-                    eps=np.asarray(d["budget_eps"], dtype=float),
-                    total_eps=float(total_eps), p=float(metric_p),
-                )
-        except TypeError as exc:
-            raise ValueError(f"malformed mechanism: {exc}") from exc
+        table = PerturbationTable(formats.read_array(d, "table.probs", "mechanism", 2))
+        budget = None
+        if d.get("budget_eps") is not None:
+            for key, value in (("metric_p", metric_p), ("total_eps", total_eps)):
+                if value is None:
+                    raise ValueError(f"mechanism field {key!r} must be a number "
+                                     "when 'budget_eps' is set, got null")
+            budget = BudgetVector(eps=formats.read_array(d, "budget_eps", "mechanism", 1),
+                                  total_eps=float(total_eps), p=float(metric_p))
         # Stored tables were floored before saving; do not re-floor, so a
         # load/save cycle reproduces the file bit for bit.
         return cls(

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -32,8 +33,8 @@ def _pair_ppr(mech, x, x2, p=2.0):
     """The audit's worst-output PPR of one pair, through its batched pair pass."""
     points = np.array([x, x2], dtype=float)
     logs = np.ascontiguousarray(audit._floored_logs(mech, points).T)
-    ppr, _ = audit._block_ppr(points, logs, p, 0, 1)
-    return float(ppr[0, 0])
+    dist = lp_distance_matrix(points[:1], points[1:], p)
+    return float(audit._block_ppr(logs, 0, dist, np.zeros((1, 1), dtype=bool))[0, 0])
 
 
 class TestPpr:
@@ -144,7 +145,7 @@ class TestViolationRatio:
         # The worst pair's PPR is its largest floored log-gap per unit of l1
         # distance.
         value, i, j = implicit.worst_pairs[0]
-        points = audit._sample_points(mech, 60, np.random.default_rng(0))
+        points = audit._sample_points(mech.bounds, 60, np.random.default_rng(0))
         d1 = float(np.abs(points[i] - points[j]).sum())
         logs = np.maximum(mech.log_probs(points[[i, j]]), math.log(PROB_FLOOR))
         assert value == pytest.approx(float(np.abs(logs[0] - logs[1]).max()) / d1, rel=1e-12)
@@ -167,6 +168,60 @@ class TestViolationRatio:
             with pytest.raises(ValueError, match="CoarseLpMechanism .*metric_p"):
                 check()
         assert violation_ratio(mech, 0.5, 2.0, sample_count=10).metric_p == 2.0
+
+
+def _em_mech():
+    outputs = OutputDomain(points=np.random.default_rng(5).random((4, 2)))
+    return ExponentialMechanism(outputs, ((0.0, 0.0), (1.0, 1.0)), eps=1.0, p=2.0)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPairSample:
+    def test_shared_sample_gives_the_fresh_audit(self):
+        mech = _em_mech()
+        sample = audit.PairSample(mech.bounds, 2.0, 150, 7, keep=True)
+        fresh = violation_ratio(mech, 0.3, 2.0, sample_count=150, seed=7).to_json_dict()
+        for _ in range(2):  # the first read builds the blocks, the second reuses them
+            shared = violation_ratio(mech, 0.3, 2.0, sample_count=150, seed=7, sample=sample)
+            assert shared.to_json_dict() == fresh
+        blocks = list(sample.blocks())
+        assert len(blocks) == 150 // audit.ROW_BLOCK
+        assert all(not a.flags.writeable for _, dist, lower in blocks for a in (dist, lower))
+
+    @pytest.mark.parametrize("what, settings", [
+        ("bounds", dict(bounds=((0.0, 0.0), (1.0, 2.0)))),
+        ("sample count", dict(sample_count=41)),
+        ("seed", dict(seed=2)),
+        ("metric order p", dict(p=1.0)),
+    ])
+    def test_sample_for_other_settings_is_rejected(self, what, settings):
+        mech = _em_mech()
+        made = dict(bounds=mech.bounds, p=2.0, sample_count=40, seed=1) | settings
+        sample = audit.PairSample(**made, keep=True)
+        with pytest.raises(ValueError, match=f"^the pair sample was drawn for another {what} "
+                                             "than this audit's$"):
+            violation_ratio(mech, 0.5, 2.0, sample_count=40, seed=1, sample=sample)
+
+    def test_fresh_sample_memory_is_linear_in_n(self):
+        # 2,000 points make 1,999,000 pairs, 16 MB of distances. Without a
+        # kept sample the audit holds one row block's few buffers at a time.
+        mech, n = _em_mech(), 2000
+        rows = -(-n // (n // audit.ROW_BLOCK))  # the largest block
+        peak = _traced_peak(lambda: violation_ratio(mech, 1.0, 2.0, sample_count=n, seed=0))
+        assert peak < 5 * rows * n * 8
+        # A kept sample holds every distance, so the bound above can tell.
+        sample = audit.PairSample(mech.bounds, 2.0, n, 0, keep=True)
+        kept = _traced_peak(lambda: violation_ratio(mech, 1.0, 2.0, sample_count=n, seed=0,
+                                                    sample=sample))
+        assert kept > n * (n - 1) // 2 * 8
 
 
 class TestHistogram:
@@ -206,7 +261,7 @@ def _ppr(x, x2, k, mech, p):
 
 def _reference(mech, eps, p, n, seed, top_k, bins):
     """Brute-force audit: every pair and output, one at a time."""
-    points = audit._sample_points(mech, n, np.random.default_rng(seed))
+    points = audit._sample_points(mech.bounds, n, np.random.default_rng(seed))
     worst, over = [], 0
     for i in range(n):
         for j in range(i + 1, n):

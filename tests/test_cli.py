@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -318,6 +319,35 @@ class TestCompare:
             assert rows["explicit"][("AIPO-E", eps)] == rows["equal"][("AIPO-E", eps)]
             assert (rows["explicit"][("AIPO-E", eps)].split(",")[2:]
                     == rows["equal"][("AIPO", eps)].split(",")[2:])
+
+    def test_cells_share_one_sample_and_audit_as_a_standalone_audit(self, tmp_path,
+                                                                    monkeypatch):
+        methods = ["AIPO", "EM", "Laplace", "CoarseLP"]
+        cfg = write_config(tmp_path, {"compare": {"methods": methods, "replicates": 2,
+                                                  "audit_samples": 150}})
+        built = []
+        block_distances = audit.lp_distance_matrix
+        monkeypatch.setattr(audit, "lp_distance_matrix",
+                            lambda *args: built.append(args) or block_distances(*args))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        # One pair sample per replicate: its two row blocks are built once
+        # for all 4 methods x 2 budgets.
+        assert len(built) == 2 * 2
+        monkeypatch.undo()
+        run = load_config(cfg)
+        instances = [evaluation.synth_instance(run.instance, seed=run.seed + r)
+                     for r in range(2)]
+        lines = (out / "results.csv").read_text().strip().splitlines()[1:]
+        for line in lines:
+            method, eps, _, _, viol, _, _ = line.split(",")
+            want = [audit.violation_ratio(make_method(method, inst, float(eps), run.privacy,
+                                                      run.compare),
+                                          float(eps), run.privacy.p, sample_count=150,
+                                          seed=run.seed + r).violation_ratio
+                    for r, inst in enumerate(instances)]
+            assert float(viol) == float(np.mean(want))
+        assert len(lines) == 4 * 2
 
     def test_replicates_add_ci_columns(self, tmp_path):
         cfg = write_config(tmp_path, {"compare": {"replicates": 2, "methods": ["EM"]}})
@@ -1058,7 +1088,31 @@ class TestInputGuards:
         mech.write_text(json.dumps(payload))
         assert self._audit(tmp_path, mech, "--eps", "0.4") == 2
         assert capsys.readouterr().err == (
-            "config error: cell counts must be whole numbers, got [2.9, 2]\n")
+            "config error: cell counts must be whole numbers, got 2.9 at index [0]\n")
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("path, index, ndim", [
+        ("partition.lower", (0,), 1), ("partition.upper", (1,), 1),
+        ("partition.counts", (0,), 1), ("outputs.points", (2, 1), 2),
+        ("table.probs", (3, 0), 2), ("budget_eps", (1,), 1)])
+    def test_quoted_number_is_config_error(self, tmp_path, capsys, path, index, ndim):
+        # np.asarray(..., dtype=float) once read "0.5" as 0.5.
+        mech = self._mechanism(tmp_path)
+        payload = json.loads(mech.read_text())
+        *parents, key = path.split(".")
+        block = payload
+        for name in parents:
+            block = block[name]
+        entry = block[key]
+        for i in index[:-1]:
+            entry = entry[i]
+        entry[index[-1]] = str(entry[index[-1]])
+        message = f"mechanism field {path!r} must be a {ndim}-D array of numbers"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Mechanism.from_json_dict(payload)
+        mech.write_text(json.dumps(payload))
+        assert self._audit(tmp_path, mech, "--eps", "0.4") == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "a").exists()
 
     def test_audit_nonpositive_eps_is_config_error(self, tmp_path, capsys):
@@ -1223,7 +1277,8 @@ class TestInputGuards:
         payload["table"]["probs"][0][0] = math.nan
         mech.write_text(json.dumps(payload))
         assert self._audit(tmp_path, mech, "--eps", "0.4") == 2
-        assert "probabilities must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: mechanism field 'table.probs' must hold finite numbers\n")
 
     def test_unstated_metric_order_is_config_error(self, tmp_path, capsys):
         mech = self._mechanism(tmp_path)

@@ -167,9 +167,11 @@ class TestLossModel:
     def test_task_nodes_must_be_whole_numbers(self):
         # int(2.5) would silently make the task node 2.
         graph = _path_graph()
-        for nodes in ([2.5], [0, 1.5], [math.nan]):
-            with pytest.raises(ValueError, match=r"task nodes must be whole numbers, got \["):
+        for nodes, bad in (([2.5], "2.5 at index [0]"), ([0, 1.5], "1.5 at index [1]"),
+                           ([math.nan], "nan at index [0]")):
+            with pytest.raises(ValueError) as err:
                 LossModel.from_tasks(graph, nodes, [1.0 / len(nodes)] * len(nodes))
+            assert str(err.value) == f"task nodes must be whole numbers, got {bad}"
         loss = LossModel.from_tasks(graph, [2.0, np.int64(0)], [0.5, 0.5])
         assert loss.task_nodes == [2, 0]
         assert all(type(t) is int for t in loss.task_nodes)
@@ -331,6 +333,19 @@ class TestSynthInstance:
             RoadGraph([[0.0, 0.0], [1.0, 0.0]], [(0, 1, math.inf)])
         assert RoadGraph([[0.0, 0.0]], []).edges == []
 
+    def test_bad_endpoint_message_names_only_the_bad_entry(self):
+        # grid8's road graph has 7 x 7 nodes and 84 edges; the message once
+        # listed every endpoint, 1,187 characters for one bad entry.
+        graph = synth_instance(InstanceSpec(graph_size=7), seed=6).graph
+        edges = np.array(graph.edges, dtype=float)
+        assert edges.shape == (84, 3)
+        edges[17, 1] = 1.5
+        with pytest.raises(ValueError) as err:
+            RoadGraph(graph.nodes, edges)
+        message = str(err.value)
+        assert message == "edge endpoints must be whole numbers, got 1.5 at index [17, 1]"
+        assert len(message) < 200
+
     def test_instance_bundle_types(self):
         inst = synth_instance(InstanceSpec(), seed=0)
         assert isinstance(inst, Instance)
@@ -461,8 +476,11 @@ class TestInstanceBundle:
         ("prior.masses", [1.0, math.nan], "'prior.masses' must hold finite numbers"),
         ("tasks.masses", [math.inf], "'tasks.masses' must hold finite numbers"),
         ("tasks.nodes", [0.5], "task nodes must be whole numbers"),
+        ("partition.counts", [4, "4"], "'partition.counts' must be a 1-D array of numbers"),
+        ("outputs.points", [[0.5, "0.5"]], "'outputs.points' must be a 2-D array of numbers"),
     ], ids=["ragged", "string", "flat", "object", "half-endpoint", "wide-edge",
-            "unknown-node", "null", "quoted", "nan-mass", "inf-task-mass", "half-task"])
+            "unknown-node", "null", "quoted", "nan-mass", "inf-task-mass", "half-task",
+            "quoted-count", "quoted-output"])
     def test_malformed_part_is_a_value_error(self, tmp_path, path, value, message):
         from anchorpriv.evaluation import load_instance, save_instance
 

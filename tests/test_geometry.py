@@ -134,9 +134,13 @@ class TestPartitionDomain:
 
     @pytest.mark.parametrize("counts", [(8.9, 8), (2, 2.5), (math.nan, 2), (math.inf, 2)])
     def test_non_whole_counts_rejected(self, counts):
-        # Truncating 8.9 to 8 would silently build another partition.
-        with pytest.raises(ValueError, match=r"cell counts must be whole numbers, got \["):
+        # Truncating 8.9 to 8 would silently build another partition. The
+        # message names the bad entry and its index only.
+        at = 1 if counts[0] == 2 else 0
+        with pytest.raises(ValueError) as err:
             Partition(*UNIT_SQUARE, counts)
+        assert str(err.value) == (
+            f"cell counts must be whole numbers, got {float(counts[at])!r} at index [{at}]")
 
     def test_whole_float_counts_accepted(self):
         part = Partition(*UNIT_SQUARE, (2.0, 3))
@@ -259,6 +263,16 @@ class TestAxisNeighbors:
     def test_one_dimensional_chain(self):
         part = Partition((0.0,), (1.0,), (4,))
         assert axis_neighbors(part)[0].size == 4
+
+    def test_built_once_per_partition_and_read_only(self):
+        part = Partition(*UNIT_SQUARE, (3, 2))
+        once, again = axis_neighbors(part), axis_neighbors(part)
+        assert all(a is b for a, b in zip(once, again, strict=True))
+        for array in once:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        other = axis_neighbors(Partition(*UNIT_SQUARE, (3, 2)))
+        assert all(np.array_equal(a, b) and a is not b for a, b in zip(once, other))
 
     @pytest.mark.parametrize("counts", [(1, 1), (2, 3), (4, 2), (2, 2, 2)])
     def test_count_matches_lattice_edge_formula(self, counts):
