@@ -16,7 +16,9 @@ The sampled points and each block's pair distances depend only on the
 domain bounds, the sample count, the seed and p, not on the mechanism.
 A :class:`PairSample` holds them; one made with ``keep=True`` builds its
 blocks once and serves every audit at those settings, which is how
-``compare`` audits all of its cells of one replicate.
+``compare`` audits all of its cells of one replicate. It keeps them only
+up to KEEP_MAX_PAIRS pairs, so its memory stays bounded at any sample
+count.
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ ROW_BLOCK = 64
 # audit command: it keeps one float per pair. One seed draws the same
 # prefix at any sample count, so these are the audit's first points.
 HISTOGRAM_SAMPLES = 300
+# Most pairs whose distances a kept PairSample holds: 32 MB of float64,
+# 2,896 points. A larger sample builds each block as it is read.
+KEEP_MAX_PAIRS = 2**22
 
 
 def _floored_logs(mech, X) -> np.ndarray:
@@ -110,11 +115,11 @@ class PairSample:
 
     ``bounds`` is the (lower, upper) pair of the audited domain; the
     points are ``sample_count`` uniform draws from ``seed``. Blocks hold
-    ROW_BLOCK to 2 * ROW_BLOCK rows. With ``keep`` the blocks are built on
-    the first read and kept, n(n-1)/2 distances and the blocks' diagonal
-    parts, so later audits at the same settings reuse them; without it
-    each block is built as it is read and dropped after, and memory stays
-    linear in ``sample_count``.
+    ROW_BLOCK to 2 * ROW_BLOCK rows. With ``keep``, and at most
+    KEEP_MAX_PAIRS pairs, the blocks are built on the first read and kept,
+    n(n-1)/2 distances and the blocks' diagonal parts, so later audits at
+    the same settings reuse them; otherwise each block is built as it is
+    read and dropped after, and memory stays linear in ``sample_count``.
     """
 
     def __init__(self, bounds, p: float, sample_count: int, seed: int, keep: bool = False):
@@ -126,7 +131,8 @@ class PairSample:
         self.seed = seed
         self.points = _sample_points(self.bounds, self.sample_count,
                                      np.random.default_rng(seed))
-        self._keep = keep
+        pairs = self.sample_count * (self.sample_count - 1) // 2
+        self._keep = keep and pairs <= KEEP_MAX_PAIRS
         self._kept = None
 
     def check(self, mech, p: float, sample_count: int, seed: int):

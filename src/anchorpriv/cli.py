@@ -549,13 +549,19 @@ def cmd_compare(args) -> int:
     methods, replicates = comp.methods, comp.replicates
     out_dir = Path(args.out_dir)
 
-    instances = [
-        evaluation.synth_instance(run.instance, seed=seed + r) for r in range(replicates)
-    ]
-    # Every cell of a replicate audits on the same points, so their pair
-    # distances are computed once per replicate.
-    samples = [audit.PairSample(inst.partition.bounds, priv.p, comp.audit_samples, seed + r,
-                                keep=True) for r, inst in enumerate(instances)]
+    # cells[c] collects each replicate's (loss, violation%, ms) of grid[c].
+    grid = [(method, eps) for method in methods for eps in priv.eps]
+    cells = [[] for _ in grid]
+    for r in range(replicates):
+        inst = evaluation.synth_instance(run.instance, seed=seed + r)
+        # Every cell of a replicate audits on the same points, so their pair
+        # distances are computed once per replicate, and one replicate's
+        # are dropped before the next one's are built.
+        sample = audit.PairSample(inst.partition.bounds, priv.p, comp.audit_samples, seed + r,
+                                  keep=True)
+        for (method, eps), results in zip(grid, cells):
+            results.append(_compare_cell(method, inst, eps, priv, comp, sample, args.timing))
+        del inst, sample
     header = ["method", "eps", "utility_loss", "violation_ratio", "wall_time_ms"]
     if replicates > 1:
         header = [
@@ -563,27 +569,19 @@ def cmd_compare(args) -> int:
             "violation_ratio", "violation_ratio_ci95", "wall_time_ms",
         ]
     rows = []
-    for method in methods:
-        for eps in priv.eps:
-            losses, viols, times = [], [], []
-            for inst, sample in zip(instances, samples):
-                loss_val, viol, ms = _compare_cell(
-                    method, inst, eps, priv, comp, sample, args.timing
-                )
-                losses.append(loss_val)
-                if viol is not None:
-                    viols.append(viol)
-                if ms is not None:
-                    times.append(ms)
-            mean_loss = float(np.mean(losses))
-            mean_viol = float(np.mean(viols)) if viols else None
-            mean_ms = float(np.mean(times)) if times else None
-            if replicates > 1:
-                ci = 1.96 * float(np.std(losses))
-                vci = 1.96 * float(np.std(viols)) if viols else None
-                rows.append([method, format(eps, "g"), mean_loss, ci, mean_viol, vci, mean_ms])
-            else:
-                rows.append([method, format(eps, "g"), mean_loss, mean_viol, mean_ms])
+    for (method, eps), results in zip(grid, cells):
+        losses = [loss_val for loss_val, _, _ in results]
+        viols = [viol for _, viol, _ in results if viol is not None]
+        times = [ms for _, _, ms in results if ms is not None]
+        mean_loss = float(np.mean(losses))
+        mean_viol = float(np.mean(viols)) if viols else None
+        mean_ms = float(np.mean(times)) if times else None
+        if replicates > 1:
+            ci = 1.96 * float(np.std(losses))
+            vci = 1.96 * float(np.std(viols)) if viols else None
+            rows.append([method, format(eps, "g"), mean_loss, ci, mean_viol, vci, mean_ms])
+        else:
+            rows.append([method, format(eps, "g"), mean_loss, mean_viol, mean_ms])
     formats.write_text(out_dir / "results.csv", formats.csv_text(header, rows))
     formats.write_json(
         out_dir / "manifest_compare.json",

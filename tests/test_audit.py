@@ -210,6 +210,18 @@ class TestPairSample:
                                              "than this audit's$"):
             violation_ratio(mech, 0.5, 2.0, sample_count=40, seed=1, sample=sample)
 
+    def test_sample_over_the_cap_is_not_kept(self, monkeypatch):
+        monkeypatch.setattr(audit, "KEEP_MAX_PAIRS", 40 * 39 // 2 - 1)
+        mech = _em_mech()
+        sample = audit.PairSample(mech.bounds, 2.0, 40, 1, keep=True)
+        first, second = (next(iter(sample.blocks()))[1] for _ in range(2))
+        assert first is not second and first.flags.writeable
+        assert (violation_ratio(mech, 0.5, 2.0, sample_count=40, seed=1, sample=sample)
+                .to_json_dict()
+                == violation_ratio(mech, 0.5, 2.0, sample_count=40, seed=1).to_json_dict())
+        at_cap = audit.PairSample(mech.bounds, 2.0, 39, 1, keep=True)
+        assert next(iter(at_cap.blocks()))[1] is next(iter(at_cap.blocks()))[1]
+
     def test_fresh_sample_memory_is_linear_in_n(self):
         # 2,000 points make 1,999,000 pairs, 16 MB of distances. Without a
         # kept sample the audit holds one row block's few buffers at a time.

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -348,6 +349,25 @@ class TestCompare:
                     for r, inst in enumerate(instances)]
             assert float(viol) == float(np.mean(want))
         assert len(lines) == 4 * 2
+
+    def test_replicates_keep_one_sample_at_a_time(self, tmp_path, monkeypatch):
+        # Each replicate's kept pair sample is released before the next
+        # replicate's blocks are built.
+        live = weakref.WeakSet()
+        kept_at_build = []
+
+        class Tracked(audit.PairSample):
+            def blocks(self):
+                if self._kept is None:
+                    kept_at_build.append(sum(s._kept is not None for s in live))
+                live.add(self)
+                return super().blocks()
+
+        monkeypatch.setattr(audit, "PairSample", Tracked)
+        cfg = write_config(tmp_path, {"compare": {"methods": ["EM", "Laplace"],
+                                                  "replicates": 2}})
+        assert main(["compare", "--config", str(cfg), "--out-dir", str(tmp_path / "c")]) == 0
+        assert kept_at_build == [0, 0]
 
     def test_replicates_add_ci_columns(self, tmp_path):
         cfg = write_config(tmp_path, {"compare": {"replicates": 2, "methods": ["EM"]}})

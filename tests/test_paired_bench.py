@@ -17,14 +17,14 @@ def paired_bench():
 def test_gain_needs_nine_tenths_of_the_pairs_and_a_median_beyond_the_spread(paired_bench):
     base = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]
     faster = [b - 0.05 for b in base]
-    s = paired_bench.summarize(base, faster, lower_is_better=True)
+    s = paired_bench.summarize(base, faster)
     assert s["wins"] == 10 and s["pairs"] == 10 and s["gain"]
     assert s["base"] == pytest.approx((0.99, 1.0, 1.01))
     # Eight wins of ten, one tie: no gain, however far the medians moved.
     mixed = faster[:8] + [base[8], base[9] + 0.01]
-    s = paired_bench.summarize(base, mixed, lower_is_better=True)
+    s = paired_bench.summarize(base, mixed)
     assert s["wins"] == 8 and not s["gain"]
     # Wins in every pair by less than the base's spread: no gain.
-    assert not paired_bench.summarize(base, [b - 0.001 for b in base], True)["gain"]
-    # For a metric where higher is better the same runs lose every pair.
-    assert paired_bench.summarize(base, faster, lower_is_better=False)["wins"] == 0
+    assert not paired_bench.summarize(base, [b - 0.001 for b in base])["gain"]
+    # Slower in every pair: no wins.
+    assert paired_bench.summarize(faster, base)["wins"] == 0
