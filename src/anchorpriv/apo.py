@@ -59,10 +59,13 @@ IPM_GAP_TOL = 1e-10
 # It also stops when it stalls: its best certificate, already within
 # IPM_STALL_GAP of its primal objective, has not improved in the last
 # IPM_STALL_ITER iterations although mu fell 100-fold over them. From there
-# on the certificates mostly wander below the best: over 594 shifted desk
-# and grid8 bound programs this ended all 5 that ran to IPM_MAX_ITER with
-# the same bound, and 7 that would have converged later with bounds at
-# most 4.8e-9 lower, relative.
+# on the certificates mostly wander below the best. Such stalls came from
+# factoring near-singular Newton blocks unshifted (_CHOLESKY_SHIFT): over
+# 594 shifted desk and grid8 bound programs, factored unshifted, this ended
+# 6 solves that ran to IPM_MAX_ITER, each with the same bound, and 2 that
+# would have converged later, at most 1.4e-9 lower, relative; 1 more ran to
+# IPM_MAX_ITER with its best certificate above IPM_STALL_GAP. With the
+# shift none of the 594 stalls, and the stop is a safeguard.
 IPM_STALL_ITER = 15
 IPM_STALL_GAP = 1e-8
 
@@ -380,13 +383,21 @@ def _relative_gap(primal: float, certificate: float, scale: float) -> float:
 
 # _inverse_cholesky factors blocks of at most _LEAF_ROWS rows with numpy's
 # cholesky, and _triangular_inverse inverts blocks of at most
-# _TRIANGULAR_LEAF_ROWS rows with numpy's inv; both split larger ones. A
-# matrix of at most 16 rows, as each desk bound's, thus gets numpy's
-# cholesky and inv alone, and its solve's iterates are bitwise those of
-# an unblocked factorization: the desk stalls IPM_STALL_ITER stops depend
-# on those bits.
+# _TRIANGULAR_LEAF_ROWS rows with numpy's inv; both split larger ones. Of
+# the sizes tried (16-64 and 4-32 rows, one BLAS thread), these factor the
+# 8x8/K=16 cell bound's 16 blocks of 64 rows fastest: 1.58 ms against 1.75 ms
+# at 32 and 16.
 _LEAF_ROWS = 32
-_TRIANGULAR_LEAF_ROWS = 16
+_TRIANGULAR_LEAF_ROWS = 8
+
+# _spd_inverse factors each unit-diagonal matrix with this much added to its
+# diagonal. Near the optimum a Newton block can be singular to working
+# precision and numpy's cholesky still succeed on it unshifted; the Newton
+# solve's refinement then diverges, the step falls to about 0, and the solve
+# stalls. Over 4,272 shifted desk bound programs, the unshifted
+# factorization left 60 solves at IPM_MAX_ITER without the stall stop and
+# 13 with it; shifted, none reached it or stalled, in 8% fewer iterations.
+_CHOLESKY_SHIFT = 1e-14
 
 
 def _triangular_inverse(low) -> np.ndarray:
@@ -449,26 +460,33 @@ def _inverse_cholesky(a) -> np.ndarray:
 def _spd_inverse(a) -> np.ndarray:
     """Inverses of a stack of symmetric positive definite matrices.
 
-    Each matrix is scaled to unit diagonal before its Cholesky
-    factorization (:func:`_inverse_cholesky`), which is retried with a
-    growing diagonal shift while it fails; the caller refines its solves
-    against the unshifted matrices. Raises :class:`SolverError` on a
-    non-finite entry, which no shift would mend.
+    Each matrix is scaled to unit diagonal, shifted by _CHOLESKY_SHIFT on
+    its diagonal and factored (:func:`_inverse_cholesky`); while the
+    factorization fails it is retried with a 100-fold larger shift, at
+    least 1e-14. The caller refines its solves against the unshifted
+    matrices. Raises :class:`SolverError` on a non-finite entry, which no
+    shift would mend.
     """
     if not np.all(np.isfinite(a)):
         raise SolverError("block-ipm failed: non-finite Newton matrix")
     d = np.sqrt(np.diagonal(a, axis1=-2, axis2=-1))
 
     def outer():  # made twice, so that it is not held during the factorization
-        return d[..., :, None] * d[..., None, :]
+        # The products of broadcasting, which einsum forms about twice as fast.
+        return np.einsum("...i,...j->...ij", d, d)
 
-    shift = 0.0
+    def scaled(shift):
+        m = a / outer()
+        diag = np.arange(a.shape[-1])
+        m[..., diag, diag] += shift
+        return m
+
+    shift = _CHOLESKY_SHIFT
     while True:
         try:
             # Handed over with no other reference, so that _inverse_cholesky
             # frees it once it has read it.
-            inv_low = _inverse_cholesky(a / outer() + shift * np.eye(a.shape[-1]) if shift
-                                        else a / outer())
+            inv_low = _inverse_cholesky(scaled(shift))
             break
         except np.linalg.LinAlgError:
             shift = max(100.0 * shift, 1e-14)
@@ -479,14 +497,17 @@ def _spd_inverse(a) -> np.ndarray:
 
 
 def _max_step(pairs) -> float:
-    """Largest step in (0, 1] along each (v, dv) that keeps every v >= 0."""
-    step = 1.0
-    for v, dv in pairs:
-        # Where dv < 0, -(v / dv) is the step that brings v to 0; elsewhere
-        # the -1 only caps the step at 1.
-        ratio = np.divide(v, dv, out=np.full_like(v, -1.0), where=dv < 0)
-        step = min(step, -float(ratio.max()))
-    return step
+    """Largest step in [0, 1] along each (v, dv) that keeps every v >= 0.
+
+    The step is 1 / max(-dv / v) over the entries with dv < 0, from one
+    unmasked quotient: an entry with v = 0 and dv < 0 gives -inf and step
+    0, and the 0 / 0 entries off the ratio rows give NaN, which fmin skips.
+    """
+    least = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for v, dv in pairs:
+            least = min(least, float(np.fmin.reduce(dv / v, axis=None)))
+    return min(1.0, -1.0 / least) if least < 0 else 1.0
 
 
 def _block_ipm(objective, first, second, log_ratio) -> LpSolution:
@@ -532,6 +553,8 @@ def _block_ipm(objective, first, second, log_ratio) -> LpSolution:
     rows[first, second] = rows[second, first] = 1.0
     n_products = n_out * (n + 2 * first.size)  # complementary pairs z s and w lam
     diag = np.arange(n)
+    neg_alpha = -alpha
+    alpha_sq = alpha * alpha
 
     # alpha[i, j] v[k, i] and rows[i, j] v[k, j], the same products as by
     # broadcasting, which numpy forms about half as fast at (16, 64, 64).
@@ -541,11 +564,11 @@ def _block_ipm(objective, first, second, log_ratio) -> LpSolution:
     def rows_second(v):
         return np.einsum("ij,kj->kij", rows, v)
 
-    def g(v):  # (K, R) -> the ratio rows' (K, R, R) values
-        return alpha_first(v) - rows_second(v)
-
-    def g_t(u):  # (K, R, R), 0 off the ratio rows -> (K, R)
-        return (alpha * u).sum(axis=2) - u.sum(axis=1)
+    # The transpose of the ratio rows' map v -> alpha[i, j] v[k, i] - v[k, j]:
+    # (K, R, R), 0 off the ratio rows -> (K, R). einsum reads u once per sum
+    # and builds no alpha * u temporary.
+    def g_t(u):
+        return np.einsum("ij,kij->ki", alpha, u) - np.einsum("kij->kj", u)
 
     z = np.full((n_out, n), 1.0 / n_out)
     s = np.ones((n_out, n))
@@ -557,9 +580,13 @@ def _block_ipm(objective, first, second, log_ratio) -> LpSolution:
     # (K, R, R) right-hand sides stay exactly 0 and w stays 1, so a product
     # with one of them needs no rows mask.
     for it in range(IPM_MAX_ITER + 1):
-        r_rows = g(z) + rows * w
+        # alpha z[k, i] - z[k, j] + w on the ratio rows, 0 off them.
+        r_rows = w - z[:, None, :]
+        r_rows *= rows
+        r_rows += alpha_first(z)
         r_sums = z.sum(axis=0) - 1.0
-        reduced = c + g_t(lam)
+        g_lam = g_t(lam)
+        reduced = c + g_lam
         r_dual = reduced - y - s
         primal = float((c * z).sum())
         certificate = float(reduced.min(axis=0).sum())
@@ -569,21 +596,23 @@ def _block_ipm(objective, first, second, log_ratio) -> LpSolution:
         gap = _relative_gap(primal, best, 1.0)
         if it == IPM_MAX_ITER or (infeasible <= IPM_GAP_TOL and gap <= IPM_GAP_TOL):
             break
-        # The predictor's right-hand sides, -z s and -w lam, whose sums are
-        # exactly those of z s and w lam negated.
-        rc_z, rc_w = -(z * s), -(w * lam)
-        mu = -(float(rc_z.sum()) + float(rc_w.sum())) / n_products
+        zs, wl = z * s, float(np.vdot(w, lam))
+        mu = (float(zs.sum()) + wl) / n_products
         mus.append(mu)
         if it - best_it >= IPM_STALL_ITER and gap <= IPM_STALL_GAP \
                 and mu <= 0.01 * mus[-1 - IPM_STALL_ITER]:
             break
-        d_rows, d_z = lam / w, s / z
+        # One divide per iteration; the passes below multiply by it.
+        inv_w = 1.0 / w
+        d_rows, d_z = lam * inv_w, s / z
         dr = d_rows * r_rows
+        g_dr = g_t(dr)  # both directions' right-hand sides read only this of dr
+        del dr
         blocks = d_rows + np.swapaxes(d_rows, 1, 2)
-        blocks *= -alpha
-        blocks[:, diag, diag] = (alpha * alpha * d_rows).sum(axis=2) + d_rows.sum(axis=1) + d_z \
-            + 1e-10
-        del d_rows  # the directions read dr; one (K, R, R) array fewer at the peak
+        blocks *= neg_alpha
+        blocks[:, diag, diag] = np.einsum("ij,kij->ki", alpha_sq, d_rows) \
+            + np.einsum("kij->kj", d_rows) + d_z + 1e-10
+        del d_rows  # one (K, R, R) array fewer at the factorization's peak
         inv_blocks = _spd_inverse(blocks)
         inv_schur = _spd_inverse(inv_blocks.sum(axis=0))
 
@@ -593,8 +622,10 @@ def _block_ipm(objective, first, second, log_ratio) -> LpSolution:
             dy = inv_schur @ (r - u.sum(axis=0))
             return u + inv_blocks @ dy, dy
 
-        def direction(rc_z, rc_w):
-            h = -r_dual - g_t(dr + rc_w / w) + rc_z / z
+        def direction(rc_z, q, g_q):
+            # The Newton direction whose complementarity right-hand sides
+            # are rc_z for z s and w q for w lam; g_q is g_t(q).
+            h = -r_dual - g_dr - g_q + rc_z / z
             dz, dy = reduced_solve(h, -r_sums)
             last = math.inf
             for _ in range(8):
@@ -606,33 +637,51 @@ def _block_ipm(objective, first, second, log_ratio) -> LpSolution:
                 last = size
                 ez, ey = reduced_solve(res_h, res_r)
                 dz, dy = dz + ez, dy + ey
-            # -r_rows - g(dz), in the same rounding.
+            # -r_rows - (alpha dz[k, i] - dz[k, j]).
             dw = rows_second(dz)
             dw -= alpha_first(dz)
             dw -= r_rows
-            dl = lam * dw  # then (rc_w - lam dw) / w in place: one (K, R, R) array fewer
-            np.subtract(rc_w, dl, out=dl)
-            dl /= w
+            dl = lam * dw  # then q - lam dw / w in place: one (K, R, R) array fewer
+            dl *= inv_w
+            np.subtract(q, dl, out=dl)
             return dz, dy, dw, dl, (rc_z - s * dz) / z
 
-        dz, dy, dw, dl, ds = direction(rc_z, rc_w)
+        # The predictor's right-hand sides are -z s and -w lam.
+        rc_z = -zs
+        dz, dy, dw, dl, ds = direction(rc_z, -lam, -g_lam)
         step_p = _max_step([(z, dz), (w, dw)])
         step_d = _max_step([(lam, dl), (s, ds)])
+        # sum (w + step_p dw) (lam + step_d dl), expanded so that it forms no
+        # (K, R, R) array.
         mu_aff = (float(((z + step_p * dz) * (s + step_d * ds)).sum())
-                  + float(((w + step_p * dw) * (lam + step_d * dl)).sum())) / n_products
+                  + wl + step_d * float(np.vdot(w, dl)) + step_p * float(np.vdot(dw, lam))
+                  + step_p * step_d * float(np.vdot(dw, dl))) / n_products
         target = (mu_aff / mu) ** 3 * mu
-        # target - z s - dz ds and rows (target - w lam - dw dl), in the same rounding.
-        rc_z, rc_w = target + rc_z - dz * ds, rows * target + rc_w - dw * dl
+        # The corrector's: target - z s - dz ds, and w q with q = (rows target
+        # - w lam - dw dl) / w, made in place of the predictor's dl.
+        rc_z = target + rc_z - dz * ds
+        q = dl
+        q *= dw
+        q -= rows * target
+        q *= inv_w
+        q += lam
+        np.negative(q, out=q)
         del dw, dl  # the predictor's; not held during the corrector's solve
-        dz, dy, dw, dl, ds = direction(rc_z, rc_w)
+        dz, dy, dw, dl, ds = direction(rc_z, q, g_t(q))
+        del q
         step_p = 0.99 * _max_step([(z, dz), (w, dw)])
         step_d = 0.99 * _max_step([(lam, dl), (s, ds)])
-        z, w = z + step_p * dz, w + step_p * dw
-        lam, s, y = lam + step_d * dl, s + step_d * ds, y + step_d * dy
+        # w is updated in place; lam is not, since best_lam may be it.
+        dw *= step_p
+        w += dw
+        dl *= step_d
+        z, lam, s, y = z + step_p * dz, lam + dl, s + step_d * ds, y + step_d * dy
+        # Not held while the next iteration's blocks are factored.
+        blocks = inv_blocks = inv_w = dw = dl = None
     # Free the (K, R, R) arrays before the multipliers are gathered, so that
     # these fill the freed memory instead of landing above it and keeping the
     # heap from shrinking: that raised lb-8x8's peak RSS by about 0.4 MB.
-    w = lam = r_rows = dr = blocks = inv_blocks = rc_w = dw = dl = None
+    w = lam = r_rows = None
     # Row z[i] / b - z[j] <= 0 with multiplier l is z[i] - b z[j] <= 0 with l / b.
     pair_lam = np.stack([best_lam[:, first, second], best_lam[:, second, first]], axis=2)
     multipliers = (pair_lam * inv_bound[None, :, None]).transpose(1, 0, 2).ravel() * scale

@@ -39,19 +39,31 @@ __all__ = [
 ]
 
 
-def as_point(x) -> np.ndarray:
-    """Coerce ``x`` to a finite 1-D float array of dimension >= 1."""
-    p = np.asarray(x, dtype=float)
+def _as_float_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array; ValueError naming ``what`` on str, bytes or object input.
+
+    np.asarray(..., dtype=float) alone would convert quoted numbers such as "0.5".
+    """
+    raw = np.asarray(values)
+    kind = {"U": "strings", "S": "bytes", "O": "objects"}.get(raw.dtype.kind)
+    if kind:
+        raise ValueError(f"{what} must be numbers, not {kind}")
+    return raw.astype(float, copy=False)
+
+
+def as_point(x, what: str = "point") -> np.ndarray:
+    """Coerce ``x`` to a finite 1-D float array of dimension >= 1; errors name ``what``."""
+    p = _as_float_array(x, what)
     if p.ndim != 1 or p.size < 1:
-        raise ValueError(f"point must be a 1-D vector, got shape {p.shape}")
+        raise ValueError(f"{what} must be a 1-D vector, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
-        raise ValueError("point coordinates must be finite")
+        raise ValueError(f"{what} coordinates must be finite")
     return p
 
 
 def as_points(X, n_dims: int | None = None) -> np.ndarray:
     """Coerce ``X`` to a finite (n, N) float array, N >= 1 (``n_dims`` if given)."""
-    P = np.asarray(X, dtype=float)
+    P = _as_float_array(X, "points")
     if P.ndim != 2 or P.shape[1] < 1:
         raise ValueError(f"points must be an (n, N) array, got shape {P.shape}")
     if n_dims is not None and P.shape[1] != n_dims:
@@ -67,7 +79,7 @@ def as_whole_numbers(values, what: str) -> np.ndarray:
     The message names the first few bad entries and their indices, not the
     whole array.
     """
-    raw = np.asarray(values, dtype=float)
+    raw = _as_float_array(values, what)
     bad = np.argwhere(~np.isfinite(raw) | (raw != np.round(raw)))
     if bad.size:
         shown = ", ".join(f"{float(raw[tuple(at)])!r} at index {at.tolist()}"
@@ -159,8 +171,8 @@ class Partition:
     """
 
     def __init__(self, lower, upper, counts):
-        self.lower = as_point(lower)
-        self.upper = as_point(upper)
+        self.lower = as_point(lower, "lower corner")
+        self.upper = as_point(upper, "upper corner")
         counts = as_whole_numbers(counts, "cell counts")
         if self.upper.shape != self.lower.shape:
             raise ValueError("bounds dimension mismatch")

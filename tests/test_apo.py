@@ -787,23 +787,52 @@ class TestBlockInteriorPoint:
         assert sol.method == "block-ipm"
         assert value >= 0.000133592
 
-    @pytest.mark.parametrize("offset, eps", [((-2.64, -3.968), 1.6), ((-0.254, 1.575), 0.8)])
+    # Desk inputs shifted as perfbench/run.py --seed 12 and --seed 3 shift them.
+    STALLING = [((-0.254, 1.575), 1.0, 0.2), ((-2.62, 0.442), math.inf, 0.2)]
+
+    @pytest.mark.parametrize("offset, p, eps", STALLING)
     def test_stalled_solve_stops_early_with_the_same_bound(self, tmp_path, monkeypatch, offset,
-                                                           eps):
-        # The desk inputs of perfbench/run.py --seed 4 and --seed 12 (p = 2).
-        # Past iteration 25 the certificates only wander below the best one,
-        # and without the stall stop the solve runs to IPM_MAX_ITER.
+                                                           p, eps):
+        # Factored without the Cholesky shift, these solves stall: the best
+        # certificate comes by iteration 13, after it the certificates only
+        # wander below it, and without the stall stop the solve runs to
+        # IPM_MAX_ITER.
+        monkeypatch.setattr(apo, "_CHOLESKY_SHIFT", 0.0)
         inst = _shifted_desk_instance(tmp_path, offset)
-        args = (inst.partition, inst.outputs, eps, 2.0, inst.loss, inst.prior)
+        args = (inst.partition, inst.outputs, eps, p, inst.loss, inst.prior)
         value, sol = lower_bound(*args)
         monkeypatch.setattr(apo, "IPM_STALL_ITER", apo.IPM_MAX_ITER + 1)
         full, full_sol = lower_bound(*args)
         assert full_sol.nit == apo.IPM_MAX_ITER and sol.nit <= 45
         assert value == full
 
-    def test_singular_block_is_shifted_and_a_non_finite_one_raises(self):
-        # Cholesky fails on a singular block; a small shift makes it definite.
-        inverse = apo._spd_inverse(np.array([[[1.0, 1.0], [1.0, 1.0]], [[2.0, 0.0], [0.0, 4.0]]]))
+    @pytest.mark.parametrize("offset, p, eps", STALLING)
+    def test_cholesky_shift_ends_the_stall(self, tmp_path, monkeypatch, offset, p, eps):
+        # With the shift the same programs converge before the stall stop
+        # could fire, to a higher bound than the stalled solves'.
+        inst = _shifted_desk_instance(tmp_path, offset)
+        args = (inst.partition, inst.outputs, eps, p, inst.loss, inst.prior)
+        solves = _spy_block_ipm(monkeypatch)
+        value, sol = lower_bound(*args)
+        (lp, _), = solves
+        certificate = apo._dual_certificate(lp, sol.multipliers)
+        assert sol.nit < apo.IPM_STALL_ITER
+        assert apo._relative_gap(sol.objective_value, certificate,
+                                 float(lp.objective.max())) <= apo.IPM_GAP_TOL
+        monkeypatch.setattr(apo, "_CHOLESKY_SHIFT", 0.0)
+        stalled, _ = lower_bound(*args)
+        assert value > stalled
+
+    def test_singular_block_is_shifted_and_a_non_finite_one_raises(self, monkeypatch):
+        blocks = np.array([[[1.0, 1.0], [1.0, 1.0]], [[2.0, 0.0], [0.0, 4.0]]])
+        # The default shift perturbs each inverse by about 1e-14, relative.
+        inverse = apo._spd_inverse(blocks)
+        assert np.all(np.isfinite(inverse))
+        assert inverse[1] == pytest.approx(np.diag([0.5, 0.25]), rel=1e-13)
+        # Unshifted, Cholesky fails on the singular block; the retry's shift
+        # makes it definite.
+        monkeypatch.setattr(apo, "_CHOLESKY_SHIFT", 0.0)
+        inverse = apo._spd_inverse(blocks)
         assert np.all(np.isfinite(inverse))
         assert inverse[1] == pytest.approx(np.diag([0.5, 0.25]), rel=1e-15)
         with pytest.raises(SolverError, match="non-finite Newton matrix"):
@@ -855,7 +884,7 @@ class TestBlockInteriorPoint:
 
 
 def _boolean_mask_step(pairs) -> float:
-    """_max_step's former formula, which gathered the entries with dv < 0."""
+    """The step as min(1, -v / dv) over the entries with dv < 0, gathered by a mask."""
     step = 1.0
     for v, dv in pairs:
         down = dv < 0
@@ -889,16 +918,19 @@ class TestBlockIpmKernels:
     @settings(max_examples=100, deadline=None)
     @given(
         st.integers(1, 40).flatmap(lambda n: st.tuples(
-            arrays(np.float64, n, elements=st.floats(0.0, 1e6)),
+            # Normal floats only: where v is subnormal, dv / v overflows to
+            # -inf and the step is 0. The solver's slacks never get that small.
+            arrays(np.float64, n, elements=st.one_of(st.just(0.0), st.floats(1e-300, 1e6))),
             arrays(np.float64, n, elements=st.one_of(
                 st.sampled_from([0.0, -0.0]), st.floats(1e-9, 1e6), st.floats(-1e6, -1e-9))))),
         st.booleans(),
     )
-    def test_max_step_is_bitwise_the_boolean_mask_formula(self, pair, small):
+    def test_max_step_is_the_boolean_mask_formula_to_a_few_ulp(self, pair, small):
         v, dv = pair
         pairs = [(v, dv), (v[:3] + 1.0, np.abs(dv[:3]))] if small else [(v, dv)]
-        assert np.float64(apo._max_step(pairs)).tobytes() == \
-            np.float64(_boolean_mask_step(pairs)).tobytes()
+        step, want = apo._max_step(pairs), _boolean_mask_step(pairs)
+        assert 0.0 <= step <= 1.0
+        assert abs(step - want) <= 4 * np.spacing(want)
 
     def test_max_step_without_a_decreasing_entry_is_one(self):
         v = np.array([0.0, 1.0, 2.0])

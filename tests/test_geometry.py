@@ -142,6 +142,25 @@ class TestPartitionDomain:
         assert str(err.value) == (
             f"cell counts must be whole numbers, got {float(counts[at])!r} at index [{at}]")
 
+    @pytest.mark.parametrize("lower, upper, counts, message", [
+        (["0.0", "0.0"], ["2", "2"], ["2", 2], "lower corner must be numbers, not strings"),
+        ((0.0, 0.0), ("2", 2.0), (2, 2), "upper corner must be numbers, not strings"),
+        ((0.0, 0.0), (2.0, 2.0), ["2", 2], "cell counts must be numbers, not strings"),
+        ((0.0, 0.0), (2.0, 2.0), [b"2", b"2"], "cell counts must be numbers, not bytes"),
+        ((0.0, None), (2.0, 2.0), (2, 2), "lower corner must be numbers, not objects"),
+    ])
+    def test_quoted_numbers_rejected(self, lower, upper, counts, message):
+        # np.asarray(..., dtype=float) would read "2" as 2.0.
+        with pytest.raises(ValueError) as err:
+            Partition(lower, upper, counts)
+        assert str(err.value) == message
+
+    def test_quoted_points_rejected(self):
+        with pytest.raises(ValueError, match="^points must be numbers, not strings$"):
+            lp_distance_matrix([["0.5", "1"]], [[0.0, 0.0]], 2.0)
+        with pytest.raises(ValueError, match="^point must be numbers, not strings$"):
+            lp_distance(["0.5", "1"], [0.0, 0.0], 2.0)
+
     def test_whole_float_counts_accepted(self):
         part = Partition(*UNIT_SQUARE, (2.0, 3))
         assert part.counts.tolist() == [2, 3]
