@@ -21,7 +21,7 @@ import numpy as np
 from .budget import BudgetVector, check_budget
 from .errors import SolverError
 from .geometry import Partition, axis_neighbors, corner_weights, locate_cells, lp_distance_matrix
-from .lpcore import CsrMatrix, LinearProgram, LpSolution, solve_lp
+from .lpcore import FEASIBILITY_TOL, CsrMatrix, LinearProgram, LpSolution, solve_lp
 
 __all__ = [
     "OutputDomain",
@@ -51,6 +51,10 @@ MAX_HIGHS_LOG_RATIO = math.log(1e15)
 # _block_ipm: the desk bound at p = 1, eps 10 stops at IPM_MAX_ITER at a
 # relative gap of 5.8e-10, where with 1e8 it converges in 20 iterations.
 MAX_LOG_RATIO = math.log(1e8)
+# The all-pairs programs leave out the rows of a pair (i, j) when a third
+# point k lies on a shortest route between them: d_ik + d_kj is within this
+# of d_ij, relative to it (_implied_pairs).
+COLLINEAR_TOL = 1e-12
 # The lower bound's block interior-point solve (_block_ipm) stops once its
 # best certificate is within IPM_GAP_TOL of its primal objective, relative
 # to it, or after IPM_MAX_ITER iterations.
@@ -68,6 +72,13 @@ IPM_GAP_TOL = 1e-10
 # shift none of the 594 stalls, and the stop is a safeguard.
 IPM_STALL_ITER = 15
 IPM_STALL_GAP = 1e-8
+# lower_bound stacks budgets in one _block_ipm solve while each (B, K, R, R)
+# array of the stack holds at most this many entries: every desk budget
+# (K = 9, R = 16) fits in one stack, and each 8x8/K=16 budget, whose own
+# arrays hold 2^16 entries, is solved alone. Stacking costs the memory of
+# the whole stack and saves Python overhead only where the arrays are small:
+# two stacked grid8 budgets took 328-334 ms against 293-303 ms one at a time.
+STACK_MAX_ENTRIES = 2**16
 
 
 def _distinct_rows(a) -> bool:
@@ -168,6 +179,15 @@ def surrogate_coefficients(partition: Partition, prior, loss, outputs: OutputDom
     return SurrogateCoefficients(matrix=coeffs)
 
 
+def _check_ratio_bounds(log_bound, name):
+    """Raise :class:`SolverError` when a ratio bound exceeds exp(MAX_HIGHS_LOG_RATIO)."""
+    largest = float(np.max(log_bound, initial=0.0))
+    if largest > MAX_HIGHS_LOG_RATIO:
+        raise SolverError(
+            f"{name} needs ratio bounds up to exp({largest:.6g}); HiGHS accepts at most "
+            f"exp({MAX_HIGHS_LOG_RATIO:.6g}) = 1e15")
+
+
 def _ratio_program(objective, first, second, log_bound, name="ratio program") -> LinearProgram:
     """Table program over an (R, K) objective with pairwise ratio rows.
 
@@ -181,11 +201,7 @@ def _ratio_program(objective, first, second, log_bound, name="ratio program") ->
     bound exceeds exp(MAX_HIGHS_LOG_RATIO) = 1e15. These rows are the
     mechanism's privacy constraint, so they cannot be dropped to fit.
     """
-    largest = float(np.max(log_bound, initial=0.0))
-    if largest > MAX_HIGHS_LOG_RATIO:
-        raise SolverError(
-            f"{name} needs ratio bounds up to exp({largest:.6g}); HiGHS accepts at most "
-            f"exp({MAX_HIGHS_LOG_RATIO:.6g}) = 1e15")
+    _check_ratio_bounds(log_bound, name)
     objective = np.asarray(objective, dtype=float)
     n_rows, n_out = objective.shape
     n_vars = n_rows * n_out
@@ -258,6 +274,12 @@ def solve_approx_apo(
     objective, relative to it. Row sums may drift from 1 by at most
     PRE_NORMALIZATION_TOL before the final exact renormalization.
 
+    An all-pairs program (:func:`_all_pairs_program`) is solved over its
+    kept pairs, and its table is checked against every pair's rows to
+    :data:`~anchorpriv.lpcore.FEASIBILITY_TOL`. Where that solve raises
+    :class:`SolverError` or the table misses a row, the failure is logged
+    at INFO and the program of every pair is solved as any other program.
+
     Returns (:class:`PerturbationTable`, the
     :class:`~anchorpriv.lpcore.LpSolution` it came from). ``start`` is
     an earlier solution, usually that of a neighbouring program; the solve
@@ -265,7 +287,24 @@ def solve_approx_apo(
     """
     if lp.var_shape is None:
         raise ValueError("program carries no table shape")
-    sol = solve_lp(lp, start=start)
+    if not isinstance(lp, _AllPairsProgram):
+        return _solved_table(lp, solve_lp(lp, start=start))
+    try:
+        table, sol = _solved_table(lp, solve_lp(lp, start=start))
+        worst = lp.worst_row(table.probs)
+        if worst <= FEASIBILITY_TOL:
+            return table, sol
+        reason = f"its table misses a pair's row by {worst:.3e}"
+    except SolverError as exc:
+        reason = exc.report()
+    log.info("%s over %d of %d pairs: %s; solving the program of every pair", lp.name,
+             lp.n_ub_rows // (2 * lp.var_shape[1]), lp.n_pairs, reason)
+    full = lp.full()
+    return _solved_table(full, solve_lp(full, start=start))
+
+
+def _solved_table(lp: LinearProgram, sol: LpSolution) -> tuple[PerturbationTable, LpSolution]:
+    """The renormalized table of ``lp``'s solution, checked as :func:`solve_approx_apo` says."""
     certificate = _dual_certificate(lp, sol.multipliers)
     if sol.objective_value - certificate > OPTIMALITY_TOL * abs(sol.objective_value):
         raise SolverError(
@@ -300,12 +339,77 @@ def budget_gradient(partition: Partition, lp: LinearProgram, solution: LpSolutio
                        minlength=partition.n_dims)
 
 
-def _all_pairs_program(objective, points, eps_total: float, p: float) -> LinearProgram:
-    """Ratio program bounding every pair of rows by exp(eps * d_p(point_i, point_j))."""
+def _implied_pairs(dist) -> np.ndarray:
+    """(R, R) mask of the pairs a third point implies, from their (R, R) distances.
+
+    Pair (i, j) is implied when some k has d_ik + d_kj within COLLINEAR_TOL
+    of d_ij, relative to it, with both d_ik and d_kj below d_ij. Its ratio
+    rows then follow, up to rounding, from those of the two shorter pairs,
+    and by induction on the distance from pairs no point implies. The
+    routes i -> k -> j are formed for a few i at a time, at most 2^16 of
+    them at once.
+    """
+    n = dist.shape[0]
+    # Each point's distance to itself as inf, so that k = i and k = j never count.
+    legs = dist + np.where(np.eye(n, dtype=bool), np.inf, 0.0)
+    implied = np.empty((n, n), dtype=bool)
+    chunk = max(1, 2**16 // (n * n))
+    for lo in range(0, n, chunk):
+        # [i, k, j]: the route i -> k -> j, where both legs are shorter than d_ij.
+        direct, first = dist[lo:lo + chunk, None, :], legs[lo:lo + chunk, :, None]
+        route = first + legs
+        route[(first >= direct) | (legs >= direct)] = np.inf
+        implied[lo:lo + chunk] = route.min(axis=1) <= (1.0 + COLLINEAR_TOL) * direct[:, 0]
+    return implied
+
+
+@dataclass
+class _AllPairsProgram(LinearProgram):
+    """A ratio program over the pairs no third point implies, and every pair's ratio bounds.
+
+    ``pairs`` holds (first, second, log_bound) of every pair, kept or
+    implied, in :func:`_ratio_program`'s order, and ``name`` names the
+    program in messages. :func:`solve_approx_apo` solves the program of the
+    kept pairs, checks its table against every pair's rows and solves
+    :meth:`full` when that solve fails or the check does.
+    """
+
+    pairs: tuple = ()
+    name: str = "all-pairs program"
+
+    @property
+    def n_pairs(self) -> int:
+        return self.pairs[0].size
+
+    def full(self) -> LinearProgram:
+        """The ratio program of every pair."""
+        return _ratio_program(self.objective.reshape(self.var_shape), *self.pairs, self.name)
+
+    def worst_row(self, table) -> float:
+        """How far an (R, K) table misses the ratio rows of any pair, at worst."""
+        first, second, log_bound = self.pairs
+        bound = np.exp(log_bound)[:, None]
+        return float(max(np.max(table[first] - bound * table[second], initial=0.0),
+                         np.max(table[second] - bound * table[first], initial=0.0)))
+
+
+def _all_pairs_program(objective, points, eps_total: float, p: float) -> _AllPairsProgram:
+    """Ratio program bounding every pair of rows by exp(eps * d_p(point_i, point_j)).
+
+    Only the pairs no third point implies (:func:`_implied_pairs`) get rows.
+    Which those are depends on the points alone, so the programs of one
+    point set have one shape at every budget. The 1e15 check of
+    :func:`_ratio_program` reads every pair's bound.
+    """
     first, second = np.triu_indices(points.shape[0], k=1)
-    log_bound = eps_total * lp_distance_matrix(points, points, p)[first, second]
-    return _ratio_program(objective, first, second, log_bound,
-                          f"all-pairs program at eps {eps_total:g}")
+    dist = lp_distance_matrix(points, points, p)
+    log_bound = eps_total * dist[first, second]
+    name = f"all-pairs program at eps {eps_total:g}"
+    _check_ratio_bounds(log_bound, name)
+    kept = ~_implied_pairs(dist)[first, second]
+    lp = _ratio_program(objective, first[kept], second[kept], log_bound[kept], name)
+    return _AllPairsProgram(lp.objective, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq, lp.var_shape,
+                            pairs=(first, second, log_bound), name=name)
 
 
 def build_aipo_relaxed(
@@ -457,13 +561,16 @@ def _inverse_cholesky(a) -> np.ndarray:
     return inv
 
 
-def _spd_inverse(a) -> np.ndarray:
+def _spd_inverse(a, stacked=False) -> np.ndarray:
     """Inverses of a stack of symmetric positive definite matrices.
 
     Each matrix is scaled to unit diagonal, shifted by _CHOLESKY_SHIFT on
     its diagonal and factored (:func:`_inverse_cholesky`); while the
     factorization fails it is retried with a 100-fold larger shift, at
-    least 1e-14. The caller refines its solves against the unshifted
+    least 1e-14. With ``stacked``, the first axis holds the matrices of
+    separate budgets, and where the factorization fails each budget's are
+    retried on their own, so that one budget's shift never reaches
+    another's. The caller refines its solves against the unshifted
     matrices. Raises :class:`SolverError` on a non-finite entry, which no
     shift would mend.
     """
@@ -489,6 +596,8 @@ def _spd_inverse(a) -> np.ndarray:
             inv_low = _inverse_cholesky(scaled(shift))
             break
         except np.linalg.LinAlgError:
+            if stacked and len(a) > 1:
+                return np.concatenate([_spd_inverse(a[b:b + 1]) for b in range(len(a))])
             shift = max(100.0 * shift, 1e-14)
     inv = np.swapaxes(inv_low, -1, -2) @ inv_low
     del inv_low
@@ -496,152 +605,249 @@ def _spd_inverse(a) -> np.ndarray:
     return inv
 
 
-def _max_step(pairs) -> float:
-    """Largest step in [0, 1] along each (v, dv) that keeps every v >= 0.
+def _max_step(pairs, lead=()):
+    """Largest step in [0, 1] along each (v, dv) that keeps every v >= 0, per budget.
 
-    The step is 1 / max(-dv / v) over the entries with dv < 0, from one
-    unmasked quotient: an entry with v = 0 and dv < 0 gives -inf and step
-    0, and the 0 / 0 entries off the ratio rows give NaN, which fmin skips.
+    The leading axes ``lead`` of each v and dv run over the budgets of a
+    stack, and the steps come in that shape: a scalar for one budget. A
+    budget's step is 1 / max(-dv / v) over its entries with dv < 0, from
+    one unmasked quotient: an entry with v = 0 and dv < 0 gives -inf and
+    step 0, and the 0 / 0 entries off the ratio rows give NaN, which fmin
+    skips. Taken with fmin against -1, a least quotient above -1, or NaN
+    where every quotient is 0 / 0, gives the step 1.
     """
-    least = 0.0
+    least = None
     with np.errstate(divide="ignore", invalid="ignore"):
         for v, dv in pairs:
-            least = min(least, float(np.fmin.reduce(dv / v, axis=None)))
-    return min(1.0, -1.0 / least) if least < 0 else 1.0
+            quotient = np.fmin.reduce((dv / v).reshape(*lead, -1), axis=-1)
+            least = quotient if least is None else np.fmin(least, quotient)
+    return -1.0 / np.fmin(least, -1.0)
 
 
-def _block_ipm(objective, first, second, log_ratio) -> LpSolution:
-    """Solve :func:`_ratio_program`'s program by a block-structured interior-point method.
+def _stalled(mus, it, best_it, gap) -> bool:
+    """Whether a block-ipm solve has stalled (see IPM_STALL_ITER).
 
-    The program is the one ``_ratio_program(objective, first, second,
-    log_ratio)`` builds, with an objective >= 0 and each pair of table rows
-    listed at most once. Every ratio row couples two entries of one output
-    column, so the normal matrix G^T D G + D_z of the Newton system is
-    block diagonal, one dense (R, R) block per output, and the row sums
-    add one (R, R) Schur complement, the sum of the blocks' inverses. Each
+    ``mus`` holds mu at every iteration so far, iteration ``it``'s last;
+    ``best_it`` is the iteration of the best certificate and ``gap`` that
+    certificate's relative gap to the primal objective at ``it``.
+    """
+    return (it - best_it >= IPM_STALL_ITER and gap <= IPM_STALL_GAP
+            and len(mus) > IPM_STALL_ITER and mus[-1] <= 0.01 * mus[-1 - IPM_STALL_ITER])
+
+
+def _block_ipm(objective, programs) -> list[LpSolution]:
+    """Solve ratio programs of one objective by a block-structured interior-point method.
+
+    ``programs`` lists (first, second, log_ratio) per budget, and budget
+    b's program is the one ``_ratio_program(objective, *programs[b])``
+    builds, with an objective >= 0 and each pair of table rows listed at
+    most once. Every ratio row couples two entries of one output column,
+    so the normal matrix G^T D G + D_z of the Newton system is block
+    diagonal, one dense (R, R) block per output, and the row sums add one
+    (R, R) Schur complement, the sum of the blocks' inverses. Each
     iteration of Mehrotra's predictor-corrector method therefore factors
-    K + 1 small matrices (:func:`_spd_inverse`). The ratio rows' slacks and
-    multipliers are (K, R, R) arrays: entry [k, i, j] stands for the row
-    z[i,k] - b z[j,k] <= 0 divided by b, where b bounds the pair {i, j},
-    and entries of no row are held at slack 1 and multiplier 0.
+    K + 1 small matrices per budget (:func:`_spd_inverse`). The ratio rows'
+    slacks and multipliers are (B, K, R, R) arrays over the B budgets,
+    (K, R, R) for one: entry [b, k, i, j] stands for budget b's row
+    z[i,k] - b_ij z[j,k] <= 0 divided by b_ij, its bound on the pair
+    {i, j}, and entries of no row are held at slack 1 and multiplier 0.
 
-    The objective is scaled to max 1. The solve starts at the uniform table
-    with every slack, multiplier and reduced cost 1, adds 1e-10 to the
-    blocks' diagonals, and refines each Newton solve until its residual
-    stops halving (at most 8 times). It stops once its best certificate
-    (:func:`_dual_certificate`) is within IPM_GAP_TOL of its primal
-    objective, relative to it, with every row met to IPM_GAP_TOL, once it
-    stalls (see IPM_STALL_ITER), or after IPM_MAX_ITER iterations.
+    The budgets are solved as one stack, each with its own steps, Newton
+    blocks, Schur complement, refinement and stops, and each leaves the
+    stack when it stops: what a budget returns does not depend on the
+    others, to the last bit. The objective is scaled to max 1. Each solve
+    starts at the uniform table with every slack, multiplier and reduced
+    cost 1, adds 1e-10 to the blocks' diagonals, and refines each Newton
+    solve until its residual stops halving (at most 8 times). It stops
+    once its best certificate (:func:`_dual_certificate`) is within
+    IPM_GAP_TOL of its primal objective, relative to it, with every row met
+    to IPM_GAP_TOL, once it stalls (:func:`_stalled`), or after
+    IPM_MAX_ITER iterations.
 
-    Returns an :class:`~anchorpriv.lpcore.LpSolution` with method
-    "block-ipm": ``values`` and ``objective_value`` at the last iterate,
-    ``multipliers`` those of the best certificate seen, in the row order of
-    ``_ratio_program``, and ``nit`` = ``ipm_nit`` the iterations run.
-    Nothing in it is a vertex, so ``basis`` is None.
+    Returns one :class:`~anchorpriv.lpcore.LpSolution` per budget, in the
+    order of ``programs``, with method "block-ipm": ``values`` and
+    ``objective_value`` at the last iterate, ``multipliers`` those of the
+    best certificate seen, in the row order of ``_ratio_program``,
+    ``nit`` = ``ipm_nit`` the iterations run, and ``solve_s`` the time
+    from the start of the stack until the budget left it. Nothing in it is
+    a vertex, so ``basis`` is None.
     """
     start = time.perf_counter()
     objective = np.asarray(objective, dtype=float)
     n, n_out = objective.shape
-    first = np.asarray(first, dtype=np.intp)
-    second = np.asarray(second, dtype=np.intp)
+    pairs = [(np.asarray(first, dtype=np.intp), np.asarray(second, dtype=np.intp))
+             for first, second, _ in programs]
+    inv_bounds = [np.exp(-np.asarray(log_ratio, dtype=float)) for *_, log_ratio in programs]
     scale = float(objective.max()) or 1.0
     c = objective.T / scale
-    inv_bound = np.exp(-np.asarray(log_ratio, dtype=float))
-    alpha = np.zeros((n, n))
-    alpha[first, second] = alpha[second, first] = inv_bound
-    rows = np.zeros((n, n))
-    rows[first, second] = rows[second, first] = 1.0
-    n_products = n_out * (n + 2 * first.size)  # complementary pairs z s and w lam
+    alpha = np.zeros((len(programs), n, n))
+    rows = np.zeros((len(programs), n, n))
+    for a, r, (first, second), inv_bound in zip(alpha, rows, pairs, inv_bounds):
+        a[first, second] = a[second, first] = inv_bound
+        r[first, second] = r[second, first] = 1.0
+    # One (R, R) array where the whole stack shares it: rows where every
+    # budget keeps the same pairs, alpha for a lone budget.
+    if all(np.array_equal(r, rows[0]) for r in rows[1:]):
+        rows = rows[0]
+    # The budget axis: none for a lone budget, whose arrays keep the shapes
+    # of a one-budget solve. Per-budget values come in shape lead.
+    lead = (len(programs),) if len(programs) > 1 else ()
+    if not lead:
+        alpha = alpha[0]
+    n_products = [n_out * (n + 2 * first.size) for first, _ in pairs]  # z s and w lam pairs
     diag = np.arange(n)
-    neg_alpha = -alpha
-    alpha_sq = alpha * alpha
 
-    # alpha[i, j] v[k, i] and rows[i, j] v[k, j], the same products as by
-    # broadcasting, which numpy forms about half as fast at (16, 64, 64).
+    def by_output(a):
+        # A (B, R, R) array with an axis for the outputs; an (R, R) one as it is.
+        return a if a.ndim == 2 else a[:, None]
+
+    def per_budget(a):
+        # Each budget's entries of a stacked array, one row per budget.
+        return a.reshape(len(ids), -1)
+
+    # alpha[i, j] v[k, i] and rows[i, j] v[k, j] per budget, the same products
+    # as by broadcasting, which numpy forms about half as fast at (16, 64, 64).
     def alpha_first(v):
-        return np.einsum("ij,ki->kij", alpha, v)
+        return np.einsum("...ij,...ki->...kij", alpha, v)
 
     def rows_second(v):
-        return np.einsum("ij,kj->kij", rows, v)
+        return np.einsum("...ij,...kj->...kij", rows, v)
 
     # The transpose of the ratio rows' map v -> alpha[i, j] v[k, i] - v[k, j]:
-    # (K, R, R), 0 off the ratio rows -> (K, R). einsum reads u once per sum
-    # and builds no alpha * u temporary.
+    # (B, K, R, R), 0 off the ratio rows -> (B, K, R). einsum reads u once
+    # per sum and builds no alpha * u temporary.
     def g_t(u):
-        return np.einsum("ij,kij->ki", alpha, u) - np.einsum("kij->kj", u)
+        return np.einsum("...ij,...kij->...ki", alpha, u) - np.einsum("...kij->...kj", u)
 
-    z = np.full((n_out, n), 1.0 / n_out)
-    s = np.ones((n_out, n))
-    y = np.zeros(n)
-    lam = np.broadcast_to(rows, (n_out, n, n)).copy()
-    w = np.ones((n_out, n, n))
-    best, best_lam, best_it, mus = -math.inf, lam, 0, []
+    z = np.full((*lead, n_out, n), 1.0 / n_out)
+    s = np.ones((*lead, n_out, n))
+    y = np.zeros((*lead, n))
+    lam = np.broadcast_to(by_output(rows), (*lead, n_out, n, n)).copy()
+    w = np.ones((*lead, n_out, n, n))
+    rows_k, neg_alpha, alpha_sq = by_output(rows), -by_output(alpha), alpha * alpha
+    # Per budget in the stack: its index in programs, its best certificate,
+    # that iterate's multipliers and iteration, and mu at each iteration.
+    ids = list(range(len(programs)))
+    best, best_it = [-math.inf] * len(ids), [0] * len(ids)
+    best_lam = list(lam.reshape(len(ids), n_out, n, n))
+    mus = [[] for _ in ids]
+    solutions = [None] * len(ids)
     # Off the ratio rows, lam, w * lam, both directions' dw and dl and the
-    # (K, R, R) right-hand sides stay exactly 0 and w stays 1, so a product
+    # (B, K, R, R) right-hand sides stay exactly 0 and w stays 1, so a product
     # with one of them needs no rows mask.
     for it in range(IPM_MAX_ITER + 1):
         # alpha z[k, i] - z[k, j] + w on the ratio rows, 0 off them.
-        r_rows = w - z[:, None, :]
-        r_rows *= rows
+        r_rows = w - z[..., None, :]
+        r_rows *= rows_k
         r_rows += alpha_first(z)
-        r_sums = z.sum(axis=0) - 1.0
+        r_sums = z.sum(axis=-2) - 1.0
         g_lam = g_t(lam)
         reduced = c + g_lam
-        r_dual = reduced - y - s
-        primal = float((c * z).sum())
-        certificate = float(reduced.min(axis=0).sum())
-        if certificate > best:
-            best, best_lam, best_it = certificate, lam, it
-        infeasible = max(float(r_rows.max()), -float(r_rows.min()), float(np.abs(r_sums).max()))
-        gap = _relative_gap(primal, best, 1.0)
-        if it == IPM_MAX_ITER or (infeasible <= IPM_GAP_TOL and gap <= IPM_GAP_TOL):
+        flat = per_budget(r_rows)
+        infeasible = np.maximum(np.maximum(flat.max(axis=1), -flat.min(axis=1)),
+                                per_budget(np.abs(r_sums)).max(axis=1)).tolist()
+        primal = per_budget(c * z).sum(axis=1).tolist()
+        certificate = per_budget(reduced.min(axis=-2)).sum(axis=1).tolist()
+        zs = z * s
+        zs_sum = per_budget(zs).sum(axis=1).tolist()
+        w_flat, lam_flat = per_budget(w), per_budget(lam)
+        kept, wl, mu = [], [], []
+        for b, budget in enumerate(ids):
+            if certificate[b] > best[b]:
+                best[b], best_it[b] = certificate[b], it
+                best_lam[b] = lam_flat[b].reshape(n_out, n, n)
+            gap = _relative_gap(primal[b], best[b], 1.0)
+            if it < IPM_MAX_ITER and not (infeasible[b] <= IPM_GAP_TOL and gap <= IPM_GAP_TOL):
+                wl_b = float(np.vdot(w_flat[b], lam_flat[b]))
+                mus[b].append((zs_sum[b] + wl_b) / n_products[budget])
+                if not _stalled(mus[b], it, best_it[b], gap):
+                    kept.append(b)
+                    wl.append(wl_b)
+                    mu.append(mus[b][-1])
+        if not kept:
+            # Free the (B, K, R, R) arrays before the multipliers are gathered,
+            # so that these fill the freed memory instead of landing above it
+            # and keeping the heap from shrinking: that raised lb-8x8's peak
+            # RSS by about 0.4 MB.
+            w = lam = r_rows = flat = w_flat = lam_flat = None
+        z_flat = per_budget(z)
+        for b in (b for b in range(len(ids)) if b not in kept):
+            budget = ids[b]
+            first, second = pairs[budget]
+            # Row z[i] / b - z[j] <= 0 with multiplier l is z[i] - b z[j] <= 0 with l / b.
+            pair_lam = np.stack([best_lam[b][:, first, second], best_lam[b][:, second, first]],
+                                axis=2)
+            multipliers = (pair_lam * inv_bounds[budget][None, :, None]).transpose(1, 0, 2) \
+                .ravel() * scale
+            n_ratio = 2 * first.size * n_out
+            solutions[budget] = LpSolution(
+                values=z_flat[b].reshape(n_out, n).T.ravel(), objective_value=primal[b] * scale,
+                multipliers=multipliers, method="block-ipm", n_vars=n * n_out,
+                n_rows=n_ratio + n, nnz=2 * n_ratio + n * n_out, nit=it, simplex_nit=0,
+                ipm_nit=it, crossover_nit=0, solve_s=time.perf_counter() - start,
+                from_basis=False, basis=None)
+        if not kept:
             break
-        zs, wl = z * s, float(np.vdot(w, lam))
-        mu = (float(zs.sum()) + wl) / n_products
-        mus.append(mu)
-        if it - best_it >= IPM_STALL_ITER and gap <= IPM_STALL_GAP \
-                and mu <= 0.01 * mus[-1 - IPM_STALL_ITER]:
-            break
+        if len(kept) < len(ids):
+            # Only a stack of budgets gets here: a lone budget ends the solve.
+            ids, best, best_lam, best_it, mus = (
+                [part[b] for b in kept] for part in (ids, best, best_lam, best_it, mus))
+            lead = (len(ids),)
+            z, s, y, lam, w, r_rows, r_sums, g_lam, reduced, zs = (
+                a[kept] for a in (z, s, y, lam, w, r_rows, r_sums, g_lam, reduced, zs))
+            alpha = alpha[kept]
+            rows = rows if rows.ndim == 2 else rows[kept]
+            rows_k, neg_alpha, alpha_sq = by_output(rows), -by_output(alpha), alpha * alpha
+        del flat, w_flat, lam_flat, z_flat  # views, which would hold a pruned stack's arrays
+        r_dual = reduced - y[..., None, :] - s
         # One divide per iteration; the passes below multiply by it.
         inv_w = 1.0 / w
         d_rows, d_z = lam * inv_w, s / z
         dr = d_rows * r_rows
         g_dr = g_t(dr)  # both directions' right-hand sides read only this of dr
         del dr
-        blocks = d_rows + np.swapaxes(d_rows, 1, 2)
+        blocks = d_rows + np.swapaxes(d_rows, -1, -2)
         blocks *= neg_alpha
-        blocks[:, diag, diag] = np.einsum("ij,kij->ki", alpha_sq, d_rows) \
-            + np.einsum("kij->kj", d_rows) + d_z + 1e-10
-        del d_rows  # one (K, R, R) array fewer at the factorization's peak
-        inv_blocks = _spd_inverse(blocks)
-        inv_schur = _spd_inverse(inv_blocks.sum(axis=0))
+        blocks[..., diag, diag] = np.einsum("...ij,...kij->...ki", alpha_sq, d_rows) \
+            + np.einsum("...kij->...kj", d_rows) + d_z + 1e-10
+        del d_rows  # one (B, K, R, R) array fewer at the factorization's peak
+        inv_blocks = _spd_inverse(blocks, stacked=bool(lead))
+        inv_schur = _spd_inverse(inv_blocks.sum(axis=-3), stacked=bool(lead))
 
         def reduced_solve(h, r):
-            # blocks dz - dy = h and sum_k dz[k] = r.
-            u = (inv_blocks @ h[:, :, None])[:, :, 0]
-            dy = inv_schur @ (r - u.sum(axis=0))
-            return u + inv_blocks @ dy, dy
+            # blocks dz - dy = h and sum_k dz[k] = r, per budget.
+            u = (inv_blocks @ h[..., None])[..., 0]
+            dy = (inv_schur @ (r - u.sum(axis=-2))[..., None])[..., 0]
+            return u + (inv_blocks @ dy[..., None, :, None])[..., 0], dy
 
         def direction(rc_z, q, g_q):
             # The Newton direction whose complementarity right-hand sides
             # are rc_z for z s and w q for w lam; g_q is g_t(q).
             h = -r_dual - g_dr - g_q + rc_z / z
             dz, dy = reduced_solve(h, -r_sums)
-            last = math.inf
+            last = [math.inf] * len(ids)
             for _ in range(8):
-                res_h = h - (blocks @ dz[:, :, None])[:, :, 0] + dy
-                res_r = -r_sums - dz.sum(axis=0)
-                size = max(float(np.abs(res_h).max()), float(np.abs(res_r).max()))
-                if not size < last / 2:
+                res_h = h - (blocks @ dz[..., None])[..., 0] + dy[..., None, :]
+                res_r = -r_sums - dz.sum(axis=-2)
+                size = np.maximum(np.abs(res_h).reshape(len(ids), -1).max(axis=1),
+                                  np.abs(res_r).reshape(len(ids), -1).max(axis=1)).tolist()
+                # Each budget is refined again while its residual halves.
+                more = [new < old / 2 for new, old in zip(size, last)]
+                if not any(more):
                     break
-                last = size
                 ez, ey = reduced_solve(res_h, res_r)
-                dz, dy = dz + ez, dy + ey
+                if all(more):
+                    last, dz, dy = size, dz + ez, dy + ey
+                else:
+                    last = [new if m else old for new, old, m in zip(size, last, more)]
+                    more = np.array(more)
+                    dz = np.where(more[:, None, None], dz + ez, dz)
+                    dy = np.where(more[:, None], dy + ey, dy)
             # -r_rows - (alpha dz[k, i] - dz[k, j]).
             dw = rows_second(dz)
             dw -= alpha_first(dz)
             dw -= r_rows
-            dl = lam * dw  # then q - lam dw / w in place: one (K, R, R) array fewer
+            dl = lam * dw  # then q - lam dw / w in place: one (B, K, R, R) array fewer
             dl *= inv_w
             np.subtract(q, dl, out=dl)
             return dz, dy, dw, dl, (rc_z - s * dz) / z
@@ -649,58 +855,54 @@ def _block_ipm(objective, first, second, log_ratio) -> LpSolution:
         # The predictor's right-hand sides are -z s and -w lam.
         rc_z = -zs
         dz, dy, dw, dl, ds = direction(rc_z, -lam, -g_lam)
-        step_p = _max_step([(z, dz), (w, dw)])
-        step_d = _max_step([(lam, dl), (s, ds)])
+        step_p = _max_step([(z, dz), (w, dw)], lead)
+        step_d = _max_step([(lam, dl), (s, ds)], lead)
         # sum (w + step_p dw) (lam + step_d dl), expanded so that it forms no
-        # (K, R, R) array.
-        mu_aff = (float(((z + step_p * dz) * (s + step_d * ds)).sum())
-                  + wl + step_d * float(np.vdot(w, dl)) + step_p * float(np.vdot(dw, lam))
-                  + step_p * step_d * float(np.vdot(dw, dl))) / n_products
-        target = (mu_aff / mu) ** 3 * mu
+        # (B, K, R, R) array.
+        zs_aff = per_budget((z + step_p[..., None, None] * dz)
+                            * (s + step_d[..., None, None] * ds)).sum(axis=1).tolist()
+        w_flat, lam_flat, dw_flat, dl_flat = (per_budget(a) for a in (w, lam, dw, dl))
+        target = np.reshape([
+            (mu_aff / mu_b) ** 3 * mu_b for mu_b, mu_aff in zip(mu, (
+                (zs_aff[b] + wl[b] + sd * float(np.vdot(w_flat[b], dl_flat[b]))
+                 + sp * float(np.vdot(dw_flat[b], lam_flat[b]))
+                 + sp * sd * float(np.vdot(dw_flat[b], dl_flat[b]))) / n_products[ids[b]]
+                for b, (sp, sd) in enumerate(zip(np.ravel(step_p).tolist(),
+                                                 np.ravel(step_d).tolist()))))], lead)
+        del w_flat, lam_flat, dw_flat, dl_flat
         # The corrector's: target - z s - dz ds, and w q with q = (rows target
         # - w lam - dw dl) / w, made in place of the predictor's dl.
-        rc_z = target + rc_z - dz * ds
+        rc_z = target[..., None, None] + rc_z - dz * ds
         q = dl
         q *= dw
-        q -= rows * target
+        q -= rows_k * target[..., None, None, None]
         q *= inv_w
         q += lam
         np.negative(q, out=q)
         del dw, dl  # the predictor's; not held during the corrector's solve
         dz, dy, dw, dl, ds = direction(rc_z, q, g_t(q))
         del q
-        step_p = 0.99 * _max_step([(z, dz), (w, dw)])
-        step_d = 0.99 * _max_step([(lam, dl), (s, ds)])
+        step_p = 0.99 * _max_step([(z, dz), (w, dw)], lead)
+        step_d = 0.99 * _max_step([(lam, dl), (s, ds)], lead)
         # w is updated in place; lam is not, since best_lam may be it.
-        dw *= step_p
+        dw *= step_p[..., None, None, None]
         w += dw
-        dl *= step_d
-        z, lam, s, y = z + step_p * dz, lam + dl, s + step_d * ds, y + step_d * dy
+        dl *= step_d[..., None, None, None]
+        z, lam = z + step_p[..., None, None] * dz, lam + dl
+        s, y = s + step_d[..., None, None] * ds, y + step_d[..., None] * dy
         # Not held while the next iteration's blocks are factored.
         blocks = inv_blocks = inv_w = dw = dl = None
-    # Free the (K, R, R) arrays before the multipliers are gathered, so that
-    # these fill the freed memory instead of landing above it and keeping the
-    # heap from shrinking: that raised lb-8x8's peak RSS by about 0.4 MB.
-    w = lam = r_rows = None
-    # Row z[i] / b - z[j] <= 0 with multiplier l is z[i] - b z[j] <= 0 with l / b.
-    pair_lam = np.stack([best_lam[:, first, second], best_lam[:, second, first]], axis=2)
-    multipliers = (pair_lam * inv_bound[None, :, None]).transpose(1, 0, 2).ravel() * scale
-    n_ratio = 2 * first.size * n_out
-    return LpSolution(
-        values=z.T.ravel(), objective_value=primal * scale, multipliers=multipliers,
-        method="block-ipm", n_vars=n * n_out, n_rows=n_ratio + n, nnz=2 * n_ratio + n * n_out,
-        nit=it, simplex_nit=0, ipm_nit=it, crossover_nit=0,
-        solve_s=time.perf_counter() - start, from_basis=False, basis=None)
+    return solutions
 
 
 def lower_bound(
     partition: Partition,
     outputs: OutputDomain,
-    eps_total: float,
+    eps,
     p: float,
     loss,
     prior,
-) -> tuple[float, LpSolution]:
+):
     """Universal lower bound on expected loss of any compliant mechanism.
 
     Aggregates the mechanism into one distribution per cell: the average
@@ -718,9 +920,14 @@ def lower_bound(
     which keeps it >= 0. Both are valid for any multipliers, so the value
     does not rest on the solver reaching a vertex or the optimum.
 
-    The program is solved by :func:`_block_ipm`, which uses its per-output
-    blocks, and its best certificate is the bound even when it stops
-    unconverged; that stop is logged at INFO with its relative gap
+    ``eps`` is one total budget or a sequence of them. The budgets'
+    programs differ only in their ratio bounds, and :func:`_block_ipm`
+    solves them as stacks of consecutive budgets, each stack holding at
+    most STACK_MAX_ENTRIES entries in each of its (B, K, R, R) arrays (a
+    budget whose own arrays are larger is solved alone). A budget's bound
+    is the same, to the last bit, whichever budgets share its stack. Each
+    solve's best certificate is the bound even when it stops unconverged;
+    that stop is logged at INFO with its relative gap
     (:func:`_relative_gap`) and iteration count. Every bound is logged at
     DEBUG with its certificate, primal objective and gap, and the solve's
     ``n_vars``, ``n_rows``, ``nit`` and ``solve_s``.
@@ -732,10 +939,13 @@ def lower_bound(
     value is the cheapest output per cell, usually 0.
 
     Returns (the bound's value, the :class:`~anchorpriv.lpcore.LpSolution`
-    its certificate came from).
+    its certificate came from) for one budget, and a list of such pairs,
+    in the order of ``eps``, for a sequence.
     """
-    if not eps_total >= 0:  # NaN fails too
-        raise ValueError(f"total budget must be non-negative, got {eps_total:g}")
+    budgets = [eps] if np.ndim(eps) == 0 else list(eps)
+    for eps_total in budgets:
+        if not eps_total >= 0:  # NaN fails too
+            raise ValueError(f"total budget must be non-negative, got {eps_total:g}")
     n_cells, n_out = partition.n_cells, outputs.size
     points = np.asarray(prior.points, dtype=float)
     masses = np.asarray(prior.masses, dtype=float)
@@ -755,19 +965,28 @@ def lower_bound(
     upper = lower + partition.deltas
     worst = np.maximum(np.abs(lower[first] - upper[second]),
                        np.abs(upper[first] - lower[second]))
-    log_ratio = eps_total * lp_distance_matrix(worst, np.zeros((1, partition.n_dims)), p)[:, 0]
-    keep = log_ratio <= MAX_LOG_RATIO
-    program = (objective, first[keep], second[keep], log_ratio[keep])
-    sol = _block_ipm(*program)
-    # Built only now, so its CSR rows and the solve's (K, R, R) arrays are
-    # never alive together; the certificate reads the program, not the solve.
-    certificate = _dual_certificate(_ratio_program(*program), sol.multipliers)
-    gap = _relative_gap(sol.objective_value, certificate, float(objective.max()) or 1.0)
-    if gap > IPM_GAP_TOL:
-        log.info("block-ipm stopped at a relative gap of %.3g after %d iterations; its "
-                 "certificate is the bound", gap, sol.nit)
-    value = max(certificate, float(objective.min(axis=1).sum()))
-    log.debug("lower bound at eps %g: certificate %.17g, primal objective %.17g, relative gap "
-              "%.3g: %s", eps_total, certificate, sol.objective_value, gap,
-              dict(n_vars=sol.n_vars, n_rows=sol.n_rows, nit=sol.nit, solve_s=sol.solve_s))
-    return value, sol
+    distance = lp_distance_matrix(worst, np.zeros((1, partition.n_dims)), p)[:, 0]
+    programs = []
+    for eps_total in budgets:
+        log_ratio = eps_total * distance
+        keep = log_ratio <= MAX_LOG_RATIO
+        programs.append((first[keep], second[keep], log_ratio[keep]))
+    per_stack = max(1, STACK_MAX_ENTRIES // (n_out * n_cells * n_cells))
+    solutions = [sol for b in range(0, len(budgets), per_stack)
+                 for sol in _block_ipm(objective, programs[b:b + per_stack])]
+    bounds = []
+    for eps_total, program, sol in zip(budgets, programs, solutions):
+        # Built only now, so its CSR rows and the solve's (B, K, R, R) arrays
+        # are never alive together; the certificate reads the program, not
+        # the solve.
+        certificate = _dual_certificate(_ratio_program(objective, *program), sol.multipliers)
+        gap = _relative_gap(sol.objective_value, certificate, float(objective.max()) or 1.0)
+        if gap > IPM_GAP_TOL:
+            log.info("block-ipm stopped at a relative gap of %.3g after %d iterations; its "
+                     "certificate is the bound", gap, sol.nit)
+        value = max(certificate, float(objective.min(axis=1).sum()))
+        log.debug("lower bound at eps %g: certificate %.17g, primal objective %.17g, relative "
+                  "gap %.3g: %s", eps_total, certificate, sol.objective_value, gap,
+                  dict(n_vars=sol.n_vars, n_rows=sol.n_rows, nit=sol.nit, solve_s=sol.solve_s))
+        bounds.append((value, sol))
+    return bounds[0] if np.ndim(eps) == 0 else bounds

@@ -391,6 +391,23 @@ def _coarse_lp(instance, eps, priv, comp):
     return mechanisms.CoarseLpMechanism(reps, table, outputs, bounds, metric_p=priv.p)
 
 
+def _lower_bound(instance, eps, priv, comp):
+    """The cell bound's value at ``eps``, solved once per instance and budget.
+
+    The first call also solves every other budget of ``priv.eps`` not yet
+    solved, in one ``apo.lower_bound`` call, which stacks the budgets'
+    programs; each is kept in the ``_solved`` store under its own key.
+    """
+    store = instance.derived.setdefault("solved", {})
+    if ("LB", eps, priv.p) not in store:
+        budgets = [e for e in dict.fromkeys([*priv.eps, eps]) if ("LB", e, priv.p) not in store]
+        bounds = apo.lower_bound(instance.partition, instance.outputs, budgets, priv.p,
+                                 instance.loss, instance.prior)
+        for e, (value, solution) in zip(budgets, bounds):
+            store["LB", e, priv.p] = value, solution.as_start()
+    return store["LB", eps, priv.p][0]
+
+
 def _remapped(base):
     """Builder of the Bayesian posterior-loss remap of ``base``'s mechanism."""
     def build(instance, eps, priv, comp):
@@ -413,9 +430,7 @@ METHODS = {
     "TEM": lambda inst, eps, priv, comp: mechanisms.TruncatedExponentialMechanism(
         inst.outputs, inst.partition.bounds, eps, priv.p, comp.tem_radius),
     "CoarseLP": _coarse_lp,
-    "LB": lambda inst, eps, priv, comp: _solved(
-        inst, ("LB", eps, priv.p), (), lambda _: apo.lower_bound(
-            inst.partition, inst.outputs, eps, priv.p, inst.loss, inst.prior))[0],
+    "LB": _lower_bound,
 }
 METHODS.update({f"RMP-{tag}": _remapped(METHODS[tag]) for tag in ("EM", "Laplace", "TEM")})
 

@@ -6,7 +6,25 @@ class OutOfDomainError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """The LP backend failed, or a program expected to be feasible was not."""
+    """The LP backend failed, or a program expected to be feasible was not.
+
+    ``stats`` holds the statistics of the solver call that failed, when
+    one did (``lpcore.linprog``): its method, the program's n_vars, n_rows
+    and nnz, the iterations of each algorithm and their sum, the start
+    kind and solve_s. It is None for a failure found outside such a call.
+    """
+
+    def __init__(self, message, stats=None):
+        super().__init__(message)
+        self.stats = stats
+
+    def report(self) -> str:
+        """The message, followed by the failed call's statistics if it has them."""
+        if self.stats is None:
+            return str(self)
+        parts = (f"{key} {value:.3g}" if isinstance(value, float) else f"{key} {value}"
+                 for key, value in self.stats.items())
+        return f"{self} [{', '.join(parts)}]"
 
 
 class ConfigError(ValueError):

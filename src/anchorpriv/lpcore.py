@@ -412,8 +412,15 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, method="highs-ds", op
     message = f"(HiGHS Status {int(status)}: {solver.modelStatusToString(status)})"
     log.debug("LP %s: %s", message, dict(stats, start=start,
                                          simplex_strategy=settings["simplex_strategy"]))
+
+    def failure(reason):
+        # The failed call's statistics, which no LpSolution will carry.
+        failed = {key: value for key, value in stats.items() if key != "from_basis"}
+        return SolverError(f"{method} failed: {reason}",
+                           dict(failed, start=start, solve_s=time.perf_counter() - clock))
+
     if status != highs.HighsModelStatus.kOptimal:
-        raise SolverError(f"{method} failed: {message}")
+        raise failure(message)
     solution, final = solver.getSolution(), solver.getBasis()
     # 0.0 - duals, not -duals: a row dual of 0 gives the value 0, not -0.
     x, lam = 0.0 - np.array(solution.row_dual), np.array(solution.col_value[:n_ub])
@@ -421,11 +428,11 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, method="highs-ds", op
     # outlive the solve (cached tables keep them) would pin its memory.
     del solver, solution
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(lam))):
-        raise SolverError(f"{method} failed: non-finite values in the solution")
+        raise failure("non-finite values in the solution")
     for kind, worst in zip(("bound", "inequality", "equality"),
                            _residuals(x, A_ub, b_ub, A_eq, b_eq)):
         if worst > FEASIBILITY_TOL:
-            raise SolverError(f"{method} failed: {kind} residual {worst:.3e} above tolerance")
+            raise failure(f"{kind} residual {worst:.3e} above tolerance")
     return LpSolution(values=x, objective_value=float(c @ x), multipliers=lam,
                       basis=final if final.valid else None,
                       solve_s=time.perf_counter() - clock, **stats)
@@ -567,17 +574,17 @@ def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
         try:
             return solve(method="highs-ds", options=options, basis=start.basis, start=kind)
         except SolverError as exc:
-            log.info("%s from the start basis; solving from scratch", exc)
+            log.info("%s from the start basis; solving from scratch", exc.report())
     if n_rows <= IPM_MAX_ROWS_PER_VAR * lp.n_vars:
         if lp.n_vars >= IPM_MIN_VARS:
             try:
                 return solve(method="highs-ipm", options=_SOLVE_OPTIONS)
             except SolverError as exc:
-                log.info("%s; solving again on highs-ds", exc)
+                log.info("%s; solving again on highs-ds", exc.report())
         elif (basis := _constant_basis(lp)) is not None:
             try:
                 return solve(method="highs-ds", options=_FEASIBLE_OPTIONS, basis=basis,
                              start="constant table")
             except SolverError as exc:
-                log.info("%s from the constant table; solving from scratch", exc)
+                log.info("%s from the constant table; solving from scratch", exc.report())
     return solve(method="highs-ds", options=_SOLVE_OPTIONS)

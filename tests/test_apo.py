@@ -70,17 +70,27 @@ def _spy_solves(monkeypatch):
 
 
 def _spy_block_ipm(monkeypatch):
-    """Record each (program, solution) that ``apo._block_ipm`` solves from now on."""
+    """Record each (program, solution) that ``apo._block_ipm`` solves from now on.
+
+    A call that solves a stack of budgets records one pair per budget.
+    """
     solves = []
     solve = apo._block_ipm
 
-    def spy(*args):
-        sol = solve(*args)
-        solves.append((apo._ratio_program(*args), sol))
-        return sol
+    def spy(objective, programs):
+        sols = solve(objective, programs)
+        solves.extend((apo._ratio_program(objective, *program), sol)
+                      for program, sol in zip(programs, sols, strict=True))
+        return sols
 
     monkeypatch.setattr(apo, "_block_ipm", spy)
     return solves
+
+
+def _kept_pairs(lp):
+    """(i, j) of each pair of table rows that a ratio program gives rows, in row order."""
+    k = lp.var_shape[1]
+    return [tuple(int(v) for v in ends) for ends in lp.a_ub.indices.reshape(-1, 4 * k)[:, :2] // k]
 
 
 def _vertex_optimum(lp):
@@ -373,7 +383,18 @@ class TestAipoRelaxed:
         coeffs = SurrogateCoefficients(matrix=np.ones((part.n_anchors, k)))
         outputs = OutputDomain(points=np.array([[0.1, 0.1], [0.2, 0.9], [0.9, 0.4], [0.6, 0.6]]))
         lp = build_aipo_relaxed(part, outputs, 1.0, 2.0, coeffs)
-        assert lp.n_ub_rows == 36 * 2 * k  # C(9, 2) unordered pairs
+        # Of the C(9, 2) = 36 pairs of the 3x3 lattice, the 8 whose ends are
+        # two apart on a row, a column or a diagonal get no rows: the anchor
+        # between them implies theirs.
+        assert lp.n_pairs == 36
+        assert lp.n_ub_rows == 28 * 2 * k
+        kept = set(_kept_pairs(lp))
+        dropped = [(i, j) for i in range(9) for j in range(i + 1, 9) if (i, j) not in kept]
+        assert len(kept) == 28 and len(dropped) == 8
+        anchors = part.anchors
+        for i, j in dropped:
+            middle = (anchors[i] + anchors[j]) / 2
+            assert any(np.array_equal(middle, a) for a in anchors), (i, j)
 
     def test_relaxed_objective_never_worse_than_composed(self):
         rng = np.random.default_rng(9)
@@ -459,15 +480,21 @@ class TestRatioRowLayout:
         self._assert_layout(build_approx_apo(part, outputs, bv, coeffs), coeffs, pairs)
 
     def test_aipo_relaxed_matches_dense_reference(self):
+        # Over the pairs that no third anchor lies between: the program
+        # leaves out the rows that shorter pairs imply.
         from anchorpriv.geometry import lp_distance
 
         part, outputs, coeffs = self._setup()
         anchors = part.anchors
+        d = [[lp_distance(a, b, 2.0) for b in anchors] for a in anchors]
         pairs = [
-            (i, j, math.exp(0.7 * lp_distance(anchors[i], anchors[j], 2.0)))
+            (i, j, math.exp(0.7 * d[i][j]))
             for i in range(part.n_anchors)
             for j in range(i + 1, part.n_anchors)
+            if not any(k not in (i, j) and d[i][k] + d[k][j] <= (1 + 1e-12) * d[i][j]
+                       for k in range(part.n_anchors))
         ]
+        assert len(pairs) == 28
         lp = build_aipo_relaxed(part, outputs, 0.7, 2.0, coeffs)
         self._assert_layout(lp, coeffs, pairs)
 
@@ -595,6 +622,160 @@ class TestCoarseLp:
         )
         with pytest.raises(ValueError):
             build_coarse_lp([[0.0], [0.0]], [0.5, 0.5], outputs, 1.0, 1.0, loss)
+
+
+def _worst_pair_row(table, points, eps, p):
+    """How far a table misses the ratio rows of any pair of ``points``, at worst."""
+    from anchorpriv.geometry import lp_distance_matrix
+
+    bound = np.exp(eps * lp_distance_matrix(points, points, p))
+    return float(max((table[i] - bound[i, j] * table[j]).max()
+                     for i in range(len(points)) for j in range(len(points)) if i != j))
+
+
+def _coarse_setup(inst, counts=(4, 4)):
+    """(representatives, masses) of the coarse grid, as the CoarseLP method builds them."""
+    from anchorpriv.geometry import locate_cells
+
+    coarse = Partition(*inst.partition.bounds, counts)
+    masses = np.bincount(locate_cells(coarse, inst.prior.points), weights=inst.prior.masses,
+                         minlength=coarse.n_cells)
+    return coarse.cell_lower + 0.5 * coarse.deltas, masses
+
+
+class TestPrunedAllPairs:
+    """The all-pairs programs solved over the pairs no third point implies."""
+
+    @staticmethod
+    def _programs(inst, p):
+        coeffs = surrogate_coefficients(inst.partition, inst.prior, inst.loss, inst.outputs)
+        reps, masses = _coarse_setup(inst)
+        return {
+            "AIPO-R": (inst.partition.anchors, lambda eps: build_aipo_relaxed(
+                inst.partition, inst.outputs, eps, p, coeffs)),
+            "CoarseLP": (reps, lambda eps: build_coarse_lp(reps, masses, inst.outputs, eps, p,
+                                                            inst.loss)),
+        }
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("program", ["AIPO-R", "CoarseLP"])
+    def test_desk_optima_equal_the_full_programs(self, program, p):
+        inst, _ = _desk_instance()
+        points, build = self._programs(inst, p)[program]
+        for eps in (0.2, 0.8, 1.6):
+            lp = build(eps)
+            table, sol = solve_approx_apo(lp)
+            assert sol.n_rows == lp.n_ub_rows + lp.n_eq_rows < 2 * lp.n_pairs * 9 + 16
+            _, full = solve_approx_apo(lp.full())
+            assert sol.objective_value == pytest.approx(full.objective_value,
+                                                        rel=apo.OPTIMALITY_TOL)
+            assert _worst_pair_row(table.probs, points, eps, p) <= lpcore.FEASIBILITY_TOL
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_grid8_optima_equal_the_full_programs(self, grid8_instance, p):
+        # The full grid8 AIPO-R program (103,761 rows) takes 9-19 s per solve,
+        # so its optimum is pinned by weak duality instead: the pruned
+        # solve's multipliers, 0 on the dropped rows, certify a lower bound
+        # on it, and the pruned table, which meets every pair's rows, is
+        # feasible for it. The full CoarseLP programs are solved.
+        inst, _ = grid8_instance
+        programs = self._programs(inst, p)
+        points, build = programs["CoarseLP"]
+        for eps in (0.2, 0.8, 1.6):
+            lp = build(eps)
+            table, sol = solve_approx_apo(lp)
+            _, full = solve_approx_apo(lp.full())
+            assert sol.objective_value == pytest.approx(full.objective_value,
+                                                        rel=apo.OPTIMALITY_TOL)
+            assert _worst_pair_row(table.probs, points, eps, p) <= lpcore.FEASIBILITY_TOL
+        if p == 2.0:
+            return  # 2,040 of 3,240 pairs kept: 1-5 s a pruned solve, checked off the suite
+        points, build = programs["AIPO-R"]
+        for eps in (0.2, 0.8, 1.6):
+            lp = build(eps)
+            table, sol = solve_approx_apo(lp)
+            full = lp.full()
+            kept = {pair: t for t, pair in enumerate(_kept_pairs(lp))}
+            lam = np.zeros((lp.n_pairs, 2 * inst.outputs.size))
+            for t, pair in enumerate(zip(*lp.pairs[:2])):
+                if pair in kept:
+                    lam[t] = sol.multipliers.reshape(len(kept), -1)[kept[pair]]
+            certificate = apo._dual_certificate(full, lam.ravel())
+            objective = float(full.objective @ table.probs.ravel())
+            assert objective - certificate <= apo.OPTIMALITY_TOL * objective
+            assert objective == pytest.approx(sol.objective_value, rel=1e-9)
+            assert _worst_pair_row(table.probs, points, eps, p) <= lpcore.FEASIBILITY_TOL
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_every_left_out_pair_has_its_collinear_point(self, grid8_instance, p):
+        from anchorpriv.geometry import lp_distance_matrix
+
+        desk, _ = _desk_instance()
+        grid8, _ = grid8_instance
+        for inst in (desk, grid8):
+            for name, (points, build) in self._programs(inst, p).items():
+                lp = build(0.8)
+                kept = set(_kept_pairs(lp))
+                d = lp_distance_matrix(points, points, p)
+                n = len(points)
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        shorter = (d[i] < d[i, j]) & (d[:, j] < d[i, j])
+                        on_route = shorter & (d[i] + d[:, j] <= (1 + apo.COLLINEAR_TOL) * d[i, j])
+                        assert ((i, j) in kept) != bool(on_route.any()), (name, i, j)
+                assert lp.n_pairs == n * (n - 1) // 2 > len(kept)
+
+    @pytest.mark.parametrize("eps", [11.0, 12.2])
+    def test_desk_pruned_solve_that_fails_falls_back_to_every_pair(self, caplog, eps):
+        # From scratch, dual simplex ends the pruned program with rows off
+        # by 4.0e-3 (eps 11) and 2.2e-3 (12.2); the full program solves.
+        inst, p = _desk_instance()
+        points, build = self._programs(inst, p)["AIPO-R"]
+        lp = build(eps)
+        with caplog.at_level(logging.INFO, logger="anchorpriv.apo"):
+            table, sol = solve_approx_apo(lp)
+        assert sol.n_rows == 2 * 300 * 9 + 25 == lp.full().n_ub_rows + 25
+        (record,) = [r for r in caplog.records if r.name == "anchorpriv.apo"]
+        message = record.getMessage()
+        assert record.levelno == logging.INFO
+        assert message.startswith(f"all-pairs program at eps {eps:g} over 200 of 300 pairs: "
+                                  "highs-ds failed: inequality residual ")
+        # The failed pruned call's statistics: its own program's rows.
+        assert f"n_vars 225, n_rows {lp.n_ub_rows + 25}, nnz " in message
+        assert "start none, solve_s " in message
+        assert message.endswith("; solving the program of every pair")
+        assert _worst_pair_row(table.probs, points, eps, p) <= lpcore.FEASIBILITY_TOL
+
+    def test_table_that_misses_a_left_out_row_falls_back(self, monkeypatch, caplog):
+        # A table that meets the kept rows but not an implied one is not
+        # stored: the program of every pair is solved instead.
+        inst, p = _desk_instance()
+        _, build = self._programs(inst, p)["AIPO-R"]
+        lp = build(0.8)
+        monkeypatch.setattr(apo._AllPairsProgram, "worst_row", lambda self, table: 1e-6)
+        with caplog.at_level(logging.INFO, logger="anchorpriv.apo"):
+            _, sol = solve_approx_apo(lp)
+        assert sol.n_rows == lp.full().n_ub_rows + 25
+        assert [r.getMessage() for r in caplog.records if r.name == "anchorpriv.apo"] == [
+            "all-pairs program at eps 0.8 over 200 of 300 pairs: its table misses a pair's "
+            "row by 1.000e-06; solving the program of every pair"]
+
+    def test_every_stored_table_meets_every_pairs_rows(self):
+        # compare's chains of AIPO-R and CoarseLP tables over the desk budgets.
+        from anchorpriv.cli import CompareSpec, PrivacySpec, make_method
+
+        inst, _ = _desk_instance()
+        budgets = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6)
+        for p in (1.0, 2.0, math.inf):
+            for method in ("AIPO-R", "CoarseLP"):
+                for eps in budgets:
+                    make_method(method, inst, eps, PrivacySpec(p=p), CompareSpec())
+        reps, _ = _coarse_setup(inst)
+        stored = {key: table for key, (table, _) in inst.derived["solved"].items()}
+        assert len(stored) == 2 * 3 * len(budgets)
+        for (method, eps, p, *_), table in stored.items():
+            points = inst.partition.anchors if method == "AIPO-R" else reps
+            assert _worst_pair_row(table.probs, points, eps, p) <= lpcore.FEASIBILITY_TOL
 
 
 @pytest.mark.parametrize("eps", [-0.1, math.nan])
@@ -787,41 +968,78 @@ class TestBlockInteriorPoint:
         assert sol.method == "block-ipm"
         assert value >= 0.000133592
 
-    # Desk inputs shifted as perfbench/run.py --seed 12 and --seed 3 shift them.
-    STALLING = [((-0.254, 1.575), 1.0, 0.2), ((-2.62, 0.442), math.inf, 0.2)]
+    def test_stall_rule_on_synthetic_histories(self):
+        n, tol = apo.IPM_STALL_ITER, apo.IPM_STALL_GAP
+        # mu fell 100-fold over the last n iterations, the best certificate
+        # is n iterations old and within IPM_STALL_GAP: stalled.
+        mus = [1.0] * n + [0.01]
+        assert apo._stalled(mus, n, 0, tol)
+        assert not apo._stalled(mus, n, 1, tol)  # a certificate n - 1 iterations old
+        assert not apo._stalled(mus, n, 0, 2 * tol)  # that certificate too far below
+        assert not apo._stalled(mus[:-1] + [0.0100001], n, 0, tol)  # mu fell less than 100-fold
+        assert not apo._stalled(mus[1:], n, 0, tol)  # fewer than n iterations of mu
+        # The fall counts over the last n iterations only, not since the start.
+        assert not apo._stalled([100.0, 1.0] + [1.0] * (n - 1) + [0.5], n + 1, 0, tol)
+        assert apo._stalled([100.0, 1.0] + [1.0] * (n - 1) + [0.01], n + 1, 1, tol)
 
-    @pytest.mark.parametrize("offset, p, eps", STALLING)
-    def test_stalled_solve_stops_early_with_the_same_bound(self, tmp_path, monkeypatch, offset,
-                                                           p, eps):
-        # Factored without the Cholesky shift, these solves stall: the best
-        # certificate comes by iteration 13, after it the certificates only
-        # wander below it, and without the stall stop the solve runs to
-        # IPM_MAX_ITER.
-        monkeypatch.setattr(apo, "_CHOLESKY_SHIFT", 0.0)
-        inst = _shifted_desk_instance(tmp_path, offset)
+    @staticmethod
+    def _stall_calls(monkeypatch):
+        """Record each (iteration, result) of the stall rule from now on."""
+        calls = []
+        stalled = apo._stalled
+
+        def spy(mus, it, best_it, gap):
+            calls.append((it, stalled(mus, it, best_it, gap)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(apo, "_stalled", spy)
+        return calls
+
+    # Desk bounds that stall once they may not converge (p, eps); at p = 1
+    # and eps 0.8 a certificate improves every few iterations until the cap.
+    STALLING = [(2.0, 0.2), (2.0, 0.8), (math.inf, 1.6)]
+
+    @pytest.mark.parametrize("p, eps", STALLING)
+    def test_solve_kept_from_converging_stops_at_its_stall(self, monkeypatch, p, eps):
+        # With no gap small enough to stop at, the solve runs on past its
+        # optimum: mu keeps falling while the certificates stop improving,
+        # and the stall stop ends it with its best certificate, the one a
+        # solve cut at that iteration keeps.
+        inst, _ = _desk_instance()
         args = (inst.partition, inst.outputs, eps, p, inst.loss, inst.prior)
+        converged, _ = lower_bound(*args)
+        monkeypatch.setattr(apo, "IPM_GAP_TOL", -1.0)
+        calls = self._stall_calls(monkeypatch)
         value, sol = lower_bound(*args)
+        assert sol.nit < apo.IPM_MAX_ITER
+        assert calls[-1] == (sol.nit, True) and not any(result for _, result in calls[:-1])
         monkeypatch.setattr(apo, "IPM_STALL_ITER", apo.IPM_MAX_ITER + 1)
+        monkeypatch.setattr(apo, "IPM_MAX_ITER", sol.nit)
+        cut, cut_sol = lower_bound(*args)
+        assert cut == value and cut_sol.multipliers.tobytes() == sol.multipliers.tobytes()
+        # Run on to the cap, the solve finds no better certificate than to
+        # rounding, and none better than the converged solve's by more.
+        monkeypatch.setattr(apo, "IPM_MAX_ITER", 100)
         full, full_sol = lower_bound(*args)
-        assert full_sol.nit == apo.IPM_MAX_ITER and sol.nit <= 45
-        assert value == full
+        assert full_sol.nit == 100
+        assert value <= full <= value * (1 + 1e-14)
+        assert converged <= value * (1 + 1e-14)
 
-    @pytest.mark.parametrize("offset, p, eps", STALLING)
-    def test_cholesky_shift_ends_the_stall(self, tmp_path, monkeypatch, offset, p, eps):
-        # With the shift the same programs converge before the stall stop
-        # could fire, to a higher bound than the stalled solves'.
-        inst = _shifted_desk_instance(tmp_path, offset)
-        args = (inst.partition, inst.outputs, eps, p, inst.loss, inst.prior)
-        solves = _spy_block_ipm(monkeypatch)
-        value, sol = lower_bound(*args)
-        (lp, _), = solves
-        certificate = apo._dual_certificate(lp, sol.multipliers)
-        assert sol.nit < apo.IPM_STALL_ITER
-        assert apo._relative_gap(sol.objective_value, certificate,
-                                 float(lp.objective.max())) <= apo.IPM_GAP_TOL
-        monkeypatch.setattr(apo, "_CHOLESKY_SHIFT", 0.0)
-        stalled, _ = lower_bound(*args)
-        assert value > stalled
+    def test_stalled_budget_leaves_the_stack(self, monkeypatch):
+        # Kept from converging, the stacked budgets stall at different
+        # iterations; each leaves the stack then, with its one-budget result.
+        inst, p = _desk_instance()
+        monkeypatch.setattr(apo, "IPM_GAP_TOL", -1.0)
+        budgets = [0.2, 0.8, 1.6]
+        stacked = lower_bound(inst.partition, inst.outputs, budgets, p, inst.loss, inst.prior)
+        alone = [lower_bound(inst.partition, inst.outputs, e, p, inst.loss, inst.prior)
+                 for e in budgets]
+        assert len({sol.nit for _, sol in stacked}) == 3
+        assert max(sol.nit for _, sol in stacked) < apo.IPM_MAX_ITER
+        for (value, sol), (ref, ref_sol) in zip(stacked, alone, strict=True):
+            assert value == ref and sol.nit == ref_sol.nit
+            assert sol.multipliers.tobytes() == ref_sol.multipliers.tobytes()
+            assert sol.values.tobytes() == ref_sol.values.tobytes()
 
     def test_singular_block_is_shifted_and_a_non_finite_one_raises(self, monkeypatch):
         blocks = np.array([[[1.0, 1.0], [1.0, 1.0]], [[2.0, 0.0], [0.0, 4.0]]])
@@ -936,6 +1154,94 @@ class TestBlockIpmKernels:
         v = np.array([0.0, 1.0, 2.0])
         for dv in (np.zeros(3), np.array([0.0, -0.0, 5.0])):
             assert apo._max_step([(v, dv)]) == _boolean_mask_step([(v, dv)]) == 1.0
+
+    def test_max_step_of_each_budget_is_its_own(self):
+        rng = np.random.default_rng(3)
+        v, dv = rng.random((3, 4, 5)), rng.normal(size=(3, 4, 5))
+        dv[1] = np.abs(dv[1])  # budget 1 decreases nowhere
+        step = apo._max_step([(v, dv), (v + 1.0, dv)], lead=(3,))
+        assert step.shape == (3,) and step[1] == 1.0
+        for b in range(3):
+            assert step[b] == apo._max_step([(v[b], dv[b]), (v[b] + 1.0, dv[b])])
+
+
+class TestStackedBound:
+    """lower_bound over several budgets: one _block_ipm call per stack of budgets."""
+
+    @staticmethod
+    def _calls(monkeypatch):
+        """Record the budgets of each _block_ipm call from now on."""
+        calls = []
+        solve = apo._block_ipm
+
+        def spy(objective, programs):
+            calls.append(len(programs))
+            return solve(objective, programs)
+
+        monkeypatch.setattr(apo, "_block_ipm", spy)
+        return calls
+
+    @staticmethod
+    def _assert_each_budget_alone(inst, budgets, p, stacked):
+        for eps, (value, sol) in zip(budgets, stacked, strict=True):
+            ref, ref_sol = lower_bound(inst.partition, inst.outputs, eps, p, inst.loss,
+                                       inst.prior)
+            assert value == ref and (sol.nit, sol.n_rows) == (ref_sol.nit, ref_sol.n_rows)
+            assert sol.multipliers.tobytes() == ref_sol.multipliers.tobytes()
+            assert sol.values.tobytes() == ref_sol.values.tobytes()
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_each_budget_of_the_stack_gets_its_one_budget_bound(self, monkeypatch, p):
+        inst, _ = _desk_instance()
+        budgets = [0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6]
+        calls = self._calls(monkeypatch)
+        stacked = lower_bound(inst.partition, inst.outputs, budgets, p, inst.loss, inst.prior)
+        assert calls == [8]
+        self._assert_each_budget_alone(inst, budgets, p, stacked)
+
+    def test_budgets_that_drop_pairs_stack_with_those_that_keep_them(self, monkeypatch):
+        # At eps 10 MAX_LOG_RATIO drops the farthest cell pairs' rows and at
+        # 300 every pair's, so the three budgets' programs differ in rows.
+        inst, p = _desk_instance()
+        budgets = [0.8, 10.0, 300.0]
+        calls = self._calls(monkeypatch)
+        stacked = lower_bound(inst.partition, inst.outputs, budgets, p, inst.loss, inst.prior)
+        assert calls == [3]
+        n_pairs = [(sol.n_rows - 16) // 18 for _, sol in stacked]
+        assert n_pairs[0] == 120 and 0 < n_pairs[1] < 120 and n_pairs[2] == 0
+        assert stacked[2][0] == 0.0
+        self._assert_each_budget_alone(inst, budgets, p, stacked)
+
+    def test_stacks_hold_at_most_the_entry_cap(self, monkeypatch):
+        # With room for two desk budgets (K = 9, R = 16) per stack, eight
+        # budgets take four calls, and each keeps its one-budget bound.
+        inst, p = _desk_instance()
+        monkeypatch.setattr(apo, "STACK_MAX_ENTRIES", 2 * 9 * 16 * 16 + 1)
+        budgets = [0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6]
+        calls = self._calls(monkeypatch)
+        stacked = lower_bound(inst.partition, inst.outputs, budgets, p, inst.loss, inst.prior)
+        assert calls == [2, 2, 2, 2]
+        self._assert_each_budget_alone(inst, budgets, p, stacked)
+
+    def test_grid8_budgets_are_solved_one_per_call(self, grid8_instance, monkeypatch):
+        # A grid8 budget's (K, R, R) arrays already hold STACK_MAX_ENTRIES.
+        inst, p = grid8_instance
+        assert inst.outputs.size * inst.partition.n_cells ** 2 == apo.STACK_MAX_ENTRIES
+        calls = self._calls(monkeypatch)
+        bounds = lower_bound(inst.partition, inst.outputs, [0.8, 0.8], p, inst.loss, inst.prior)
+        assert calls == [1, 1]
+        for value, sol in bounds:
+            assert value == pytest.approx(0.4165165979953, rel=1e-9) and sol.nit == 36
+
+    def test_one_budget_returns_one_pair_and_a_sequence_a_list(self):
+        inst, p = _desk_instance()
+        args = (inst.partition, inst.outputs)
+        value, sol = lower_bound(*args, 0.8, p, inst.loss, inst.prior)
+        (listed, listed_sol), = lower_bound(*args, [0.8], p, inst.loss, inst.prior)
+        assert value == listed and sol.multipliers.tobytes() == listed_sol.multipliers.tobytes()
+        assert lower_bound(*args, [], p, inst.loss, inst.prior) == []
+        with pytest.raises(ValueError, match="got -1$"):
+            lower_bound(*args, [0.8, -1.0], p, inst.loss, inst.prior)
 
 
 class TestDualCertificate:

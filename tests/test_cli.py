@@ -693,21 +693,31 @@ class TestLowerBound:
         value = json.loads((out / "lower_bound.json").read_text())["values"]["10"]
         assert 0 < value < 0.01
 
-    def test_bound_does_not_depend_on_the_budgets_before_it(self, tmp_path):
-        # Each bound is solved from scratch. Started from the previous
-        # budget's basis, these rows differed in the last bits.
+    @pytest.mark.parametrize("p", [1.0, 2.0, "inf"])
+    def test_bound_does_not_depend_on_the_budgets_before_it(self, tmp_path, p):
+        # Each bound is solved from scratch, and the budgets of one command
+        # share a stack. Started from the previous budget's basis, these rows
+        # differed in the last bits.
+        config = desk_config(tmp_path, {"metric": {"p": p}})
         rows = {}
         for name, flags in (("alone", ["--method", "LB", "--eps", "0.8"]), ("all", [])):
             out = tmp_path / name
-            assert main(["compare", "--config", str(DESK), *flags, "--out-dir", str(out)]) == 0
+            assert main(["compare", "--config", str(config), *flags, "--out-dir", str(out)]) == 0
             rows[name], = [line for line in (out / "results.csv").read_text().splitlines()
                            if line.startswith("LB,0.8,")]
         assert rows["alone"] == rows["all"]
+        budgets = ["0.2", "0.4", "0.6", "0.8", "1", "1.2", "1.4", "1.6"]
         out = tmp_path / "lb"
-        assert main(["lower-bound", "--config", str(DESK), "--eps", "0.8", "--out-dir",
-                     str(out)]) == 0
-        value = json.loads((out / "lower_bound.json").read_text())["values"]["0.8"]
-        assert value == float(rows["all"].split(",")[2])
+        assert main(["lower-bound", "--config", str(config), "--eps", ",".join(budgets),
+                     "--out-dir", str(out)]) == 0
+        values = json.loads((out / "lower_bound.json").read_text())["values"]
+        assert values["0.8"] == float(rows["all"].split(",")[2])
+        for eps in budgets:
+            alone = tmp_path / f"lb{eps}"
+            assert main(["lower-bound", "--config", str(config), "--eps", eps, "--out-dir",
+                         str(alone)]) == 0
+            assert json.loads((alone / "lower_bound.json").read_text())["values"] == {
+                eps: values[eps]}
 
     def _assert_tracer_counts_lp_statistics(self, tmp_path, monkeypatch, *args):
         """Trace ``args``, run them again in-process, and compare the LP counters.
@@ -740,8 +750,8 @@ class TestLowerBound:
             tmp_path, monkeypatch, "compare", "--config", str(cfg), "--method", "AIPO-R",
             "--method", "LB", "--eps", "0.4,0.8")
         # One HiGHS call per eps, AIPO-R's, reaches the rebound linprog; the
-        # bound makes none.
-        assert summary["apo.lower_bound.calls"] == 2
+        # bound makes none, and solves both budgets in one call.
+        assert summary["apo.lower_bound.calls"] == 1
         assert summary["lpcore.highs.calls"] == 2
 
     def test_benchmark_tracer_counts_sweep_statistics(self, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import itertools
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -227,8 +228,35 @@ def test_failed_interior_point_solve_retries_on_dual_simplex(monkeypatch, caplog
     assert sol.objective_value == ref.objective_value
     assert sol.multipliers.tobytes() == ref.multipliers.tobytes()
     name = {4: "Solve error", 2: "Model error"}[status]
-    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
-        (logging.INFO, f"highs-ipm failed: (HiGHS Status {status}: {name}); solving again on highs-ds")]
+    # The line carries the failed call's statistics.
+    (record,) = caplog.records
+    assert record.levelno == logging.INFO
+    assert re.fullmatch(
+        re.escape(f"highs-ipm failed: (HiGHS Status {status}: {name}) [method highs-ipm, "
+                  f"n_vars 225, n_rows {lp.n_ub_rows + lp.n_eq_rows}, nnz {lp.a_ub.nnz + 225}, "
+                  "nit 0, simplex_nit 0, ipm_nit 0, crossover_nit 0, start none, solve_s ")
+        + r"[0-9.e+-]+\]; solving again on highs-ds", record.getMessage())
+
+
+def test_failed_call_carries_its_statistics(monkeypatch):
+    # A SolverError from linprog holds what the call's LpSolution would have.
+    lp = _anchor_program(4, 3)
+    monkeypatch.setattr(lpcore, "IPM_MIN_VARS", 1)
+    _end_interior_point_in(monkeypatch, 4)
+    a_ub, b_ub, a_eq, b_eq = lp.matrices()
+    with pytest.raises(SolverError) as info:
+        lpcore.linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                       method="highs-ipm", options=_SOLVE_OPTIONS)
+    stats = info.value.stats
+    assert str(info.value) == "highs-ipm failed: (HiGHS Status 4: Solve error)"
+    assert {key: stats[key] for key in stats if key != "solve_s"} == dict(
+        method="highs-ipm", n_vars=225, n_rows=lp.n_ub_rows + lp.n_eq_rows,
+        nnz=lp.a_ub.nnz + lp.a_eq.nnz, nit=0, simplex_nit=0, ipm_nit=0, crossover_nit=0,
+        start="none")
+    assert stats["solve_s"] >= 0.0
+    assert info.value.report().startswith(f"{info.value} [method highs-ipm, n_vars 225, ")
+    # Raised outside a solver call, it carries none.
+    assert SolverError("no call").stats is None and SolverError("no call").report() == "no call"
 
 
 class TestSolverRouting:
@@ -599,12 +627,13 @@ def _package_program(kind, monkeypatch):
         reps = part.cell_lower + 0.5 * part.deltas
         return apo.build_coarse_lp(reps, np.full(part.n_cells, 1 / part.n_cells), outputs,
                                    0.8, 2.0, inst.loss)
-    programs = []
+    solved = []
     solve = apo._block_ipm
-    monkeypatch.setattr(apo, "_block_ipm",
-                        lambda *args: programs.append(apo._ratio_program(*args)) or solve(*args))
+    monkeypatch.setattr(apo, "_block_ipm", lambda objective, programs: solved.extend(
+        apo._ratio_program(objective, *program) for program in programs) or solve(
+            objective, programs))
     apo.lower_bound(part, outputs, 0.8, 2.0, inst.loss, inst.prior)
-    return programs[0]
+    return solved[0]
 
 
 class TestCsrMatrix:

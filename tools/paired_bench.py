@@ -23,7 +23,10 @@ the change's wins: the pairs in which the working tree's ``wall_s`` is
 lower than the base's, ties counting for neither. A gain holds when the
 change wins at least nine tenths of the pairs and the medians differ by
 more than the distance between the base's quartiles. Last come both
-sides' medians of the other end-to-end metrics.
+sides' medians of the other end-to-end metrics; a metric whose change
+median is worse than the base median by more than its ``bound`` in
+BENCHMARK.json's ``end_to_end`` (a fraction of the base median, worse
+as its ``better`` says) is marked WORSE.
 """
 
 from __future__ import annotations
@@ -101,6 +104,17 @@ def summarize(base, change) -> dict:
             "gain": gain}
 
 
+def worse_beyond_bound(base, change, better: str, bound: float) -> bool:
+    """Whether the change's median is worse than the base's by more than ``bound`` of it.
+
+    ``better`` is "lower" or "higher", as BENCHMARK.json's ``end_to_end``
+    gives it.
+    """
+    b, c = statistics.median(base), statistics.median(change)
+    worse = {"lower": c - b, "higher": b - c}[better]
+    return worse > bound * abs(b)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True,
@@ -110,7 +124,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be >= 2")
-    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    specs = {m["name"]: m for m in benchmark["end_to_end"]}
 
     runs = {"base": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="paired_bench.") as tmp:
@@ -129,9 +145,13 @@ def main(argv=None) -> int:
         print(f"{name}: median {q2:.6g}, quartiles {q1:.6g} to {q3:.6g}")
     for metric in runs["base"][0]:
         if metric != METRIC:
-            medians = (statistics.median(run[metric] for run in runs[name])
-                       for name in ("base", "change"))
-            print(f"{metric}: median {' -> '.join(f'{m:.6g}' for m in medians)}")
+            values = [[run[metric] for run in runs[name]] for name in ("base", "change")]
+            mark = ""
+            if metric in specs and worse_beyond_bound(*values, specs[metric]["better"],
+                                                      specs[metric]["bound"]):
+                mark = f"; WORSE by more than its bound {specs[metric]['bound']:g}"
+            print(f"{metric}: median "
+                  f"{' -> '.join(f'{statistics.median(v):.6g}' for v in values)}{mark}")
     change_pct = 100.0 * (s["change"][1] / s["base"][1] - 1.0)
     print(f"{args.workload} {METRIC}: change {change_pct:+.1f}% in the median, "
           f"better in {s['wins']} of {s['pairs']} pairs; "
