@@ -725,6 +725,23 @@ class TestPrunedAllPairs:
                         assert ((i, j) in kept) != bool(on_route.any()), (name, i, j)
                 assert lp.n_pairs == n * (n - 1) // 2 > len(kept)
 
+    def test_only_a_point_on_the_route_implies_a_pair(self):
+        from anchorpriv.geometry import lp_distance_matrix
+
+        # (0, 0) - (2, 0) has (1, 0) on its segment; (0, 1) - (2, 1) has
+        # (1, 1.001) 5e-7 off its length, so no point implies that pair.
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0],
+                           [0.0, 1.0], [1.0, 1.001], [2.0, 1.0]])
+        implied = apo._implied_pairs(lp_distance_matrix(points, points, 2.0))
+        assert implied[0, 2] and implied[2, 0]
+        assert not implied[3, 5] and np.count_nonzero(implied) == 2
+        # At p = 1 the corner (1, 0) lies on a shortest route from (0, 0) to
+        # (1, 1); at p = 2 it does not.
+        corner = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+        for p, count in ((1.0, 2), (2.0, 0)):
+            implied = apo._implied_pairs(lp_distance_matrix(corner, corner, p))
+            assert np.count_nonzero(implied) == count and implied[0, 2] == (count == 2)
+
     @pytest.mark.parametrize("eps", [11.0, 12.2])
     def test_desk_pruned_solve_that_fails_falls_back_to_every_pair(self, caplog, eps):
         # From scratch, dual simplex ends the pruned program with rows off
@@ -1055,6 +1072,20 @@ class TestBlockInteriorPoint:
         assert inverse[1] == pytest.approx(np.diag([0.5, 0.25]), rel=1e-15)
         with pytest.raises(SolverError, match="non-finite Newton matrix"):
             apo._spd_inverse(np.full((1, 2, 2), np.nan))
+
+    def test_stacked_factorization_retries_each_budget_alone(self, monkeypatch):
+        # Unshifted, budget 0's first block is singular, so the stack's first
+        # factorization fails; each budget is then factored on its own, and
+        # budget 1 gets no shift from budget 0's retry.
+        monkeypatch.setattr(apo, "_CHOLESKY_SHIFT", 0.0)
+        stack = np.array([[[[1.0, 1.0], [1.0, 1.0]], [[3.0, 1.0], [1.0, 2.0]]],
+                          [[[2.0, 0.0], [0.0, 4.0]], [[3.0, 1.0], [1.0, 2.0]]]])
+        inverse = apo._spd_inverse(stack, stacked=True)
+        for b in range(2):
+            assert inverse[b].tobytes() == apo._spd_inverse(stack[b:b + 1])[0].tobytes()
+        assert inverse[1, 0] == pytest.approx(np.diag([0.5, 0.25]), rel=1e-15)
+        # Unstacked, the retry's shift reaches every block of the call.
+        assert apo._spd_inverse(stack.reshape(4, 2, 2))[2].tobytes() != inverse[1, 0].tobytes()
 
     def test_converged_solve_logs_no_gap_record(self, monkeypatch, caplog):
         inst, p = _desk_instance()
