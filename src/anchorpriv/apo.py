@@ -7,6 +7,15 @@ loss of any mechanism meeting the same privacy constraint, over one
 averaged distribution per cell, valid for every prior and certified from
 the program's dual multipliers. Bound programs are solved by an
 interior-point method of their own, which uses their per-output blocks.
+
+Anchor programs are solved by column generation over their outputs: a
+restricted master over the output columns in use, the others priced
+without an LP by pushing each negative reduced cost along the lattice to
+a positive one (:class:`_Pricing`). The stored table, zero off the
+master's columns, is checked against every row of the whole program, and
+its certificate is taken there with the master's and the pushed
+multipliers, so nothing rests on the push. The all-pairs programs and the
+bound are solved whole.
 """
 
 from __future__ import annotations
@@ -14,14 +23,15 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .budget import BudgetVector, check_budget
 from .errors import SolverError
 from .geometry import Partition, axis_neighbors, corner_weights, locate_cells, lp_distance_matrix
-from .lpcore import FEASIBILITY_TOL, CsrMatrix, LinearProgram, LpSolution, solve_lp
+from .lpcore import (FEASIBILITY_TOL, CsrMatrix, LinearProgram, LpSolution, _residuals,
+                     padded_start, solve_lp)
 
 __all__ = [
     "OutputDomain",
@@ -255,9 +265,263 @@ def build_approx_apo(
     if coeffs.matrix.shape != (partition.n_anchors, outputs.size):
         raise ValueError("coefficient matrix shape mismatch")
     first, second, axis = axis_neighbors(partition)
-    return _ratio_program(coeffs.matrix, first, second,
-                          budget.eps[axis] * partition.deltas[axis],
-                          f"anchor program at eps {budget.total_eps:g}")
+    log_bound = budget.eps[axis] * partition.deltas[axis]
+    name = f"anchor program at eps {budget.total_eps:g}"
+    lp = _ratio_program(coeffs.matrix, first, second, log_bound, name)
+    anchors = partition.anchors
+    # The lattice's shortest log-bound paths: Delta_l / delta_l pairs along
+    # each axis l, at eps_l delta_l each.
+    length = np.abs(anchors[:, None, :] - anchors[None, :, :]) @ budget.eps
+    return _AnchorProgram(lp.objective, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq, lp.var_shape,
+                          pairs=(first, second, log_bound), length=length, name=name)
+
+
+@dataclass
+class _AnchorProgram(LinearProgram):
+    """An anchor program with its neighbour pairs, for :func:`solve_approx_apo`'s column generation.
+
+    ``pairs`` holds (first, second, log_bound) of the neighbour pairs, in
+    :func:`_ratio_program`'s order, ``length`` the (R, R) shortest paths
+    between anchors over those log bounds, and ``name`` names the program.
+    """
+
+    pairs: tuple = ()
+    length: np.ndarray = None
+    name: str = "anchor program"
+
+    def restricted(self, columns) -> LinearProgram:
+        """The ratio program of the same pairs over the output columns ``columns`` alone."""
+        return _ratio_program(self.objective.reshape(self.var_shape)[:, columns], *self.pairs,
+                              self.name)
+
+
+def _ratio_rows(pairs, outputs, n_out) -> np.ndarray:
+    """Rows of the ratio program over ``n_out`` outputs that hold ``pairs`` x ``outputs``.
+
+    Both rows of each (pair, output), pairs outer, in :func:`_ratio_program`'s order.
+    """
+    head = 2 * (np.asarray(pairs)[:, None] * n_out + np.asarray(outputs)[None, :])
+    return (head[:, :, None] + np.arange(2)).ravel()
+
+
+def _grown_start(sol: LpSolution, columns, grown: LinearProgram, new_columns) -> LpSolution | None:
+    """A master's solution over ``columns`` as a start of the ``grown`` master over ``new_columns``.
+
+    None when the master had one column, which leaves no basis.
+    """
+    if sol.basis is None:
+        return None
+    n_rows, n_out = grown.var_shape
+    n_pairs = grown.n_ub_rows // (2 * n_out)
+    at = np.searchsorted(new_columns, columns)
+    variables = (np.arange(n_rows)[:, None] * n_out + at).ravel()
+    rows = np.concatenate([_ratio_rows(np.arange(n_pairs), at, n_out),
+                           grown.n_ub_rows + np.arange(n_rows)])
+    return padded_start(sol, grown, variables, rows)
+
+
+def _constant_solution(lp: LinearProgram, column: int) -> LpSolution:
+    """The solution of ``lp``'s master over one output column: every row's total on it.
+
+    Its multipliers are 0, and so is its solve: the master is never built.
+    """
+    n_rows, n_out = lp.var_shape
+    n_ub = lp.n_ub_rows // n_out
+    values = lp.b_eq.copy()
+    return LpSolution(values=values, objective_value=float(values @ lp.objective[column::n_out]),
+                      multipliers=np.zeros(n_ub), method="constant table", n_vars=n_rows,
+                      n_rows=n_ub + n_rows, nnz=2 * n_ub + n_rows, nit=0, simplex_nit=0,
+                      ipm_nit=0, crossover_nit=0, solve_s=0.0, from_basis=False, basis=None)
+
+
+class _Pricing:
+    """The neighbour pairs of an anchor program, to price its output columns without an LP.
+
+    The rows of pair t = (i, j) and output k are z_ik - b_t z_jk <= 0 and its
+    mirror. A multiplier mu on the first raises the reduced cost of entry
+    (i, k) by mu and lowers that of (j, k) by b_t mu: it moves mu of a
+    deficit from i to j at the price b_t. Each anchor's pairs are one row
+    of a dense neighbour table, padded with a sentinel anchor R.
+    ``length`` (R, R) holds the shortest paths between anchors over the
+    pairs' log bounds, and row a of ``tents``, exp(-length[a]), is a
+    column that meets every ratio row, peaked at anchor a.
+    """
+
+    def __init__(self, n_rows, first, second, log_bound, bound, length):
+        self.n_rows, self.n_pairs = n_rows, first.size
+        src, dst = np.concatenate([first, second]), np.concatenate([second, first])
+        row = np.arange(src.size)  # of ub rows in (2, P) order: the first rows, then the mirrors
+        order = np.lexsort((row, src))
+        src, dst, row = src[order], dst[order], row[order]
+        degree = np.bincount(src, minlength=n_rows)
+        slot = np.arange(src.size) - np.repeat(np.cumsum(degree) - degree, degree)
+        shape = (n_rows, int(degree.max(initial=0)))
+        self.neighbour = np.full(shape, n_rows)
+        self.neighbour[src, slot] = dst
+        self.row = np.zeros(shape, dtype=np.intp)
+        self.row[src, slot] = row
+        self.cost = np.ones(shape)
+        self.cost[src, slot] = np.concatenate([bound, bound])[order]
+        self.log_cost = np.full(shape, np.inf)
+        self.log_cost[src, slot] = np.concatenate([log_bound, log_bound])[order]
+        self.length = length
+        self.tents = np.exp(-length)
+
+    def push(self, deficit) -> tuple[np.ndarray, np.ndarray, int]:
+        """Multipliers on the columns' ratio rows that lift their reduced costs ``deficit`` to >= 0.
+
+        ``deficit`` is (R, m): each column's reduced costs c_k - y at
+        lambda = 0. Each sweep moves every negative entry one pair along:
+        its multiplier lifts the entry to exactly 0 and charges b times
+        its amount to the neighbour on a shortest log-bound path to the
+        nearest entry with a positive reduced cost (the first such
+        neighbour on a tie). A column's paths are taken again once one of
+        its negative entries sits where such a path ended.
+
+        A column is priced when no entry stays negative. A push never
+        raises a tent's weighted sum of the column's reduced costs (moving
+        d from i to j changes it by d (t_i - b t_j) <= 0, since the tent t
+        meets the pair's rows), so a column that some tent gives a negative
+        sum can never be priced, and is left. The sweeps end when every
+        column is priced or left, when no negative entry has a positive one
+        to move to, or after R sweeps.
+
+        Returns (the multipliers, (P, m, 2) by pair, column and row, the
+        columns still short of 0 somewhere, the sweeps made).
+        """
+        n_rows, n_cols = deficit.shape
+        if not (self.n_pairs and n_cols):
+            return np.zeros((self.n_pairs, n_cols, 2)), np.any(deficit < 0, axis=0), 0
+        size = n_rows * n_cols
+        # Flat, column by column: entry (i, k) at k R + i, and a sentinel at
+        # the end that no push reaches (dist inf). Column k's neighbour table
+        # and multiplier rows are the anchor's, offset to its own block.
+        reduced = np.array(deficit, dtype=float).T.ravel()
+        block = np.arange(n_cols)[:, None, None]
+        neighbour = np.where(self.neighbour < n_rows, self.neighbour + n_rows * block, size)
+        neighbour = neighbour.reshape(size, -1)
+        row = (self.row * n_cols + block).reshape(size, -1)  # in (2P, m) order
+        log_cost = np.tile(self.log_cost, (n_cols, 1))
+        cost = np.tile(self.cost, (n_cols, 1))
+        lam = np.zeros(2 * self.n_pairs * n_cols)
+        dist = np.full(size + 1, np.inf)
+        by_column = dist[:-1].reshape(n_cols, n_rows)
+        target = np.zeros((n_cols, n_rows), dtype=bool)  # the positive entries dist was taken to
+        stale = np.ones(n_cols, dtype=bool)
+        sweeps = 0
+        while sweeps < n_rows:
+            short = reduced < 0
+            columns = reduced.reshape(n_cols, n_rows)
+            short_in = short.reshape(n_cols, n_rows)
+            live = short_in.any(axis=1) & ((columns @ self.tents.T).min(axis=1) >= 0)
+            if not live.any():
+                break
+            stale |= (short_in & target).any(axis=1)
+            taken = (live & stale).nonzero()[0]
+            if taken.size:
+                stale[taken] = False
+                target[taken] = columns[taken] > 0
+                # Per column, the least of length's rows at its positive entries
+                # (length is symmetric): the rows of every such entry, column by
+                # column, reduced at each column's first.
+                col, at = target[taken].nonzero()
+                counts = np.bincount(col, minlength=taken.size)
+                has = counts.nonzero()[0]
+                by_column[taken] = np.inf
+                if has.size:
+                    by_column[taken[has]] = np.minimum.reduceat(
+                        self.length[at], (counts.cumsum() - counts)[has], axis=0)
+            node = (short & np.repeat(live, n_rows) & (dist[:-1] < np.inf)).nonzero()[0]
+            if not node.size:
+                break
+            sweeps += 1
+            slot = (log_cost[node] + dist[neighbour[node]]).argmin(axis=1)
+            amount = -reduced[node]
+            lam[row[node, slot]] += amount
+            reduced[node] = 0.0
+            reduced -= np.bincount(neighbour[node, slot], weights=cost[node, slot] * amount,
+                                   minlength=size + 1)[:-1]
+        pushed = lam.reshape(2, self.n_pairs, n_cols).transpose(1, 2, 0)
+        return pushed, np.any(reduced.reshape(n_cols, n_rows) < 0, axis=1), sweeps
+
+
+def _generated_solution(lp: _AnchorProgram, start: LpSolution | None) -> LpSolution:
+    """The optimal solution of an anchor program, solved over the output columns it uses.
+
+    A restricted master over a set S of output columns is solved, and
+    every other column k priced: y_i is the least reduced cost of row i
+    in the master, and column k prices out when multipliers on its own
+    ratio rows lift c_k - y to >= 0 (:meth:`_Pricing.push`). The columns
+    that do not price out join S, and the master is solved again from its
+    last basis (:func:`_grown_start`), until every column prices out. S
+    starts at ``start``'s columns, or at the constant table's column (the
+    least column sum of the objective), and only grows; at worst it holds
+    every column, which is the whole program.
+
+    A master over one column is the constant table with no multipliers,
+    and takes no solve. The others take :func:`solve_lp`, the first from
+    ``start``'s basis when it has one. Returns the whole program's
+    solution, zero off S, with the master's multipliers on S and the
+    pushed ones off it, and the last master's statistics
+    (:class:`~anchorpriv.lpcore.LpSolution`'s ``columns``). Each solve is
+    logged at DEBUG on ``anchorpriv.apo``: the kept columns, the master
+    rounds, the HiGHS solves and the push sweeps with their time.
+    """
+    n_rows, n_out = lp.var_shape
+    objective = lp.objective.reshape(n_rows, n_out)
+    first, second, log_bound = lp.pairs
+    bound = -lp.a_ub.data[1::4 * n_out] if lp.a_ub is not None else np.empty(0)
+    clock = time.perf_counter()
+    pricing = _Pricing(n_rows, first, second, log_bound, bound, lp.length)
+    push_s = time.perf_counter() - clock
+    if start is not None and start.columns is not None:
+        columns = start.columns
+        sol = replace(start, values=None if start.values is None
+                      else start.values.reshape(n_rows, n_out)[:, columns].ravel())
+    else:
+        columns, sol = np.array([np.argmin(objective.sum(axis=0))]), None
+    rounds = solves = sweeps = 0
+    grown_from = None  # the last master's (solution, columns), once they have grown
+    while True:
+        rounds += 1
+        if columns.size == 1:
+            sol = _constant_solution(lp, columns[0])
+            least = objective[:, columns[0]]
+        else:
+            master = lp.restricted(columns)
+            if grown_from is not None:
+                sol = _grown_start(*grown_from, master, columns)
+            solves += 1
+            sol = solve_lp(master, start=sol)
+            reduced = master.objective
+            if master.a_ub is not None:
+                reduced = reduced + master.a_ub.rmatvec(np.clip(sol.multipliers, 0.0, None))
+            least = reduced.reshape(n_rows, columns.size).min(axis=1)
+        # Boolean masks, not np.setdiff1d and np.union1d: those import numpy.ma.
+        kept = np.zeros(n_out, dtype=bool)
+        kept[columns] = True
+        others = np.flatnonzero(~kept)
+        deficit = objective[:, others] - least[:, None]
+        negative = np.any(deficit < 0, axis=0)
+        clock = time.perf_counter()
+        pushed, short, made = pricing.push(deficit[:, negative])
+        push_s += time.perf_counter() - clock
+        sweeps += made
+        added = others[negative][short]
+        if not added.size:
+            break
+        grown_from = sol, columns
+        kept[added] = True
+        columns = np.flatnonzero(kept)
+    lam = np.zeros((first.size, n_out, 2))
+    lam[:, columns] = sol.multipliers.reshape(first.size, columns.size, 2)
+    lam[:, others[negative]] = pushed
+    values = np.zeros((n_rows, n_out))
+    values[:, columns] = sol.values.reshape(n_rows, columns.size)
+    log.debug("%s: %d of %d output columns, %d master rounds, %d HiGHS solves, %d push sweeps "
+              "in %.3g s", lp.name, columns.size, n_out, rounds, solves, sweeps, push_s)
+    return replace(sol, values=values.ravel(), multipliers=lam.ravel(), columns=columns,
+                   objective_value=float(lp.objective @ values.ravel()))
 
 
 def solve_approx_apo(
@@ -274,11 +538,22 @@ def solve_approx_apo(
     objective, relative to it. Row sums may drift from 1 by at most
     PRE_NORMALIZATION_TOL before the final exact renormalization.
 
+    An anchor program (:func:`build_approx_apo`) is solved by column
+    generation over its outputs (:func:`_generated_solution`). Its table,
+    zero off the master's columns, must meet every row of the whole
+    program to :data:`~anchorpriv.lpcore.FEASIBILITY_TOL`, and the
+    certificate is taken on the whole program with the master's and the
+    pushed multipliers, so a push that proves nothing only costs a larger
+    master. ``start`` is an earlier anchor solution: its columns seed the
+    master, and its basis starts the first master solve.
+
     An all-pairs program (:func:`_all_pairs_program`) is solved over its
     kept pairs, and its table is checked against every pair's rows to
     :data:`~anchorpriv.lpcore.FEASIBILITY_TOL`. Where that solve raises
     :class:`SolverError` or the table misses a row, the failure is logged
-    at INFO and the program of every pair is solved as any other program.
+    at INFO and the program of every pair is solved, from the pruned
+    solution's basis when HiGHS left one (the left-out rows' multipliers
+    at 0, :func:`~anchorpriv.lpcore.padded_start`), and else from scratch.
 
     Returns (:class:`PerturbationTable`, the
     :class:`~anchorpriv.lpcore.LpSolution` it came from). ``start`` is
@@ -287,20 +562,37 @@ def solve_approx_apo(
     """
     if lp.var_shape is None:
         raise ValueError("program carries no table shape")
+    if isinstance(lp, _AnchorProgram):
+        sol = _generated_solution(lp, start)
+        for kind, worst in zip(("bound", "inequality", "equality"),
+                               _residuals(sol.values, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq)):
+            if worst > FEASIBILITY_TOL:
+                raise SolverError(f"{lp.name}: the master's table misses a {kind} row by "
+                                  f"{worst:.3e}")
+        return _solved_table(lp, sol)
     if not isinstance(lp, _AllPairsProgram):
         return _solved_table(lp, solve_lp(lp, start=start))
+    pruned = None
     try:
-        table, sol = _solved_table(lp, solve_lp(lp, start=start))
+        pruned = solve_lp(lp, start=start)
+        table, sol = _solved_table(lp, pruned)
         worst = lp.worst_row(table.probs)
         if worst <= FEASIBILITY_TOL:
             return table, sol
         reason = f"its table misses a pair's row by {worst:.3e}"
     except SolverError as exc:
+        pruned = pruned or exc.rejected
         reason = exc.report()
     log.info("%s over %d of %d pairs: %s; solving the program of every pair", lp.name,
-             lp.n_ub_rows // (2 * lp.var_shape[1]), lp.n_pairs, reason)
+             lp.kept.size, lp.n_pairs, reason)
     full = lp.full()
-    return _solved_table(full, solve_lp(full, start=start))
+    if pruned is not None and pruned.basis is not None:
+        rows = np.concatenate([_ratio_rows(lp.kept, np.arange(lp.var_shape[1]), lp.var_shape[1]),
+                               full.n_ub_rows + np.arange(lp.var_shape[0])])
+        pruned = padded_start(pruned, full, np.arange(lp.n_vars), rows)
+    else:
+        pruned = None
+    return _solved_table(full, solve_lp(full, start=pruned))
 
 
 def _solved_table(lp: LinearProgram, sol: LpSolution) -> tuple[PerturbationTable, LpSolution]:
@@ -368,13 +660,15 @@ class _AllPairsProgram(LinearProgram):
     """A ratio program over the pairs no third point implies, and every pair's ratio bounds.
 
     ``pairs`` holds (first, second, log_bound) of every pair, kept or
-    implied, in :func:`_ratio_program`'s order, and ``name`` names the
-    program in messages. :func:`solve_approx_apo` solves the program of the
-    kept pairs, checks its table against every pair's rows and solves
-    :meth:`full` when that solve fails or the check does.
+    implied, in :func:`_ratio_program`'s order, ``kept`` the positions of
+    the kept ones among them, and ``name`` names the program in messages.
+    :func:`solve_approx_apo` solves the program of the kept pairs, checks
+    its table against every pair's rows and solves :meth:`full` when that
+    solve fails or the check does.
     """
 
     pairs: tuple = ()
+    kept: np.ndarray = None
     name: str = "all-pairs program"
 
     @property
@@ -406,10 +700,10 @@ def _all_pairs_program(objective, points, eps_total: float, p: float) -> _AllPai
     log_bound = eps_total * dist[first, second]
     name = f"all-pairs program at eps {eps_total:g}"
     _check_ratio_bounds(log_bound, name)
-    kept = ~_implied_pairs(dist)[first, second]
+    kept = np.flatnonzero(~_implied_pairs(dist)[first, second])
     lp = _ratio_program(objective, first[kept], second[kept], log_bound[kept], name)
     return _AllPairsProgram(lp.objective, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq, lp.var_shape,
-                            pairs=(first, second, log_bound), name=name)
+                            pairs=(first, second, log_bound), kept=kept, name=name)
 
 
 def build_aipo_relaxed(

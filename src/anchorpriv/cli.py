@@ -295,7 +295,9 @@ def _solved(instance, key, kinds, solve, start=None):
     ``kinds``. Neighbouring budgets' programs differ only in their ratio
     coefficients, so simplex from the last optimal basis is a parametric
     re-solve; a smaller budget's table meets a larger budget's rows, and
-    the solve starts there (see ``lpcore.solve_lp``).
+    the solve starts there (see ``lpcore.solve_lp``). An anchor solution
+    also carries its master's output columns (``LpSolution.columns``),
+    which seed the next anchor solve's master, and that master's basis.
     """
     store = instance.derived.setdefault("solved", {})
     starts = instance.derived.setdefault("starts", {})

@@ -12,11 +12,15 @@ class SolverError(RuntimeError):
     one did (``lpcore.linprog``): its method, the program's n_vars, n_rows
     and nnz, the iterations of each algorithm and their sum, the start
     kind and solve_s. It is None for a failure found outside such a call.
+    ``rejected`` is the solution HiGHS called optimal that failed a check,
+    a row or bound residual above ``lpcore.FEASIBILITY_TOL``, with its
+    basis; a later solve may start there. It is None otherwise.
     """
 
-    def __init__(self, message, stats=None):
+    def __init__(self, message, stats=None, rejected=None):
         super().__init__(message)
         self.stats = stats
+        self.rejected = rejected
 
     def report(self) -> str:
         """The message, followed by the failed call's statistics if it has them."""

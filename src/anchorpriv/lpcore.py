@@ -64,6 +64,20 @@ program itself), which takes a few hundred iterations or fewer when the
 two programs differ only in some coefficients. If that solve raises, the
 failure is logged at INFO and the program is solved from scratch as
 above. HiGHS is handed the dual's arrays in one ``passModel`` call.
+
+Anchor programs reach :func:`solve_lp` only as restricted masters:
+``apo.solve_approx_apo`` solves them over the output columns they use
+(column generation), so their size is the master's, a few of K columns,
+and a master over one column takes no solve at all. A cold master starts
+at the constant table. A master that grows starts from the last one's
+basis padded with the new columns (:func:`padded_start`): in the dual the
+new entries' rows are basic and the new ratio rows' columns sit at 0, the
+padded table meets every row, and dual simplex on the dual runs from it.
+The same padding, along rows, starts the program of every pair after a
+pruned all-pairs solve whose table misses a left-out row; primal simplex
+on the dual runs from it. A :class:`SolverError` for a solution that
+misses a residual check carries that solution (``rejected``), basis and
+all, so such a fallback can start from it too.
 """
 
 from __future__ import annotations
@@ -321,6 +335,13 @@ class LpSolution:
     from scratch too. ``basis`` is the optimal basis of the dual HiGHS solved,
     opaque, for :func:`solve_lp`'s ``start``; it is None when the solver
     left none, as after ``apo._block_ipm``.
+
+    ``columns`` is None unless the solution comes from a restricted master
+    of ``apo.solve_approx_apo``'s column generation: then ``values`` and
+    ``multipliers`` are the whole table program's, and ``columns`` lists,
+    in increasing order, the output columns of the last master, which the
+    statistics and ``basis`` describe. A master over one column needs no
+    solve: its ``method`` reads "constant table", with no basis.
     """
 
     values: np.ndarray | None
@@ -337,6 +358,7 @@ class LpSolution:
     solve_s: float
     from_basis: bool
     basis: object
+    columns: np.ndarray | None = None
 
     def as_start(self) -> LpSolution:
         """This solution without ``multipliers`` (None).
@@ -413,11 +435,12 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, method="highs-ds", op
     log.debug("LP %s: %s", message, dict(stats, start=start,
                                          simplex_strategy=settings["simplex_strategy"]))
 
-    def failure(reason):
+    def failure(reason, rejected=None):
         # The failed call's statistics, which no LpSolution will carry.
         failed = {key: value for key, value in stats.items() if key != "from_basis"}
         return SolverError(f"{method} failed: {reason}",
-                           dict(failed, start=start, solve_s=time.perf_counter() - clock))
+                           dict(failed, start=start, solve_s=time.perf_counter() - clock),
+                           rejected)
 
     if status != highs.HighsModelStatus.kOptimal:
         raise failure(message)
@@ -429,13 +452,14 @@ def linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, method="highs-ds", op
     del solver, solution
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(lam))):
         raise failure("non-finite values in the solution")
+    sol = LpSolution(values=x, objective_value=float(c @ x), multipliers=lam,
+                     basis=final if final.valid else None,
+                     solve_s=time.perf_counter() - clock, **stats)
     for kind, worst in zip(("bound", "inequality", "equality"),
                            _residuals(x, A_ub, b_ub, A_eq, b_eq)):
         if worst > FEASIBILITY_TOL:
-            raise failure(f"{kind} residual {worst:.3e} above tolerance")
-    return LpSolution(values=x, objective_value=float(c @ x), multipliers=lam,
-                      basis=final if final.valid else None,
-                      solve_s=time.perf_counter() - clock, **stats)
+            raise failure(f"{kind} residual {worst:.3e} above tolerance", sol)
+    return sol
 
 
 def _residuals(x, A_ub, b_ub, A_eq, b_eq) -> tuple[float, float, float]:
@@ -545,6 +569,45 @@ def _constant_basis(lp: LinearProgram):
     basis.row_status = rows.ravel().tolist()
     basis.valid = True
     return basis
+
+
+def padded_start(start: LpSolution, lp: LinearProgram, variables, rows) -> LpSolution:
+    """``start``, a solution of a program inside ``lp``, as a :func:`solve_lp` start of ``lp``.
+
+    ``lp`` holds every variable and row of ``start``'s program and more:
+    ``variables[v]`` is the position in ``lp`` of that program's variable
+    v, and ``rows[r]`` the position of its row r, the inequality rows
+    first and the equality rows after them, as :func:`linprog` stacks
+    them. ``start`` must have a basis. Every new variable is 0 and every
+    new row's multiplier is 0.
+
+    In the dual HiGHS holds, a new variable is a row, which is basic, and
+    a new row is a column, which sits at its lower bound 0; every other
+    row and column keeps its status. The new rows of the dual are basic,
+    so the basis matrix stays nonsingular. The padded table's values and
+    row slacks are the basis's reduced costs. Where the table meets every
+    row of ``lp``, as after the output columns that ``apo``'s column
+    generation adds, they are all >= 0 and dual simplex on the dual runs
+    from the basis; where the new rows cut the table, as the pairs that
+    the pruned all-pairs programs leave out may, the dual's rows are
+    still met (the new columns sit at 0) and primal simplex on the dual
+    runs from it. :func:`solve_lp` tells the two apart by the table.
+    """
+    highs = _binding()
+    status = highs.HighsBasisStatus
+    n_rows = lp.n_ub_rows + lp.n_eq_rows
+    col_status = np.full(n_rows, status.kLower, dtype=object)
+    col_status[np.asarray(rows)] = start.basis.col_status
+    row_status = np.full(lp.n_vars, status.kBasic, dtype=object)
+    row_status[np.asarray(variables)] = start.basis.row_status
+    basis = highs.HighsBasis()
+    basis.col_status = col_status.tolist()
+    basis.row_status = row_status.tolist()
+    basis.valid = True
+    values = np.zeros(lp.n_vars)
+    values[np.asarray(variables)] = start.values
+    return replace(start, values=values, multipliers=None, n_vars=lp.n_vars, n_rows=n_rows,
+                   basis=basis)
 
 
 def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -528,7 +529,8 @@ class TestBudgetGradient:
         if warm:
             start = _anchor_solve(inst, coeffs, np.asarray(eps) * [1.05, 0.95])[2].as_start()
         _, gradient, sol = _anchor_solve(inst, coeffs, eps, start)
-        assert sol.from_basis == warm
+        # A cold solve whose master grew starts its last master from a basis too.
+        assert sol.from_basis or not warm
         return gradient
 
     def _one_sided(self, instances, name, eps):
@@ -583,6 +585,219 @@ class TestBudgetGradient:
         _, gradient, sol = _anchor_solve(inst, coeffs, equal_split(0.2, 2.0, 2).eps)
         assert np.any(sol.multipliers > 0)
         assert np.all(np.abs(gradient) <= 1e-12)
+
+
+def _whole(lp):
+    """``lp`` as a plain ratio program, which solve_approx_apo solves over every output."""
+    return lpcore.LinearProgram(lp.objective, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq, lp.var_shape)
+
+
+class TestColumnGeneration:
+    """Anchor programs solved as restricted masters over the output columns they use."""
+
+    @staticmethod
+    def _anchor_program(inst, bv):
+        coeffs = surrogate_coefficients(inst.partition, inst.prior, inst.loss, inst.outputs)
+        return build_approx_apo(inst.partition, inst.outputs, bv, coeffs)
+
+    @staticmethod
+    def _assert_optimal_on_every_row(lp, table, sol):
+        """The stored table meets every row of the whole program, and its certificate holds."""
+        worst = max(lpcore._residuals(table.probs.ravel(), lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq))
+        assert worst <= lpcore.FEASIBILITY_TOL
+        certificate = apo._dual_certificate(lp, sol.multipliers)
+        assert sol.objective_value - certificate <= apo.OPTIMALITY_TOL * sol.objective_value
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("name", ["desk", "grid8"])
+    def test_sweep_splits_reach_the_full_optimum(self, grid8_instance, name, p):
+        # The equal splits are checked in test_lpcore's TestConstantStart; here
+        # every split the desk sweep can visit at eps 0.8 and 1.6, and every
+        # other one of grid8's at eps 1.2, each solved cold.
+        from anchorpriv.budget import feasible_allocations
+
+        inst = _desk_instance()[0] if name == "desk" else grid8_instance[0]
+        budgets = (0.8, 1.6) if name == "desk" else (1.2,)
+        for eps in budgets:
+            splits = feasible_allocations(eps, p, resolution=5)
+            for bv in splits if name == "desk" else splits[::2]:
+                lp = self._anchor_program(inst, bv)
+                table, sol = solve_approx_apo(lp)
+                _, full = solve_approx_apo(_whole(lp))
+                assert sol.objective_value == pytest.approx(full.objective_value,
+                                                            rel=apo.OPTIMALITY_TOL)
+                assert sol.columns.size <= inst.outputs.size
+                self._assert_optimal_on_every_row(lp, table, sol)
+
+    @staticmethod
+    def _built_program(eps):
+        """A 3x3-anchor program whose constant column 0 is not optimal at large ``eps``.
+
+        Column 2 costs 0 at anchor 0 and 10 elsewhere, column 0 costs 1
+        everywhere and column 1 costs 2. Mass m on column 2 at anchor 0 saves
+        m and forces m / b onto column 2 at its two neighbours, at 9 each,
+        so it pays once b = exp(eps) exceeds 18.
+        """
+        part = Partition([0.0, 0.0], [2.0, 2.0], [2, 2])
+        outputs = OutputDomain(np.array([[0.5, 0.5], [1.5, 0.5], [0.5, 1.5]]))
+        objective = np.column_stack([np.ones(9), np.full(9, 2.0), np.r_[0.0, np.full(8, 10.0)]])
+        bv = BudgetVector(eps=np.array([eps, eps]), total_eps=100.0, p=2.0)
+        return build_approx_apo(part, outputs, bv, apo.SurrogateCoefficients(objective))
+
+    @pytest.mark.parametrize("eps", [2.0, 4.0])
+    def test_pricing_adds_the_best_column_missing_from_the_seed(self, eps, monkeypatch):
+        lp = self._built_program(eps)
+        _, full = solve_approx_apo(_whole(lp))
+        solves = _spy_solves(monkeypatch)
+        table, sol = solve_approx_apo(lp)
+        assert sol.objective_value == pytest.approx(full.objective_value, rel=apo.OPTIMALITY_TOL)
+        if eps == 2.0:
+            # b = e^2 < 18: column 2 prices out, and the constant table on
+            # column 0 is stored without a HiGHS call.
+            assert sol.columns.tolist() == [0] and sol.method == "constant table"
+            assert solves == [] and table.probs[:, 0].tolist() == [1.0] * 9
+        else:
+            # b = e^4: the seed {0} misses column 2, which pricing adds.
+            assert sol.columns.tolist() == [0, 2] and len(solves) == 1
+            assert table.probs[0, 2] > 0.5
+        self._assert_optimal_on_every_row(lp, table, sol)
+
+    def test_push_that_proves_nothing_only_grows_the_columns(self, grid8_instance,
+                                                            monkeypatch):
+        # Zero multipliers price only the columns without a negative reduced
+        # cost; every other one joins, and the table is still optimal.
+        from anchorpriv.budget import equal_split
+
+        lp = self._anchor_program(grid8_instance[0], equal_split(1.2, 2.0, 2))
+        _, reference = solve_approx_apo(lp)
+
+        def nothing(self, deficit):
+            return (np.zeros((self.n_pairs, deficit.shape[1], 2)),
+                    np.any(deficit < 0, axis=0), 0)
+
+        monkeypatch.setattr(apo._Pricing, "push", nothing)
+        masters = []
+        restricted = apo._AnchorProgram.restricted
+        monkeypatch.setattr(apo._AnchorProgram, "restricted",
+                            lambda self, columns: masters.append(columns) or restricted(self,
+                                                                                      columns))
+        table, sol = solve_approx_apo(lp)
+        assert sol.objective_value == pytest.approx(reference.objective_value,
+                                                    rel=apo.OPTIMALITY_TOL)
+        assert all(set(a) < set(b) for a, b in zip(masters, masters[1:]))
+        assert set(reference.columns) <= set(sol.columns) and len(sol.columns) > len(
+            reference.columns)
+        self._assert_optimal_on_every_row(lp, table, sol)
+
+    def test_push_that_claims_too_much_stores_no_table(self, grid8_instance, monkeypatch):
+        # A push that calls every column priced with zero multipliers leaves
+        # the constant table, which the whole program's certificate rejects.
+        from anchorpriv.budget import equal_split
+
+        lp = self._anchor_program(grid8_instance[0], equal_split(1.2, 2.0, 2))
+
+        def lying(self, deficit):
+            return (np.zeros((self.n_pairs, deficit.shape[1], 2)),
+                    np.zeros(deficit.shape[1], dtype=bool), 0)
+
+        monkeypatch.setattr(apo._Pricing, "push", lying)
+        with pytest.raises(SolverError, match="not optimal"):
+            solve_approx_apo(lp)
+
+    def test_one_column_master_gives_the_constant_solve_bits(self, monkeypatch):
+        # At desk p = 2, eps 0.2 the constant table is optimal.
+        from anchorpriv.budget import equal_split
+
+        inst, p = _desk_instance()
+        lp = self._anchor_program(inst, equal_split(0.2, p, 2))
+        highs, (ref_table, ref) = [], apo._solved_table(lp, solve_lp(lp))
+        linprog = lpcore.linprog
+        monkeypatch.setattr(lpcore, "linprog",
+                            lambda *a, **kw: highs.append(1) or linprog(*a, **kw))
+        table, sol = solve_approx_apo(lp)
+        assert highs == [] and sol.method == "constant table" and sol.columns.size == 1
+        assert table.probs.tobytes() == ref_table.probs.tobytes()
+        assert apo.budget_gradient(inst.partition, lp, sol).tobytes() == \
+            apo.budget_gradient(inst.partition, lp, ref).tobytes()
+        assert sol.objective_value == ref.objective_value
+
+    def test_grown_master_starts_from_its_padded_basis(self, grid8_instance, monkeypatch):
+        from anchorpriv.budget import equal_split
+
+        inst, _ = grid8_instance
+        lp = self._anchor_program(inst, equal_split(1.2, 2.0, 2))
+        kinds = []
+        linprog = lpcore.linprog
+        monkeypatch.setattr(lpcore, "linprog", lambda *a, start="none", **kw: kinds.append(
+            start) or linprog(*a, start=start, **kw))
+        solves = _spy_solves(monkeypatch)
+        _, sol = solve_approx_apo(lp)
+        # One column, then a cold master from the constant table, then grown
+        # masters from the basis before them, each over more columns.
+        assert len(solves) >= 2 and kinds == ["constant table"] + ["feasible basis"] * (
+            len(solves) - 1)
+        assert [s.from_basis for _, s in solves] == [False] + [True] * (len(solves) - 1)
+        assert [m.n_vars for m, _ in solves] == sorted({m.n_vars for m, _ in solves})
+        assert sol.from_basis and sol.columns.size * 81 == solves[-1][0].n_vars
+
+    def test_start_carries_the_columns_and_the_basis(self, grid8_instance, monkeypatch):
+        # A neighbouring budget's solution seeds the master with its columns
+        # and starts it from its basis.
+        from anchorpriv.budget import equal_split
+
+        inst, _ = grid8_instance
+        first = self._anchor_program(inst, equal_split(1.2, 2.0, 2))
+        _, start = solve_approx_apo(first)
+        start = start.as_start()
+        solves = _spy_solves(monkeypatch)
+        lp = self._anchor_program(inst, equal_split(1.3, 2.0, 2))
+        table, sol = solve_approx_apo(lp, start=start)
+        assert set(start.columns) <= set(sol.columns)
+        assert solves[0][0].n_vars == 81 * start.columns.size and solves[0][1].from_basis
+        _, full = solve_approx_apo(_whole(lp))
+        assert sol.objective_value == pytest.approx(full.objective_value, rel=apo.OPTIMALITY_TOL)
+
+    def test_each_solve_logs_one_debug_line(self, grid8_instance, caplog):
+        from anchorpriv.budget import equal_split
+
+        lp = self._anchor_program(grid8_instance[0], equal_split(1.2, 2.0, 2))
+        with caplog.at_level(logging.DEBUG, logger="anchorpriv.apo"):
+            _, sol = solve_approx_apo(lp)
+        (record,) = [r for r in caplog.records if r.name == "anchorpriv.apo"]
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        assert message.startswith(f"anchor program at eps 1.2: {sol.columns.size} of 16 output "
+                                  "columns, ")
+        assert re.fullmatch(r".*, (\d+) master rounds, (\d+) HiGHS solves, \d+ push sweeps in "
+                            r"[0-9.e+-]+ s", message)
+
+    def test_length_is_the_shortest_path_over_the_pairs(self):
+        # Floyd-Warshall over the neighbour pairs' log bounds, on an unequal split.
+        inst, _ = _desk_instance()
+        lp = self._anchor_program(inst, BudgetVector(np.array([0.3, 0.7]), 1.6, 2.0))
+        n = inst.partition.n_anchors
+        ref = np.full((n, n), np.inf)
+        np.fill_diagonal(ref, 0.0)
+        first, second, log_bound = lp.pairs
+        ref[first, second] = ref[second, first] = log_bound
+        for k in range(n):
+            ref = np.minimum(ref, ref[:, [k]] + ref[[k], :])
+        assert np.allclose(lp.length, ref, rtol=1e-14, atol=0.0)
+
+    def test_push_certificate_lifts_every_entry(self):
+        # The pushed multipliers of a priced column make its reduced costs
+        # >= 0 on every ratio row, checked against the program's own rows.
+        lp = self._built_program(2.0)
+        first, second, log_bound = lp.pairs
+        bound = -lp.a_ub.data[1::4 * 3]
+        pricing = apo._Pricing(9, first, second, log_bound, bound, lp.length)
+        deficit = lp.objective.reshape(9, 3)[:, [1, 2]] - 1.0
+        pushed, short, sweeps = pricing.push(deficit)
+        assert short.tolist() == [False, False] and sweeps > 0 and np.all(pushed >= 0)
+        lam = np.zeros((first.size, 3, 2))
+        lam[:, [1, 2]] = pushed
+        reduced = lp.objective + lp.a_ub.rmatvec(lam.ravel())
+        assert np.all(reduced.reshape(9, 3)[:, 1:] - 1.0 >= -1e-15)
 
 
 class TestCoarseLp:
@@ -762,6 +977,12 @@ class TestPrunedAllPairs:
         assert "start none, solve_s " in message
         assert message.endswith("; solving the program of every pair")
         assert _worst_pair_row(table.probs, points, eps, p) <= lpcore.FEASIBILITY_TOL
+        # The program of every pair starts from the rejected pruned basis,
+        # the left-out rows' multipliers at 0, and reaches the cold optimum.
+        assert sol.from_basis
+        _, cold = solve_approx_apo(lp.full())
+        assert not cold.from_basis
+        assert sol.objective_value == pytest.approx(cold.objective_value, rel=apo.OPTIMALITY_TOL)
 
     def test_table_that_misses_a_left_out_row_falls_back(self, monkeypatch, caplog):
         # A table that meets the kept rows but not an implied one is not
@@ -772,7 +993,7 @@ class TestPrunedAllPairs:
         monkeypatch.setattr(apo._AllPairsProgram, "worst_row", lambda self, table: 1e-6)
         with caplog.at_level(logging.INFO, logger="anchorpriv.apo"):
             _, sol = solve_approx_apo(lp)
-        assert sol.n_rows == lp.full().n_ub_rows + 25
+        assert sol.n_rows == lp.full().n_ub_rows + 25 and sol.from_basis
         assert [r.getMessage() for r in caplog.records if r.name == "anchorpriv.apo"] == [
             "all-pairs program at eps 0.8 over 200 of 300 pairs: its table misses a pair's "
             "row by 1.000e-06; solving the program of every pair"]

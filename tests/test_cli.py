@@ -463,20 +463,21 @@ class TestWarmSweep:
         priv = PrivacySpec(p=p)
         inst = evaluation.synth_instance(spec, seed=6)
         starts = []
-        solve_lp = apo.solve_lp
-        monkeypatch.setattr(apo, "solve_lp",
-                            lambda lp, **kw: starts.append(kw.get("start")) or solve_lp(lp, **kw))
+        solve = apo.solve_approx_apo
+        monkeypatch.setattr(apo, "solve_approx_apo",
+                            lambda lp, start=None: starts.append(start) or solve(lp, start=start))
         _, best, curve, failed = make_aipo_mechanism(inst, 0.8, priv)
         assert failed == [] and len(starts) == len(curve)
         assert starts[0] is None and all(s is not None for s in starts[1:])
-        # Kept solutions carry their basis and values but not their multipliers.
+        # Kept solutions carry their columns, their values and the basis of
+        # any master HiGHS solved, but not their multipliers.
         kept = [s for _, s in inst.derived["solved"].values()]
         kept += list(inst.derived["starts"].values())
-        assert all(s.values is not None and s.multipliers is None and s.basis is not None
-                   for s in kept + starts[1:])
+        assert all(s.values is not None and s.multipliers is None and s.columns is not None
+                   and (s.basis is not None or s.columns.size == 1) for s in kept + starts[1:])
 
         cold_inst = evaluation.synth_instance(spec, seed=6)
-        monkeypatch.setattr(apo, "solve_lp", lambda lp, start=None, **kw: solve_lp(lp, **kw))
+        monkeypatch.setattr(apo, "solve_approx_apo", lambda lp, start=None: solve(lp))
         _, cold_best, cold_curve, _ = make_aipo_mechanism(cold_inst, 0.8, priv)
         assert best.eps.tobytes() == cold_best.eps.tobytes()
         assert [row[:2] for row in curve] == [row[:2] for row in cold_curve]
@@ -755,11 +756,14 @@ class TestLowerBound:
         assert summary["lpcore.highs.calls"] == 2
 
     def test_benchmark_tracer_counts_sweep_statistics(self, tmp_path, monkeypatch):
-        # The sweep's candidates start from their neighbours' bases.
-        cfg = write_config(tmp_path, {"privacy": {"budget_mode": "sweep", "sweep_resolution": 3}})
+        # The sweep's candidates start from their neighbours' bases. An anchor
+        # solve makes one HiGHS call per master over more than one column:
+        # on the desk config the eps-0.4 masters hold one column and make
+        # none, and the first eps-1.6 one grows.
+        cfg = desk_config(tmp_path, {"privacy": {"sweep_resolution": 3}})
         summary, solutions = self._assert_tracer_counts_lp_statistics(
-            tmp_path, monkeypatch, "synthesize", "--config", str(cfg), "--eps", "0.4,0.8")
-        assert summary["apo.solve_approx_apo.calls"] == len(solutions)
+            tmp_path, monkeypatch, "synthesize", "--config", str(cfg), "--eps", "0.4,1.6")
+        assert 0 < len(solutions) != summary["apo.solve_approx_apo.calls"]
         assert any(sol.from_basis for sol in solutions)
         assert not all(sol.from_basis for sol in solutions)
 
@@ -1098,6 +1102,43 @@ class TestStrictConfig:
         assert [outcome.failed for outcome in outcomes] == [{}, {}, {}]
 
 
+class TestDeskEqualSplitNearTheCoefficientLimit:
+    """Desk ``synthesize`` with ``budget_mode: equal`` at large budgets (ROADMAP items 2 and 9)."""
+
+    @staticmethod
+    def _synthesize(tmp_path, capsys, eps):
+        cfg = desk_config(tmp_path, {"privacy": {"budget_mode": "equal"}})
+        out = tmp_path / "out"
+        code = main(["synthesize", "--config", str(cfg), "--eps", eps, "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 0, err
+        # The stored table meets every row of its program.
+        run = load_config(cfg)
+        inst = evaluation.synth_instance(run.instance, seed=run.seed)
+        mech = json.loads((out / f"mechanism_eps{eps}.json").read_text())
+        bv = budget.BudgetVector(np.array(mech["budget_eps"]), float(eps), run.privacy.p)
+        lp = apo.build_approx_apo(inst.partition, inst.outputs, bv, _surrogate(inst))
+        table = np.array(mech["table"]["probs"], dtype=float).ravel()
+        assert max(lpcore._residuals(table, lp.a_ub, lp.b_ub, lp.a_eq, lp.b_eq)) \
+            <= lpcore.FEASIBILITY_TOL
+
+    def test_eps_150_is_solved(self, tmp_path, capsys):
+        self._synthesize(tmp_path, capsys, "150")
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="exits 3: solver error: highs-ds failed: "
+                              "(HiGHS Status 0: Not Set)")
+    def test_eps_170_is_solved(self, tmp_path, capsys):
+        self._synthesize(tmp_path, capsys, "170")
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="exits 3: solver error: highs-ds returned a table "
+                              "that is not optimal: objective 0.49945377 against "
+                              "dual certificate 0.324957744")
+    def test_eps_195_is_solved(self, tmp_path, capsys):
+        self._synthesize(tmp_path, capsys, "195")
+
+
 class TestInputGuards:
     def _mechanism(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -1234,13 +1275,16 @@ class TestInputGuards:
         assert solves == [] and not out.exists()
 
     def test_explicit_budget_is_stored(self, tmp_path, monkeypatch):
-        solutions = _spy_solutions(monkeypatch)
+        starts = []
+        solve = apo.solve_approx_apo
+        monkeypatch.setattr(apo, "solve_approx_apo",
+                            lambda lp, start=None: starts.append(start) or solve(lp, start=start))
         cfg = write_config(tmp_path, {"privacy": {"budget_mode": "explicit",
                                                   "explicit_budget": [0.1, 0.15]}})
         out = tmp_path / "out"
         assert main(["synthesize", "--config", str(cfg), "--out-dir", str(out)]) == 0
-        # An explicit vector starts from no other program's basis.
-        assert [s.from_basis for s in solutions] == [False, False]
+        # An explicit vector starts from no other program's solution.
+        assert starts == [None, None]
         for eps in ("0.4", "0.8"):
             mech = json.loads((out / f"mechanism_eps{eps}.json").read_text())
             assert mech["budget_eps"] == [0.1, 0.15]

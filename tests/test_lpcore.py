@@ -255,8 +255,54 @@ def test_failed_call_carries_its_statistics(monkeypatch):
         start="none")
     assert stats["solve_s"] >= 0.0
     assert info.value.report().startswith(f"{info.value} [method highs-ipm, n_vars 225, ")
-    # Raised outside a solver call, it carries none.
+    # Raised outside a solver call, it carries none; a status that is not
+    # optimal leaves no solution to start from.
     assert SolverError("no call").stats is None and SolverError("no call").report() == "no call"
+    assert info.value.rejected is None and SolverError("no call").rejected is None
+
+
+def test_solution_that_fails_a_check_rides_on_the_error(monkeypatch):
+    # An optimal HiGHS answer that misses the residual check is held, with
+    # its basis, so that a later solve can start there.
+    lp = _anchor_program(4, 3)
+    ref = solve_lp(lp)
+    monkeypatch.setattr(lpcore, "FEASIBILITY_TOL", -1.0)
+    a_ub, b_ub, a_eq, b_eq = lp.matrices()
+    with pytest.raises(SolverError, match="residual") as info:
+        lpcore.linprog(lp.objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                       options=_SOLVE_OPTIONS)
+    rejected = info.value.rejected
+    assert rejected.basis is not None and rejected.objective_value == pytest.approx(
+        ref.objective_value, rel=1e-12)
+    assert (rejected.n_vars, rejected.n_rows) == (ref.n_vars, ref.n_rows)
+
+
+def test_padded_start_adds_columns_and_rows_at_zero():
+    # A master over two output columns pads to the master over three: the
+    # new variables and rows are 0, every old status is kept, and simplex
+    # runs from it to the cold optimum.
+    lp = _anchor_program(4, 3)
+    small, grown = lp.restricted([0, 4]), lp.restricted([0, 2, 4])
+    sol = solve_lp(small)
+    n_rows, n_pairs = 25, small.n_ub_rows // 4
+    variables = (np.arange(n_rows)[:, None] * 3 + [0, 2]).ravel()
+    rows = np.concatenate([apo._ratio_rows(np.arange(n_pairs), [0, 2], 3),
+                           grown.n_ub_rows + np.arange(n_rows)])
+    start = lpcore.padded_start(sol, grown, variables, rows)
+    status = highs.HighsBasisStatus
+    assert (start.n_vars, start.n_rows, start.multipliers) == (
+        grown.n_vars, grown.n_ub_rows + grown.n_eq_rows, None)
+    assert start.values[variables].tobytes() == sol.values.tobytes()
+    assert not np.any(np.delete(start.values, variables))
+    assert [start.basis.col_status[r] for r in rows] == list(sol.basis.col_status)
+    assert [start.basis.row_status[v] for v in variables] == list(sol.basis.row_status)
+    assert {start.basis.col_status[r] for r in np.setdiff1d(np.arange(start.n_rows), rows)} \
+        == {status.kLower}
+    assert {start.basis.row_status[v] for v in np.setdiff1d(np.arange(grown.n_vars),
+                                                             variables)} == {status.kBasic}
+    warm = solve_lp(grown, start=start)
+    assert warm.from_basis
+    assert warm.objective_value == pytest.approx(solve_lp(grown).objective_value, rel=1e-12)
 
 
 class TestSolverRouting:
@@ -558,13 +604,19 @@ class TestConstantStart:
                               method="highs-ds" if name == "desk" else "highs-ipm",
                               options=_SOLVE_OPTIONS)
         kinds = _start_kinds(monkeypatch)
-        _, sol = apo.solve_approx_apo(lp)  # raises unless the certificate is optimal
+        # The whole program, as solve_approx_apo solves a master over every
+        # output column; it raises unless the certificate is optimal.
+        _, sol = apo._solved_table(lp, solve_lp(lp))
         assert kinds == ["constant table"]
         certificate = apo._dual_certificate(lp, sol.multipliers)
         assert sol.objective_value - certificate <= apo.OPTIMALITY_TOL * sol.objective_value
         # Both meet the rows to FEASIBILITY_TOL only (the cold grid8 table at
         # eps 1e-9 has entries of -3e-11), so the optima agree to 6.7e-12.
         assert abs(sol.objective_value - cold.objective_value) <= 1e-10 * cold.objective_value
+        # Column generation over the outputs reaches the same optimum.
+        _, generated = apo.solve_approx_apo(lp)
+        assert generated.objective_value == pytest.approx(cold.objective_value,
+                                                          rel=apo.OPTIMALITY_TOL)
 
     def test_basis_is_the_constant_table(self):
         # Solved with no iteration allowed, the start itself comes back.
