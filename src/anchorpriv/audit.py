@@ -9,7 +9,10 @@ are floored before taking logs so ratios stay finite.
 Pairs are evaluated a row block at a time, on the calling thread: each
 output is one array pass over the block's rows against every later
 point, and each block is reduced before the next, so memory stays linear
-in the sample count. A worker pool over the blocks gained no time on a
+in the sample count. Only the distinct outputs whose floored logs vary
+over the sample are passed over: a constant output's gap is 0 at every
+pair, and a repeated one's equals its first copy's, counted with its
+multiplicity. A worker pool over the blocks gained no time on a
 2-core machine and cost memory, so there is none.
 
 The sampled points and each block's pair distances depend only on the
@@ -173,20 +176,43 @@ class PairSample:
             yield start, dist, np.tri(size, min(size, dist.shape[1]), k=-1, dtype=bool)
 
 
+def _distinct_varying(logs):
+    """The distinct rows of ``logs`` that vary over the points, and their multiplicities.
+
+    ``logs`` holds one output per row, shape (K, n). A row equal at every
+    point has log-gap 0 at every pair, and a repeated row has its first
+    copy's gaps bit for bit, so the worst-output PPR over the returned
+    rows is the one over all K, and each returned row's per-output count,
+    times its multiplicity, is the count of all its copies.
+    """
+    copies = {}
+    for k in np.flatnonzero((logs != logs[:, :1]).any(axis=1)).tolist():
+        copies.setdefault(logs[k].tobytes(), []).append(k)
+    firsts = [ks[0] for ks in copies.values()]
+    return logs[firsts], np.array([len(ks) for ks in copies.values()], dtype=np.int64)
+
+
 def _block_ppr(logs, start, dist, lower):
     """Per-pair worst-output PPR of one row block of :meth:`PairSample.blocks`.
 
-    ``logs`` holds one output per row, shape (K, n). Returns an array
-    shaped like ``dist``, -inf where ``lower`` marks j <= i.
+    ``logs`` holds one output per row, shape (K, n); with no rows every
+    PPR is 0. Returns an array shaped like ``dist``, -inf where ``lower``
+    marks j <= i.
     """
     later = slice(start + 1, None)
     rows = slice(start, start + dist.shape[0])
-    gap = np.zeros_like(dist)
-    buf = np.empty_like(dist)
-    for lk in logs:
-        np.subtract(lk[later], lk[rows, None], out=buf)
-        np.abs(buf, out=buf)
-        np.maximum(gap, buf, out=gap)
+    if not len(logs):
+        gap = np.zeros_like(dist)
+    else:
+        # Every gap is >= +0, so starting from the first row's gaps is
+        # bitwise starting from zeros.
+        gap = np.subtract(logs[0, later], logs[0, rows, None])
+        np.abs(gap, out=gap)
+        buf = np.empty_like(dist)
+        for lk in logs[1:]:
+            np.subtract(lk[later], lk[rows, None], out=buf)
+            np.abs(buf, out=buf)
+            np.maximum(gap, buf, out=gap)
     # One division per pair: dividing by d > 0 is monotone, so
     # max_k(|gap_k|) / d is bitwise max_k(|gap_k| / d).
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -196,10 +222,13 @@ def _block_ppr(logs, start, dist, lower):
 
 
 def _blocks(mech, eps, p, sample_count, seed, sample=None):
-    """Yield ``(ppr, dist, logs, start)`` for every row block, in row order.
+    """Yield ``(ppr, dist, logs, copies, start)`` for every row block, in row order.
 
-    The blocks are ``sample``'s, which must be the one these settings
-    draw; None draws a fresh sample that builds each block as it is read.
+    ``logs`` holds the mechanism's distinct varying floored log rows over
+    the sample points and ``copies`` their multiplicities
+    (:func:`_distinct_varying`). The blocks are ``sample``'s, which must
+    be the one these settings draw; None draws a fresh sample that builds
+    each block as it is read.
     """
     if not eps > 0:
         raise ValueError(f"audit budget eps must be positive, got {eps}")
@@ -209,9 +238,9 @@ def _blocks(mech, eps, p, sample_count, seed, sample=None):
         sample = PairSample(mech.bounds, p, sample_count, seed)
     else:
         sample.check(mech, p, sample_count, seed)
-    logs = np.ascontiguousarray(_floored_logs(mech, sample.points).T)
+    logs, copies = _distinct_varying(np.ascontiguousarray(_floored_logs(mech, sample.points).T))
     for start, dist, lower in sample.blocks():
-        yield _block_ppr(logs, start, dist, lower), dist, logs, start
+        yield _block_ppr(logs, start, dist, lower), dist, logs, copies, start
 
 
 def _top_indices(flat, valid, top_k):
@@ -251,22 +280,30 @@ def violation_ratio(mech, eps: float, p: float | None = None,
     violating = over = 0
     max_ppr = 0.0
     worst = []
-    for ppr, dist, logs, start in _blocks(mech, eps, p, sample_count, seed, sample):
-        # Only a pair whose worst output exceeds eps has outputs that do.
-        a, c = np.nonzero(ppr > eps)
-        violating += a.size
-        over += int(np.count_nonzero(
-            np.abs(logs[:, start + 1 + c] - logs[:, start + a]) / dist[a, c] > eps))
+    for ppr, dist, logs, copies, start in _blocks(mech, eps, p, sample_count, seed, sample):
         rows, cols = ppr.shape
         flat = ppr.ravel()
-        max_ppr = max(max_ppr, float(flat.max(initial=0.0)))
+        block_max = float(flat.max(initial=0.0))
+        max_ppr = max(max_ppr, block_max)
+        # Only a pair whose worst output exceeds eps has outputs that do,
+        # so a block whose largest PPR is at most eps has neither (a NaN
+        # max is not at most eps).
+        if not block_max <= eps:
+            pairs = np.flatnonzero(flat > eps)
+            violating += pairs.size
+            a, c = np.divmod(pairs, cols)
+            gaps = np.take(logs, start + 1 + c, axis=1)
+            np.subtract(gaps, np.take(logs, start + a, axis=1), out=gaps)
+            np.abs(gaps, out=gaps)
+            np.divide(gaps, dist.ravel()[pairs], out=gaps)
+            over += int(np.count_nonzero(np.repeat(gaps > eps, copies, axis=0)))
         if top_k:
             valid = rows * cols - rows * (rows - 1) // 2
             worst += [(float(flat[o]), start + o // cols, start + 1 + o % cols)
                       for o in _top_indices(flat, valid, top_k).tolist()]
             worst = sorted(worst, key=lambda t: (-t[0], t[1], t[2]))[:top_k]
         # Release this block before the next one is built.
-        del ppr, dist, flat, a, c
+        del ppr, dist, flat
     n = int(sample_count)
     pair_count = n * (n - 1) // 2
     return AuditReport(
@@ -293,7 +330,7 @@ def ppr_histogram(mech, eps: float, p: float | None = None,
     """
     p = _metric_order(mech, p)
     values = np.concatenate([ppr[ppr > -np.inf]
-                             for ppr, _, _, _ in _blocks(mech, eps, p, sample_count, seed)])
+                             for ppr, *_ in _blocks(mech, eps, p, sample_count, seed)])
     upper = max(2.0 * eps, float(values.max()) if values.size else 0.0) or 1.0
     counts, edges = np.histogram(values, bins=bins, range=(0.0, upper))
     return edges, counts

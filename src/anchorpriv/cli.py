@@ -18,6 +18,9 @@ error, 3 infeasible/solver error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import atexit
+import functools
+import gc
 import hashlib
 import json
 import math
@@ -36,6 +39,10 @@ from .geometry import Partition, locate_cells
 from .interpolation import Mechanism
 
 BUDGET_MODES = ("sweep", "equal", "explicit")
+# libyaml's safe loader where PyYAML was built with it (`import yaml`
+# loads it then), else the pure-Python one: both build the same values,
+# and grid8.yaml parses in 0.5 ms instead of 4.8 ms.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +245,7 @@ def load_config(path, eps=None, seed=None) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        cfg = yaml.safe_load(raw) or {}
+        cfg = yaml.load(raw, Loader=_YAML_LOADER) or {}
     except yaml.YAMLError as exc:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -677,7 +684,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _freeze_heap_at_exit():
+    """Register :func:`gc.freeze` to run at interpreter exit, once per process.
+
+    At exit CPython runs full collections over every object still tracked:
+    the ~24k that numpy, this package and HiGHS leave after a grid8
+    ``lower-bound``, at 4-5 ms per pass on a 2-core VM. Frozen objects are
+    skipped: that process spent a median 26.8 ms between ``main`` returning
+    and exit without this hook, and 6.2 ms with it (15 processes each).
+    Collection while a command runs is unchanged.
+    """
+    atexit.register(gc.freeze)
+
+
 def main(argv=None) -> int:
+    _freeze_heap_at_exit()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anchorpriv import audit, formats
@@ -264,29 +264,31 @@ class TestHistogram:
         assert np.array_equal(back[:, 2], counts)
 
 
-def _ppr(x, x2, k, mech, p):
-    """Log-probability gap of output k per unit of lp distance, for one pair."""
-    logs = np.maximum(mech.log_probs(np.stack([x, x2])), math.log(PROB_FLOOR))
-    d = float(lp_distance_matrix(x[None], x2[None], p)[0, 0])
-    return abs(float(logs[0, k] - logs[1, k])) / d
+def _pair_gaps(mech, p, n, seed):
+    """Brute force over the audit's sample, one pair (i < j) at a time.
 
-
-def _reference(mech, eps, p, n, seed, top_k, bins):
-    """Brute-force audit: every pair and output, one at a time."""
+    Maps each pair to every output's floored log-probability gap per unit
+    of lp distance.
+    """
     points = audit._sample_points(mech.bounds, n, np.random.default_rng(seed))
-    worst, over = [], 0
+    gaps = {}
     for i in range(n):
         for j in range(i + 1, n):
-            per_output = [_ppr(points[i], points[j], k, mech, p)
-                          for k in range(mech.n_outputs)]
-            over += sum(v > eps for v in per_output)
-            worst.append((max(per_output), i, j))
+            logs = np.maximum(mech.log_probs(points[[i, j]]), math.log(PROB_FLOOR))
+            d = float(lp_distance_matrix(points[i:i + 1], points[j:j + 1], p)[0, 0])
+            gaps[i, j] = np.abs(logs[0] - logs[1]) / d
+    return gaps
+
+
+def _reference(gaps, eps, top_k, bins):
+    """The audit's report fields and histogram from ``_pair_gaps``: every pair and output."""
+    worst = [(float(g.max()), i, j) for (i, j), g in gaps.items()]
     values = np.array([v for v, _, _ in worst])
     upper = max(2.0 * eps, float(values.max())) or 1.0
     counts, edges = np.histogram(values, bins=bins, range=(0.0, upper))
     return {
         "violating_pairs": int(np.count_nonzero(values > eps)),
-        "violating_pair_outputs": over,
+        "violating_pair_outputs": sum(int(np.count_nonzero(g > eps)) for g in gaps.values()),
         "max_ppr": max(0.0, float(values.max())),
         "worst_pairs": sorted(worst, key=lambda t: (-t[0], t[1], t[2]))[:top_k],
     }, edges, counts
@@ -320,7 +322,7 @@ class TestOracle:
            top_k=st.integers(0, 8), block=st.sampled_from([2, 3, 5, audit.ROW_BLOCK]))
     def test_block_passes_match_per_pair_reference(self, data, p, n, seed, eps, top_k, block):
         mech = data.draw(_mechanisms(p))
-        want, edges, counts = _reference(mech, eps, p, n, seed, top_k, bins=7)
+        want, edges, counts = _reference(_pair_gaps(mech, p, n, seed), eps, top_k, bins=7)
         # Small row blocks split even 12 points into several blocks.
         with mock.patch.object(audit, "ROW_BLOCK", block):
             rep = violation_ratio(mech, eps, p, sample_count=n, seed=seed, top_k=top_k)
@@ -330,3 +332,116 @@ class TestOracle:
                                                   seed=seed)
             assert np.array_equal(got_edges, edges)
             assert np.array_equal(got_counts, counts)
+
+
+def _planted_mech(kind, columns, layout, reps, p):
+    """A 2-D mechanism whose outputs repeat ``columns`` as ``layout`` says.
+
+    Output k has table column ``columns[layout[k]]`` (one value per table
+    row), or an all-zero column where ``layout[k]`` is -1. CoarseLP tables
+    release their rows exactly, so a zero column's floored log is the floor
+    everywhere; interpolated tables are floored at PROB_FLOOR first.
+    """
+    n_rows = len(columns[0])
+    raw = np.stack([np.zeros(n_rows) if c < 0 else np.asarray(columns[c], float)
+                    for c in layout], axis=1)
+    table = PerturbationTable(raw / raw.sum(axis=1, keepdims=True))
+    outputs = OutputDomain(points=np.linspace(0.0, 1.0, 2 * len(layout)).reshape(-1, 2))
+    bounds = ((0.0, 0.0), (1.0, 1.0))
+    if kind == "coarse":
+        return CoarseLpMechanism(reps, table, outputs, bounds, metric_p=p)
+    return Mechanism(Partition(*bounds, (2, 2)), table, outputs, total_eps=1.0, metric_p=p)
+
+
+@st.composite
+def _planted(draw):
+    """``_planted_mech`` arguments less p: zero and repeated columns, some tables constant."""
+    kind = draw(st.sampled_from(["coarse", "interpolated"]))
+    n_rows = draw(st.integers(1, 4)) if kind == "coarse" else 9
+    constant = draw(st.booleans())  # every column equal down its rows
+    values = st.lists(st.floats(0.01, 1.0), min_size=n_rows, max_size=n_rows)
+    if constant:
+        values = st.floats(0.01, 1.0).map(lambda v: [v] * n_rows)
+    columns = draw(st.lists(values, min_size=1, max_size=3))
+    layout = draw(st.lists(st.integers(-1, len(columns) - 1), min_size=1, max_size=6))
+    layout[draw(st.integers(0, len(layout) - 1))] = draw(st.integers(0, len(columns) - 1))
+    point = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    reps = draw(st.lists(point, min_size=n_rows, max_size=n_rows))
+    return kind, columns, layout, reps
+
+
+def _eps_at(gaps, quantile):
+    """A budget at ``quantile`` of the positive pair PPRs (0.5 if none), so some pass and some fail."""
+    values = np.array([g.max() for g in gaps.values()])
+    positive = values[values > 0]
+    return float(np.quantile(positive, quantile)) if positive.size else 0.5
+
+
+# Planted cases the property must meet whatever Hypothesis draws: every
+# output constant; a varying output repeated and violating; and row
+# blocks whose largest PPR falls on both sides of eps.
+EVERY_OUTPUT_CONSTANT = dict(spec=("coarse", [[0.3, 0.3], [0.7, 0.7]], [0, -1, 1, 0],
+                                   [(0.2, 0.2), (0.8, 0.8)]),
+                             p=2.0, n=12, seed=3, quantile=0.5, block=3)
+REPEATED_VIOLATING = dict(spec=("coarse", [[0.9, 0.1], [0.1, 0.9]], [0, 0, -1, 1, 0],
+                                [(0.2, 0.2), (0.8, 0.8)]),
+                          p=2.0, n=12, seed=3, quantile=0.0, block=3)
+BLOCKS_BOTH_SIDES = dict(spec=("interpolated", [[0.1 + 0.1 * i for i in range(9)],
+                                                [0.9 - 0.1 * i for i in range(9)]],
+                               [0, -1, 1, 1, -1], []),
+                         p=1.0, n=14, seed=5, quantile=0.8, block=2)
+
+
+class TestDistinctVaryingOutputs:
+    """The pair pass runs over the distinct varying outputs; every number is the all-K one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=_planted(), p=st.sampled_from([1.0, 2.0, math.inf]), n=st.integers(2, 14),
+           seed=st.integers(0, 2**16), quantile=st.floats(0.0, 1.0),
+           block=st.sampled_from([2, 3, 5, audit.ROW_BLOCK]))
+    @example(**EVERY_OUTPUT_CONSTANT)
+    @example(**REPEATED_VIOLATING)
+    @example(**BLOCKS_BOTH_SIDES)
+    def test_audit_matches_all_outputs_reference(self, spec, p, n, seed, quantile, block):
+        mech = _planted_mech(*spec, p)
+        gaps = _pair_gaps(mech, p, n, seed)
+        eps = _eps_at(gaps, quantile)
+        want, edges, counts = _reference(gaps, eps, top_k=5, bins=7)
+        with mock.patch.object(audit, "ROW_BLOCK", block):
+            rep = violation_ratio(mech, eps, p, sample_count=n, seed=seed, top_k=5)
+            assert {key: getattr(rep, key) for key in want} == want
+            got_edges, got_counts = ppr_histogram(mech, eps, p, sample_count=n, bins=7, seed=seed)
+        assert np.array_equal(got_edges, edges)
+        assert np.array_equal(got_counts, counts)
+
+    def test_planted_examples_cover_their_cases(self):
+        def setup(case):
+            mech = _planted_mech(*case["spec"], case["p"])
+            gaps = _pair_gaps(mech, case["p"], case["n"], case["seed"])
+            return mech, gaps, _eps_at(gaps, case["quantile"])
+
+        case = EVERY_OUTPUT_CONSTANT
+        mech, gaps, eps = setup(case)
+        assert violation_ratio(mech, eps, case["p"], sample_count=case["n"],
+                               seed=case["seed"]).max_ppr == 0.0
+        # Output 0 appears three times, varies, and violates at each copy.
+        mech, gaps, eps = setup(REPEATED_VIOLATING)
+        copies = [g[[0, 1, 4]] for g in gaps.values()]
+        assert all(c[0] == c[1] == c[2] for c in copies)
+        assert sum(c[0] > eps for c in copies) > 0
+        # Some row blocks' largest PPR is at most eps and some exceed it.
+        case = BLOCKS_BOTH_SIDES
+        mech, gaps, eps = setup(case)
+        n = case["n"]
+        maxima = [max((gaps[i, j].max() for i in rows for j in range(i + 1, n)), default=0.0)
+                  for rows in np.array_split(np.arange(n), n // case["block"])]
+        assert min(maxima) <= eps < max(maxima)
+
+    def test_constant_and_repeated_outputs_are_passed_over_once(self):
+        logs = np.array([[1.0, 2.0, 3.0], [5.0, 5.0, 5.0], [1.0, 2.0, 3.0],
+                         [0.0, -0.0, 0.0], [3.0, 2.0, 1.0], [1.0, 2.0, 3.0]])
+        rows, copies = audit._distinct_varying(logs)
+        assert rows.tolist() == [[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]]
+        assert copies.tolist() == [3, 1]
+        rows, copies = audit._distinct_varying(logs[[1, 3]])
+        assert rows.shape == (0, 3) and copies.size == 0

@@ -20,7 +20,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anchorpriv import apo, audit, budget, evaluation, formats, lpcore
+from anchorpriv import apo, audit, budget, cli, evaluation, formats, lpcore
 from anchorpriv.cli import (
     CompareSpec,
     PrivacySpec,
@@ -912,6 +912,21 @@ class TestHighsLoad:
                             "0.8") == ["0", "1", "True", "True"]
 
 
+class TestExitHook:
+    def test_main_registers_the_heap_freeze_once(self, tmp_path):
+        # Handlers run last-registered first, so the one registered before
+        # main runs after main's hook and sees the frozen heap.
+        missing = str(tmp_path / "missing.yaml")
+        assert _last_line_of(textwrap.dedent(f"""
+            import atexit, gc
+            atexit.register(lambda: print(codes, hooks == [gc.freeze], gc.get_freeze_count() > 0))
+            from anchorpriv import cli
+            register, hooks = atexit.register, []
+            atexit.register = lambda fn: (hooks.append(fn), register(fn))[1]
+            codes = [cli.main(["lower-bound", "--config", {missing!r}]) for _ in range(2)]
+        """)) == "[2, 2] True True"
+
+
 class TestErrors:
     def test_all_pairs_ratio_bound_above_highs_limit_is_solver_error(self, tmp_path, capsys):
         args = ["compare", "--config", str(DESK), "--method", "AIPO-R"]
@@ -968,10 +983,14 @@ class TestErrors:
         code = main(["synthesize", "--config", str(tmp_path / "nope.yaml")])
         assert code == 2
 
-    def test_invalid_yaml_is_config_error(self, tmp_path):
+    @pytest.mark.parametrize("loader", [yaml.SafeLoader, cli._YAML_LOADER])
+    def test_invalid_yaml_is_config_error(self, tmp_path, capsys, monkeypatch, loader):
+        monkeypatch.setattr(cli, "_YAML_LOADER", loader)
         path = tmp_path / "bad.yaml"
-        path.write_text("privacy: [unclosed")
-        assert main(["synthesize", "--config", str(path)]) == 2
+        for text in (b"privacy: [unclosed", b"metric:\n\tp: 2", b"metric: {p: \x01}"):
+            path.write_bytes(text)
+            assert main(["synthesize", "--config", str(path)]) == 2
+            assert f"config {path} is not valid YAML: " in capsys.readouterr().err
 
     def test_bad_budget_mode_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, {"privacy": {"budget_mode": "magic"}})
@@ -1070,6 +1089,16 @@ class TestStrictConfig:
             path = tmp_path / "inf.yaml"
             path.write_text(text)
             assert load_config(path).privacy.p == math.inf
+
+    @pytest.mark.parametrize("path", sorted([*(ROOT / "configs").glob("*.yaml"),
+                                             *(ROOT / "perfbench" / "inputs").glob("*.yaml")]),
+                             ids=lambda path: f"{path.parent.name}/{path.name}")
+    def test_yaml_loaders_give_the_same_config(self, path, monkeypatch):
+        # load_config parses with libyaml's loader where PyYAML has it; the
+        # pure-Python loader must read every shipped config the same way.
+        fast = load_config(path)
+        monkeypatch.setattr(cli, "_YAML_LOADER", yaml.SafeLoader)
+        assert load_config(path) == fast
 
     def test_benchmark_inputs_load_strictly(self, monkeypatch):
         # The example config and the frozen benchmark inputs must stay
